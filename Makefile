@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-recovery test-dist test-sanitize test-obs serve-smoke serve-mt-smoke bench bench-smoke bench-gate bench-wallclock lint typecheck docs-check analyze
+.PHONY: test test-recovery test-dist test-sanitize test-obs serve-smoke serve-mt-smoke bench bench-smoke bench-gate bench-wallclock bench-e2e bench-e2e-smoke lint typecheck docs-check analyze
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -40,8 +40,12 @@ serve-smoke:
 serve-mt-smoke:
 	$(PYTHON) examples/multitenant_quickstart.py
 
+# Benches write BENCH_*.json and results/ under benchmarks/.out
+# (git-ignored) unless given --bench-root; bench, bench-gate and
+# bench-wallclock refresh the committed files at the repository root on
+# purpose.  `make test` collects the same benches and leaves them alone.
 bench:
-	$(PYTHON) -m pytest benchmarks/ -q
+	$(PYTHON) -m pytest benchmarks/ -q --bench-root=.
 
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/test_fig10_ycsb.py benchmarks/test_sharded_batched.py benchmarks/test_replicated.py -q
@@ -52,7 +56,7 @@ bench-smoke:
 # BENCH_wallclock.json tagged clock="wall" so the gate applies the
 # wider wall tolerance to it.
 bench-wallclock:
-	$(PYTHON) -m pytest benchmarks/test_wallclock.py -q
+	$(PYTHON) -m pytest benchmarks/test_wallclock.py -q --bench-root=.
 
 # Perf-trajectory gate: snapshot the committed BENCH_*.json baselines,
 # re-run every BENCH-emitting bench (fresh files land at the repo root),
@@ -66,8 +70,20 @@ bench-gate:
 	rm -rf results/baselines && mkdir -p results/baselines
 	cp BENCH_*.json results/baselines/
 	touch results/baselines/.gate-start
-	$(PYTHON) -m pytest benchmarks/test_sharded_batched.py benchmarks/test_serving.py benchmarks/test_replicated.py benchmarks/test_dist_scaling.py benchmarks/test_wallclock.py benchmarks/test_obs_overhead.py benchmarks/test_multitenant.py -q
+	$(PYTHON) -m pytest benchmarks/test_sharded_batched.py benchmarks/test_serving.py benchmarks/test_replicated.py benchmarks/test_dist_scaling.py benchmarks/test_wallclock.py benchmarks/test_obs_overhead.py benchmarks/test_multitenant.py -q --bench-root=.
 	$(PYTHON) benchmarks/compare.py --baseline results/baselines --fresh . --tolerance 0.30 --wall-tolerance 0.60 --since results/baselines/.gate-start
+
+# The repository benchmark (BENCHMARK.json, benchmarks/e2e/README.md):
+# four whole workloads end to end, ~2 min.  bench-e2e-smoke is its
+# seconds-long form for CI — six ops per workload on scaled-down inputs,
+# untraced and traced — and fails on a wrong result, a failed op, or a
+# trace whose spans cover under 95% of a training step (check_e2e.py;
+# run.py itself always exits 0).
+bench-e2e:
+	python3 benchmarks/e2e/run.py
+
+bench-e2e-smoke:
+	python3 benchmarks/e2e/run.py --quick --trace 1 | $(PYTHON) benchmarks/check_e2e.py
 
 # Replication + distributed suites once more under the runtime invariant
 # sanitizer (repro.analysis.sanitize): every protocol transition is

@@ -1,8 +1,9 @@
 """Shared helpers for the figure benchmarks.
 
 Every bench registers its table through :func:`report`; the tables are
-persisted under ``results/`` immediately and printed in the pytest
-terminal summary (after capture ends), so
+persisted under ``results/`` of the run's output root (see ``emit.py``:
+the repository's own ``results/`` only for ``make bench*``) immediately
+and printed in the pytest terminal summary (after capture ends), so
 ``pytest benchmarks/ --benchmark-only | tee bench_output.txt`` records
 every series the paper's figures plot.
 """
@@ -11,9 +12,8 @@ from __future__ import annotations
 
 import os
 
+import emit
 from repro.bench import format_table, save_results
-
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
 
 #: Accumulated (name, rendered table) pairs, flushed by the
 #: pytest_terminal_summary hook in benchmarks/conftest.py.
@@ -26,4 +26,4 @@ def report(name: str, rows: list[dict], note: str = "") -> None:
     if note:
         text += f"\n  note: {note}"
     COLLECTED.append(text)
-    save_results(name, rows, results_dir=RESULTS_DIR)
+    save_results(name, rows, results_dir=os.path.join(emit.output_root, "results"))

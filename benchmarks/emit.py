@@ -21,8 +21,13 @@ The ``clock`` tag tells the perf gate how much to trust the numbers:
 tolerance, ``"wall"`` metrics are real measurements on a shared runner
 and gate at the wide wall tolerance (see ``compare.py``).
 
-Files land at the repository root so the perf history is one glob
-(``BENCH_*.json``) regardless of how many benches emit.
+The committed baselines sit at the repository root, so the perf history
+is one glob (``BENCH_*.json``) regardless of how many benches emit.  A
+bench run writes there only when asked to: ``make bench``, ``make
+bench-gate`` and ``make bench-wallclock`` pass ``--bench-root=.``
+(``benchmarks/conftest.py``).  Any other run — the tier-1 suite collects
+``benchmarks/`` too — writes under the git-ignored ``benchmarks/.out/``
+and leaves the baselines as committed.
 """
 
 from __future__ import annotations
@@ -32,6 +37,11 @@ import os
 
 #: Repository root (benchmarks/ lives directly under it).
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: Where :func:`emit`, :func:`load` and ``_util.report`` (under
+#: ``results/``) write and read when not given a root.  ``--bench-root``
+#: replaces it for one pytest run.
+output_root = os.path.join(REPO_ROOT, "benchmarks", ".out")
 
 SCHEMA_VERSION = 1
 
@@ -71,7 +81,9 @@ def emit(
         payload["rows"] = rows
     if meta is not None:
         payload["meta"] = meta
-    path = os.path.join(root or REPO_ROOT, f"BENCH_{name}.json")
+    root = root or output_root
+    os.makedirs(root, exist_ok=True)
+    path = os.path.join(root, f"BENCH_{name}.json")
     tmp = path + ".tmp"
     with open(tmp, "w") as f:
         json.dump(payload, f, indent=2, default=str, sort_keys=True)
@@ -82,7 +94,7 @@ def emit(
 
 def load(name: str, root: str | None = None) -> dict | None:
     """Read a previously emitted bench file (``None`` when absent)."""
-    path = os.path.join(root or REPO_ROOT, f"BENCH_{name}.json")
+    path = os.path.join(root or output_root, f"BENCH_{name}.json")
     if not os.path.exists(path):
         return None
     with open(path) as f:

@@ -21,6 +21,17 @@ in :class:`MLKVStats` so the figures can report it.
 Setting ``bounded_staleness=False`` bypasses all word manipulation on the
 hot path, which is the "user disables bounded staleness consistency"
 configuration of §IV-E (memory overhead only, no CPU overhead).
+
+The batched operations run the same protocol on arrays.  A batch is
+resolved through the index once; its *plain* keys — in memory, not locked
+or replaced, within the bound, of one record width — have the Get or Put
+done to all of their latch words with one gather and one scatter.  Every
+other key (it would stall, sits on disk, is absent, needs a
+read-copy-update append) goes to the per-key method above at its turn in
+the batch, because what it does — run the stall handler, append to the log
+— changes the words, addresses and region boundaries the keys behind it
+see.  The per-key methods are thus the one implementation of every slow
+case and the reference the batched paths are tested against.
 """
 
 from __future__ import annotations
@@ -30,9 +41,19 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from repro.errors import StalenessViolation, StorageError
-from repro.kv.faster.record import next_generation, pack_word, unpack_word
-from repro.kv.faster.store import FasterKV
+from repro.kv.faster.record import (
+    MAX_STALENESS,
+    next_generation,
+    pack_word,
+    released_words,
+    unpack_word,
+    word_flags,
+    word_staleness,
+)
+from repro.kv.faster.store import FALLBACK_SHARE, FasterKV
 from repro.core.staleness import ASP_BOUND, ConsistencyMode, mode_for_bound
 from repro.obs.trace import span as obs_span
 
@@ -269,12 +290,14 @@ class MLKV(FasterKV):
     def multi_get(self, keys) -> list:
         """Batched Get under the vector-clock protocol.
 
-        Admission is inherently per key (the staleness bound is per key),
-        but the fixed per-op cost amortizes: one batch CPU charge instead
-        of a full op charge per key.  The word CAS work itself cannot be
-        amortized and stays a per-key clock charge.  Keys that stall run
-        the stall handler exactly as a looped Get would, so batched and
-        looped reads admit identically.
+        The staleness bound is per key, so admission is decided per key —
+        for the plain keys by one comparison over the batch's latch
+        words, see :meth:`_get_runs` — while the fixed per-op cost
+        amortizes: one batch CPU charge instead of a full op charge per
+        key.  The word CAS work itself cannot be amortized and stays a
+        per-key clock charge.  Keys that stall run the stall handler
+        exactly as a looped Get would, at their turn and outside the
+        epoch, so batched and looped reads admit identically.
         """
         if not self.bounded_staleness:
             return super().multi_get(keys)
@@ -284,10 +307,89 @@ class MLKV(FasterKV):
             if CLOCK_OVERHEAD_SECONDS and keys:
                 self.clock.advance(CLOCK_OVERHEAD_SECONDS * len(keys), component="cpu")
             self._stats.gets += len(keys)
-            return [self._get_bounded(key) for key in keys]
+            results: list = []
+            key_array = self._key_array(keys)
+            if key_array is not None and not self._has_duplicates(key_array):
+                self._get_runs(keys, key_array, results)
+            for position in range(len(results), len(keys)):
+                results.append(self._get_bounded(keys[position]))
+            return results
+
+    def _get_runs(self, keys: list, key_array: np.ndarray, results: list) -> None:
+        """Get a prefix of the batch into ``results``, plain keys as arrays.
+
+        A key is *plain* when its newest record is in memory, neither
+        locked nor replaced, within the staleness bound and as wide as
+        the batch's other records: its Get bumps staleness and generation
+        in the latch word and copies the value out, and a run of such
+        keys is one word scatter and one row gather under one epoch.  Any
+        other key goes to :meth:`_get_bounded` at its turn.  If that ran
+        the stall handler, pending updates were applied — in place or by
+        appending — so the words, addresses and region boundaries of the
+        remaining keys are read afresh before the next run.  Stops early
+        once too many keys have taken the per-key path (``FALLBACK_SHARE``).
+        """
+        count = len(keys)
+        stats = self.mlkv_stats
+        limit = min(self.staleness_bound, MAX_STALENESS - 1)
+        fallbacks_left = count // FALLBACK_SHARE
+        start = 0
+        while start < count:
+            # Classify keys[start:]; positions below are relative to start.
+            with self.epochs.guard():
+                head = self.log.head_address
+                addresses, offsets, headers = self._resolve(key_array[start:], head)
+                words = headers["word"]
+                staleness = word_staleness(words)
+                resident = addresses >= head
+                width = int(headers["value_len"][resident.argmax()])
+                plain = (
+                    resident
+                    & (headers["value_len"] == width)
+                    & (headers["key"] == key_array[start:])
+                    & (word_flags(words) == 0)
+                    & (staleness <= limit)
+                )
+                others = np.flatnonzero(~plain).tolist()
+                if len(others) > fallbacks_left:
+                    return
+                words = released_words(words, staleness + np.uint64(1))
+                others.append(count - start)  # each run ends at the next of these
+                self._admit_run(offsets, words, width, 0, others[0], results)
+            for position, run_end in zip(others, others[1:]):
+                fallbacks_left -= 1
+                # Every path to the stall handler counts one of these first.
+                handler_runs = stats.stall_events + stats.cas_retries
+                results.append(self._get_bounded(keys[start + position]))
+                if stats.stall_events + stats.cas_retries != handler_runs:
+                    break
+                with self.epochs.guard():
+                    self._admit_run(offsets, words, width, position + 1, run_end, results)
+            start = len(results)
+
+    def _admit_run(
+        self,
+        offsets: np.ndarray,
+        words: np.ndarray,
+        width: int,
+        first: int,
+        stop: int,
+        results: list,
+    ) -> None:
+        """Admit the plain keys at batch positions ``first`` to ``stop``:
+        store their released words, append their values to ``results``."""
+        if stop > first:
+            self.log.write_words(offsets[first:stop], words[first:stop])
+            results += self.log.read_values(offsets[first:stop], width)
+            self._stats.hits += stop - first
 
     def multi_put(self, keys, values) -> None:
-        """Batched Put: one epoch/CPU acquisition, per-key clock updates."""
+        """Batched Put: one epoch/CPU acquisition, per-key clock updates.
+
+        Keys whose records can be updated in place have value and latch
+        word written as arrays; the others take :meth:`_put_bounded` at
+        their turn (see :meth:`~repro.kv.faster.store.FasterKV._put_runs`).
+        """
         if not self.bounded_staleness:
             super().multi_put(keys, values)
             return
@@ -299,8 +401,7 @@ class MLKV(FasterKV):
                 self.clock.advance(CLOCK_OVERHEAD_SECONDS * len(keys), component="cpu")
             self._stats.puts += len(keys)
             with self.epochs.guard():
-                for key, value in zip(keys, values):
-                    self._put_bounded(key, value)
+                self._put_batch(keys, values, self._put_bounded, settle=True)
 
     def read_committed(self, key: int) -> Optional[bytes]:
         """Snapshot read for evaluation: no admission, no clock update."""
@@ -343,19 +444,25 @@ class MLKV(FasterKV):
         the new copy.  Returns the number of records copied.
         """
         copied = 0
+        keys = list(keys)
         self.mlkv_stats.lookahead_requests += len(keys)
         with self.epochs.guard():
-            disk_resident: list[tuple[int, int]] = []
-            for key in keys:
-                address = self.index.find(key)
-                if address is None:
-                    continue
-                if self.log.in_memory(address):
-                    self.mlkv_stats.lookahead_skipped_memory += 1
-                    continue
-                disk_resident.append((address, key))
+            key_array = self._key_array(keys)
+            if key_array is not None:
+                addresses = self.index.find_many(key_array)
+            else:
+                found = map(self.index.find, keys)
+                addresses = np.array(
+                    [-1 if address is None else address for address in found], dtype=np.int64
+                )
+            self.mlkv_stats.lookahead_skipped_memory += np.count_nonzero(
+                addresses >= self.log.head_address
+            )
+            on_disk = np.flatnonzero((addresses >= 0) & (addresses < self.log.head_address))
             # One page-granular sequential scan covers the whole batch.
-            disk_resident.sort()
+            disk_resident = sorted(
+                zip(addresses[on_disk].tolist(), [keys[position] for position in on_disk.tolist()])
+            )
             self.log.charge_prefetch_pages(address for address, _ in disk_resident)
             for address, key in disk_resident:
                 word, record_key, value = self.log.prefetch_read(address, charge=False)
@@ -367,7 +474,7 @@ class MLKV(FasterKV):
                 overflow = self._overflow_staleness.pop(key, 0)
                 if overflow:
                     locked, replaced, generation, staleness = unpack_word(word)
-                    staleness = min(staleness + overflow, (1 << 32) - 1)
+                    staleness = min(staleness + overflow, MAX_STALENESS)
                     word = pack_word(locked, replaced, generation, staleness)
                 new_address = self.log.append(key, value, word)
                 if self.index.compare_exchange(key, address, new_address):

@@ -1,10 +1,13 @@
 """Hash index mapping keys to hybrid-log addresses.
 
-FASTER's index is an array of cache-line-sized buckets holding tagged
-entries; collisions chain through overflow buckets.  This reproduction
-keeps the bucket-array organization (so load factor, resizing, and bucket
-scans behave like a real open hash table) while storing full keys in the
-entries — Python objects make the tag compression pointless.
+FASTER's index is a flat array of slots probed from the key's hash; this
+reproduction keeps that organization as open addressing with linear
+probing over two parallel NumPy arrays — one of keys, one of log
+addresses — so a whole batch of keys resolves with a handful of array
+operations (:meth:`HashIndex.find_many`) instead of one Python probe per
+key.  Full keys are stored (no tag compression).  Scalar operations walk
+the same slots through ``memoryview`` s of the arrays, which index to
+plain Python ints.
 
 The index never stores values: it maps each key to the log address of its
 newest record, which is the invariant the store and recovery rely on.
@@ -14,47 +17,98 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
+import numpy as np
+
 from repro.kv.common.bloom import _mix64
 
-_INITIAL_BUCKETS = 64
-_ENTRIES_PER_BUCKET = 8
-_MAX_LOAD = 0.75
+_INITIAL_SLOTS = 1024
+#: Fraction of slots that may be in use (live or removed) before a rebuild.
+_MAX_LOAD = 0.5
+
+#: Address-array markers: a slot never used, and one whose key was removed
+#: (probes continue past it).  Real log addresses are non-negative.
+_EMPTY = -1
+_REMOVED = -2
+
+
+def _mix64_many(keys: np.ndarray) -> np.ndarray:
+    """:func:`~repro.kv.common.bloom._mix64` over a ``uint64`` array."""
+    x = keys + np.uint64(0x9E3779B97F4A7C15)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
 
 
 class HashIndex:
-    """Bucketized hash index from int keys to log addresses."""
+    """Open-addressing hash index from int keys to log addresses."""
 
-    def __init__(self, initial_buckets: int = _INITIAL_BUCKETS) -> None:
-        if initial_buckets <= 0 or initial_buckets & (initial_buckets - 1):
-            raise ValueError("initial_buckets must be a positive power of two")
-        self._buckets: list[list[tuple[int, int]]] = [[] for _ in range(initial_buckets)]
-        self._mask = initial_buckets - 1
-        self._size = 0
+    def __init__(self, initial_slots: int = _INITIAL_SLOTS) -> None:
+        if initial_slots <= 0 or initial_slots & (initial_slots - 1):
+            raise ValueError("initial_slots must be a positive power of two")
+        self._size = 0  # live entries
+        self._used = 0  # slots no longer _EMPTY: live + removed
+        self._allocate(initial_slots)
+
+    def _allocate(self, slots: int) -> None:
+        self._keys = np.zeros(slots, dtype=np.uint64)
+        self._addresses = np.full(slots, _EMPTY, dtype=np.int64)
+        self._key_view = memoryview(self._keys)
+        self._address_view = memoryview(self._addresses)
+        self._mask = slots - 1
 
     def __len__(self) -> int:
         return self._size
 
-    def _bucket_for(self, key: int) -> list[tuple[int, int]]:
-        return self._buckets[_mix64(key) & self._mask]
+    @property
+    def slot_count(self) -> int:
+        """Number of slots in the table."""
+        return self._mask + 1
 
+    # ------------------------------------------------------------------
+    # scalar operations
+    # ------------------------------------------------------------------
     def find(self, key: int) -> Optional[int]:
         """Return the log address of ``key``'s newest record, or ``None``."""
-        for entry_key, address in self._bucket_for(key):
-            if entry_key == key:
+        addresses, keys, mask = self._address_view, self._key_view, self._mask
+        slot = _mix64(key) & mask
+        while True:
+            address = addresses[slot]
+            if address == _EMPTY:
+                return None
+            if address >= 0 and keys[slot] == key:
                 return address
-        return None
+            slot = (slot + 1) & mask
+
+    def _probe(self, key: int) -> tuple[int, bool]:
+        """``(slot, True)`` holding ``key``, else ``(slot to insert at, False)``."""
+        addresses, keys, mask = self._address_view, self._key_view, self._mask
+        slot = _mix64(key) & mask
+        reusable = -1
+        while True:
+            address = addresses[slot]
+            if address == _EMPTY:
+                return (slot if reusable < 0 else reusable), False
+            if address == _REMOVED:
+                if reusable < 0:
+                    reusable = slot
+            elif keys[slot] == key:
+                return slot, True
+            slot = (slot + 1) & mask
 
     def upsert(self, key: int, address: int) -> None:
         """Point ``key`` at ``address`` (insert or overwrite)."""
-        bucket = self._bucket_for(key)
-        for i, (entry_key, _) in enumerate(bucket):
-            if entry_key == key:
-                bucket[i] = (key, address)
-                return
-        bucket.append((key, address))
-        self._size += 1
-        if self._size > _MAX_LOAD * _ENTRIES_PER_BUCKET * len(self._buckets):
-            self._grow()
+        slot, present = self._probe(key)
+        if not present:
+            if self._address_view[slot] == _EMPTY:
+                self._used += 1
+            self._key_view[slot] = key
+            self._size += 1
+        self._address_view[slot] = address
+        if self._used > _MAX_LOAD * (self._mask + 1):
+            self._rebuild(self._size)
 
     def compare_exchange(self, key: int, expected: Optional[int], address: int) -> bool:
         """Install ``address`` only if the entry still holds ``expected``.
@@ -71,29 +125,93 @@ class HashIndex:
 
     def remove(self, key: int) -> bool:
         """Drop the key's entry; returns whether it was present."""
-        bucket = self._bucket_for(key)
-        for i, (entry_key, _) in enumerate(bucket):
-            if entry_key == key:
-                bucket.pop(i)
-                self._size -= 1
-                return True
-        return False
+        slot, present = self._probe(key)
+        if present:
+            self._address_view[slot] = _REMOVED
+            self._size -= 1
+        return present
+
+    # ------------------------------------------------------------------
+    # batched operations
+    # ------------------------------------------------------------------
+    def find_many(self, keys: np.ndarray) -> np.ndarray:
+        """Log addresses of a ``uint64`` key array; ``-1`` where absent.
+
+        Every key probes its home slot in one pass; the (few) keys that
+        met another key or a removed slot there advance together, so the
+        number of passes is the longest probe chain, not the batch size.
+        """
+        found = np.full(keys.shape, _EMPTY, dtype=np.int64)
+        slots = (_mix64_many(keys) & np.uint64(self._mask)).astype(np.intp)
+        pending = None  # positions still probing; None = all of them
+        while True:
+            addresses = self._addresses[slots]
+            hit = (addresses >= 0) & (self._keys[slots] == keys)
+            if pending is None:
+                found[hit] = addresses[hit]
+            else:
+                found[pending[hit]] = addresses[hit]
+            probing = ~hit & (addresses != _EMPTY)
+            if not probing.any():
+                return found
+            pending = np.flatnonzero(probing) if pending is None else pending[probing]
+            keys = keys[probing]
+            slots = (slots[probing] + 1) & self._mask
+
+    def upsert_many(self, keys: np.ndarray, addresses: np.ndarray) -> None:
+        """Point each of ``keys`` (``uint64``) at its address, in one batch.
+
+        Equals a sequential application: of duplicate keys the last wins.
+        """
+        if keys.size == 0:
+            return
+        # np.unique keeps the first occurrence; over the reversed batch
+        # that is the last one written.
+        unique, last = np.unique(keys[::-1], return_index=True)
+        if unique.size != keys.size:
+            keep = np.sort(keys.size - 1 - last)
+            keys, addresses = keys[keep], addresses[keep]
+        if self._used + keys.size > _MAX_LOAD * (self._mask + 1):
+            self._rebuild(self._size + keys.size)
+        self._place(keys, addresses)
+
+    def _place(self, keys: np.ndarray, addresses: np.ndarray) -> None:
+        """Insert or overwrite distinct ``keys``; capacity already ensured."""
+        slots = (_mix64_many(keys) & np.uint64(self._mask)).astype(np.intp)
+        while keys.size:
+            current = self._addresses[slots]
+            present = (current >= 0) & (self._keys[slots] == keys)
+            self._addresses[slots[present]] = addresses[present]
+            # Several keys may want one empty slot: all write their key,
+            # the slot keeps one, and reading it back names the winner.
+            vacant = current == _EMPTY
+            self._keys[slots[vacant]] = keys[vacant]
+            placed = vacant & (self._keys[slots] == keys)
+            self._addresses[slots[placed]] = addresses[placed]
+            inserted = int(placed.sum())
+            self._size += inserted
+            self._used += inserted
+            probing = ~(present | placed)
+            keys, addresses = keys[probing], addresses[probing]
+            slots = (slots[probing] + 1) & self._mask
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """Live ``(keys, addresses)`` as two arrays, in slot order."""
+        live = np.flatnonzero(self._addresses >= 0)
+        return self._keys[live], self._addresses[live]
 
     def items(self) -> Iterator[tuple[int, int]]:
-        """All ``(key, log address)`` entries, bucket by bucket."""
-        for bucket in self._buckets:
-            yield from bucket
+        """All ``(key, log address)`` entries, in slot order."""
+        keys, addresses = self.entries()
+        return zip(keys.tolist(), addresses.tolist())
 
-    def _grow(self) -> None:
-        old = self._buckets
-        new_count = len(old) * 2
-        self._buckets = [[] for _ in range(new_count)]
-        self._mask = new_count - 1
-        for bucket in old:
-            for key, address in bucket:
-                self._buckets[_mix64(key) & self._mask].append((key, address))
-
-    @property
-    def bucket_count(self) -> int:
-        """Number of hash buckets."""
-        return len(self._buckets)
+    def _rebuild(self, entries: int) -> None:
+        """Re-place the live entries, dropping removed slots; grows the
+        table until ``entries`` fill at most a third of it."""
+        keys, addresses = self.entries()
+        slots = self._mask + 1
+        while entries * 3 > slots:
+            slots *= 2
+        self._allocate(slots)
+        self._size = self._used = 0
+        self._place(keys, addresses)

@@ -13,11 +13,20 @@ FASTER, used by MLKV Section III-C)::
   records below it are updated by read-copy-update (append a new copy).
 * When the in-memory window exceeds its budget, the lowest page is
   flushed to the backing file (a background sequential write — FASTER
-  flushes asynchronously) and evicted, advancing ``head``.  Eviction is
-  deferred through the epoch manager so in-flight operations never lose
-  the page under their feet.
+  flushes asynchronously) and evicted, advancing ``head``.
 * Reads below ``head`` hit the SSD (a blocking random read — this is the
   data-stall path the paper's figures revolve around).
+
+The in-memory window is one ``uint8`` arena of ``memory_pages`` page
+frames; page ``p`` lives in frame ``p % memory_pages``, so a resident
+address maps to an arena offset by arithmetic alone and a batch of
+same-width records is a set of rows of one strided view of the arena
+(:meth:`HybridLog.read_headers`, :meth:`HybridLog.read_values`,
+:meth:`HybridLog.write_values`).  A frame is reused only by the page
+``memory_pages`` above its current one, which is opened only after the
+current one has been written to the file.  The arena is reserved with
+``np.zeros`` — frames never touched cost no resident memory — and a frame
+is zeroed when a page is opened in it.
 
 Look-ahead prefetching (:mod:`repro.core.lookahead`) uses
 ``refresh_to_tail`` to copy disk-resident records back into the mutable
@@ -30,13 +39,15 @@ from __future__ import annotations
 import os
 from typing import Optional
 
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
 from repro.device.ssd import SSDModel
-from repro.kv.faster.epoch import EpochManager
 from repro.kv.faster.record import (
+    HEADER_DTYPE,
     RECORD_HEADER_BYTES,
     RecordWord,
     decode_record_header,
-    encode_record_header,
     encode_record_header_into,
 )
 from repro.errors import StorageError
@@ -55,7 +66,6 @@ class HybridLog:
         memory_budget_bytes: int = 1 << 22,
         page_bytes: int = 1 << 15,
         mutable_fraction: float = 0.9,
-        epochs: Optional[EpochManager] = None,
     ) -> None:
         if page_bytes <= RECORD_HEADER_BYTES:
             raise ValueError("page_bytes too small to hold a record header")
@@ -68,13 +78,18 @@ class HybridLog:
         self.page_bytes = page_bytes
         self.memory_pages = max(1, memory_budget_bytes // page_bytes)
         self.mutable_bytes = max(page_bytes, int(memory_budget_bytes * mutable_fraction))
-        self.epochs = epochs if epochs is not None else EpochManager()
 
         self.tail_address = 0
         self.head_address = 0
         self.read_only_address = 0
 
-        self._pages: dict[int, bytearray] = {0: bytearray(page_bytes)}
+        # Page p sits in frame p % memory_pages, so a resident address
+        # sits at arena offset ``address % _arena_bytes``.
+        self._arena_bytes = self.memory_pages * page_bytes
+        self._arena = np.zeros(self._arena_bytes, dtype=np.uint8)
+        self._memory = memoryview(self._arena)  # scalar paths: plain ints in and out
+        self._windows: dict[int, np.ndarray] = {}
+        self._top_page = 0  # highest page opened in the arena
         if not os.path.exists(path):
             with open(path, "wb"):
                 pass
@@ -89,6 +104,11 @@ class HybridLog:
 
     def _page_offset(self, address: int) -> int:
         return address % self.page_bytes
+
+    def _frame(self, page_no: int) -> np.ndarray:
+        """The arena slice holding resident page ``page_no``."""
+        start = page_no * self.page_bytes % self._arena_bytes
+        return self._arena[start : start + self.page_bytes]
 
     def in_memory(self, address: int) -> bool:
         """Whether the address is at or above the in-memory head."""
@@ -109,8 +129,24 @@ class HybridLog:
     # ------------------------------------------------------------------
     def append(self, key: int, value: bytes, word: int) -> int:
         """Append a record; returns its log address."""
-        self._check_open()
         record_len = RECORD_HEADER_BYTES + len(value)
+        address, offset = self._reserve(record_len)
+        encode_record_header_into(self._memory, offset, word, key, len(value))
+        if value:
+            self._memory[offset + RECORD_HEADER_BYTES : offset + record_len] = value
+        self._advance_regions()
+        return address
+
+    def append_tombstone(self, key: int, word: int) -> int:
+        """Append a deletion marker for ``key``."""
+        address, offset = self._reserve(RECORD_HEADER_BYTES)
+        encode_record_header_into(self._memory, offset, word, key, TOMBSTONE_LEN)
+        self._advance_regions()
+        return address
+
+    def _reserve(self, record_len: int) -> tuple[int, int]:
+        """Claim ``record_len`` bytes at the tail: ``(address, arena offset)``."""
+        self._check_open()
         if record_len > self.page_bytes:
             raise StorageError(
                 f"record of {record_len} bytes exceeds page size {self.page_bytes}"
@@ -121,37 +157,21 @@ class HybridLog:
             self.tail_address += remaining
         address = self.tail_address
         page_no = self._page_no(address)
-        page = self._pages.get(page_no)
-        if page is None:
-            page = bytearray(self.page_bytes)
-            self._pages[page_no] = page
-        offset = self._page_offset(address)
-        encode_record_header_into(
-            page, offset, word, key, len(value) if value is not None else 0
-        )
-        if value:
-            page[offset + RECORD_HEADER_BYTES : offset + record_len] = value
+        if page_no > self._top_page:
+            self._open_page(page_no)
         self.tail_address += record_len
-        self._advance_regions()
-        return address
+        return address, address % self._arena_bytes
 
-    def append_tombstone(self, key: int, word: int) -> int:
-        """Append a deletion marker for ``key``."""
-        self._check_open()
-        record_len = RECORD_HEADER_BYTES
-        remaining = self.page_bytes - self._page_offset(self.tail_address)
-        if record_len > remaining:
-            self.tail_address += remaining
-        address = self.tail_address
-        page_no = self._page_no(address)
-        page = self._pages.setdefault(page_no, bytearray(self.page_bytes))
-        offset = self._page_offset(address)
-        page[offset : offset + RECORD_HEADER_BYTES] = encode_record_header(
-            word, key, TOMBSTONE_LEN
-        )
-        self.tail_address += record_len
-        self._advance_regions()
-        return address
+    def _open_page(self, page_no: int) -> None:
+        """Make ``page_no`` the top resident page, in a zeroed frame."""
+        # The frame may still hold the page ``memory_pages`` below; that
+        # page goes to the file before its bytes are overwritten.
+        head_page = self._page_no(self.head_address)
+        while page_no - head_page + 1 > self.memory_pages:
+            self._flush_and_evict(head_page)
+            head_page += 1
+        self._frame(page_no)[:] = 0
+        self._top_page = page_no
 
     def _advance_regions(self) -> None:
         new_read_only = max(0, self.tail_address - self.mutable_bytes)
@@ -166,19 +186,12 @@ class HybridLog:
             self.read_only_address = self.head_address
 
     def _flush_and_evict(self, page_no: int) -> None:
-        page = self._pages.get(page_no)
-        if page is not None:
+        if page_no <= self._top_page:
             self._file.seek(page_no * self.page_bytes)
-            self._file.write(page)
+            self._file.write(self._frame(page_no))
             # FASTER flushes closed pages asynchronously; the write cost is
             # hidden behind foreground work unless the device saturates.
             self.ssd.sequential_write(self.page_bytes, blocking=False)
-            evicted = page_no
-
-            def _drop(page_index: int = evicted) -> None:
-                self._pages.pop(page_index, None)
-
-            self.epochs.bump(on_drain=_drop)
         self.head_address = (page_no + 1) * self.page_bytes
 
     # ------------------------------------------------------------------
@@ -194,17 +207,13 @@ class HybridLog:
         self._check_open()
         if address >= self.tail_address:
             raise StorageError(f"address {address} beyond tail {self.tail_address}")
-        page_no = self._page_no(address)
-        offset = self._page_offset(address)
         if self.in_memory(address):
-            page = self._pages.get(page_no)
-            if page is None:
-                raise StorageError(f"in-memory page {page_no} missing")
-            word, key, value_len = decode_record_header(page, offset)
+            offset = address % self._arena_bytes
+            word, key, value_len = decode_record_header(self._memory, offset)
             if value_len == TOMBSTONE_LEN:
                 return word, key, None, True
             start = offset + RECORD_HEADER_BYTES
-            return word, key, bytes(page[start : start + value_len]), True
+            return word, key, bytes(self._memory[start : start + value_len]), True
         return self._read_from_disk(address, blocking=True)
 
     def _read_from_disk(self, address: int, blocking: bool) -> tuple[int, int, Optional[bytes], bool]:
@@ -227,22 +236,62 @@ class HybridLog:
         """Atomic latch-word handle for an in-memory record."""
         if not self.in_memory(address):
             raise StorageError("record word only addressable for in-memory records")
-        page = self._pages.get(self._page_no(address))
-        if page is None:
-            raise StorageError("page evicted")
-        return RecordWord(page, self._page_offset(address))
+        return RecordWord(self._memory, address % self._arena_bytes)
 
     def write_value_in_place(self, address: int, value: bytes) -> None:
         """Overwrite the value bytes of a mutable-region record (same length)."""
         if not self.in_mutable(address):
             raise StorageError("in-place update outside the mutable region")
-        page = self._pages[self._page_no(address)]
-        offset = self._page_offset(address)
-        _, _, value_len = decode_record_header(page, offset)
+        offset = address % self._arena_bytes
+        _, _, value_len = decode_record_header(self._memory, offset)
         if value_len != len(value):
             raise StorageError("in-place update must preserve value length")
         start = offset + RECORD_HEADER_BYTES
-        page[start : start + value_len] = value
+        self._memory[start : start + value_len] = value
+
+    # ------------------------------------------------------------------
+    # batched access to resident records
+    # ------------------------------------------------------------------
+    def _window(self, width: int) -> np.ndarray:
+        """View of the arena whose row ``i`` is ``arena[i : i + width]``: the
+        records at a set of offsets are a fancy index into its rows."""
+        window = self._windows.get(width)
+        if window is None:
+            window = sliding_window_view(self._arena, width, writeable=True)
+            self._windows[width] = window
+        return window
+
+    def arena_offsets(self, addresses: np.ndarray) -> np.ndarray:
+        """Arena offsets of an array of resident log addresses."""
+        return addresses % self._arena_bytes
+
+    def read_headers(self, offsets: np.ndarray) -> np.ndarray:
+        """Headers of the records at ``offsets``, as ``HEADER_DTYPE`` rows."""
+        rows = self._window(RECORD_HEADER_BYTES)[offsets]
+        return rows.view(HEADER_DTYPE).reshape(len(offsets))
+
+    def write_words(self, offsets: np.ndarray, words: np.ndarray) -> None:
+        """Store one latch word per record at ``offsets``."""
+        self._window(8)[offsets] = (
+            words.astype("<u8", copy=False).reshape(-1, 1).view(np.uint8)
+        )
+
+    def read_values(self, offsets: np.ndarray, value_len: int) -> list[bytes]:
+        """Values of records at ``offsets`` that all hold ``value_len`` bytes."""
+        if value_len == 0:
+            return [b""] * len(offsets)
+        rows = self._window(value_len)[offsets + RECORD_HEADER_BYTES]
+        return rows.view(np.dtype((np.void, value_len))).ravel().tolist()
+
+    def write_values(self, offsets: np.ndarray, values: np.ndarray) -> None:
+        """Overwrite the values of records at ``offsets`` with the rows of
+        ``values`` (``uint8``, one row per record, the records' own width).
+
+        The in-place update of a batch: the caller has established that
+        every record is in the mutable region and already this wide.
+        """
+        if values.shape[1]:
+            self._window(values.shape[1])[offsets + RECORD_HEADER_BYTES] = values
 
     # ------------------------------------------------------------------
     # prefetch support
@@ -292,13 +341,23 @@ class HybridLog:
     def flush_all(self, blocking: bool = True) -> None:
         """Write every in-memory page to the backing file (checkpoint path)."""
         self._check_open()
-        for page_no in sorted(self._pages):
-            page = self._pages[page_no]
+        for page_no in range(self._page_no(self.head_address), self._top_page + 1):
             self._file.seek(page_no * self.page_bytes)
-            self._file.write(page)
+            self._file.write(self._frame(page_no))
             self.ssd.sequential_write(self.page_bytes, blocking=blocking)
         self._file.flush()
         os.fsync(self._file.fileno())
+
+    def reset_resident(self, tail_address: int) -> None:
+        """Restart the in-memory window empty at ``tail_address`` (recovery).
+
+        Everything below stays on disk and faults in on read; the tail is
+        rounded up to a page boundary so appends start on a fresh page and
+        the recovered bytes stay valid.
+        """
+        tail_address += -tail_address % self.page_bytes
+        self.tail_address = self.head_address = self.read_only_address = tail_address
+        self._open_page(self._page_no(tail_address))
 
     def scan_addresses(self):
         """Yield ``(address, word, key, value_len)`` for every record.

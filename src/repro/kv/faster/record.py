@@ -23,11 +23,17 @@ from __future__ import annotations
 import struct
 import threading
 
+import numpy as np
+
 _WORD = struct.Struct("<Q")
 _KEYLEN = struct.Struct("<QI")
 
 #: word, key, value-length — prefix of every log record.
 RECORD_HEADER_BYTES = _WORD.size + _KEYLEN.size
+
+#: The same prefix as a packed NumPy record type, for the batched paths
+#: that read many headers with one gather.
+HEADER_DTYPE = np.dtype([("word", "<u8"), ("key", "<u8"), ("value_len", "<u4")])
 
 _LOCKED_BIT = 1 << 63
 _REPLACED_BIT = 1 << 62
@@ -37,6 +43,9 @@ _STALENESS_MASK = (1 << 32) - 1
 
 #: Generation value 0 is reserved for log padding; live records start at 1.
 FIRST_GENERATION = 1
+
+#: Largest value the 32-bit staleness counter holds.
+MAX_STALENESS = _STALENESS_MASK
 
 
 def pack_word(locked: bool, replaced: bool, generation: int, staleness: int) -> int:
@@ -69,17 +78,41 @@ def next_generation(generation: int) -> int:
     return nxt if nxt != 0 else FIRST_GENERATION
 
 
+def word_flags(words: np.ndarray) -> np.ndarray:
+    """The locked/replaced bit pair of each word; 0 means neither is set."""
+    return words >> np.uint64(62)
+
+
+def word_staleness(words: np.ndarray) -> np.ndarray:
+    """The staleness counter of each word."""
+    return words & np.uint64(_STALENESS_MASK)
+
+
+def released_words(words: np.ndarray, staleness: np.ndarray) -> np.ndarray:
+    """Array form of ``pack_word(False, False, next_generation(g), s)``.
+
+    The word an operation leaves behind when it releases a record: flags
+    clear, generation of ``words`` advanced by one, ``staleness`` as given.
+    """
+    generation = ((words >> np.uint64(_GENERATION_SHIFT)) + np.uint64(1)) & np.uint64(
+        _GENERATION_MASK
+    )
+    generation[generation == 0] = FIRST_GENERATION
+    return (generation << np.uint64(_GENERATION_SHIFT)) | staleness
+
+
 class RecordWord:
     """Atomic view of one record's latch word inside a log page.
 
-    The word physically lives in the page ``bytearray`` at ``offset``;
-    all transitions re-read and re-write it under a stripe lock, which
-    emulates a hardware compare-and-swap.
+    The word physically lives in ``page`` (any writable buffer: the log
+    passes its page arena) at ``offset``; all transitions re-read and
+    re-write it under a stripe lock, which emulates a hardware
+    compare-and-swap.
     """
 
     _STRIPES = [threading.Lock() for _ in range(64)]
 
-    def __init__(self, page: bytearray, offset: int) -> None:
+    def __init__(self, page, offset: int) -> None:
         self._page = page
         self._offset = offset
         self._lock = self._STRIPES[(id(page) ^ offset) % len(self._STRIPES)]
@@ -117,7 +150,7 @@ def encode_record_header(word: int, key: int, value_len: int) -> bytes:
 
 
 def encode_record_header_into(
-    buffer: bytearray, offset: int, word: int, key: int, value_len: int
+    buffer, offset: int, word: int, key: int, value_len: int
 ) -> None:
     """Pack the fixed header directly into ``buffer`` at ``offset``.
 

@@ -13,6 +13,11 @@ Operation lifecycle (FASTER §3, used as-is by MLKV):
 * ``checkpoint`` / :meth:`FasterKV.recover` — flush the log, persist the
   index and boundaries, and rebuild by scanning the log if the index
   snapshot is missing (fuzzy-checkpoint fallback).
+* ``multi_get`` / ``multi_put`` — resolve the whole batch through the
+  index at once and serve the *plain* keys (resident for a Get, in the
+  mutable region at their own width for a Put) as array operations on the
+  log's page arena; every other key takes the per-key methods above, in
+  batch order.
 
 A small per-operation CPU cost is charged to the simulated clock; this is
 the "index traversal overhead" that makes MLKV-backed training a few
@@ -23,8 +28,9 @@ from __future__ import annotations
 
 import json
 import os
-import struct
 from typing import Callable, Iterator, Optional
+
+import numpy as np
 
 from repro.device.clock import SimClock
 from repro.device.ssd import SSDModel
@@ -37,12 +43,21 @@ from repro.kv.faster.record import (
     FIRST_GENERATION,
     next_generation,
     pack_word,
+    released_words,
     unpack_word,
+    word_flags,
+    word_staleness,
 )
 from repro.obs.trace import span as obs_span
 
 #: CPU cost of one store operation (hash probe + log access bookkeeping).
 DEFAULT_OP_CPU_SECONDS = 0.9e-6
+
+#: A batched operation hands each key that is not plain to the per-key
+#: method and picks the array path up again behind it, at the price of a
+#: few array slices.  Once more than one key in this many has gone that
+#: way, the rest of the batch takes the per-key loop.
+FALLBACK_SHARE = 16
 
 _META_FILE = "faster.meta.json"
 _INDEX_FILE = "faster.index.bin"
@@ -92,7 +107,6 @@ class FasterKV(KVStore, CheckpointManager):
             memory_budget_bytes=memory_budget_bytes,
             page_bytes=page_bytes,
             mutable_fraction=mutable_fraction,
-            epochs=self.epochs,
         )
         self.index = HashIndex()
         self.op_cpu_seconds = op_cpu_seconds
@@ -116,7 +130,10 @@ class FasterKV(KVStore, CheckpointManager):
 
     def _get_in_epoch(self, key: int) -> Optional[bytes]:
         """One read (CPU pre-charged, epoch held); shared by get/multi_get."""
-        address = self.index.find(key)
+        return self._read_at(key, self.index.find(key))
+
+    def _read_at(self, key: int, address: Optional[int]) -> Optional[bytes]:
+        """Read ``key``'s record at its index entry (``None``: no entry)."""
         if address is None:
             self._stats.misses += 1
             return None
@@ -179,13 +196,48 @@ class FasterKV(KVStore, CheckpointManager):
         cannot hide data stalls (the paper's Figure 2 premise); moving
         cold records at sequential cost is exclusively the job of
         look-ahead staging (:meth:`repro.core.mlkv.MLKV.lookahead`).
+
+        The index resolves the whole batch at once.  Resident records of
+        one width are copied out of the page arena with a single gather;
+        absent, disk-resident and odd-width keys are read one by one in
+        batch order (a read changes nothing another read depends on).
         """
         keys = self._normalize_keys(keys)
         with obs_span("kv.multi_get", clock=self.clock, engine="faster", keys=len(keys)):
             self._charge_batch_cpu(len(keys))
             self._stats.gets += len(keys)
             with self.epochs.guard():
-                return [self._get_in_epoch(key) for key in keys]
+                log = self.log
+                # With nothing resident (a store just restored) every key
+                # is a miss or a disk read: the arrays would buy nothing.
+                resident = log.tail_address > log.head_address
+                key_array = self._key_array(keys) if resident else None
+                if key_array is None:
+                    return [self._get_in_epoch(key) for key in keys]
+                addresses = self.index.find_many(key_array)
+                in_memory = np.flatnonzero(addresses >= log.head_address)
+                offsets = log.arena_offsets(addresses[in_memory])
+                headers = log.read_headers(offsets)
+                width = int(headers["value_len"][0]) if len(in_memory) else 0
+                plain = (headers["value_len"] == width) & (
+                    headers["key"] == key_array[in_memory]
+                )
+                positions = in_memory[plain]
+                values = log.read_values(offsets[plain], width)
+                self._stats.hits += len(values)
+                if len(values) == len(keys):
+                    return values
+                results: list = [None] * len(keys)
+                others = np.ones(len(keys), dtype=bool)
+                others[positions] = False
+                for position, value in zip(positions.tolist(), values):
+                    results[position] = value
+                others = np.flatnonzero(others)
+                for position, address in zip(others.tolist(), addresses[others].tolist()):
+                    results[position] = self._read_at(
+                        keys[position], address if address >= 0 else None
+                    )
+                return results
 
     def multi_put(self, keys, values) -> None:
         """Batched put: one epoch acquisition and amortized CPU per batch."""
@@ -195,8 +247,112 @@ class FasterKV(KVStore, CheckpointManager):
             self._charge_batch_cpu(len(keys))
             self._stats.puts += len(keys)
             with self.epochs.guard():
-                for key, value in zip(keys, values):
-                    self._upsert(key, value)
+                self._put_batch(keys, values, self._upsert, settle=False)
+
+    # ------------------------------------------------------------------
+    # batch resolution, shared with MLKV
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _key_array(keys: list) -> Optional[np.ndarray]:
+        """``keys`` as a ``uint64`` array, or ``None`` when some key cannot
+        be one (negative, too large, not an int): the batch then goes
+        through the per-key methods and their treatment of such a key."""
+        if len(keys) < FALLBACK_SHARE:
+            return None  # too short to repay setting the arrays up
+        try:
+            return np.array(keys, dtype=np.uint64)
+        except (OverflowError, TypeError, ValueError):
+            return None
+
+    @staticmethod
+    def _has_duplicates(key_array: np.ndarray) -> bool:
+        ordered = np.sort(key_array)
+        return bool((ordered[1:] == ordered[:-1]).any())
+
+    def _resolve(
+        self, key_array: np.ndarray, floor: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Index entries, arena offsets and record headers of a batch.
+
+        ``floor`` is the lowest log address the caller will touch in
+        memory (the head or above).  Offsets and headers mean something
+        only where ``addresses >= floor``; elsewhere they describe
+        whatever sits at arena offset 0, so that every batch position has
+        a row and callers mask by address.
+        """
+        addresses = self.index.find_many(key_array)
+        offsets = self.log.arena_offsets(addresses)
+        offsets[addresses < floor] = 0
+        return addresses, offsets, self.log.read_headers(offsets)
+
+    def _put_batch(
+        self,
+        keys: list,
+        values: list,
+        put_one: Callable[[int, bytes], object],
+        settle: bool,
+    ) -> None:
+        """Apply a batch of puts in order (epoch held, CPU pre-charged).
+
+        Distinct keys with values of one width go through
+        :meth:`_put_runs` for as long as that pays; ``put_one`` (the
+        per-key put) takes the rest of the batch, or all of it.
+        """
+        done = 0
+        widths = set(map(len, values))
+        key_array = self._key_array(keys) if len(widths) == 1 else None
+        if key_array is not None and not self._has_duplicates(key_array):
+            done = self._put_runs(keys, values, key_array, widths.pop(), put_one, settle)
+        for position in range(done, len(keys)):
+            put_one(keys[position], values[position])
+
+    def _put_runs(
+        self,
+        keys: list,
+        values: list,
+        key_array: np.ndarray,
+        width: int,
+        put_one: Callable[[int, bytes], object],
+        settle: bool,
+    ) -> int:
+        """Put a prefix of the batch, plain keys as arrays; returns its length.
+
+        A key is *plain* when its newest record is in the mutable region,
+        already holds ``width`` bytes and is neither locked nor replaced:
+        its put overwrites the value in place and releases the latch word
+        (``settle``: with one taken off the staleness, MLKV's Put half),
+        and a run of such keys is two scatters.  Any other key goes to
+        ``put_one`` at its turn.  That appends, which moves the read-only
+        boundary up, so the next run ends at the first record now below
+        the boundary: every in-place write lands before a later append
+        can flush its page.
+        """
+        log = self.log
+        count = len(keys)
+        addresses, offsets, headers = self._resolve(key_array, log.read_only_address)
+        words = headers["word"]
+        in_place = (headers["value_len"] == width) & (word_flags(words) == 0)
+        fallbacks_left = count // FALLBACK_SHARE
+        plain = np.count_nonzero(in_place & (addresses >= log.read_only_address))
+        if count - plain > fallbacks_left:
+            return 0
+        staleness = word_staleness(words)
+        if settle:
+            staleness -= staleness > 0
+        words = released_words(words, staleness)
+        rows = np.frombuffer(b"".join(values), dtype=np.uint8).reshape(count, width)
+        cursor = 0
+        while True:
+            blocked = ~in_place[cursor:] | (addresses[cursor:] < log.read_only_address)
+            stop = cursor + int(blocked.argmax()) if blocked.any() else count
+            if stop > cursor:
+                log.write_words(offsets[cursor:stop], words[cursor:stop])
+                log.write_values(offsets[cursor:stop], rows[cursor:stop])
+            if stop == count or not fallbacks_left:
+                return stop
+            fallbacks_left -= 1
+            put_one(keys[stop], values[stop])
+            cursor = stop + 1
 
     def rmw(self, key: int, update: Callable[[Optional[bytes]], bytes]) -> bytes:
         """Read-modify-write one record through ``update``."""
@@ -256,13 +412,15 @@ class FasterKV(KVStore, CheckpointManager):
     def checkpoint(self) -> None:
         """Persist log + index so :meth:`recover` can rebuild the store."""
         self.log.flush_all()
-        entries = list(self.index.items())
-        packer = struct.Struct("<QQ")
+        # ``<Q`` entry count, then one ``<QQ`` (key, address) pair per entry.
+        keys, addresses = self.index.entries()
+        image = np.empty(1 + 2 * len(keys), dtype="<u8")
+        image[0] = len(keys)
+        image[1::2] = keys
+        image[2::2] = addresses
         with open(os.path.join(self.directory, _INDEX_FILE), "wb") as f:
-            f.write(struct.pack("<Q", len(entries)))
-            for key, address in entries:
-                f.write(packer.pack(key, address))
-        self.ssd.sequential_write(8 + 16 * len(entries), blocking=True)
+            f.write(image)
+        self.ssd.sequential_write(image.nbytes, blocking=True)
         meta = {
             "tail_address": self.log.tail_address,
             "head_address": self.log.head_address,
@@ -300,26 +458,18 @@ class FasterKV(KVStore, CheckpointManager):
             page_bytes=meta["page_bytes"],
             **store_kwargs,
         )
-        store.log.tail_address = meta["tail_address"]
         # After recovery the whole log body lives on disk; reads fault in.
-        # New appends start on a fresh page so recovered bytes stay valid.
-        if store.log.tail_address % store.log.page_bytes:
-            store.log.tail_address += store.log.page_bytes - (
-                store.log.tail_address % store.log.page_bytes
-            )
-        store.log.head_address = store.log.tail_address
-        store.log.read_only_address = store.log.tail_address
-        page_no = store.log.tail_address // store.log.page_bytes
-        store.log._pages = {page_no: bytearray(store.log.page_bytes)}
+        store.log.reset_resident(meta["tail_address"])
         index_path = os.path.join(directory, _INDEX_FILE)
         if os.path.exists(index_path):
-            packer = struct.Struct("<QQ")
-            with open(index_path, "rb") as f:
-                (count,) = struct.unpack("<Q", f.read(8))
-                store.ssd.sequential_read(8 + 16 * count, blocking=True)
-                for _ in range(count):
-                    key, address = packer.unpack(f.read(16))
-                    store.index.upsert(key, address)
+            image = np.fromfile(index_path, dtype="<u8")
+            count = int(image[0]) if image.size else -1
+            if image.size != 1 + 2 * count:
+                raise CheckpointError(f"index snapshot in {directory} is truncated")
+            store.ssd.sequential_read(8 + 16 * count, blocking=True)
+            store.index.upsert_many(
+                image[1 : 1 + 2 * count : 2], image[2 : 2 + 2 * count : 2].astype(np.int64)
+            )
         else:
             # Fuzzy fallback: rebuild the index by scanning the log.
             for address, _, key, value_len in store.log.scan_addresses():

@@ -1,10 +1,15 @@
-"""Hash index behaviour: chaining, growth, CAS, model conformance."""
+"""Hash index behaviour: probing, growth, CAS, model conformance."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kv.faster.hashindex import HashIndex
+
+
+def keys_of(values) -> np.ndarray:
+    return np.array(values, dtype=np.uint64)
 
 
 class TestHashIndex:
@@ -33,10 +38,10 @@ class TestHashIndex:
         assert index.find(7) is None
 
     def test_grows_under_load(self):
-        index = HashIndex(initial_buckets=64)
+        index = HashIndex(initial_slots=64)
         for key in range(5000):
             index.upsert(key, key)
-        assert index.bucket_count > 64
+        assert index.slot_count > 64
         assert all(index.find(key) == key for key in range(0, 5000, 97))
 
     def test_compare_exchange_success(self):
@@ -64,15 +69,15 @@ class TestHashIndex:
             index.upsert(key, address)
         assert dict(index.items()) == entries
 
-    def test_invalid_bucket_count(self):
+    def test_invalid_slot_count(self):
         with pytest.raises(ValueError):
-            HashIndex(initial_buckets=3)
+            HashIndex(initial_slots=3)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(["put", "del"]),
                               st.integers(0, 40), st.integers(0, 10_000))))
     def test_matches_dict_model(self, ops):
-        index = HashIndex(initial_buckets=4)
+        index = HashIndex(initial_slots=4)
         model = {}
         for op, key, address in ops:
             if op == "put":
@@ -83,3 +88,98 @@ class TestHashIndex:
                 model.pop(key, None)
         assert dict(index.items()) == model
         assert len(index) == len(model)
+
+
+class TestBatchedIndex:
+    def test_find_many_marks_absent_keys(self):
+        index = HashIndex()
+        index.upsert(7, 100)
+        index.upsert(9, 0)  # address 0 is a real address, not "absent"
+        found = index.find_many(keys_of([9, 8, 7]))
+        assert found.dtype == np.int64
+        assert found.tolist() == [0, -1, 100]
+
+    def test_find_many_empty_batch(self):
+        assert HashIndex().find_many(keys_of([])).tolist() == []
+
+    def test_find_many_follows_probe_chains(self):
+        # Four slots at load <= 1/2: two keys, most pairs collide or abut.
+        for first in range(40):
+            index = HashIndex(initial_slots=4)
+            index.upsert(first, 1)
+            index.upsert(first + 1, 2)
+            assert index.find_many(keys_of([first + 1, first, first + 2])).tolist() == [2, 1, -1]
+
+    def test_find_many_skips_removed_slots(self):
+        index = HashIndex(initial_slots=64)
+        for key in range(20):
+            index.upsert(key, key + 1000)
+        for key in range(0, 20, 2):
+            index.remove(key)
+        expected = [-1 if key % 2 == 0 else key + 1000 for key in range(20)]
+        assert index.find_many(keys_of(range(20))).tolist() == expected
+
+    def test_removed_slot_is_reused(self):
+        index = HashIndex(initial_slots=8)
+        for round_no in range(200):  # never more than one live key
+            index.upsert(round_no, round_no)
+            assert index.remove(round_no)
+        assert len(index) == 0 and index.slot_count == 8
+
+    def test_upsert_many_inserts_and_overwrites(self):
+        index = HashIndex()
+        index.upsert(3, 30)
+        index.upsert_many(keys_of([1, 2, 3]), np.array([10, 20, 31], dtype=np.int64))
+        assert dict(index.items()) == {1: 10, 2: 20, 3: 31}
+        assert len(index) == 3
+
+    def test_upsert_many_last_duplicate_wins(self):
+        index = HashIndex()
+        index.upsert_many(keys_of([5, 6, 5, 5]), np.array([1, 2, 3, 4], dtype=np.int64))
+        assert dict(index.items()) == {5: 4, 6: 2}
+
+    def test_upsert_many_grows_once_for_the_batch(self):
+        index = HashIndex(initial_slots=4)
+        keys = keys_of(range(10_000))
+        index.upsert_many(keys, keys.astype(np.int64) * 2)
+        assert len(index) == 10_000
+        assert index.slot_count >= 2 * 10_000
+        assert index.find_many(keys).tolist() == list(range(0, 20_000, 2))
+        assert index.find(9_999) == 19_998
+
+    def test_full_key_range(self):
+        index = HashIndex()
+        top = (1 << 64) - 1
+        index.upsert(top, 5)
+        assert index.find(top) == 5
+        assert index.find_many(keys_of([top, top - 1])).tolist() == [5, -1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("put"), st.integers(0, 60), st.integers(0, 10_000)),
+        st.tuples(st.just("del"), st.integers(0, 60), st.just(0)),
+        st.tuples(st.just("put_many"),
+                  st.lists(st.integers(0, 60), max_size=30), st.integers(0, 10_000)),
+    )))
+    def test_batched_and_scalar_ops_match_dict_model(self, ops):
+        index = HashIndex(initial_slots=4)  # small: collisions, growth, rebuilds
+        model = {}
+        for op, key, address in ops:
+            if op == "put":
+                index.upsert(key, address)
+                model[key] = address
+            elif op == "del":
+                assert index.remove(key) == (key in model)
+                model.pop(key, None)
+            else:
+                addresses = [address + offset for offset in range(len(key))]
+                index.upsert_many(keys_of(key), np.array(addresses, dtype=np.int64))
+                model.update(zip(key, addresses))
+            probe = list(range(62))
+            expected = [model.get(k, -1) for k in probe]
+            assert index.find_many(keys_of(probe)).tolist() == expected
+            assert [index.find(k) for k in probe] == [model.get(k) for k in probe]
+        assert dict(index.items()) == model
+        assert len(index) == len(model)
+        keys, addresses = index.entries()
+        assert dict(zip(keys.tolist(), addresses.tolist())) == model

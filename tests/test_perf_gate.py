@@ -13,6 +13,7 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "benchmarks"))
 
+import check_e2e  # noqa: E402
 import compare  # noqa: E402
 import emit  # noqa: E402
 
@@ -48,6 +49,17 @@ class TestEmit:
             emit.emit("bad", metrics={"name": "fast"}, root=str(tmp_path))
         with pytest.raises(ValueError):
             emit.emit("bad", metrics={"flag": True}, root=str(tmp_path))
+
+    def test_default_root_is_scratch_not_the_committed_baselines(self, tmp_path, monkeypatch):
+        """A bench run without ``--bench-root`` (tier-1 collects the
+        benches) must not touch the ``BENCH_*.json`` files at the root."""
+        assert os.path.relpath(emit.output_root, emit.REPO_ROOT) == os.path.join(
+            "benchmarks", ".out"
+        )
+        monkeypatch.setattr(emit, "output_root", str(tmp_path / "out"))
+        path = emit.emit("rootless", metrics={"x_rps": 1})
+        assert path == str(tmp_path / "out" / "BENCH_rootless.json")
+        assert emit.load("rootless")["metrics"] == {"x_rps": 1}
 
     def test_no_tmp_file_left_behind(self, tmp_path):
         emit.emit("clean", metrics={"x_rps": 1}, root=str(tmp_path))
@@ -190,3 +202,29 @@ class TestGateEndToEnd:
         results, notes = compare.compare_roots(root, root)
         assert results, "committed baselines should exist at the repo root"
         assert not compare.regressions(results)
+
+
+class TestE2eSmokeVerdict:
+    """benchmarks/check_e2e.py: run.py's last line -> an exit status."""
+
+    @staticmethod
+    def workload(correct=True, failed=0, share=0.99):
+        return {
+            "correct": correct, "attempted": 12, "failed": failed,
+            "metrics": {"train.attributed_share": {"value": share, "unit": "ratio"}},
+        }
+
+    def test_clean_report_passes(self):
+        report = {"dlrm_mem": self.workload(), "serve_restored": self.workload(share=0.0)}
+        assert check_e2e.problems(report) == []
+        assert check_e2e.problems(self.workload()) == []  # a bare --workload report
+
+    def test_wrong_result_failed_op_and_thin_trace_fail(self):
+        report = {
+            "a": self.workload(correct=False, failed=12),
+            "b": self.workload(failed=1),
+            "c": self.workload(share=0.90),
+        }
+        found = check_e2e.problems(report)
+        assert [line.split(":")[0] for line in found] == ["a", "b", "c"]
+        assert "0.900" in found[2]
