@@ -227,10 +227,9 @@ class MLKV(FasterKV):
             self._put_in_memory(key, address, value)
         else:
             # Disk-resident or fresh key: settle overflow staleness and
-            # append a new copy at the tail.
+            # append a new copy at the tail.  What is left of it moves
+            # into the new copy's word, the one place later Puts settle.
             staleness = max(0, self._overflow_staleness.pop(key, 0) - 1)
-            if staleness:
-                self._overflow_staleness[key] = staleness
             word = pack_word(False, False, 1, staleness)
             new_address = self.log.append(key, value, word)
             self.index.upsert(key, new_address)

@@ -147,6 +147,29 @@ class TestDiskResidentStaleness:
             with pytest.raises(StalenessViolation):
                 store.get(0)
 
+    def test_put_on_disk_record_does_not_leak_staleness(self, tmp_path):
+        """Gets served from disk are settled by as many Puts, however often
+        the record is evicted in between: the first Put moves the residue
+        from the overflow table into the new copy's word, and only there."""
+        store = MLKV(str(tmp_path), staleness_bound=8,
+                     memory_budget_bytes=1 << 15, page_bytes=1 << 12)
+        value = bytes(128)
+
+        def evict():  # push key 0 below the in-memory head
+            for filler in range(1000, 1400):
+                store.put(filler, value)
+
+        store.put(0, value)
+        evict()
+        for _ in range(4):
+            store.get(0)
+            store.get(0)  # two Gets served from disk
+            store.put(0, value)
+            store.put(0, value)  # two Puts settle both
+            evict()
+        assert store.staleness_of(0) == 0
+        store.close()
+
     def test_bounded_staleness_disabled_bypasses_protocol(self, tmp_path):
         store = MLKV(str(tmp_path), staleness_bound=0, bounded_staleness=False,
                      memory_budget_bytes=1 << 14, page_bytes=1 << 12)
