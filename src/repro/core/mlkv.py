@@ -264,14 +264,19 @@ class MLKV(FasterKV):
                 new_word = pack_word(False, False, next_generation(generation), new_staleness)
                 new_address = self.log.append(key, value, new_word)
                 self.index.upsert(key, new_address)
-                handle.set_replaced()
+                if self.log.in_memory(address):
+                    handle.set_replaced()
                 return
             finally:
-                # Release the lock on the (possibly superseded) old copy.
-                _, replaced_now, gen_now, stale_now = unpack_word(handle.load())
-                handle.store(
-                    pack_word(False, replaced_now, next_generation(gen_now), stale_now)
-                )
+                # Release the lock on the (possibly superseded) old copy —
+                # unless the append pushed its page out of memory.  Then
+                # the page went to the file as it stood, and the handle's
+                # place in the arena belongs to a newer page.
+                if self.log.in_memory(address):
+                    _, replaced_now, gen_now, stale_now = unpack_word(handle.load())
+                    handle.store(
+                        pack_word(False, replaced_now, next_generation(gen_now), stale_now)
+                    )
 
     def rmw(self, key: int, update) -> bytes:
         """Read-modify-write through the vector-clock protocol.
@@ -454,8 +459,8 @@ class MLKV(FasterKV):
                 addresses = np.array(
                     [-1 if address is None else address for address in found], dtype=np.int64
                 )
-            self.mlkv_stats.lookahead_skipped_memory += np.count_nonzero(
-                addresses >= self.log.head_address
+            self.mlkv_stats.lookahead_skipped_memory += int(
+                np.count_nonzero(addresses >= self.log.head_address)
             )
             on_disk = np.flatnonzero((addresses >= 0) & (addresses < self.log.head_address))
             # One page-granular sequential scan covers the whole batch.

@@ -170,6 +170,25 @@ class TestDiskResidentStaleness:
         assert store.staleness_of(0) == 0
         store.close()
 
+    def test_rcu_put_whose_append_evicts_the_old_copy(self, tmp_path):
+        """The old copy is the first record of the head page, the tail page
+        is full, the window is full: the append opens a page in the very
+        frame the old copy sat in, at the very offset.  Releasing the old
+        copy's latch must not land on the new copy."""
+        page, width = 1 << 10, 40  # 60-byte records: 17 and 4 bytes of padding to a page
+        store = MLKV(str(tmp_path), staleness_bound=4, memory_budget_bytes=4 * page,
+                     page_bytes=page, mutable_fraction=0.5)
+        for key in range(4 * 17):  # four pages, the whole window, tail page full
+            store.put(key, bytes([key]) * width)
+        assert store.log.head_address == store.index.find(0) == 0
+        assert not store.log.in_mutable(0) and page - store.log.tail_address % page < 60
+        store.get(0)
+        store.put(0, b"n" * width)  # read-only: appended on a new page, page 0 evicted
+        assert store.index.find(0) == 4 * page and store.log.head_address == page
+        assert store.get(0) == b"n" * width
+        assert store.staleness_of(0) == 1
+        store.close()
+
     def test_bounded_staleness_disabled_bypasses_protocol(self, tmp_path):
         store = MLKV(str(tmp_path), staleness_bound=0, bounded_staleness=False,
                      memory_budget_bytes=1 << 14, page_bytes=1 << 12)
