@@ -187,12 +187,16 @@ class HybridLog:
 
     def _flush_and_evict(self, page_no: int) -> None:
         if page_no <= self._top_page:
-            self._file.seek(page_no * self.page_bytes)
-            self._file.write(self._frame(page_no))
             # FASTER flushes closed pages asynchronously; the write cost is
             # hidden behind foreground work unless the device saturates.
-            self.ssd.sequential_write(self.page_bytes, blocking=False)
+            self._write_page(page_no, blocking=False)
         self.head_address = (page_no + 1) * self.page_bytes
+
+    def _write_page(self, page_no: int, blocking: bool) -> None:
+        """Copy resident page ``page_no`` to its place in the backing file."""
+        self._file.seek(page_no * self.page_bytes)
+        self._file.write(self._frame(page_no))
+        self.ssd.sequential_write(self.page_bytes, blocking=blocking)
 
     # ------------------------------------------------------------------
     # read path
@@ -342,9 +346,7 @@ class HybridLog:
         """Write every in-memory page to the backing file (checkpoint path)."""
         self._check_open()
         for page_no in range(self._page_no(self.head_address), self._top_page + 1):
-            self._file.seek(page_no * self.page_bytes)
-            self._file.write(self._frame(page_no))
-            self.ssd.sequential_write(self.page_bytes, blocking=blocking)
+            self._write_page(page_no, blocking)
         self._file.flush()
         os.fsync(self._file.fileno())
 

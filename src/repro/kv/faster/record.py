@@ -37,6 +37,7 @@ HEADER_DTYPE = np.dtype([("word", "<u8"), ("key", "<u8"), ("value_len", "<u4")])
 
 _LOCKED_BIT = 1 << 63
 _REPLACED_BIT = 1 << 62
+_FLAGS_SHIFT = 62  # the two flag bits are the top of the word
 _GENERATION_SHIFT = 32
 _GENERATION_MASK = (1 << 30) - 1
 _STALENESS_MASK = (1 << 32) - 1
@@ -80,7 +81,7 @@ def next_generation(generation: int) -> int:
 
 def word_flags(words: np.ndarray) -> np.ndarray:
     """The locked/replaced bit pair of each word; 0 means neither is set."""
-    return words >> np.uint64(62)
+    return words >> np.uint64(_FLAGS_SHIFT)
 
 
 def word_staleness(words: np.ndarray) -> np.ndarray:

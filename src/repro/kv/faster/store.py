@@ -258,7 +258,10 @@ class FasterKV(KVStore, CheckpointManager):
         be one (negative, too large, not an int): the batch then goes
         through the per-key methods and their treatment of such a key."""
         if len(keys) < FALLBACK_SHARE:
-            return None  # too short to repay setting the arrays up
+            # Setting the arrays up costs about as much as this many
+            # per-key operations, and a batch this short cannot afford a
+            # single fallback anyway.
+            return None
         try:
             return np.array(keys, dtype=np.uint64)
         except (OverflowError, TypeError, ValueError):

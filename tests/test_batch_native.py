@@ -18,6 +18,7 @@ import hashlib
 import os
 import tempfile
 from collections import Counter, deque
+from contextlib import contextmanager
 from dataclasses import asdict
 
 import pytest
@@ -181,12 +182,20 @@ class Pair:
         assert self.batched.observe() == self.looped.observe(), f"state differs after {op[0]}"
         return got
 
-    def finish(self) -> None:
+
+
+@contextmanager
+def paired(engine, budget, bound=None, handler=False):
+    """A populated :class:`Pair` in a scratch directory; leaving the block
+    cleanly runs the final comparison (staleness, scan, checkpoint bytes)."""
+    with tempfile.TemporaryDirectory() as root:
+        pair = Pair(root, engine, budget, bound, handler)
         try:
-            assert self.batched.final() == self.looped.final()
+            yield pair
+            assert pair.batched.final() == pair.looped.final()
         finally:
-            self.batched.store.close()
-            self.looped.store.close()
+            pair.batched.store.close()
+            pair.looped.store.close()
 
 
 # ----------------------------------------------------------------------
@@ -248,13 +257,9 @@ def operations(draw, engine):
 
 
 def check_sequence(engine, budget, bound, handler, ops) -> None:
-    with tempfile.TemporaryDirectory() as root:
-        pair = Pair(root, engine, budget, bound, handler)
-        try:
-            for op in ops:
-                pair.run(op)
-        finally:
-            pair.finish()
+    with paired(engine, budget, bound, handler) as pair:
+        for op in ops:
+            pair.run(op)
 
 
 @pytest.mark.parametrize("budget", sorted(BUDGETS))
@@ -304,16 +309,12 @@ class TestGeneratedEvents:
             keys = data.draw(key_batches())
             updates.append(("defer", keys, data.draw(value_batches(keys))))
         updates.append(("defer", stale, [value_for(key, 3) for key in stale]))
-        with tempfile.TemporaryDirectory() as root:
-            pair = Pair(root, "mlkv", budget, bound, handler=True)
-            try:
-                for _ in range(bound + 1):
-                    pair.run(("get", stale))
-                for update in updates:
-                    pair.run(update)
-                pair.run(("get", batch))
-            finally:
-                pair.finish()
+        with paired("mlkv", budget, bound, handler=True) as pair:
+            for _ in range(bound + 1):
+                pair.run(("get", stale))
+            for update in updates:
+                pair.run(update)
+            pair.run(("get", batch))
 
     @pytest.mark.parametrize("engine", ["faster", "mlkv"])
     @settings(max_examples=40, deadline=None)
@@ -322,88 +323,82 @@ class TestGeneratedEvents:
         """A large batch of in-place puts with a few appends in it, the
         first of which opens a new page and may push the oldest resident
         page — with records the batch has just overwritten — to the file."""
-        with tempfile.TemporaryDirectory() as root:
-            pair = Pair(root, engine, budget, bound=2 if engine == "mlkv" else None)
-            try:
-                fill_tail_page(pair)  # rewrites fewer than 23 of the lowest keys
-                store = pair.batched.store
-                in_place = [
-                    key for key in range(23, KEYS) if store.log.in_mutable(store.index.find(key))
-                ]
-                keys = data.draw(
-                    st.lists(st.sampled_from(in_place), min_size=2 * FALLBACK_SHARE,
-                             max_size=110, unique=True)
-                )
-                for stray in data.draw(st.lists(st.integers(0, KEYS + 12), min_size=1, max_size=4)):
-                    keys.insert(data.draw(st.integers(0, len(keys))), stray)
-                pair.run(("put", keys, [value_for(key, 8) for key in keys]))
-                pair.run(("snapshot", keys))
-            finally:
-                pair.finish()
+        with paired(engine, budget, bound=2 if engine == "mlkv" else None) as pair:
+            fill_tail_page(pair)  # rewrites fewer than 23 of the lowest keys
+            store = pair.batched.store
+            in_place = [
+                key for key in range(23, KEYS) if store.log.in_mutable(store.index.find(key))
+            ]
+            keys = data.draw(
+                st.lists(st.sampled_from(in_place), min_size=2 * FALLBACK_SHARE,
+                         max_size=110, unique=True)
+            )
+            for stray in data.draw(st.lists(st.integers(0, KEYS + 12), min_size=1, max_size=4)):
+                keys.insert(data.draw(st.integers(0, len(keys))), stray)
+            pair.run(("put", keys, [value_for(key, 8) for key in keys]))
+            pair.run(("snapshot", keys))
 
 
 # ----------------------------------------------------------------------
 # the three orderings the array path must keep, pinned down
 # ----------------------------------------------------------------------
 class TestOrderWithinABatch:
-    def test_stall_handler_moves_later_keys(self, tmp_path):
+    def test_stall_handler_moves_later_keys(self):
         """Key 10 stalls mid-batch.  The handler's update batch rewrites
         keys behind it — by appending, they sit in the read-only region —
         so their addresses and words, and the region boundaries, have to
         be read afresh before the batch goes on."""
-        pair = Pair(str(tmp_path), "mlkv", "read_only", bound=0, handler=True)
-        store = pair.batched.store
-        batch = list(range(140))
-        moved = list(range(11, 40))
-        assert not any(store.log.in_mutable(store.index.find(key)) for key in moved)
-        pair.run(("get", [10, 20, 21]))  # staleness 1 > bound 0: each would stall
-        pair.run(("defer", moved, [value_for(key, 9) for key in moved]))
-        pair.run(("defer", [10], [value_for(10, 9)]))
-        pair.batched.count_per_key_calls()
-        values = pair.run(("get", batch))
-        assert values[20] == value_for(20, 9) and values[40] == value_for(40, 0)
-        # Only key 10 stalled (twice: the first update batch did not hold
-        # it), 20 and 21 were settled by then; everything else went as runs.
-        assert pair.batched.pipeline.calls == [(10, 2), (10, 1)]
-        assert pair.batched.per_key_calls["_get_bounded"] == 1
-        assert all(store.log.in_mutable(store.index.find(key)) for key in moved)
-        pair.finish()
+        with paired("mlkv", "read_only", bound=0, handler=True) as pair:
+            store = pair.batched.store
+            batch = list(range(140))
+            moved = list(range(11, 40))
+            assert not any(store.log.in_mutable(store.index.find(key)) for key in moved)
+            pair.run(("get", [10, 20, 21]))  # staleness 1 > bound 0: each would stall
+            pair.run(("defer", moved, [value_for(key, 9) for key in moved]))
+            pair.run(("defer", [10], [value_for(10, 9)]))
+            pair.batched.count_per_key_calls()
+            values = pair.run(("get", batch))
+            assert values[20] == value_for(20, 9) and values[40] == value_for(40, 0)
+            # Only key 10 stalled (twice: the first update batch did not hold
+            # it), 20 and 21 were settled by then; everything else went as runs.
+            assert pair.batched.pipeline.calls == [(10, 2), (10, 1)]
+            assert pair.batched.per_key_calls["_get_bounded"] == 1
+            assert all(store.log.in_mutable(store.index.find(key)) for key in moved)
 
     @pytest.mark.parametrize("bound", [0, 2])
-    def test_key_over_the_bound_is_not_admitted(self, tmp_path, bound):
+    def test_key_over_the_bound_is_not_admitted(self, bound):
         """Without a handler the first key over the bound raises, with the
         keys before it admitted and the keys after it untouched."""
-        pair = Pair(str(tmp_path), "mlkv", "mutable", bound=bound, handler=False)
-        for _ in range(bound + 1):
-            pair.run(("get", [90, 91]))
-        outcome = pair.run(("get", list(range(40, 140))))
-        assert outcome[0] == "raised" and "Get(90)" in outcome[1]
-        store = pair.batched.store
-        assert [store.staleness_of(key) for key in (89, 90, 91, 92)] == [
-            1, bound + 1, bound + 1, 0,
-        ]
-        pair.finish()
+        with paired("mlkv", "mutable", bound=bound, handler=False) as pair:
+            for _ in range(bound + 1):
+                pair.run(("get", [90, 91]))
+            outcome = pair.run(("get", list(range(40, 140))))
+            assert outcome[0] == "raised" and "Get(90)" in outcome[1]
+            store = pair.batched.store
+            assert [store.staleness_of(key) for key in (89, 90, 91, 92)] == [
+                1, bound + 1, bound + 1, 0,
+            ]
 
-    def test_in_place_put_lands_before_a_later_append_flushes_its_page(self, tmp_path):
+    def test_in_place_put_lands_before_a_later_append_flushes_its_page(self):
         """A batch of in-place puts with an append near its end that opens
         a new page, which pushes the head page — holding the batch's first
         records — to the file: their new values must already be in it."""
-        pair = Pair(str(tmp_path), "mlkv", "evict", bound=2, handler=False)
-        store, log = pair.batched.store, pair.batched.store.log
-        fill_tail_page(pair)
-        address_of = {key: store.index.find(key) for key in range(KEYS)}
-        head_page = log.head_address // PAGE
-        on_head_page = [
-            key for key in range(KEYS)
-            if address_of[key] // PAGE == head_page and log.in_mutable(address_of[key])
-        ]
-        # The newest stay mutable (the lowest keys are the tail-page fillers).
-        others = sorted(range(23, KEYS), key=address_of.get)[-60:]
-        absent = KEYS + 1  # appended at its turn, the last but one
-        keys = on_head_page + others[:-1] + [absent] + others[-1:]
-        pair.batched.count_per_key_calls()
-        pair.run(("put", keys, [value_for(key, 6) for key in keys]))
-        assert pair.batched.per_key_calls["_put_bounded"] == 1
-        assert on_head_page and log.head_address // PAGE == head_page + 1  # flushed
-        assert pair.run(("snapshot", on_head_page)) == [value_for(key, 6) for key in on_head_page]
-        pair.finish()
+        with paired("mlkv", "evict", bound=2, handler=False) as pair:
+            store, log = pair.batched.store, pair.batched.store.log
+            fill_tail_page(pair)
+            address_of = {key: store.index.find(key) for key in range(KEYS)}
+            head_page = log.head_address // PAGE
+            on_head_page = [
+                key for key in range(KEYS)
+                if address_of[key] // PAGE == head_page and log.in_mutable(address_of[key])
+            ]
+            # The newest stay mutable (the lowest keys are the tail-page fillers).
+            others = sorted(range(23, KEYS), key=address_of.get)[-60:]
+            absent = KEYS + 1  # appended at its turn, the last but one
+            keys = on_head_page + others[:-1] + [absent] + others[-1:]
+            pair.batched.count_per_key_calls()
+            pair.run(("put", keys, [value_for(key, 6) for key in keys]))
+            assert pair.batched.per_key_calls["_put_bounded"] == 1
+            assert on_head_page and log.head_address // PAGE == head_page + 1  # flushed
+            expected = [value_for(key, 6) for key in on_head_page]
+            assert pair.run(("snapshot", on_head_page)) == expected
