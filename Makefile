@@ -85,12 +85,14 @@ bench-e2e:
 bench-e2e-smoke:
 	python3 benchmarks/e2e/run.py --quick --trace 1 | $(PYTHON) benchmarks/check_e2e.py
 
-# Replication + distributed suites once more under the runtime invariant
-# sanitizer (repro.analysis.sanitize): every protocol transition is
-# checked live, so a lost update or stale-read bug fails loudly with an
-# event trace instead of as a silent convergence drift.
+# Router, replication + distributed suites once more under the runtime
+# invariant sanitizer (repro.analysis.sanitize): every protocol
+# transition is checked live, so a lost update or stale-read bug fails
+# loudly with an event trace instead of as a silent convergence drift.
+# The router suite is here because every replicated read and write —
+# including the live split of a lagging group — goes through it.
 test-sanitize:
-	REPRO_SANITIZE=1 $(PYTHON) -m pytest tests/test_replication.py tests/test_distributed.py tests/test_analysis_sanitize.py tests/test_parallel.py -q
+	REPRO_SANITIZE=1 $(PYTHON) -m pytest tests/test_sharded.py tests/test_replication.py tests/test_distributed.py tests/test_analysis_sanitize.py tests/test_parallel.py -q
 
 # Prefer ruff (fast, wider net) when present; fall back to pyflakes,
 # then to the always-available compileall syntax check.  The repo's own

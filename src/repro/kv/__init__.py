@@ -11,19 +11,23 @@ All three persist to real files and charge simulated I/O costs to a shared
 :class:`~repro.device.ssd.SSDModel`, so the Figure 7 buffer-size sweeps
 exercise genuine hit/miss paths in each engine.
 
-:mod:`repro.kv.sharded` composes any mix of them into a hash-partitioned
-:class:`~repro.kv.sharded.ShardedKVStore` for horizontal scale-out —
-with live ``split_shard``/``migrate_shard`` rescaling (copy-then-cutover
-under load) — and every engine overrides ``multi_get``/``multi_put``
-with genuinely batched hot paths (one epoch acquisition, WAL group
-commits, single leaf walks).  :mod:`repro.kv.replicated` stacks N-way
-replica groups on top for availability: synchronous write fan-out,
-divergence-bounded read routing, failover with hinted catch-up.
-:mod:`repro.kv.parallel` is the wall-clock variant of the sharded
-wrapper: the same routing, but each shard's engine lives in a forked
-worker process so batched fan-out uses real cores
+:mod:`repro.kv.sharded` composes any mix of them behind the one shard
+router, :class:`~repro.kv.sharded.ShardedKVStore` — slot-table hash
+partitioning, one batched sub-call per shard, live
+``split_shard``/``migrate_shard`` rescaling (copy-then-cutover under
+load), coordinated checkpoints — and every engine overrides
+``multi_get``/``multi_put`` with genuinely batched hot paths (one epoch
+acquisition, WAL group commits, single leaf walks).  The router's
+children are plain :class:`~repro.kv.api.KVStore` objects, so the other
+two stores are the same router with a different kind of child:
+:mod:`repro.kv.replicated` makes each shard an N-way
+:class:`~repro.kv.replicated.ReplicaGroup` (synchronous write fan-out,
+divergence-bounded read routing, failover with hinted catch-up), and
+:mod:`repro.kv.parallel` puts each shard's store in a forked worker
+process so batched fan-out uses real cores
 (:func:`~repro.kv.parallel.create_sharded_store` picks parallel or
-serial automatically).
+serial automatically).  Live migration, stats and checkpoint → restore
+are the router's, so they work for all three.
 """
 
 from repro.kv.api import CheckpointManager, KVStore, StoreStats

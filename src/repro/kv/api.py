@@ -165,7 +165,7 @@ class KVStore(ABC):
         per shard), so it must not rely on seeing the whole batch at
         once — look values up by key, not by global position.
 
-        The read half uses :meth:`snapshot_read_many` (a committed read,
+        The read half uses :meth:`read_current_many` (a committed read,
         never an admission-counting Get): server-side RMW is a storage
         maintenance path, not a training read, so it must not consume
         staleness budget.  This is the parameter-server apply path:
@@ -173,7 +173,7 @@ class KVStore(ABC):
         the stored rows without round-tripping rows through workers.
         """
         keys = self._normalize_keys(keys)
-        new_values = update(keys, self.snapshot_read_many(keys))
+        new_values = update(keys, self.read_current_many(keys))
         new_values = list(new_values)
         if len(new_values) != len(keys):
             raise ValueError(
@@ -244,6 +244,17 @@ class KVStore(ABC):
     def snapshot_read_many(self, keys: Iterable[int]) -> list[Optional[bytes]]:
         """Batched :meth:`snapshot_read` preserving input order."""
         return self.multi_get(keys)
+
+    def read_current_many(self, keys: Iterable[int]) -> list[Optional[bytes]]:
+        """Committed values that are safe to copy elsewhere or write back.
+
+        For an engine that is its committed read.  A store whose routed
+        reads may be bounded-stale (a replica group) overrides this to
+        answer from a copy holding every acknowledged write: it is what
+        :meth:`multi_rmw` folds its update over and what a live shard
+        migration copies from, so a stale read never becomes a write.
+        """
+        return self.snapshot_read_many(keys)
 
     def freeze(self) -> "KVStore":
         """Switch the store to read-only serving mode.

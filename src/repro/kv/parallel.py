@@ -1,27 +1,37 @@
-"""Process-parallel shard fan-out for sharded stores.
+"""Process-parallel children for the shard router.
 
-:class:`ParallelShardStore` executes the per-shard sub-batches of a
-hash-sharded store on a pool of **shared-nothing worker processes**: each
-worker owns a disjoint subset of the child engines (one engine per shard,
-built inside the worker after fork, so no file descriptor or page cache
-is shared), and a batched operation ships each worker exactly one
-request — the whole sub-batch as a single encoded buffer from
-:mod:`repro.kv.common.serialization` — and reads back exactly one reply
-buffer.  Eight shards on eight cores then decode, probe and re-encode
-their sub-batches genuinely concurrently, which is what the wall-clock
-fan-out benchmark measures.
+:class:`ParallelShardStore` is the shard router
+(:class:`~repro.kv.sharded.ShardedKVStore`) with its children living in
+**shared-nothing worker processes**: each worker owns a disjoint subset
+of the child stores (built inside the worker after fork, so no file
+descriptor or page cache is shared), and the router's children are small
+proxies that forward one call over the owning worker's pipe.  It
+overrides the router's two hooks and nothing else about routing:
+
+* *how a child is built* — a forked worker builds it and the router
+  keeps a proxy;
+* *how one partitioned batched operation is dispatched* — each worker
+  gets exactly one request (all its shards' sub-batches as a single
+  encoded buffer from :mod:`repro.kv.common.serialization`), every
+  request is sent before any reply is read, and each worker sends back
+  exactly one reply buffer.  Eight shards on eight cores then decode,
+  probe and re-encode their sub-batches genuinely concurrently, which is
+  what the wall-clock fan-out benchmark measures.
+
+Everything else — slot-table routing, live split/migrate, stats, the
+coordinated checkpoint manifest — is inherited, so a parallel store
+splits live, restores migrated slot tables, and can host replica groups
+in its workers; it and the serial router restore each other's
+checkpoints.
 
 This is deliberately an *opt-in, wall-clock* layer: engines inside the
 workers keep their own private simulated clocks (a shared simulated
 timeline across processes would serialize them again), so parallel
 stores expose no ``clock``/``ssd`` attribute and the serving tier's
-simulated-time paths refuse them gracefully.  Use
-:func:`create_sharded_store` to get a :class:`ParallelShardStore` when
-the platform allows it and a plain serial
-:class:`~repro.kv.sharded.ShardedKVStore` otherwise — the two are
-drop-in interchangeable (same routing, same ordering contract, same
-coordinated checkpoint manifest, so either can restore the other's
-checkpoints).
+simulated-time paths refuse them gracefully; stall handlers do not cross
+the process boundary either.  Use :func:`create_sharded_store` to get a
+:class:`ParallelShardStore` when the platform allows it and a plain
+serial :class:`~repro.kv.sharded.ShardedKVStore` otherwise.
 
 Protocol invariants (the deadlock-freedom argument):
 
@@ -34,31 +44,47 @@ Protocol invariants (the deadlock-freedom argument):
 * Worker replies are read in worker order after all requests are sent,
   so independent workers overlap while the parent never waits on a
   worker it has not fed.
+* A pipe error or a dead worker can leave another worker's reply unread,
+  so it marks the whole store broken: every later operation raises
+  :class:`~repro.errors.StorageError` rather than mistaking a stale
+  reply for its own, and ``close()`` still works.
 """
 
 from __future__ import annotations
 
-import importlib
-import json
+import itertools
 import multiprocessing
 import os
 import pickle
 import sys
+from operator import attrgetter, methodcaller
 from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from repro.errors import CheckpointError, ConfigError, StorageError
-from repro.kv.api import CheckpointManager, KVStore, StoreStats
+from repro.errors import ConfigError, StorageError
+from repro.kv.api import KVStore, StoreStats
 from repro.kv.common.serialization import (
     decode_records,
     decode_values,
     encode_records,
     encode_values,
 )
-from repro.kv.sharded import _MANIFEST, ShardedKVStore, partition_positions
+from repro.kv.sharded import (
+    ShardedKVStore,
+    call_batched,
+    child_type,
+    record_count,
+)
 from repro.obs import profile as obs_profile
 from repro.obs.trace import span as obs_span
+
+#: Framed batched ops whose reply carries one value per key, as one
+#: encoded buffer; the others (``multi_put``, ``lookahead``) reply with
+#: one plain result per batch in the header.
+_VALUE_OPS = frozenset(
+    {"multi_get", "snapshot_read_many", "read_current_many", "multi_rmw"}
+)
 
 
 def fork_available() -> bool:
@@ -98,11 +124,54 @@ def create_sharded_store(
 
 
 # ----------------------------------------------------------------------
+# framing of a batched op: one buffer per worker and direction
+# ----------------------------------------------------------------------
+def _frame(op: str, batches: list) -> bytes:
+    """Encode the column slices of one worker's batches into one buffer."""
+    keys = [key for columns in batches for key in columns[0]]
+    if op == "multi_put":
+        values = [value for columns in batches for value in columns[1]]
+        return bytes(encode_records(keys, values))
+    return np.asarray(keys, dtype=np.uint64).tobytes()
+
+
+def _unframe(op: str, counts: list[int], payload: bytes) -> Iterator[tuple]:
+    """Inverse of :func:`_frame`: one column tuple per batch."""
+    if op == "multi_put":
+        records = decode_records(payload, copy=True)
+        for count in counts:
+            pairs = list(itertools.islice(records, count))
+            yield [key for key, _ in pairs], [value for _, value in pairs]
+    else:
+        keys = np.frombuffer(payload, dtype=np.uint64)
+        offset = 0
+        for count in counts:
+            yield (keys[offset : offset + count].tolist(),)
+            offset += count
+
+
+# ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-def _worker_main(shard_indices, factory, conn) -> None:
-    """Own a subset of engines; serve one request at a time until close."""
-    engines = {index: factory(index) for index in shard_indices}
+def _scan_list(store: KVStore) -> list:
+    return list(store.scan())
+
+
+def _freeze(store: KVStore) -> None:
+    store.freeze()  # returns the store itself, which must not be pickled back
+
+
+def _worker_main(factory, conn) -> None:
+    """Own a set of child stores; serve one request at a time until close.
+
+    Three kinds of request: ``build`` a child from the factory this
+    worker was forked with, ``call`` an arbitrary picklable function on
+    one child (every non-batched verb), and the framed batched ops —
+    ``(op, [(child, count), ...], pickled_args)`` plus one payload buffer
+    — which run ``child.op(*columns, *args)`` for each of the worker's
+    batches.
+    """
+    stores: dict[int, KVStore] = {}
     while True:
         try:
             message = conn.recv()
@@ -110,146 +179,44 @@ def _worker_main(shard_indices, factory, conn) -> None:
             break
         op = message[0]
         try:
-            if op == "multi_get" or op == "snapshot_read_many":
-                _, entries = message
-                keys = np.frombuffer(conn.recv_bytes(), dtype=np.uint64)
-                results: list = []
-                offset = 0
-                for shard, count in entries:
-                    sub_keys = keys[offset : offset + count].tolist()
-                    offset += count
-                    engine = engines[shard]
-                    read = (
-                        engine.multi_get
-                        if op == "multi_get"
-                        else engine.snapshot_read_many
-                    )
-                    results.extend(read(sub_keys))
-                conn.send(("ok", len(results)))
-                conn.send_bytes(bytes(encode_values(results)))
-            elif op == "multi_put":
-                _, entries = message
-                records = decode_records(conn.recv_bytes(), copy=True)
-                for shard, count in entries:
-                    sub_keys: list[int] = []
-                    sub_values: list[bytes] = []
-                    for _ in range(count):
-                        key, value = next(records)
-                        sub_keys.append(key)
-                        sub_values.append(value)
-                    engines[shard].multi_put(sub_keys, sub_values)
+            if op == "call":
+                _, child, function, args = message
+                conn.send(("ok", function(stores[child], *args)))
+            elif op == "build":
+                _, child, index = message
+                store = stores[child] = factory(index)
+                conn.send(("ok", (child_type(store), getattr(store, "directory", None))))
+            elif op == "close":
+                for store in stores.values():
+                    store.close()
                 conn.send(("ok", None))
-            elif op == "multi_rmw":
-                _, entries, update_bytes = message
-                keys = np.frombuffer(conn.recv_bytes(), dtype=np.uint64)
+                break
+            else:
+                _, entries, pickled_args = message
+                payload = conn.recv_bytes()
                 try:
-                    update = pickle.loads(update_bytes)
+                    args = pickle.loads(pickled_args)
                 except Exception as exc:  # repro: lint-ignore[REP004]
                     # Unpickling can raise nearly anything (a __main__
                     # function defined after the fork surfaces as
                     # AttributeError).  Not swallowed: replied to the
-                    # parent before touching any engine, so it can safely
+                    # parent before touching any store, so it can safely
                     # run the op itself.
                     conn.send(("nopickle", exc))
                     continue
-                new_values: list = []
-                offset = 0
-                for shard, count in entries:
-                    sub_keys = keys[offset : offset + count].tolist()
-                    offset += count
-                    new_values.extend(engines[shard].multi_rmw(sub_keys, update))
-                conn.send(("ok", len(new_values)))
-                conn.send_bytes(bytes(encode_values(new_values)))
-            elif op == "lookahead":
-                _, entries = message
-                keys = np.frombuffer(conn.recv_bytes(), dtype=np.uint64)
-                moved = 0
-                offset = 0
-                for shard, count in entries:
-                    sub_keys = keys[offset : offset + count].tolist()
-                    offset += count
-                    stage = getattr(engines[shard], "lookahead", None)
-                    if stage is not None:
-                        moved += stage(sub_keys)
-                conn.send(("ok", moved))
-            elif op == "single":
-                _, verb, shard, key, value = message
-                engine = engines[shard]
-                if verb == "get":
-                    conn.send(("ok", engine.get(key)))
-                elif verb == "snapshot_read":
-                    conn.send(("ok", engine.snapshot_read(key)))
-                elif verb == "put":
-                    engine.put(key, value)
-                    conn.send(("ok", None))
-                else:  # delete
-                    conn.send(("ok", engine.delete(key)))
-            elif op == "stats":
-                merged = []
-                for index in shard_indices:
-                    child = engines[index].stats
-                    merged.append(
-                        (
-                            index,
-                            child.gets,
-                            child.puts,
-                            child.deletes,
-                            child.hits,
-                            child.misses,
-                            dict(child.extra),
-                        )
-                    )
-                conn.send(("ok", merged))
-            elif op == "count":
-                total = 0
-                for engine in engines.values():
-                    try:
-                        total += len(engine)  # type: ignore[arg-type]
-                    except TypeError:
-                        total += sum(1 for _ in engine.scan())
-                conn.send(("ok", total))
-            elif op == "scan":
-                per_shard = []
-                chunks = []
-                for index in shard_indices:
-                    items = list(engines[index].scan())
-                    per_shard.append((index, len(items)))
-                    if items:
-                        chunks.append(
-                            encode_records(
-                                [key for key, _ in items],
-                                [value for _, value in items],
-                            )
-                        )
-                conn.send(("ok", per_shard))
-                conn.send_bytes(b"".join(bytes(chunk) for chunk in chunks))
-            elif op == "freeze":
-                for engine in engines.values():
-                    engine.freeze()
-                conn.send(("ok", None))
-            elif op == "checkpoint":
-                layout = []
-                for index in shard_indices:
-                    engine = engines[index]
-                    snap = getattr(engine, "checkpoint", None)
-                    if snap is not None:
-                        snap()
-                    layout.append(
-                        (
-                            index,
-                            getattr(engine, "directory", None),
-                            f"{type(engine).__module__}.{type(engine).__qualname__}",
-                        )
-                    )
-                conn.send(("ok", layout))
-            elif op == "close":
-                for engine in engines.values():
-                    engine.close()
-                conn.send(("ok", None))
-                break
-            else:
-                conn.send(("err", ConfigError(f"unknown worker op {op!r}")))
-        except BaseException as exc:  # repro: lint-ignore[REP004]
+                counts = [count for _, count in entries]
+                outputs = [
+                    call_batched(stores[child], op, columns, args)
+                    for (child, _), columns in zip(entries, _unframe(op, counts, payload))
+                ]
+                if op in _VALUE_OPS:
+                    values = [value for output in outputs for value in output]
+                    reply = bytes(encode_values(values))
+                    conn.send(("ok", len(values)))
+                    conn.send_bytes(reply)
+                else:
+                    conn.send(("ok", outputs))
+        except Exception as exc:  # repro: lint-ignore[REP004]
             # Not swallowed: every failure is relayed to the parent, which
             # re-raises it on the calling thread.
             try:
@@ -264,14 +231,172 @@ def _worker_main(shard_indices, factory, conn) -> None:
 # ----------------------------------------------------------------------
 # parent side
 # ----------------------------------------------------------------------
-class ParallelShardStore(KVStore, CheckpointManager):
-    """Hash-sharded store whose engines live in worker processes.
+class _Worker:
+    """One forked worker process and the parent's end of its pipe.
 
-    Routing is identical to :class:`~repro.kv.sharded.ShardedKVStore`
-    (same splitmix64 slot table), so a data set written through one
-    wrapper reads back identically through the other.  Live migration is
-    not supported in parallel mode — rescale through the serial wrapper,
-    then reopen in parallel.
+    Any pipe error, or finding the process dead, marks the owning store
+    broken (see the module docstring) and surfaces as ``StorageError``.
+    """
+
+    def __init__(self, store: "ParallelShardStore", factory) -> None:
+        self.store = store
+        self.factory = factory
+        context = multiprocessing.get_context("fork")
+        self.conn, child_conn = context.Pipe()
+        self.process = context.Process(
+            target=_worker_main, args=(factory, child_conn), daemon=True
+        )
+        self.process.start()
+        child_conn.close()
+
+    def send(self, header: tuple, payload: Optional[bytes] = None) -> None:
+        """Ship one request: a pickled header, then an optional raw buffer."""
+        self.store._check_open()
+        try:
+            if not self.process.is_alive():
+                raise EOFError("worker process exited")
+            self.conn.send(header)
+            if payload is not None:
+                self.conn.send_bytes(payload)
+        except (EOFError, OSError) as exc:
+            self.store._mark_broken(exc)
+
+    def recv(self, with_payload: bool = False) -> tuple:
+        """Read one reply: ``(status, meta, payload-or-None)``."""
+        try:
+            status, meta = self.conn.recv()
+            payload = self.conn.recv_bytes() if with_payload and status == "ok" else None
+        except (EOFError, OSError) as exc:
+            self.store._mark_broken(exc)
+        return status, meta, payload
+
+    def request(self, header: tuple):
+        """One request, one reply; a relayed worker exception is re-raised."""
+        self.send(header)
+        status, meta, _ = self.recv()
+        if status != "ok":
+            raise meta
+        return meta
+
+    def stop(self, graceful: bool) -> None:
+        """End the process — after it closed its stores, when ``graceful``."""
+        try:
+            if graceful:
+                self.conn.send(("close",))
+                self.conn.recv()
+        except (EOFError, OSError):
+            pass  # already gone: nothing left to close
+        self.conn.close()
+        self.process.join(timeout=10 if graceful else 0)
+        if self.process.is_alive():
+            self.process.terminate()
+            self.process.join(timeout=10)
+
+
+class _ShardProxy(KVStore):  # repro: lint-ignore[REP002] a proxy is reopened by its router, it has no restore of its own
+    """A child store living in a worker process.
+
+    Satisfies the :class:`KVStore` contract by forwarding each call as
+    one request over the owning worker's pipe, which is all the router,
+    a :class:`~repro.kv.sharded.ShardMigration` or a caller reaching
+    through ``store.shards`` needs.  (The router's batched fan-out does
+    not come through here: it frames one message per *worker*.)
+    """
+
+    def __init__(self, worker: _Worker, child: int, index: int) -> None:
+        self.worker = worker
+        self.child = child  # this store's key inside its worker
+        #: What a manifest records for the fronted store.
+        self.store_type, self.directory = worker.request(("build", child, index))
+
+    def call(self, function: Callable, *args):
+        """Run picklable ``function(store, *args)`` in the worker."""
+        return self.worker.request(("call", self.child, function, args))
+
+    def get(self, key: int) -> Optional[bytes]:
+        """Forward ``get``."""
+        return self.call(methodcaller("get", key))
+
+    def snapshot_read(self, key: int) -> Optional[bytes]:
+        """Forward ``snapshot_read``."""
+        return self.call(methodcaller("snapshot_read", key))
+
+    def put(self, key: int, value: bytes) -> None:
+        """Forward ``put``."""
+        self.call(methodcaller("put", key, bytes(value)))
+
+    def delete(self, key: int) -> bool:
+        """Forward ``delete``."""
+        return self.call(methodcaller("delete", key))
+
+    def rmw(self, key: int, update: Callable[[Optional[bytes]], bytes]) -> bytes:
+        """Transform in this process (``update`` may not ship), reading the
+        value it will write back through :meth:`read_current_many`."""
+        new_value = update(self.read_current_many([key])[0])
+        self.put(key, new_value)
+        return new_value
+
+    def multi_get(self, keys) -> list:
+        """Forward ``multi_get``."""
+        return self.call(methodcaller("multi_get", list(keys)))
+
+    def snapshot_read_many(self, keys) -> list:
+        """Forward ``snapshot_read_many``."""
+        return self.call(methodcaller("snapshot_read_many", list(keys)))
+
+    def read_current_many(self, keys) -> list:
+        """Forward ``read_current_many`` (so the inherited ``multi_rmw``
+        folds its update over write-back-safe values)."""
+        return self.call(methodcaller("read_current_many", list(keys)))
+
+    def multi_put(self, keys, values) -> None:
+        """Forward ``multi_put``."""
+        keys, values = self._normalize_pairs(keys, values)
+        self.call(methodcaller("multi_put", keys, [bytes(value) for value in values]))
+
+    def scan(self) -> Iterator[tuple[int, bytes]]:
+        """All live records, collected in the worker then yielded."""
+        return iter(self.call(_scan_list))
+
+    def __len__(self) -> int:
+        return self.call(record_count)
+
+    @property
+    def stats(self) -> StoreStats:
+        """The fronted store's counters (a snapshot, not live)."""
+        return self.call(attrgetter("stats"))
+
+    def freeze(self) -> "_ShardProxy":
+        """Freeze the fronted store and the proxy."""
+        self.call(_freeze)
+        self.read_only = True
+        return self
+
+    def checkpoint(self) -> None:
+        """Forward ``checkpoint``."""
+        self.call(methodcaller("checkpoint"))
+
+    def close(self) -> None:
+        """Close the fronted store (its worker lives until the router closes)."""
+        self.call(methodcaller("close"))
+
+
+class ParallelShardStore(ShardedKVStore):
+    """The shard router with its children in worker processes.
+
+    Routing is the router's (same splitmix64 slot table), so a data set
+    written through one reads back identically through the other.
+
+    Parameters
+    ----------
+    factory, num_shards, directory:
+        As for :class:`~repro.kv.sharded.ShardedKVStore`; ``factory``
+        runs inside the workers, after fork.
+    processes:
+        Worker processes to spread the initial shards over (round-robin
+        by shard index); defaults to ``min(num_shards, cpu_count)``.
+        Migration targets built from a different factory fork workers of
+        their own.
     """
 
     def __init__(
@@ -281,8 +406,6 @@ class ParallelShardStore(KVStore, CheckpointManager):
         directory: Optional[str] = None,
         processes: Optional[int] = None,
     ) -> None:
-        if num_shards <= 0:
-            raise ConfigError(f"num_shards must be positive, got {num_shards}")
         if not fork_available():
             raise ConfigError(
                 "ParallelShardStore needs the fork start method; use "
@@ -292,449 +415,153 @@ class ParallelShardStore(KVStore, CheckpointManager):
             processes = min(num_shards, os.cpu_count() or 1)
         if processes <= 0:
             raise ConfigError(f"processes must be positive, got {processes}")
-        self.num_shards = num_shards
-        self.directory = directory
         self.processes = min(processes, num_shards)
-        self._slots = list(range(num_shards))
-        self._shard_ops = [0] * num_shards
-        self._owner = [index % self.processes for index in range(num_shards)]
-        self._types: list[Optional[str]] = [None] * num_shards
-        self._shard_dirs: list[Optional[str]] = [None] * num_shards
-        self._closed = False
-        # Last merged worker-counter snapshot: close() takes a final one
-        # before tearing the workers down, so `stats` stays faithful (and
-        # readable) after the engines' processes are gone.
-        self._stats_cache: Optional[StoreStats] = None
-        context = multiprocessing.get_context("fork")
-        self._workers = []
-        for worker_index in range(self.processes):
-            owned = [s for s in range(num_shards) if self._owner[s] == worker_index]
-            parent_conn, child_conn = context.Pipe()
-            process = context.Process(
-                target=_worker_main,
-                args=(owned, factory, child_conn),
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-            self._workers.append((process, parent_conn))
+        self._workers: list[_Worker] = []
+        self._child_ids = itertools.count()
+        #: Why the store stopped trusting its pipes (``None``: healthy).
+        self._broken: Optional[str] = None
+        # Final merged counter snapshot: close() takes one before tearing
+        # the workers down, so `stats` stays faithful (and readable)
+        # after the engines' processes are gone.
+        self._final_stats: Optional[StoreStats] = None
+        try:
+            super().__init__(factory, num_shards, directory=directory)
+        except BaseException:
+            # A child failed to build: do not leave the workers already
+            # forked for its siblings behind.
+            for worker in self._workers:
+                worker.stop(graceful=False)
+            raise
 
     # ------------------------------------------------------------------
-    # plumbing
+    # the two router hooks
+    # ------------------------------------------------------------------
+    def _build_child(self, factory: Callable[[int], KVStore], index: int) -> _ShardProxy:
+        """Hook 1: build the child inside a worker forked with ``factory``.
+
+        A fork is the only way an arbitrary (closure) factory reaches a
+        worker, so workers are pooled per factory object: up to
+        ``processes`` of them, children assigned round-robin by index.
+        """
+        pool = [worker for worker in self._workers if worker.factory is factory]
+        if len(pool) < self.processes:
+            worker = _Worker(self, factory)
+            self._workers.append(worker)
+        else:
+            worker = pool[index % self.processes]
+        return _ShardProxy(worker, next(self._child_ids), index)
+
+    def _dispatch(self, op: str, batches: list, *args) -> list:
+        """Hook 2: one framed message per worker, all sent before any
+        reply is read, so the workers run their sub-batches concurrently.
+
+        Arguments that cannot ship (a closure ``update`` for
+        ``multi_rmw``) fall back to the router's per-shard dispatch over
+        the proxies, which transform in this process.
+        """
+        self._check_open()
+        try:
+            pickled_args = pickle.dumps(args)
+        except Exception:  # repro: lint-ignore[REP004]
+            # Pickling a closure over live state can raise nearly
+            # anything.  Not swallowed: nothing has been sent yet, so the
+            # per-shard path runs the whole op instead.
+            return super()._dispatch(op, batches, *args)
+        total = sum(len(columns[0]) for _, columns in batches)
+        with obs_span("kv.parallel_fanout", op=op, keys=total):
+            dispatch_token = obs_profile.begin()
+            by_worker: dict[_Worker, list[int]] = {}
+            for number, (shard, _) in enumerate(batches):
+                by_worker.setdefault(self.shards[shard].worker, []).append(number)
+            # Frame everything before sending anything: a key that will
+            # not encode must fail while every pipe is still idle.
+            requests = []
+            for worker, numbers in by_worker.items():
+                entries = [
+                    (self.shards[batches[n][0]].child, len(batches[n][1][0]))
+                    for n in numbers
+                ]
+                payload = _frame(op, [batches[n][1] for n in numbers])
+                requests.append((worker, numbers, (op, entries, pickled_args), payload))
+            for worker, _, header, payload in requests:
+                worker.send(header, payload)
+            obs_profile.end("parallel.dispatch", dispatch_token, units=total)
+            collect_token = obs_profile.begin()
+            results: list = [None] * len(batches)
+            failures = []
+            # Every reply is read — even after a failure — so the pipes
+            # stay in lockstep for the next operation.
+            for worker, numbers, _, _ in requests:
+                status, meta, payload = worker.recv(with_payload=op in _VALUE_OPS)
+                if status != "ok":
+                    failures.append((status, meta))
+                elif payload is None:  # one plain result per batch
+                    for n, output in zip(numbers, meta):
+                        results[n] = output
+                else:  # one value per key: re-split the flat reply per batch
+                    values = decode_values(payload, meta)
+                    cursor = 0
+                    for n in numbers:
+                        count = len(batches[n][1][0])
+                        results[n] = values[cursor : cursor + count]
+                        cursor += count
+            obs_profile.end("parallel.collect", collect_token, units=total)
+        if failures:
+            if len(failures) == len(requests) and all(
+                status == "nopickle" for status, _ in failures
+            ):
+                # The arguments pickled here but no worker could load
+                # them (a __main__ function defined after the fork).
+                # Nothing was applied, so the per-shard path is safe.
+                return super()._dispatch(op, batches, *args)
+            raise failures[0][1]
+        return results
+
+    # ------------------------------------------------------------------
+    # health, stats, lifecycle
     # ------------------------------------------------------------------
     def _check_open(self) -> None:
         if self._closed:
             raise StorageError("parallel store is closed")
-
-    def _recv(self, conn):
-        """Read one reply header, raising any relayed worker exception."""
-        status, payload = conn.recv()
-        if status != "ok":
-            raise payload
-        return payload
-
-    def _drain(self, sent, with_payload: bool = False):
-        """Collect one reply from every worker in ``sent``.
-
-        Always drains all pending replies — even after a failure — so the
-        pipes stay in lockstep for the next operation; only then does a
-        relayed exception propagate.  Returns ``{worker: (meta, payload)}``
-        plus the list of ``(status, exception)`` failures for callers
-        (``multi_rmw``) that can recover from specific statuses.
-        """
-        replies: dict[int, tuple] = {}
-        failures: list[tuple[str, BaseException]] = []
-        for worker_index in sent:
-            _, conn = self._workers[worker_index]
-            status, meta = conn.recv()
-            if status == "ok":
-                payload = conn.recv_bytes() if with_payload else None
-                replies[worker_index] = (meta, payload)
-            else:
-                failures.append((status, meta))
-        return replies, failures
-
-    @staticmethod
-    def _raise_failures(failures) -> None:
-        for status, exc in failures:
-            raise exc
-
-    def _call_worker(self, worker_index: int, message, payload: Optional[bytes] = None):
-        """One request/one reply against a single worker (single-key ops)."""
-        _, conn = self._workers[worker_index]
-        conn.send(message)
-        if payload is not None:
-            conn.send_bytes(payload)
-        return self._recv(conn)
-
-    def _partition(self, keys: list) -> dict[int, list[int]]:
-        return partition_positions(keys, self._slots)
-
-    def _group_by_worker(
-        self, by_shard: dict[int, list[int]]
-    ) -> dict[int, list[tuple[int, list[int]]]]:
-        """Collapse per-shard position groups into per-worker request lists."""
-        by_worker: dict[int, list[tuple[int, list[int]]]] = {}
-        for shard, positions in by_shard.items():
-            self._shard_ops[shard] += len(positions)
-            by_worker.setdefault(self._owner[shard], []).append((shard, positions))
-        return by_worker
-
-    def _fan_out_read(self, keys: list, op: str) -> list:
-        """Ship one combined read request per worker; scatter the replies."""
-        self._check_open()
-        with obs_span("kv.parallel_fanout", op=op, keys=len(keys)):
-            results: list = [None] * len(keys)
-            dispatch_token = obs_profile.begin()
-            by_worker = self._group_by_worker(self._partition(keys))
-            key_arr = np.asarray(keys, dtype=np.uint64) if keys else None
-            sent: list[tuple[int, list[tuple[int, list[int]]]]] = []
-            for worker_index, entries in by_worker.items():
-                flat_positions = [p for _, positions in entries for p in positions]
-                _, conn = self._workers[worker_index]
-                conn.send((op, [(shard, len(positions)) for shard, positions in entries]))
-                conn.send_bytes(key_arr[flat_positions].tobytes())
-                sent.append((worker_index, entries))
-            obs_profile.end("parallel.dispatch", dispatch_token, units=len(keys))
-            collect_token = obs_profile.begin()
-            replies, failures = self._drain([w for w, _ in sent], with_payload=True)
-            self._raise_failures(failures)
-            for worker_index, entries in sent:
-                count, payload = replies[worker_index]
-                values = decode_values(payload, count)
-                cursor = 0
-                for _, positions in entries:
-                    for position in positions:
-                        results[position] = values[cursor]
-                        cursor += 1
-            obs_profile.end("parallel.collect", collect_token, units=len(keys))
-            return results
-
-    # ------------------------------------------------------------------
-    # KVStore interface
-    # ------------------------------------------------------------------
-    def shard_of(self, key: int) -> int:
-        """Owning shard index for a key (same hash as ShardedKVStore)."""
-        from repro.kv.sharded import shard_hash
-
-        return self._slots[shard_hash(key) % len(self._slots)]
-
-    def get(self, key: int) -> Optional[bytes]:
-        """Single-key read routed to the owning shard process."""
-        self._check_open()
-        shard = self.shard_of(key)
-        self._shard_ops[shard] += 1
-        return self._call_worker(self._owner[shard], ("single", "get", shard, key, None))
-
-    def snapshot_read(self, key: int) -> Optional[bytes]:
-        """Committed single-key read routed to the owning shard process."""
-        self._check_open()
-        shard = self.shard_of(key)
-        self._shard_ops[shard] += 1
-        return self._call_worker(
-            self._owner[shard], ("single", "snapshot_read", shard, key, None)
-        )
-
-    def put(self, key: int, value: bytes) -> None:
-        """Single-key write routed to the owning shard process."""
-        self._check_open()
-        self._check_writable()
-        shard = self.shard_of(key)
-        self._shard_ops[shard] += 1
-        if not isinstance(value, bytes):
-            value = bytes(value)
-        self._call_worker(self._owner[shard], ("single", "put", shard, key, value))
-
-    def delete(self, key: int) -> bool:
-        """Single-key delete routed to the owning shard process."""
-        self._check_open()
-        self._check_writable()
-        shard = self.shard_of(key)
-        self._shard_ops[shard] += 1
-        return bool(
-            self._call_worker(self._owner[shard], ("single", "delete", shard, key, None))
-        )
-
-    def multi_get(self, keys) -> list:
-        """Batched reads fanned out to the shard processes in parallel."""
-        keys = self._normalize_keys(keys)
-        return self._fan_out_read(keys, "multi_get")
-
-    def snapshot_read_many(self, keys) -> list:
-        """Batched committed reads fanned out to the shard processes."""
-        keys = self._normalize_keys(keys)
-        return self._fan_out_read(keys, "snapshot_read_many")
-
-    def read_committed_many(self, keys) -> list:
-        """Training-side alias of :meth:`snapshot_read_many`."""
-        return self.snapshot_read_many(keys)
-
-    def multi_put(self, keys, values) -> None:
-        """One combined encoded record buffer per worker, sent in parallel."""
-        self._check_open()
-        self._check_writable()
-        keys, values = self._normalize_pairs(keys, values)
-        with obs_span("kv.parallel_fanout", op="multi_put", keys=len(keys)):
-            dispatch_token = obs_profile.begin()
-            by_worker = self._group_by_worker(self._partition(keys))
-            sent = []
-            for worker_index, entries in by_worker.items():
-                sub_keys = [keys[p] for _, positions in entries for p in positions]
-                sub_values = [values[p] for _, positions in entries for p in positions]
-                _, conn = self._workers[worker_index]
-                conn.send(
-                    ("multi_put", [(shard, len(positions)) for shard, positions in entries])
-                )
-                conn.send_bytes(bytes(encode_records(sub_keys, sub_values)))
-                sent.append(worker_index)
-            obs_profile.end("parallel.dispatch", dispatch_token, units=len(keys))
-            collect_token = obs_profile.begin()
-            _, failures = self._drain(sent)
-            self._raise_failures(failures)
-            obs_profile.end("parallel.collect", collect_token, units=len(keys))
-
-    def multi_rmw(self, keys, update) -> list:
-        """Server-side batched RMW when ``update`` ships; central otherwise.
-
-        A picklable ``update`` runs inside the workers (one invocation
-        per shard sub-batch, which the :meth:`KVStore.multi_rmw` contract
-        allows), so the read, the transform and the write all stay on the
-        worker cores.  An unpicklable ``update`` (a closure over live
-        state) falls back to the default read-transform-write in the
-        parent, with the reads and writes still fanned out in parallel.
-        """
-        self._check_open()
-        self._check_writable()
-        keys = self._normalize_keys(keys)
-        try:
-            update_bytes = pickle.dumps(update)
-        except Exception:  # repro: lint-ignore[REP004]
-            # Closures over live state cannot ship; fall back to the
-            # central read-transform-write (reads/writes still fan out).
-            return KVStore.multi_rmw(self, keys, update)
-        results: list = [None] * len(keys)
-        by_worker = self._group_by_worker(self._partition(keys))
-        key_arr = np.asarray(keys, dtype=np.uint64) if keys else None
-        sent = []
-        for worker_index, entries in by_worker.items():
-            flat_positions = [p for _, positions in entries for p in positions]
-            _, conn = self._workers[worker_index]
-            conn.send(
-                (
-                    "multi_rmw",
-                    [(shard, len(positions)) for shard, positions in entries],
-                    update_bytes,
-                )
+        if self._broken is not None:
+            raise StorageError(
+                f"parallel store is broken ({self._broken}); close it and "
+                "restore from a checkpoint"
             )
-            conn.send_bytes(key_arr[flat_positions].tobytes())
-            sent.append((worker_index, entries))
-        replies, failures = self._drain([w for w, _ in sent], with_payload=True)
-        if failures:
-            if not replies and all(status == "nopickle" for status, _ in failures):
-                # The update pickled here but no worker could load it (a
-                # __main__ function defined after the fork).  Nothing was
-                # applied, so the central read-transform-write is safe.
-                return KVStore.multi_rmw(self, keys, update)
-            self._raise_failures(failures)
-        for worker_index, entries in sent:
-            count, payload = replies[worker_index]
-            values = decode_values(payload, count)
-            cursor = 0
-            for _, positions in entries:
-                for position in positions:
-                    results[position] = values[cursor]
-                    cursor += 1
-        return results
 
-    def lookahead(self, keys) -> int:
-        """Fan a prefetch batch out to shards that support staging."""
-        self._check_open()
-        keys = self._normalize_keys(keys)
-        by_worker = self._group_by_worker(self._partition(keys))
-        key_arr = np.asarray(keys, dtype=np.uint64) if keys else None
-        sent = []
-        for worker_index, entries in by_worker.items():
-            flat_positions = [p for _, positions in entries for p in positions]
-            _, conn = self._workers[worker_index]
-            conn.send(
-                ("lookahead", [(shard, len(positions)) for shard, positions in entries])
-            )
-            conn.send_bytes(key_arr[flat_positions].tobytes())
-            sent.append(worker_index)
-        replies, failures = self._drain(sent)
-        self._raise_failures(failures)
-        return sum(meta for meta, _ in replies.values())
+    def _mark_broken(self, exc: BaseException) -> None:
+        """A pipe failed: stop trusting every pipe and raise ``StorageError``."""
+        self._broken = f"worker pipe failed: {exc!r}"
+        raise StorageError(f"parallel store lost a worker: {exc!r}") from exc
 
-    def scan(self) -> Iterator[tuple[int, bytes]]:
-        """All live records, collected eagerly then yielded.
-
-        Replies are fully drained before the first record is yielded so an
-        abandoned iterator can never leave a reply stuck in a pipe.
-        """
-        self._check_open()
-        sent = list(range(len(self._workers)))
-        for _, conn in self._workers:
-            conn.send(("scan",))
-        replies, failures = self._drain(sent, with_payload=True)
-        self._raise_failures(failures)
-        for worker_index in sent:
-            per_shard, buffer = replies[worker_index]
-            expected = sum(count for _, count in per_shard)
-            records = list(decode_records(buffer, copy=True))
-            if len(records) != expected:
-                raise StorageError(
-                    f"scan reply held {len(records)} records, worker "
-                    f"reported {expected}"
-                )
-            yield from records
-
-    def __len__(self) -> int:
-        self._check_open()
-        for _, conn in self._workers:
-            conn.send(("count",))
-        replies, failures = self._drain(range(len(self._workers)))
-        self._raise_failures(failures)
-        return sum(meta for meta, _ in replies.values())
-
-    def freeze(self) -> "ParallelShardStore":
-        """Freeze every worker-side engine, then the wrapper itself."""
-        self._check_open()
-        for _, conn in self._workers:
-            conn.send(("freeze",))
-        _, failures = self._drain(range(len(self._workers)))
-        self._raise_failures(failures)
-        self.read_only = True
-        return self
-
-    def close(self) -> None:
-        """Shut down the worker processes and close every shard."""
-        if self._closed:
-            return
-        # Final counter snapshot before the workers die — without it the
-        # worker-side StoreStats would be lost with the processes and a
-        # post-run `stats` read would see nothing (or raise).
-        try:
-            self._stats_cache = self._collect_stats()
-        except (EOFError, OSError, BrokenPipeError, StorageError):
-            pass  # a dead worker forfeits its final counters, not close()
-        self._closed = True
-        for process, conn in self._workers:
-            try:
-                conn.send(("close",))
-            except (BrokenPipeError, OSError):
-                continue
-        for process, conn in self._workers:
-            try:
-                status, payload = conn.recv()
-            except (EOFError, OSError):
-                pass
-            conn.close()
-            process.join(timeout=10)
-            if process.is_alive():
-                process.terminate()
-
-    # ------------------------------------------------------------------
-    # stats & balance
-    # ------------------------------------------------------------------
     @property
     def stats(self) -> StoreStats:
-        """Aggregated snapshot of all worker-side engine counters.
+        """Aggregated snapshot of all worker-side counters.
 
-        Live stores fetch fresh counters from every worker; a closed
-        store answers from the final snapshot :meth:`close` took before
-        tearing the workers down, so the counters a run accumulated are
-        never lost with the worker processes.
+        A closed store answers from the final snapshot :meth:`close` took
+        before tearing the workers down, so the counters a run
+        accumulated are never lost with the worker processes.
         """
-        if self._closed:
-            if self._stats_cache is not None:
-                return self._stats_cache
+        if not self._closed:
+            return super().stats
+        if self._final_stats is None:
             raise StorageError(
                 "parallel store is closed and its workers died before a "
                 "final stats snapshot could be taken"
             )
-        total = self._collect_stats()
-        self._stats_cache = total
-        return total
+        return self._final_stats
 
-    def _collect_stats(self) -> StoreStats:
-        """One stats round trip to every worker, merged into one view."""
-        for _, conn in self._workers:
-            conn.send(("stats",))
-        replies, failures = self._drain(range(len(self._workers)))
-        self._raise_failures(failures)
-        total = StoreStats()
-        per_shard_extra: list[dict] = [dict() for _ in range(self.num_shards)]
-        for meta, _ in replies.values():
-            for index, gets, puts, deletes, hits, misses, extra in meta:
-                total.gets += gets
-                total.puts += puts
-                total.deletes += deletes
-                total.hits += hits
-                total.misses += misses
-                per_shard_extra[index] = extra
-        total.extra["shard_ops"] = list(self._shard_ops)
-        total.extra["shards"] = per_shard_extra
-        return total
-
-    def balance(self) -> list[int]:
-        """Operations routed to each shard since construction."""
-        return list(self._shard_ops)
-
-    def imbalance(self) -> float:
-        """Max/mean ratio of routed ops (1.0 = perfectly balanced)."""
-        total = sum(self._shard_ops)
-        if total == 0:
-            return 1.0
-        return max(self._shard_ops) / (total / self.num_shards)
-
-    # ------------------------------------------------------------------
-    # coordinated checkpoint / restore
-    # ------------------------------------------------------------------
-    def checkpoint(self) -> None:
-        """Checkpoint every worker-side engine, then bind one manifest.
-
-        The manifest is byte-compatible with the serial wrapper's, so a
-        parallel checkpoint restores through
-        :meth:`ShardedKVStore.restore` and vice versa.
-        """
-        self._check_open()
-        for _, conn in self._workers:
-            conn.send(("checkpoint",))
-        replies, failures = self._drain(range(len(self._workers)))
-        self._raise_failures(failures)
-        for meta, _ in replies.values():
-            for index, shard_dir, type_name in meta:
-                self._shard_dirs[index] = shard_dir
-                self._types[index] = type_name
-        if self.directory is None:
+    def close(self) -> None:
+        """Close every child store and shut the worker processes down."""
+        if self._closed:
             return
-        os.makedirs(self.directory, exist_ok=True)
-        relpaths = []
-        for index, shard_dir in enumerate(self._shard_dirs):
-            if shard_dir is None:
-                raise CheckpointError(
-                    f"shard {index} has no directory; coordinated checkpoints "
-                    "need file-backed children"
-                )
-            rel = os.path.relpath(
-                os.path.abspath(shard_dir), os.path.abspath(self.directory)
-            )
-            if rel.startswith(os.pardir):
-                raise CheckpointError(
-                    f"shard directory {shard_dir} is outside the coordinated "
-                    f"base {self.directory}"
-                )
-            relpaths.append(rel)
-        manifest = {
-            "num_shards": self.num_shards,
-            "shards": relpaths,
-            "types": list(self._types),
-            "slots": list(self._slots),
-        }
-        tmp = os.path.join(self.directory, _MANIFEST + ".tmp")
-        with open(tmp, "w") as f:
-            json.dump(manifest, f)
-        os.replace(tmp, os.path.join(self.directory, _MANIFEST))
+        try:
+            self._final_stats = self.stats
+        except StorageError:
+            pass  # a dead worker forfeits its final counters, not close()
+        self._closed = True
+        for worker in self._workers:
+            worker.stop(graceful=self._broken is None)
 
     @classmethod
     def restore(
@@ -744,35 +571,11 @@ class ParallelShardStore(KVStore, CheckpointManager):
         processes: Optional[int] = None,
         **kwargs,
     ) -> "ParallelShardStore":
-        """Reopen a coordinated checkpoint with worker-process shards.
+        """Reopen a coordinated checkpoint with worker-process children.
 
-        Accepts the same manifests :meth:`ShardedKVStore.checkpoint`
-        writes.  ``factory(index, shard_dir)`` rebuilds one child inside
-        its worker; when omitted each child's recorded class is imported
-        and restored with ``kwargs``.  Slot tables with migrations applied
-        are rejected — reopen migrated stores serially.
+        Accepts the manifests :meth:`ShardedKVStore.checkpoint` writes,
+        migrated slot tables included.  ``factory(index, shard_dir)``
+        rebuilds one child inside its worker; when omitted each child's
+        recorded class is imported and restored with ``kwargs``.
         """
-        manifest_path = os.path.join(directory, _MANIFEST)
-        if not os.path.exists(manifest_path):
-            raise CheckpointError(f"no coordinated manifest in {directory}")
-        with open(manifest_path) as f:
-            manifest = json.load(f)
-        slots = manifest.get("slots")
-        if slots is not None and slots != list(range(manifest["num_shards"])):
-            raise CheckpointError(
-                "manifest has a migrated slot table; parallel restore only "
-                "supports identity routing — restore serially instead"
-            )
-        shard_dirs = [os.path.join(directory, rel) for rel in manifest["shards"]]
-        type_names = manifest["types"]
-
-        def build(index: int) -> KVStore:
-            if factory is not None:
-                return factory(index, shard_dirs[index])
-            module_name, _, class_name = type_names[index].rpartition(".")
-            shard_cls = getattr(importlib.import_module(module_name), class_name)
-            return shard_cls.restore(shard_dirs[index], **kwargs)
-
-        return cls(
-            build, manifest["num_shards"], directory=directory, processes=processes
-        )
+        return cls._reopen(directory, factory, kwargs, processes=processes)

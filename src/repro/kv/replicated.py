@@ -1,12 +1,16 @@
-"""N-way replicated composition of sharded key-value engines.
+"""N-way replication as a child of the shard router.
 
-:class:`ReplicatedKVStore` is the availability layer on top of the
-hash-sharded scale-out layer: every shard becomes a :class:`ReplicaGroup`
-of N independent engine instances holding the same key range.  Writes fan
-out to every live replica synchronously; reads route to **one** replica
-per shard, so read throughput is unchanged by the replication factor and
-a failed replica costs availability nothing — the router simply stops
-picking it.
+A :class:`ReplicaGroup` is a :class:`~repro.kv.api.KVStore` made of N
+independent engine instances holding the same key range.  Writes fan
+out to every live replica synchronously; reads route to **one** replica,
+so read throughput is unchanged by the replication factor and a failed
+replica costs availability nothing — the group simply stops picking it.
+:class:`ReplicatedKVStore` is the shard router
+(:class:`~repro.kv.sharded.ShardedKVStore`) with one group per shard: it
+adds only how groups are built, the operator surface
+(``fail_replica`` / ``revive_replica`` / ...) and the group state in the
+checkpoint manifest; routing, batched fan-out, live split/migrate and
+deferred cleanup are the router's.
 
 Consistency reuses the paper's machinery instead of inventing a new
 mode: each group keeps a :class:`~repro.device.clock.ReplicaVersionClock`
@@ -15,7 +19,11 @@ granularity.  A replica's *lag* is the number of group writes it has not
 applied (normally zero: fan-out is synchronous; failures and deliberate
 catch-up-free revivals make it positive), and the ``divergence_bound``
 admits a replica for reads only while its lag is within the bound — the
-same staleness contract bounded stores give individual records.
+same staleness contract bounded stores give individual records.  Values
+that will be written somewhere (``rmw``, ``multi_rmw``,
+``read_current_many`` — what a live migration copies from — ``scan``)
+always come from a lag-0 replica: the bound licenses stale *reads*,
+never stale write-backs.
 
 Failure handling:
 
@@ -38,15 +46,27 @@ Failure handling:
 
 from __future__ import annotations
 
-import importlib
-import json
-import os
 from typing import Callable, Iterator, Optional, Sequence
 
 from repro.device.clock import ReplicaVersionClock
-from repro.errors import CheckpointError, ConfigError, StorageError
+from repro.errors import ConfigError, StorageError
 from repro.kv.api import CheckpointManager, KVStore, StoreStats
-from repro.kv.sharded import shard_hash
+from repro.kv.sharded import (
+    ShardedKVStore,
+    checkpoint_children,
+    child_openers,
+    child_relpath,
+    child_type,
+    manifest_fields,
+    merge_stats,
+    read_manifest,
+    record_count,
+    set_stall_handlers,
+    shared_attr,
+    sim_clock,
+    tightest_staleness_bound,
+    write_manifest,
+)
 from repro.obs.trace import instant as obs_instant
 from repro.obs.trace import span as obs_span
 
@@ -56,25 +76,75 @@ READ_POLICIES = ("one", "quorum")
 #: group state (version clocks, liveness, hint queues) into one unit.
 _MANIFEST = "replicated.manifest.json"
 
+#: The same for one free-standing group that owns a directory.
+_GROUP_MANIFEST = "group.manifest.json"
+
+#: Per-group manifest fields; the store's manifest holds one list of each
+#: (a row per shard), a group-owned manifest holds them directly.
+_GROUP_FIELDS = ("replicas", "types", "clocks", "alive", "max_hints", "hints")
+
 #: Clock component chaos-injected slowness is charged to (visible in the
 #: busy-time table, separate from genuine cpu/ssd work).
 CHAOS_COMPONENT = "chaos"
 
 
-class ReplicaGroup:
-    """One shard's replica set: N engines, a version clock, hint queues.
+class ReplicaGroup(KVStore, CheckpointManager):
+    """One key range's replica set: N engines, a version clock, hint queues.
 
-    The group is the unit of fan-out and failover; the
-    :class:`ReplicatedKVStore` above it only routes shards to groups.
+    The group is the unit of fan-out and failover, and to the router
+    above it just another child store.  ``clock`` is the group's
+    *version* clock (the name predates the group being a store); the
+    simulated clock its replicas charge is ``ssd.clock``.
+
+    Parameters
+    ----------
+    replicas:
+        The engines, one per replica; independent instances (their own
+        directories).
+    max_hints:
+        Per-replica hinted-handoff cap; beyond it a revive rebuilds the
+        replica from a peer's full scan instead of replaying hints.
+    divergence_bound:
+        Maximum missed writes a replica may lag and still serve reads
+        (0 = only fully caught-up replicas serve; the BSP of replicas).
+    read_policy:
+        ``"one"`` — route each read to one admissible replica (the
+        serving hot path); ``"quorum"`` — read a majority and answer
+        from the freshest (survives reading a stale replica even when
+        the bound admits it).
+    directory:
+        Optional base directory holding every replica's own directory.
+        A group that has one writes its own manifest on
+        :meth:`checkpoint` and reopens through :meth:`restore` — which is
+        how groups hosted by a plain or process-parallel router
+        checkpoint; groups of a :class:`ReplicatedKVStore` have none and
+        are recorded in the store's manifest instead.
     """
 
-    def __init__(self, replicas: Sequence[KVStore], max_hints: int = 100_000) -> None:
+    #: Engine index the hosting router serves this group at (labels spans).
+    shard: Optional[int] = None
+    #: Hedge routed reads past this many seconds of injected slowness
+    #: (``None``: plain routing; see :meth:`pick_hedged_reader`).
+    hedge_threshold: Optional[float] = None
+
+    def __init__(
+        self,
+        replicas: Sequence[KVStore],
+        max_hints: int = 100_000,
+        divergence_bound: int = 0,
+        read_policy: str = "one",
+        directory: Optional[str] = None,
+    ) -> None:
         if not replicas:
             raise ConfigError("a replica group needs at least one replica")
+        self.check_read_config(divergence_bound, read_policy)
         self.replicas: list[KVStore] = list(replicas)
         self.alive: list[bool] = [True] * len(self.replicas)
         self.clock = ReplicaVersionClock(len(self.replicas))
         self.max_hints = max_hints
+        self.divergence_bound = divergence_bound
+        self.read_policy = read_policy
+        self.directory = directory
         # Per-replica hinted-handoff sets: keys written while it was down.
         # ``None`` marks an overflowed set (full resync needed on revive).
         self._hints: list[Optional[set[int]]] = [set() for _ in self.replicas]
@@ -84,6 +154,16 @@ class ReplicaGroup:
         self.catchup_keys = 0  # keys replayed by hinted catch-up
         self.resyncs = 0  # full scan-copy rebuilds
         self.hedged_reads = 0  # reads answered by a hedge instead of waiting
+
+    @staticmethod
+    def check_read_config(divergence_bound: int, read_policy: str) -> None:
+        """Reject a negative bound or an unknown read policy."""
+        if divergence_bound < 0:
+            raise ConfigError(f"divergence_bound must be >= 0, got {divergence_bound}")
+        if read_policy not in READ_POLICIES:
+            raise ConfigError(
+                f"read_policy must be one of {READ_POLICIES}, got {read_policy!r}"
+            )
 
     # ------------------------------------------------------------------
     # liveness & health
@@ -314,16 +394,34 @@ class ReplicaGroup:
         ranked = sorted(live, key=lambda index: -self.clock.applied[index])
         return ranked[:needed]
 
-    def charge_penalty(self, replica: int) -> None:
-        """Pay the injected slowness on the shared simulated clock."""
-        penalty = self._slow_penalty[replica]
-        if penalty:
+    def charge_penalty(self, replica: int, seconds: Optional[float] = None) -> None:
+        """Pay injected slowness on the replica's simulated clock.
+
+        ``seconds`` defaults to the replica's own penalty; a hedged read
+        passes the (smaller) cost of the hedge that won instead.
+        """
+        if seconds is None:
+            seconds = self._slow_penalty[replica]
+        if seconds:
             clock = getattr(self.replicas[replica], "clock", None)
             if clock is not None:
-                clock.advance(penalty, component=CHAOS_COMPONENT)
+                clock.advance(seconds, component=CHAOS_COMPONENT)
+
+    def _read_replica(self) -> int:
+        """Route one read under the group's policy, paying its latency."""
+        if self.hedge_threshold is None:
+            choice = self.pick_reader(self.divergence_bound)
+            self.charge_penalty(choice)
+        else:
+            choice, charge = self.pick_hedged_reader(
+                self.divergence_bound, self.hedge_threshold
+            )
+            self.charge_penalty(choice, charge)
+        return choice
 
     # ------------------------------------------------------------------
-    # writes
+    # fan-out writes (the sanitizer patches these three by name, so the
+    # KVStore write methods below must call them, not alias them)
     # ------------------------------------------------------------------
     def fanout_put(self, key: int, value: bytes) -> None:
         """Write to every live replica, hinting the write for down ones."""
@@ -373,37 +471,303 @@ class ReplicaGroup:
         hints = self._hints[replica]
         return -1 if hints is None else len(hints)
 
+    # ------------------------------------------------------------------
+    # KVStore interface — reads (routed, or a majority)
+    # ------------------------------------------------------------------
+    def _read(self, op: str, keys: list) -> list:
+        """One batched read ``op`` under the group's read policy.
 
-class ReplicatedKVStore(KVStore, CheckpointManager):
-    """Hash-sharded store with N-way replica groups per shard.
+        ``"quorum"`` reads a majority and answers from the freshest:
+        ``quorum_readers`` ranks by applied version, so the first
+        reader's answers win; the remaining majority members are still
+        read (paying their cost) — that is the price of quorum reads and
+        exactly why ``"one"`` + divergence bound is the serving path.
+        """
+        if self.read_policy == "quorum":
+            with obs_span(
+                "kv.replica_read", shard=self.shard, policy="quorum", keys=len(keys)
+            ):
+                answers = []
+                for replica in self.quorum_readers():
+                    self.charge_penalty(replica)
+                    answers.append(getattr(self.replicas[replica], op)(keys))
+                return answers[0]
+        replica = self._read_replica()
+        reader = self.replicas[replica]
+        with obs_span(
+            "kv.replica_read",
+            clock=sim_clock(reader),
+            shard=self.shard,
+            replica=replica,
+            keys=len(keys),
+        ):
+            return getattr(reader, op)(keys)
+
+    def _read_one(self, op: str, batched_op: str, key: int) -> Optional[bytes]:
+        if self.read_policy == "quorum":
+            return self._read(batched_op, [key])[0]
+        return getattr(self.replicas[self._read_replica()], op)(key)
+
+    def get(self, key: int) -> Optional[bytes]:
+        """Read from one bounded-staleness replica (or a majority)."""
+        return self._read_one("get", "multi_get", key)
+
+    def snapshot_read(self, key: int) -> Optional[bytes]:
+        """Committed read (no staleness consumption), routed like ``get``."""
+        return self._read_one("snapshot_read", "snapshot_read_many", key)
+
+    def multi_get(self, keys) -> list:
+        """One batched read served by one replica (or a majority)."""
+        return self._read("multi_get", self._normalize_keys(keys))
+
+    def snapshot_read_many(self, keys) -> list:
+        """Batched committed reads, routed like ``multi_get``."""
+        return self._read("snapshot_read_many", self._normalize_keys(keys))
+
+    def read_current_many(self, keys) -> list:
+        """Committed values from a fully caught-up (lag-0) replica.
+
+        Bypasses read routing: these values are about to be written back
+        or copied, and a bounded-stale one would fan out over fresher
+        copies (a lost update).
+        """
+        donor = self.replicas[self._complete_peer(exclude=-1)]
+        return donor.snapshot_read_many(self._normalize_keys(keys))
+
+    def lookahead(self, keys) -> int:
+        """Stage a prefetch batch on the group's current reader."""
+        stage = getattr(self.replicas[self._read_replica()], "lookahead", None)
+        return stage(self._normalize_keys(keys)) if stage is not None else 0
+
+    def scan(self) -> Iterator[tuple[int, bytes]]:
+        """All live records, once each, from a fully caught-up replica."""
+        yield from self.replicas[self._complete_peer(exclude=-1)].scan()
+
+    def __len__(self) -> int:
+        """Live records, counted on a fully caught-up replica."""
+        return record_count(self.replicas[self._complete_peer(exclude=-1)])
+
+    # ------------------------------------------------------------------
+    # KVStore interface — writes (synchronous fan-out)
+    # ------------------------------------------------------------------
+    def put(self, key: int, value: bytes) -> None:
+        """Fan-out write to every live replica."""
+        self._check_writable()
+        self.fanout_put(key, value)
+
+    def delete(self, key: int) -> bool:
+        """Fan-out delete; returns whether any replica held the key."""
+        self._check_writable()
+        return self.fanout_delete(key)
+
+    def multi_put(self, keys, values) -> None:
+        """Batched fan-out write, hinted against dead replicas."""
+        self._check_writable()
+        keys, values = self._normalize_pairs(keys, values)
+        with obs_span(
+            "kv.replica_write",
+            shard=self.shard,
+            live_replicas=len(self.live_indices()),
+            keys=len(keys),
+        ):
+            self.fanout_multi_put(keys, values)
+
+    def rmw(self, key: int, update: Callable[[Optional[bytes]], bytes]) -> bytes:
+        """Read-modify-write reading from a fully caught-up replica.
+
+        Same rule as :meth:`read_current_many` (which the inherited
+        :meth:`multi_rmw` — the parameter-server apply hook — reads
+        through): the read half never goes through read routing.  The
+        write half fans out through the group, so a replica killed
+        mid-push loses nothing: the survivor takes the delta and the
+        revive replays it.
+        """
+        self._check_writable()
+        donor = self.replicas[self._complete_peer(exclude=-1)]
+        new_value = update(donor.get(key))
+        self.fanout_put(key, new_value)
+        return new_value
+
+    # ------------------------------------------------------------------
+    # pass-throughs, stats, lifecycle
+    # ------------------------------------------------------------------
+    @property
+    def ssd(self):
+        """The device model every replica shares, when there is one."""
+        return shared_attr(self.replicas, "ssd")
+
+    @property
+    def staleness_bound(self):
+        """Tightest replica bound, exposed only when every replica has one."""
+        return tightest_staleness_bound(self.replicas)
+
+    def set_stall_handler(self, handler) -> None:
+        """Install a stall callback on every replica engine."""
+        set_stall_handlers(self.replicas, handler)
+
+    @property
+    def stats(self) -> StoreStats:
+        """Counters summed over every replica, plus replication health.
+
+        Reads touch one replica and writes touch all live replicas, so
+        ``puts`` counts fan-out copies (the real work done) while
+        ``gets``/``hits``/``misses`` reflect the single routed read
+        path.  ``extra`` carries the lag vector, failover and hedge
+        counts, hinted keys outstanding and injected penalties.
+        """
+        total = merge_stats(replica.stats for replica in self.replicas)
+        indices = range(self.replication)
+        total.extra.update(
+            replica_lag=[self.clock.lag(index) for index in indices],
+            hints_outstanding=[self.hints_outstanding(index) for index in indices],
+            slow_penalties=[self.slow_penalty(index) for index in indices],
+            failovers=self.failovers,
+            catchup_keys=self.catchup_keys,
+            hedged_reads=self.hedged_reads,
+        )
+        return total
+
+    def freeze(self) -> "ReplicaGroup":
+        """Freeze every replica and the group itself."""
+        for replica in self.replicas:
+            replica.freeze()
+        self.read_only = True
+        return self
+
+    def close(self) -> None:
+        """Close every replica."""
+        for replica in self.replicas:
+            replica.close()
+
+    # ------------------------------------------------------------------
+    # checkpoint / restore
+    # ------------------------------------------------------------------
+    def checkpoint(self) -> None:
+        """Checkpoint every replica; bind them when the group has a directory.
+
+        Each replica engine persists its own crash-consistent image
+        first; the group manifest (see :meth:`state`) is written
+        atomically last.
+        """
+        checkpoint_children(self.replicas)
+        if self.directory is not None:
+            manifest = self.state(self.directory)
+            manifest["divergence_bound"] = self.divergence_bound
+            manifest["read_policy"] = self.read_policy
+            write_manifest(self.directory, _GROUP_MANIFEST, manifest)
+
+    def state(self, base: str) -> dict:
+        """What a restore cannot rediscover from the replica images.
+
+        Replica locations (relative to ``base``) and classes, the version
+        clock, liveness flags and the hinted-handoff queues — so a revive
+        after restore replays exactly the keys the live run owed the dead
+        replica (``None`` marks an overflowed queue).
+        """
+        return {
+            "replicas": [child_relpath(replica, base) for replica in self.replicas],
+            "types": [child_type(replica) for replica in self.replicas],
+            "clocks": {"version": self.clock.version, "applied": list(self.clock.applied)},
+            "alive": list(self.alive),
+            "max_hints": self.max_hints,
+            "hints": [
+                None if hints is None else sorted(hints) for hints in self._hints
+            ],
+        }
+
+    def load_state(self, state: dict) -> None:
+        """Adopt the version clock, liveness and hints :meth:`state` saved."""
+        count = len(self.replicas)
+        applied, alive, hints = state["clocks"]["applied"], state["alive"], state["hints"]
+        if not len(applied) == len(alive) == len(hints) == count:
+            raise ValueError(f"group state does not describe {count} replicas")
+        self.clock.version = int(state["clocks"]["version"])
+        self.clock.applied = [int(version) for version in applied]
+        self.alive = [bool(up) for up in alive]
+        self.max_hints = int(state["max_hints"])
+        self._hints = [None if keys is None else set(keys) for keys in hints]
+
+    @classmethod
+    def restore(
+        cls,
+        directory: str,
+        factory: Optional[Callable[[int, str], KVStore]] = None,
+        **kwargs,
+    ) -> "ReplicaGroup":
+        """Reopen a group from the manifest its own :meth:`checkpoint` wrote.
+
+        ``factory(replica_index, replica_directory)`` rebuilds one
+        replica; otherwise each recorded class's ``restore`` is called
+        with ``kwargs`` forwarded.  Group state comes back exactly as
+        checkpointed.  (Groups of a :class:`ReplicatedKVStore` are
+        recorded in that store's manifest: use its ``restore``.)
+        """
+        manifest = read_manifest(directory, _GROUP_MANIFEST)
+        with manifest_fields(directory):
+            openers = child_openers(
+                directory, manifest["replicas"], manifest["types"], factory, **kwargs
+            )
+            bound, policy = manifest["divergence_bound"], manifest["read_policy"]
+        group = cls(
+            [opener(index) for index, opener in enumerate(openers)],
+            divergence_bound=bound,
+            read_policy=policy,
+            directory=directory,
+        )
+        with manifest_fields(directory):
+            group.load_state(manifest)
+        return group
+
+
+class _GroupSetting:
+    """A read-routing setting of the store, mirrored onto every group.
+
+    The groups do the routing, so they hold the live value; the store
+    keeps its own copy to build later groups (a split's target) with.
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, store, owner=None):
+        return self if store is None else store.__dict__[self.name]
+
+    def __set__(self, store, value) -> None:
+        store.__dict__[self.name] = value
+        for group in getattr(store, "shards", ()):
+            setattr(group, self.name, value)
+
+
+class ReplicatedKVStore(ShardedKVStore):
+    """The shard router with an N-way :class:`ReplicaGroup` per shard.
 
     Parameters
     ----------
     factory:
         ``factory(shard_index, replica_index) -> KVStore`` building one
         engine per (shard, replica); replicas of a shard must be
-        independent instances (their own directories).
+        independent instances (their own directories).  Migration
+        factories (``begin_split`` / ``begin_migrate``) have the same
+        shape.
     num_shards:
-        Number of hash partitions (same splitmix64 routing as
-        :class:`~repro.kv.sharded.ShardedKVStore`).
+        Number of hash partitions (the router's splitmix64 routing).
     replication:
         Replicas per shard (1 = plain sharding with group bookkeeping).
-    divergence_bound:
-        Maximum missed writes a replica may lag and still serve reads
-        (0 = only fully caught-up replicas serve; the BSP of replicas).
-    read_policy:
-        ``"one"`` — route each read to one admissible replica (the
-        serving hot path); ``"quorum"`` — read a majority and answer
-        from the freshest (survives reading a stale replica even when
-        the bound admits it).
-    max_hints:
-        Per-replica hinted-handoff cap; beyond it a revive rebuilds the
-        replica from a peer's full scan instead of replaying hints.
+    divergence_bound, read_policy, max_hints:
+        Passed to every :class:`ReplicaGroup`; the first two stay
+        settable on the store and apply to all groups.
     directory:
         Optional base directory for the coordinated checkpoint manifest;
         every replica's own directory must live under it.  Without one,
         ``checkpoint`` degrades to the per-replica checkpoints only.
     """
+
+    manifest_name = _MANIFEST
+    divergence_bound = _GroupSetting()
+    read_policy = _GroupSetting()
+    #: Request hedging is off (``None``) until the serving tier opts in
+    #: through :meth:`enable_hedging`.
+    hedge_threshold = _GroupSetting()
 
     def __init__(
         self,
@@ -415,83 +779,74 @@ class ReplicatedKVStore(KVStore, CheckpointManager):
         max_hints: int = 100_000,
         directory: Optional[str] = None,
     ) -> None:
-        if num_shards <= 0:
-            raise ConfigError(f"num_shards must be positive, got {num_shards}")
         if replication <= 0:
             raise ConfigError(f"replication must be positive, got {replication}")
-        if divergence_bound < 0:
-            raise ConfigError(f"divergence_bound must be >= 0, got {divergence_bound}")
-        if read_policy not in READ_POLICIES:
-            raise ConfigError(
-                f"read_policy must be one of {READ_POLICIES}, got {read_policy!r}"
-            )
-        self.num_shards = num_shards
+        ReplicaGroup.check_read_config(divergence_bound, read_policy)
         self.replication = replication
+        self.max_hints = max_hints
         self.divergence_bound = divergence_bound
         self.read_policy = read_policy
-        self.directory = directory
-        self.groups: list[ReplicaGroup] = [
-            ReplicaGroup(
-                [factory(shard, replica) for replica in range(replication)],
-                max_hints=max_hints,
-            )
-            for shard in range(num_shards)
-        ]
-        self._shard_ops = [0] * num_shards
-        self._closed = False
-        # Request hedging is off until the serving tier opts in (see
-        # ``enable_hedging``); None keeps the plain routed-read path.
-        self.hedge_threshold: Optional[float] = None
+        self.hedge_threshold = None
+        super().__init__(factory, num_shards, directory=directory)
 
-    @classmethod
-    def from_groups(
-        cls,
-        groups: Sequence[ReplicaGroup],
-        divergence_bound: int = 0,
-        read_policy: str = "one",
-    ) -> "ReplicatedKVStore":
-        """Wrap already-constructed replica groups (one per shard)."""
-        groups = list(groups)
-        if not groups:
-            raise ConfigError("from_groups needs at least one group")
-        store = cls(
-            lambda shard, replica: groups[shard].replicas[replica],
-            num_shards=len(groups),
-            replication=groups[0].replication,
-            divergence_bound=divergence_bound,
-            read_policy=read_policy,
+    def _build_child(self, factory: Callable[[int, int], KVStore], index: int) -> ReplicaGroup:
+        """A child is a replica group over ``factory(index, replica)`` engines."""
+        group = ReplicaGroup(
+            [factory(index, replica) for replica in range(self.replication)],
+            max_hints=self.max_hints,
+            divergence_bound=self.divergence_bound,
+            read_policy=self.read_policy,
         )
-        # Keep the callers' groups (clock state, hints, counters) rather
-        # than the fresh ones the constructor built around the replicas.
-        store.groups = groups
-        return store
+        group.shard = index
+        group.hedge_threshold = self.hedge_threshold
+        return group
+
+    @property
+    def groups(self) -> list[ReplicaGroup]:
+        """The replica groups, one per engine index (the router's children)."""
+        return self.shards
 
     # ------------------------------------------------------------------
-    # routing
+    # fault injection & recovery (the operator / chaos surface)
     # ------------------------------------------------------------------
-    def shard_of(self, key: int) -> int:
-        """Owning shard (replica group) index for a key."""
-        return shard_hash(key) % self.num_shards
+    def fail_replica(self, shard: int, replica: int) -> None:
+        """Kill one replica; reads and writes route around it."""
+        self.shards[shard].fail(replica)
+        obs_instant(
+            "chaos.fail_replica",
+            clock=getattr(self, "clock", None),
+            shard=shard,
+            replica=replica,
+        )
 
-    def _partition_keys(self, keys: list) -> dict[int, list[int]]:
-        by_shard: dict[int, list[int]] = {}
-        for position, key in enumerate(keys):
-            by_shard.setdefault(self.shard_of(key), []).append(position)
-        return by_shard
+    def revive_replica(self, shard: int, replica: int, catch_up: bool = True) -> int:
+        """Bring a replica back (hinted catch-up unless ``catch_up=False``)."""
+        replayed = self.shards[shard].revive(replica, catch_up=catch_up)
+        obs_instant(
+            "chaos.revive_replica",
+            clock=getattr(self, "clock", None),
+            shard=shard,
+            replica=replica,
+            replayed=replayed,
+        )
+        return replayed
 
-    def _read_replica(self, group: ReplicaGroup) -> int:
-        if self.hedge_threshold is not None:
-            choice, charge = group.pick_hedged_reader(
-                self.divergence_bound, self.hedge_threshold
-            )
-            if charge:
-                clock = getattr(group.replicas[choice], "clock", None)
-                if clock is not None:
-                    clock.advance(charge, component=CHAOS_COMPONENT)
-            return choice
-        choice = group.pick_reader(self.divergence_bound)
-        group.charge_penalty(choice)
-        return choice
+    def catch_up_replica(self, shard: int, replica: int) -> int:
+        """Replay missed writes onto a live, lagging replica."""
+        return self.shards[shard].catch_up(replica)
+
+    def slow_replica(self, shard: int, replica: int, penalty_seconds: float) -> None:
+        """Inject per-read latency on one replica (0 clears it)."""
+        self.shards[shard].slow(replica, penalty_seconds)
+
+    def replica_lag(self, shard: int, replica: int) -> int:
+        """Writes a replica is behind its group's newest write."""
+        return self.shards[shard].clock.lag(replica)
+
+    def live_replicas(self, shard: int) -> list[int]:
+        """Indices of the live replicas of ``shard`` (the autoscaler's
+        add/remove-replica surface reads this)."""
+        return self.shards[shard].live_indices()
 
     def enable_hedging(self, threshold_seconds: Optional[float]) -> None:
         """Turn on request hedging for routed reads (``None`` disables).
@@ -512,294 +867,39 @@ class ReplicatedKVStore(KVStore, CheckpointManager):
             )
         self.hedge_threshold = threshold_seconds
 
-    def live_replicas(self, shard: int) -> list[int]:
-        """Indices of the live replicas of ``shard`` (the autoscaler's
-        add/remove-replica surface reads this)."""
-        return self.groups[shard].live_indices()
+    @property
+    def stats(self) -> StoreStats:
+        """The router's aggregate with replication health flattened in.
 
-    # ------------------------------------------------------------------
-    # KVStore interface — reads
-    # ------------------------------------------------------------------
-    def get(self, key: int) -> Optional[bytes]:
-        """Read from one bounded-staleness replica of the owning group."""
-        shard = self.shard_of(key)
-        self._shard_ops[shard] += 1
-        group = self.groups[shard]
-        if self.read_policy == "quorum":
-            return self._quorum_get(group, key, snapshot=False)
-        return group.replicas[self._read_replica(group)].get(key)
-
-    def multi_get(self, keys) -> list:
-        """One batched sub-read per shard, served by one replica each."""
-        return self._batched_read(keys, snapshot=False)
-
-    def snapshot_read(self, key: int) -> Optional[bytes]:
-        """Committed read (no staleness consumption) from the owning group."""
-        shard = self.shard_of(key)
-        self._shard_ops[shard] += 1
-        group = self.groups[shard]
-        if self.read_policy == "quorum":
-            return self._quorum_get(group, key, snapshot=True)
-        return group.replicas[self._read_replica(group)].snapshot_read(key)
-
-    def snapshot_read_many(self, keys) -> list:
-        """Batched committed reads, one sub-batch per owning group."""
-        return self._batched_read(keys, snapshot=True)
-
-    def read_committed_many(self, keys) -> list:
-        """Training-side alias of :meth:`snapshot_read_many` (one fan-out)."""
-        return self.snapshot_read_many(keys)
-
-    def _batched_read(self, keys, snapshot: bool) -> list:
-        keys = self._normalize_keys(keys)
-        results: list = [None] * len(keys)
-        for shard, positions in self._partition_keys(keys).items():
-            self._shard_ops[shard] += len(positions)
-            group = self.groups[shard]
-            sub_keys = [keys[position] for position in positions]
-            if self.read_policy == "quorum":
-                with obs_span(
-                    "kv.replica_read",
-                    shard=shard,
-                    policy="quorum",
-                    keys=len(sub_keys),
-                ):
-                    sub_results = self._quorum_multi(group, sub_keys, snapshot)
-            else:
-                replica = self._read_replica(group)
-                reader = group.replicas[replica]
-                with obs_span(
-                    "kv.replica_read",
-                    clock=getattr(reader, "clock", None),
-                    shard=shard,
-                    replica=replica,
-                    keys=len(sub_keys),
-                ):
-                    sub_results = (
-                        reader.snapshot_read_many(sub_keys)
-                        if snapshot
-                        else reader.multi_get(sub_keys)
-                    )
-            for position, value in zip(positions, sub_results):
-                results[position] = value
-        return results
-
-    def _quorum_get(self, group: ReplicaGroup, key: int, snapshot: bool):
-        return self._quorum_multi(group, [key], snapshot)[0]
-
-    def _quorum_multi(self, group: ReplicaGroup, keys: list, snapshot: bool) -> list:
-        """Read a majority; answer from the freshest replica read.
-
-        ``quorum_readers`` ranks by applied version, so the first
-        reader's answers win; the remaining majority members are still
-        read (paying their cost) — that is the price of quorum reads and
-        exactly why ``read_one`` + divergence bound is the serving path.
+        Per-group vectors (``replica_lag``, ``hints_outstanding``,
+        ``slow_penalties``) become one row per shard; ``failovers``,
+        ``catchup_keys`` and ``hedged_reads`` are summed over groups.
         """
-        answers = []
-        for replica in group.quorum_readers():
-            group.charge_penalty(replica)
-            reader = group.replicas[replica]
-            answers.append(
-                reader.snapshot_read_many(keys) if snapshot else reader.multi_get(keys)
-            )
-        return answers[0]
+        total = super().stats
+        groups = total.extra["shards"]
+        for name in ("replica_lag", "hints_outstanding", "slow_penalties"):
+            total.extra[name] = [group[name] for group in groups]
+        for name in ("failovers", "catchup_keys", "hedged_reads"):
+            total.extra[name] = sum(group[name] for group in groups)
+        return total
 
     # ------------------------------------------------------------------
-    # KVStore interface — writes (synchronous fan-out)
+    # coordinated checkpoint / restore (the router's, plus group state)
     # ------------------------------------------------------------------
-    def put(self, key: int, value: bytes) -> None:
-        """Fan-out write to the owning group's replicas."""
-        self._check_writable()
-        shard = self.shard_of(key)
-        self._shard_ops[shard] += 1
-        self.groups[shard].fanout_put(key, value)
-
-    def delete(self, key: int) -> bool:
-        """Fan-out delete to the owning group's replicas."""
-        self._check_writable()
-        shard = self.shard_of(key)
-        self._shard_ops[shard] += 1
-        return self.groups[shard].fanout_delete(key)
-
-    def rmw(self, key: int, update: Callable[[Optional[bytes]], bytes]) -> bytes:
-        """Read-modify-write reading from the **freshest** live replica.
-
-        The divergence bound licenses stale *reads*, never stale
-        write-backs: routing the read half through a bounded-stale
-        replica would fan its old value out over fresher copies (a lost
-        update).  So the read half bypasses read routing and always uses
-        the live replica with the highest applied version.
-        """
-        self._check_writable()
-        shard = self.shard_of(key)
-        self._shard_ops[shard] += 1
-        group = self.groups[shard]
-        freshest = group.replicas[group._complete_peer(exclude=-1)]
-        new_value = update(freshest.get(key))
-        group.fanout_put(key, new_value)
-        return new_value
-
-    def multi_put(self, keys, values) -> None:
-        """Batched fan-out writes, one sub-batch per owning group."""
-        self._check_writable()
-        keys, values = self._normalize_pairs(keys, values)
-        for shard, positions in self._partition_keys(keys).items():
-            self._shard_ops[shard] += len(positions)
-            group = self.groups[shard]
-            with obs_span(
-                "kv.replica_write",
-                shard=shard,
-                live_replicas=len(group.live_indices()),
-                keys=len(positions),
-            ):
-                group.fanout_multi_put(
-                    [keys[position] for position in positions],
-                    [values[position] for position in positions],
-                )
-
-    def multi_rmw(self, keys, update: Callable[[list, list], list]) -> list:
-        """Batched :meth:`rmw`: the parameter-server apply hook.
-
-        Same freshness rule as the scalar path — the read half always
-        uses a fully caught-up (lag-0) replica per group, because a
-        bounded-stale read folded into a write-back would fan the stale
-        value out over fresher copies (a lost update).  ``update`` runs
-        once per shard sub-batch; writes fan out through the group
-        (hinted against dead replicas), so a replica killed mid-push
-        loses nothing: the survivor takes the delta and the revive
-        replays it.
-        """
-        self._check_writable()
-        keys = self._normalize_keys(keys)
-        results: list = [None] * len(keys)
-        for shard, positions in self._partition_keys(keys).items():
-            self._shard_ops[shard] += len(positions)
-            group = self.groups[shard]
-            donor = group.replicas[group._complete_peer(exclude=-1)]
-            sub_keys = [keys[position] for position in positions]
-            new_values = list(update(sub_keys, donor.snapshot_read_many(sub_keys)))
-            if len(new_values) != len(sub_keys):
-                raise ValueError(
-                    f"multi_rmw update returned {len(new_values)} values "
-                    f"for {len(sub_keys)} keys"
-                )
-            group.fanout_multi_put(sub_keys, new_values)
-            for position, value in zip(positions, new_values):
-                results[position] = value
-        return results
-
-    # ------------------------------------------------------------------
-    # fault injection & recovery (the chaos surface)
-    # ------------------------------------------------------------------
-    def fail_replica(self, shard: int, replica: int) -> None:
-        """Kill one replica; reads and writes route around it."""
-        self.groups[shard].fail(replica)
-        obs_instant(
-            "chaos.fail_replica",
-            clock=getattr(self, "clock", None),
-            shard=shard,
-            replica=replica,
-        )
-
-    def revive_replica(self, shard: int, replica: int, catch_up: bool = True) -> int:
-        """Bring a replica back (hinted catch-up unless ``catch_up=False``)."""
-        replayed = self.groups[shard].revive(replica, catch_up=catch_up)
-        obs_instant(
-            "chaos.revive_replica",
-            clock=getattr(self, "clock", None),
-            shard=shard,
-            replica=replica,
-            replayed=replayed,
-        )
-        return replayed
-
-    def catch_up_replica(self, shard: int, replica: int) -> int:
-        """Replay missed writes onto a live, lagging replica."""
-        return self.groups[shard].catch_up(replica)
-
-    def slow_replica(self, shard: int, replica: int, penalty_seconds: float) -> None:
-        """Inject per-read latency on one replica (0 clears it)."""
-        self.groups[shard].slow(replica, penalty_seconds)
-
-    def replica_lag(self, shard: int, replica: int) -> int:
-        """Writes a replica is behind its group's newest write."""
-        return self.groups[shard].clock.lag(replica)
-
-    # ------------------------------------------------------------------
-    # coordinated checkpoint / restore
-    # ------------------------------------------------------------------
-    def checkpoint(self) -> None:
-        """Checkpoint every replica, then bind them with one manifest.
-
-        Each replica engine persists its own crash-consistent image
-        first; the manifest — replica locations and classes plus the
-        *group* state a restore cannot rediscover (version clocks,
-        liveness flags, hint queues) — is written atomically last, so a
-        crash mid-checkpoint leaves the previous manifest authoritative.
-        Like the sharded manifest, it pins locations rather than image
-        versions: cross-shard crash atomicity comes from uploading the
-        unit through the content-addressed ``CloudCheckpointer``.
-        """
-        for group in self.groups:
-            for replica in group.replicas:
-                snap = getattr(replica, "checkpoint", None)
-                if snap is not None:
-                    snap()
-        if self.directory is None:
-            return
-        os.makedirs(self.directory, exist_ok=True)
+    def _manifest(self) -> dict:
+        """Replica locations and classes plus every group's state, a row
+        per shard, and the slot table."""
+        states = [group.state(self.directory) for group in self.shards]
         manifest = {
             "num_shards": self.num_shards,
             "replication": self.replication,
             "divergence_bound": self.divergence_bound,
             "read_policy": self.read_policy,
-            "replicas": [
-                [self._replica_relpath(replica) for replica in group.replicas]
-                for group in self.groups
-            ],
-            "types": [
-                [
-                    f"{type(replica).__module__}.{type(replica).__qualname__}"
-                    for replica in group.replicas
-                ]
-                for group in self.groups
-            ],
-            "clocks": [
-                {"version": group.clock.version, "applied": list(group.clock.applied)}
-                for group in self.groups
-            ],
-            "alive": [list(group.alive) for group in self.groups],
-            "max_hints": [group.max_hints for group in self.groups],
-            # Hinted-handoff queues survive the round trip: a revive
-            # after restore replays exactly the keys the live run owed
-            # the dead replica.  ``None`` marks an overflowed queue.
-            "hints": [
-                [None if hints is None else sorted(hints) for hints in group._hints]
-                for group in self.groups
-            ],
+            "slots": list(self._slots),
         }
-        tmp = os.path.join(self.directory, _MANIFEST + ".tmp")
-        with open(tmp, "w") as f:
-            json.dump(manifest, f)
-        os.replace(tmp, os.path.join(self.directory, _MANIFEST))
-
-    def _replica_relpath(self, replica: KVStore) -> str:
-        """A replica's directory relative to the coordinated base dir."""
-        child_dir = getattr(replica, "directory", None)
-        if child_dir is None:
-            raise CheckpointError(
-                f"replica {type(replica).__name__} has no directory; "
-                "coordinated checkpoints need file-backed replicas"
-            )
-        rel = os.path.relpath(
-            os.path.abspath(child_dir), os.path.abspath(self.directory)
-        )
-        if rel.startswith(os.pardir):
-            raise CheckpointError(
-                f"replica directory {child_dir} is outside the coordinated "
-                f"base {self.directory}; place every replica under the base"
-            )
-        return rel
+        for name in _GROUP_FIELDS:
+            manifest[name] = [state[name] for state in states]
+        return manifest
 
     @classmethod
     def restore(
@@ -815,181 +915,37 @@ class ReplicatedKVStore(KVStore, CheckpointManager):
         shared SSD/clock models.  When omitted, each replica's class
         recorded in the manifest is imported and its own ``restore`` is
         called with ``kwargs`` forwarded.  Group state — version clocks,
-        liveness, hint queues — comes back exactly as checkpointed, so
-        lag bookkeeping and pending hinted catch-ups survive recovery.
+        liveness, hint queues — and the slot table come back exactly as
+        checkpointed, so lag bookkeeping, pending hinted catch-ups and
+        live splits survive recovery.
         """
-        manifest_path = os.path.join(directory, _MANIFEST)
-        if not os.path.exists(manifest_path):
-            raise CheckpointError(f"no coordinated replicated manifest in {directory}")
-        with open(manifest_path) as f:
-            manifest = json.load(f)
-        groups: list[ReplicaGroup] = []
-        for shard, rels in enumerate(manifest["replicas"]):
-            replicas: list[KVStore] = []
-            for index, rel in enumerate(rels):
-                replica_dir = os.path.join(directory, rel)
-                if factory is not None:
-                    replicas.append(factory(shard, index, replica_dir))
-                else:
-                    dotted = manifest["types"][shard][index]
-                    module_name, _, class_name = dotted.rpartition(".")
-                    replica_cls = getattr(
-                        importlib.import_module(module_name), class_name
-                    )
-                    replicas.append(replica_cls.restore(replica_dir, **kwargs))
-            group = ReplicaGroup(replicas, max_hints=manifest["max_hints"][shard])
-            clock_state = manifest["clocks"][shard]
-            group.clock.version = clock_state["version"]
-            group.clock.applied = list(clock_state["applied"])
-            group.alive = list(manifest["alive"][shard])
-            group._hints = [
-                None if hints is None else set(hints)
-                for hints in manifest["hints"][shard]
+        manifest = read_manifest(directory, cls.manifest_name)
+        with manifest_fields(directory):
+            states = [
+                {name: manifest[name][shard] for name in _GROUP_FIELDS}
+                for shard in range(len(manifest["replicas"]))
             ]
-            groups.append(group)
-        store = cls.from_groups(
-            groups,
-            divergence_bound=manifest["divergence_bound"],
-            read_policy=manifest["read_policy"],
+            openers = [
+                child_openers(
+                    directory, state["replicas"], state["types"], factory, **kwargs
+                )
+                for state in states
+            ]
+            if any(len(row) != len(openers[0]) for row in openers):
+                raise ValueError("every shard must record the same replica count")
+            options = {
+                "replication": len(openers[0]),
+                "divergence_bound": manifest["divergence_bound"],
+                "read_policy": manifest["read_policy"],
+            }
+        store = cls(
+            lambda shard, replica: openers[shard][replica](shard, replica),
+            len(openers),
+            directory=directory,
+            **options,
         )
-        store.directory = directory
+        with manifest_fields(directory):
+            for group, state in zip(store.shards, states):
+                group.load_state(state)
+        store._adopt_slots(manifest.get("slots"))
         return store
-
-    # ------------------------------------------------------------------
-    # passthroughs the serving tier relies on
-    # ------------------------------------------------------------------
-    def scan(self) -> Iterator[tuple[int, bytes]]:
-        """All live records, once each, from one fresh replica per shard."""
-        for group in self.groups:
-            donor = group._complete_peer(exclude=-1)
-            yield from group.replicas[donor].scan()
-
-    def lookahead(self, keys) -> int:
-        """Stage a prefetch batch on each shard's current reader."""
-        keys = self._normalize_keys(keys)
-        copied = 0
-        for shard, positions in self._partition_keys(keys).items():
-            group = self.groups[shard]
-            reader = group.replicas[self._read_replica(group)]
-            engine = getattr(reader, "lookahead", None)
-            if engine is not None:
-                copied += engine([keys[position] for position in positions])
-        return copied
-
-    def set_stall_handler(self, handler) -> None:
-        """Install a stall callback on every replica engine."""
-        for group in self.groups:
-            for replica in group.replicas:
-                sink = getattr(replica, "set_stall_handler", None)
-                if sink is not None:
-                    sink(handler)
-
-    @property
-    def staleness_bound(self):
-        """Tightest child bound, exposed only when every replica has one."""
-        bounds = [
-            getattr(replica, "staleness_bound", None)
-            for group in self.groups
-            for replica in group.replicas
-        ]
-        if any(bound is None for bound in bounds):
-            raise AttributeError("not every replica enforces a staleness bound")
-        return min(bounds)
-
-    @property
-    def clock(self):
-        """The simulated clock shared by every replica, when there is one."""
-        first = getattr(self.groups[0].replicas[0], "clock", None)
-        if first is not None and all(
-            getattr(replica, "clock", None) is first
-            for group in self.groups
-            for replica in group.replicas
-        ):
-            return first
-        raise AttributeError("replicas do not share a single clock")
-
-    @property
-    def ssd(self):
-        """The device model shared by every replica, when there is one."""
-        first = getattr(self.groups[0].replicas[0], "ssd", None)
-        if first is not None and all(
-            getattr(replica, "ssd", None) is first
-            for group in self.groups
-            for replica in group.replicas
-        ):
-            return first
-        raise AttributeError("replicas do not share a single SSD device")
-
-    def freeze(self) -> "ReplicatedKVStore":
-        """Freeze every replica and the wrapper itself."""
-        for group in self.groups:
-            for replica in group.replicas:
-                replica.freeze()
-        self.read_only = True
-        return self
-
-    def close(self) -> None:
-        """Close every replica in every group."""
-        if not self._closed:
-            for group in self.groups:
-                for replica in group.replicas:
-                    replica.close()
-            self._closed = True
-
-    def __len__(self) -> int:
-        """Live records, counted once per shard on a fresh replica."""
-        total = 0
-        for group in self.groups:
-            donor = group.replicas[group._complete_peer(exclude=-1)]
-            try:
-                total += len(donor)  # type: ignore[arg-type]
-            except TypeError:
-                total += sum(1 for _ in donor.scan())
-        return total
-
-    # ------------------------------------------------------------------
-    # stats
-    # ------------------------------------------------------------------
-    @property
-    def stats(self) -> StoreStats:
-        """Aggregated counters over every replica of every group.
-
-        Reads touch one replica per shard and writes touch all live
-        replicas, so ``puts`` counts fan-out copies (the real work done)
-        while ``gets``/``hits``/``misses`` reflect the single routed
-        read path.  ``extra`` carries replication health: per-group lag
-        vectors, failover counts, hinted keys outstanding.
-        """
-        total = StoreStats()
-        lags, failovers, hints, catchups = [], 0, [], 0
-        penalties, hedges = [], 0
-        for group in self.groups:
-            for replica in group.replicas:
-                child = replica.stats
-                total.gets += child.gets
-                total.puts += child.puts
-                total.deletes += child.deletes
-                total.hits += child.hits
-                total.misses += child.misses
-            lags.append([group.clock.lag(index) for index in range(group.replication)])
-            failovers += group.failovers
-            catchups += group.catchup_keys
-            hints.append(
-                [group.hints_outstanding(index) for index in range(group.replication)]
-            )
-            penalties.append(
-                [group.slow_penalty(index) for index in range(group.replication)]
-            )
-            hedges += group.hedged_reads
-        total.extra["shard_ops"] = list(self._shard_ops)
-        total.extra["replica_lag"] = lags
-        total.extra["failovers"] = failovers
-        total.extra["catchup_keys"] = catchups
-        total.extra["hints_outstanding"] = hints
-        total.extra["slow_penalties"] = penalties
-        total.extra["hedged_reads"] = hedges
-        return total
-
-    def balance(self) -> list[int]:
-        """Operations routed to each shard since construction."""
-        return list(self._shard_ops)

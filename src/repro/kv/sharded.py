@@ -1,19 +1,31 @@
-"""Hash-sharded composition of key-value engines.
+"""The shard router: hash-partitioned composition of key-value stores.
 
-:class:`ShardedKVStore` partitions the integer key space across N child
-engines with a mixed hash, giving the horizontal scale-out layer the
-paper's deployment section assumes: each shard is an independent engine
-instance (its own log/runs/pages, and — when the factory builds one per
-shard — its own SSD device model), so shards serve traffic in parallel
-on a real multi-node or multi-SSD deployment.
+:class:`ShardedKVStore` partitions the integer key space across N
+children with a mixed hash, giving the horizontal scale-out layer the
+paper's deployment section assumes.  It is the **only** place in
+``repro.kv`` that splits a batch by owner, fans the sub-batches out and
+scatters the results back into input order; everything it fans out *to*
+is just a :class:`~repro.kv.api.KVStore`:
+
+* a local engine (FASTER / MLKV / LSM / B-tree, any mix),
+* a :class:`~repro.kv.replicated.ReplicaGroup` — N engines holding one
+  key range behind routed reads and fan-out writes,
+* a worker-process proxy (:mod:`repro.kv.parallel`) forwarding each call
+  over a pipe to an engine — or a replica group — living in a forked
+  worker.
+
+Two hooks are all a subclass overrides to change *where* children live:
+:meth:`ShardedKVStore._build_child` (how ``factory(index)`` becomes a
+child) and :meth:`ShardedKVStore._dispatch` (how one partitioned batched
+operation reaches the children).  Slot-table routing, live
+split/migrate with deferred cleanup, stats aggregation, the MLKV
+pass-throughs and the coordinated checkpoint manifest are inherited, so
+replication x live migration x process parallelism compose.
 
 Batched operations are the reason this layer exists: ``multi_get`` /
-``multi_put`` split one application batch into at most one *sub-batch
-per shard*, so every child engine still gets its amortized batched hot
-path (one epoch acquisition, one WAL group commit, one leaf walk) rather
-than degenerating into per-key routing.  Results are scattered back into
-input order, preserving the :class:`~repro.kv.api.KVStore` ordering
-contract exactly.
+``multi_put`` / ``multi_rmw`` split one application batch into at most
+one *sub-batch per shard*, so every child still gets its amortized
+batched hot path rather than degenerating into per-key routing.
 
 The shard function is a splitmix64 finalizer over the key, so dense
 sparse-feature id ranges (0..n) spread uniformly instead of striping by
@@ -26,7 +38,8 @@ from __future__ import annotations
 import importlib
 import json
 import os
-from typing import Callable, Iterator, Optional, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -67,11 +80,12 @@ def partition_positions(keys: list, slots: Sequence[int]) -> dict[int, list[int]
     """Group batch *positions* by owning shard under a slot table.
 
     One vectorized splitmix64 pass plus a stable grouping sort; per-shard
-    position lists preserve input order.  Keys the uint64 conversion
-    rejects fall back to the per-key loop (out-of-range values then
-    surface the engine's own error downstream).  Shared by the serial
-    :class:`ShardedKVStore` fan-out and the process-parallel executor so
-    both route identically.
+    position lists preserve input order, and shards come out in order of
+    first appearance in the batch — the order the per-key loop visits
+    them, which is observable when the children share one simulated
+    clock.  Keys the uint64 conversion rejects fall back to the per-key
+    loop (out-of-range values then surface the engine's own error
+    downstream).  The only partitioner in ``repro.kv``.
     """
     if len(keys) > 1:
         try:
@@ -82,14 +96,9 @@ def partition_positions(keys: list, slots: Sequence[int]) -> dict[int, list[int]
             slot_arr = np.asarray(slots, dtype=np.int64)
             shard_idx = slot_arr[shard_hash_array(arr) % np.uint64(len(slot_arr))]
             order = np.argsort(shard_idx, kind="stable")
-            sorted_shards = shard_idx[order]
-            starts = np.flatnonzero(np.diff(sorted_shards)) + 1
-            return {
-                int(group_shards[0]): positions.tolist()
-                for positions, group_shards in zip(
-                    np.split(order, starts), np.split(sorted_shards, starts)
-                )
-            }
+            starts = np.flatnonzero(np.diff(shard_idx[order])) + 1
+            groups = sorted(np.split(order, starts), key=lambda group: group[0])
+            return {int(shard_idx[group[0]]): group.tolist() for group in groups}
     by_shard: dict[int, list[int]] = {}
     for position, key in enumerate(keys):
         by_shard.setdefault(
@@ -98,24 +107,236 @@ def partition_positions(keys: list, slots: Sequence[int]) -> dict[int, list[int]
     return by_shard
 
 
+# ----------------------------------------------------------------------
+# what every composite store (router, replica group) asks of its children
+# ----------------------------------------------------------------------
+def record_count(store: KVStore) -> int:
+    """Live records in ``store``.
+
+    Hash-indexed engines answer ``len`` in O(1); engines without
+    ``__len__`` (LSM, B+tree) are counted by scanning — correct but O(n).
+    """
+    try:
+        return len(store)  # type: ignore[arg-type]
+    except TypeError:
+        return sum(1 for _ in store.scan())
+
+
+def shared_attr(children: Sequence[KVStore], name: str):
+    """The ``name`` attribute all ``children`` share (one SSD model).
+
+    Children with private devices have no single queue or timeline, so
+    this raises ``AttributeError`` and ``getattr(store, name, None)``
+    call sites degrade gracefully.
+    """
+    first = getattr(children[0], name, None)
+    if first is not None and all(
+        getattr(child, name, None) is first for child in children
+    ):
+        return first
+    raise AttributeError(f"children do not share a single {name}")
+
+
+def sim_clock(store: KVStore):
+    """The simulated clock ``store`` charges, or ``None``.
+
+    Read through ``ssd`` because that is the one name every child means
+    the same thing by: an engine's ``clock`` is its ``ssd.clock``, while
+    a replica group's ``clock`` is its *version* clock.
+    """
+    return getattr(getattr(store, "ssd", None), "clock", None)
+
+
+def tightest_staleness_bound(children: Sequence[KVStore]):
+    """Smallest child bound, defined only when every child enforces one.
+
+    The training loop clamps its conventional prefetch window with this;
+    raising ``AttributeError`` when a child lacks a bound keeps
+    ``getattr(store, "staleness_bound", None)`` call sites working.
+    """
+    bounds = [getattr(child, "staleness_bound", None) for child in children]
+    if any(bound is None for bound in bounds):
+        raise AttributeError("not every child enforces a staleness bound")
+    return min(bounds)
+
+
+def set_stall_handlers(children: Sequence[KVStore], handler) -> None:
+    """Register the training stall hook on every capable child."""
+    for child in children:
+        sink = getattr(child, "set_stall_handler", None)
+        if sink is not None:
+            sink(handler)
+
+
+def merge_stats(children: Iterable[StoreStats]) -> StoreStats:
+    """Sum child counters into a fresh :class:`StoreStats`.
+
+    ``extra["shards"]`` keeps each child's own extras, in child order.
+    """
+    total = StoreStats()
+    per_child = total.extra["shards"] = []
+    for child in children:
+        total.gets += child.gets
+        total.puts += child.puts
+        total.deletes += child.deletes
+        total.hits += child.hits
+        total.misses += child.misses
+        per_child.append(dict(child.extra))
+    return total
+
+
+def checkpoint_children(children: Sequence[KVStore]) -> None:
+    """Have every child that can persist a crash-consistent image do so."""
+    for child in children:
+        snap = getattr(child, "checkpoint", None)
+        if snap is not None:
+            snap()
+
+
+# ----------------------------------------------------------------------
+# coordinated-checkpoint manifests: one writer, one reader, one way to
+# turn a recorded child back into a store
+# ----------------------------------------------------------------------
+def write_manifest(directory: str, name: str, manifest: dict) -> None:
+    """Atomically (write-temp-then-replace) bind a checkpoint unit."""
+    os.makedirs(directory, exist_ok=True)
+    tmp = os.path.join(directory, name + ".tmp")
+    with open(tmp, "w") as f:
+        json.dump(manifest, f)
+    os.replace(tmp, os.path.join(directory, name))
+
+
+def read_manifest(directory: str, name: str) -> dict:
+    """Load a manifest, raising :class:`CheckpointError` if it is absent
+    or does not decode to a JSON object."""
+    path = os.path.join(directory, name)
+    if not os.path.exists(path):
+        raise CheckpointError(f"no coordinated manifest {name} in {directory}")
+    try:
+        with open(path) as f:
+            manifest = json.load(f)
+    except ValueError as exc:  # JSONDecodeError, bad UTF-8
+        raise CheckpointError(f"manifest {path} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"manifest {path} is not a JSON object")
+    return manifest
+
+
+@contextmanager
+def manifest_fields(directory: str) -> Iterator[None]:
+    """Report a missing or mis-shaped manifest field as a
+    :class:`CheckpointError` instead of the lookup error it causes.
+
+    Wrap only the code that picks fields apart — never the code that
+    opens a child, whose own errors must stay what they are.
+    """
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise CheckpointError(
+            f"malformed coordinated manifest in {directory}: {exc!r}"
+        ) from exc
+
+
+def child_relpath(child: KVStore, base: str) -> str:
+    """A child's directory relative to the coordinated base directory."""
+    child_dir = getattr(child, "directory", None)
+    if child_dir is None:
+        raise CheckpointError(
+            f"child {child_type(child)} has no directory; coordinated "
+            "checkpoints need file-backed children"
+        )
+    rel = os.path.relpath(os.path.abspath(child_dir), os.path.abspath(base))
+    if rel.startswith(os.pardir):
+        raise CheckpointError(
+            f"child directory {child_dir} is outside the coordinated base "
+            f"{base}; place every child under the base directory"
+        )
+    return rel
+
+
+def child_type(child: KVStore) -> str:
+    """Dotted class path a manifest records for ``child``.
+
+    A worker-process proxy reports the class of the store it fronts
+    (``store_type``), so manifests never name the proxy.
+    """
+    return getattr(child, "store_type", None) or (
+        f"{type(child).__module__}.{type(child).__qualname__}"
+    )
+
+
+def child_opener(
+    base: str, rel: str, dotted: str, factory: Optional[Callable], **kwargs
+) -> Callable[..., KVStore]:
+    """Validate one recorded child now; return the call that reopens it.
+
+    The returned ``open(*index)`` is ``factory(*index, child_directory)``
+    when the caller supplied a factory (to re-wire shared SSD/clock
+    models or budgets), otherwise the recorded class's own ``restore``
+    with ``kwargs`` forwarded.  A path escaping ``base`` or a recorded
+    type that is not a :class:`KVStore` raises :class:`CheckpointError`
+    — before anything is imported beyond the named module or opened.
+    """
+    path = os.path.normpath(os.path.join(base, rel))
+    if os.path.isabs(rel) or os.path.relpath(path, base).startswith(os.pardir):
+        raise CheckpointError(f"manifest child path {rel!r} escapes {base}")
+    if factory is not None:
+        return lambda *index: factory(*index, path)
+    module_name, _, class_name = dotted.rpartition(".")
+    try:
+        child_cls = getattr(importlib.import_module(module_name), class_name)
+    except (ImportError, AttributeError, ValueError) as exc:
+        raise CheckpointError(f"manifest names unknown store type {dotted!r}") from exc
+    if not (isinstance(child_cls, type) and issubclass(child_cls, KVStore)):
+        raise CheckpointError(f"manifest type {dotted!r} is not a KVStore")
+    return lambda *index: child_cls.restore(path, **kwargs)
+
+
+def child_openers(
+    base: str, rels: list, types: list, factory: Optional[Callable], **kwargs
+) -> list[Callable[..., KVStore]]:
+    """:func:`child_opener` for each of a manifest's recorded children."""
+    if not (isinstance(rels, list) and rels and len(rels) == len(types)):
+        raise ValueError("child paths and types must be equal-length lists")
+    return [
+        child_opener(base, rel, dotted, factory, **kwargs)
+        for rel, dotted in zip(rels, types)
+    ]
+
+
+def call_batched(child: KVStore, op: str, columns: tuple, args: tuple):
+    """Run batched ``op`` on one child: ``child.op(*columns, *args)``.
+
+    The method is looked up on the instance at call time, so per-instance
+    wrappers (tracing, sanitizing) are honoured.  ``lookahead`` is the one
+    optional op: a child without it stages nothing.
+    """
+    method = getattr(child, op, None)
+    return method(*columns, *args) if method is not None else 0
+
+
 class ShardedKVStore(KVStore, CheckpointManager):
-    """Hash-partitioned store fanning out to N child engines.
+    """Hash-partitioned router fanning out to N child stores.
 
     Parameters
     ----------
     factory:
-        ``factory(shard_index) -> KVStore`` building one child engine per
+        ``factory(shard_index) -> KVStore`` building one child per
         shard; any mix of FASTER / MLKV / LSM / B-tree works, each with
         its own directory (and, for parallel-device modeling, its own
         clock + SSD).
     num_shards:
-        Number of partitions; fixed for the store's lifetime (use
-        :meth:`rebalance` to move to a different count).
+        Initial number of partitions; :meth:`begin_split` adds engines
+        live, :meth:`rebalance` moves to an arbitrary count offline.
     directory:
         Optional base directory for *coordinated* checkpoints: when every
         shard's own directory lives under it, :meth:`checkpoint` writes a
         manifest binding the per-shard images into one restorable unit.
     """
+
+    #: File name of this store's coordinated-checkpoint manifest.
+    manifest_name = _MANIFEST
 
     def __init__(
         self,
@@ -127,21 +348,23 @@ class ShardedKVStore(KVStore, CheckpointManager):
             raise ConfigError(f"num_shards must be positive, got {num_shards}")
         self.num_shards = num_shards
         self.directory = directory
-        self.shards: list[KVStore] = [factory(index) for index in range(num_shards)]
         self._shard_ops = [0] * num_shards
         # Slot routing table: a key hashes to a *slot* (``hash % len``),
         # the slot names the owning engine.  Initially the identity, so
         # routing is exactly ``hash % num_shards``; live splits double
         # the table and re-point individual slots (see ShardMigration).
         self._slots: list[int] = list(range(num_shards))
-        # In-flight migrations keyed by source engine index: writes to a
-        # moving key range are dual-logged into the migration's delta.
-        self._migrations: dict[int, "ShardMigration"] = {}
+        # The in-flight migration, if any: writes to its moving key
+        # range are dual-logged into its delta.
+        self._migration: Optional["ShardMigration"] = None
         # Deferred post-cutover cleanup: source engine index -> moved
         # keys awaiting deletion (routing already points at the target,
         # so these are unreachable; scans filter them until drained).
         self._cleanup_backlog: dict[int, set[int]] = {}
         self._closed = False
+        self.shards: list[KVStore] = [
+            self._build_child(factory, index) for index in range(num_shards)
+        ]
 
     @classmethod
     def from_stores(
@@ -152,107 +375,170 @@ class ShardedKVStore(KVStore, CheckpointManager):
         return cls(lambda index: stores[index], len(stores), directory=directory)
 
     # ------------------------------------------------------------------
+    # the two hooks a subclass overrides to change where children live
+    # ------------------------------------------------------------------
+    def _build_child(self, factory: Callable, index: int) -> KVStore:
+        """Hook 1: turn ``factory`` into the child serving engine ``index``.
+
+        Called for every initial shard and for every migration target.
+        """
+        return factory(index)
+
+    def _dispatch(self, op: str, batches: list, *args) -> list:
+        """Hook 2: run batched ``op`` on each ``(shard, columns)`` batch.
+
+        Returns one result per batch, in order.  ``columns`` are the
+        shard's slices of the operation's positional inputs (keys, and
+        values for ``multi_put``); ``args`` apply to every shard.
+        """
+        results = []
+        for shard, columns in batches:
+            child = self.shards[shard]
+            with obs_span(
+                "kv.shard",
+                clock=sim_clock(child),
+                shard=shard,
+                op=op,
+                keys=len(columns[0]),
+            ):
+                results.append(call_batched(child, op, columns, args))
+        return results
+
+    # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
-    def shard_of(self, key: int) -> int:
-        """Deterministic engine index for ``key`` (via the slot table)."""
-        return self._slots[shard_hash(key) % len(self._slots)]
-
     def slot_of(self, key: int) -> int:
         """The routing slot ``key`` hashes to (slots move; engines host)."""
         return shard_hash(key) % len(self._slots)
 
-    def _partition_keys(self, keys: list) -> dict[int, list[int]]:
-        """Group input *positions* by owning shard, preserving order."""
-        return partition_positions(keys, self._slots)
+    def shard_of(self, key: int) -> int:
+        """Deterministic engine index for ``key`` (via the slot table)."""
+        return self._slots[self.slot_of(key)]
+
+    def _route(self, key: int) -> KVStore:
+        """The child owning ``key``, counting one routed operation."""
+        shard = self.shard_of(key)
+        self._shard_ops[shard] += 1
+        return self.shards[shard]
+
+    def _fan_out(self, op: str, keys: list, values: Optional[list] = None, *args):
+        """Partition one batch by owner and dispatch it.
+
+        Returns ``(parts, results)``: the ``(shard, positions)`` groups
+        and the per-group results, aligned.  Positions within a group
+        keep input order, so duplicates resolve exactly as a sequential
+        application would.
+        """
+        parts = list(partition_positions(keys, self._slots).items())
+        batches = []
+        for shard, positions in parts:
+            self._shard_ops[shard] += len(positions)
+            columns = ([keys[position] for position in positions],)
+            if values is not None:
+                columns += ([values[position] for position in positions],)
+            batches.append((shard, columns))
+        return parts, self._dispatch(op, batches, *args)
+
+    def _gather(self, op: str, keys, *args) -> list:
+        """Fan out an op yielding one value per key; reassemble in input
+        order (duplicates included)."""
+        keys = self._normalize_keys(keys)
+        parts, outputs = self._fan_out(op, keys, None, *args)
+        results: list = [None] * len(keys)
+        for (_, positions), sub_results in zip(parts, outputs):
+            for position, value in zip(positions, sub_results):
+                results[position] = value
+        return results
+
+    def _note_writes(self, keys: Iterable[int]) -> None:
+        """Dual-log writes into the in-flight migration, if any."""
+        if self._migration is not None:
+            for key in keys:
+                self._migration.note_write(key)
 
     # ------------------------------------------------------------------
     # KVStore interface
     # ------------------------------------------------------------------
     def get(self, key: int) -> Optional[bytes]:
-        """Single-key read routed to the owning engine."""
-        shard = self.shard_of(key)
-        self._shard_ops[shard] += 1
-        return self.shards[shard].get(key)
+        """Single-key read routed to the owning child."""
+        return self._route(key).get(key)
+
+    def snapshot_read(self, key: int) -> Optional[bytes]:
+        """Committed single-key read routed to the owning child."""
+        return self._route(key).snapshot_read(key)
 
     def put(self, key: int, value: bytes) -> None:
-        """Single-key write routed to the owning engine; dual-logged when a
-        migration covers the key."""
-        shard = self.shard_of(key)
-        self._shard_ops[shard] += 1
-        self.shards[shard].put(key, value)
-        self._note_write(shard, key)
+        """Single-key write routed to the owning child; dual-logged when
+        a migration covers the key."""
+        self._check_writable()
+        self._route(key).put(key, value)
+        self._note_writes((key,))
 
     def delete(self, key: int) -> bool:
-        """Single-key delete routed to the owning engine."""
-        shard = self.shard_of(key)
-        self._shard_ops[shard] += 1
-        existed = self.shards[shard].delete(key)
-        self._note_write(shard, key)
+        """Single-key delete routed to the owning child."""
+        self._check_writable()
+        existed = self._route(key).delete(key)
+        self._note_writes((key,))
         return existed
 
     def rmw(self, key: int, update: Callable[[Optional[bytes]], bytes]) -> bytes:
-        """Read-modify-write routed to the owning engine."""
-        shard = self.shard_of(key)
-        self._shard_ops[shard] += 1
-        value = self.shards[shard].rmw(key, update)
-        self._note_write(shard, key)
+        """Read-modify-write routed to the owning child."""
+        self._check_writable()
+        value = self._route(key).rmw(key, update)
+        self._note_writes((key,))
         return value
 
-    def _note_write(self, shard: int, key: int) -> None:
-        """Dual-log a write into the shard's in-flight migration, if any."""
-        migration = self._migrations.get(shard)
-        if migration is not None:
-            migration.note_write(key)
-
     def multi_get(self, keys) -> list:
-        """Fan one batch out as one batched sub-read per shard.
+        """One batched sub-read per shard, results in input order."""
+        return self._gather("multi_get", keys)
 
-        Input order (duplicates included) is preserved in the result; the
-        per-shard sub-batches keep the children on their amortized
-        batched paths.
+    def snapshot_read_many(self, keys) -> list:
+        """Batched committed reads: one sub-batch per shard, no admissions."""
+        return self._gather("snapshot_read_many", keys)
+
+    def read_current_many(self, keys) -> list:
+        """Batched write-back-safe reads (see :meth:`KVStore.read_current_many`)."""
+        return self._gather("read_current_many", keys)
+
+    def read_committed_many(self, keys) -> list:
+        """Training-side alias of :meth:`snapshot_read_many`.
+
+        Every child's ``snapshot_read_many`` already is its committed
+        batched read (``read_committed_many`` on MLKV, ``multi_get`` on
+        plain engines), so both entry points share one fan-out and one
+        set of routed-op counters.
         """
-        keys = self._normalize_keys(keys)
-        results: list = [None] * len(keys)
-        for shard, positions in self._partition_keys(keys).items():
-            self._shard_ops[shard] += len(positions)
-            with obs_span(
-                "kv.shard",
-                clock=getattr(self.shards[shard], "clock", None),
-                shard=shard,
-                op="multi_get",
-                keys=len(positions),
-            ):
-                sub_results = self.shards[shard].multi_get(
-                    [keys[position] for position in positions]
-                )
-            for position, value in zip(positions, sub_results):
-                results[position] = value
-        return results
+        return self.snapshot_read_many(keys)
 
     def multi_put(self, keys, values) -> None:
-        """Fan one batch out as one batched sub-write per shard.
+        """One batched sub-write per shard.
 
         Positions within each shard keep their input order, so the
         last-duplicate-wins contract holds per key.
         """
+        self._check_writable()
         keys, values = self._normalize_pairs(keys, values)
-        for shard, positions in self._partition_keys(keys).items():
-            self._shard_ops[shard] += len(positions)
-            with obs_span(
-                "kv.shard",
-                clock=getattr(self.shards[shard], "clock", None),
-                shard=shard,
-                op="multi_put",
-                keys=len(positions),
-            ):
-                self.shards[shard].multi_put(
-                    [keys[position] for position in positions],
-                    [values[position] for position in positions],
-                )
-            if shard in self._migrations:
-                for position in positions:
-                    self._note_write(shard, keys[position])
+        self._fan_out("multi_put", keys, values)
+        self._note_writes(keys)
+
+    def multi_rmw(self, keys, update: Callable[[list, list], list]) -> list:
+        """One ``child.multi_rmw(sub_keys, update)`` per shard.
+
+        ``update`` therefore runs once per shard sub-batch (which the
+        :meth:`KVStore.multi_rmw` contract allows), and each child reads
+        the values it folds the update over itself — a replica group
+        from a fully caught-up replica, never through a bounded-stale
+        routed read.
+        """
+        self._check_writable()
+        keys = self._normalize_keys(keys)
+        results = self._gather("multi_rmw", keys, update)
+        self._note_writes(keys)
+        return results
+
+    def lookahead(self, keys) -> int:
+        """Fan a prefetch batch out to the children that support staging."""
+        return sum(self._fan_out("lookahead", self._normalize_keys(keys))[1])
 
     def scan(self) -> Iterator[tuple[int, bytes]]:
         """All live records: the child iterators merged shard by shard.
@@ -274,97 +560,61 @@ class ShardedKVStore(KVStore, CheckpointManager):
             else:
                 yield from shard.scan()
 
-    def snapshot_read(self, key: int) -> Optional[bytes]:
-        """Committed single-key read routed to the owning shard."""
-        shard = self.shard_of(key)
-        self._shard_ops[shard] += 1
-        return self.shards[shard].snapshot_read(key)
+    def __len__(self) -> int:
+        """Live records across all shards (see :func:`record_count`).
 
-    def snapshot_read_many(self, keys) -> list:
-        """Batched committed reads: one sub-batch per shard, no admissions."""
-        keys = self._normalize_keys(keys)
-        results: list = [None] * len(keys)
-        for shard, positions in self._partition_keys(keys).items():
-            self._shard_ops[shard] += len(positions)
-            with obs_span(
-                "kv.shard",
-                clock=getattr(self.shards[shard], "clock", None),
-                shard=shard,
-                op="snapshot_read_many",
-                keys=len(positions),
-            ):
-                sub_results = self.shards[shard].snapshot_read_many(
-                    [keys[position] for position in positions]
-                )
-            for position, value in zip(positions, sub_results):
-                results[position] = value
-        return results
+        Keys awaiting deferred post-cutover cleanup are not counted
+        (their copies on the target engine already are).
+        """
+        return sum(
+            record_count(shard) - len(self._cleanup_backlog.get(index, ()))
+            for index, shard in enumerate(self.shards)
+        )
 
     def freeze(self) -> "ShardedKVStore":
-        """Freeze every child and the wrapper itself."""
+        """Freeze every child and the router itself."""
         for shard in self.shards:
             shard.freeze()
         self.read_only = True
         return self
 
     def close(self) -> None:
-        """Close every child engine."""
+        """Close every child."""
         if not self._closed:
             for shard in self.shards:
                 shard.close()
             self._closed = True
 
-    def __len__(self) -> int:
-        """Live records across all shards.
-
-        Engines without ``__len__`` (LSM, B+tree) are counted by scanning
-        — correct but O(n); hash-indexed engines answer in O(1).  Keys
-        awaiting deferred post-cutover cleanup are not counted (their
-        copies on the target engine already are).
-        """
-        total = 0
-        for index, shard in enumerate(self.shards):
-            try:
-                total += len(shard)  # type: ignore[arg-type]
-            except TypeError:
-                total += sum(1 for _ in shard.scan())
-            total -= len(self._cleanup_backlog.get(index, ()))
-        return total
-
+    # ------------------------------------------------------------------
+    # pass-throughs (only meaningful when the children support them)
+    # ------------------------------------------------------------------
     @property
     def ssd(self):
-        """The device model shared by every child, when there is one.
+        """The device model every child shares (see :func:`shared_attr`).
 
         Exposed so the embedding layer's conventional-prefetch background
-        scope works over a sharded store.  Shards built with private
-        per-device models have no single queue to scope, so the attribute
-        is absent (``AttributeError``) and ``getattr(store, "ssd", None)``
-        call sites degrade gracefully.
+        scope works over a sharded store.
         """
-        first = getattr(self.shards[0], "ssd", None)
-        if first is not None and all(
-            getattr(shard, "ssd", None) is first for shard in self.shards
-        ):
-            return first
-        raise AttributeError("shards do not share a single SSD device")
+        return shared_attr(self.shards, "ssd")
 
     @property
     def clock(self):
-        """The simulated clock shared by every child, when there is one.
+        """The simulated clock of the shared device model, when there is one.
 
         The serving tier times queueing and batching on the store's
         clock, so a sharded store serves traffic when its children share
-        a clock (build the shards over one ``SSDModel``).  Shards with
-        private per-device clocks have no single timeline; the attribute
-        is absent (``AttributeError``) and ``getattr(store, "clock",
-        None)`` call sites degrade gracefully.
+        one ``SSDModel``; otherwise the attribute is absent.
         """
-        first = getattr(self.shards[0], "clock", None)
-        if first is not None and all(
-            getattr(shard, "clock", None) is first for shard in self.shards
-        ):
-            return first
-        raise AttributeError("shards do not share a single clock")
+        return self.ssd.clock
+
+    @property
+    def staleness_bound(self):
+        """Tightest child bound (see :func:`tightest_staleness_bound`)."""
+        return tightest_staleness_bound(self.shards)
+
+    def set_stall_handler(self, handler) -> None:
+        """Register the training stall hook on every capable child."""
+        set_stall_handlers(self.shards, handler)
 
     # ------------------------------------------------------------------
     # stats & balance
@@ -378,18 +628,8 @@ class ShardedKVStore(KVStore, CheckpointManager):
         breakdown under ``"shard_ops"`` plus each child's own extras
         under ``"shards"``.
         """
-        total = StoreStats()
-        per_shard_extra = []
-        for shard in self.shards:
-            child = shard.stats
-            total.gets += child.gets
-            total.puts += child.puts
-            total.deletes += child.deletes
-            total.hits += child.hits
-            total.misses += child.misses
-            per_shard_extra.append(dict(child.extra))
+        total = merge_stats(shard.stats for shard in self.shards)
         total.extra["shard_ops"] = list(self._shard_ops)
-        total.extra["shards"] = per_shard_extra
         return total
 
     def balance(self) -> list[int]:
@@ -401,107 +641,39 @@ class ShardedKVStore(KVStore, CheckpointManager):
         total = sum(self._shard_ops)
         if total == 0:
             return 1.0
-        mean = total / self.num_shards
-        return max(self._shard_ops) / mean
-
-    # ------------------------------------------------------------------
-    # MLKV passthroughs (only meaningful when the children support them)
-    # ------------------------------------------------------------------
-    def lookahead(self, keys) -> int:
-        """Fan a prefetch batch out to the shards that support staging."""
-        keys = self._normalize_keys(keys)
-        copied = 0
-        for shard, positions in self._partition_keys(keys).items():
-            engine = getattr(self.shards[shard], "lookahead", None)
-            if engine is not None:
-                copied += engine([keys[position] for position in positions])
-        return copied
-
-    def read_committed_many(self, keys) -> list:
-        """Training-side alias of :meth:`snapshot_read_many`.
-
-        The child fan-out is identical — every child's
-        ``snapshot_read_many`` already is its committed batched read
-        (``read_committed_many`` on MLKV, ``multi_get`` on plain
-        engines) — so both entry points share one implementation and
-        one set of routed-op counters.
-        """
-        return self.snapshot_read_many(keys)
-
-    def set_stall_handler(self, handler) -> None:
-        """Register the training stall hook on every capable child."""
-        for shard in self.shards:
-            sink = getattr(shard, "set_stall_handler", None)
-            if sink is not None:
-                sink(handler)
-
-    @property
-    def staleness_bound(self):
-        """Tightest child bound, exposed only when every child has one.
-
-        The training loop clamps its conventional prefetch window with
-        this; raising ``AttributeError`` when a child lacks a bound keeps
-        ``getattr(store, "staleness_bound", None)`` call sites working.
-        """
-        bounds = [getattr(shard, "staleness_bound", None) for shard in self.shards]
-        if any(bound is None for bound in bounds):
-            raise AttributeError("not every shard enforces a staleness bound")
-        return min(bounds)
+        return max(self._shard_ops) / (total / self.num_shards)
 
     # ------------------------------------------------------------------
     # coordinated checkpoint / restore
     # ------------------------------------------------------------------
     def checkpoint(self) -> None:
-        """Coordinated checkpoint: every shard, then one binding manifest.
+        """Coordinated checkpoint: every child, then one binding manifest.
 
         Each child persists its own crash-consistent image first; the
-        manifest naming all of them is written (atomically) last.  Note
-        the manifest pins shard *locations*, not image versions: a crash
-        between two child checkpoints leaves mixed-epoch shard images on
+        manifest naming all of them is written (atomically) last, so a
+        crash mid-checkpoint leaves the previous manifest authoritative.
+        Note the manifest pins child *locations*, not image versions: a
+        crash between two child checkpoints leaves mixed-epoch images on
         local disk, so cross-shard crash atomicity comes from uploading
         the unit through :class:`~repro.core.checkpoint.CloudCheckpointer`,
         whose epoch manifests pin every file by content digest.  Without
-        a base ``directory`` this degrades to the per-shard checkpoints
+        a base ``directory`` this degrades to the per-child checkpoints
         only.
         """
         while self._cleanup_backlog:
             self.cleanup_step(4096)
-        for shard in self.shards:
-            snap = getattr(shard, "checkpoint", None)
-            if snap is not None:
-                snap()
-        if self.directory is None:
-            return
-        os.makedirs(self.directory, exist_ok=True)
-        manifest = {
+        checkpoint_children(self.shards)
+        if self.directory is not None:
+            write_manifest(self.directory, self.manifest_name, self._manifest())
+
+    def _manifest(self) -> dict:
+        """What :meth:`restore` needs to rebuild routing and children."""
+        return {
             "num_shards": self.num_shards,
-            "shards": [self._shard_relpath(shard) for shard in self.shards],
-            "types": [
-                f"{type(shard).__module__}.{type(shard).__qualname__}"
-                for shard in self.shards
-            ],
+            "shards": [child_relpath(shard, self.directory) for shard in self.shards],
+            "types": [child_type(shard) for shard in self.shards],
             "slots": list(self._slots),
         }
-        tmp = os.path.join(self.directory, _MANIFEST + ".tmp")
-        with open(tmp, "w") as f:
-            json.dump(manifest, f)
-        os.replace(tmp, os.path.join(self.directory, _MANIFEST))
-
-    def _shard_relpath(self, shard: KVStore) -> str:
-        """A child's directory relative to the coordinated base dir."""
-        child_dir = getattr(shard, "directory", None)
-        if child_dir is None:
-            raise CheckpointError(
-                f"shard {type(shard).__name__} has no directory; coordinated "
-                "checkpoints need file-backed children"
-            )
-        rel = os.path.relpath(os.path.abspath(child_dir), os.path.abspath(self.directory))
-        if rel.startswith(os.pardir):
-            raise CheckpointError(
-                f"shard directory {child_dir} is outside the coordinated base "
-                f"{self.directory}; place every shard under the base directory"
-            )
-        return rel
 
     @classmethod
     def restore(
@@ -518,30 +690,42 @@ class ShardedKVStore(KVStore, CheckpointManager):
         manifest is imported and its own ``restore`` is called with
         ``kwargs`` forwarded.
         """
-        manifest_path = os.path.join(directory, _MANIFEST)
-        if not os.path.exists(manifest_path):
-            raise CheckpointError(f"no coordinated manifest in {directory}")
-        with open(manifest_path) as f:
-            manifest = json.load(f)
-        shards: list[KVStore] = []
-        for index, rel in enumerate(manifest["shards"]):
-            shard_dir = os.path.join(directory, rel)
-            if factory is not None:
-                shards.append(factory(index, shard_dir))
-            else:
-                module_name, _, class_name = manifest["types"][index].rpartition(".")
-                shard_cls = getattr(importlib.import_module(module_name), class_name)
-                shards.append(shard_cls.restore(shard_dir, **kwargs))
-        store = cls.from_stores(shards, directory=directory)
-        slots = manifest.get("slots")
-        if slots is not None:
-            if any(not 0 <= slot < len(shards) for slot in slots):
-                raise CheckpointError(
-                    f"manifest slot table {slots} references engines outside "
-                    f"0..{len(shards) - 1}"
-                )
-            store._slots = list(slots)
+        return cls._reopen(directory, factory, kwargs)
+
+    @classmethod
+    def _reopen(cls, directory: str, factory, kwargs: dict, **options):
+        """:meth:`restore`, with ``options`` passed on to the constructor."""
+        manifest = read_manifest(directory, cls.manifest_name)
+        with manifest_fields(directory):
+            openers = child_openers(
+                directory, manifest["shards"], manifest["types"], factory, **kwargs
+            )
+        store = cls(
+            lambda index: openers[index](index),
+            len(openers),
+            directory=directory,
+            **options,
+        )
+        store._adopt_slots(manifest.get("slots"))
         return store
+
+    def _adopt_slots(self, slots) -> None:
+        """Install a checkpointed slot table (absent: identity routing)."""
+        if slots is None:
+            return
+        if not (
+            isinstance(slots, list)
+            and slots
+            and all(
+                isinstance(slot, int) and 0 <= slot < len(self.shards)
+                for slot in slots
+            )
+        ):
+            raise CheckpointError(
+                f"manifest slot table {slots!r} is not a list of engine "
+                f"indices within 0..{len(self.shards) - 1}"
+            )
+        self._slots = list(slots)
 
     # ------------------------------------------------------------------
     # rebalancing
@@ -574,9 +758,7 @@ class ShardedKVStore(KVStore, CheckpointManager):
     # ------------------------------------------------------------------
     # live migration: split / migrate with copy-then-cutover
     # ------------------------------------------------------------------
-    def begin_split(
-        self, shard_index: int, factory: Callable[[int], KVStore]
-    ) -> "ShardMigration":
+    def begin_split(self, shard_index: int, factory: Callable) -> "ShardMigration":
         """Start splitting one engine's key range onto a new engine.
 
         If the engine owns a single routing slot, the slot table doubles
@@ -584,29 +766,24 @@ class ShardedKVStore(KVStore, CheckpointManager):
         and ``s + L`` pointing at the same engine, and a key lands on
         ``s + L`` exactly when it landed on ``s`` under the old modulus
         — no data moves).  The highest slot the engine owns is then
-        marked *moving*: its keys are snapshot-copied to the new engine
-        built by ``factory(new_engine_index)`` while the source keeps
-        serving reads and absorbing writes (dual-logged as deltas).
+        marked *moving*: its keys are snapshot-copied to the new child
+        built from ``factory`` (same shape as the constructor's, called
+        for engine index ``len(shards)``) while the source keeps serving
+        reads and absorbing writes (dual-logged as deltas).
         :meth:`ShardMigration.cutover` replays the deltas, re-points the
         slot, and removes the moved keys from the source.
         """
-        self._check_migratable(shard_index)
-        owned = [slot for slot, engine in enumerate(self._slots) if engine == shard_index]
-        if not owned:
-            raise ConfigError(f"engine {shard_index} owns no routing slot")
+        owned = self._owned_slots(shard_index)
         if len(owned) == 1:
             self._slots = self._slots + self._slots
             owned = [owned[0], owned[0] + len(self._slots) // 2]
-        target = factory(len(self.shards))
-        migration = ShardMigration(
+        target = self._build_child(factory, len(self.shards))
+        self._migration = ShardMigration(
             self, shard_index, target, moving_slots={owned[-1]}, replace=False
         )
-        self._migrations[shard_index] = migration
-        return migration
+        return self._migration
 
-    def split_shard(
-        self, shard_index: int, factory: Callable[[int], KVStore], batch: int = 1024
-    ) -> int:
+    def split_shard(self, shard_index: int, factory: Callable, batch: int = 1024) -> int:
         """Split an engine in one call; returns the new engine's index.
 
         Equivalent to :meth:`begin_split` + copy-to-completion +
@@ -616,30 +793,23 @@ class ShardedKVStore(KVStore, CheckpointManager):
         """
         return self.begin_split(shard_index, factory).run(batch=batch)
 
-    def begin_migrate(
-        self, shard_index: int, factory: Callable[[int], KVStore]
-    ) -> "ShardMigration":
+    def begin_migrate(self, shard_index: int, factory: Callable) -> "ShardMigration":
         """Start moving an engine's *entire* range to a replacement engine.
 
-        The replacement (``factory(shard_index)``) takes over every slot
-        the old engine owns at cutover — node replacement for a failed
-        or hot shard, with the same copy-then-cutover discipline as a
-        split.  The old engine is closed after cutover.
+        The replacement (built from ``factory`` for the same engine
+        index) takes over every slot the old engine owns at cutover —
+        node replacement for a failed or hot shard, with the same
+        copy-then-cutover discipline as a split.  The old engine is
+        closed after cutover.
         """
-        self._check_migratable(shard_index)
-        owned = {slot for slot, engine in enumerate(self._slots) if engine == shard_index}
-        if not owned:
-            raise ConfigError(f"engine {shard_index} owns no routing slot")
-        target = factory(shard_index)
-        migration = ShardMigration(
-            self, shard_index, target, moving_slots=owned, replace=True
+        owned = self._owned_slots(shard_index)
+        target = self._build_child(factory, shard_index)
+        self._migration = ShardMigration(
+            self, shard_index, target, moving_slots=set(owned), replace=True
         )
-        self._migrations[shard_index] = migration
-        return migration
+        return self._migration
 
-    def migrate_shard(
-        self, shard_index: int, factory: Callable[[int], KVStore], batch: int = 1024
-    ) -> int:
+    def migrate_shard(self, shard_index: int, factory: Callable, batch: int = 1024) -> int:
         """Replace an engine in one call; returns the engine's index."""
         return self.begin_migrate(shard_index, factory).run(batch=batch)
 
@@ -674,12 +844,13 @@ class ShardedKVStore(KVStore, CheckpointManager):
                 del self._cleanup_backlog[index]
         return self.cleanup_pending()
 
-    def _check_migratable(self, shard_index: int) -> None:
+    def _owned_slots(self, shard_index: int) -> list[int]:
+        """Check a migration may start; the slots ``shard_index`` owns."""
         if not 0 <= shard_index < len(self.shards):
             raise ConfigError(
                 f"no engine {shard_index}; have {len(self.shards)} shards"
             )
-        if self._migrations:
+        if self._migration is not None:
             raise ConfigError(
                 "another migration is in flight; cut it over or abort it "
                 "first (the slot-table arithmetic is per-migration)"
@@ -691,6 +862,10 @@ class ShardedKVStore(KVStore, CheckpointManager):
         # must not leak into a snapshot or survive an engine replacement.
         while self._cleanup_backlog:
             self.cleanup_step(4096)
+        owned = [slot for slot, engine in enumerate(self._slots) if engine == shard_index]
+        if not owned:
+            raise ConfigError(f"engine {shard_index} owns no routing slot")
+        return owned
 
 
 class ShardMigration:
@@ -706,11 +881,15 @@ class ShardMigration:
     Between ``begin`` and ``cutover`` the source engine remains the
     owner: reads route to it and writes land on it, with writes into the
     moving key range *also* recorded as deltas.  ``copy_step`` streams
-    the begin-time snapshot (committed reads via ``snapshot_read_many``)
-    to the target in batches; ``cutover`` drains the remaining snapshot,
-    replays the delta log until it is empty, re-points the routing
-    slot(s), and removes moved keys from the source — so at every
-    instant each key has exactly one serving owner and no write is lost.
+    the begin-time snapshot to the target in batches; ``cutover`` drains
+    the remaining snapshot, replays the delta log until it is empty,
+    re-points the routing slot(s), and removes moved keys from the source
+    — so at every instant each key has exactly one serving owner and no
+    write is lost.  Source values are read with ``read_current_many``:
+    committed (no admissions, no staleness consumption) and, on a replica
+    group, from a fully caught-up replica rather than a bounded-stale
+    routed one — a copy is a write-back, so it must never carry a stale
+    value to the new owner.
     """
 
     def __init__(
@@ -728,25 +907,24 @@ class ShardMigration:
         self.replace = replace
         self.done = False
         # Begin-time snapshot of the moving key set; values are read
-        # lazily (committed reads) so the copy sees current data and the
-        # delta log covers everything written after this instant.
-        source = store.shards[source_index]
+        # lazily so the copy sees current data and the delta log covers
+        # everything written after this instant.
+        self._source = store.shards[source_index]
         self._snapshot_keys: list[int] = [
-            key for key, _ in source.scan() if self._moves(key)
+            key for key, _ in self._source.scan() if self._moves(key)
         ]
         self._cursor = 0
         self._delta: set[int] = set()
         self._moved_keys: set[int] = set()
         self.keys_copied = 0
         self.delta_replayed = 0
-        self._defer_cleanup = False
 
     def _moves(self, key: int) -> bool:
-        return (shard_hash(key) % len(self.store._slots)) in self.moving_slots
+        return self.store.slot_of(key) in self.moving_slots
 
     def note_write(self, key: int) -> None:
         """Dual-log a source write that falls in the moving range."""
-        if not self.done and self._moves(key):
+        if self._moves(key):
             self._delta.add(key)
 
     @property
@@ -759,11 +937,31 @@ class ShardMigration:
         """Dual-logged writes awaiting replay."""
         return len(self._delta)
 
+    def _copy(self, keys: list[int]) -> int:
+        """Bring the target up to the source's current values for ``keys``.
+
+        Keys the source no longer holds are deleted from the target (a
+        no-op for snapshot keys it never received).  Returns the number
+        of values written.
+        """
+        values = self._source.read_current_many(keys)
+        put_keys, put_values = [], []
+        for key, value in zip(keys, values):
+            if value is None:
+                if key in self._moved_keys:
+                    self.target.delete(key)
+                    self._moved_keys.discard(key)
+            else:
+                put_keys.append(key)
+                put_values.append(value)
+        if put_keys:
+            self.target.multi_put(put_keys, put_values)
+            self._moved_keys.update(put_keys)
+        return len(put_keys)
+
     def copy_step(self, batch: int = 1024) -> int:
         """Copy up to ``batch`` snapshot keys; returns the remaining count.
 
-        Uses the committed-read path on the source (no admissions, no
-        staleness consumption) and the batched write path on the target.
         Keys deleted since the snapshot read back ``None`` and are
         skipped — the delta log carries the delete to cutover.
         """
@@ -771,15 +969,8 @@ class ShardMigration:
             raise ConfigError("migration already cut over")
         chunk = self._snapshot_keys[self._cursor:self._cursor + batch]
         if chunk:
-            source = self.store.shards[self.source_index]
-            values = source.snapshot_read_many(chunk)
-            put_keys = [key for key, value in zip(chunk, values) if value is not None]
-            put_values = [value for value in values if value is not None]
-            if put_keys:
-                self.target.multi_put(put_keys, put_values)
-                self._moved_keys.update(put_keys)
+            self.keys_copied += self._copy(chunk)
             self._cursor += len(chunk)
-            self.keys_copied += len(put_keys)
         return self.remaining
 
     def abort(self) -> None:
@@ -796,7 +987,7 @@ class ShardMigration:
         if self.done:
             raise ConfigError("migration already cut over")
         self.done = True
-        self.store._migrations.pop(self.source_index, None)
+        self.store._migration = None
         self._delta.clear()
         self.target.close()
 
@@ -804,7 +995,7 @@ class ShardMigration:
         """Finish the move atomically; returns the target's engine index.
 
         Drains the snapshot, replays the delta log until it is empty
-        (each pass re-reads current committed values, so the target ends
+        (each pass re-reads current values, so the target ends
         bit-identical to the source for every moved key), flips the
         routing slot(s) to the target, and deletes the moved keys from
         the source (a replaced engine is closed outright instead).
@@ -819,29 +1010,16 @@ class ShardMigration:
         """
         if self.done:
             raise ConfigError("migration already cut over")
-        self._defer_cleanup = defer_cleanup
         while self.remaining:
             self.copy_step(batch)
-        source = self.store.shards[self.source_index]
         while self._delta:
             keys = sorted(self._delta)
             self._delta.clear()
-            values = source.snapshot_read_many(keys)
-            put_keys, put_values = [], []
-            for key, value in zip(keys, values):
-                if value is None:
-                    self.target.delete(key)
-                    self._moved_keys.discard(key)
-                else:
-                    put_keys.append(key)
-                    put_values.append(value)
-            if put_keys:
-                self.target.multi_put(put_keys, put_values)
-                self._moved_keys.update(put_keys)
+            self._copy(keys)
             self.delta_replayed += len(keys)
-        index = self._install()
+        index = self._install(defer_cleanup)
         self.done = True
-        del self.store._migrations[self.source_index]
+        self.store._migration = None
         return index
 
     def run(self, batch: int = 1024) -> int:
@@ -850,12 +1028,11 @@ class ShardMigration:
             pass
         return self.cutover(batch)
 
-    def _install(self) -> int:
+    def _install(self, defer_cleanup: bool) -> int:
         store = self.store
         if self.replace:
-            old = store.shards[self.source_index]
             store.shards[self.source_index] = self.target
-            old.close()
+            self._source.close()
             return self.source_index
         target_index = len(store.shards)
         store.shards.append(self.target)
@@ -863,11 +1040,10 @@ class ShardMigration:
         store.num_shards = len(store.shards)
         for slot in self.moving_slots:
             store._slots[slot] = target_index
-        if getattr(self, "_defer_cleanup", False):
+        if defer_cleanup:
             backlog = store._cleanup_backlog.setdefault(self.source_index, set())
             backlog.update(self._moved_keys)
-            return target_index
-        source = store.shards[self.source_index]
-        for key in sorted(self._moved_keys):
-            source.delete(key)
+        else:
+            for key in sorted(self._moved_keys):
+                self._source.delete(key)
         return target_index

@@ -107,10 +107,14 @@ class Autoscaler:
         ``begin_migrate``); replica actions need the
         :class:`~repro.kv.ReplicatedKVStore` surface (``fail_replica``
         / ``revive_replica`` / ``live_replicas``).  Each action is
-        duck-typed, so the policy degrades to whatever the store offers.
+        duck-typed, so the policy degrades to whatever the store offers
+        (a replicated store inherits the split surface from the router,
+        so it offers both).
     factory:
-        ``factory(engine_index) -> KVStore`` building a fresh engine for
-        splits and migrations (unused on stores without them).
+        Builds a fresh engine for splits and migrations, in the shape of
+        the store's own constructor factory: ``factory(engine_index)``,
+        or ``factory(engine_index, replica_index)`` for a replicated
+        store (unused on stores without splits).
     config:
         The :class:`AutoscalerConfig` policy knobs.
     telemetry:
@@ -268,10 +272,7 @@ class Autoscaler:
     def _advance_migration(self, now: float) -> None:
         migration = self._migration
         if migration.copy_step(self.config.copy_batch) == 0:
-            try:
-                index = migration.cutover(defer_cleanup=True)
-            except TypeError:  # a migration object without deferred cleanup
-                index = migration.cutover()
+            index = migration.cutover(defer_cleanup=True)
             label = self._migration_label
             self._migration = None
             self._migration_label = None

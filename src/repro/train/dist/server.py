@@ -327,8 +327,7 @@ class ParameterServer:
         if split is None:
             return None
         if shard_index is None:
-            ops = getattr(self.store, "_shard_ops", None)
-            shard_index = int(np.argmax(ops)) if ops else 0
+            shard_index = int(np.argmax(self.store.balance()))
         return split(shard_index, shard_factory)
 
     def lost_batches(self, total: int) -> list[int]:

@@ -5,15 +5,17 @@ under REPRO_SANITIZE, central rmw for unshippable closures)."""
 
 from __future__ import annotations
 
-import json
+import multiprocessing
 import os
+import signal
+import time
 
 import numpy as np
 import pytest
 
 from repro.core.mlkv import MLKV
 from repro.device import SimClock, SSDModel
-from repro.errors import CheckpointError, StorageError
+from repro.errors import ConfigError, StorageError
 from repro.kv import ParallelShardStore, ShardedKVStore, create_sharded_store
 from repro.kv.parallel import fork_available
 from repro.kv.sharded import _MANIFEST, partition_positions, shard_hash
@@ -257,20 +259,67 @@ class TestFreezeAndCheckpoint:
         assert any(_MANIFEST in name for name in parallel.checkpoint_files())
         parallel.close()
 
-    def test_migrated_slot_table_rejected(self, tmp_path):
+    def test_migrated_slot_table_restores_in_parallel(self, tmp_path):
         base = str(tmp_path / "migrated")
         serial = ShardedKVStore(make_factory(base), 4, directory=base)
-        serial.multi_put(list(range(50)), [b"x"] * 50)
+        keys = list(range(300))
+        values = [bytes([key % 251]) * 8 for key in keys]
+        serial.multi_put(keys, values)
+        serial.split_shard(0, make_factory(base))  # a rescale happened
+        slots = list(serial._slots)
+        assert slots != list(range(4))
         serial.checkpoint()
         serial.close()
-        manifest_path = os.path.join(base, _MANIFEST)
-        with open(manifest_path) as f:
-            manifest = json.load(f)
-        manifest["slots"] = [0, 1, 2, 0]  # a rescale happened
-        with open(manifest_path, "w") as f:
-            json.dump(manifest, f)
-        with pytest.raises(CheckpointError):
-            ParallelShardStore.restore(base, processes=PROCESSES)
+        parallel = ParallelShardStore.restore(base, processes=PROCESSES)
+        assert parallel._slots == slots and parallel.num_shards == 5
+        assert parallel.multi_get(keys) == values
+        assert [parallel.shard_of(key) for key in keys] == [
+            slots[shard_hash(key) % len(slots)] for key in keys
+        ]
+        parallel.close()
+
+    def test_dead_worker_is_a_typed_error_never_a_stale_reply(self, tmp_path):
+        # Regression: killing a worker surfaced an untyped BrokenPipeError
+        # and left the survivor's reply to the aborted op in its pipe, so
+        # the next survivor-only read returned the previous op's values.
+        store = ParallelShardStore(make_factory(tmp_path / "kill"), 4, processes=2)
+        keys = list(range(300))
+        store.multi_put(keys, [bytes([key % 251]) * 8 for key in keys])
+        victim = store._workers[1].process
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=10)
+        assert not victim.is_alive()
+        with pytest.raises(StorageError):
+            store.multi_get(keys)
+        survivor_keys = [key for key in keys if store.shard_of(key) % 2 == 0]
+        assert {store.shards[store.shard_of(key)].worker for key in survivor_keys} == {
+            store._workers[0]
+        }
+        for read in (
+            lambda: store.multi_get(survivor_keys[:7]),
+            lambda: store.get(survivor_keys[0]),
+            lambda: len(store),
+        ):
+            with pytest.raises(StorageError):
+                read()
+        started = time.monotonic()
+        store.close()
+        assert time.monotonic() - started < 10
+        assert not any(worker.process.is_alive() for worker in store._workers)
+        store.close()  # idempotent
+
+    def test_failed_child_build_raises_and_reaps_the_workers(self, tmp_path):
+        good = make_factory(tmp_path / "half")
+
+        def factory(index):
+            if index == 3:
+                raise ConfigError("shard 3 cannot be built")
+            return good(index)
+
+        before = set(multiprocessing.active_children())
+        with pytest.raises(ConfigError):
+            ParallelShardStore(factory, 4, processes=2)
+        assert set(multiprocessing.active_children()) <= before
 
     def test_closed_store_refuses_ops(self, stores):
         _, parallel = stores

@@ -1,20 +1,43 @@
 """ShardedKVStore: routing, ordering, stats, rebalance — plus the
-batched-equals-looped property test run against all four engines."""
+batched-equals-looped property test run against all four engines.
+
+The batched contract (ordering, duplicates, iterables, scan/len, freeze,
+balance, checkpoint → restore) runs against every *shape* of the one
+router: serial children, RF=2 replica groups, worker-process proxies.
+The composition test drives what only a single router makes possible:
+replica groups — hosted locally or inside worker processes — split live
+under a writer, failed over, checkpointed and restored."""
 
 from __future__ import annotations
+
+import json
+import os
+from operator import methodcaller
 
 import numpy as np
 import pytest
 
 from repro.core.mlkv import MLKV
 from repro.device import SimClock, SSDModel
-from repro.errors import ConfigError
-from repro.kv import ShardedKVStore, shard_hash
+from repro.errors import CheckpointError, ConfigError, StorageError
+from repro.kv import (
+    ParallelShardStore,
+    ReplicaGroup,
+    ReplicatedKVStore,
+    ShardedKVStore,
+    shard_hash,
+)
 from repro.kv.btree import BTreeKV
 from repro.kv.faster import FasterKV
 from repro.kv.lsm import LsmKV
+from repro.kv.parallel import fork_available
 
 ENGINES = ("faster", "mlkv", "lsm", "btree")
+
+needs_fork = pytest.mark.skipif(
+    not fork_available(), reason="fork start method unavailable"
+)
+STORE_SHAPES = ("serial", "replicated", pytest.param("parallel", marks=needs_fork))
 
 
 def make_engine(kind: str, directory: str, memory_budget_bytes: int = 1 << 16):
@@ -31,11 +54,49 @@ def make_engine(kind: str, directory: str, memory_budget_bytes: int = 1 << 16):
     raise AssertionError(kind)
 
 
+def _suffix(keys, values):
+    """Module-level so it pickles by reference into worker processes."""
+    return [(value or b"") + b"!" for value in values]
+
+
 @pytest.fixture
 def sharded(tmp_path):
     store = ShardedKVStore(
         lambda index: FasterKV(str(tmp_path / f"shard{index}")), num_shards=4
     )
+    yield store
+    store.close()
+
+
+def make_shaped(shape: str, base, coordinated: bool = False):
+    """A 4-shard store over FASTER engines in one of the router's shapes."""
+    directory = str(base) if coordinated else None
+    if shape == "replicated":
+        return ReplicatedKVStore(
+            lambda shard, replica: FasterKV(str(base / f"shard{shard}r{replica}")),
+            num_shards=4,
+            replication=2,
+            directory=directory,
+        )
+
+    def factory(index):
+        return FasterKV(str(base / f"shard{index}"))
+
+    if shape == "parallel":
+        return ParallelShardStore(factory, 4, directory=directory, processes=2)
+    return ShardedKVStore(factory, 4, directory=directory)
+
+
+def restore_shaped(shape: str, base):
+    if shape == "parallel":
+        return ParallelShardStore.restore(str(base), processes=2)
+    cls = ReplicatedKVStore if shape == "replicated" else ShardedKVStore
+    return cls.restore(str(base))
+
+
+@pytest.fixture(params=STORE_SHAPES)
+def shaped(request, tmp_path):
+    store = make_shaped(request.param, tmp_path)
     yield store
     store.close()
 
@@ -74,30 +135,136 @@ class TestRouting:
 
 
 class TestCrossShardOrdering:
-    def test_multi_get_preserves_input_order_and_duplicates(self, sharded):
+    def test_multi_get_preserves_input_order_and_duplicates(self, shaped):
         keys = [7, 3, 7, 900, 11, 3]
-        sharded.multi_put([3, 7, 11], [b"three", b"seven", b"eleven"])
-        values = sharded.multi_get(keys)
-        assert values == [b"seven", b"three", b"seven", None, b"eleven", b"three"]
+        shaped.multi_put([3, 7, 11], [b"three", b"seven", b"eleven"])
+        expected = [b"seven", b"three", b"seven", None, b"eleven", b"three"]
+        assert shaped.multi_get(keys) == expected
+        assert shaped.snapshot_read_many(keys) == expected
 
-    def test_multi_put_last_duplicate_wins_across_shards(self, sharded):
+    def test_multi_put_last_duplicate_wins_across_shards(self, shaped):
         keys = [5, 6, 5, 6, 5]
         values = [b"a", b"b", b"c", b"d", b"e"]
-        sharded.multi_put(keys, values)
-        assert sharded.get(5) == b"e"
-        assert sharded.get(6) == b"d"
+        shaped.multi_put(keys, values)
+        assert shaped.get(5) == b"e"
+        assert shaped.get(6) == b"d"
 
-    def test_iterables_accepted_and_length_checked(self, sharded):
-        sharded.multi_put((key for key in [1, 2]), (value for value in [b"x", b"y"]))
-        assert sharded.multi_get(key for key in [2, 1]) == [b"y", b"x"]
+    def test_iterables_accepted_and_length_checked(self, shaped):
+        shaped.multi_put((key for key in [1, 2]), (value for value in [b"x", b"y"]))
+        assert shaped.multi_get(key for key in [2, 1]) == [b"y", b"x"]
         with pytest.raises(ValueError):
-            sharded.multi_put((key for key in [1, 2]), (value for value in [b"x"]))
+            shaped.multi_put((key for key in [1, 2]), (value for value in [b"x"]))
 
-    def test_scan_yields_union_of_shards(self, sharded):
+    def test_scan_and_len_are_exact(self, shaped):
         keys = list(range(50))
-        sharded.multi_put(keys, [key.to_bytes(2, "little") for key in keys])
-        scanned = dict(sharded.scan())
-        assert scanned == {key: key.to_bytes(2, "little") for key in keys}
+        shaped.multi_put(keys, [key.to_bytes(2, "little") for key in keys])
+        shaped.delete(49)
+        scanned = list(shaped.scan())
+        assert len(scanned) == len(shaped) == 49
+        assert dict(scanned) == {key: key.to_bytes(2, "little") for key in keys[:49]}
+
+    def test_freeze_blocks_every_write_and_keeps_reads(self, shaped):
+        shaped.multi_put([1, 2], [b"x", b"y"])
+        assert shaped.freeze() is shaped
+        for write in (
+            lambda: shaped.put(3, b"z"),
+            lambda: shaped.delete(1),
+            lambda: shaped.multi_put([3], [b"z"]),
+            lambda: shaped.rmw(1, lambda old: b"z"),
+            lambda: shaped.multi_rmw([1], _suffix),
+        ):
+            with pytest.raises(StorageError):
+                write()
+        assert shaped.multi_get([1, 2, 3]) == [b"x", b"y", None]
+
+    def test_balance_counts_routed_ops(self, shaped):
+        shaped.multi_put(list(range(100)), [b"v"] * 100)
+        shaped.multi_get(list(range(40)))
+        shaped.get(0)
+        assert sum(shaped.balance()) == sum(shaped.stats.extra["shard_ops"]) == 141
+        assert shaped.imbalance() >= 1.0
+
+    def test_multi_rmw_runs_once_per_shard_with_one_behaviour(self, shaped):
+        keys = list(range(60))
+        shaped.multi_put(keys, [b"v"] * 60)
+        assert shaped.multi_rmw(keys, _suffix) == [b"v!"] * 60
+        assert shaped.multi_get(keys) == [b"v!"] * 60
+        batches = []
+
+        def closure(sub_keys, values):  # closes over live state: cannot ship
+            batches.append(list(sub_keys))
+            return [value + b"?" for value in values]
+
+        assert shaped.multi_rmw(keys, closure) == [b"v!?"] * 60
+        assert sorted(key for batch in batches for key in batch) == keys
+        for batch in batches:  # one invocation per shard sub-batch
+            assert len({shaped.shard_of(key) for key in batch}) == 1
+        assert len(batches) == len({shaped.shard_of(key) for key in keys})
+
+    @pytest.mark.parametrize("shape", STORE_SHAPES)
+    def test_checkpoint_restore_round_trip(self, shape, tmp_path):
+        store = make_shaped(shape, tmp_path, coordinated=True)
+        keys = list(range(300))
+        values = [bytes([key % 251]) * (4 + key % 5) for key in keys]
+        store.multi_put(keys, values)
+        store.checkpoint()
+        store.close()
+        manifest_path = tmp_path / type(store).manifest_name
+        for legacy in (False, True):
+            if legacy:  # manifests written before slot tables were recorded
+                manifest = json.loads(manifest_path.read_text())
+                del manifest["slots"]
+                manifest_path.write_text(json.dumps(manifest))
+            restored = restore_shaped(shape, tmp_path)
+            try:
+                assert type(restored) is type(store)
+                assert restored.multi_get(keys) == values
+                assert len(restored) == 300
+            finally:
+                restored.close()
+
+    @pytest.mark.parametrize("shape", STORE_SHAPES)
+    def test_bad_manifests_raise_checkpoint_error(self, shape, tmp_path):
+        """Hostile or torn manifests are typed errors, never a decode
+        error, an arbitrary import, or a read outside the base."""
+        store = make_shaped(shape, tmp_path, coordinated=True)
+        store.multi_put(list(range(40)), [b"v"] * 40)
+        store.checkpoint()
+        store.close()
+        manifest_path = tmp_path / type(store).manifest_name
+        pristine = manifest_path.read_text()
+        children = "replicas" if shape == "replicated" else "shards"
+
+        def first_entry(field, value):
+            manifest = json.loads(pristine)
+            if shape == "replicated":
+                manifest[field][0][0] = value
+            else:
+                manifest[field][0] = value
+            return json.dumps(manifest)
+
+        without_children = json.loads(pristine)
+        del without_children[children]
+        corruptions = {
+            "truncated JSON": pristine[: len(pristine) // 2],
+            "not an object": "[1, 2]",
+            "children removed": json.dumps(without_children),
+            "type is not a KVStore": first_entry("types", "os.system"),
+            "type does not exist": first_entry("types", "repro.kv.nope.Missing"),
+            "path escapes the base": first_entry(children, "../../etc"),
+            "absolute path": first_entry(children, "/etc"),
+        }
+        for label, text in corruptions.items():
+            manifest_path.write_text(text)
+            with pytest.raises(CheckpointError):
+                restore_shaped(shape, tmp_path).close()
+                pytest.fail(f"{shape}: restore accepted a manifest with {label}")
+        manifest_path.write_text(json.dumps({**json.loads(pristine), "slots": [0, 9]}))
+        with pytest.raises(CheckpointError):
+            restore_shaped(shape, tmp_path).close()
+        os.remove(manifest_path)
+        with pytest.raises(CheckpointError):
+            restore_shaped(shape, tmp_path).close()
 
     def test_scan_merges_mixed_engine_children(self, tmp_path):
         """Serving cache warmup streams scan() over any engine mix: every
@@ -149,11 +316,6 @@ class TestStatsAggregation:
         assert stats.puts == sum(child.stats.puts for child in sharded.shards)
         assert stats.gets == sum(child.stats.gets for child in sharded.shards)
         assert sum(stats.extra["shard_ops"]) == 64 + 64 + 1 + 1
-
-    def test_balance_counts_routed_ops(self, sharded):
-        sharded.multi_put(list(range(100)), [b"v"] * 100)
-        assert sum(sharded.balance()) == 100
-        assert sharded.imbalance() >= 1.0
 
     def test_hit_ratio_derives_from_summed_counters(self, tmp_path):
         """Regression: the aggregated hit ratio must be Σhits / (Σhits +
@@ -376,3 +538,135 @@ class TestBatchedEqualsLooped:
         finally:
             looped_store.close()
             batched_store.close()
+
+
+class TestComposition:
+    """Replication x live migration x process hosting on the one router.
+
+    RF=2 groups with ``divergence_bound=1``; one replica of the group
+    being split is live, lagging and *admissible* — it still holds an old
+    value for one key in the moving range — while the group is split
+    under a writer, cut over with deferred cleanup, its successor failed
+    over, and the whole store checkpointed and restored.  Every key must
+    equal a dict model throughout.  ``hosting`` puts the same groups
+    behind a :class:`ReplicatedKVStore` or inside
+    :class:`ParallelShardStore` worker processes.
+    """
+
+    HOSTINGS = ("replicated", pytest.param("parallel", marks=needs_fork))
+
+    @staticmethod
+    def _engine(base, shard, replica, generation=""):
+        return FasterKV(str(base / f"g{shard}{generation}" / f"r{replica}"))
+
+    def _build(self, hosting, base, generation=""):
+        """(store, factory for begin_split) over RF=2 FASTER groups."""
+        if hosting == "replicated":
+            def factory(shard, replica):
+                return self._engine(base, shard, replica, generation)
+
+            store = ReplicatedKVStore(
+                factory, 2, replication=2, divergence_bound=1, directory=str(base)
+            )
+            return store, factory
+
+        def group_factory(shard):
+            return ReplicaGroup(
+                [self._engine(base, shard, replica, generation) for replica in (0, 1)],
+                divergence_bound=1,
+                directory=str(base / f"g{shard}{generation}"),
+            )
+
+        store = ParallelShardStore(group_factory, 2, directory=str(base), processes=2)
+        return store, group_factory
+
+    @staticmethod
+    def _group(store, shard, name, *args):
+        """Call a :class:`ReplicaGroup` method on a local or proxied group."""
+        child = store.shards[shard]
+        if isinstance(child, ReplicaGroup):
+            return getattr(child, name)(*args)
+        return child.call(methodcaller(name, *args))
+
+    @staticmethod
+    def _restore(hosting, base):
+        if hosting == "replicated":
+            return ReplicatedKVStore.restore(str(base))
+        return ParallelShardStore.restore(str(base), processes=2)
+
+    @pytest.mark.parametrize("hosting", HOSTINGS)
+    @pytest.mark.parametrize("parity", (0, 1))
+    def test_lagging_group_splits_live_fails_over_and_restores(
+        self, hosting, parity, tmp_path
+    ):
+        store, factory = self._build(hosting, tmp_path)
+        rng = np.random.default_rng(17)
+        model = {key: f"v{key}".encode() for key in range(600)}
+        store.multi_put(list(model), list(model.values()))
+
+        # Group 0 owns slot 0 of [0, 1]; the split doubles the table and
+        # moves slot 2, so a key with hash % 4 == 2 is about to move.
+        stale_key = next(key for key in model if shard_hash(key) % 4 == 2)
+        assert store.shard_of(stale_key) == 0
+        self._group(store, 0, "fail", 1)
+        store.put(stale_key, b"fresh")  # replica 1 misses this one write
+        model[stale_key] = b"fresh"
+        self._group(store, 0, "revive", 1, False)  # live, lag 1 <= bound 1
+        assert self._group(store, 0, "live_indices") == [0, 1]
+        # Routed reads round-robin over both replicas, so one of the two
+        # parities would hand a routed migration copy the stale value.
+        for _ in range(parity):
+            store.get(next(key for key in model if store.shard_of(key) == 0))
+
+        migration = store.begin_split(0, factory)
+        writable = [key for key in range(700) if key != stale_key]
+        step = 0
+        while migration.copy_step(32):
+            write_keys = rng.choice(writable, size=12, replace=False).tolist()
+            values = [f"w{key}.{step}".encode() for key in write_keys]
+            store.multi_put(write_keys[:10], values[:10])
+            store.put(write_keys[10], values[10])
+            model.update(zip(write_keys[:11], values[:11]))
+            store.delete(write_keys[11])
+            model.pop(write_keys[11], None)
+            step += 1
+        assert step > 3, "the copy must interleave with the writer"
+        assert migration.cutover(defer_cleanup=True) == 2
+        assert store.cleanup_pending() > 0
+        while store.cleanup_step(50):
+            pass
+        assert store.shard_of(stale_key) == 2
+
+        def check(current):
+            keys = sorted(set(range(700)))
+            assert current.multi_get(keys) == [model.get(key) for key in keys]
+            assert dict(current.scan()) == model
+            assert len(current) == len(model)
+
+        check(store)
+
+        # Fail over the freshly built group, keep writing (hints queue up
+        # against the dead replica), then checkpoint and restore.
+        self._group(store, 2, "fail", 0)
+        late = [key for key in model if store.shard_of(key) == 2][:20]
+        store.multi_put(late, [b"late"] * len(late))
+        model.update((key, b"late") for key in late)
+        assert store.multi_rmw(late[:5], _suffix) == [b"late!"] * 5
+        model.update((key, b"late!") for key in late[:5])
+        check(store)
+        slots = list(store._slots)
+        store.checkpoint()
+        store.close()
+
+        restored = self._restore(hosting, tmp_path)
+        try:
+            assert restored._slots == slots and restored.num_shards == 3
+            assert self._group(restored, 2, "live_indices") == [1]
+            assert self._group(restored, 2, "hints_outstanding", 0) == len(late)
+            check(restored)
+            # The dead replica's hinted writes replay on revive.
+            assert self._group(restored, 2, "revive", 0) == len(late)
+            self._group(restored, 2, "fail", 1)
+            check(restored)
+        finally:
+            restored.close()
