@@ -50,7 +50,7 @@ from repro.serve import (
     BatchPolicy,
     EmbeddingServer,
     LoadGenerator,
-    TenantCluster,
+    ServingLoop,
     TenantSpec,
     namespace_key,
 )
@@ -88,7 +88,7 @@ def _build_cluster():
                          cooldown=2e-3, copy_batch=64, max_shards=3),
         telemetry=server.telemetry,
     )
-    cluster = TenantCluster(
+    cluster = ServingLoop(
         server, BatchPolicy(max_batch=64, max_delay=150e-6),
         autoscaler=autoscaler,
     )

@@ -3,7 +3,7 @@
 Boots a sharded store shared by two tenants — ``interactive`` (steady
 high-priority recommendation traffic with a tight SLO) and ``batch``
 (best-effort analytics traffic that takes a 40x flash crowd mid-run) —
-and drives both streams through one :class:`TenantCluster` loop.  The
+and drives both streams through one :class:`ServingLoop`.  The
 flash crowd is shed at *batch*'s admission edge while *interactive*'s
 SLO holds, and the autoscaler reacts to the latency breach by splitting
 the hottest shard live; its decision log prints so the split is visible.
@@ -30,7 +30,7 @@ from repro.serve import (
     BatchPolicy,
     EmbeddingServer,
     LoadGenerator,
-    TenantCluster,
+    ServingLoop,
     TenantSpec,
     namespace_key,
 )
@@ -72,7 +72,7 @@ def build_cluster():
                          cooldown=2e-3, copy_batch=64, max_shards=3),
         telemetry=server.telemetry,
     )
-    cluster = TenantCluster(
+    cluster = ServingLoop(
         server, BatchPolicy(max_batch=64, max_delay=150e-6),
         autoscaler=autoscaler,
     )

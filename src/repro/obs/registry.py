@@ -340,10 +340,10 @@ class MetricsRegistry:
 
 
     def absorb_tenant_report(self, component: str, report: dict) -> None:
-        """Fold a multi-tenant cluster report into the tree.
+        """Fold a serving-loop report's tenants matrix into the tree.
 
-        Duck-typed on the dict :meth:`TenantCluster.report
-        <repro.serve.tenancy.TenantCluster.report>` builds: the
+        Duck-typed on the dict :meth:`ServingLoop.report
+        <repro.serve.loop.ServingLoop.report>` builds: the
         ``tenants`` block becomes per-tenant labeled gauges (p99,
         attainment, admitted/shed counters), and the autoscaler's
         completion counters ride along when present.

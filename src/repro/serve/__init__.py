@@ -4,7 +4,7 @@ This package turns any :class:`~repro.kv.api.KVStore` (including a
 :class:`~repro.kv.sharded.ShardedKVStore`) plus an exported model into an
 online service measured against latency SLOs:
 
-* :mod:`repro.serve.request` — requests and the arrival-ordered queue;
+* :mod:`repro.serve.request` — requests and the priority-lane queue;
 * :mod:`repro.serve.batcher` — the micro-batching policy and
   duplicate-key coalescing (one hot key in flight serves all waiters);
 * :mod:`repro.serve.cache` — the hot-key admission cache with per-tier
@@ -19,14 +19,15 @@ online service measured against latency SLOs:
   revivals fired mid-run by the serving loop;
 * :mod:`repro.serve.telemetry` — p50/p95/p99 latency histograms,
   batch-size and queue-depth distributions, throughput-vs-SLO reports;
-* :mod:`repro.serve.loop` — the discrete-event serving loop binding it
-  all together, with the training look-ahead engine reused as a serving
+* :mod:`repro.serve.loop` — :class:`ServingLoop`, the one
+  discrete-event serving loop binding it all together.  It always runs
+  over a list of tenants (``run(arrivals)`` is the implicit one-tenant
+  case), with priority-aware batch cutoff, request hedging against slow
+  replicas, and the training look-ahead engine reused as a serving
   prefetcher;
-* :mod:`repro.serve.tenancy` — the multi-tenant cluster: N tenants
-  (model + table-set + SLO class) over one shared sharded/replicated
-  store, with per-tenant key namespacing, token-bucket + queue-depth
-  admission control, priority-aware batch cutoff, and request hedging
-  against slow replicas;
+* :mod:`repro.serve.tenancy` — what is about a tenant (model +
+  table-set + SLO class): its spec and runtime state, per-tenant key
+  namespacing, and token-bucket + queue-depth admission control;
 * :mod:`repro.serve.autoscale` — the telemetry-driven policy closing
   the elasticity loop: live ``split_shard`` / ``migrate_shard`` and
   replica add/remove driven between micro-batches under load.
@@ -46,9 +47,7 @@ from repro.serve.request import Request, RequestQueue
 from repro.serve.server import EmbeddingServer, load_servable
 from repro.serve.telemetry import Distribution, LatencyHistogram, ServingTelemetry
 from repro.serve.tenancy import (
-    PriorityRequestQueue,
     Tenant,
-    TenantCluster,
     TenantSpec,
     TokenBucket,
     namespace_key,
@@ -69,13 +68,11 @@ __all__ = [
     "LoadGenerator",
     "MicroBatcher",
     "OpenLoopArrivals",
-    "PriorityRequestQueue",
     "Request",
     "RequestQueue",
     "ServingLoop",
     "ServingTelemetry",
     "Tenant",
-    "TenantCluster",
     "TenantSpec",
     "TierCounters",
     "TokenBucket",

@@ -4,7 +4,7 @@ PR 4 gave the storage layer live rescaling *primitives* — incremental
 ``split_shard`` / ``migrate_shard`` with copy-then-cutover, and replica
 fail/revive with hinted catch-up.  This module adds the *policy* that
 drives them while requests are in flight: the
-:class:`~repro.serve.tenancy.TenantCluster` feeds every completed
+:class:`~repro.serve.loop.ServingLoop` feeds every completed
 request's latency into the :class:`Autoscaler` and ticks it between
 micro-batches (the only points simulated time advances), and the
 autoscaler reacts to a sustained latency-window breach by:
@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.errors import ConfigError, StorageError
+from repro.kv import ReplicatedKVStore, ShardedKVStore
 from repro.obs.trace import instant as obs_instant
 from repro.serve.telemetry import LatencyHistogram, ServingTelemetry
 
@@ -102,14 +103,11 @@ class Autoscaler:
     Parameters
     ----------
     store:
-        The shared store.  Splitting/migrating needs the
-        :class:`~repro.kv.ShardedKVStore` surface (``begin_split`` /
-        ``begin_migrate``); replica actions need the
-        :class:`~repro.kv.ReplicatedKVStore` surface (``fail_replica``
-        / ``revive_replica`` / ``live_replicas``).  Each action is
-        duck-typed, so the policy degrades to whatever the store offers
-        (a replicated store inherits the split surface from the router,
-        so it offers both).
+        The shared store: a :class:`~repro.kv.ShardedKVStore` (any
+        router has the split / migrate / deferred-cleanup surface;
+        anything else is a ``ConfigError``).  Replica add/remove runs
+        only on a :class:`~repro.kv.ReplicatedKVStore`, decided once
+        here.
     factory:
         Builds a fresh engine for splits and migrations, in the shape of
         the store's own constructor factory: ``factory(engine_index)``,
@@ -130,7 +128,13 @@ class Autoscaler:
         config: Optional[AutoscalerConfig] = None,
         telemetry: Optional[ServingTelemetry] = None,
     ) -> None:
+        if not isinstance(store, ShardedKVStore):
+            raise ConfigError(
+                "Autoscaler drives a ShardedKVStore's split/migrate surface; "
+                f"{type(store).__name__} is not a router"
+            )
         self.store = store
+        self._replicated = isinstance(store, ReplicatedKVStore)
         self.factory = factory
         self.config = config or AutoscalerConfig()
         self.telemetry = telemetry
@@ -211,13 +215,7 @@ class Autoscaler:
     def _scale_out(self, now: float, window_p99: float, queue_depth: int) -> bool:
         store = self.store
         config = self.config
-        num_shards = getattr(store, "num_shards", 0)
-        can_split = (
-            self.factory is not None
-            and getattr(store, "begin_split", None) is not None
-            and num_shards < config.max_shards
-        )
-        if can_split:
+        if self.factory is not None and store.num_shards < config.max_shards:
             hottest = self._hottest_shard()
             self._migration = store.begin_split(hottest, self.factory)
             self._migration_label = "split"
@@ -233,13 +231,11 @@ class Autoscaler:
             return True
         if self._add_replica(now, window_p99):
             return True
-        can_migrate = (
+        if (
             self.factory is not None
-            and getattr(store, "begin_migrate", None) is not None
             and config.imbalance_threshold is not None
-            and getattr(store, "imbalance", lambda: 0.0)() > config.imbalance_threshold
-        )
-        if can_migrate:
+            and store.imbalance() > config.imbalance_threshold
+        ):
             hottest = self._hottest_shard()
             self._migration = store.begin_migrate(hottest, self.factory)
             self._migration_label = "migrate"
@@ -256,15 +252,14 @@ class Autoscaler:
         return False
 
     def _drain_cleanup(self) -> bool:
-        """One bounded post-cutover cleanup step, when the store has one.
+        """One bounded post-cutover cleanup step, when any is pending.
 
         A cutover made with ``defer_cleanup=True`` leaves the moved keys'
         physical deletes queued on the store; draining them one
         ``copy_batch``-sized chunk per tick keeps the *after* side of a
         rescale as smooth as the copy side.
         """
-        pending = getattr(self.store, "cleanup_pending", None)
-        if pending is None or not pending():
+        if not self.store.cleanup_pending():
             return False
         self.store.cleanup_step(self.config.copy_batch)
         return True
@@ -290,17 +285,9 @@ class Autoscaler:
             )
             self._set_phase(f"after:{label}", now)
 
-    def _replica_surface(self) -> bool:
-        store = self.store
-        return (
-            getattr(store, "live_replicas", None) is not None
-            and getattr(store, "revive_replica", None) is not None
-            and getattr(store, "fail_replica", None) is not None
-        )
-
     def _add_replica(self, now: float, window_p99: float) -> bool:
         """Revive the first retired replica found (hinted catch-up)."""
-        if not self._replica_surface():
+        if not self._replicated:
             return False
         store = self.store
         for shard in range(store.num_shards):
@@ -326,7 +313,7 @@ class Autoscaler:
 
     def _remove_replica(self, now: float, window_p99: float) -> bool:
         """Retire one replica of the most-replicated shard (scale-in)."""
-        if not self._replica_surface():
+        if not self._replicated:
             return False
         store = self.store
         best_shard, best_live = -1, 1

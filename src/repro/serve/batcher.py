@@ -102,8 +102,9 @@ class MicroBatcher:
             self.requests_coalesced += batch.coalesced
             return batch
 
-    def deadline(self, oldest_arrival: float) -> float:
-        """Latest service start for a batch whose oldest waiter arrived at
-        ``oldest_arrival`` — the delay bound is per waiter, not per batch
-        opening."""
-        return oldest_arrival + self.policy.max_delay
+    def deadline(self, waiter: Request) -> float:
+        """Latest service start ``waiter``'s delay bound allows — its own
+        ``max_delay`` when its tenant set one, else the policy's.  The
+        bound is per waiter, not per batch opening."""
+        delay = self.policy.max_delay if waiter.max_delay is None else waiter.max_delay
+        return waiter.arrival_time + delay

@@ -1,4 +1,4 @@
-"""The serving event loop: arrivals → queue → micro-batches → answers.
+"""The serving event loop: tenants' arrivals → queue → micro-batches → answers.
 
 Serving runs entirely on the simulated clock (the same one the store's
 SSD model charges), so the loop is a discrete-event simulation with the
@@ -6,8 +6,8 @@ exact timing a real async server would exhibit:
 
 1. when idle, time jumps to the next arrival;
 2. a batch *opens* and requests are admitted to the queue until it
-   either holds ``max_batch`` requests or the policy's ``max_delay``
-   timer fires — exactly the two close conditions of a real
+   either holds ``max_batch`` requests or the oldest waiter's delay
+   bound fires — exactly the two close conditions of a real
    micro-batcher (a full batch closes early; a sparse one waits out its
    timer, even if no further request ever arrives);
 3. the batch is coalesced and served — one batched store read for its
@@ -15,13 +15,27 @@ exact timing a real async server would exhibit:
 4. completions feed the telemetry (latency, batch size, queue depth)
    and, in closed-loop mode, schedule the issuing user's next request.
 
-When the arrival source exposes a key schedule (open-loop replay), the
-loop reuses the training stack's
-:class:`~repro.core.lookahead.LookaheadEngine` as a *serving
-prefetcher*: the store's look-ahead buffer is staged ``distance``
-micro-batches ahead of the consumer at background sequential cost —
-the very mechanism that hides training data stalls, pointed at the
-serving read path.
+There is one loop, and it always runs over a list of **tenants**
+(:mod:`repro.serve.tenancy`).  ``run(arrivals)`` serves that source as
+the *implicit* tenant — identity key namespace, no admission limits,
+the policy's delay bound, recording straight into the loop's telemetry
+— so single-tenant serving is the one-tenant case, not a second code
+path.  :meth:`ServingLoop.add_tenant` registers N tenants sharing the
+same store and the same micro-batches, isolated by key namespacing,
+admission control at the queue's edge (token bucket + depth cap; sheds
+are counted and completed back, never dropped), a priority-aware batch
+cutoff (the *minimum* over waiters of their own delay bound, drained
+highest priority first) and per-tenant telemetry.
+
+Between batches — the only points simulated time advances — the loop
+fires due chaos events, ticks the autoscaler
+(:mod:`repro.serve.autoscale`: live ``split_shard`` / ``migrate_shard``
+/ replica add-remove while requests are in flight) and, when the single
+tenant's source exposes a key schedule (open-loop replay), advances the
+training stack's :class:`~repro.core.lookahead.LookaheadEngine` as a
+*serving prefetcher*: the store's look-ahead buffer is staged
+``distance`` micro-batches ahead of the consumer at background
+sequential cost.
 """
 
 from __future__ import annotations
@@ -29,15 +43,21 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.lookahead import LookaheadEngine
+from repro.errors import ConfigError
+from repro.obs.trace import instant as obs_instant
 from repro.obs.trace import span as obs_span
 from repro.serve.batcher import BatchPolicy, CoalescedBatch, MicroBatcher
-from repro.serve.request import RequestQueue
+from repro.serve.request import Request, RequestQueue
 from repro.serve.server import EmbeddingServer
 from repro.serve.telemetry import ServingTelemetry
+from repro.serve.tenancy import Tenant, TenantSpec, namespace_key, split_key
 
 #: Clock component idle waits are charged to.  Deliberately not a powered
 #: component in the energy model: waiting for arrivals burns no device.
 WAIT_COMPONENT = "wait"
+
+#: Report name of the tenant ``run(arrivals)`` serves implicitly.
+IMPLICIT_TENANT = "default"
 
 
 class ServingLoop:
@@ -46,13 +66,28 @@ class ServingLoop:
     Parameters
     ----------
     server:
-        The read path (store + cache + optional model).
+        The shared read path (store + cache + optional model); every
+        tenant's namespaced keys resolve through it.
     policy:
         Micro-batching knobs; ``BatchPolicy(1, 0)`` is per-request
-        serving.
+        serving.  Per-tenant ``max_delay`` overrides tighten the cutoff
+        for high-SLO tenants.
     prefetch_distance:
         Micro-batches of look-ahead staging over a replayable trace
-        (0 disables; ignored for sources without a key schedule).
+        (0 disables; ignored for sources without a key schedule).  One
+        tenant only: a per-tenant key schedule does not predict a
+        cross-tenant batch.
+    chaos:
+        Optional :class:`~repro.serve.loadgen.ChaosInjector` fired
+        between batches.
+    autoscaler:
+        Optional :class:`~repro.serve.autoscale.Autoscaler` ticked
+        between batches; it observes completed-request latencies and
+        drives live rescaling against the shared store.
+    hedge_threshold:
+        When set, routed reads hedge against replicas slowed beyond this
+        many simulated seconds; needs a store with
+        :meth:`~repro.kv.ReplicatedKVStore.enable_hedging`.
     """
 
     def __init__(
@@ -61,48 +96,139 @@ class ServingLoop:
         policy: Optional[BatchPolicy] = None,
         prefetch_distance: int = 0,
         chaos=None,
+        autoscaler=None,
+        hedge_threshold: Optional[float] = None,
     ) -> None:
         self.server = server
         self.policy = policy or BatchPolicy()
         self.queue = RequestQueue()
         self.batcher = MicroBatcher(self.policy)
         self.telemetry = server.telemetry
+        self.tenants: list[Tenant] = []
         self.prefetch_distance = prefetch_distance
-        # Optional ChaosInjector: scheduled faults fired as the clock
-        # passes their instants, between batches (the loop is the only
-        # place simulated time advances, so batch boundaries are the
-        # injection points a real async server's event loop would have).
+        # Chaos events and autoscaler ticks fire as the clock passes
+        # them, between batches: the loop is the only place simulated
+        # time advances, so batch boundaries are the injection points a
+        # real async server's event loop would have.
         self.chaos = chaos
+        self.autoscaler = autoscaler
+        if hedge_threshold is not None:
+            enable = getattr(server.store, "enable_hedging", None)
+            if enable is None:
+                raise ConfigError(
+                    "hedge_threshold needs a store with enable_hedging() "
+                    f"(a replicated store); {type(server.store).__name__} has none"
+                )
+            enable(hedge_threshold)
 
     # ------------------------------------------------------------------
-    def run(self, arrivals, max_requests: Optional[int] = None) -> ServingTelemetry:
-        """Serve the arrival stream to exhaustion (or ``max_requests``).
+    # tenancy
+    # ------------------------------------------------------------------
+    def add_tenant(self, spec: TenantSpec, arrivals) -> Tenant:
+        """Register one tenant and its arrival source; returns its state.
 
-        Returns the telemetry (also reachable as ``self.telemetry``).
+        Tenants are indexed in registration order; index 0's key
+        namespace is the identity.  Arrival sources speak the serving
+        protocol (``peek_time`` / ``pop`` / ``on_complete`` /
+        ``backlog``) and carry *tenant-local* keys — the loop namespaces
+        them at admission and hands them back as issued.
         """
+        for existing in self.tenants:
+            if existing.implicit:
+                raise ConfigError(
+                    "this loop already serves run(arrivals) as its implicit "
+                    "tenant; register tenants on a fresh loop"
+                )
+            if existing.spec.name == spec.name:
+                raise ConfigError(f"duplicate tenant name {spec.name!r}")
+        if self.tenants and self.prefetch_distance > 0:
+            raise ConfigError(
+                "prefetch_distance > 0 serves one tenant: a per-tenant key "
+                "schedule does not predict a cross-tenant batch"
+            )
+        tenant = Tenant(len(self.tenants), spec, arrivals, start=self.server.clock.now)
+        self.tenants.append(tenant)
+        return tenant
+
+    def tenant(self, name: str) -> Tenant:
+        """Look a registered tenant up by name."""
+        for candidate in self.tenants:
+            if candidate.spec.name == name:
+                return candidate
+        raise ConfigError(f"no tenant named {name!r}")
+
+    # ------------------------------------------------------------------
+    # the loop
+    # ------------------------------------------------------------------
+    def run(self, arrivals=None, max_requests: Optional[int] = None) -> ServingTelemetry:
+        """Serve every tenant's stream to exhaustion (or ``max_requests``).
+
+        ``arrivals`` is the single-tenant form: the source is served as
+        the implicit tenant (rebound on every call, so a run can resume
+        on the same source — waiters carry over in the queue — or
+        continue on a new one).  With registered tenants, call ``run()``.
+
+        Returns the loop-wide telemetry (also ``self.telemetry``);
+        per-tenant telemetries live on the :class:`Tenant` objects and
+        in :meth:`report`.
+        """
+        if arrivals is not None:
+            if not self.tenants:
+                self.tenants.append(
+                    Tenant(0, TenantSpec(IMPLICIT_TENANT), arrivals,
+                           telemetry=self.telemetry)
+                )
+            elif not self.tenants[0].implicit:
+                raise ConfigError(
+                    "run(arrivals) serves an implicit tenant; this loop has "
+                    "registered tenants — call run()"
+                )
+            self.tenants[0].arrivals = arrivals
+        if not self.tenants:
+            raise ConfigError("add at least one tenant (or pass arrivals) before run()")
         clock = self.server.clock
-        prefetcher = self._make_prefetcher(arrivals)
+        tenants = self.tenants
+        autoscaler = self.autoscaler
+        prefetcher = self._make_prefetcher()
         served = 0
         batch_index = 0
         while max_requests is None or served < max_requests:
-            opened_at = self._open_batch(arrivals, clock)
+            opened_at = self._open_batch(clock)
             if opened_at is None:
                 break
-            service_start = self._gather(arrivals, clock, opened_at)
+            service_start = self._gather(clock, opened_at)
             self._advance_to(clock, service_start)
             if self.chaos is not None:
                 self.chaos.fire_due(clock.now, self.server.store, self.telemetry)
-            depth = len(self.queue) + arrivals.backlog(clock.now)
+            if autoscaler is not None:
+                autoscaler.tick(clock.now, queue_depth=len(self.queue))
+            depth = len(self.queue) + sum(
+                tenant.arrivals.backlog(clock.now) for tenant in tenants
+            )
             if prefetcher is not None:
                 prefetcher.advance(batch_index)
-            with obs_span("serve.batch", clock=clock, batch=batch_index, depth=depth):
+            with obs_span(
+                "serve.batch",
+                clock=clock,
+                batch=batch_index,
+                depth=depth,
+                tenants=len(tenants),
+            ):
                 batch = self.batcher.form(self.queue)
                 self._serve(batch)
             completed_at = clock.now
             for request in batch.requests:
                 request.completed_at = completed_at
+                tenant = tenants[request.tenant]
+                tenant.queued -= 1
+                if not tenant.implicit:
+                    tenant.telemetry.record_request(request.arrival_time, completed_at)
+                    # The source gets back the key it issued.
+                    request.key = split_key(request.key)[1]
                 self.telemetry.record_request(request.arrival_time, completed_at)
-                arrivals.on_complete(request, completed_at)
+                if autoscaler is not None:
+                    autoscaler.observe_request(completed_at - request.arrival_time)
+                tenant.arrivals.on_complete(request, completed_at)
             self.telemetry.record_batch(batch.size, depth)
             served += batch.size
             batch_index += 1
@@ -114,40 +240,95 @@ class ServingLoop:
         return self.telemetry
 
     # ------------------------------------------------------------------
-    def _open_batch(self, arrivals, clock) -> Optional[float]:
-        """Admit the first waiter; returns the batch-open time or ``None``
-        when the stream is exhausted and the queue is drained."""
-        if len(self.queue) == 0:
-            next_time = arrivals.peek_time()
-            if next_time is None:
+    def _next_arrival(self) -> tuple[Optional[Tenant], Optional[float]]:
+        """The earliest pending arrival across tenants (index-stable ties)."""
+        best_tenant: Optional[Tenant] = None
+        best_time: Optional[float] = None
+        for tenant in self.tenants:
+            next_time = tenant.arrivals.peek_time()
+            if next_time is not None and (best_time is None or next_time < best_time):
+                best_tenant, best_time = tenant, next_time
+        return best_tenant, best_time
+
+    def _open_batch(self, clock) -> Optional[float]:
+        """Admit the first (non-shed) waiter; returns the batch-open time
+        or ``None`` when every stream is exhausted and the queue drained."""
+        while len(self.queue) == 0:
+            tenant, next_time = self._next_arrival()
+            if tenant is None:
                 return None
             self._advance_to(clock, next_time)
-            self.queue.push(arrivals.pop())
+            self._admit(tenant, tenant.arrivals.pop())
         return clock.now
 
-    def _gather(self, arrivals, clock, opened_at: float) -> float:
+    def _gather(self, clock, opened_at: float) -> float:
         """Admit arrivals until the batch closes; returns service start.
 
         The batch closes at the moment it fills (``max_batch`` waiters)
-        or when the *oldest waiter* has been held ``max_delay`` seconds
-        — whichever is earlier.  A waiter carried over from the previous
-        batch anchors the timer at its own arrival, so it never pays a
-        fresh delay on top of the residual service time it already
-        waited out (the deadline is clamped to ``opened_at`` when it is
-        already overdue).  Arrivals strictly after the close moment stay
-        queued for the next batch.
+        or at the cutoff — the *minimum* over current waiters of
+        ``arrival + own delay bound`` — whichever is earlier.  A waiter
+        carried over from the previous batch anchors the timer at its
+        own arrival, so it never pays a fresh delay on top of the
+        residual service time it already waited out (the cutoff is
+        clamped to ``opened_at`` when it is already overdue); one
+        high-SLO waiter with a tight bound preempts the longer cutoff a
+        best-effort batch would wait out, and a mid-gather high-SLO
+        arrival *pulls the cutoff in*.
+
+        Once the launch instant is fixed, every arrival that physically
+        landed **at or before it** is admitted too — even though the
+        batch is already full.  Under backlog this is what makes
+        priority real (a fresh high-SLO arrival enters its lane and
+        rides this batch instead of waiting in its source behind
+        thousands of earlier best-effort arrivals), what a depth cap
+        sheds against, and why ``queue_high_water`` is the true
+        high-water mark.  Arrivals strictly after the launch instant
+        stay in their source for the next batch.
         """
-        oldest = self.queue.peek_oldest()
-        anchor = oldest.arrival_time if oldest is not None else opened_at
-        deadline = max(opened_at, self.batcher.deadline(anchor))
-        filled_at = opened_at
+        due = self.batcher.deadline
+        deadline = max(opened_at, min(due(waiter) for waiter in self.queue))
+        service_start = opened_at
         while len(self.queue) < self.policy.max_batch:
-            next_time = arrivals.peek_time()
+            tenant, next_time = self._next_arrival()
             if next_time is None or next_time > deadline:
-                return deadline
-            filled_at = max(filled_at, next_time)
-            self.queue.push(arrivals.pop())
-        return filled_at
+                service_start = deadline
+                break
+            request = tenant.arrivals.pop()
+            if self._admit(tenant, request):
+                service_start = max(service_start, next_time)
+                deadline = max(opened_at, min(deadline, due(request)))
+        while True:
+            tenant, next_time = self._next_arrival()
+            if next_time is None or next_time > service_start:
+                return service_start
+            self._admit(tenant, tenant.arrivals.pop())
+
+    def _admit(self, tenant: Tenant, request: Request) -> bool:
+        """Admission control at the queue's edge; sheds are counted.
+
+        A shed request is still completed back to its arrival source
+        (``on_complete`` at its arrival instant) so closed-loop tenants
+        keep issuing — shedding degrades a tenant, it must not wedge it.
+        """
+        spec = tenant.spec
+        if tenant.bucket is not None and not tenant.bucket.admit(request.arrival_time):
+            tenant.shed_rate += 1
+            reason = "rate"
+        elif spec.shed_depth is not None and tenant.queued >= spec.shed_depth:
+            tenant.shed_queue += 1
+            reason = "depth"
+        else:
+            if not tenant.implicit:
+                request.tenant = tenant.index
+                request.key = namespace_key(tenant.index, request.key)
+                request.max_delay = spec.max_delay
+            tenant.admitted += 1
+            tenant.queued += 1
+            self.queue.push(request, spec.priority)
+            return True
+        obs_instant("tenant.shed", clock=self.server.clock, tenant=spec.name, reason=reason)
+        tenant.arrivals.on_complete(request, request.arrival_time)
+        return False
 
     def _serve(self, batch: CoalescedBatch) -> None:
         """Answer one coalesced batch; waiters share each unique read."""
@@ -158,11 +339,10 @@ class ServingLoop:
             for request in waiters:
                 request.value = vector
 
-    # ------------------------------------------------------------------
-    def _make_prefetcher(self, arrivals) -> Optional[LookaheadEngine]:
+    def _make_prefetcher(self) -> Optional[LookaheadEngine]:
         if self.prefetch_distance <= 0:
             return None
-        schedule_fn = getattr(arrivals, "key_schedule", None)
+        schedule_fn = getattr(self.tenants[0].arrivals, "key_schedule", None)
         if schedule_fn is None:
             return None
         schedule = schedule_fn(self.policy.max_batch)
@@ -182,17 +362,54 @@ class ServingLoop:
             clock.advance(target - clock.now, component=WAIT_COMPONENT)
 
     # ------------------------------------------------------------------
-    def report(self, target_p99: float) -> dict:
-        """SLO report enriched with batcher-level coalescing stats."""
+    # reporting
+    # ------------------------------------------------------------------
+    def report(self, target_p99: Optional[float] = None) -> dict:
+        """The SLO report: a loop-wide block plus the tenants matrix.
+
+        The loop-wide block is the aggregate telemetry judged against
+        ``target_p99`` (default: the tightest tenant target), with
+        store/replication stats, coalescing, ``queue_high_water`` (the
+        most admitted-but-unserved requests ever queued), hedged reads,
+        chaos events and the autoscaler's decision log.  ``tenants``
+        maps each tenant name to its own ``slo_report`` (against its
+        *own* ``target_p99``) extended with admission counters and
+        ``slo_attainment`` — the fraction of its served requests inside
+        the target.
+        """
+        tenants = {}
+        for tenant in self.tenants:
+            spec = tenant.spec
+            block = tenant.telemetry.slo_report(spec.target_p99)
+            block["priority"] = spec.priority
+            block["offered"] = tenant.offered
+            block["admitted"] = tenant.admitted
+            block["shed_rate"] = tenant.shed_rate
+            block["shed_queue"] = tenant.shed_queue
+            block["slo_attainment"] = tenant.telemetry.latency.fraction_below(
+                spec.target_p99
+            )
+            tenants[spec.name] = block
+        if target_p99 is None:
+            if not self.tenants:
+                raise ConfigError("report() needs a target_p99 or a tenant to take it from")
+            target_p99 = min(tenant.spec.target_p99 for tenant in self.tenants)
         report = self.telemetry.slo_report(target_p99, server=self.server)
+        report["tenant_count"] = len(self.tenants)
+        report["tenants"] = tenants
         batched = self.batcher.requests_batched
         report["coalesced_fraction"] = (
             self.batcher.requests_coalesced / batched if batched else 0.0
         )
         report["queue_high_water"] = self.queue.max_depth_seen
+        extra = self.server.store.stats.extra
+        if "hedged_reads" in extra:
+            report["hedged_reads"] = extra["hedged_reads"]
         if self.chaos is not None:
             report["chaos_events"] = list(self.chaos.fired)
             # Events scheduled past the end of the run never fired; a
             # chaos run that reports none fired measured nothing.
             report["chaos_events_unfired"] = self.chaos.pending()
+        if self.autoscaler is not None:
+            report["autoscaler"] = self.autoscaler.summary()
         return report

@@ -1,10 +1,10 @@
-"""Requests and the arrival-ordered queue in front of the batcher.
+"""Requests and the priority-lane queue in front of the batcher.
 
 A :class:`Request` is one client's single-key embedding lookup; the
-:class:`RequestQueue` holds admitted requests in arrival order and
-samples its own depth so the telemetry can report queue-length
-distributions.  Arrival *sources* (open-loop traces, closed-loop user
-pools — :mod:`repro.serve.loadgen`) feed the queue; the
+:class:`RequestQueue` holds admitted requests in arrival order, one lane
+per priority class, and tracks its own depth so the telemetry can report
+queue-length distributions.  Arrival *sources* (open-loop traces,
+closed-loop user pools — :mod:`repro.serve.loadgen`) feed the queue; the
 :class:`~repro.serve.batcher.MicroBatcher` drains it.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 
 @dataclass
@@ -29,9 +29,13 @@ class Request:
     user: int = 0
     value: Optional[object] = field(default=None, repr=False)
     completed_at: Optional[float] = None
-    #: Owning tenant index in a multi-tenant cluster (0 = the default /
-    #: only tenant; single-tenant serving never reads this).
+    #: Owning tenant's index in the serving loop (0 = the first or the
+    #: implicit tenant); stamped at admission.
     tenant: int = 0
+    #: The waiter's own micro-batch delay bound — its tenant's
+    #: ``TenantSpec.max_delay``, stamped at admission; ``None`` inherits
+    #: the loop policy's bound.
+    max_delay: Optional[float] = None
 
     @property
     def latency(self) -> float:
@@ -42,7 +46,12 @@ class Request:
 
 
 class RequestQueue:
-    """FIFO of admitted requests with depth accounting.
+    """Priority lanes over arrival-ordered FIFOs, with depth accounting.
+
+    Admitted requests wait in one lane per priority class; draining
+    takes the highest priority first and FIFO within a lane, so under
+    backlog a best-effort flood cannot starve a high-SLO tenant.  With
+    every request at the default priority it is a plain FIFO.
 
     The queue is intentionally unbounded: the serving benchmarks drive it
     past saturation on purpose, and the visible symptom of overload must
@@ -51,27 +60,44 @@ class RequestQueue:
     """
 
     def __init__(self) -> None:
-        self._pending: deque[Request] = deque()
+        self._lanes: dict[int, deque[Request]] = {}
+        self._size = 0
         self.enqueued = 0
         self.max_depth_seen = 0
 
     def __len__(self) -> int:
-        return len(self._pending)
+        return self._size
 
-    def push(self, request: Request) -> None:
-        """Admit one arrived request (callers push in arrival order)."""
-        self._pending.append(request)
+    def __iter__(self) -> Iterator[Request]:
+        """Every waiter, lane by lane (arrival order within a lane)."""
+        for lane in self._lanes.values():
+            yield from lane
+
+    def push(self, request: Request, priority: int = 0) -> None:
+        """Admit one request into its priority lane (callers push in
+        arrival order)."""
+        lane = self._lanes.get(priority)
+        if lane is None:
+            lane = self._lanes[priority] = deque()
+        lane.append(request)
+        self._size += 1
         self.enqueued += 1
-        if len(self._pending) > self.max_depth_seen:
-            self.max_depth_seen = len(self._pending)
+        if self._size > self.max_depth_seen:
+            self.max_depth_seen = self._size
 
     def take(self, count: int) -> list[Request]:
-        """Pop up to ``count`` requests in FIFO order."""
+        """Pop up to ``count`` requests, highest priority lane first."""
         taken: list[Request] = []
-        while self._pending and len(taken) < count:
-            taken.append(self._pending.popleft())
+        for priority in sorted(self._lanes, reverse=True):
+            lane = self._lanes[priority]
+            while lane and len(taken) < count:
+                taken.append(lane.popleft())
+            if len(taken) >= count:
+                break
+        self._size -= len(taken)
         return taken
 
     def peek_oldest(self) -> Optional[Request]:
-        """The request that has waited longest (or ``None`` when empty)."""
-        return self._pending[0] if self._pending else None
+        """The earliest-arrived waiter across every lane (or ``None``)."""
+        heads = [lane[0] for lane in self._lanes.values() if lane]
+        return min(heads, key=lambda request: request.arrival_time, default=None)

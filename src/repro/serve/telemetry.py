@@ -249,7 +249,10 @@ class ServingTelemetry:
         """Record one completed request's latency (credited to the current phase)."""
         latency = completed_at - arrival_time
         self.latency.record(latency)
-        self.phase_latency.setdefault(self.phase, LatencyHistogram()).record(latency)
+        histogram = self.phase_latency.get(self.phase)
+        if histogram is None:
+            histogram = self.phase_latency[self.phase] = LatencyHistogram()
+        histogram.record(latency)
         self.requests_completed += 1
         if self.first_arrival is None or arrival_time < self.first_arrival:
             self.first_arrival = arrival_time

@@ -1,56 +1,37 @@
-"""Multi-tenant serving: N tenants sharing one sharded/replicated store.
+"""Tenants: what N models sharing one serving loop need to stay isolated.
 
-One production cluster rarely serves one model.  This module turns the
-single-tenant :class:`~repro.serve.server.EmbeddingServer` read path
-into a *cluster*: N tenants — each a (model, table-set, SLO class)
-triple — share the same sharded/replicated store and the same
-micro-batching loop, isolated from each other by four mechanisms:
+One production cluster rarely serves one model.  The
+:class:`~repro.serve.loop.ServingLoop` always runs over a list of
+tenants — each a (model, table-set, SLO class) triple sharing the same
+sharded/replicated store and the same micro-batches — and this module
+holds what is *about a tenant*: its spec, its runtime state, and the
+two primitives that isolate it:
 
 * **key namespacing** — tenant-local embedding ids map into disjoint
   global key ranges (``global = tenant_index << 48 | local``), so
   tenants share storage capacity and the batched read path without ever
-  sharing records.  Tenant 0's namespace is the identity, which is what
-  makes the one-tenant cluster an exact pass-through of the
-  single-tenant serving loop.  Cross-tenant duplicate-key coalescing
-  stays correct for free: two tenants asking for local key 7 are two
-  *different* global keys and two store reads; two requests from one
-  tenant still share one.
+  sharing records.  Tenant 0's range is the identity.  Cross-tenant
+  duplicate-key coalescing stays correct for free: two tenants asking
+  for local key 7 are two *different* global keys and two store reads;
+  two requests from one tenant still share one.
 * **admission control** — a per-tenant token bucket (sustained rate +
   burst) and a per-tenant queue-depth cap.  Offered load beyond either
   is *shed at arrival* (counted, never silently dropped), so one
   tenant's flash crowd degrades that tenant instead of the cluster.
-* **priority-aware micro-batching** — each waiter carries its tenant's
-  delay bound, and the batch cutoff is the *minimum* over waiters: a
-  high-SLO tenant's arrival preempts the cutoff a batch full of
-  best-effort waiters would otherwise wait out.  Under backlog the
-  shared queue drains strictly by priority (FIFO within a class).
-* **isolated telemetry** — every tenant owns a private
-  :class:`~repro.serve.telemetry.ServingTelemetry`; the cluster keeps
-  an aggregate one.  The per-tenant SLO-attainment matrix in
-  :meth:`TenantCluster.report` is the bench's acceptance surface.
 
-The loop also closes two feedback paths: **request hedging** (the store
-is asked to hedge reads against replicas the ``slow_replica`` routing
-signals mark degraded — see
-:meth:`~repro.kv.ReplicatedKVStore.enable_hedging`) and the
-**autoscaler** (:mod:`repro.serve.autoscale`), which watches the
-cluster's latency window between batches and drives the live
-``split_shard`` / ``migrate_shard`` / replica add-remove primitives
-while requests are in flight.
+The other two isolation mechanisms live where the work happens: the
+priority-aware batch cutoff and drain order in the loop and its
+:class:`~repro.serve.request.RequestQueue`, and the per-tenant
+telemetry in :meth:`ServingLoop.report
+<repro.serve.loop.ServingLoop.report>`'s tenants × SLO matrix.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigError
-from repro.obs.trace import instant as obs_instant
-from repro.obs.trace import span as obs_span
-from repro.serve.batcher import BatchPolicy, CoalescedBatch, MicroBatcher
-from repro.serve.request import Request
-from repro.serve.server import EmbeddingServer
 from repro.serve.telemetry import ServingTelemetry
 
 #: Low bits of a global key holding the tenant-local id; the tenant
@@ -162,18 +143,36 @@ class TokenBucket:
 
 
 class Tenant:
-    """Runtime state of one tenant inside a :class:`TenantCluster`.
+    """Runtime state of one tenant inside a
+    :class:`~repro.serve.loop.ServingLoop`.
 
-    Built by :meth:`TenantCluster.add_tenant`; holds the tenant's
-    arrival source, its private telemetry, its token bucket, and the
+    Built by :meth:`ServingLoop.add_tenant
+    <repro.serve.loop.ServingLoop.add_tenant>`; holds the tenant's
+    arrival source, its telemetry, its token bucket, and the
     shed/admission counters the SLO matrix reports.
+
+    ``telemetry`` is passed only for the *implicit* tenant — the one
+    ``run(arrivals)`` serves when nobody registered a tenant.  That
+    tenant is the whole loop: it records into the loop's own telemetry
+    (one record per request) and its keys are the store's keys as issued
+    (identity namespace, no range check).  A registered tenant owns a
+    private :class:`~repro.serve.telemetry.ServingTelemetry` beside the
+    loop's aggregate one.
     """
 
-    def __init__(self, index: int, spec: TenantSpec, arrivals, start: float = 0.0) -> None:
+    def __init__(
+        self,
+        index: int,
+        spec: TenantSpec,
+        arrivals,
+        start: float = 0.0,
+        telemetry: Optional[ServingTelemetry] = None,
+    ) -> None:
         self.index = index
         self.spec = spec
         self.arrivals = arrivals
-        self.telemetry = ServingTelemetry()
+        self.implicit = telemetry is not None
+        self.telemetry = telemetry if telemetry is not None else ServingTelemetry()
         self.bucket = (
             TokenBucket(spec.rate_limit, spec.burst, start=start)
             if spec.rate_limit is not None
@@ -193,368 +192,3 @@ class Tenant:
     def shed(self) -> int:
         """Arrivals refused by admission control (rate + depth)."""
         return self.shed_rate + self.shed_queue
-
-    def namespaced(self, key: int) -> int:
-        """This tenant's global key for a tenant-local key."""
-        return namespace_key(self.index, key)
-
-
-class PriorityRequestQueue:
-    """Priority lanes over arrival-ordered FIFOs.
-
-    Admitted requests wait in one lane per priority class; draining
-    takes the highest priority first and FIFO within a lane, so under
-    backlog a best-effort flood cannot starve a high-SLO tenant.  With
-    a single lane this degenerates to the plain FIFO
-    :class:`~repro.serve.request.RequestQueue` — the pass-through case.
-    """
-
-    def __init__(self) -> None:
-        self._lanes: dict[int, deque[Request]] = {}
-        self._size = 0
-        self.enqueued = 0
-        self.max_depth_seen = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def push(self, request: Request, priority: int = 0) -> None:
-        """Admit one request into its priority lane (arrival order)."""
-        lane = self._lanes.get(priority)
-        if lane is None:
-            lane = self._lanes[priority] = deque()
-        lane.append(request)
-        self._size += 1
-        self.enqueued += 1
-        if self._size > self.max_depth_seen:
-            self.max_depth_seen = self._size
-
-    def take(self, count: int) -> list[Request]:
-        """Pop up to ``count`` requests, highest priority lane first."""
-        taken: list[Request] = []
-        for priority in sorted(self._lanes, reverse=True):
-            lane = self._lanes[priority]
-            while lane and len(taken) < count:
-                taken.append(lane.popleft())
-            if len(taken) >= count:
-                break
-        self._size -= len(taken)
-        return taken
-
-    def peek_oldest(self) -> Optional[Request]:
-        """The earliest-arrived waiter across every lane (or ``None``)."""
-        oldest: Optional[Request] = None
-        for priority in sorted(self._lanes):
-            lane = self._lanes[priority]
-            if lane and (oldest is None or lane[0].arrival_time < oldest.arrival_time):
-                oldest = lane[0]
-        return oldest
-
-
-class TenantCluster:
-    """The multi-tenant serving loop over one shared read path.
-
-    Mirrors :class:`~repro.serve.loop.ServingLoop` — idle-jump to the
-    next arrival, gather under the delay bound, coalesce, one batched
-    store read, complete every waiter — with per-tenant admission
-    control at the queue's edge, priority-aware cutoff and draining,
-    and the autoscaler/chaos hooks firing at batch boundaries (the only
-    points simulated time advances).
-
-    Parameters
-    ----------
-    server:
-        The shared read path (store + cache); all tenants' namespaced
-        keys resolve through it.
-    policy:
-        Cluster-wide batching knobs; per-tenant ``max_delay`` overrides
-        tighten the cutoff for high-SLO tenants.
-    chaos:
-        Optional :class:`~repro.serve.loadgen.ChaosInjector` fired
-        between batches.
-    autoscaler:
-        Optional :class:`~repro.serve.autoscale.Autoscaler` ticked
-        between batches; it observes completed-request latencies and
-        drives live rescaling against the shared store.
-    hedge_threshold:
-        When set and the store supports it
-        (:meth:`~repro.kv.ReplicatedKVStore.enable_hedging`), routed
-        reads hedge against replicas slowed beyond this many simulated
-        seconds.
-    """
-
-    def __init__(
-        self,
-        server: EmbeddingServer,
-        policy: Optional[BatchPolicy] = None,
-        chaos=None,
-        autoscaler=None,
-        hedge_threshold: Optional[float] = None,
-    ) -> None:
-        self.server = server
-        self.policy = policy or BatchPolicy()
-        self.queue = PriorityRequestQueue()
-        self.batcher = MicroBatcher(self.policy)
-        self.telemetry = server.telemetry
-        self.tenants: list[Tenant] = []
-        self.chaos = chaos
-        self.autoscaler = autoscaler
-        self.hedge_threshold = hedge_threshold
-        if hedge_threshold is not None:
-            enable = getattr(server.store, "enable_hedging", None)
-            if enable is None:
-                raise ConfigError(
-                    "hedge_threshold needs a store with enable_hedging() "
-                    f"(a replicated store); {type(server.store).__name__} has none"
-                )
-            enable(hedge_threshold)
-
-    # ------------------------------------------------------------------
-    # tenancy
-    # ------------------------------------------------------------------
-    def add_tenant(self, spec: TenantSpec, arrivals) -> Tenant:
-        """Register one tenant and its arrival source; returns its state.
-
-        Tenants are indexed in registration order; index 0's key
-        namespace is the identity.  Arrival sources speak the serving
-        protocol (``peek_time`` / ``pop`` / ``on_complete`` /
-        ``backlog``) and carry *tenant-local* keys — the cluster
-        namespaces them at admission.
-        """
-        for existing in self.tenants:
-            if existing.spec.name == spec.name:
-                raise ConfigError(f"duplicate tenant name {spec.name!r}")
-        tenant = Tenant(len(self.tenants), spec, arrivals, start=self.server.clock.now)
-        self.tenants.append(tenant)
-        return tenant
-
-    def tenant(self, name: str) -> Tenant:
-        """Look a registered tenant up by name."""
-        for candidate in self.tenants:
-            if candidate.spec.name == name:
-                return candidate
-        raise ConfigError(f"no tenant named {name!r}")
-
-    def _delay_for(self, tenant: Tenant) -> float:
-        spec_delay = tenant.spec.max_delay
-        return self.policy.max_delay if spec_delay is None else spec_delay
-
-    # ------------------------------------------------------------------
-    # the loop
-    # ------------------------------------------------------------------
-    def run(self, max_requests: Optional[int] = None) -> ServingTelemetry:
-        """Serve every tenant's stream to exhaustion (or ``max_requests``).
-
-        Returns the cluster-wide telemetry; per-tenant telemetries live
-        on the :class:`Tenant` objects and in :meth:`report`.
-        """
-        if not self.tenants:
-            raise ConfigError("add at least one tenant before run()")
-        clock = self.server.clock
-        served = 0
-        batch_index = 0
-        while max_requests is None or served < max_requests:
-            opened_at = self._open_batch(clock)
-            if opened_at is None:
-                break
-            service_start = self._gather(clock, opened_at)
-            self._advance_to(clock, service_start)
-            if self.chaos is not None:
-                self.chaos.fire_due(clock.now, self.server.store, self.telemetry)
-            if self.autoscaler is not None:
-                self.autoscaler.tick(clock.now, queue_depth=len(self.queue))
-            depth = len(self.queue) + self._backlog(clock.now)
-            with obs_span(
-                "serve.batch",
-                clock=clock,
-                batch=batch_index,
-                depth=depth,
-                tenants=len(self.tenants),
-            ):
-                batch = self.batcher.form(self.queue)
-                self._serve(batch)
-            completed_at = clock.now
-            for request in batch.requests:
-                request.completed_at = completed_at
-                tenant = self.tenants[request.tenant]
-                tenant.queued -= 1
-                tenant.telemetry.record_request(request.arrival_time, completed_at)
-                self.telemetry.record_request(request.arrival_time, completed_at)
-                if self.autoscaler is not None:
-                    self.autoscaler.observe_request(completed_at - request.arrival_time)
-                tenant.arrivals.on_complete(request, completed_at)
-            self.telemetry.record_batch(batch.size, depth)
-            served += batch.size
-            batch_index += 1
-        if self.chaos is not None:
-            self.chaos.fire_due(clock.now, self.server.store, self.telemetry)
-        return self.telemetry
-
-    # ------------------------------------------------------------------
-    def _next_arrival(self) -> tuple[Optional[Tenant], Optional[float]]:
-        """The earliest pending arrival across tenants (index-stable ties)."""
-        best_tenant: Optional[Tenant] = None
-        best_time: Optional[float] = None
-        for tenant in self.tenants:
-            next_time = tenant.arrivals.peek_time()
-            if next_time is not None and (best_time is None or next_time < best_time):
-                best_tenant, best_time = tenant, next_time
-        return best_tenant, best_time
-
-    def _backlog(self, now: float) -> int:
-        return sum(tenant.arrivals.backlog(now) for tenant in self.tenants)
-
-    def _open_batch(self, clock) -> Optional[float]:
-        """Admit the first (non-shed) waiter; ``None`` when exhausted."""
-        while len(self.queue) == 0:
-            tenant, next_time = self._next_arrival()
-            if tenant is None:
-                return None
-            self._advance_to(clock, next_time)
-            self._admit(tenant, tenant.arrivals.pop())
-        return clock.now
-
-    def _gather(self, clock, opened_at: float) -> float:
-        """Admit arrivals until the priority-aware cutoff; returns the
-        service start.
-
-        The cutoff is the minimum over current waiters of ``arrival +
-        tenant delay bound`` (clamped to ``opened_at`` when already
-        overdue) — so one high-SLO waiter with a tight bound preempts
-        the longer cutoff a best-effort batch would wait out, and a
-        mid-gather high-SLO arrival *pulls the deadline in*.
-
-        Once the launch instant is fixed, every arrival that physically
-        landed **before it** is admitted too — even though the batch is
-        already full.  Under backlog this is what makes priority real:
-        a fresh high-SLO arrival enters its lane and rides this batch,
-        instead of waiting in its source behind thousands of earlier
-        best-effort arrivals for admission in global arrival order.
-        """
-        deadline = max(opened_at, self._deadline())
-        filled_at = opened_at
-        service_start = None
-        while len(self.queue) < self.policy.max_batch:
-            tenant, next_time = self._next_arrival()
-            if next_time is None or next_time > deadline:
-                service_start = deadline
-                break
-            if self._admit(tenant, tenant.arrivals.pop()):
-                filled_at = max(filled_at, next_time)
-                waiter_deadline = next_time + self._delay_for(tenant)
-                if waiter_deadline < deadline:
-                    deadline = max(opened_at, waiter_deadline)
-        if service_start is None:
-            service_start = filled_at
-        while True:
-            tenant, next_time = self._next_arrival()
-            if next_time is None or next_time > service_start:
-                break
-            self._admit(tenant, tenant.arrivals.pop())
-        return service_start
-
-    def _deadline(self) -> float:
-        """Minimum cutoff over every current waiter's own delay bound."""
-        cutoff = float("inf")
-        for priority in sorted(self.queue._lanes):
-            for request in self.queue._lanes[priority]:
-                bound = request.arrival_time + self._delay_for(
-                    self.tenants[request.tenant]
-                )
-                if bound < cutoff:
-                    cutoff = bound
-        return cutoff
-
-    def _admit(self, tenant: Tenant, request: Request) -> bool:
-        """Admission control at the queue's edge; sheds are counted.
-
-        A shed request is still completed back to its arrival source
-        (``on_complete`` at its arrival instant) so closed-loop tenants
-        keep issuing — shedding degrades a tenant, it must not wedge it.
-        """
-        spec = tenant.spec
-        if tenant.bucket is not None and not tenant.bucket.admit(request.arrival_time):
-            tenant.shed_rate += 1
-            obs_instant(
-                "tenant.shed",
-                clock=self.server.clock,
-                tenant=spec.name,
-                reason="rate",
-            )
-            tenant.arrivals.on_complete(request, request.arrival_time)
-            return False
-        if spec.shed_depth is not None and tenant.queued >= spec.shed_depth:
-            tenant.shed_queue += 1
-            obs_instant(
-                "tenant.shed",
-                clock=self.server.clock,
-                tenant=spec.name,
-                reason="depth",
-            )
-            tenant.arrivals.on_complete(request, request.arrival_time)
-            return False
-        request.tenant = tenant.index
-        request.key = tenant.namespaced(request.key)
-        tenant.admitted += 1
-        tenant.queued += 1
-        self.queue.push(request, priority=spec.priority)
-        return True
-
-    def _serve(self, batch: CoalescedBatch) -> None:
-        """Answer one coalesced cross-tenant batch on the shared server."""
-        server = self.server
-        server.charge_request_overhead(batch.size)
-        vectors = server.lookup_unique(batch.unique_keys)
-        for vector, waiters in zip(vectors, batch.waiters):
-            for request in waiters:
-                request.value = vector
-
-    @staticmethod
-    def _advance_to(clock, target: float) -> None:
-        if target > clock.now:
-            clock.advance(target - clock.now, component="wait")
-
-    # ------------------------------------------------------------------
-    # reporting
-    # ------------------------------------------------------------------
-    def report(self) -> dict:
-        """Cluster SLO report: the tenants × SLO-attainment matrix.
-
-        ``tenants`` maps each tenant name to its private
-        ``slo_report`` (against its *own* ``target_p99``) extended with
-        admission counters and ``slo_attainment`` — the fraction of its
-        served requests inside the target.  The cluster block carries
-        the aggregate telemetry, store/replication stats, coalescing,
-        chaos events, and the autoscaler's decision log.
-        """
-        tenants = {}
-        for tenant in self.tenants:
-            spec = tenant.spec
-            block = tenant.telemetry.slo_report(spec.target_p99)
-            block["priority"] = spec.priority
-            block["offered"] = tenant.offered
-            block["admitted"] = tenant.admitted
-            block["shed_rate"] = tenant.shed_rate
-            block["shed_queue"] = tenant.shed_queue
-            block["slo_attainment"] = tenant.telemetry.latency.fraction_below(
-                spec.target_p99
-            )
-            tenants[spec.name] = block
-        min_target = min(tenant.spec.target_p99 for tenant in self.tenants)
-        report = self.telemetry.slo_report(min_target, server=self.server)
-        report["tenant_count"] = len(self.tenants)
-        report["tenants"] = tenants
-        batched = self.batcher.requests_batched
-        report["coalesced_fraction"] = (
-            self.batcher.requests_coalesced / batched if batched else 0.0
-        )
-        report["queue_high_water"] = self.queue.max_depth_seen
-        extra = self.server.store.stats.extra
-        if "hedged_reads" in extra:
-            report["hedged_reads"] = extra["hedged_reads"]
-        if self.chaos is not None:
-            report["chaos_events"] = list(self.chaos.fired)
-            report["chaos_events_unfired"] = self.chaos.pending()
-        if self.autoscaler is not None:
-            report["autoscaler"] = self.autoscaler.summary()
-        return report

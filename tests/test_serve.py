@@ -512,17 +512,13 @@ class TestBoundedServing:
         clock.advance(10e-6, component="wait")
         now = clock.now
 
-        class _Dry:
-            def peek_time(self):
-                return None
-
         # Overdue waiter (arrived 5 us ago > 2 us delay): serve now.
         loop.queue.push(Request(key=1, arrival_time=now - 5e-6))
-        assert loop._gather(_Dry(), clock, now) == now
+        assert loop._gather(clock, now) == now
         loop.queue.take(4)
         # Fresh waiter (arrived 1 us ago): timer runs out its remainder.
         loop.queue.push(Request(key=1, arrival_time=now - 1e-6))
-        assert loop._gather(_Dry(), clock, now) == pytest.approx(now + 1e-6)
+        assert loop._gather(clock, now) == pytest.approx(now + 1e-6)
         store.close()
 
     def test_bounded_reuse_limit_defaults_to_bound(self, tmp_path):

@@ -1,10 +1,10 @@
 """Multi-tenant serving: namespacing, admission, priority, hedging, autoscale.
 
-The acceptance surface of `repro.serve.tenancy`:
+The acceptance surface of tenants on the one
+:class:`~repro.serve.ServingLoop`:
 
-* the one-tenant cluster is an *exact* pass-through of the
-  single-tenant :class:`~repro.serve.ServingLoop` (identical telemetry,
-  bit for bit);
+* the implicit tenant ``run(arrivals)`` serves and one registered
+  tenant are the same thing (identical reports, bit for bit);
 * key namespacing keeps tenants' records disjoint while sharing one
   batched read path;
 * admission control sheds (counted, completed back to the source) with
@@ -22,7 +22,7 @@ import pytest
 
 from repro.core.embedding import EmbeddingTables
 from repro.core.mlkv import MLKV
-from repro.data.arrivals import FlashCrowdProcess, PoissonProcess
+from repro.data.arrivals import FlashCrowdProcess, PoissonProcess, ThinkTimeProcess
 from repro.device import SimClock, SSDModel
 from repro.errors import ConfigError
 from repro.kv import ReplicatedKVStore, ShardedKVStore, encode_vector
@@ -31,12 +31,12 @@ from repro.serve import (
     Autoscaler,
     AutoscalerConfig,
     BatchPolicy,
+    ClosedLoopArrivals,
     EmbeddingServer,
     LoadGenerator,
-    PriorityRequestQueue,
     Request,
+    RequestQueue,
     ServingLoop,
-    TenantCluster,
     TenantSpec,
     TokenBucket,
     namespace_key,
@@ -105,20 +105,20 @@ class TestTokenBucket:
 
 class TestPriorityQueue:
     def test_drains_highest_priority_first_fifo_within(self):
-        queue = PriorityRequestQueue()
+        queue = RequestQueue()
         for index, priority in enumerate([0, 2, 0, 1, 2]):
             queue.push(Request(key=index, arrival_time=float(index)), priority)
         assert [r.key for r in queue.take(5)] == [1, 4, 3, 0, 2]
         assert len(queue) == 0
 
     def test_peek_oldest_spans_lanes(self):
-        queue = PriorityRequestQueue()
+        queue = RequestQueue()
         queue.push(Request(key=1, arrival_time=5.0), priority=2)
         queue.push(Request(key=2, arrival_time=1.0), priority=0)
         assert queue.peek_oldest().key == 2
 
     def test_single_lane_is_plain_fifo(self):
-        queue = PriorityRequestQueue()
+        queue = RequestQueue()
         for index in range(5):
             queue.push(Request(key=index, arrival_time=float(index)))
         assert [r.key for r in queue.take(3)] == [0, 1, 2]
@@ -143,8 +143,9 @@ class TestSpecValidation:
 # the cluster
 # ----------------------------------------------------------------------
 class TestPassThrough:
-    def test_one_tenant_cluster_matches_serving_loop_exactly(self, tmp_path):
-        """The load-bearing property: single-tenant behavior unchanged."""
+    def test_implicit_tenant_equals_one_registered_tenant(self, tmp_path):
+        """``run(arrivals)`` *is* the one-tenant case: same report as
+        registering the source as the only tenant, field for field."""
         policy = BatchPolicy(max_batch=64, max_delay=100e-6)
 
         single = make_server(tmp_path / "single", item_count=300, cache_entries=256)
@@ -159,7 +160,7 @@ class TestPassThrough:
         arrivals = LoadGenerator(300, "zipfian", seed=7).open_loop(
             rate=4e5, count=1500, start=multi.clock.now
         )
-        cluster = TenantCluster(multi, policy)
+        cluster = ServingLoop(multi, policy)
         cluster.add_tenant(TenantSpec("only"), arrivals)
         cluster.run()
         report = cluster.report()
@@ -171,6 +172,15 @@ class TestPassThrough:
         assert report["batch_size"] == reference["batch_size"]
         assert report["queue_depth"] == reference["queue_depth"]
         assert report["tenants"]["only"]["latency"] == reference["latency"]
+        # The whole loop-wide block, not a sample of it; the tenant's own
+        # block differs only in name and in the batch-shape fields (batches
+        # are cross-tenant, so only the loop-wide telemetry records them).
+        implicit = reference.pop("tenants")["default"]
+        only = report.pop("tenants")["only"]
+        assert report == reference
+        for field in ("requests", "throughput_rps", "latency", "slo_met", "offered",
+                      "admitted", "shed_rate", "shed_queue", "slo_attainment"):
+            assert only[field] == implicit[field]
         single.store.close()
         multi.store.close()
 
@@ -178,7 +188,7 @@ class TestPassThrough:
 class TestAdmissionControl:
     def test_shedding_counts_and_zero_lost_accounting(self, tmp_path):
         server = make_server(tmp_path / "s", item_count=200, tenant_count=2)
-        cluster = TenantCluster(server, BatchPolicy(max_batch=32, max_delay=50e-6))
+        cluster = ServingLoop(server, BatchPolicy(max_batch=32, max_delay=50e-6))
         start = server.clock.now
         gen = LoadGenerator(200, "zipfian", seed=5)
         steady = cluster.add_tenant(
@@ -207,7 +217,7 @@ class TestAdmissionControl:
     def test_shed_closed_loop_tenant_keeps_issuing(self, tmp_path):
         """Shedding completes the request back, so the loop never wedges."""
         server = make_server(tmp_path / "s", item_count=100)
-        cluster = TenantCluster(server, BatchPolicy(max_batch=16, max_delay=20e-6))
+        cluster = ServingLoop(server, BatchPolicy(max_batch=16, max_delay=20e-6))
         arrivals = LoadGenerator(100, "zipfian", seed=4).closed_loop(
             users=8, think_seconds=1e-6, count=400, start=server.clock.now
         )
@@ -222,7 +232,7 @@ class TestAdmissionControl:
 
     def test_duplicate_tenant_name_and_empty_cluster_rejected(self, tmp_path):
         server = make_server(tmp_path / "s", item_count=50)
-        cluster = TenantCluster(server)
+        cluster = ServingLoop(server)
         with pytest.raises(ConfigError):
             cluster.run()
         arrivals = LoadGenerator(50, "uniform", seed=1).open_loop(
@@ -239,7 +249,76 @@ class TestAdmissionControl:
     def test_hedging_requires_replicated_surface(self, tmp_path):
         server = make_server(tmp_path / "s", item_count=50)
         with pytest.raises(ConfigError):
-            TenantCluster(server, hedge_threshold=10e-6)
+            ServingLoop(server, hedge_threshold=10e-6)
+        server.store.close()
+
+    def test_source_gets_back_the_keys_it_issued(self, tmp_path):
+        """Served or shed, ``on_complete`` hands a tenant's source its own
+        tenant-local key — never the namespaced one the store saw."""
+
+        class Recording(ClosedLoopArrivals):
+            def __init__(self, *args, **kwargs) -> None:
+                super().__init__(*args, **kwargs)
+                self.issued, self.returned = [], []
+
+            def pop(self):
+                request = super().pop()
+                self.issued.append((request, request.key))
+                return request
+
+            def on_complete(self, request, now):
+                self.returned.append((request, request.key))
+                super().on_complete(request, now)
+
+        server = make_server(tmp_path / "s", item_count=100, tenant_count=2)
+        loop = ServingLoop(server, BatchPolicy(max_batch=16, max_delay=20e-6))
+        start = server.clock.now
+        loop.add_tenant(
+            TenantSpec("zero"),
+            LoadGenerator(100, "uniform", seed=1).open_loop(
+                rate=1e5, count=50, start=start),
+        )
+        source = Recording(
+            8, LoadGenerator(100, "zipfian", seed=4).chooser(),
+            ThinkTimeProcess(1e-6, seed=2), total_requests=400, start=start,
+        )
+        tenant = loop.add_tenant(TenantSpec("one", rate_limit=1e5, burst=4), source)
+        loop.run()
+        assert tenant.shed_rate > 0 and tenant.admitted > 0
+        assert len(source.returned) == 400
+        issued = {id(request): key for request, key in source.issued}
+        served = 0
+        for request, key in source.returned:
+            assert key == issued[id(request)] < 100
+            if request.value is not None:  # served: tenant 1's record, not tenant 0's
+                served += 1
+                expected = server.tables.init_vector(namespace_key(1, key))
+                assert (request.value == expected).all()
+        assert served == tenant.admitted
+        server.store.close()
+
+    def test_prefetcher_serves_one_tenant_only(self, tmp_path):
+        server = make_server(tmp_path / "s", item_count=50)
+        loop = ServingLoop(server, prefetch_distance=2)
+        arrivals = LoadGenerator(50, "uniform", seed=1).open_loop(
+            rate=1e5, count=10, start=server.clock.now
+        )
+        loop.add_tenant(TenantSpec("a"), arrivals)
+        with pytest.raises(ConfigError):
+            loop.add_tenant(TenantSpec("b"), arrivals)
+        server.store.close()
+
+    def test_implicit_and_registered_tenants_do_not_mix(self, tmp_path):
+        server = make_server(tmp_path / "s", item_count=50)
+        gen = LoadGenerator(50, "uniform", seed=1)
+        implicit = ServingLoop(server)
+        implicit.run(gen.open_loop(rate=1e5, count=10, start=server.clock.now))
+        with pytest.raises(ConfigError):
+            implicit.add_tenant(TenantSpec("late"), gen.open_loop(rate=1e5, count=10))
+        registered = ServingLoop(server)
+        registered.add_tenant(TenantSpec("a"), gen.open_loop(rate=1e5, count=10))
+        with pytest.raises(ConfigError):
+            registered.run(gen.open_loop(rate=1e5, count=10))
         server.store.close()
 
 
@@ -249,7 +328,7 @@ class TestPriorityIsolation:
         server = make_server(tmp_path / "s", item_count=300, tenant_count=2,
                              cache_entries=256)
         start = server.clock.now
-        cluster = TenantCluster(server, BatchPolicy(max_batch=64, max_delay=400e-6))
+        cluster = ServingLoop(server, BatchPolicy(max_batch=64, max_delay=400e-6))
         gen = LoadGenerator(300, "zipfian", seed=9)
         gold = cluster.add_tenant(
             TenantSpec("gold", target_p99=200e-6, priority=2, max_delay=20e-6),
@@ -301,7 +380,7 @@ class TestHedging:
         for shard in range(store.num_shards):
             store.slow_replica(shard, 0, heavy)
             store.slow_replica(shard, 1, light)
-        cluster = TenantCluster(
+        cluster = ServingLoop(
             server, BatchPolicy(max_batch=16, max_delay=50e-6),
             hedge_threshold=threshold,
         )
@@ -323,7 +402,7 @@ class TestHedging:
         for shard in range(store.num_shards):
             for replica in range(2):
                 store.slow_replica(shard, replica, heavy)
-        cluster = TenantCluster(
+        cluster = ServingLoop(
             server, BatchPolicy(max_batch=16, max_delay=50e-6),
             hedge_threshold=20e-6,
         )
@@ -344,7 +423,7 @@ class TestHedging:
         for shard in range(store.num_shards):
             store.slow_replica(shard, 0, 5e-3)
             store.slow_replica(shard, 1, 30e-6)
-        cluster = TenantCluster(server, BatchPolicy(max_batch=16, max_delay=50e-6))
+        cluster = ServingLoop(server, BatchPolicy(max_batch=16, max_delay=50e-6))
         arrivals = LoadGenerator(200, "uniform", seed=6).open_loop(
             rate=2e5, count=600, start=server.clock.now
         )
@@ -369,6 +448,14 @@ class TestAutoscaler:
             AutoscalerConfig(copy_batch=0)
         with pytest.raises(ConfigError):
             AutoscalerConfig(max_shards=0)
+
+    def test_needs_a_router(self, tmp_path):
+        """A bare engine has no split/migrate surface: say so at
+        construction, not at the first decision."""
+        store = MLKV(str(tmp_path / "bare"), ssd=SSDModel(SimClock()))
+        with pytest.raises(ConfigError):
+            Autoscaler(store)
+        store.close()
 
     def test_split_under_live_load_loses_nothing(self, tmp_path):
         """The tentpole invariant: a split fires mid-run, every request
@@ -396,7 +483,7 @@ class TestAutoscaler:
                              min_window=32, max_shards=4, copy_batch=64),
             telemetry=server.telemetry,
         )
-        cluster = TenantCluster(
+        cluster = ServingLoop(
             server, BatchPolicy(max_batch=32, max_delay=60e-6),
             autoscaler=autoscaler,
         )
