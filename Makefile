@@ -76,9 +76,10 @@ bench-gate:
 # The repository benchmark (BENCHMARK.json, benchmarks/e2e/README.md):
 # four whole workloads end to end, ~2 min.  bench-e2e-smoke is its
 # seconds-long form for CI — six ops per workload on scaled-down inputs,
-# untraced and traced — and fails on a wrong result, a failed op, or a
-# trace whose spans cover under 95% of a training step (check_e2e.py;
-# run.py itself always exits 0).
+# untraced and traced — and fails on a wrong result, a failed op, a
+# trace whose spans cover under 95% of a training step, or an engine
+# back on the per-key loop (kv.py_calls_per_key over its ceiling)
+# (check_e2e.py; run.py itself always exits 0).
 bench-e2e:
 	python3 benchmarks/e2e/run.py
 

@@ -7,7 +7,9 @@
 ``metrics``).  This filter passes the report through and fails when a
 workload computed a wrong result or failed an op, or when the spans of a
 traced training workload cover less than ``MIN_ATTRIBUTED_SHARE`` of a
-step — a per-layer ledger that no longer adds up.
+step — a per-layer ledger that no longer adds up — or when its engine
+makes more than ``MAX_PY_CALLS_PER_KEY`` Python calls per key: batches
+have dropped back to the per-key loop.
 
 A full traced run also voids itself (``correct: false``) when tracing
 costs more than 10% of an op.  The smoke run cannot check that: the
@@ -22,6 +24,13 @@ import sys
 
 MIN_ATTRIBUTED_SHARE = 0.95
 
+#: Ceiling on ``kv.py_calls_per_key`` of a traced training workload.  The
+#: count repeats exactly; the smoke run reads 0.05 (``dlrm_mem``), 0.28
+#: (``dlrm_ooc``, out of core at its 256 KiB budget) and 0.11
+#: (``gnn_dense``) with every batch on the array paths, and 20 or more as
+#: soon as the Gets or the Puts of a batch go through the per-key loop.
+MAX_PY_CALLS_PER_KEY = 2.0
+
 
 def problems(report: dict) -> list[str]:
     """Every reason the report should fail the build."""
@@ -35,8 +44,16 @@ def problems(report: dict) -> list[str]:
                 f"{result['failed']} of {result['attempted']} ops failed"
             )
         share = result["metrics"].get("train.attributed_share", {}).get("value", 0.0)
-        if 0.0 < share < MIN_ATTRIBUTED_SHARE:  # 0: untraced, or not a training workload
+        if share <= 0.0:  # untraced, or not a training workload
+            continue
+        if share < MIN_ATTRIBUTED_SHARE:
             found.append(f"{name}: spans cover only {share:.3f} of a training step")
+        calls = result["metrics"].get("kv.py_calls_per_key", {}).get("value", 0.0)
+        if calls > MAX_PY_CALLS_PER_KEY:
+            found.append(
+                f"{name}: {calls:.2f} Python calls per key in the engine "
+                f"(ceiling {MAX_PY_CALLS_PER_KEY:g}): batches take the per-key loop"
+            )
     return found
 
 

@@ -33,7 +33,9 @@ import os
 import sys
 
 #: Metric-name fragments implying "bigger is better".
-HIGHER_BETTER = ("rps", "throughput", "speedup", "keys_per_s", "hit_ratio", "ops_per_s")
+HIGHER_BETTER = (
+    "rps", "throughput", "speedup", "keys_per_s", "records_per_s", "hit_ratio", "ops_per_s",
+)
 
 #: Metric-name fragments implying "smaller is better".  Checked after
 #: HIGHER_BETTER so e.g. ``keys_per_s`` wins over the ``_s`` suffix.

@@ -93,6 +93,10 @@ class EmbeddingTables:
         """
         keys = np.asarray(keys, dtype=np.int64)
         unique, inverse = np.unique(keys, return_inverse=True)
+        if not len(self.cache) and unique.shape[0]:
+            # Nothing was prefetched: every key is a cache miss.
+            self.cache.misses += unique.shape[0]
+            return self._fetch_many(unique.tolist())[inverse].reshape(*keys.shape, self.dim)
         gathered = np.empty((unique.shape[0], self.dim), dtype=np.float32)
         fetch_rows: list[int] = []
         fetch_keys: list[int] = []
@@ -168,6 +172,8 @@ class EmbeddingTables:
         rows = values[keys.shape[0] - 1 - rev_index]
         self.store.multi_put(unique.tolist(), encode_vectors(rows))
         obs_profile.end("emb.scatter", token, units=int(unique.shape[0]))
+        if not len(self.cache):
+            return  # no prefetched entry to keep fresh
         for i, key in enumerate(unique.tolist()):
             entry = self.cache.peek(key)
             if entry is not None:

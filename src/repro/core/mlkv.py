@@ -23,13 +23,17 @@ hot path, which is the "user disables bounded staleness consistency"
 configuration of §IV-E (memory overhead only, no CPU overhead).
 
 The batched operations run the same protocol on arrays.  A batch is
-resolved through the index once; its *plain* keys — in memory, not locked
-or replaced, within the bound, of one record width — have the Get or Put
-done to all of their latch words with one gather and one scatter.  Every
-other key (it would stall, sits on disk, is absent, needs a
-read-copy-update append) goes to the per-key method above at its turn in
-the batch, because what it does — run the stall handler, append to the log
-— changes the words, addresses and region boundaries the keys behind it
+resolved through the index once; its *plain* keys — records of one width
+that are not locked or replaced and within the bound, whether the clock
+sits in a resident record's latch word or, for a record on disk, in the
+overflow table — have the Get or Put done to all of them with a few array
+operations: one gather and one scatter on the words, one positional read
+per cold record and one bulk update of the overflow table, one block
+append for the Puts that need a new copy.  Every other key (its Get would
+stall or finds nothing, its record is locked or of another width, its
+append opens a log page) goes to the per-key method above at its turn in
+the batch, because what it does — run the stall handler, evict a page —
+changes the words, addresses and region boundaries the keys behind it
 see.  The per-key methods are thus the one implementation of every slow
 case and the reference the batched paths are tested against.
 """
@@ -39,21 +43,32 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Callable, Optional
+from itertools import repeat
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from repro.errors import StalenessViolation, StorageError
+from repro.kv.faster.hybridlog import row_values
 from repro.kv.faster.record import (
     MAX_STALENESS,
+    RECORD_HEADER_BYTES,
     next_generation,
     pack_word,
     released_words,
+    replaced_words,
+    restaled_words,
     unpack_word,
     word_flags,
     word_staleness,
 )
-from repro.kv.faster.store import FALLBACK_SHARE, FasterKV
+from repro.kv.faster.store import (
+    FALLBACK_SHARE,
+    FasterKV,
+    PutProtocol,
+    load_sidecar,
+    sidecar_fields,
+)
 from repro.core.staleness import ASP_BOUND, ConsistencyMode, mode_for_bound
 from repro.obs.trace import span as obs_span
 
@@ -79,6 +94,42 @@ class MLKVStats:
     lookahead_skipped_memory: int = 0
     lookahead_requests: int = 0
     overflow_entries: int = 0
+
+
+def _counts(values, count: int) -> np.ndarray:
+    """``count`` overflow-table entries as an array the word helpers take."""
+    return np.fromiter(values, dtype=np.uint64, count=count)
+
+
+def _settled_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`MLKV._put_in_memory` on arrays: one taken off the staleness
+    and the next generation on the record written; on a copy left behind,
+    the same staleness, the replaced bit and one generation more (the
+    latch was taken, the copy marked, the latch released)."""
+    staleness = word_staleness(words)
+    staleness -= staleness > 0
+    updated = released_words(words, staleness)
+    return updated, replaced_words(released_words(updated, staleness))
+
+
+class _GetBatch(NamedTuple):
+    """A classified stretch of a batched Get (:meth:`MLKV._get_runs`).
+
+    Positions count from the stretch's first key and come in ascending
+    order.  ``rows`` holds every plain key's value.  ``resident`` lists
+    the plain keys in memory (``offsets`` and ``words``, indexed by
+    position: where their latch words live and what an admitted Get
+    leaves there); ``cold`` lists the plain keys on disk, with the key and
+    the overflow-table entry an admitted Get leaves for each.
+    """
+
+    rows: np.ndarray
+    resident: np.ndarray
+    offsets: np.ndarray
+    words: np.ndarray
+    cold: np.ndarray
+    cold_keys: list
+    cold_staleness: list
 
 
 class MLKV(FasterKV):
@@ -322,44 +373,54 @@ class MLKV(FasterKV):
     def _get_runs(self, keys: list, key_array: np.ndarray, results: list) -> None:
         """Get a prefix of the batch into ``results``, plain keys as arrays.
 
-        A key is *plain* when its newest record is in memory, neither
-        locked nor replaced, within the staleness bound and as wide as
-        the batch's other records: its Get bumps staleness and generation
-        in the latch word and copies the value out, and a run of such
-        keys is one word scatter and one row gather under one epoch.  Any
-        other key goes to :meth:`_get_bounded` at its turn.  If that ran
-        the stall handler, pending updates were applied — in place or by
-        appending — so the words, addresses and region boundaries of the
-        remaining keys are read afresh before the next run.  Stops early
-        once too many keys have taken the per-key path (``FALLBACK_SHARE``).
+        A key is *plain* when its newest record is as wide as the batch's
+        other records and its Get would be admitted at once: a resident
+        record neither locked nor replaced whose latch word is within the
+        bound, or a record on disk whose overflow-table entry is.  The Get
+        of the first bumps staleness and generation in the latch word and
+        copies the value out of the arena; the Get of the second bumps the
+        overflow entry, reads the record from the file and pays one
+        blocking random read.  A run of plain keys is one word scatter,
+        one row gather, one positional read per cold record, one bulk
+        update of the overflow table and one device charge that books the
+        run's cold reads in order.  Any other key goes to
+        :meth:`_get_bounded` at its turn.  If that ran the stall handler,
+        pending updates were applied — in place or by appending — so the
+        words, addresses and region boundaries of the remaining keys are
+        read afresh before the next run.  Stops early once too many keys
+        have taken the per-key path (``FALLBACK_SHARE``).
         """
         count = len(keys)
         stats = self.mlkv_stats
         limit = min(self.staleness_bound, MAX_STALENESS - 1)
+        overflow = self._overflow_staleness
         fallbacks_left = count // FALLBACK_SHARE
         start = 0
         while start < count:
             # Classify keys[start:]; positions below are relative to start.
             with self.epochs.guard():
-                head = self.log.head_address
-                addresses, offsets, headers = self._resolve(key_array[start:], head)
-                words = headers["word"]
+                _, rows, resident, cold, offsets, words = self._read_plain(key_array[start:])
                 staleness = word_staleness(words)
-                resident = addresses >= head
-                width = int(headers["value_len"][resident.argmax()])
-                plain = (
-                    resident
-                    & (headers["value_len"] == width)
-                    & (headers["key"] == key_array[start:])
-                    & (word_flags(words) == 0)
-                    & (staleness <= limit)
-                )
+                resident &= (word_flags(words) == 0) & (staleness <= limit)
+                cold = np.flatnonzero(cold)
+                cold_keys = key_array[start:][cold].tolist()
+                cold_staleness = _counts(map(overflow.get, cold_keys, repeat(0)), len(cold_keys))
+                admitted = cold_staleness <= min(self.staleness_bound, ASP_BOUND)
+                if not admitted.all():
+                    cold, cold_staleness = cold[admitted], cold_staleness[admitted]
+                    cold_keys = key_array[start:][cold].tolist()
+                plain = resident.copy()
+                plain[cold] = True
                 others = np.flatnonzero(~plain).tolist()
                 if len(others) > fallbacks_left:
                     return
-                words = released_words(words, staleness + np.uint64(1))
+                batch = _GetBatch(
+                    rows, np.flatnonzero(resident), offsets,
+                    released_words(words, staleness + np.uint64(1)),
+                    cold, cold_keys, (cold_staleness + 1).tolist(),
+                )
                 others.append(count - start)  # each run ends at the next of these
-                self._admit_run(offsets, words, width, 0, others[0], results)
+                self._admit_run(batch, 0, others[0], results)
             for position, run_end in zip(others, others[1:]):
                 fallbacks_left -= 1
                 # Every path to the stall handler counts one of these first.
@@ -368,31 +429,41 @@ class MLKV(FasterKV):
                 if stats.stall_events + stats.cas_retries != handler_runs:
                     break
                 with self.epochs.guard():
-                    self._admit_run(offsets, words, width, position + 1, run_end, results)
+                    self._admit_run(batch, position + 1, run_end, results)
             start = len(results)
 
-    def _admit_run(
-        self,
-        offsets: np.ndarray,
-        words: np.ndarray,
-        width: int,
-        first: int,
-        stop: int,
-        results: list,
-    ) -> None:
-        """Admit the plain keys at batch positions ``first`` to ``stop``:
-        store their released words, append their values to ``results``."""
-        if stop > first:
-            self.log.write_words(offsets[first:stop], words[first:stop])
-            results += self.log.read_values(offsets[first:stop], width)
-            self._stats.hits += stop - first
+    def _admit_run(self, batch: "_GetBatch", first: int, stop: int, results: list) -> None:
+        """Admit the plain keys at positions ``first`` to ``stop`` of a
+        classified batch: store the resident records' released words, bump
+        the cold records' overflow entries and book their reads, append
+        the values to ``results``."""
+        if stop <= first:
+            return
+        low, high = np.searchsorted(batch.resident, (first, stop))
+        if high > low:
+            chosen = batch.resident[low:high]
+            self.log.write_words(batch.offsets[chosen], batch.words[chosen])
+            self._stats.hits += int(high - low)
+        low, high = np.searchsorted(batch.cold, (first, stop))
+        if high > low:
+            self._overflow_staleness.update(
+                zip(batch.cold_keys[low:high], batch.cold_staleness[low:high])
+            )
+            self.mlkv_stats.overflow_entries = len(self._overflow_staleness)
+            self._charge_cold_reads(
+                RECORD_HEADER_BYTES + batch.rows.shape[1], int(high - low)
+            )
+        results += row_values(batch.rows[first:stop])
 
     def multi_put(self, keys, values) -> None:
         """Batched Put: one epoch/CPU acquisition, per-key clock updates.
 
         Keys whose records can be updated in place have value and latch
-        word written as arrays; the others take :meth:`_put_bounded` at
-        their turn (see :meth:`~repro.kv.faster.store.FasterKV._put_runs`).
+        word written as arrays, and the new copies of keys that need one —
+        read-only or on disk, their clock settled in the word or in the
+        overflow table — are appended as one block per log page; the
+        others take :meth:`_put_bounded` at their turn (see
+        :meth:`~repro.kv.faster.store.FasterKV._put_runs`).
         """
         if not self.bounded_staleness:
             super().multi_put(keys, values)
@@ -405,7 +476,18 @@ class MLKV(FasterKV):
                 self.clock.advance(CLOCK_OVERHEAD_SECONDS * len(keys), component="cpu")
             self._stats.puts += len(keys)
             with self.epochs.guard():
-                self._put_batch(keys, values, self._put_bounded, settle=True)
+                self._put_batch(
+                    keys, values,
+                    PutProtocol(self._put_bounded, _settled_words, self._settled_fresh_words),
+                )
+
+    def _settled_fresh_words(self, keys: list) -> np.ndarray:
+        """The disk branch of :meth:`_put_bounded` for a run of keys: each
+        takes what its overflow entry leaves of the clock into the word of
+        its new copy."""
+        staleness = _counts(map(self._overflow_staleness.pop, keys, repeat(0)), len(keys))
+        staleness -= staleness > 0
+        return staleness | np.uint64(pack_word(False, False, 1, 0))
 
     def read_committed(self, key: int) -> Optional[bytes]:
         """Snapshot read for evaluation: no admission, no clock update."""
@@ -446,8 +528,18 @@ class MLKV(FasterKV):
         sequential background cost and re-appended at the tail with their
         original word (staleness preserved), then the index is swung to
         the new copy.  Returns the number of records copied.
+
+        The batch is resolved through the index at once and its cold
+        records are charged as one page-granular scan in log-address
+        order.  Distinct keys are then staged as arrays: one positional
+        read per record, their overflow entries folded into the words in
+        one pass, one block append per log page
+        (:meth:`~repro.kv.faster.hybridlog.HybridLog.append_many`) and one
+        swing of the index.  A record that is not what the index promised
+        (another key, a tombstone, another width than the batch's first,
+        a torn read) takes :meth:`_stage_one` at its turn, as every record
+        of a short batch or one with repeated keys does.
         """
-        copied = 0
         keys = list(keys)
         self.mlkv_stats.lookahead_requests += len(keys)
         with self.epochs.guard():
@@ -463,27 +555,61 @@ class MLKV(FasterKV):
                 np.count_nonzero(addresses >= self.log.head_address)
             )
             on_disk = np.flatnonzero((addresses >= 0) & (addresses < self.log.head_address))
+            on_disk = on_disk[np.argsort(addresses[on_disk], kind="stable")]
+            addresses = addresses[on_disk]
             # One page-granular sequential scan covers the whole batch.
-            disk_resident = sorted(
-                zip(addresses[on_disk].tolist(), [keys[position] for position in on_disk.tolist()])
-            )
-            self.log.charge_prefetch_pages(address for address, _ in disk_resident)
-            for address, key in disk_resident:
-                word, record_key, value = self.log.prefetch_read(address, charge=False)
-                if record_key != key or value is None:
-                    continue
-                # Fold the overflow-table delta (Gets served while the
-                # record was on disk) back into the staged word, so the
-                # in-memory clock is authoritative again.
-                overflow = self._overflow_staleness.pop(key, 0)
-                if overflow:
-                    locked, replaced, generation, staleness = unpack_word(word)
-                    staleness = min(staleness + overflow, MAX_STALENESS)
-                    word = pack_word(locked, replaced, generation, staleness)
-                new_address = self.log.append(key, value, word)
-                if self.index.compare_exchange(key, address, new_address):
-                    copied += 1
+            self.log.charge_prefetch_pages(addresses)
+            if key_array is not None and len(on_disk) and not self._has_duplicates(key_array):
+                copied = self._stage_runs(key_array[on_disk], addresses)
+            else:
+                copied = sum(
+                    self._stage_one(keys[position], address)
+                    for position, address in zip(on_disk.tolist(), addresses.tolist())
+                )
         self.mlkv_stats.lookahead_copied += copied
+        return copied
+
+    def _stage_one(self, key: int, address: int) -> bool:
+        """Copy ``key``'s record at disk ``address`` to the tail; whether
+        it was there to copy (device time already charged)."""
+        word, record_key, value = self.log.prefetch_read(address, charge=False)
+        if record_key != key or value is None:
+            return False
+        # Fold the overflow-table delta (Gets served while the record was
+        # on disk) back into the staged word, so the in-memory clock is
+        # authoritative again.
+        overflow = self._overflow_staleness.pop(key, 0)
+        if overflow:
+            locked, replaced, generation, staleness = unpack_word(word)
+            staleness = min(staleness + overflow, MAX_STALENESS)
+            word = pack_word(locked, replaced, generation, staleness)
+        new_address = self.log.append(key, value, word)
+        return self.index.compare_exchange(key, address, new_address)
+
+    def _stage_runs(self, key_array: np.ndarray, addresses: np.ndarray) -> int:
+        """:meth:`_stage_one` for distinct keys in log-address order, the
+        records that are what the index promised as arrays; returns how
+        many were copied."""
+        log = self.log
+        width = log.disk_value_len(int(addresses[0]))
+        headers, rows, complete = log.read_disk_records(addresses, width)
+        plain = complete & (headers["value_len"] == width) & (headers["key"] == key_array)
+        settle = self._overflow_staleness.pop
+        words = headers["word"]
+        copied = first = 0
+        for stop in np.flatnonzero(~plain).tolist() + [len(plain)]:
+            if stop > first:
+                run = slice(first, stop)
+                folded = _counts(map(settle, key_array[run].tolist(), repeat(0)), stop - first)
+                staleness = np.minimum(word_staleness(words[run]) + folded, MAX_STALENESS)
+                new_addresses = log.append_many(
+                    key_array[run], rows[run], restaled_words(words[run], staleness)
+                )
+                self.index.swing_many(key_array[run], new_addresses)
+                copied += stop - first
+            if stop < len(plain):
+                copied += self._stage_one(int(key_array[stop]), int(addresses[stop]))
+            first = stop + 1
         return copied
 
     # ------------------------------------------------------------------
@@ -523,18 +649,23 @@ class MLKV(FasterKV):
         ASP, or the resumed run's admission behavior would diverge from
         the killed run's.
         """
+        path = os.path.join(directory, _STALENESS_FILE)
+        bound = overflow = None
+        if os.path.exists(path):
+            saved = load_sidecar(path)
+            with sidecar_fields(path):
+                bound = saved["staleness_bound"]
+                overflow = {int(key): count for key, count in saved["overflow"].items()}
+                numbers = [bound, *overflow, *overflow.values()]
+                if not all(type(number) is int and number >= 0 for number in numbers):
+                    raise ValueError("bound, keys and counts must be non-negative integers")
         bound_overridden = "staleness_bound" in kwargs
         store = cls.recover(directory, **kwargs)
-        path = os.path.join(directory, _STALENESS_FILE)
-        if os.path.exists(path):
-            with open(path) as f:
-                saved = json.load(f)
+        if overflow is not None:
             if not bound_overridden:
-                store.staleness_bound = saved["staleness_bound"]
-            store._overflow_staleness = {
-                int(key): value for key, value in saved["overflow"].items()
-            }
-            store.mlkv_stats.overflow_entries = len(store._overflow_staleness)
+                store.staleness_bound = bound
+            store._overflow_staleness = overflow
+            store.mlkv_stats.overflow_entries = len(overflow)
         return store
 
     # ------------------------------------------------------------------

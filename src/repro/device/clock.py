@@ -16,6 +16,13 @@ fact, be hidden behind foreground time (the device is not infinitely fast).
 from __future__ import annotations
 
 
+def _add_each(total: float, seconds: float, count: int) -> float:
+    """``total`` after adding ``seconds`` to it ``count`` times in turn."""
+    for _ in range(count):
+        total += seconds
+    return total
+
+
 class SimClock:
     """A monotonically increasing simulated clock.
 
@@ -55,6 +62,28 @@ class SimClock:
             raise ValueError(f"cannot charge {seconds!r} seconds")
         self._busy[component] = self._busy.get(component, 0.0) + seconds
         self._background[component] = self._background.get(component, 0.0) + seconds
+
+    def advance_each(self, seconds: float, count: int, component: str = "cpu") -> None:
+        """``count`` blocking charges of ``seconds`` each.
+
+        Floating-point sums depend on their order, and simulated time is
+        compared bit for bit: this performs the additions of ``count``
+        :meth:`advance` calls one by one, never ``count * seconds``.
+        """
+        if seconds < 0:
+            raise ValueError(f"cannot advance clock by {seconds!r} seconds")
+        self._now = _add_each(self._now, seconds, count)
+        self._busy[component] = _add_each(self._busy.get(component, 0.0), seconds, count)
+
+    def charge_background_each(self, seconds: float, count: int, component: str = "ssd") -> None:
+        """``count`` overlapped charges of ``seconds`` each, added one by
+        one like :meth:`advance_each`."""
+        if seconds < 0:
+            raise ValueError(f"cannot charge {seconds!r} seconds")
+        self._busy[component] = _add_each(self._busy.get(component, 0.0), seconds, count)
+        self._background[component] = _add_each(
+            self._background.get(component, 0.0), seconds, count
+        )
 
     def drain(self) -> float:
         """Settle background backlogs that exceed elapsed foreground time.

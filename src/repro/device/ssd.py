@@ -18,6 +18,7 @@ is how look-ahead prefetching hides disk accesses in the figures.
 from __future__ import annotations
 
 from repro.device.clock import SimClock
+from repro.obs.trace import active_tracer
 from repro.obs.trace import span as obs_span
 
 #: Bytes per simulated I/O page; transfers are rounded up to whole pages.
@@ -79,15 +80,32 @@ class SSDModel:
         by the queue depth.  This asymmetry is exactly why hiding disk
         accesses (the paper's whole program) pays off on NVMe.
         """
+        return self.random_read_many(nbytes, 1, blocking)
+
+    def random_read_many(self, nbytes: int, count: int, blocking: bool = True) -> float:
+        """Charge ``count`` random reads of ``nbytes`` each, one after the
+        other, and return the cost of one.
+
+        Books exactly what ``count`` :meth:`random_read` calls book — the
+        same additions to the clock in the same order, the same counters,
+        one ``device.io`` span per read while a tracer is installed — for
+        a batched engine path that has ``count`` cold records to fetch.
+        """
         pages = self._pages(nbytes)
         effective_blocking = blocking and self._background_depth == 0
         latency = self.random_read_latency
         if not effective_blocking:
             latency /= min(self.queue_depth, self._background_parallelism)
         cost = latency + (pages * PAGE_BYTES) / self.read_bandwidth
-        self._charge(cost, blocking, op="random_read")
-        self.reads += 1
-        self.bytes_read += pages * PAGE_BYTES
+        if active_tracer() is not None:
+            for _ in range(count):
+                self._charge(cost, blocking, op="random_read")
+        elif effective_blocking:
+            self.clock.advance_each(cost, count, component="ssd")
+        else:
+            self.clock.charge_background_each(cost, count, component="ssd")
+        self.reads += count
+        self.bytes_read += count * pages * PAGE_BYTES
         return cost
 
     def sequential_read(self, nbytes: int, blocking: bool = True) -> float:

@@ -25,6 +25,9 @@ _INITIAL_SLOTS = 1024
 #: Fraction of slots that may be in use (live or removed) before a rebuild.
 _MAX_LOAD = 0.5
 
+#: A batched probe finishes its last this-many keys one chain at a time.
+_SCALAR_PROBES = 8
+
 #: Address-array markers: a slot never used, and one whose key was removed
 #: (probes continue past it).  Real log addresses are non-negative.
 _EMPTY = -1
@@ -134,29 +137,59 @@ class HashIndex:
     # ------------------------------------------------------------------
     # batched operations
     # ------------------------------------------------------------------
-    def find_many(self, keys: np.ndarray) -> np.ndarray:
-        """Log addresses of a ``uint64`` key array; ``-1`` where absent.
+    def _slots_of(self, keys: np.ndarray) -> np.ndarray:
+        """The slot holding each key of a ``uint64`` array; ``-1`` where absent.
 
         Every key probes its home slot in one pass; the (few) keys that
         met another key or a removed slot there advance together, so the
         number of passes is the longest probe chain, not the batch size.
         """
-        found = np.full(keys.shape, _EMPTY, dtype=np.int64)
+        located = np.full(keys.shape, -1, dtype=np.intp)
         slots = (_mix64_many(keys) & np.uint64(self._mask)).astype(np.intp)
         pending = None  # positions still probing; None = all of them
         while True:
             addresses = self._addresses[slots]
             hit = (addresses >= 0) & (self._keys[slots] == keys)
             if pending is None:
-                found[hit] = addresses[hit]
+                located[hit] = slots[hit]
             else:
-                found[pending[hit]] = addresses[hit]
+                located[pending[hit]] = slots[hit]
             probing = ~hit & (addresses != _EMPTY)
             if not probing.any():
-                return found
+                return located
             pending = np.flatnonzero(probing) if pending is None else pending[probing]
             keys = keys[probing]
             slots = (slots[probing] + 1) & self._mask
+            if len(pending) <= _SCALAR_PROBES:
+                break
+        # The last few keys sit on the longest chains: an array pass per
+        # step of theirs costs more than walking each chain.
+        key_view, address_view, mask = self._key_view, self._address_view, self._mask
+        for position, key, slot in zip(pending.tolist(), keys.tolist(), slots.tolist()):
+            while (address := address_view[slot]) != _EMPTY:
+                if address >= 0 and key_view[slot] == key:
+                    located[position] = slot
+                    break
+                slot = (slot + 1) & mask
+        return located
+
+    def find_many(self, keys: np.ndarray) -> np.ndarray:
+        """Log addresses of a ``uint64`` key array; ``-1`` where absent."""
+        slots = self._slots_of(keys)
+        return np.where(slots >= 0, self._addresses[slots], _EMPTY)
+
+    def swing_many(self, keys: np.ndarray, addresses: np.ndarray) -> None:
+        """Point distinct keys that are *all present* at new addresses.
+
+        The batched form of the read-copy-update swing.  It only rewrites
+        address slots: no entry moves, the load accounting does not change
+        and the table is never rebuilt, so the slot order :meth:`entries`
+        exposes is what a run of scalar :meth:`upsert` calls leaves.
+        """
+        slots = self._slots_of(keys)
+        if slots.size and slots.min() < 0:
+            raise KeyError("swing_many requires every key to be present")
+        self._addresses[slots] = addresses
 
     def upsert_many(self, keys: np.ndarray, addresses: np.ndarray) -> None:
         """Point each of ``keys`` (``uint64``) at its address, in one batch.

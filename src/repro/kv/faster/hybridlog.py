@@ -21,17 +21,24 @@ The in-memory window is one ``uint8`` arena of ``memory_pages`` page
 frames; page ``p`` lives in frame ``p % memory_pages``, so a resident
 address maps to an arena offset by arithmetic alone and a batch of
 same-width records is a set of rows of one strided view of the arena
-(:meth:`HybridLog.read_headers`, :meth:`HybridLog.read_values`,
+(:meth:`HybridLog.read_headers`, :meth:`HybridLog.read_rows`,
 :meth:`HybridLog.write_values`).  A frame is reused only by the page
 ``memory_pages`` above its current one, which is opened only after the
 current one has been written to the file.  The arena is reserved with
 ``np.zeros`` — frames never touched cost no resident memory — and a frame
 is zeroed when a page is opened in it.
 
-Look-ahead prefetching (:mod:`repro.core.lookahead`) uses
-``refresh_to_tail`` to copy disk-resident records back into the mutable
-region at *sequential* (and background) cost, which is precisely how MLKV
-hides disk accesses beyond the staleness bound.
+Look-ahead staging (:meth:`repro.core.mlkv.MLKV.lookahead`) copies
+disk-resident records back into the mutable region: it charges one
+overlapped sequential scan for the batch (:meth:`charge_prefetch_pages`),
+fetches the records (:meth:`read_disk_records`) and re-appends them at the
+tail (:meth:`append_many`) — which is precisely how MLKV hides disk
+accesses beyond the staleness bound.
+
+Everything below ``head`` is read from the file by position: one call
+per record for a batch (:meth:`read_disk_records`), two (header, then
+value) for a single record whose width is not known beforehand
+(:meth:`read_disk_record`).
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.device.ssd import SSDModel
+from repro.device.ssd import PAGE_BYTES, SSDModel
 from repro.kv.faster.record import (
     HEADER_DTYPE,
     RECORD_HEADER_BYTES,
@@ -54,6 +61,14 @@ from repro.errors import StorageError
 
 #: value_len sentinel marking a tombstone record.
 TOMBSTONE_LEN = 0xFFFFFFFF
+
+
+def row_values(rows: np.ndarray) -> list[bytes]:
+    """The rows of a C-contiguous ``uint8`` matrix as ``bytes`` values."""
+    count, width = rows.shape
+    if width == 0:
+        return [b""] * count
+    return rows.view(np.dtype((np.void, width))).ravel().tolist()
 
 
 class HybridLog:
@@ -144,6 +159,56 @@ class HybridLog:
         self._advance_regions()
         return address
 
+    def append_room(self, record_len: int) -> int:
+        """How many ``record_len``-byte records the open tail page takes
+        before one of them would fill it to the last byte or need the next
+        page — the appends that flush and evict (:meth:`_advance_regions`,
+        :meth:`_open_page`)."""
+        if self._page_no(self.tail_address) > self._top_page:
+            return 0  # the tail sits at the start of a page not opened yet
+        return (self.page_bytes - self._page_offset(self.tail_address) - 1) // record_len
+
+    def append_many(self, keys: np.ndarray, rows: np.ndarray, words: np.ndarray) -> np.ndarray:
+        """Append one record per row of ``rows`` (``uint8``, one width), in
+        order; returns their log addresses.
+
+        Equals :meth:`append` called once per record.  The records that
+        fit the open page (:meth:`append_room`) are laid down as one block
+        — headers and values as two array stores, the region boundaries
+        advanced once, to where the last of those appends would have left
+        them.  A record that fills or opens a page takes :meth:`append`
+        itself, so pages are flushed and evicted record by record as ever.
+        """
+        count, width = rows.shape
+        record_len = RECORD_HEADER_BYTES + width
+        addresses = np.empty(count, dtype=np.int64)
+        done = 0
+        while done < count:
+            fit = min(self.append_room(record_len), count - done)
+            if not fit:
+                addresses[done] = self.append(
+                    int(keys[done]), rows[done].tobytes(), int(words[done])
+                )
+                done += 1
+                continue
+            self._check_open()
+            stop = done + fit
+            start = self.tail_address % self._arena_bytes
+            block = self._arena[start : start + fit * record_len].reshape(fit, record_len)
+            headers = np.empty(fit, dtype=HEADER_DTYPE)
+            headers["word"] = words[done:stop]
+            headers["key"] = keys[done:stop]
+            headers["value_len"] = width
+            block[:, :RECORD_HEADER_BYTES] = headers.view(np.uint8).reshape(
+                fit, RECORD_HEADER_BYTES
+            )
+            block[:, RECORD_HEADER_BYTES:] = rows[done:stop]
+            addresses[done:stop] = self.tail_address + record_len * np.arange(fit)
+            self.tail_address += fit * record_len
+            self._advance_regions()
+            done = stop
+        return addresses
+
     def _reserve(self, record_len: int) -> tuple[int, int]:
         """Claim ``record_len`` bytes at the tail: ``(address, arena offset)``."""
         self._check_open()
@@ -221,20 +286,61 @@ class HybridLog:
         return self._read_from_disk(address, blocking=True)
 
     def _read_from_disk(self, address: int, blocking: bool) -> tuple[int, int, Optional[bytes], bool]:
-        self._file.flush()
-        self._file.seek(address)
-        header = self._file.read(RECORD_HEADER_BYTES)
-        if len(header) < RECORD_HEADER_BYTES:
-            raise StorageError(f"log truncated at address {address}")
-        word, key, value_len = decode_record_header(header)
-        if value_len == TOMBSTONE_LEN:
-            self.ssd.random_read(RECORD_HEADER_BYTES, blocking=blocking)
-            return word, key, None, False
-        value = self._file.read(value_len)
-        if len(value) < value_len:
-            raise StorageError(f"log truncated reading value at {address}")
+        word, key, value = self.read_disk_record(address)
+        value_len = 0 if value is None else len(value)
         self.ssd.random_read(RECORD_HEADER_BYTES + value_len, blocking=blocking)
         return word, key, value, False
+
+    def _pread(self, address: int, nbytes: int) -> bytes:
+        """``nbytes`` of the file at ``address``; fewer is a torn log."""
+        data = os.pread(self._file.fileno(), nbytes, address)
+        if len(data) < nbytes:
+            raise StorageError(f"log truncated at address {address}")
+        return data
+
+    def read_disk_record(self, address: int) -> tuple[int, int, Optional[bytes]]:
+        """``(word, key, value)`` of the record at ``address`` in the file
+        (``value`` is ``None`` for a tombstone); charges nothing."""
+        self._file.flush()
+        word, key, value_len = decode_record_header(self._pread(address, RECORD_HEADER_BYTES))
+        if value_len == TOMBSTONE_LEN:
+            return word, key, None
+        return word, key, self._pread(address + RECORD_HEADER_BYTES, value_len)
+
+    def disk_value_len(self, address: int) -> int:
+        """Value width of the record at ``address`` in the file: what a
+        batched read assumes of its other records (0 for a tombstone or a
+        header no record can have — such a batch then matches nothing)."""
+        self._file.flush()
+        _, _, value_len = decode_record_header(self._pread(address, RECORD_HEADER_BYTES))
+        return value_len if value_len <= self.page_bytes else 0
+
+    def read_disk_records(
+        self, addresses: np.ndarray, width: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The records at ``addresses`` in the file, taken to hold ``width``
+        value bytes each: ``(headers, rows, complete)``; charges nothing.
+
+        One positional read per record, straight into one matrix.
+        ``headers`` are ``HEADER_DTYPE`` rows, ``rows`` the ``width`` bytes
+        behind each.  A row means something only where its header says
+        ``width`` too; ``complete`` is ``False`` where the file ended
+        inside the read.  Callers send every record they cannot vouch for
+        through :meth:`read_disk_record`, which raises what is wrong with
+        it.
+        """
+        self._file.flush()
+        record_len = RECORD_HEADER_BYTES + width
+        fd = self._file.fileno()
+        records = np.empty((len(addresses), record_len), dtype=np.uint8)
+        flat = memoryview(records.reshape(-1))
+        read = [
+            os.preadv(fd, (flat[start : start + record_len],), address)
+            for start, address in zip(range(0, records.size, record_len), addresses.tolist())
+        ]
+        complete = np.array(read, dtype=np.int64) == record_len
+        headers = records[:, :RECORD_HEADER_BYTES].view(HEADER_DTYPE).reshape(len(read))
+        return headers, records[:, RECORD_HEADER_BYTES:], complete
 
     def record_word(self, address: int) -> RecordWord:
         """Atomic latch-word handle for an in-memory record."""
@@ -280,12 +386,12 @@ class HybridLog:
             words.astype("<u8", copy=False).reshape(-1, 1).view(np.uint8)
         )
 
-    def read_values(self, offsets: np.ndarray, value_len: int) -> list[bytes]:
-        """Values of records at ``offsets`` that all hold ``value_len`` bytes."""
+    def read_rows(self, offsets: np.ndarray, value_len: int) -> np.ndarray:
+        """Values of records at ``offsets`` that all hold ``value_len``
+        bytes, as the rows of a new ``uint8`` matrix."""
         if value_len == 0:
-            return [b""] * len(offsets)
-        rows = self._window(value_len)[offsets + RECORD_HEADER_BYTES]
-        return rows.view(np.dtype((np.void, value_len))).ravel().tolist()
+            return np.empty((len(offsets), 0), dtype=np.uint8)
+        return self._window(value_len)[offsets + RECORD_HEADER_BYTES]
 
     def write_values(self, offsets: np.ndarray, values: np.ndarray) -> None:
         """Overwrite the values of records at ``offsets`` with the rows of
@@ -308,18 +414,9 @@ class HybridLog:
         page-granular sequential scan (:meth:`charge_prefetch_pages`), so
         the device serves them at bandwidth rather than per-I/O latency.
         """
-        self._file.flush()
-        self._file.seek(address)
-        header = self._file.read(RECORD_HEADER_BYTES)
-        if len(header) < RECORD_HEADER_BYTES:
-            raise StorageError(f"log truncated at address {address}")
-        word, key, value_len = decode_record_header(header)
-        if value_len == TOMBSTONE_LEN:
-            if charge:
-                self.ssd.sequential_read(RECORD_HEADER_BYTES, blocking=False)
-            return word, key, None
-        value = self._file.read(value_len)
+        word, key, value = self.read_disk_record(address)
         if charge:
+            value_len = 0 if value is None else len(value)
             self.ssd.sequential_read(RECORD_HEADER_BYTES + value_len, blocking=False)
         return word, key, value
 
@@ -332,12 +429,10 @@ class HybridLog:
         staging versus per-record random reads through the Get API.
         Returns the number of distinct blocks charged.
         """
-        from repro.device.ssd import PAGE_BYTES
-
-        blocks = {address // PAGE_BYTES for address in addresses}
+        blocks = np.unique(np.asarray(addresses, dtype=np.int64) // PAGE_BYTES).size
         if blocks:
-            self.ssd.sequential_read(len(blocks) * PAGE_BYTES, blocking=False)
-        return len(blocks)
+            self.ssd.sequential_read(blocks * PAGE_BYTES, blocking=False)
+        return blocks
 
     # ------------------------------------------------------------------
     # maintenance

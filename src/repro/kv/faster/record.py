@@ -102,6 +102,16 @@ def released_words(words: np.ndarray, staleness: np.ndarray) -> np.ndarray:
     return (generation << np.uint64(_GENERATION_SHIFT)) | staleness
 
 
+def replaced_words(words: np.ndarray) -> np.ndarray:
+    """``words`` with the replaced bit set: copies a newer one supersedes."""
+    return words | np.uint64(_REPLACED_BIT)
+
+
+def restaled_words(words: np.ndarray, staleness: np.ndarray) -> np.ndarray:
+    """``words`` with their staleness counters exchanged for ``staleness``."""
+    return (words & ~np.uint64(_STALENESS_MASK)) | staleness
+
+
 class RecordWord:
     """Atomic view of one record's latch word inside a log page.
 

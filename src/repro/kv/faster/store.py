@@ -14,10 +14,12 @@ Operation lifecycle (FASTER §3, used as-is by MLKV):
   index and boundaries, and rebuild by scanning the log if the index
   snapshot is missing (fuzzy-checkpoint fallback).
 * ``multi_get`` / ``multi_put`` — resolve the whole batch through the
-  index at once and serve the *plain* keys (resident for a Get, in the
-  mutable region at their own width for a Put) as array operations on the
-  log's page arena; every other key takes the per-key methods above, in
-  batch order.
+  index at once and serve the *plain* keys as array operations: a Get of
+  a record of the batch's width, gathered from the page arena or fetched
+  from the file with one positional read; a Put in place in the mutable
+  region, or appended (read-copy-update, a cold or a fresh key) with the
+  other appends that fit the open log page.  Every other key takes the
+  per-key methods above, in batch order.
 
 A small per-operation CPU cost is charged to the simulated clock; this is
 the "index traversal overhead" that makes MLKV-backed training a few
@@ -28,7 +30,8 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Callable, Iterator, Optional
+from contextlib import contextmanager
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -38,12 +41,14 @@ from repro.errors import CheckpointError, StorageError
 from repro.kv.api import CheckpointManager, KVStore, StoreStats
 from repro.kv.faster.epoch import EpochManager
 from repro.kv.faster.hashindex import HashIndex
-from repro.kv.faster.hybridlog import TOMBSTONE_LEN, HybridLog
+from repro.kv.faster.hybridlog import TOMBSTONE_LEN, HybridLog, row_values
 from repro.kv.faster.record import (
     FIRST_GENERATION,
+    RECORD_HEADER_BYTES,
     next_generation,
     pack_word,
     released_words,
+    replaced_words,
     unpack_word,
     word_flags,
     word_staleness,
@@ -53,15 +58,84 @@ from repro.obs.trace import span as obs_span
 #: CPU cost of one store operation (hash probe + log access bookkeeping).
 DEFAULT_OP_CPU_SECONDS = 0.9e-6
 
+#: Fewest keys a batched operation serves as arrays.  Measured on the
+#: benchmark host (128-byte values, a 100k-entry index): an array call
+#: costs a flat 90-160 us (key array, index probe, header gather, result
+#: assembly) plus 1-2 us a key, the per-key loop 6.5 us a key on cold
+#: records and 2.5 us (snapshot read) to 8 us (admitted Get) on resident
+#: ones.  The two cross at 16-18 keys for cold batches and resident Gets
+#: and nearer 30 for resident snapshot reads and Puts; the threshold sits
+#: at the low end because past it the array path's cost stays flat while
+#: the loop's keeps climbing.
+MIN_ARRAY_BATCH = 16
+
 #: A batched operation hands each key that is not plain to the per-key
-#: method and picks the array path up again behind it, at the price of a
-#: few array slices.  Once more than one key in this many has gone that
-#: way, the rest of the batch takes the per-key loop.
+#: method and picks the array path up again behind it, at the price of
+#: re-slicing (a Get) or re-planning (a Put) the rest of the batch.  Once
+#: more than one key in this many has gone that way, the rest of the batch
+#: takes the per-key loop.  The append that opens a log page is per-key by
+#: design, one in a page's worth of records, and is not counted.
 FALLBACK_SHARE = 16
+
+#: A run of puts is planned over at most this many keys ahead, so that a
+#: long batch cut into many runs (small pages) is planned in linear time.
+_PLAN_KEYS = 1024
 
 _META_FILE = "faster.meta.json"
 _INDEX_FILE = "faster.index.bin"
 _LOG_FILE = "faster.log"
+
+
+def load_sidecar(path: str) -> dict:
+    """A JSON checkpoint sidecar as a ``dict``; a torn one — cut short, or
+    not an object — is a :class:`CheckpointError` naming the file."""
+    try:
+        with open(path) as f:
+            loaded = json.load(f)
+    except ValueError as exc:  # JSONDecodeError, bad UTF-8
+        raise CheckpointError(f"checkpoint file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise CheckpointError(f"checkpoint file {path} is not a JSON object")
+    return loaded
+
+
+@contextmanager
+def sidecar_fields(path: str) -> Iterator[None]:
+    """Report a missing or mis-shaped field of a sidecar as a
+    :class:`CheckpointError` instead of the lookup error it causes; wraps
+    only the code that picks the fields apart."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise CheckpointError(f"checkpoint file {path} is malformed: {exc!r}") from exc
+
+
+class PutProtocol(NamedTuple):
+    """What one kind of Put does, for :meth:`FasterKV._put_batch`.
+
+    ``put_one(key, value)`` is the per-key put.  ``words(words)`` maps the
+    latch words of resident records to ``(updated, superseded)``: the word
+    a put leaves on the record it wrote — in place, or the new copy of a
+    read-copy-update — and the word it leaves on the old copy behind such
+    an append.  ``fresh_words(keys)`` gives the words of the records
+    appended for keys without a resident copy (on disk, or absent).
+    """
+
+    put_one: Callable[[int, bytes], object]
+    words: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    fresh_words: Callable[[list], np.ndarray]
+
+
+def _upsert_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`FasterKV._upsert` on arrays: the next generation on the record
+    written, the same word with the replaced bit on a copy left behind."""
+    updated = released_words(words, word_staleness(words))
+    return updated, replaced_words(updated)
+
+
+def _upsert_fresh_words(keys: list) -> np.ndarray:
+    word = pack_word(False, False, next_generation(FIRST_GENERATION), 0)
+    return np.full(len(keys), word, dtype=np.uint64)
 
 
 class FasterKV(KVStore, CheckpointManager):
@@ -197,47 +271,41 @@ class FasterKV(KVStore, CheckpointManager):
         cold records at sequential cost is exclusively the job of
         look-ahead staging (:meth:`repro.core.mlkv.MLKV.lookahead`).
 
-        The index resolves the whole batch at once.  Resident records of
-        one width are copied out of the page arena with a single gather;
-        absent, disk-resident and odd-width keys are read one by one in
-        batch order (a read changes nothing another read depends on).
+        The index resolves the whole batch at once.  Records of the
+        batch's width are *plain*: the resident ones are copied out of the
+        page arena with a single gather, the cold ones fetched with one
+        positional read each and their device charges booked together
+        (:meth:`~repro.device.ssd.SSDModel.random_read_many`: the same
+        charges, in the same order, as one ``get`` per key).  Absent and
+        odd-width keys, and a cold record whose header is not what the
+        index promised, are read one by one at their place in the batch —
+        a read changes nothing another read depends on, but the simulated
+        clock sees cold reads in order.
         """
         keys = self._normalize_keys(keys)
         with obs_span("kv.multi_get", clock=self.clock, engine="faster", keys=len(keys)):
             self._charge_batch_cpu(len(keys))
             self._stats.gets += len(keys)
             with self.epochs.guard():
-                log = self.log
-                # With nothing resident (a store just restored) every key
-                # is a miss or a disk read: the arrays would buy nothing.
-                resident = log.tail_address > log.head_address
-                key_array = self._key_array(keys) if resident else None
+                key_array = self._key_array(keys)
                 if key_array is None:
                     return [self._get_in_epoch(key) for key in keys]
-                addresses = self.index.find_many(key_array)
-                in_memory = np.flatnonzero(addresses >= log.head_address)
-                offsets = log.arena_offsets(addresses[in_memory])
-                headers = log.read_headers(offsets)
-                width = int(headers["value_len"][0]) if len(in_memory) else 0
-                plain = (headers["value_len"] == width) & (
-                    headers["key"] == key_array[in_memory]
-                )
-                positions = in_memory[plain]
-                values = log.read_values(offsets[plain], width)
-                self._stats.hits += len(values)
-                if len(values) == len(keys):
-                    return values
-                results: list = [None] * len(keys)
-                others = np.ones(len(keys), dtype=bool)
-                others[positions] = False
-                for position, value in zip(positions.tolist(), values):
-                    results[position] = value
-                others = np.flatnonzero(others)
+                addresses, rows, resident, cold, _, _ = self._read_plain(key_array)
+                values = row_values(rows)
+                self._stats.hits += int(np.count_nonzero(resident))
+                others = np.flatnonzero(~(resident | cold))
+                cold = np.flatnonzero(cold)
+                record_len = RECORD_HEADER_BYTES + rows.shape[1]
+                charged = 0
                 for position, address in zip(others.tolist(), addresses[others].tolist()):
-                    results[position] = self._read_at(
+                    before = int(np.searchsorted(cold, position))
+                    self._charge_cold_reads(record_len, before - charged)
+                    charged = before
+                    values[position] = self._read_at(
                         keys[position], address if address >= 0 else None
                     )
-                return results
+                self._charge_cold_reads(record_len, len(cold) - charged)
+                return values
 
     def multi_put(self, keys, values) -> None:
         """Batched put: one epoch acquisition and amortized CPU per batch."""
@@ -247,7 +315,9 @@ class FasterKV(KVStore, CheckpointManager):
             self._charge_batch_cpu(len(keys))
             self._stats.puts += len(keys)
             with self.epochs.guard():
-                self._put_batch(keys, values, self._upsert, settle=False)
+                self._put_batch(
+                    keys, values, PutProtocol(self._upsert, _upsert_words, _upsert_fresh_words)
+                )
 
     # ------------------------------------------------------------------
     # batch resolution, shared with MLKV
@@ -255,12 +325,10 @@ class FasterKV(KVStore, CheckpointManager):
     @staticmethod
     def _key_array(keys: list) -> Optional[np.ndarray]:
         """``keys`` as a ``uint64`` array, or ``None`` when some key cannot
-        be one (negative, too large, not an int): the batch then goes
-        through the per-key methods and their treatment of such a key."""
-        if len(keys) < FALLBACK_SHARE:
-            # Setting the arrays up costs about as much as this many
-            # per-key operations, and a batch this short cannot afford a
-            # single fallback anyway.
+        be one (negative, too large, not an int) or the batch is too short
+        to pay for arrays (``MIN_ARRAY_BATCH``): it then goes through the
+        per-key methods and their treatment of such a key."""
+        if len(keys) < MIN_ARRAY_BATCH:
             return None
         try:
             return np.array(keys, dtype=np.uint64)
@@ -273,41 +341,85 @@ class FasterKV(KVStore, CheckpointManager):
         return bool((ordered[1:] == ordered[:-1]).any())
 
     def _resolve(
-        self, key_array: np.ndarray, floor: int
+        self, key_array: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Index entries, arena offsets and record headers of a batch.
 
-        ``floor`` is the lowest log address the caller will touch in
-        memory (the head or above).  Offsets and headers mean something
-        only where ``addresses >= floor``; elsewhere they describe
-        whatever sits at arena offset 0, so that every batch position has
-        a row and callers mask by address.
+        Offsets and headers mean something only where the address is
+        resident (at or above ``log.head_address``); elsewhere they
+        describe whatever sits at arena offset 0, so that every batch
+        position has a row and callers mask by address.  They go stale
+        with the next append that evicts a page: whoever holds them
+        across one compares addresses with the head again.
         """
         addresses = self.index.find_many(key_array)
         offsets = self.log.arena_offsets(addresses)
-        offsets[addresses < floor] = 0
+        offsets[addresses < self.log.head_address] = 0
         return addresses, offsets, self.log.read_headers(offsets)
 
-    def _put_batch(
-        self,
-        keys: list,
-        values: list,
-        put_one: Callable[[int, bytes], object],
-        settle: bool,
-    ) -> None:
+    def _read_plain(
+        self, key_array: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Resolve a batch of reads and fetch its plain records.
+
+        Returns ``(addresses, rows, resident, cold, offsets, words)``.
+        The batch's width is that of its first resident record (of its
+        first cold one when nothing is resident).  ``resident`` marks the
+        keys whose record is in memory, ``cold`` those whose record was
+        fetched from the file; both only where the record's header names
+        the key and the batch's width.  ``rows`` holds those records'
+        values, one ``uint8`` row per batch position (rows of other
+        positions hold nothing of use); ``offsets`` and ``words`` are the
+        arena offsets and latch words of resident records.  Nothing is
+        charged or counted: the caller books hits, misses and the cold
+        reads' device time for the records it goes on to serve.
+        """
+        log = self.log
+        addresses, offsets, headers = self._resolve(key_array)
+        in_memory = addresses >= log.head_address
+        on_disk = np.flatnonzero((addresses >= 0) & ~in_memory)
+        if in_memory.any():
+            width = int(headers["value_len"][in_memory.argmax()])
+        else:
+            width = log.disk_value_len(int(addresses[on_disk[0]])) if len(on_disk) else 0
+        resident = in_memory & (headers["value_len"] == width) & (headers["key"] == key_array)
+        cold = np.zeros(len(key_array), dtype=bool)
+        if resident.all():
+            rows = log.read_rows(offsets, width)
+        else:
+            rows = np.empty((len(key_array), width), dtype=np.uint8)
+            rows[resident] = log.read_rows(offsets[resident], width)
+        if len(on_disk):
+            disk_headers, disk_rows, complete = log.read_disk_records(addresses[on_disk], width)
+            matching = on_disk[
+                complete
+                & (disk_headers["value_len"] == width)
+                & (disk_headers["key"] == key_array[on_disk])
+            ]
+            cold[matching] = True
+            rows[on_disk] = disk_rows
+        return addresses, rows, resident, cold, offsets, headers["word"]
+
+    def _charge_cold_reads(self, record_len: int, count: int) -> None:
+        """Book ``count`` cold reads of one batch: misses and device time."""
+        if count:
+            self._stats.misses += count
+            self.ssd.random_read_many(record_len, count, blocking=True)
+
+    def _put_batch(self, keys: list, values: list, protocol: "PutProtocol") -> None:
         """Apply a batch of puts in order (epoch held, CPU pre-charged).
 
         Distinct keys with values of one width go through
-        :meth:`_put_runs` for as long as that pays; ``put_one`` (the
-        per-key put) takes the rest of the batch, or all of it.
+        :meth:`_put_runs` for as long as that pays; ``protocol.put_one``
+        (the per-key put) takes the rest of the batch, or all of it.
         """
         done = 0
         widths = set(map(len, values))
         key_array = self._key_array(keys) if len(widths) == 1 else None
         if key_array is not None and not self._has_duplicates(key_array):
-            done = self._put_runs(keys, values, key_array, widths.pop(), put_one, settle)
+            done = self._put_runs(keys, values, key_array, widths.pop(), protocol)
         for position in range(done, len(keys)):
-            put_one(keys[position], values[position])
+            protocol.put_one(keys[position], values[position])
 
     def _put_runs(
         self,
@@ -315,47 +427,136 @@ class FasterKV(KVStore, CheckpointManager):
         values: list,
         key_array: np.ndarray,
         width: int,
-        put_one: Callable[[int, bytes], object],
-        settle: bool,
+        protocol: "PutProtocol",
     ) -> int:
         """Put a prefix of the batch, plain keys as arrays; returns its length.
 
-        A key is *plain* when its newest record is in the mutable region,
-        already holds ``width`` bytes and is neither locked nor replaced:
-        its put overwrites the value in place and releases the latch word
-        (``settle``: with one taken off the staleness, MLKV's Put half),
-        and a run of such keys is two scatters.  Any other key goes to
-        ``put_one`` at its turn.  That appends, which moves the read-only
-        boundary up, so the next run ends at the first record now below
-        the boundary: every in-place write lands before a later append
-        can flush its page.
+        A key is *plain* when its put is one of two things.  *In place*:
+        the newest record is in the mutable region, already holds
+        ``width`` bytes and is neither locked nor replaced; value and
+        released latch word are overwritten.  *Appended*: the newest
+        record is below the read-only boundary or of another width
+        (read-copy-update: the new copy continues the old one's word, the
+        old one is marked replaced), on disk, or absent; the new copy goes
+        to the tail and the index entry to the new copy.  A run of plain
+        keys is a handful of scatters and one :meth:`HybridLog.append_many`.
+
+        The batch is resolved once — its keys are distinct, so no put
+        touches what another resolved — but a run is planned against the
+        log as it stands when the run starts, and ends where that plan
+        stops holding:
+
+        * The append that fills or opens a log page evicts the head page,
+          as it stands, and turns resident old copies into disk copies.
+          A run holds only the appends the open page has room for; the
+          next one goes to ``put_one`` and the rest is planned afresh.
+        * A locked or replaced record goes to ``put_one``.
+
+        The read-only boundary follows the tail, append by append, so a
+        record just above it is in place or appended depending on how
+        many appends come before its turn — which depends on the records
+        before it in the same way.  :meth:`_plan_run` settles that by
+        iteration.  Within a run no page is flushed, so every in-place
+        write of the batch lands before a later append can flush its
+        page.  Nothing but the key's own put reads its index entry, so
+        the entries of keys the index already held are swung to the new
+        copies together, when the batch (or this method's part in it) is
+        over; keys new to the index go in at their turn, one by one —
+        where a key lands among colliding ones depends on who came first.
+        Gives the rest of the batch up once too many keys have taken
+        ``put_one`` (``FALLBACK_SHARE``; page-opening appends aside).
         """
         log = self.log
         count = len(keys)
-        addresses, offsets, headers = self._resolve(key_array, log.read_only_address)
+        record_len = RECORD_HEADER_BYTES + width
+        addresses, offsets, headers = self._resolve(key_array)
         words = headers["word"]
-        in_place = (headers["value_len"] == width) & (word_flags(words) == 0)
-        fallbacks_left = count // FALLBACK_SHARE
-        plain = np.count_nonzero(in_place & (addresses >= log.read_only_address))
-        if count - plain > fallbacks_left:
-            return 0
-        staleness = word_staleness(words)
-        if settle:
-            staleness -= staleness > 0
-        words = released_words(words, staleness)
+        same_width = headers["value_len"] == width
+        unflagged = word_flags(words) == 0
+        updated, superseded = protocol.words(words)
         rows = np.frombuffer(b"".join(values), dtype=np.uint8).reshape(count, width)
+        moved = np.full(count, -1, dtype=np.int64)  # new copies of keys the index holds
+        fallbacks_left = count // FALLBACK_SHARE
         cursor = 0
-        while True:
-            blocked = ~in_place[cursor:] | (addresses[cursor:] < log.read_only_address)
-            stop = cursor + int(blocked.argmax()) if blocked.any() else count
-            if stop > cursor:
-                log.write_words(offsets[cursor:stop], words[cursor:stop])
-                log.write_values(offsets[cursor:stop], rows[cursor:stop])
-            if stop == count or not fallbacks_left:
-                return stop
-            fallbacks_left -= 1
-            put_one(keys[stop], values[stop])
-            cursor = stop + 1
+        try:
+            while cursor < count:
+                ahead = slice(cursor, cursor + _PLAN_KEYS)
+                resident = addresses[ahead] >= log.head_address
+                in_place, appended, page_full = self._plan_run(
+                    addresses[ahead], resident, unflagged[ahead], same_width[ahead], record_len
+                )
+                blocked = ~(in_place | appended) | page_full
+                length = int(blocked.argmax()) if blocked.any() else len(blocked)
+                chosen = np.flatnonzero(in_place[:length]) + cursor
+                if len(chosen):
+                    log.write_words(offsets[chosen], updated[chosen])
+                    log.write_values(offsets[chosen], rows[chosen])
+                chosen = np.flatnonzero(appended[:length]) + cursor
+                if len(chosen):
+                    new_words = updated[chosen]
+                    fresh = ~resident[chosen - cursor]
+                    if fresh.any():
+                        new_words[fresh] = protocol.fresh_words(key_array[chosen[fresh]].tolist())
+                    new_addresses = log.append_many(key_array[chosen], rows[chosen], new_words)
+                    absent = addresses[chosen] < 0
+                    moved[chosen] = np.where(absent, -1, new_addresses)
+                    new_keys = key_array[chosen[absent]].tolist()
+                    for key, address in zip(new_keys, new_addresses[absent].tolist()):
+                        self.index.upsert(key, address)
+                    old = chosen[~fresh]
+                    log.write_words(offsets[old], superseded[old])
+                cursor += length
+                if length == len(blocked):
+                    continue  # planned this far and no further
+                if not page_full[length]:
+                    if not fallbacks_left:
+                        return cursor
+                    fallbacks_left -= 1
+                protocol.put_one(keys[cursor], values[cursor])
+                cursor += 1
+            return count
+        finally:
+            chosen = np.flatnonzero(moved >= 0)
+            self.index.swing_many(key_array[chosen], moved[chosen])
+
+    def _plan_run(
+        self,
+        addresses: np.ndarray,
+        resident: np.ndarray,
+        unflagged: np.ndarray,
+        same_width: np.ndarray,
+        record_len: int,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Which of the next puts go in place, which are appended, and
+        which appends the open page has no room left for.
+
+        The arrays describe the keys ahead, in batch order, against the
+        log as it stands; a key in neither of the first two masks is
+        locked or replaced.  A record in the mutable region is updated in
+        place unless the read-only boundary has passed it by its turn,
+        and the boundary is ``mutable_bytes`` behind the tail, which every
+        append before that turn has moved.  Start from the keys appended
+        wherever the boundary is (no resident copy, another width, below
+        the boundary now), count the appends before each key, add the
+        records the boundary passes on that count, and repeat until none
+        is added: each round can only add appends, and the appends before
+        the first key still undecided are by then exact.
+        """
+        log = self.log
+        free = resident & unflagged
+        mutable = free & same_width & (addresses >= log.read_only_address)
+        certain = ~resident | (free & ~mutable)
+        appended = certain
+        if mutable.any():
+            boundary = addresses + (log.mutable_bytes - log.tail_address)
+            while True:
+                before = np.cumsum(appended) - appended
+                passed = mutable & (boundary < before * record_len)
+                if not (passed & ~appended).any():
+                    break
+                appended = certain | passed
+        page_full = appended & (np.cumsum(appended) > log.append_room(record_len))
+        return mutable & ~appended, appended, page_full
 
     def rmw(self, key: int, update: Callable[[Optional[bytes]], bytes]) -> bytes:
         """Read-modify-write one record through ``update``."""
@@ -452,17 +653,15 @@ class FasterKV(KVStore, CheckpointManager):
         meta_path = os.path.join(directory, _META_FILE)
         if not os.path.exists(meta_path):
             raise CheckpointError(f"no checkpoint metadata in {directory}")
-        with open(meta_path) as f:
-            meta = json.load(f)
+        meta = load_sidecar(meta_path)
+        with sidecar_fields(meta_path):
+            page_bytes, tail_address = int(meta["page_bytes"]), int(meta["tail_address"])
+            if page_bytes <= RECORD_HEADER_BYTES or tail_address < 0:
+                raise ValueError(f"page_bytes {page_bytes}, tail_address {tail_address}")
         store_kwargs.pop("page_bytes", None)
-        store = cls(
-            directory,
-            ssd=ssd,
-            page_bytes=meta["page_bytes"],
-            **store_kwargs,
-        )
+        store = cls(directory, ssd=ssd, page_bytes=page_bytes, **store_kwargs)
         # After recovery the whole log body lives on disk; reads fault in.
-        store.log.reset_resident(meta["tail_address"])
+        store.log.reset_resident(tail_address)
         index_path = os.path.join(directory, _INDEX_FILE)
         if os.path.exists(index_path):
             image = np.fromfile(index_path, dtype="<u8")

@@ -28,8 +28,8 @@ from hypothesis import strategies as st
 from repro.core.mlkv import MLKV
 from repro.core.staleness import ASP_BOUND
 from repro.device import SimClock, SSDModel
-from repro.errors import StalenessViolation
-from repro.kv.faster.store import FALLBACK_SHARE, FasterKV
+from repro.errors import StalenessViolation, StorageError
+from repro.kv.faster.store import FALLBACK_SHARE, MIN_ARRAY_BATCH, FasterKV
 
 PAGE = 1024
 WIDTH = 24  # 44-byte records, 23 to a page
@@ -42,6 +42,11 @@ BUDGETS = {
     "read_only": (24, 0.25),  # resident, the older ~40% read-only: RCU appends
     "evict": (6, 1.0),  # over half the table on disk
 }
+
+#: The regimes of the cold-path tests: the window holds about half the
+#: table, or under a fifth of it (most of any batch is on disk, and what a
+#: look-ahead stages is evicted again before the batch that wanted it).
+COLD_BUDGETS = {"evict": BUDGETS["evict"], "thrash": (2, 1.0)}
 
 
 class PerKeyFaster(FasterKV):
@@ -82,7 +87,7 @@ class Side:
     """One store under test plus everything observable about it."""
 
     def __init__(self, cls, directory, budget, bound, handler):
-        pages, mutable_fraction = BUDGETS[budget]
+        pages, mutable_fraction = {**BUDGETS, **COLD_BUDGETS}[budget]
         kwargs = dict(
             ssd=SSDModel(SimClock()),
             memory_budget_bytes=pages * PAGE,
@@ -97,9 +102,9 @@ class Side:
             self.store.set_stall_handler(self.pipeline.on_stall)
         self.per_key_calls: Counter = Counter()
 
-    def count_per_key_calls(self) -> None:
-        """Start counting trips through the per-key Get/Put methods."""
-        for name in ("_get_bounded", "_put_bounded"):
+    def count_per_key_calls(self, names=("_get_bounded", "_put_bounded")) -> None:
+        """Start counting trips through the per-key methods ``names``."""
+        for name in names:
             inner = getattr(self.store, name)
 
             def counted(*args, _inner=inner, _name=name):
@@ -130,7 +135,7 @@ class Side:
             if kind == "delete":
                 return self.store.delete(op[1])
             raise AssertionError(kind)
-        except StalenessViolation as error:
+        except (StalenessViolation, StorageError) as error:
             return ("raised", str(error))
 
     def observe(self) -> dict:
@@ -225,6 +230,21 @@ def key_batches(draw):
 
 
 @st.composite
+def spread_batches(draw):
+    """Distinct keys drawn across the whole table, a few absent ones among
+    them: under the cold budgets half or more of such a batch is on disk,
+    resident and cold keys alternate, and a batch of puts appends enough
+    to open several pages.  Sometimes a key repeats (a batch with a
+    repeated key keeps the per-key path)."""
+    keys = draw(
+        st.lists(st.integers(0, KEYS + 12), min_size=MIN_ARRAY_BATCH, max_size=140, unique=True)
+    )
+    if draw(st.integers(0, 7)) == 0:
+        keys.insert(draw(st.integers(0, len(keys))), draw(st.sampled_from(keys)))
+    return keys
+
+
+@st.composite
 def value_batches(draw, keys):
     salt = draw(st.integers(1, 250))
     shape = draw(st.sampled_from(["same", "same", "same", "wider", "one_odd"]))
@@ -238,7 +258,7 @@ def value_batches(draw, keys):
 
 
 @st.composite
-def operations(draw, engine):
+def operations(draw, engine, batches=key_batches):
     kinds = ["get", "get", "put", "put", "snapshot", "delete"]
     if engine == "mlkv":
         kinds += ["defer", "step", "step", "step", "lookahead"]
@@ -248,7 +268,7 @@ def operations(draw, engine):
         if kind == "delete":
             ops.append((kind, draw(st.integers(0, KEYS + 12))))
             continue
-        keys = draw(key_batches())
+        keys = draw(batches())
         if kind in ("put", "defer", "step"):
             ops.append((kind, keys, draw(value_batches(keys))))
         else:
@@ -274,6 +294,44 @@ class TestGeneratedSequences:
     @given(handler=st.booleans(), ops=operations("mlkv"))
     def test_mlkv(self, budget, bound, handler, ops):
         check_sequence("mlkv", budget, bound, handler, ops)
+
+
+@pytest.mark.parametrize("budget", sorted(COLD_BUDGETS))
+class TestGeneratedColdSequences:
+    """The same sequences over batches spread across the table: every
+    batch mixes resident, cold and absent keys, Gets bump the overflow
+    table, Puts append across page openings and evictions, look-ahead
+    stages more than the window holds, and — with a finite bound and the
+    handler — Gets stall on keys that are on disk."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(ops=operations("faster", spread_batches))
+    def test_faster(self, budget, ops):
+        check_sequence("faster", budget, None, False, ops)
+
+    @pytest.mark.parametrize("bound", [0, 2, ASP_BOUND])
+    @settings(max_examples=60, deadline=None)
+    @given(handler=st.booleans(), ops=operations("mlkv", spread_batches))
+    def test_mlkv(self, budget, bound, handler, ops):
+        check_sequence("mlkv", budget, bound, handler, ops)
+
+    @pytest.mark.parametrize("bound", [0, 2])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_training_steps_stall_on_cold_keys(self, budget, bound, data):
+        """A trainer's loop at pipeline depth 2 over spread batches drawn
+        from a small pool, so keys come back before their update has been
+        applied: with most of the table on disk the Gets that run into
+        the bound are Gets of cold keys, the handler's ``multi_put``
+        appends in the middle of the Get batch, and the look-ahead ahead
+        of each step moves what it can back into the window."""
+        pool = data.draw(st.lists(spread_batches(), min_size=2, max_size=3))
+        with paired("mlkv", budget, bound, handler=True) as pair:
+            for step in range(data.draw(st.integers(3, 8))):
+                keys = pool[step % len(pool)]
+                if data.draw(st.booleans()):
+                    pair.run(("lookahead", pool[(step + 1) % len(pool)]))
+                pair.run(("step", keys, data.draw(value_batches(keys))))
 
 
 # ----------------------------------------------------------------------
@@ -402,3 +460,172 @@ class TestOrderWithinABatch:
             assert on_head_page and log.head_address // PAGE == head_page + 1  # flushed
             expected = [value_for(key, 6) for key in on_head_page]
             assert pair.run(("snapshot", on_head_page)) == expected
+
+
+# ----------------------------------------------------------------------
+# the cold cases, pinned down
+# ----------------------------------------------------------------------
+def on_disk_keys(pair, count: int) -> list:
+    """The ``count`` populated keys oldest in the log, all below the head."""
+    store = pair.batched.store
+    keys = sorted(range(KEYS), key=store.index.find)[:count]
+    assert not any(store.log.in_memory(store.index.find(key)) for key in keys)
+    return keys
+
+
+class TestColdBatches:
+    def test_a_cold_batch_goes_per_key_only_where_a_page_opens(self):
+        """100 keys on disk: the Get and the look-ahead make no per-key
+        call at all, the Put one for each log page its appends open."""
+        names = ("_get_bounded", "_put_bounded", "_stage_one")
+        with paired("mlkv", "evict", bound=2) as pair:
+            log = pair.batched.store.log
+            keys = on_disk_keys(pair, 100)
+            pair.batched.count_per_key_calls(names)
+            values = pair.run(("get", keys))
+            assert values == [value_for(key, 0) for key in keys]
+            page = log.tail_address // PAGE
+            pair.run(("put", keys, [value_for(key, 4) for key in keys]))
+            opened = log.tail_address // PAGE - page
+            assert 4 <= opened <= 5
+            assert pair.batched.per_key_calls == {"_put_bounded": opened}
+            # The first of those copies are on disk again by now.
+            keys = on_disk_keys(pair, 100)
+            assert pair.run(("lookahead", keys)) == 100
+            assert pair.batched.per_key_calls == {"_put_bounded": opened}
+            assert pair.run(("snapshot", keys)) == [
+                value_for(key, 4 if key < 100 else 0) for key in keys
+            ]
+
+    def test_a_cold_snapshot_batch_makes_no_per_key_read(self):
+        with paired("faster", "thrash") as pair:
+            keys = on_disk_keys(pair, 100)
+            pair.batched.count_per_key_calls(("_read_at", "_upsert"))
+            reads = pair.batched.store.ssd.reads
+            assert pair.run(("get", keys)) == [value_for(key, 0) for key in keys]
+            assert pair.batched.store.ssd.reads == reads + 100
+            pair.run(("put", keys, [value_for(key, 4) for key in keys]))
+            assert pair.batched.per_key_calls == {"_upsert": 4}  # page openings
+
+    @pytest.mark.parametrize("bound", [0, 2])
+    def test_cold_key_over_the_bound_is_not_admitted(self, bound):
+        """The clock of a record on disk lives in the overflow table:
+        without a handler the first cold key over the bound raises, the
+        keys before it admitted and the keys after it untouched."""
+        with paired("mlkv", "evict", bound=bound, handler=False) as pair:
+            keys = on_disk_keys(pair, 60)
+            stale = keys[30:32]
+            for _ in range(bound + 1):
+                pair.run(("get", stale))
+            outcome = pair.run(("get", keys))
+            assert outcome[0] == "raised" and f"Get({stale[0]})" in outcome[1]
+            store = pair.batched.store
+            assert [store.staleness_of(key) for key in keys[28:34]] == [
+                1, 1, bound + 1, bound + 1, 0, 0,
+            ]
+            assert store.mlkv_stats.overflow_entries == 32
+
+    def test_cold_key_over_the_bound_stalls_at_its_turn(self):
+        """Cold key 31 of the batch stalls; the handler's update batch
+        rewrites it and cold keys behind it (new copies at the tail,
+        pages evicted on the way), so the rest of the batch is resolved
+        again: those keys are read from memory, once."""
+        with paired("mlkv", "evict", bound=0, handler=True) as pair:
+            store = pair.batched.store
+            keys = on_disk_keys(pair, 60)
+            moved = keys[30:50]
+            pair.run(("get", keys[30:31]))
+            pair.run(("defer", moved, [value_for(key, 9) for key in moved]))
+            pair.batched.count_per_key_calls()
+            reads = store.ssd.reads
+            values = pair.run(("get", keys))
+            # (The stalled Get itself goes on to read the address it
+            # resolved before the handler ran, as ``_get_from_disk`` does.)
+            assert values == [value_for(key, 9 if key in moved[1:] else 0) for key in keys]
+            assert pair.batched.pipeline.calls == [(keys[30], 1)]
+            assert pair.batched.per_key_calls["_get_bounded"] == 1
+            assert store.ssd.reads == reads + 30 + 1 + 10
+
+    def test_lookahead_window_larger_than_the_buffer(self):
+        """Staging some 190 records into a window of 46: the first copies
+        are pushed out again by the later ones, and the batch that wanted
+        them reads them from disk, overflow entries and all."""
+        with paired("mlkv", "thrash", bound=2) as pair:
+            keys = on_disk_keys(pair, 60) + list(range(KEYS - 1, 59, -1))
+            pair.run(("get", keys[:40]))  # overflow entries the staging folds in
+            assert pair.run(("lookahead", keys)) >= 180
+            store = pair.batched.store
+            assert not store.log.in_memory(store.index.find(keys[0]))
+            pair.run(("step", keys, [value_for(key, 5) for key in keys]))
+            pair.run(("get", keys[:40]))
+
+    def test_populate_sized_fresh_batch(self):
+        """A batch of nothing but new keys, several windows long."""
+        with paired("mlkv", "evict", bound=2) as pair:
+            fresh = list(range(KEYS + 20, KEYS + 520))
+            pair.batched.count_per_key_calls()
+            pair.run(("put", fresh, [value_for(key, 1) for key in fresh]))
+            assert pair.batched.per_key_calls["_put_bounded"] <= 500 // 23 + 1
+            assert pair.run(("get", fresh[::3])) == [value_for(key, 1) for key in fresh[::3]]
+
+    def test_new_copies_of_present_keys_leave_the_index_layout_alone(self):
+        """An index twelve entries short of growing: new copies of 100
+        keys it already holds — appended by a Put, staged by a look-ahead
+        — change addresses and nothing else, as 100 ``upsert`` calls do."""
+        with paired("mlkv", "evict", bound=2) as pair:
+            fresh = list(range(KEYS + 20, KEYS + 280))
+            pair.run(("put", fresh, [value_for(key, 1) for key in fresh]))
+            index = pair.batched.store.index
+            assert (len(index), index.slot_count) == (500, 1024)
+            layout = index.entries()[0].tolist()
+            keys = on_disk_keys(pair, 100)
+            pair.run(("put", keys, [value_for(key, 2) for key in keys]))
+            assert pair.run(("lookahead", on_disk_keys(pair, 100))) == 100
+            assert (index.slot_count, index.entries()[0].tolist()) == (1024, layout)
+
+    @pytest.mark.parametrize("engine", ["faster", "mlkv"])
+    def test_cold_records_of_another_width_and_deleted_keys(self, engine):
+        """Among the cold keys of a batch: records written at another
+        width in the middle of a batch, and keys deleted since (their
+        tombstones on disk, their index entries gone)."""
+        with paired(engine, "thrash", bound=2 if engine == "mlkv" else None) as pair:
+            odd = [5, 40, 41, 90]
+            keys = list(range(120))
+            values = [value_for(key, 2, WIDTH + 3 if key in odd else WIDTH) for key in keys]
+            pair.run(("put", keys, values))
+            for key in (7, 41, 100):
+                pair.run(("delete", key))
+            later = list(range(120, KEYS))  # pushes all of that out of the window
+            pair.run(("put", later, [value_for(key, 2) for key in later]))
+            store = pair.batched.store
+            assert not any(
+                store.log.in_memory(store.index.find(key)) for key in keys if key not in (7, 41, 100)
+            )
+            got = pair.run(("get", keys))
+            assert got == [None if key in (7, 41, 100) else value for key, value in zip(keys, values)]
+            if engine == "mlkv":
+                pair.run(("lookahead", keys))
+            pair.run(("put", keys, [value_for(key, 3) for key in keys]))
+            pair.run(("snapshot", keys))
+
+    @pytest.mark.parametrize("engine", ["faster", "mlkv"])
+    def test_torn_log_and_crossed_index_entries_raise_typed_errors(self, engine):
+        """A record the file ends inside, and a record that belongs to
+        another key, fail the batch exactly where the loop fails."""
+        with tempfile.TemporaryDirectory() as root:  # no final scan: the log is torn
+            pair = Pair(root, engine, "evict", bound=2 if engine == "mlkv" else None)
+            keys = on_disk_keys(pair, 60)
+            for side in (pair.batched, pair.looped):
+                index = side.store.index
+                first, second = index.find(keys[20]), index.find(keys[21])
+                index.upsert(keys[20], second)
+                index.upsert(keys[21], first)
+            outcome = pair.run(("get", keys))
+            assert outcome[0] == "raised" and "index corruption" in outcome[1]
+            for side in (pair.batched, pair.looped):
+                side.store.log._file.flush()
+                os.truncate(side.store.log.path, side.store.index.find(keys[10]) + 30)
+            outcome = pair.run(("get", keys[:20]))
+            assert outcome[0] == "raised" and "log truncated" in outcome[1]
+            pair.batched.store.close()
+            pair.looped.store.close()

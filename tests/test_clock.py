@@ -126,3 +126,45 @@ class TestSnapshotRestore:
         clock.reset()
         assert clock.now == 0.0
         assert clock.components() == {}
+
+
+class TestRepeatedCharges:
+    """A batched charge is the loop's additions in the loop's order: the
+    simulated clock is compared bit for bit, and float sums are not
+    associative."""
+
+    COST = 80e-6 + 4096 / 1024e6  # one random 4 KiB read
+
+    def test_advance_each_equals_that_many_advances(self):
+        looped, batched = SimClock(start=0.123), SimClock(start=0.123)
+        for clock in (looped, batched):
+            clock.advance(0.7e-6, component="ssd")
+        for _ in range(2309):
+            looped.advance(self.COST, component="ssd")
+        batched.advance_each(self.COST, 2309, component="ssd")
+        assert batched.now == looped.now
+        assert batched.busy_seconds("ssd") == looped.busy_seconds("ssd")
+        # ... which one multiplication does not reproduce.
+        assert looped.now != 0.123 + 0.7e-6 + 2309 * self.COST
+
+    def test_charge_background_each_equals_that_many_charges(self):
+        looped, batched = SimClock(), SimClock()
+        for _ in range(1950):
+            looped.charge_background(self.COST / 32, component="ssd")
+        batched.charge_background_each(self.COST / 32, 1950, component="ssd")
+        assert batched.now == looped.now == 0.0
+        assert batched.busy_seconds("ssd") == looped.busy_seconds("ssd")
+        assert batched.drain() == looped.drain()
+        assert batched.now == looped.now
+
+    def test_zero_count_charges_nothing(self):
+        clock = SimClock()
+        clock.advance_each(1.0, 0)
+        clock.charge_background_each(1.0, 0)
+        assert clock.now == clock.busy_seconds("cpu") == clock.busy_seconds("ssd") == 0.0
+
+    def test_negative_cost_rejected(self):
+        with pytest.raises(ValueError):
+            SimClock().advance_each(-1.0, 3)
+        with pytest.raises(ValueError):
+            SimClock().charge_background_each(-1.0, 3)

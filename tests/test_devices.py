@@ -57,6 +57,46 @@ class TestSSDModel:
         ssd.reset_stats()
         assert ssd.stats()["reads"] == 0
 
+    @pytest.mark.parametrize("blocking", [True, False])
+    @pytest.mark.parametrize("scope", [None, 4])
+    def test_random_read_many_books_what_single_reads_book(self, blocking, scope):
+        """Same clock, busy time, backlog and counters, bit for bit."""
+        from contextlib import nullcontext
+
+        looped, batched = SSDModel(SimClock()), SSDModel(SimClock())
+        for ssd in (looped, batched):
+            ssd.random_read(148)  # the clock does not start at zero
+        with looped.background(parallelism=scope) if scope else nullcontext():
+            costs = [looped.random_read(148, blocking=blocking) for _ in range(2309)]
+        with batched.background(parallelism=scope) if scope else nullcontext():
+            cost = batched.random_read_many(148, 2309, blocking=blocking)
+        assert costs == [cost] * 2309
+        assert batched.stats() == looped.stats()
+        assert batched.clock.now == looped.clock.now
+        assert batched.clock.busy_seconds("ssd") == looped.clock.busy_seconds("ssd")
+        assert batched.clock.drain() == looped.clock.drain()
+        assert batched.clock.now == looped.clock.now
+
+    def test_random_read_many_of_nothing_books_nothing(self, clock, ssd):
+        ssd.random_read_many(148, 0)
+        assert clock.now == 0.0 and ssd.stats()["reads"] == 0
+
+    def test_random_read_many_emits_one_span_per_read_when_traced(self, clock, ssd):
+        from repro.obs.trace import install_tracer, uninstall_tracer
+
+        install_tracer(clock=clock)
+        try:
+            ssd.random_read_many(148, 5)
+        finally:
+            tracer = uninstall_tracer()
+        spans = [span for span in tracer.spans if span.name == "device.io"]
+        assert len(spans) == 5
+        cost = ssd.random_read_latency + PAGE_BYTES / ssd.read_bandwidth
+        assert [span.sim_end for span in spans] == pytest.approx(
+            [cost * (i + 1) for i in range(5)]
+        )
+        assert all(span.args["op"] == "random_read" and span.args["blocking"] for span in spans)
+
     def test_invalid_parameters_rejected(self, clock):
         with pytest.raises(ValueError):
             SSDModel(clock, random_read_latency=0)

@@ -84,6 +84,49 @@ class TestCacheSemantics:
         np.testing.assert_array_equal(tables.get(np.array([4]))[0], new_value[0])
 
 
+class TestEmptyCache:
+    """With nothing prefetched, ``get``/``put`` do not walk the cache key
+    by key — and count what the walk would have counted."""
+
+    def _spy(self, tables, monkeypatch) -> list:
+        peeks = []
+        inner = tables.cache.peek
+        monkeypatch.setattr(
+            tables.cache, "peek", lambda key, default=None: peeks.append(key) or inner(key, default)
+        )
+        return peeks
+
+    def test_cold_cache_get_and_put_never_peek(self, tables, monkeypatch):
+        peeks = self._spy(tables, monkeypatch)
+        keys = np.array([[5, 6, 5], [7, 6, 9]])
+        rows = tables.get(keys)
+        assert rows.shape == (2, 3, 8)
+        np.testing.assert_array_equal(rows[0, 0], rows[0, 2])
+        np.testing.assert_array_equal(rows[1, 0], tables.init_vector(7))
+        tables.put(keys.reshape(-1), np.ones((6, 8), dtype=np.float32))
+        assert peeks == []
+        assert (tables.cache.hits, tables.cache.misses) == (0, 4)  # one per unique key
+        assert tables.cache.hit_ratio() == 0.0
+        assert tables.get(np.array([], dtype=np.int64)).shape == (0, 8)
+
+    def test_counters_equal_the_walked_ones(self, tables, monkeypatch):
+        """The same reads with one unrelated entry in the cache take the
+        per-key walk: hits and misses come out the same."""
+        walked = EmbeddingTables(tables.store, dim=8, seed=7, cache_entries=64)
+        walked.cache.put(10_000, [tables.init_vector(10_000), 1])
+        peeks = self._spy(walked, monkeypatch)
+        for keys in ([1, 2, 3, 2], [3, 4], [9]):
+            np.testing.assert_array_equal(tables.get(np.array(keys)), walked.get(np.array(keys)))
+        assert len(peeks) == 6
+        assert (tables.cache.hits, tables.cache.misses) == (walked.cache.hits, walked.cache.misses)
+
+    def test_warm_cache_still_consumed(self, tables, monkeypatch):
+        tables.lookahead(np.array([1]), dest="cache")
+        peeks = self._spy(tables, monkeypatch)
+        tables.get(np.array([1, 2]))
+        assert peeks == [1, 2] and (tables.cache.hits, tables.cache.misses) == (1, 1)
+
+
 class TestLookahead:
     def _spill(self, tables, count=3000):
         keys = np.arange(count)

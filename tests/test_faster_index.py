@@ -183,3 +183,75 @@ class TestBatchedIndex:
         assert len(index) == len(model)
         keys, addresses = index.entries()
         assert dict(zip(keys.tolist(), addresses.tolist())) == model
+
+
+class TestSwingMany:
+    """The present-keys-only address swing: addresses change, the table
+    does not."""
+
+    def loaded(self, keys: int = 500):
+        index = HashIndex()  # 1024 slots, rebuilt once more than 512 are used
+        for key in range(keys):
+            index.upsert(key * 7919, key)
+        return index
+
+    def test_equals_scalar_upserts_of_present_keys(self):
+        swung, looped = self.loaded(), self.loaded()
+        keys = keys_of([key * 7919 for key in range(0, 500, 3)])
+        addresses = np.arange(len(keys), dtype=np.int64) + 10_000
+        swung.swing_many(keys, addresses)
+        for key, address in zip(keys.tolist(), addresses.tolist()):
+            looped.upsert(key, address)
+        assert [array.tolist() for array in swung.entries()] == [
+            array.tolist() for array in looped.entries()
+        ]
+        assert (len(swung), swung.slot_count) == (len(looped), looped.slot_count)
+
+    def test_never_rebuilds_where_upsert_many_would(self):
+        """``upsert_many`` makes room for its whole batch before it knows
+        the keys are there already; a rebuild re-places every entry."""
+        index, pregrown = self.loaded(), self.loaded()
+        layout = index.entries()[0].tolist()
+        keys = keys_of([key * 7919 for key in range(100)])
+        addresses = np.arange(100, dtype=np.int64) + 10_000
+        index.swing_many(keys, addresses)
+        assert index.slot_count == 1024 and index.entries()[0].tolist() == layout
+        assert index.find_many(keys).tolist() == addresses.tolist()
+        assert len(index) == 500
+        pregrown.upsert_many(keys, addresses)
+        assert pregrown.slot_count > 1024 and pregrown.entries()[0].tolist() != layout
+
+    def test_removed_slots_and_accounting_are_left_alone(self):
+        index = self.loaded(300)
+        for key in range(0, 300, 2):
+            index.remove(key * 7919)
+        used = index._used
+        keys = keys_of([key * 7919 for key in range(1, 300, 2)])
+        index.swing_many(keys, np.full(150, 42, dtype=np.int64))
+        assert (index._used, len(index)) == (used, 150)
+        assert index.find_many(keys).tolist() == [42] * 150
+        assert index.find(0) is None
+
+    def test_absent_key_rejected_before_anything_is_written(self):
+        index = self.loaded(10)
+        before = [array.tolist() for array in index.entries()]
+        with pytest.raises(KeyError):
+            index.swing_many(keys_of([0, 1, 7919]), np.array([5, 6, 7], dtype=np.int64))
+        assert [array.tolist() for array in index.entries()] == before
+
+    def test_empty_batch(self):
+        index = self.loaded(10)
+        index.swing_many(keys_of([]), np.empty(0, dtype=np.int64))
+        assert len(index) == 10
+
+    def test_long_probe_chains_are_walked_to_the_end(self):
+        """The last few keys of a batched probe finish one chain at a
+        time; at four slots every chain wraps around the table."""
+        index = HashIndex(initial_slots=4)
+        for key in range(200):
+            index.upsert(key, key + 1)
+        probe = keys_of(range(220))
+        expected = [key + 1 if key < 200 else -1 for key in range(220)]
+        assert index.find_many(probe).tolist() == expected
+        index.swing_many(probe[:200], np.arange(200, dtype=np.int64))
+        assert [index.find(key) for key in range(200)] == list(range(200))

@@ -2,6 +2,7 @@
 
 import os
 
+import numpy as np
 import pytest
 
 from repro.device import SimClock, SSDModel
@@ -150,6 +151,144 @@ class TestPrefetch:
     def test_charge_prefetch_pages_empty(self, tmp_path):
         log, ssd = make_log(tmp_path)
         assert log.charge_prefetch_pages([]) == 0
+
+
+def log_state(log, ssd) -> dict:
+    """Everything an append leaves behind that someone can see."""
+    log._file.flush()
+    with open(log.path, "rb") as f:
+        file_bytes = f.read()
+    return {
+        "arena": bytes(log._arena),
+        "file": file_bytes,
+        "regions": (log.tail_address, log.read_only_address, log.head_address),
+        "ssd": ssd.stats(),
+        "clock": (ssd.clock.now, ssd.clock.components()),
+    }
+
+
+class TestAppendMany:
+    """``append_many`` ≡ one ``append`` per record."""
+
+    # 1024-byte pages: 44-byte values fill a page exactly (16 records of
+    # 64 bytes), 24-byte values leave a remainder that is zero-padded.
+    @pytest.mark.parametrize("width", [44, 24, 0, 300])
+    @pytest.mark.parametrize("chunks", [[1000], [1, 15, 1, 16, 17, 300, 2, 648], [7] * 140])
+    def test_equals_looped_append(self, tmp_path, width, chunks):
+        for side in ("looped", "batched"):
+            (tmp_path / side).mkdir()
+        looped, looped_ssd = make_log(tmp_path / "looped", pages=4, mutable_fraction=0.5)
+        batched, batched_ssd = make_log(tmp_path / "batched", pages=4, mutable_fraction=0.5)
+        rng = np.random.default_rng(width)
+        count = sum(chunks)
+        keys = rng.permutation(count).astype(np.uint64)
+        rows = rng.integers(0, 256, (count, width), dtype=np.uint8)
+        words = np.array(
+            [pack_word(False, bool(i % 5 == 0), 1 + i % 7, i % 3) for i in range(count)],
+            dtype=np.uint64,
+        )
+        expected = [
+            looped.append(int(key), row.tobytes(), int(word))
+            for key, row, word in zip(keys, rows, words)
+        ]
+        got, start = [], 0
+        for chunk in chunks:
+            stop = start + chunk
+            got += batched.append_many(keys[start:stop], rows[start:stop], words[start:stop]).tolist()
+            start = stop
+            # Region boundaries are where the last append left them.
+            assert batched.read_only_address == max(
+                batched.head_address, batched.tail_address - batched.mutable_bytes
+            )
+        assert got == expected
+        assert looped.head_address > 0  # pages were evicted on the way
+        assert log_state(batched, batched_ssd) == log_state(looped, looped_ssd)
+        looped.flush_all()
+        batched.flush_all()
+        assert log_state(batched, batched_ssd) == log_state(looped, looped_ssd)
+
+    def test_room_excludes_the_record_that_fills_the_page(self, tmp_path):
+        log, _ = make_log(tmp_path)
+        assert log.append_room(64) == 15  # the 16th would fill page 0
+        log.append_many(
+            np.arange(15, dtype=np.uint64), np.zeros((15, 44), dtype=np.uint8),
+            np.full(15, WORD, dtype=np.uint64),
+        )
+        assert log.append_room(64) == 0
+        log.append(15, bytes(44), WORD)  # fills it: the tail is a page not opened yet
+        assert log.tail_address == 1024 and log.append_room(64) == 0
+        log.append(16, bytes(44), WORD)
+        assert log.append_room(64) == 14
+
+    def test_oversized_record_rejected(self, tmp_path):
+        log, _ = make_log(tmp_path, page_bytes=128)
+        with pytest.raises(StorageError):
+            log.append_many(
+                np.arange(2, dtype=np.uint64), np.zeros((2, 200), dtype=np.uint8),
+                np.full(2, WORD, dtype=np.uint64),
+            )
+
+    def test_empty_run(self, tmp_path):
+        log, _ = make_log(tmp_path)
+        addresses = log.append_many(
+            np.empty(0, dtype=np.uint64), np.empty((0, 8), dtype=np.uint8),
+            np.empty(0, dtype=np.uint64),
+        )
+        assert addresses.tolist() == [] and log.tail_address == 0
+
+
+class TestDiskReads:
+    def filled(self, tmp_path):
+        log, ssd = make_log(tmp_path, pages=2, page_bytes=256)
+        addresses = [log.append(i, bytes([i]) * 50, pack_word(False, False, 1, i)) for i in range(30)]
+        addresses.append(log.append_tombstone(99, WORD))
+        for i in range(31, 45):
+            log.append(i, bytes(50), WORD)
+        return log, ssd, addresses
+
+    def test_batched_read_equals_single_reads_and_charges_nothing(self, tmp_path):
+        log, ssd, addresses = self.filled(tmp_path)
+        cold = np.array([a for a in addresses[:30] if not log.in_memory(a)], dtype=np.int64)[::-1]
+        assert len(cold) > 20
+        before = (ssd.stats(), ssd.clock.now)
+        headers, rows, complete = log.read_disk_records(cold, 50)
+        assert (ssd.stats(), ssd.clock.now) == before
+        assert complete.all()
+        for header, row, address in zip(headers, rows, cold.tolist()):
+            word, key, value = log.read_disk_record(address)
+            assert (int(header["word"]), int(header["key"])) == (word, key)
+            assert row.tobytes() == value
+            assert int(header["value_len"]) == 50 == log.disk_value_len(address)
+
+    def test_single_read_charges_one_random_read(self, tmp_path):
+        log, ssd, addresses = self.filled(tmp_path)
+        reads, now = ssd.reads, ssd.clock.now
+        assert log.read_record(addresses[3])[1:] == (3, bytes([3]) * 50, False)
+        assert ssd.reads == reads + 1 and ssd.clock.now > now
+
+    def test_tombstone_on_disk(self, tmp_path):
+        log, ssd, addresses = self.filled(tmp_path)
+        assert not log.in_memory(addresses[30])
+        assert log.read_disk_record(addresses[30])[1:] == (99, None)
+        assert log.disk_value_len(addresses[30]) == 0  # no batch has this width
+        headers, _, complete = log.read_disk_records(np.array(addresses[29:31]), 50)
+        assert complete.all() and headers["value_len"].tolist() == [50, TOMBSTONE_LEN]
+
+    def test_file_ending_inside_a_record(self, tmp_path):
+        """The batched read marks the record incomplete and goes on; the
+        single read — where callers send such a record — says why."""
+        log, _, addresses = self.filled(tmp_path)
+        log._file.flush()
+        os.truncate(log.path, addresses[5] + 30)
+        headers, rows, complete = log.read_disk_records(np.array(addresses[3:7]), 50)
+        assert complete.tolist() == [True, True, False, False]
+        assert headers["key"].tolist()[:3] == [3, 4, 5] and rows[1].tobytes() == bytes([4]) * 50
+        with pytest.raises(StorageError, match="log truncated"):
+            log.read_disk_record(addresses[5])
+        with pytest.raises(StorageError, match="log truncated"):
+            log.read_record(addresses[6])
+        with pytest.raises(StorageError, match="log truncated"):
+            log.prefetch_read(addresses[6])
 
 
 class TestScanAndLifecycle:

@@ -208,10 +208,13 @@ class TestE2eSmokeVerdict:
     """benchmarks/check_e2e.py: run.py's last line -> an exit status."""
 
     @staticmethod
-    def workload(correct=True, failed=0, share=0.99):
+    def workload(correct=True, failed=0, share=0.99, calls=0.3):
         return {
             "correct": correct, "attempted": 12, "failed": failed,
-            "metrics": {"train.attributed_share": {"value": share, "unit": "ratio"}},
+            "metrics": {
+                "train.attributed_share": {"value": share, "unit": "ratio"},
+                "kv.py_calls_per_key": {"value": calls, "unit": "count"},
+            },
         }
 
     def test_clean_report_passes(self):
@@ -228,3 +231,16 @@ class TestE2eSmokeVerdict:
         found = check_e2e.problems(report)
         assert [line.split(":")[0] for line in found] == ["a", "b", "c"]
         assert "0.900" in found[2]
+
+    def test_engine_back_on_the_per_key_loop_fails(self):
+        """A traced training workload over the call ceiling fails; a
+        serving workload (no training spans) is not held to it."""
+        report = {
+            "dlrm_ooc": self.workload(calls=22.6),
+            "dlrm_mem": self.workload(calls=check_e2e.MAX_PY_CALLS_PER_KEY),
+            "serve_restored": self.workload(share=0.0, calls=16.9),
+        }
+        found = check_e2e.problems(report)
+        assert len(found) == 1 and found[0].startswith("dlrm_ooc: 22.60 Python calls per key")
+        thin = check_e2e.problems({"a": self.workload(share=0.5, calls=30.0)})
+        assert len(thin) == 2  # both checks speak

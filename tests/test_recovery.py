@@ -7,6 +7,7 @@ durably-acknowledged state — nothing torn, nothing lost, nothing
 resurrected.
 """
 
+import json
 import os
 
 import numpy as np
@@ -61,6 +62,18 @@ def restore_store(kind: str, directory: str):
     if kind == "sharded":
         return ShardedKVStore.restore(directory)  # classes from the manifest
     raise AssertionError(kind)
+
+
+def _with(text: str, field: str, value) -> str:
+    """A JSON sidecar with one field replaced."""
+    return json.dumps({**json.loads(text), field: value})
+
+
+def _without(text: str, field: str) -> str:
+    """A JSON sidecar with one field dropped."""
+    loaded = json.loads(text)
+    del loaded[field]
+    return json.dumps(loaded)
 
 
 def value_of(key: int, generation: int = 0) -> bytes:
@@ -195,6 +208,49 @@ class TestKillThenRestore:
         restored = MLKV.restore(str(tmp_path / "local"))
         restored.lookahead([1])  # folds the sidecar delta onto the word
         assert restored.staleness_of(1) == 5
+
+    @pytest.mark.parametrize(
+        "name, tear",
+        [
+            pytest.param(name, tear, id=f"{name.split('.')[1]}-{label}")
+            for name, label, tear in [
+                ("faster.meta.json", "cut short", lambda text: text[: len(text) // 2]),
+                ("faster.meta.json", "not an object", lambda text: "[1, 2]"),
+                ("faster.meta.json", "no page_bytes", lambda text: _without(text, "page_bytes")),
+                ("faster.meta.json", "no tail_address", lambda text: _without(text, "tail_address")),
+                ("faster.meta.json", "page_bytes text", lambda text: _with(text, "page_bytes", "4 KiB")),
+                ("faster.meta.json", "page_bytes 0", lambda text: _with(text, "page_bytes", 0)),
+                ("mlkv.staleness.json", "cut short", lambda text: text[: len(text) // 2]),
+                ("mlkv.staleness.json", "no overflow", lambda text: _without(text, "overflow")),
+                ("mlkv.staleness.json", "no bound", lambda text: _without(text, "staleness_bound")),
+                ("mlkv.staleness.json", "text key", lambda text: _with(text, "overflow", {"seven": 1})),
+                ("mlkv.staleness.json", "negative count", lambda text: _with(text, "overflow", {"7": -1})),
+                ("mlkv.staleness.json", "fractional count", lambda text: _with(text, "overflow", {"7": 1.5})),
+                ("mlkv.staleness.json", "overflow a list", lambda text: _with(text, "overflow", [7, 1])),
+                ("mlkv.staleness.json", "negative bound", lambda text: _with(text, "staleness_bound", -2)),
+            ]
+        ],
+    )
+    def test_torn_engine_sidecar_is_a_checkpoint_error(self, tmp_path, name, tear):
+        """A sidecar cut short or missing a field names itself in a
+        ``CheckpointError``; it is not a ``JSONDecodeError``/``KeyError``
+        from wherever the field was first needed."""
+        directory = str(tmp_path / "local")
+        store = MLKV(directory, staleness_bound=3, page_bytes=1 << 12, **_SMALL)
+        store.multi_put(list(range(2000)), [bytes(40)] * 2000)  # the first keys spill
+        store.multi_get(list(range(20)))  # ... and get overflow entries
+        store.checkpoint()
+        store.close()
+        restored = MLKV.restore(directory)
+        assert restored._overflow_staleness == {key: 1 for key in range(20)}
+        restored.close()
+        path = tmp_path / "local" / name
+        path.write_text(tear(path.read_text()))
+        with pytest.raises(CheckpointError, match=name.replace(".", r"\.")):
+            MLKV.restore(directory).close()
+        if name.startswith("faster"):
+            with pytest.raises(CheckpointError, match=r"faster\.meta\.json"):
+                FasterKV.recover(directory).close()
 
     def test_restore_to_refuses_dirty_target(self, tmp_path):
         store = FasterKV(str(tmp_path / "local"), **_SMALL)
