@@ -387,22 +387,26 @@ class MLKV(FasterKV):
         :meth:`_get_bounded` at its turn.  If that ran the stall handler,
         pending updates were applied — in place or by appending — so the
         words, addresses and region boundaries of the remaining keys are
-        read afresh before the next run.  Stops early once too many keys
-        have taken the per-key path (``FALLBACK_SHARE``).
+        read afresh before the next run; a cold record already fetched is
+        read again only if its key has moved since.  Stops early once too
+        many keys have taken the per-key path (``FALLBACK_SHARE``).
         """
         count = len(keys)
         stats = self.mlkv_stats
         limit = min(self.staleness_bound, MAX_STALENESS - 1)
         overflow = self._overflow_staleness
         fallbacks_left = count // FALLBACK_SHARE
+        fetched = None  # cold records the previous classification read
         start = 0
         while start < count:
             # Classify keys[start:]; positions below are relative to start.
             with self.epochs.guard():
-                _, rows, resident, cold, offsets, words = self._read_plain(key_array[start:])
+                addresses, rows, resident, read, offsets, words = self._read_plain(
+                    key_array[start:], fetched
+                )
                 staleness = word_staleness(words)
                 resident &= (word_flags(words) == 0) & (staleness <= limit)
-                cold = np.flatnonzero(cold)
+                cold = np.flatnonzero(read)
                 cold_keys = key_array[start:][cold].tolist()
                 cold_staleness = _counts(map(overflow.get, cold_keys, repeat(0)), len(cold_keys))
                 admitted = cold_staleness <= min(self.staleness_bound, ASP_BOUND)
@@ -430,6 +434,8 @@ class MLKV(FasterKV):
                     break
                 with self.epochs.guard():
                     self._admit_run(batch, position + 1, run_end, results)
+            served = len(results) - start
+            fetched = addresses[served:], rows[served:], read[served:]
             start = len(results)
 
     def _admit_run(self, batch: "_GetBatch", first: int, stop: int, results: list) -> None:

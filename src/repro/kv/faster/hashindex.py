@@ -25,9 +25,6 @@ _INITIAL_SLOTS = 1024
 #: Fraction of slots that may be in use (live or removed) before a rebuild.
 _MAX_LOAD = 0.5
 
-#: A batched probe finishes its last this-many keys one chain at a time.
-_SCALAR_PROBES = 8
-
 #: Address-array markers: a slot never used, and one whose key was removed
 #: (probes continue past it).  Real log addresses are non-negative.
 _EMPTY = -1
@@ -160,18 +157,6 @@ class HashIndex:
             pending = np.flatnonzero(probing) if pending is None else pending[probing]
             keys = keys[probing]
             slots = (slots[probing] + 1) & self._mask
-            if len(pending) <= _SCALAR_PROBES:
-                break
-        # The last few keys sit on the longest chains: an array pass per
-        # step of theirs costs more than walking each chain.
-        key_view, address_view, mask = self._key_view, self._address_view, self._mask
-        for position, key, slot in zip(pending.tolist(), keys.tolist(), slots.tolist()):
-            while (address := address_view[slot]) != _EMPTY:
-                if address >= 0 and key_view[slot] == key:
-                    located[position] = slot
-                    break
-                slot = (slot + 1) & mask
-        return located
 
     def find_many(self, keys: np.ndarray) -> np.ndarray:
         """Log addresses of a ``uint64`` key array; ``-1`` where absent."""

@@ -307,13 +307,22 @@ class HybridLog:
             return word, key, None
         return word, key, self._pread(address + RECORD_HEADER_BYTES, value_len)
 
+    def batch_width(self, value_len: int) -> int:
+        """The value width a batched read assumes of its records, given the
+        ``value_len`` of its first: 0 for a tombstone or a length no record
+        of this log can have (a crossed index entry) — such a batch then
+        matches nothing and every key is read, and judged, one by one."""
+        return value_len if value_len <= self.page_bytes - RECORD_HEADER_BYTES else 0
+
     def disk_value_len(self, address: int) -> int:
-        """Value width of the record at ``address`` in the file: what a
-        batched read assumes of its other records (0 for a tombstone or a
-        header no record can have — such a batch then matches nothing)."""
+        """:meth:`batch_width` of the record at ``address`` in the file; 0
+        as well where the file ends inside the header, which is for the
+        read of that record to report."""
         self._file.flush()
-        _, _, value_len = decode_record_header(self._pread(address, RECORD_HEADER_BYTES))
-        return value_len if value_len <= self.page_bytes else 0
+        header = os.pread(self._file.fileno(), RECORD_HEADER_BYTES, address)
+        if len(header) < RECORD_HEADER_BYTES:
+            return 0
+        return self.batch_width(decode_record_header(header)[2])
 
     def read_disk_records(
         self, addresses: np.ndarray, width: int

@@ -358,7 +358,7 @@ class FasterKV(KVStore, CheckpointManager):
         return addresses, offsets, self.log.read_headers(offsets)
 
     def _read_plain(
-        self, key_array: np.ndarray
+        self, key_array: np.ndarray, earlier: Optional[tuple] = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Resolve a batch of reads and fetch its plain records.
 
@@ -370,16 +370,19 @@ class FasterKV(KVStore, CheckpointManager):
         the key and the batch's width.  ``rows`` holds those records'
         values, one ``uint8`` row per batch position (rows of other
         positions hold nothing of use); ``offsets`` and ``words`` are the
-        arena offsets and latch words of resident records.  Nothing is
-        charged or counted: the caller books hits, misses and the cold
-        reads' device time for the records it goes on to serve.
+        arena offsets and latch words of resident records.  ``earlier`` is
+        the ``(addresses, rows, cold)`` an earlier call returned for the
+        same keys: a record below the head never changes, so one it
+        fetched is read again only if the index has moved on from it.
+        Nothing is charged or counted: the caller books hits, misses and
+        the cold reads' device time for the records it goes on to serve.
         """
         log = self.log
         addresses, offsets, headers = self._resolve(key_array)
         in_memory = addresses >= log.head_address
         on_disk = np.flatnonzero((addresses >= 0) & ~in_memory)
         if in_memory.any():
-            width = int(headers["value_len"][in_memory.argmax()])
+            width = log.batch_width(int(headers["value_len"][in_memory.argmax()]))
         else:
             width = log.disk_value_len(int(addresses[on_disk[0]])) if len(on_disk) else 0
         resident = in_memory & (headers["value_len"] == width) & (headers["key"] == key_array)
@@ -389,6 +392,12 @@ class FasterKV(KVStore, CheckpointManager):
         else:
             rows = np.empty((len(key_array), width), dtype=np.uint8)
             rows[resident] = log.read_rows(offsets[resident], width)
+        if earlier is not None and earlier[1].shape[1] == width:
+            fetched_at, fetched_rows, fetched = earlier
+            known = on_disk[fetched[on_disk] & (fetched_at[on_disk] == addresses[on_disk])]
+            cold[known] = True
+            rows[known] = fetched_rows[known]
+            on_disk = on_disk[~cold[on_disk]]
         if len(on_disk):
             disk_headers, disk_rows, complete = log.read_disk_records(addresses[on_disk], width)
             matching = on_disk[

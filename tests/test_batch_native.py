@@ -546,6 +546,45 @@ class TestColdBatches:
             assert pair.batched.per_key_calls["_get_bounded"] == 1
             assert store.ssd.reads == reads + 30 + 1 + 10
 
+    def test_stalls_do_not_fetch_the_remaining_cold_records_again(self, monkeypatch):
+        """Four cold keys of a 100-key batch stall, and each time the rest
+        of the batch is classified again: a record fetched before is read
+        from the file again only if the handler's update moved its key."""
+        with paired("mlkv", "evict", bound=0, handler=True) as pair:
+            keys = on_disk_keys(pair, 100)
+            stalling = keys[10:90:20]
+            pair.run(("get", stalling))
+            for key in stalling:  # one update batch per stall, two keys each
+                moved = [key, key + 1]
+                pair.run(("defer", moved, [value_for(key, 9) for key in moved]))
+            fetched = []
+            preadv = os.preadv
+            monkeypatch.setattr(
+                os, "preadv", lambda fd, buffers, at: fetched.append(at) or preadv(fd, buffers, at)
+            )
+            pair.batched.count_per_key_calls()
+            pair.batched.apply(("get", keys))
+            assert len(pair.batched.pipeline.calls) == len(stalling)
+            assert pair.batched.per_key_calls["_get_bounded"] == len(stalling)
+            assert len(fetched) <= len(keys) + 2 * len(stalling)
+            monkeypatch.undo()
+            pair.looped.apply(("get", keys))
+            assert pair.batched.observe() == pair.looped.observe()
+
+    def test_key_moved_and_evicted_again_by_a_stall_is_fetched_again(self):
+        """The handler's update batch is longer than the window: most of
+        its new copies are back on disk, elsewhere, by the time the rest
+        of the Get batch is classified again."""
+        with paired("mlkv", "thrash", bound=0, handler=True) as pair:
+            store = pair.batched.store
+            keys = on_disk_keys(pair, 100)
+            moved = keys[10:80]
+            pair.run(("get", keys[10:11]))
+            pair.run(("defer", moved, [value_for(key, 9) for key in moved]))
+            values = pair.run(("get", keys))
+            assert values == [value_for(key, 9 if key in moved[1:] else 0) for key in keys]
+            assert sum(not store.log.in_memory(store.index.find(key)) for key in moved) > 20
+
     def test_lookahead_window_larger_than_the_buffer(self):
         """Staging some 190 records into a window of 46: the first copies
         are pushed out again by the later ones, and the batch that wanted
@@ -627,5 +666,30 @@ class TestColdBatches:
                 os.truncate(side.store.log.path, side.store.index.find(keys[10]) + 30)
             outcome = pair.run(("get", keys[:20]))
             assert outcome[0] == "raised" and "log truncated" in outcome[1]
+            # The first cold record of a batch, the one whose header gives
+            # the batch its width, torn as well: the keys before it (absent
+            # ones) are served first, as in the loop.
+            absent = list(range(KEYS + 1, KEYS + 9))
+            misses = pair.batched.store.stats.misses
+            outcome = pair.run(("get", absent + keys[11:20]))
+            assert outcome[0] == "raised" and "log truncated" in outcome[1]
+            assert pair.batched.store.stats.misses == misses + len(absent)
+            pair.batched.store.close()
+            pair.looped.store.close()
+
+    @pytest.mark.parametrize("engine", ["faster", "mlkv"])
+    def test_crossed_entry_into_a_resident_record_raises_a_typed_error(self, engine):
+        """An index entry that points into the middle of a resident record
+        reads value bytes as a length no record can have: the batch takes
+        no width from it, and the key fails as it does in the loop."""
+        with tempfile.TemporaryDirectory() as root:  # no final scan: the index is crossed
+            pair = Pair(root, engine, "mutable", bound=2 if engine == "mlkv" else None)
+            keys = list(range(1, 41))
+            for side in (pair.batched, pair.looped):
+                side.store.index.upsert(keys[0], side.store.index.find(keys[0]) + 4)
+            outcome = pair.run(("get", keys))
+            assert outcome[0] == "raised" and "index corruption" in outcome[1]
+            outcome = pair.run(("get", keys[1:] + keys[:1]))
+            assert outcome[0] == "raised" and "index corruption" in outcome[1]
             pair.batched.store.close()
             pair.looped.store.close()

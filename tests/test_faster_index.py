@@ -243,15 +243,3 @@ class TestSwingMany:
         index = self.loaded(10)
         index.swing_many(keys_of([]), np.empty(0, dtype=np.int64))
         assert len(index) == 10
-
-    def test_long_probe_chains_are_walked_to_the_end(self):
-        """The last few keys of a batched probe finish one chain at a
-        time; at four slots every chain wraps around the table."""
-        index = HashIndex(initial_slots=4)
-        for key in range(200):
-            index.upsert(key, key + 1)
-        probe = keys_of(range(220))
-        expected = [key + 1 if key < 200 else -1 for key in range(220)]
-        assert index.find_many(probe).tolist() == expected
-        index.swing_many(probe[:200], np.arange(200, dtype=np.int64))
-        assert [index.find(key) for key in range(200)] == list(range(200))
