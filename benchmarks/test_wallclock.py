@@ -19,7 +19,10 @@ CPU time:
   look-ahead staging of an MLKV store holding a table some seven times
   its buffer, where most of a batch is read from and re-appended past the
   file (batched positional reads, block appends, overflow-table
-  admission).
+  admission),
+* **sparse message passing** — a GAT training step (forward, loss,
+  backward) over sampled CSR blocks, and the neighbor sampler that
+  builds them; the dense net is ~80% of a ``gnn_dense`` step.
 
 Timings are best-of-N ``time.perf_counter`` (see
 :mod:`repro.bench.wallclock`); the emitted payload is tagged
@@ -39,6 +42,7 @@ from emit import emit
 
 from repro.bench.wallclock import best_of, cores, rate, speedup
 from repro.core.embedding import EmbeddingTables
+from repro.data import GraphDataset, NeighborSampler
 from repro.core.mlkv import MLKV
 from repro.device import SimClock, SSDModel
 from repro.kv.common.serialization import (
@@ -53,6 +57,8 @@ from repro.kv.common.serialization import (
 )
 from repro.kv.parallel import ParallelShardStore, fork_available
 from repro.kv.sharded import ShardedKVStore
+from repro.models.gnn import GAT
+from repro.nn import Tensor, softmax_cross_entropy
 from repro.nn.optim import RowAdagrad, RowAdam
 
 _DIM = 32
@@ -64,6 +70,11 @@ _REPEATS = 5
 _OOC_KEYS = 100_000
 _OOC_VALUE_BYTES = 128
 _OOC_BUDGET_BYTES = 2 << 20
+_GNN_NODES = 20_000
+_GNN_HIDDEN = 256
+_GNN_BATCH = 64
+_GNN_FANOUTS = (5, 5)
+_GNN_STEPS = 10
 
 
 def _memory_resident_store(directory: str) -> MLKV:
@@ -378,8 +389,53 @@ def _bench_out_of_core(rows_out, metrics):
         })
 
 
+def _bench_gnn(rows_out, metrics):
+    """GAT training steps and neighbor sampling at ``gnn_dense``'s shapes.
+
+    Two sampled hops around 64 seeds of a 20,000-node graph reach ~1,650
+    nodes over ~2,100 edges; a step is forward, softmax cross-entropy and
+    backward down to the input features.  Sampling draws fresh
+    neighborhoods on every repeat (the sampler owns its RNG stream); the
+    steps run over the last set drawn.
+    """
+    graph = GraphDataset(num_nodes=_GNN_NODES, seed=11)
+    sampler = NeighborSampler(graph, fanouts=_GNN_FANOUTS, mode="mask", seed=0)
+    seed_batches = graph.seed_batches(_GNN_STEPS, _GNN_BATCH)
+    drawn = []
+    sample = best_of(
+        lambda: drawn.append([sampler.sample(seeds) for seeds in seed_batches]),
+        repeats=_REPEATS,
+    )
+    batches = drawn[-1]
+    network = GAT(in_dim=_DIM, hidden_dim=_GNN_HIDDEN, num_classes=graph.num_classes)
+    rng = np.random.default_rng(16)
+    features = [
+        rng.normal(0.0, 0.3, (len(batch.input_nodes), _DIM)).astype(np.float32)
+        for batch in batches
+    ]
+
+    def steps():
+        for batch, rows in zip(batches, features):
+            network.zero_grad()
+            leaf = Tensor(rows, requires_grad=True)
+            logits = network(leaf, batch.frontiers, batch.blocks)
+            softmax_cross_entropy(logits, graph.labels[batch.seeds]).backward()
+
+    steps()  # warmup
+    metrics["gnn_fwd_bwd_steps_per_s"] = rate(_GNN_STEPS, best_of(steps, repeats=_REPEATS))
+    metrics["gnn_sample_batches_per_s"] = rate(_GNN_STEPS, sample)
+    for path, metric in (("gnn_fwd_bwd", "gnn_fwd_bwd_steps_per_s"),
+                         ("gnn_sample", "gnn_sample_batches_per_s")):
+        rows_out.append({
+            "path": path,
+            "vectorized_keys_per_s": round(metrics[metric], 1),
+            "reference_keys_per_s": 0,
+            "speedup": 0,
+        })
+
+
 def test_wallclock_hot_paths(benchmark):
-    """One sweep measuring all five wall-clock hot paths.
+    """One sweep measuring all six wall-clock hot paths.
 
     A single test (and a single emitted file) so the payload is atomic:
     either every wall metric refreshes or none does — the gate's
@@ -394,6 +450,7 @@ def test_wallclock_hot_paths(benchmark):
         _bench_codec(rows, metrics)
         throughputs = _bench_fanout(rows, metrics)
         _bench_out_of_core(rows, metrics)
+        _bench_gnn(rows, metrics)
         return rows, metrics, throughputs
 
     rows, metrics, throughputs = benchmark.pedantic(sweep, rounds=1, iterations=1)
@@ -417,6 +474,10 @@ def test_wallclock_hot_paths(benchmark):
             "ooc_keys": _OOC_KEYS,
             "ooc_value_bytes": _OOC_VALUE_BYTES,
             "ooc_budget_bytes": _OOC_BUDGET_BYTES,
+            "gnn_nodes": _GNN_NODES,
+            "gnn_hidden": _GNN_HIDDEN,
+            "gnn_batch": _GNN_BATCH,
+            "gnn_fanouts": list(_GNN_FANOUTS),
             "repeats": _REPEATS,
             "timer": "time.perf_counter best-of",
         },

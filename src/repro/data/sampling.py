@@ -2,8 +2,11 @@
 
 The neighbor sampler produces the frontier/block structure
 :class:`~repro.models.gnn.GNNBase` consumes: per layer, an index array
-selecting destination nodes inside the source frontier, and either a
-row-normalized mean matrix (GraphSage) or a boolean adjacency mask (GAT).
+selecting destination nodes inside the source frontier, and one CSR
+:class:`~repro.nn.sparse.Block` of sampled edges (with ``1/deg`` edge
+weights for GraphSage's mean, without for GAT's attention).  Blocks are
+built with array operations straight from the sampled edge list; no
+``[n_dst, n_src]`` matrix exists at any point.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.data.graphs import GraphDataset
+from repro.nn.sparse import Block
 
 
 @dataclass
@@ -21,7 +25,7 @@ class SampledBlocks:
 
     input_nodes: np.ndarray        # outermost frontier (all nodes to fetch)
     frontiers: list[np.ndarray]    # per layer: dst index into the src frontier
-    structures: list[np.ndarray]   # per layer: mean matrix or adjacency mask
+    blocks: list[Block]            # per layer: sampled edges, dst rows x src columns
     seeds: np.ndarray              # the classified nodes (innermost frontier)
 
 
@@ -35,8 +39,9 @@ class NeighborSampler:
     fanouts:
         Neighbors sampled per layer, outermost last; ``len(fanouts)`` = L.
     mode:
-        ``"mean"`` emits row-normalized aggregation matrices,
-        ``"mask"`` emits boolean adjacency masks (for attention).
+        ``"mean"`` emits blocks with ``1/deg`` edge weights (``deg``
+        counting a row's *distinct* sampled neighbors), ``"mask"`` emits
+        unweighted blocks (for attention).
     """
 
     def __init__(self, graph: GraphDataset, fanouts: tuple[int, ...] = (5, 5),
@@ -49,58 +54,41 @@ class NeighborSampler:
         self._rng = np.random.default_rng(seed)
 
     def sample(self, seeds: np.ndarray) -> SampledBlocks:
-        """Expand ``seeds`` into an L-hop computation graph."""
+        """Expand ``seeds`` (distinct nodes) into an L-hop computation graph."""
         seeds = np.asarray(seeds, dtype=np.int64)
         # Build frontiers inside-out: layer L classifies the seeds.
-        layer_nodes = [seeds]
-        layer_edges: list[dict[int, np.ndarray]] = []
-        for fanout in reversed(self.fanouts):
-            dst_nodes = layer_nodes[0]
-            edges: dict[int, np.ndarray] = {}
-            src_set: list[int] = list(dst_nodes)
-            seen = {int(n) for n in dst_nodes}
-            for node in dst_nodes:
-                neighbors = self.graph.neighbors(int(node))
-                if len(neighbors) == 0:
-                    edges[int(node)] = np.empty(0, dtype=np.int64)
-                    continue
-                take = min(fanout, len(neighbors))
-                chosen = self._rng.choice(neighbors, size=take, replace=False)
-                edges[int(node)] = chosen
-                for neighbor in chosen:
-                    if int(neighbor) not in seen:
-                        seen.add(int(neighbor))
-                        src_set.append(int(neighbor))
-            layer_nodes.insert(0, np.array(src_set, dtype=np.int64))
-            layer_edges.insert(0, edges)
-
+        dst = seeds
         frontiers: list[np.ndarray] = []
-        structures: list[np.ndarray] = []
-        for level in range(len(self.fanouts)):
-            src = layer_nodes[level]
-            dst = layer_nodes[level + 1]
-            position = {int(node): i for i, node in enumerate(src)}
-            dst_index = np.array([position[int(node)] for node in dst], dtype=np.int64)
-            structure = np.zeros((len(dst), len(src)), dtype=np.float32)
-            for row, node in enumerate(dst):
-                chosen = layer_edges[level][int(node)]
-                if len(chosen) == 0:
-                    structure[row, position[int(node)]] = 1.0  # self fallback
-                    continue
-                for neighbor in chosen:
-                    structure[row, position[int(neighbor)]] = 1.0
-            if self.mode == "mean":
-                structure /= structure.sum(axis=1, keepdims=True)
-                structures.append(structure)
+        blocks: list[Block] = []
+        for fanout in reversed(self.fanouts):
+            src, dst_index, block = self._sample_layer(dst, fanout)
+            frontiers.insert(0, dst_index)
+            blocks.insert(0, block)
+            dst = src
+        return SampledBlocks(input_nodes=dst, frontiers=frontiers, blocks=blocks, seeds=seeds)
+
+    def _sample_layer(self, dst: np.ndarray, fanout: int) -> tuple[np.ndarray, np.ndarray, Block]:
+        """One hop: the source frontier, ``dst``'s positions in it, the block."""
+        indptr, neighbors = self.graph.indptr, self.graph.indices
+        picked = []
+        # One draw per destination, in frontier order: the RNG stream (and
+        # so the sampled graph) is a pinned contract.
+        for node, lo, hi in zip(dst.tolist(), indptr[dst].tolist(), indptr[dst + 1].tolist()):
+            if lo == hi:
+                picked.append(np.array([node], dtype=np.int64))  # isolated: self edge
             else:
-                structures.append(structure.astype(bool))
-            frontiers.append(dst_index)
-        return SampledBlocks(
-            input_nodes=layer_nodes[0],
-            frontiers=frontiers,
-            structures=structures,
-            seeds=seeds,
-        )
+                picked.append(self._rng.choice(neighbors[lo:hi], size=min(fanout, hi - lo),
+                                               replace=False))
+        rows = np.repeat(np.arange(len(dst)), [len(chosen) for chosen in picked])
+        # Source frontier: destinations first, then new neighbors as first seen.
+        nodes = np.concatenate([dst] + picked)
+        _, first, inverse = np.unique(nodes, return_index=True, return_inverse=True)
+        src = nodes[np.sort(first)]
+        position = np.argsort(np.argsort(first))[inverse]
+        # from_edges keeps one edge where a multigraph picked a neighbor twice.
+        block = Block.from_edges(len(dst), len(src), rows, position[len(dst):],
+                                 mean=self.mode == "mean")
+        return src, position[:len(dst)], block
 
 
 class NegativeSampler:

@@ -3,12 +3,14 @@
 Both models run over *sampled subgraphs* in minibatch fashion (the DGL
 training style the paper uses): the trainer samples an L-hop neighborhood
 around the seed nodes and provides, per layer, the frontier-to-frontier
-aggregation structure.
+sampled edges as a CSR :class:`~repro.nn.sparse.Block`.  Messages pass
+over that edge list, as in DGL; no ``[n_dst, n_src]`` matrix is built.
 
-* :class:`GraphSage` (Hamilton et al. 2017) consumes per-layer
-  row-normalized mean matrices ``[n_dst, n_src]``.
-* :class:`GAT` (Veličković et al. 2018) consumes boolean adjacency masks
-  and computes masked-softmax attention per destination node.
+* :class:`GraphSage` (Hamilton et al. 2017) sums source rows under the
+  block's constant ``1/deg`` edge weights (the mean over neighbors).
+* :class:`GAT` (Veličković et al. 2018) scores every edge, normalizes
+  the scores per destination (:func:`~repro.nn.sparse.edge_softmax`) and
+  sums source rows under those attention weights.
 
 Node feature vectors (the embeddings fetched from storage) are the leaf
 inputs; gradients flow back to them for the sparse update.
@@ -18,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.functional import softmax
 from repro.nn.layers import Linear, Module
+from repro.nn.sparse import Block, aggregate, edge_logits, edge_softmax
 from repro.nn.tensor import Tensor
 
 
@@ -34,14 +36,14 @@ class SageLayer(Module):
         self.w_neigh = Linear(in_dim, out_dim, bias=False, rng=rng)
         self.activation = activation
 
-    def forward(self, x_src: Tensor, x_dst: Tensor, mean_mat: np.ndarray) -> Tensor:
-        agg = Tensor(mean_mat) @ x_src
-        out = self.w_self(x_dst) + self.w_neigh(agg)
+    def forward(self, x_src: Tensor, dst_index: np.ndarray, block: Block) -> Tensor:
+        agg = aggregate(block, block.weights, x_src)
+        out = self.w_self(x_src[dst_index]) + self.w_neigh(agg)
         return out.relu() if self.activation else out
 
 
 class GATLayer(Module):
-    """Single-head graph attention: masked softmax over sampled neighbors."""
+    """Single-head graph attention: softmax over each node's sampled edges."""
 
     def __init__(self, in_dim: int, out_dim: int, activation: bool = True,
                  rng: np.random.Generator | None = None) -> None:
@@ -53,14 +55,15 @@ class GATLayer(Module):
         self.a_dst = Tensor(rng.uniform(-bound, bound, (out_dim, 1)), requires_grad=True)
         self.activation = activation
 
-    def forward(self, x_src: Tensor, x_dst: Tensor, adj_mask: np.ndarray) -> Tensor:
+    def forward(self, x_src: Tensor, dst_index: np.ndarray, block: Block) -> Tensor:
         h_src = self.w(x_src)                     # [n_src, d]
-        h_dst = self.w(x_dst)                     # [n_dst, d]
-        e_dst = h_dst @ self.a_dst                # [n_dst, 1]
-        e_src = (h_src @ self.a_src).reshape(1, -1)  # [1, n_src]
-        logits = (e_dst + e_src).leaky_relu(0.2)  # [n_dst, n_src]
-        attention = softmax(logits, axis=1, mask=adj_mask)
-        out = attention @ h_src
+        e_src = h_src @ self.a_src                # [n_src, 1]
+        # Destinations sit in the source frontier: score every source as
+        # one and pick, instead of a second w(x_dst) product.
+        e_dst = (h_src @ self.a_dst)[dst_index]   # [n_dst, 1]
+        logits = edge_logits(block, e_dst, e_src).leaky_relu(0.2)  # [nnz]
+        attention = edge_softmax(block, logits)
+        out = aggregate(block, attention, h_src)
         return out.relu() if self.activation else out
 
 
@@ -86,18 +89,18 @@ class GNNBase(Module):
     def _build_layers(self, in_dim, hidden_dim, num_layers, rng):  # pragma: no cover
         raise NotImplementedError
 
-    def forward(self, features: Tensor, frontiers: list, structures: list[np.ndarray]) -> Tensor:
+    def forward(self, features: Tensor, frontiers: list, blocks: list[Block]) -> Tensor:
         """Classify the seed nodes of a sampled block list.
 
         ``features`` holds vectors for the outermost frontier (all nodes);
         ``frontiers[l]`` is an index array selecting layer ``l``'s
         destination nodes from layer ``l``'s source nodes; and
-        ``structures[l]`` is the aggregation matrix/mask ``[n_dst, n_src]``.
+        ``blocks[l]`` holds layer ``l``'s sampled edges (destination rows,
+        source columns).
         """
         x = features
-        for layer, dst_index, structure in zip(self.layers, frontiers, structures):
-            x_dst = x[dst_index]
-            x = layer(x, x_dst, structure)
+        for layer, dst_index, block in zip(self.layers, frontiers, blocks):
+            x = layer(x, dst_index, block)
         return self.head(x)
 
 

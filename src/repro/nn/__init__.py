@@ -3,8 +3,9 @@
 Stands in for PyTorch in this offline reproduction: reverse-mode autodiff
 over float32 numpy arrays (:mod:`repro.nn.tensor`), layers and containers
 (:mod:`repro.nn.layers`), optimizers with sparse-row support
-(:mod:`repro.nn.optim`) and the losses the paper's tasks need
-(:mod:`repro.nn.losses`).  Gradients are exact and verified against
+(:mod:`repro.nn.optim`), the losses the paper's tasks need
+(:mod:`repro.nn.losses`) and message passing over sampled edge lists
+(:mod:`repro.nn.sparse`).  Gradients are exact and verified against
 numerical differentiation in the test suite.
 """
 

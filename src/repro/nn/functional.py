@@ -39,17 +39,9 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor._make(out_data, tuple(tensors), backward)
 
 
-def softmax(x: Tensor, axis: int = -1, mask: np.ndarray | None = None) -> Tensor:
-    """Numerically stable softmax; ``mask`` adds −1e9 where False.
-
-    The masked form implements attention over sampled neighborhoods (GAT):
-    non-edges get effectively zero probability.
-    """
-    logits = x
-    if mask is not None:
-        bias = np.where(mask, 0.0, -1e9).astype(np.float32)
-        logits = logits + Tensor(bias)
-    shifted = logits - logits.max(axis=axis, keepdims=True).detach()
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Numerically stable softmax along ``axis``."""
+    shifted = x - x.max(axis=axis, keepdims=True).detach()
     exp = shifted.exp()
     return exp / exp.sum(axis=axis, keepdims=True)
 

@@ -1,0 +1,163 @@
+"""Sparse message passing: a CSR block and the three kernels over it.
+
+A sampled neighbourhood has a handful of edges per destination row, so
+the GNN layers never build the ``[n_dst, n_src]`` matrix: they gather
+per-edge logits, normalise them per row (:func:`edge_softmax`) and sum
+weighted source rows per destination (:func:`aggregate`).
+
+Sums over ``[nnz, d]`` arrays are *rank-grouped*: edges are ordered by
+their rank inside their row (for the forward pass) or column (for the
+gradient of the sources), every group touches each row at most once, and
+one fancy-indexed ``+=`` per group does the work.  ``np.add.reduceat``
+along axis 0 and ``np.add.at`` are several times slower at these shapes
+(``docs/ARCHITECTURE.md``, "Sparse message passing").
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
+
+from repro.nn.tensor import Tensor
+
+
+class EdgeGroups(NamedTuple):
+    """Edges ordered by rank within their row (or column), for summing.
+
+    ``order`` permutes CSR edge order into rank order.  ``into`` (the
+    row, or column, an edge is summed into) and ``take`` (the one its
+    message comes from) are already permuted.  Group ``k`` is
+    ``bounds[k]:bounds[k + 1]`` and names no ``into`` twice.
+    """
+
+    order: np.ndarray
+    into: np.ndarray
+    take: np.ndarray
+    bounds: list[int]
+
+
+def _rank_groups(into: np.ndarray, take: np.ndarray, size: int) -> EdgeGroups:
+    """Order edges by their rank among the edges summed into the same target."""
+    by_target = np.argsort(into, kind="stable")
+    counts = np.bincount(into, minlength=size)
+    rank = np.empty_like(by_target)
+    rank[by_target] = np.arange(len(into)) - np.repeat(np.cumsum(counts) - counts, counts)
+    order = np.argsort(rank, kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(rank))]).tolist()
+    return EdgeGroups(order, into[order], take[order], bounds)
+
+
+class Block:
+    """One layer of a sampled computation graph, in CSR form.
+
+    Row ``r`` (a destination) owns edges ``indptr[r]:indptr[r + 1]``;
+    ``indices`` holds each edge's position in the source frontier, with
+    no position twice in a row; ``weights`` are optional constant
+    per-edge weights (``1/deg`` for mean aggregation).  Every row has at
+    least one edge.  The row- and column-rank groupings the kernels sum
+    over are derived here, once per sampled batch.
+    """
+
+    def __init__(self, n_src: int, indptr: np.ndarray, indices: np.ndarray,
+                 weights: np.ndarray | None = None) -> None:
+        counts = np.diff(indptr)
+        if len(counts) == 0 or counts.min() < 1:
+            raise ValueError("every destination row needs at least one edge")
+        if indices.min() < 0 or indices.max() >= n_src:
+            raise ValueError("edge points outside the source frontier")
+        self.n_dst = len(counts)
+        self.n_src = n_src
+        self.indptr = indptr
+        self.indices = indices
+        self.weights = weights
+        self.starts = indptr[:-1]
+        self.rows = np.repeat(np.arange(self.n_dst), counts)
+        self.by_row = _rank_groups(self.rows, indices, self.n_dst)
+        self.by_col = _rank_groups(indices, self.rows, n_src)
+
+    @classmethod
+    def from_edges(cls, n_dst: int, n_src: int, rows: np.ndarray, cols: np.ndarray,
+                   mean: bool = False) -> "Block":
+        """Block of an edge list in any order; an edge listed twice counts
+        once.  ``mean`` weights every edge ``1/deg`` of its row."""
+        rows, cols = np.divmod(np.unique(rows * n_src + cols), n_src)
+        degree = np.bincount(rows, minlength=n_dst)
+        weights = np.float32(1.0) / degree[rows].astype(np.float32) if mean else None
+        return cls(n_src, np.concatenate([[0], np.cumsum(degree)]), cols, weights)
+
+    @classmethod
+    def from_dense(cls, matrix: np.ndarray) -> "Block":
+        """Block of a dense ``[n_dst, n_src]`` boolean mask, or of a weight
+        matrix whose non-zero entries are the edges."""
+        rows, cols = np.nonzero(matrix)
+        block = cls.from_edges(*matrix.shape, rows, cols)
+        if matrix.dtype != bool:
+            block.weights = matrix[rows, cols].astype(np.float32)
+        return block
+
+
+def edge_logits(block: Block, e_dst: Tensor, e_src: Tensor) -> Tensor:
+    """Per-edge ``e_dst[row] + e_src[col]`` from per-node scores, ``[nnz]``."""
+    out = e_dst.data.reshape(-1)[block.rows] + e_src.data.reshape(-1)[block.indices]
+
+    def backward(grad: np.ndarray) -> None:
+        if e_dst.requires_grad:
+            e_dst._accumulate(np.add.reduceat(grad, block.starts).reshape(e_dst.shape))
+        if e_src.requires_grad:
+            per_src = np.bincount(block.indices, weights=grad, minlength=block.n_src)
+            e_src._accumulate(per_src.astype(np.float32).reshape(e_src.shape))
+
+    return Tensor._make(out, (e_dst, e_src), backward)
+
+
+def edge_softmax(block: Block, logits: Tensor) -> Tensor:
+    """Softmax of per-edge ``logits`` over the edges of each row."""
+    shifted = logits.data - np.maximum.reduceat(logits.data, block.starts)[block.rows]
+    exp = np.exp(np.clip(shifted, -60, 60))
+    probs = exp / np.add.reduceat(exp, block.starts)[block.rows]
+
+    def backward(grad: np.ndarray) -> None:
+        if logits.requires_grad:
+            weighted = grad * probs
+            row_sum = np.add.reduceat(weighted, block.starts)[block.rows]
+            logits._accumulate(weighted - probs * row_sum)
+
+    return Tensor._make(probs, (logits,), backward)
+
+
+def _weighted_sum(groups: EdgeGroups, size: int, edge_weights: np.ndarray,
+                  values: np.ndarray) -> np.ndarray:
+    """``out[into[e]] += edge_weights[e] * values[take[e]]``, one rank group at a time."""
+    weights = edge_weights[groups.order]
+    out = np.zeros((size, values.shape[1]), dtype=np.float32)
+    for k, (lo, hi) in enumerate(zip(groups.bounds, groups.bounds[1:])):
+        messages = np.take(values, groups.take[lo:hi], axis=0)
+        messages *= weights[lo:hi, None]
+        if k == 0:
+            # Most edges are rank 0 and ``out`` is still zero: storing skips
+            # the read of a cold array (2 of a 13 ms gnn_dense step).
+            out[groups.into[lo:hi]] = messages
+        else:
+            out[groups.into[lo:hi]] += messages  # exact: a group names no target twice
+    return out
+
+
+def aggregate(block: Block, edge_weights: Tensor | np.ndarray, h_src: Tensor) -> Tensor:
+    """``out[r] = sum over r's edges of weight[e] * h_src[col[e]]``, ``[n_dst, d]``.
+
+    Gradients reach ``edge_weights`` (a row-wise dot per edge) when it is
+    a tensor that wants them, and ``h_src`` (scattered by column).
+    """
+    weights = edge_weights if isinstance(edge_weights, Tensor) else Tensor(edge_weights)
+    out = _weighted_sum(block.by_row, block.n_dst, weights.data, h_src.data)
+
+    def backward(grad: np.ndarray) -> None:
+        if weights.requires_grad:
+            weights._accumulate(
+                np.einsum("ij,ij->i", grad[block.rows], h_src.data[block.indices])
+            )
+        if h_src.requires_grad:
+            h_src._accumulate(_weighted_sum(block.by_col, block.n_src, weights.data, grad))
+
+    return Tensor._make(out, (weights, h_src), backward)

@@ -62,23 +62,23 @@ class GNNTrainer(BaseTrainer):
     def forward_backward(self, batch: SampledBlocks, unique_keys, rows):
         leaf = self.leaf(rows)
         features = leaf[self.gather_index(unique_keys, batch.input_nodes)]
-        logits = self.network(features, batch.frontiers, batch.structures)
+        logits = self.network(features, batch.frontiers, batch.blocks)
         labels = self.graph.labels[batch.seeds]
         loss = softmax_cross_entropy(logits, labels)
         loss.backward()
         return float(loss.item()), leaf.grad
 
     def evaluate(self) -> float:
-        blocks = self._eval_blocks
+        sampled = self._eval_blocks
         from repro.nn.tensor import Tensor
 
-        features = Tensor(self.tables.peek(blocks.input_nodes))
+        features = Tensor(self.tables.peek(sampled.input_nodes))
         self.network.eval()
         try:
-            logits = self.network(features, blocks.frontiers, blocks.structures)
+            logits = self.network(features, sampled.frontiers, sampled.blocks)
         finally:
             self.network.train()
-        labels = self.graph.labels[blocks.seeds]
+        labels = self.graph.labels[sampled.seeds]
         scores = logits.numpy()
         if self.metric == "accuracy":
             return accuracy(labels, scores.argmax(axis=1))

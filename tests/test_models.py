@@ -14,6 +14,7 @@ from repro.models import (
     SageLayer,
 )
 from repro.nn import Tensor
+from repro.nn.sparse import Block, edge_logits, edge_softmax
 
 
 class TestDLRM:
@@ -124,65 +125,65 @@ class TestGNNLayers:
         layer.w_self.weight.data = np.eye(2, dtype=np.float32)
         layer.w_self.bias.data = np.zeros(2, dtype=np.float32)
         layer.w_neigh.weight.data = np.eye(2, dtype=np.float32)
-        x_src = Tensor(np.array([[2.0, 0.0], [0.0, 4.0]]))
-        x_dst = Tensor(np.array([[1.0, 1.0]]))
-        mean_mat = np.array([[0.5, 0.5]], dtype=np.float32)
-        out = layer(x_src, x_dst, mean_mat).numpy()
+        # Sources: the destination itself, then its two neighbors.
+        x_src = Tensor(np.array([[1.0, 1.0], [2.0, 0.0], [0.0, 4.0]]))
+        block = Block.from_dense(np.array([[0.0, 0.5, 0.5]], dtype=np.float32))
+        out = layer(x_src, np.array([0]), block).numpy()
         np.testing.assert_allclose(out, [[1.0 + 1.0, 1.0 + 2.0]])
 
     def test_gat_attention_rows_normalized(self):
         layer = GATLayer(4, 4)
         rng = np.random.default_rng(0)
         x_src = Tensor(rng.normal(size=(5, 4)))
-        x_dst = Tensor(rng.normal(size=(2, 4)))
+        dst_index = np.array([0, 1])
         mask = np.array([[True, True, False, False, True],
                          [False, True, True, False, False]])
-        from repro.nn.functional import softmax
+        block = Block.from_dense(mask)
 
         h_src = layer.w(x_src)
-        h_dst = layer.w(x_dst)
-        logits = ((h_dst @ layer.a_dst) + (h_src @ layer.a_src).reshape(1, -1)).leaky_relu(0.2)
-        att = softmax(logits, axis=1, mask=mask).numpy()
+        logits = edge_logits(block, (h_src @ layer.a_dst)[dst_index], h_src @ layer.a_src)
+        att = np.zeros(mask.shape, dtype=np.float32)
+        att[block.rows, block.indices] = edge_softmax(block, logits.leaky_relu(0.2)).numpy()
         np.testing.assert_allclose(att.sum(axis=1), 1.0, atol=1e-5)
-        assert att[0, 2] == pytest.approx(0.0, abs=1e-6)
-        assert att[1, 0] == pytest.approx(0.0, abs=1e-6)
+        assert (att[mask] > 0).all() and not att[~mask].any()
+        # The layer's output is those attention weights over the projected sources.
+        layer.activation = False
+        np.testing.assert_allclose(
+            layer(x_src, dst_index, block).numpy(), att @ h_src.numpy(), atol=1e-5)
 
 
 class TestGNNModels:
-    def _blocks(self, num_input=10, num_mid=6, num_seeds=3, dim=8, seed=0):
+    def _blocks(self, mean, num_input=10, num_mid=6, num_seeds=3, dim=8, seed=0):
         rng = np.random.default_rng(seed)
         features = Tensor(rng.normal(size=(num_input, dim)), requires_grad=True)
         frontiers = [
             np.arange(num_mid),             # mid-layer dst nodes
             np.arange(num_seeds),           # seeds within mid frontier
         ]
-        mean1 = rng.random((num_mid, num_input)).astype(np.float32)
-        mean1 /= mean1.sum(axis=1, keepdims=True)
-        mean2 = rng.random((num_seeds, num_mid)).astype(np.float32)
-        mean2 /= mean2.sum(axis=1, keepdims=True)
-        return features, frontiers, [mean1, mean2]
+        blocks = []
+        for n_dst, n_src in ((num_mid, num_input), (num_seeds, num_mid)):
+            mask = (rng.random((n_dst, n_src)) > 0.4) | np.eye(n_dst, n_src, dtype=bool)
+            rows, cols = np.nonzero(mask)
+            blocks.append(Block.from_edges(n_dst, n_src, rows, cols, mean=mean))
+        return features, frontiers, blocks
 
     def test_graphsage_forward_shape(self):
-        features, frontiers, structures = self._blocks()
+        features, frontiers, blocks = self._blocks(mean=True)
         net = GraphSage(in_dim=8, hidden_dim=16, num_classes=5)
-        logits = net(features, frontiers, structures)
+        logits = net(features, frontiers, blocks)
         assert logits.shape == (3, 5)
 
     def test_graphsage_gradients_reach_input_features(self):
-        features, frontiers, structures = self._blocks()
+        features, frontiers, blocks = self._blocks(mean=True)
         net = GraphSage(in_dim=8, hidden_dim=16, num_classes=5)
-        net(features, frontiers, structures).sum().backward()
+        net(features, frontiers, blocks).sum().backward()
         assert features.grad is not None
         assert np.abs(features.grad).sum() > 0
 
     def test_gat_forward_with_masks(self):
-        rng = np.random.default_rng(0)
-        features = Tensor(rng.normal(size=(10, 8)), requires_grad=True)
-        frontiers = [np.arange(6), np.arange(3)]
-        masks = [rng.random((6, 10)) > 0.4, rng.random((3, 6)) > 0.4]
-        masks = [m | np.eye(*m.shape, dtype=bool)[: m.shape[0], : m.shape[1]] for m in masks]
+        features, frontiers, blocks = self._blocks(mean=False)
         net = GAT(in_dim=8, hidden_dim=16, num_classes=4)
-        logits = net(features, frontiers, masks)
+        logits = net(features, frontiers, blocks)
         assert logits.shape == (3, 4)
         logits.sum().backward()
         assert features.grad is not None

@@ -72,6 +72,8 @@ class TestDirectionHeuristic:
         ("throughput_1_shards", "higher"),
         ("mlkv_speedup", "higher"),
         ("rescale_moved_keys_per_s", "higher"),
+        ("gnn_fwd_bwd_steps_per_s", "higher"),
+        ("gnn_sample_batches_per_s", "higher"),
         ("post_failover_p99_us", "lower"),
         ("slo_p99_seconds", "lower"),
         ("stall_seconds", "lower"),

@@ -5,6 +5,7 @@ import pytest
 
 from repro.nn import Tensor
 from repro.nn.functional import concat, logsigmoid, softmax, stack
+from repro.nn.sparse import Block, aggregate, edge_logits, edge_softmax
 
 
 def numeric_grad(fn, arrays, index, eps=1e-3):
@@ -42,6 +43,13 @@ def check_gradients(build, *shapes, seed=0, atol=5e-2):
         assert tensor.grad is not None, f"input {i} missing grad"
         np.testing.assert_allclose(tensor.grad, expected, atol=atol,
                                    err_msg=f"input {i} gradient mismatch")
+
+
+# Three destinations over four sources: a hub column (0), a row with one
+# edge, and a source (3) only one row points at.
+EDGES = Block.from_dense(np.array([[True, True, False, False],
+                                   [True, False, False, False],
+                                   [True, True, True, True]]))
 
 
 class TestGradcheck:
@@ -125,10 +133,18 @@ class TestGradcheck:
         check_gradients(lambda a: (softmax(a, axis=1) * np.arange(4)).sum(), (3, 4))
 
     def test_masked_softmax(self):
-        mask = np.array([[True, True, False, True]] * 3)
+        """The masked form is a softmax over each row's edges."""
         check_gradients(
-            lambda a: (softmax(a, axis=1, mask=mask) * np.arange(4)).sum(), (3, 4)
+            lambda a: (edge_softmax(EDGES, a) * np.arange(7)).sum(), (7,)
         )
+
+    def test_edge_logits(self):
+        check_gradients(
+            lambda a, b: (edge_logits(EDGES, a, b) * np.arange(7)).sum(), (3, 1), (4, 1)
+        )
+
+    def test_aggregate(self):
+        check_gradients(lambda w, h: (aggregate(EDGES, w, h) ** 2.0).sum(), (7,), (4, 3))
 
     def test_logsigmoid(self):
         check_gradients(lambda a: logsigmoid(a).sum(), (5,))
@@ -176,10 +192,11 @@ class TestAutogradMechanics:
         assert x.grad.dtype == np.float32
 
     def test_masked_softmax_zeroes_masked_positions(self):
-        mask = np.array([[True, False, True]])
-        probs = softmax(Tensor(np.zeros((1, 3))), axis=1, mask=mask).numpy()
-        assert probs[0, 1] == pytest.approx(0.0, abs=1e-6)
-        assert probs.sum() == pytest.approx(1.0, abs=1e-5)
+        """Only edges carry probability: a masked position has no entry."""
+        block = Block.from_dense(np.array([[True, False, True]]))
+        probs = edge_softmax(block, Tensor(np.zeros(2))).numpy()
+        np.testing.assert_array_equal(block.indices, [0, 2])
+        np.testing.assert_allclose(probs, [0.5, 0.5])
 
     def test_deep_chain_does_not_recurse(self):
         x = Tensor(np.ones(1), requires_grad=True)
