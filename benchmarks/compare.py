@@ -35,7 +35,7 @@ import sys
 #: Metric-name fragments implying "bigger is better".
 HIGHER_BETTER = (
     "rps", "throughput", "speedup", "keys_per_s", "records_per_s", "hit_ratio", "ops_per_s",
-    "steps_per_s", "batches_per_s",
+    "steps_per_s", "batches_per_s", "requests_per_s",
 )
 
 #: Metric-name fragments implying "smaller is better".  Checked after

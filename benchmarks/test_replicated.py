@@ -137,7 +137,7 @@ def test_chaos_failover_loses_zero_requests(benchmark):
         chaos.kill_replica_at(midpoint, shard=1, replica=0)
         result, arrivals = _drive(server, chaos=chaos)
         answered = sum(
-            1 for request in arrivals._requests if request.value is not None
+            1 for request in arrivals.issued if request.value is not None
         )
         stats = server.store.stats
         server.close()

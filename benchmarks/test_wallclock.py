@@ -22,7 +22,12 @@ CPU time:
   admission),
 * **sparse message passing** — a GAT training step (forward, loss,
   backward) over sampled CSR blocks, and the neighbor sampler that
-  builds them; the dense net is ~80% of a ``gnn_dense`` step.
+  builds them; the dense net is ~80% of a ``gnn_dense`` step,
+* **the serving loop** — a closed loop of 256 zipfian users through
+  :class:`~repro.serve.ServingLoop` over a resident sharded store (the
+  shape of the repository benchmark's ``serve_restored`` with the disk
+  taken out, so the number is the loop, the batcher and the cache), and
+  the scrambled-zipfian chooser on its own.
 
 Timings are best-of-N ``time.perf_counter`` (see
 :mod:`repro.bench.wallclock`); the emitted payload is tagged
@@ -60,6 +65,7 @@ from repro.kv.sharded import ShardedKVStore
 from repro.models.gnn import GAT
 from repro.nn import Tensor, softmax_cross_entropy
 from repro.nn.optim import RowAdagrad, RowAdam
+from repro.serve import BatchPolicy, EmbeddingServer, LoadGenerator, ServingLoop
 
 _DIM = 32
 _BATCH = 4096
@@ -75,6 +81,11 @@ _GNN_HIDDEN = 256
 _GNN_BATCH = 64
 _GNN_FANOUTS = (5, 5)
 _GNN_STEPS = 10
+_SERVE_KEYS = 100_000
+_SERVE_SHARDS = 4
+_SERVE_USERS = 256
+_SERVE_CALLS = 20
+_SERVE_CALL_REQUESTS = 4096
 
 
 def _memory_resident_store(directory: str) -> MLKV:
@@ -434,8 +445,62 @@ def _bench_gnn(rows_out, metrics):
         })
 
 
+def _bench_serving(rows_out, metrics):
+    """The serving loop around a store that never leaves memory.
+
+    256 closed-loop users (20 us think time) draw zipfian keys over 100k
+    present rows on four resident shards behind a 4,096-entry cache; a
+    timed call is 20 resumed ``run(arrivals, max_requests=4096)`` — the
+    repository benchmark's calling pattern — on a source that outlasts
+    every repeat.  The chooser row is ``next_key()`` x 100k on its own.
+    """
+    requests = _SERVE_CALLS * _SERVE_CALL_REQUESTS
+    generator = LoadGenerator(_SERVE_KEYS, "zipfian", seed=17)
+    with tempfile.TemporaryDirectory(prefix="wall-serve-") as td:
+        ssd = SSDModel(SimClock())
+        store = ShardedKVStore(
+            lambda index: MLKV(os.path.join(td, f"shard{index}"), ssd=ssd,
+                               memory_budget_bytes=1 << 24),
+            _SERVE_SHARDS,
+        )
+        tables = EmbeddingTables(store, dim=_DIM, cache_entries=0)
+        rng = np.random.default_rng(17)
+        for start in range(0, _SERVE_KEYS, _BATCH):
+            keys = np.arange(start, min(start + _BATCH, _SERVE_KEYS))
+            tables.put(keys, rng.standard_normal((len(keys), _DIM)).astype(np.float32))
+        server = EmbeddingServer(store, dim=_DIM, cache_entries=4096, read_mode="snapshot")
+        loop = ServingLoop(server, BatchPolicy(256, 100e-6))
+        arrivals = generator.closed_loop(
+            _SERVE_USERS, 20e-6, count=(_REPEATS + 2) * (requests + 256 * _SERVE_CALLS),
+            start=server.clock.now,
+        )
+
+        def call():
+            for _ in range(_SERVE_CALLS):
+                loop.run(arrivals, max_requests=_SERVE_CALL_REQUESTS)
+
+        call()  # warm the cache and the chunked draws
+        before = loop.telemetry.requests_completed
+        elapsed = best_of(call, repeats=_REPEATS)
+        served = (loop.telemetry.requests_completed - before) / _REPEATS
+        store.close()
+    assert served >= requests, served
+    chooser = generator.chooser()
+    draw = best_of(lambda: [chooser.next_key() for _ in range(_SERVE_KEYS)], repeats=_REPEATS)
+    metrics["serving_loop_requests_per_s"] = rate(served, elapsed)
+    metrics["zipfian_keys_per_s"] = rate(_SERVE_KEYS, draw)
+    for path, metric in (("serving_loop", "serving_loop_requests_per_s"),
+                         ("zipfian_keys", "zipfian_keys_per_s")):
+        rows_out.append({
+            "path": path,
+            "vectorized_keys_per_s": round(metrics[metric]),
+            "reference_keys_per_s": 0,
+            "speedup": 0,
+        })
+
+
 def test_wallclock_hot_paths(benchmark):
-    """One sweep measuring all six wall-clock hot paths.
+    """One sweep measuring all seven wall-clock hot paths.
 
     A single test (and a single emitted file) so the payload is atomic:
     either every wall metric refreshes or none does — the gate's
@@ -451,6 +516,7 @@ def test_wallclock_hot_paths(benchmark):
         throughputs = _bench_fanout(rows, metrics)
         _bench_out_of_core(rows, metrics)
         _bench_gnn(rows, metrics)
+        _bench_serving(rows, metrics)
         return rows, metrics, throughputs
 
     rows, metrics, throughputs = benchmark.pedantic(sweep, rounds=1, iterations=1)
@@ -478,6 +544,10 @@ def test_wallclock_hot_paths(benchmark):
             "gnn_hidden": _GNN_HIDDEN,
             "gnn_batch": _GNN_BATCH,
             "gnn_fanouts": list(_GNN_FANOUTS),
+            "serve_keys": _SERVE_KEYS,
+            "serve_shards": _SERVE_SHARDS,
+            "serve_users": _SERVE_USERS,
+            "serve_requests_per_call": _SERVE_CALLS * _SERVE_CALL_REQUESTS,
             "repeats": _REPEATS,
             "timer": "time.perf_counter best-of",
         },

@@ -36,6 +36,8 @@ import math
 
 import numpy as np
 
+from repro.data.draws import chunked
+
 
 class PoissonProcess:
     """Open-loop arrival times with exponential interarrival gaps.
@@ -306,10 +308,12 @@ class ThinkTimeProcess:
         if mean_seconds < 0:
             raise ValueError("mean think time must be non-negative")
         self.mean_seconds = mean_seconds
-        self._rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
+        self._times = chunked(lambda n: rng.exponential(mean_seconds, n))
 
     def sample(self) -> float:
-        """One think-time draw in simulated seconds."""
+        """One think-time draw in simulated seconds (served from a chunk
+        of draws; a zero mean draws nothing)."""
         if self.mean_seconds == 0:
             return 0.0
-        return float(self._rng.exponential(self.mean_seconds))
+        return next(self._times)

@@ -4,14 +4,24 @@ Implements the two key-choosers the paper sweeps — uniform and the
 classic YCSB *scrambled zipfian* (Gray's incremental zeta construction
 with FNV hashing to decorrelate rank from key id) — and the 50% read /
 50% update operation mix run against MLKV and FASTER.
+
+Both choosers draw keys a chunk at a time as arrays (inverse CDF, FNV-1a
+as eight xor/multiply rounds on a ``uint64`` array); ``next_key()`` and
+``batch(n)`` read that one stream (:mod:`repro.data.draws`).  The scalar
+:func:`fnv1a_64` / ``_next_rank`` stay as the reference: a rank is a
+truncated libm ``pow``, NumPy's may differ by an ulp, so one within 1e-6
+of an integer is re-derived by the scalar code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
+
+from repro.data.draws import chunked
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -27,6 +37,16 @@ def fnv1a_64(value: int) -> int:
     return state
 
 
+def fnv1a_64_many(values: np.ndarray) -> np.ndarray:
+    """:func:`fnv1a_64` of every element, as a ``uint64`` array."""
+    values = values.astype(np.uint64)
+    state = np.full(values.shape, _FNV_OFFSET, dtype=np.uint64)
+    for shift in range(0, 64, 8):
+        state ^= (values >> np.uint64(shift)) & np.uint64(0xFF)
+        state *= np.uint64(_FNV_PRIME)  # wraps mod 2^64, like the mask above
+    return state
+
+
 class UniformGenerator:
     """Uniform key chooser over ``[0, item_count)``."""
 
@@ -34,13 +54,14 @@ class UniformGenerator:
         if item_count <= 0:
             raise ValueError("item_count must be positive")
         self.item_count = item_count
-        self._rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
+        self._keys = chunked(lambda n: rng.integers(0, item_count, n))
 
     def next_key(self) -> int:
-        return int(self._rng.integers(0, self.item_count))
+        return next(self._keys)
 
     def batch(self, n: int) -> np.ndarray:
-        return self._rng.integers(0, self.item_count, n)
+        return np.fromiter(islice(self._keys, n), dtype=np.int64, count=n)
 
     def hot_mass(self) -> float:
         """Σ pₖ² — collision probability of two independent accesses."""
@@ -66,9 +87,11 @@ class ZipfianGenerator:
         self._zetan = self._zeta(item_count, theta)
         self._zeta2 = self._zeta(2, theta)
         self._alpha = 1.0 / (1.0 - theta)
-        self._eta = (1.0 - (2.0 / item_count) ** (1.0 - theta)) / (
-            1.0 - self._zeta2 / self._zetan
-        )
+        # Two items: ranks 0 and 1 carry all the mass; eta (0 / 0) is unread.
+        self._eta = 0.0 if item_count == 2 else (
+            1.0 - (2.0 / item_count) ** (1.0 - theta)
+        ) / (1.0 - self._zeta2 / self._zetan)
+        self._keys = chunked(self._draw)
 
     @staticmethod
     def _zeta(n: int, theta: float) -> float:
@@ -83,16 +106,23 @@ class ZipfianGenerator:
             return 1
         return int(self.item_count * (self._eta * u - self._eta + 1.0) ** self._alpha)
 
+    def _draw(self, n: int) -> np.ndarray:
+        """The key stream's next ``n`` keys (``_next_rank`` + FNV, as arrays)."""
+        draws = self._rng.random(n)
+        scaled = self.item_count * (self._eta * draws - self._eta + 1.0) ** self._alpha
+        ranks = scaled.astype(np.int64)
+        uz = draws * self._zetan
+        ranks[uz < 1.0 + 0.5 ** self.theta] = 1
+        ranks[uz < 1.0] = 0
+        for index in np.flatnonzero(np.abs(scaled - np.rint(scaled)) < 1e-6).tolist():
+            ranks[index] = self._next_rank(float(draws[index]))
+        return (fnv1a_64_many(ranks) % np.uint64(self.item_count)).astype(np.int64)
+
     def next_key(self) -> int:
-        rank = self._next_rank(float(self._rng.random()))
-        return fnv1a_64(rank) % self.item_count
+        return next(self._keys)
 
     def batch(self, n: int) -> np.ndarray:
-        draws = self._rng.random(n)
-        ranks = np.fromiter((self._next_rank(float(u)) for u in draws), dtype=np.int64, count=n)
-        return np.fromiter(
-            (fnv1a_64(int(r)) % self.item_count for r in ranks), dtype=np.int64, count=n
-        )
+        return np.fromiter(islice(self._keys, n), dtype=np.int64, count=n)
 
     def hot_mass(self) -> float:
         """Σ pₖ² under the zipf pmf (dominated by the head)."""

@@ -4,8 +4,8 @@ PR 4 gave the storage layer live rescaling *primitives* — incremental
 ``split_shard`` / ``migrate_shard`` with copy-then-cutover, and replica
 fail/revive with hinted catch-up.  This module adds the *policy* that
 drives them while requests are in flight: the
-:class:`~repro.serve.loop.ServingLoop` feeds every completed
-request's latency into the :class:`Autoscaler` and ticks it between
+:class:`~repro.serve.loop.ServingLoop` feeds every served batch's
+latencies into the :class:`Autoscaler` and ticks it between
 micro-batches (the only points simulated time advances), and the
 autoscaler reacts to a sustained latency-window breach by:
 
@@ -152,9 +152,9 @@ class Autoscaler:
     # ------------------------------------------------------------------
     # signal intake
     # ------------------------------------------------------------------
-    def observe_request(self, latency: float) -> None:
-        """Feed one completed request's latency into the current window."""
-        self._window.record(latency)
+    def observe_requests(self, latencies) -> None:
+        """Feed one served batch's latencies into the current window."""
+        self._window.record_many(latencies)
 
     @property
     def rescaling(self) -> bool:

@@ -17,13 +17,19 @@ processes in :mod:`repro.data.arrivals`:
   means scaling ``users`` / think time to the target concurrency.
 
 Both sources implement the small protocol the serving loop consumes:
-``peek_time`` / ``pop`` / ``on_complete`` / ``backlog``.
+``peek_time()`` (next arrival instant, ``None`` when drained),
+``pop_due(until, limit)`` (consume, in arrival order, the requests due at
+or before ``until``, at most ``limit`` — the loop gathers in *runs*),
+``on_complete(request, now)`` (one call per request, served or shed: the
+client's side of the wire) and ``backlog(now)``.  Traces are arrays until
+popped: a :class:`Request` exists only once the loop has taken it.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterator, Optional
+from itertools import islice
+from typing import Optional
 
 import numpy as np
 
@@ -33,59 +39,57 @@ from repro.errors import ConfigError
 from repro.serve.request import Request
 
 
-def _key_chooser(distribution: str, item_count: int, seed: int):
-    if distribution == "zipfian":
-        return ZipfianGenerator(item_count, seed=seed)
-    if distribution == "uniform":
-        return UniformGenerator(item_count, seed=seed)
-    raise ConfigError(f"unknown key distribution {distribution!r}")
-
-
 class OpenLoopArrivals:
     """A fully materialized open-loop trace (arrival times + keys).
 
     Materializing the trace keeps replays exact across serving modes —
     the per-request baseline and the micro-batched server answer the
     *same* requests at the *same* offered instants — and exposes the
-    key schedule the serving prefetcher can look ahead over.
+    key schedule the serving prefetcher can look ahead over.  ``times``
+    (ascending) and ``keys`` are arrays; request ``i`` (``user=i``) is
+    built when popped and kept in :attr:`issued`.
     """
 
-    def __init__(self, requests: list[Request]) -> None:
-        self._requests = requests
+    def __init__(self, times, keys) -> None:
+        self.times = np.asarray(times, dtype=np.float64)
+        self.keys = np.asarray(keys, dtype=np.int64)
+        if self.times.shape != self.keys.shape or self.times.ndim != 1:
+            raise ConfigError("times and keys must be 1-D and of equal length")
         self._cursor = 0
+        self.issued: list[Request] = []  # popped so far; answers land on them
 
     def __len__(self) -> int:
-        return len(self._requests)
+        return len(self.times)
 
     def peek_time(self) -> Optional[float]:
         """Arrival time of the next request, or ``None`` when drained."""
-        if self._cursor >= len(self._requests):
+        if self._cursor >= len(self.times):
             return None
-        return self._requests[self._cursor].arrival_time
+        return self.times[self._cursor].item()
 
-    def pop(self) -> Request:
-        """Consume and return the next request."""
-        request = self._requests[self._cursor]
-        self._cursor += 1
-        return request
+    def pop_due(self, until: float, limit: Optional[int] = None) -> list[Request]:
+        """Consume the requests due at or before ``until`` (at most ``limit``)."""
+        start = self._cursor
+        stop = max(start, int(self.times.searchsorted(until, "right")))
+        if limit is not None:
+            stop = min(stop, start + limit)
+        keys, times = self.keys[start:stop].tolist(), self.times[start:stop].tolist()
+        run = list(map(Request, keys, times, range(start, stop)))
+        self._cursor = stop
+        self.issued.extend(run)
+        return run
 
     def on_complete(self, request: Request, now: float) -> None:
         """Open loop: completions do not influence future arrivals."""
 
     def backlog(self, now: float) -> int:
         """Arrived-but-unpopped requests at simulated time ``now``."""
-        count = 0
-        cursor = self._cursor
-        while cursor < len(self._requests) and self._requests[cursor].arrival_time <= now:
-            count += 1
-            cursor += 1
-        return count
+        return max(0, int(self.times.searchsorted(now, "right")) - self._cursor)
 
     def key_schedule(self, chunk: int) -> list[np.ndarray]:
         """The trace's keys in ``chunk``-sized batches, for the serving
         prefetcher (the look-ahead engine wants one array per batch)."""
-        keys = np.array([request.key for request in self._requests], dtype=np.int64)
-        return [keys[start:start + chunk] for start in range(0, len(keys), chunk)]
+        return [self.keys[start:start + chunk] for start in range(0, len(self.keys), chunk)]
 
 
 class ClosedLoopArrivals:
@@ -107,7 +111,6 @@ class ClosedLoopArrivals:
         self._chooser = chooser
         self._think = think
         self._remaining = total_requests
-        self._issued = 0
         # Stagger the pool's first requests with think-time draws so the
         # loop does not open on a users-sized thundering herd.
         rng = np.random.default_rng(seed ^ 0xC10D)
@@ -125,12 +128,16 @@ class ClosedLoopArrivals:
             return None
         return self._heap[0][0]
 
-    def pop(self) -> Request:
-        """Consume and return the next due request."""
-        time, user = heapq.heappop(self._heap)
-        self._issued += 1
-        self._remaining -= 1
-        return Request(key=self._chooser.next_key(), arrival_time=time, user=user)
+    def pop_due(self, until: float, limit: Optional[int] = None) -> list[Request]:
+        """Consume the requests due at or before ``until`` (at most ``limit``)."""
+        heap, next_key = self._heap, self._chooser.next_key
+        room = self._remaining if limit is None else min(limit, self._remaining)
+        run: list[Request] = []
+        while heap and len(run) < room and heap[0][0] <= until:
+            time, user = heapq.heappop(heap)
+            run.append(Request(next_key(), time, user))
+        self._remaining -= len(run)
+        return run
 
     def on_complete(self, request: Request, now: float) -> None:
         """Schedule this user's next request after its think time."""
@@ -138,8 +145,8 @@ class ClosedLoopArrivals:
             heapq.heappush(self._heap, (now + self._think.sample(), request.user))
 
     def backlog(self, now: float) -> int:
-        """Requests already due at ``now``."""
-        return sum(1 for time, _ in self._heap if time <= now)
+        """Requests already due at ``now`` that will still be issued."""
+        return min(self._remaining, sum(1 for time, _ in self._heap if time <= now))
 
 
 class ChaosInjector:
@@ -263,13 +270,8 @@ class LoadGenerator:
 
     def open_loop(self, rate: float, count: int, start: float = 0.0) -> OpenLoopArrivals:
         """A ``count``-request Poisson trace at ``rate`` requests/second."""
-        chooser = _key_chooser(self.distribution, self.item_count, self.seed)
         times = PoissonProcess(rate, seed=self.seed ^ 0xA11, start=start).times(count)
-        requests = [
-            Request(key=chooser.next_key(), arrival_time=float(time), user=index)
-            for index, time in enumerate(times)
-        ]
-        return OpenLoopArrivals(requests)
+        return OpenLoopArrivals(times, self.chooser().batch(count))
 
     def open_loop_process(
         self, process, count: int, storm=None
@@ -286,22 +288,21 @@ class LoadGenerator:
         time-aware through it so the storm window collapses traffic
         onto its hot set.
         """
-        chooser = _key_chooser(self.distribution, self.item_count, self.seed)
         times = process.times(count)
         if storm is not None:
             keys = [storm.key_at(float(time)) for time in times]
         else:
-            keys = [chooser.next_key() for _ in range(count)]
-        requests = [
-            Request(key=key, arrival_time=float(time), user=index)
-            for index, (key, time) in enumerate(zip(keys, times))
-        ]
-        return OpenLoopArrivals(requests)
+            keys = self.chooser().batch(count)
+        return OpenLoopArrivals(times, keys)
 
     def chooser(self):
         """A fresh key chooser over this generator's popularity model
         (e.g. to seed a :class:`~repro.data.arrivals.HotKeyStorm`)."""
-        return _key_chooser(self.distribution, self.item_count, self.seed)
+        if self.distribution == "zipfian":
+            return ZipfianGenerator(self.item_count, seed=self.seed)
+        if self.distribution == "uniform":
+            return UniformGenerator(self.item_count, seed=self.seed)
+        raise ConfigError(f"unknown key distribution {self.distribution!r}")
 
     def replay_ycsb(
         self, workload: YCSBWorkload, rate: float, count: int, start: float = 0.0
@@ -313,20 +314,11 @@ class LoadGenerator:
         have been collected.
         """
         times = PoissonProcess(rate, seed=self.seed ^ 0xB22, start=start).times(count)
-        keys: list[int] = []
-        operations: Iterator = workload.operations(count * 4)
-        for op in operations:
-            if op.is_read:
-                keys.append(op.key)
-                if len(keys) >= count:
-                    break
-        while len(keys) < count:  # pathological mixes: top up directly
-            keys.append(workload.generator.next_key())
-        requests = [
-            Request(key=key, arrival_time=float(time), user=index)
-            for index, (key, time) in enumerate(zip(keys, times))
-        ]
-        return OpenLoopArrivals(requests)
+        reads = (op.key for op in workload.operations(count * 4) if op.is_read)
+        keys = list(islice(reads, count))
+        # Pathological mixes: top up directly.
+        keys.extend(workload.generator.batch(count - len(keys)).tolist())
+        return OpenLoopArrivals(times, keys)
 
     def closed_loop(
         self,
@@ -336,8 +328,7 @@ class LoadGenerator:
         start: float = 0.0,
     ) -> ClosedLoopArrivals:
         """``users`` clients issuing ``count`` total requests."""
-        chooser = _key_chooser(self.distribution, self.item_count, self.seed)
         think = ThinkTimeProcess(think_seconds, seed=self.seed ^ 0xC33)
         return ClosedLoopArrivals(
-            users, chooser, think, total_requests=count, start=start, seed=self.seed
+            users, self.chooser(), think, total_requests=count, start=start, seed=self.seed
         )

@@ -15,6 +15,13 @@ exact timing a real async server would exhibit:
 4. completions feed the telemetry (latency, batch size, queue depth)
    and, in closed-loop mode, schedule the issuing user's next request.
 
+Arrivals are admitted in **runs** — the earliest tenant's arrivals up to
+the cutoff, the next other tenant's arrival and the room left: one
+``pop_due``, one queue ``extend`` — of length one for a tenant that can
+shed (a shed completes back to its source and may schedule an earlier
+arrival).  A served batch is one telemetry record; ``value``,
+``completed_at`` and ``on_complete`` stay per request.
+
 There is one loop, and it always runs over a list of **tenants**
 (:mod:`repro.serve.tenancy`).  ``run(arrivals)`` serves that source as
 the *implicit* tenant — identity key namespace, no admission limits,
@@ -40,6 +47,7 @@ sequential cost.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from repro.core.lookahead import LookaheadEngine
@@ -129,7 +137,7 @@ class ServingLoop:
 
         Tenants are indexed in registration order; index 0's key
         namespace is the identity.  Arrival sources speak the serving
-        protocol (``peek_time`` / ``pop`` / ``on_complete`` /
+        protocol (``peek_time`` / ``pop_due`` / ``on_complete`` /
         ``backlog``) and carry *tenant-local* keys — the loop namespaces
         them at admission and hands them back as issued.
         """
@@ -189,6 +197,8 @@ class ServingLoop:
         clock = self.server.clock
         tenants = self.tenants
         autoscaler = self.autoscaler
+        sources = [tenant.arrivals for tenant in tenants]
+        registered = not tenants[0].implicit
         prefetcher = self._make_prefetcher()
         served = 0
         batch_index = 0
@@ -202,9 +212,7 @@ class ServingLoop:
                 self.chaos.fire_due(clock.now, self.server.store, self.telemetry)
             if autoscaler is not None:
                 autoscaler.tick(clock.now, queue_depth=len(self.queue))
-            depth = len(self.queue) + sum(
-                tenant.arrivals.backlog(clock.now) for tenant in tenants
-            )
+            depth = len(self.queue) + sum(source.backlog(clock.now) for source in sources)
             if prefetcher is not None:
                 prefetcher.advance(batch_index)
             with obs_span(
@@ -217,18 +225,13 @@ class ServingLoop:
                 batch = self.batcher.form(self.queue)
                 self._serve(batch)
             completed_at = clock.now
+            self._record(batch.requests, completed_at)
             for request in batch.requests:
                 request.completed_at = completed_at
-                tenant = tenants[request.tenant]
-                tenant.queued -= 1
-                if not tenant.implicit:
-                    tenant.telemetry.record_request(request.arrival_time, completed_at)
+                if registered:
                     # The source gets back the key it issued.
                     request.key = split_key(request.key)[1]
-                self.telemetry.record_request(request.arrival_time, completed_at)
-                if autoscaler is not None:
-                    autoscaler.observe_request(completed_at - request.arrival_time)
-                tenant.arrivals.on_complete(request, completed_at)
+                sources[request.tenant].on_complete(request, completed_at)
             self.telemetry.record_batch(batch.size, depth)
             served += batch.size
             batch_index += 1
@@ -240,78 +243,105 @@ class ServingLoop:
         return self.telemetry
 
     # ------------------------------------------------------------------
-    def _next_arrival(self) -> tuple[Optional[Tenant], Optional[float]]:
-        """The earliest pending arrival across tenants (index-stable ties)."""
-        best_tenant: Optional[Tenant] = None
-        best_time: Optional[float] = None
+    def _record(self, requests: list[Request], completed_at: float) -> None:
+        """One telemetry record for a served batch, loop-wide and per tenant."""
+        arrivals = [request.arrival_time for request in requests]
+        self.telemetry.record_requests(arrivals, completed_at)
+        if self.autoscaler is not None:
+            self.autoscaler.observe_requests([completed_at - arrival for arrival in arrivals])
+        if self.tenants[0].implicit:  # its telemetry is the loop's own
+            self.tenants[0].queued -= len(requests)
+            return
+        by_tenant: dict[int, list[float]] = {}
+        for request in requests:
+            by_tenant.setdefault(request.tenant, []).append(request.arrival_time)
+        for index, mine in by_tenant.items():
+            self.tenants[index].queued -= len(mine)
+            self.tenants[index].telemetry.record_requests(mine, completed_at)
+
+    def _next_run(self) -> tuple[Optional[Tenant], float, float]:
+        """``(tenant, first, bound)``: who holds the earliest pending
+        arrival (at ``first``; an equal instant goes to the lower index),
+        and the last instant up to which its arrivals precede every
+        other tenant's.  ``(None, inf, inf)`` when all are drained."""
+        best, first, bound = None, math.inf, math.inf
         for tenant in self.tenants:
-            next_time = tenant.arrivals.peek_time()
-            if next_time is not None and (best_time is None or next_time < best_time):
-                best_tenant, best_time = tenant, next_time
-        return best_tenant, best_time
+            time = tenant.arrivals.peek_time()
+            if time is None:
+                continue
+            if time < first:
+                # Lower indices win a tie; the old leader is their earliest.
+                if best is not None:
+                    bound = math.nextafter(first, -math.inf)
+                best, first = tenant, time
+            elif time < bound:
+                bound = time
+        return best, first, bound
 
     def _open_batch(self, clock) -> Optional[float]:
         """Admit the first (non-shed) waiter; returns the batch-open time
         or ``None`` when every stream is exhausted and the queue drained."""
         while len(self.queue) == 0:
-            tenant, next_time = self._next_arrival()
+            tenant, first, _ = self._next_run()
             if tenant is None:
                 return None
-            self._advance_to(clock, next_time)
-            self._admit(tenant, tenant.arrivals.pop())
+            self._advance_to(clock, first)
+            self._admit_run(tenant, first, 1)
         return clock.now
 
     def _gather(self, clock, opened_at: float) -> float:
         """Admit arrivals until the batch closes; returns service start.
 
-        The batch closes at the moment it fills (``max_batch`` waiters)
-        or at the cutoff — the *minimum* over current waiters of
-        ``arrival + own delay bound`` — whichever is earlier.  A waiter
-        carried over from the previous batch anchors the timer at its
-        own arrival, so it never pays a fresh delay on top of the
-        residual service time it already waited out (the cutoff is
-        clamped to ``opened_at`` when it is already overdue); one
+        The batch closes when it fills (``max_batch`` waiters) or at the
+        cutoff — the *minimum* over current waiters of ``arrival + own
+        delay bound`` — whichever is earlier.  A waiter carried over from
+        the previous batch anchors the timer at its own arrival, so it
+        never pays a fresh delay on top of the service time it already
+        waited out (an overdue cutoff is clamped to ``opened_at``); one
         high-SLO waiter with a tight bound preempts the longer cutoff a
         best-effort batch would wait out, and a mid-gather high-SLO
-        arrival *pulls the cutoff in*.
+        arrival *pulls the cutoff in* (a run's first arrival sets the
+        cutoff for the rest of it: they are due later).
 
-        Once the launch instant is fixed, every arrival that physically
-        landed **at or before it** is admitted too — even though the
-        batch is already full.  Under backlog this is what makes
-        priority real (a fresh high-SLO arrival enters its lane and
-        rides this batch instead of waiting in its source behind
-        thousands of earlier best-effort arrivals), what a depth cap
-        sheds against, and why ``queue_high_water`` is the true
-        high-water mark.  Arrivals strictly after the launch instant
+        Once the launch instant is fixed, every arrival that landed **at
+        or before it** is admitted too, full batch or not.  Under backlog
+        this is what makes priority real (a fresh high-SLO arrival rides
+        this batch instead of waiting in its source behind thousands of
+        best-effort ones), what a depth cap sheds against, and why
+        ``queue_high_water`` is the true high-water mark.  Later arrivals
         stay in their source for the next batch.
         """
-        due = self.batcher.deadline
-        deadline = max(opened_at, min(due(waiter) for waiter in self.queue))
+        queue, policy, due = self.queue, self.policy, self.batcher.deadline
+        deadline = max(opened_at, min(due(waiter) for waiter in queue))
         service_start = opened_at
-        while len(self.queue) < self.policy.max_batch:
-            tenant, next_time = self._next_arrival()
-            if next_time is None or next_time > deadline:
+        while len(queue) < policy.max_batch:
+            tenant, first, bound = self._next_run()
+            if first > deadline:
                 service_start = deadline
                 break
-            request = tenant.arrivals.pop()
-            if self._admit(tenant, request):
-                service_start = max(service_start, next_time)
-                deadline = max(opened_at, min(deadline, due(request)))
+            delay = policy.max_delay if tenant.spec.max_delay is None else tenant.spec.max_delay
+            cutoff = max(opened_at, min(deadline, first + delay))
+            run = self._admit_run(tenant, min(cutoff, bound), policy.max_batch - len(queue))
+            if run:
+                deadline = cutoff
+                service_start = max(service_start, run[-1].arrival_time)
         while True:
-            tenant, next_time = self._next_arrival()
-            if next_time is None or next_time > service_start:
+            tenant, first, bound = self._next_run()
+            if first > service_start:
                 return service_start
-            self._admit(tenant, tenant.arrivals.pop())
+            self._admit_run(tenant, min(service_start, bound), None)
 
-    def _admit(self, tenant: Tenant, request: Request) -> bool:
-        """Admission control at the queue's edge; sheds are counted.
-
-        A shed request is still completed back to its arrival source
-        (``on_complete`` at its arrival instant) so closed-loop tenants
-        keep issuing — shedding degrades a tenant, it must not wedge it.
-        """
+    def _admit_run(self, tenant: Tenant, until: float, limit: Optional[int]) -> list[Request]:
+        """Pop one run and admit it at the queue's edge; returns the
+        requests queued.  Sheds are counted, and still completed back to
+        their source (``on_complete`` at the arrival instant) so
+        closed-loop tenants keep issuing — shedding degrades a tenant, it
+        must not wedge it — hence one arrival at a time for a tenant that
+        can shed."""
         spec = tenant.spec
-        if tenant.bucket is not None and not tenant.bucket.admit(request.arrival_time):
+        can_shed = tenant.bucket is not None or spec.shed_depth is not None
+        run = tenant.arrivals.pop_due(until, 1 if can_shed else limit)
+        if tenant.bucket is not None and not tenant.bucket.admit(run[0].arrival_time):
             tenant.shed_rate += 1
             reason = "rate"
         elif spec.shed_depth is not None and tenant.queued >= spec.shed_depth:
@@ -319,16 +349,17 @@ class ServingLoop:
             reason = "depth"
         else:
             if not tenant.implicit:
-                request.tenant = tenant.index
-                request.key = namespace_key(tenant.index, request.key)
-                request.max_delay = spec.max_delay
-            tenant.admitted += 1
-            tenant.queued += 1
-            self.queue.push(request, spec.priority)
-            return True
+                for request in run:
+                    request.tenant = tenant.index
+                    request.key = namespace_key(tenant.index, request.key)
+                    request.max_delay = spec.max_delay
+            tenant.admitted += len(run)
+            tenant.queued += len(run)
+            self.queue.extend(run, spec.priority)
+            return run
         obs_instant("tenant.shed", clock=self.server.clock, tenant=spec.name, reason=reason)
-        tenant.arrivals.on_complete(request, request.arrival_time)
-        return False
+        tenant.arrivals.on_complete(run[0], run[0].arrival_time)
+        return []
 
     def _serve(self, batch: CoalescedBatch) -> None:
         """Answer one coalesced batch; waiters share each unique read."""

@@ -20,8 +20,7 @@ class Request:
     """One in-flight single-key lookup.
 
     ``arrival_time`` and ``completed_at`` are simulated seconds on the
-    serving clock; ``latency`` is only meaningful once the request has
-    been answered.
+    serving clock.
     """
 
     key: int
@@ -36,13 +35,6 @@ class Request:
     #: ``TenantSpec.max_delay``, stamped at admission; ``None`` inherits
     #: the loop policy's bound.
     max_delay: Optional[float] = None
-
-    @property
-    def latency(self) -> float:
-        """Queueing + batching + service time for this request."""
-        if self.completed_at is None:
-            raise ValueError("request has not completed yet")
-        return self.completed_at - self.arrival_time
 
 
 class RequestQueue:
@@ -62,7 +54,6 @@ class RequestQueue:
     def __init__(self) -> None:
         self._lanes: dict[int, deque[Request]] = {}
         self._size = 0
-        self.enqueued = 0
         self.max_depth_seen = 0
 
     def __len__(self) -> int:
@@ -73,15 +64,13 @@ class RequestQueue:
         for lane in self._lanes.values():
             yield from lane
 
-    def push(self, request: Request, priority: int = 0) -> None:
-        """Admit one request into its priority lane (callers push in
-        arrival order)."""
+    def extend(self, requests: list[Request], priority: int = 0) -> None:
+        """Admit a run of requests, in arrival order, into one priority lane."""
         lane = self._lanes.get(priority)
         if lane is None:
             lane = self._lanes[priority] = deque()
-        lane.append(request)
-        self._size += 1
-        self.enqueued += 1
+        lane.extend(requests)
+        self._size += len(requests)
         if self._size > self.max_depth_seen:
             self.max_depth_seen = self._size
 
@@ -90,14 +79,7 @@ class RequestQueue:
         taken: list[Request] = []
         for priority in sorted(self._lanes, reverse=True):
             lane = self._lanes[priority]
-            while lane and len(taken) < count:
-                taken.append(lane.popleft())
-            if len(taken) >= count:
-                break
+            room = min(count - len(taken), len(lane))
+            taken.extend([lane.popleft() for _ in range(room)])
         self._size -= len(taken)
         return taken
-
-    def peek_oldest(self) -> Optional[Request]:
-        """The earliest-arrived waiter across every lane (or ``None``)."""
-        heads = [lane[0] for lane in self._lanes.values() if lane]
-        return min(heads, key=lambda request: request.arrival_time, default=None)

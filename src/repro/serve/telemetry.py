@@ -13,6 +13,12 @@ from __future__ import annotations
 import math
 from typing import Optional
 
+import numpy as np
+
+#: Fewer samples than this never become an array: NumPy's per-call cost
+#: (~30 us a batch) pays off from here; per-request serving records ones.
+ARRAY_MIN = 32
+
 
 class LatencyHistogram:
     """Log-spaced latency histogram with percentile estimation.
@@ -61,6 +67,44 @@ class LatencyHistogram:
         self.total += latency
         if latency > self.max_seen:
             self.max_seen = latency
+
+    def _buckets_of(self, latencies: np.ndarray) -> np.ndarray:
+        """``_bucket`` of every sample; within 1e-9 of a bucket edge, where
+        NumPy's ``log`` and libm's may truncate differently, by ``_bucket``."""
+        position = (np.log(np.maximum(latencies, self._min)) - self._log_min) / self._log_width
+        buckets = np.minimum(position.astype(np.int64) + 1, self._bucket_count + 1)
+        buckets[latencies < self._min] = 0
+        on_edge = np.abs(position - np.rint(position)) < 1e-9
+        for index in np.flatnonzero(on_edge).tolist():
+            buckets[index] = self._bucket(float(latencies[index]))
+        return buckets
+
+    def record_many(self, latencies, *mirrors: "LatencyHistogram") -> None:
+        """Record a batch of samples exactly as :meth:`record` would, one
+        by one in order — here and in ``mirrors`` (histograms of this
+        geometry; buckets are computed once).  A negative sample raises
+        before anything is recorded."""
+        if len(latencies) and min(latencies) < 0:
+            raise ValueError(f"negative latency {min(latencies)!r}")
+        targets = (self, *mirrors)
+        if len(latencies) < ARRAY_MIN:
+            for latency in latencies:
+                for histogram in targets:
+                    histogram.record(latency)
+            return
+        samples = np.asarray(latencies, dtype=np.float64)
+        binned = np.bincount(self._buckets_of(samples))
+        occupied = np.flatnonzero(binned)
+        increments = list(zip(occupied.tolist(), binned[occupied].tolist()))
+        largest = float(samples.max())
+        for histogram in targets:
+            for bucket, count in increments:
+                histogram._counts[bucket] += count
+            histogram.count += len(samples)
+            # Sequential like ``total +=`` (``sum`` is pairwise): reports pin the mean.
+            running = np.cumsum(np.concatenate(((histogram.total,), samples)))
+            histogram.total = float(running[-1])
+            histogram.max_seen = max(histogram.max_seen, largest)
 
     def percentile(self, p: float) -> float:
         """Upper bound of the bucket holding the ``p``-th percentile.
@@ -209,7 +253,7 @@ class Distribution:
 class ServingTelemetry:
     """Everything the serving tier measures, in one place.
 
-    The serving loop records per-request latency and per-batch shape;
+    The serving loop records each served batch once (latencies, shape);
     the server records refreshes (stall-handler settlements of the
     staleness clock) and wires in the store's aggregated
     :class:`~repro.kv.api.StoreStats` — including the summed-counter
@@ -245,17 +289,17 @@ class ServingTelemetry:
         self.phase = name
         self.events.append({"phase": name, "at": at})
 
-    def record_request(self, arrival_time: float, completed_at: float) -> None:
-        """Record one completed request's latency (credited to the current phase)."""
-        latency = completed_at - arrival_time
-        self.latency.record(latency)
+    def record_requests(self, arrivals: list[float], completed_at: float) -> None:
+        """Record the requests one batch completed at ``completed_at``
+        (arrival times in batch order), credited to the current phase."""
         histogram = self.phase_latency.get(self.phase)
         if histogram is None:
             histogram = self.phase_latency[self.phase] = LatencyHistogram()
-        histogram.record(latency)
-        self.requests_completed += 1
-        if self.first_arrival is None or arrival_time < self.first_arrival:
-            self.first_arrival = arrival_time
+        self.latency.record_many([completed_at - arrival for arrival in arrivals], histogram)
+        self.requests_completed += len(arrivals)
+        first = min(arrivals)
+        if self.first_arrival is None or first < self.first_arrival:
+            self.first_arrival = first
         if self.last_completion is None or completed_at > self.last_completion:
             self.last_completion = completed_at
 

@@ -136,11 +136,6 @@ class TokenBucket:
             return True
         return False
 
-    @property
-    def tokens(self) -> float:
-        """Tokens available as of the last :meth:`admit` call."""
-        return self._tokens
-
 
 class Tenant:
     """Runtime state of one tenant inside a
@@ -154,7 +149,7 @@ class Tenant:
     ``telemetry`` is passed only for the *implicit* tenant — the one
     ``run(arrivals)`` serves when nobody registered a tenant.  That
     tenant is the whole loop: it records into the loop's own telemetry
-    (one record per request) and its keys are the store's keys as issued
+    (one record per batch) and its keys are the store's keys as issued
     (identity namespace, no range check).  A registered tenant owns a
     private :class:`~repro.serve.telemetry.ServingTelemetry` beside the
     loop's aggregate one.

@@ -68,7 +68,8 @@ class TestKillFailover:
         report, arrivals = drive(server, chaos=chaos, count=count)
 
         assert report["requests"] == count
-        assert all(request.value is not None for request in arrivals._requests)
+        assert len(arrivals.issued) == count
+        assert all(request.value is not None for request in arrivals.issued)
         assert [event["label"] for event in report["chaos_events"]] == ["kill:0/0"]
         # Phase segmentation: requests served after the kill are
         # attributed to the post-failover regime, with its own p99.
@@ -91,7 +92,8 @@ class TestKillFailover:
         )
         report, arrivals = drive(server, chaos=chaos, count=count)
         assert report["requests"] == count
-        assert all(request.value is not None for request in arrivals._requests)
+        assert len(arrivals.issued) == count
+        assert all(request.value is not None for request in arrivals.issued)
         store = server.store
         assert store.replica_lag(0, 0) == 0
         assert store.stats.extra["catchup_keys"] >= 0

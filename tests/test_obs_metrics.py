@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.kv import StoreStats
@@ -155,8 +156,8 @@ class TestAdapters:
     def test_absorb_serving_telemetry(self):
         registry = MetricsRegistry()
         telemetry = ServingTelemetry()
-        telemetry.record_request(0.0, 1e-3)
-        telemetry.record_request(0.0, 2e-3)
+        telemetry.record_requests(np.array([0.0]), 1e-3)
+        telemetry.record_requests(np.array([0.0]), 2e-3)
         telemetry.record_batch(2, 0)
         registry.absorb_serving_telemetry("serve", telemetry)
         tree = registry.to_json()["serve"]

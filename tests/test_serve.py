@@ -72,17 +72,15 @@ class TestBatcher:
 
     def test_queue_is_fifo_and_tracks_depth(self):
         queue = RequestQueue()
-        for i in range(5):
-            queue.push(Request(key=i, arrival_time=float(i)))
+        queue.extend([Request(key=i, arrival_time=float(i)) for i in range(5)])
         assert queue.max_depth_seen == 5
         assert [r.key for r in queue.take(3)] == [0, 1, 2]
         assert len(queue) == 2
-        assert queue.peek_oldest().key == 3
+        assert [r.key for r in queue] == [3, 4]
 
     def test_duplicate_keys_coalesce_into_one_read(self):
         queue = RequestQueue()
-        for key in [7, 7, 3, 7, 3, 9]:
-            queue.push(Request(key=key, arrival_time=0.0))
+        queue.extend([Request(key=key, arrival_time=0.0) for key in [7, 7, 3, 7, 3, 9]])
         batcher = MicroBatcher(BatchPolicy(max_batch=16, max_delay=0.0))
         batch = batcher.form(queue)
         assert batch.size == 6
@@ -93,8 +91,7 @@ class TestBatcher:
 
     def test_batch_respects_max_batch(self):
         queue = RequestQueue()
-        for i in range(10):
-            queue.push(Request(key=i, arrival_time=0.0))
+        queue.extend([Request(key=i, arrival_time=0.0) for i in range(10)])
         batch = MicroBatcher(BatchPolicy(max_batch=4, max_delay=0.0)).form(queue)
         assert batch.size == 4
         assert len(queue) == 6
@@ -252,7 +249,8 @@ class TestLoadGeneration:
         gen = LoadGenerator(100, "zipfian", seed=5)
         a = gen.open_loop(rate=1e5, count=200)
         b = LoadGenerator(100, "zipfian", seed=5).open_loop(rate=1e5, count=200)
-        assert [r.key for r in a._requests] == [r.key for r in b._requests]
+        assert a.keys.tolist() == b.keys.tolist()
+        assert a.times.tolist() == b.times.tolist()
 
     def test_open_loop_key_schedule_chunks_cover_trace(self):
         gen = LoadGenerator(100, "uniform", seed=5)
@@ -344,12 +342,12 @@ class TestServingLoop:
         server = EmbeddingServer(store, dim=DIM, seed=3, cache_entries=128)
         gen = LoadGenerator(200, "zipfian", seed=9)
         arrivals = gen.open_loop(rate=1e6, count=1000, start=store.clock.now)
-        expected = {r.key for r in arrivals._requests}
+        expected = set(arrivals.keys.tolist())
         loop = ServingLoop(server, BatchPolicy(64, 50e-6))
         telemetry = loop.run(arrivals)
         assert telemetry.requests_completed == 1000
         tables = EmbeddingTables(store, DIM, seed=3, cache_entries=0)
-        for request in arrivals._requests[:50]:
+        for request in arrivals.issued[:50]:
             assert np.array_equal(request.value, tables.init_vector(request.key))
         assert expected  # sanity: the trace was non-empty
         store.close()
@@ -361,7 +359,8 @@ class TestServingLoop:
             rate=5e5, count=500, start=store.clock.now
         )
         ServingLoop(server, BatchPolicy(32, 20e-6)).run(arrivals)
-        for request in arrivals._requests:
+        assert len(arrivals.issued) == 500
+        for request in arrivals.issued:
             assert request.completed_at >= request.arrival_time
         store.close()
 
@@ -387,12 +386,11 @@ class TestServingLoop:
         server = EmbeddingServer(store, dim=DIM, seed=3, cache_entries=0)
         # Every request hits the same key, all arriving at once.
         now = store.clock.now
-        requests = [Request(key=4, arrival_time=now) for _ in range(32)]
         from repro.serve.loadgen import OpenLoopArrivals
 
         gets_before = store.stats.gets
         loop = ServingLoop(server, BatchPolicy(32, 0.0))
-        loop.run(OpenLoopArrivals(requests))
+        loop.run(OpenLoopArrivals([now] * 32, [4] * 32))
         # One coalesced batch -> one store read serves all 32 waiters.
         assert store.stats.gets - gets_before == 1
         assert loop.batcher.requests_coalesced == 31
@@ -465,8 +463,7 @@ class TestBoundedServing:
             now = store.clock.now
             from repro.serve.loadgen import OpenLoopArrivals
 
-            requests = [Request(key=3, arrival_time=now) for _ in range(64)]
-            ServingLoop(server, policy).run(OpenLoopArrivals(requests))
+            ServingLoop(server, policy).run(OpenLoopArrivals([now] * 64, [3] * 64))
             count = server.telemetry.refreshes
             store.close()
             return count
@@ -513,11 +510,11 @@ class TestBoundedServing:
         now = clock.now
 
         # Overdue waiter (arrived 5 us ago > 2 us delay): serve now.
-        loop.queue.push(Request(key=1, arrival_time=now - 5e-6))
+        loop.queue.extend([Request(key=1, arrival_time=now - 5e-6)])
         assert loop._gather(clock, now) == now
         loop.queue.take(4)
         # Fresh waiter (arrived 1 us ago): timer runs out its remainder.
-        loop.queue.push(Request(key=1, arrival_time=now - 1e-6))
+        loop.queue.extend([Request(key=1, arrival_time=now - 1e-6)])
         assert loop._gather(clock, now) == pytest.approx(now + 1e-6)
         store.close()
 

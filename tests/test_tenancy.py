@@ -18,6 +18,7 @@ The acceptance surface of tenants on the one
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.embedding import EmbeddingTables
@@ -107,20 +108,21 @@ class TestPriorityQueue:
     def test_drains_highest_priority_first_fifo_within(self):
         queue = RequestQueue()
         for index, priority in enumerate([0, 2, 0, 1, 2]):
-            queue.push(Request(key=index, arrival_time=float(index)), priority)
+            queue.extend([Request(key=index, arrival_time=float(index))], priority)
         assert [r.key for r in queue.take(5)] == [1, 4, 3, 0, 2]
         assert len(queue) == 0
 
-    def test_peek_oldest_spans_lanes(self):
+    def test_iteration_spans_lanes(self):
+        """The batch cutoff is a minimum over *every* waiter."""
         queue = RequestQueue()
-        queue.push(Request(key=1, arrival_time=5.0), priority=2)
-        queue.push(Request(key=2, arrival_time=1.0), priority=0)
-        assert queue.peek_oldest().key == 2
+        queue.extend([Request(key=1, arrival_time=5.0)], priority=2)
+        queue.extend([Request(key=2, arrival_time=1.0), Request(key=3, arrival_time=2.0)])
+        assert sorted(r.key for r in queue) == [1, 2, 3]
+        assert min(queue, key=lambda r: r.arrival_time).key == 2
 
     def test_single_lane_is_plain_fifo(self):
         queue = RequestQueue()
-        for index in range(5):
-            queue.push(Request(key=index, arrival_time=float(index)))
+        queue.extend([Request(key=index, arrival_time=float(index)) for index in range(5)])
         assert [r.key for r in queue.take(3)] == [0, 1, 2]
         assert queue.max_depth_seen == 5
 
@@ -261,10 +263,10 @@ class TestAdmissionControl:
                 super().__init__(*args, **kwargs)
                 self.issued, self.returned = [], []
 
-            def pop(self):
-                request = super().pop()
-                self.issued.append((request, request.key))
-                return request
+            def pop_due(self, until, limit=None):
+                run = super().pop_due(until, limit)
+                self.issued.extend((request, request.key) for request in run)
+                return run
 
             def on_complete(self, request, now):
                 self.returned.append((request, request.key))
@@ -520,14 +522,12 @@ class TestAutoscaler:
                                     scale_in_p99=10e-6),
         )
         # Hot window → revive the dead replica.
-        for _ in range(16):
-            autoscaler.observe_request(5e-3)
+        autoscaler.observe_requests(np.full(16, 5e-3))
         autoscaler.tick(0.0)
         assert autoscaler.replicas_added == 1
         assert store.live_replicas(0) == [0, 1]
         # Calm window → retire one replica again.
-        for _ in range(16):
-            autoscaler.observe_request(1e-6)
+        autoscaler.observe_requests(np.full(16, 1e-6))
         autoscaler.tick(5e-3)
         assert autoscaler.replicas_removed == 1
         assert len(store.live_replicas(0)) + len(store.live_replicas(1)) == 3
@@ -546,18 +546,15 @@ class TestAutoscaler:
                                     min_window=32, cooldown=1.0),
         )
         # Too few samples: no action even though the window is hot.
-        for _ in range(8):
-            autoscaler.observe_request(5e-3)
+        autoscaler.observe_requests(np.full(8, 5e-3))
         autoscaler.tick(0.0)
         assert autoscaler.replicas_added == 0
         # Enough samples → acts once; cooldown then suppresses the next.
-        for _ in range(64):
-            autoscaler.observe_request(5e-3)
+        autoscaler.observe_requests(np.full(64, 5e-3))
         autoscaler.tick(2e-3)
         assert autoscaler.replicas_added == 1
         store.fail_replica(0, 1)
-        for _ in range(64):
-            autoscaler.observe_request(5e-3)
+        autoscaler.observe_requests(np.full(64, 5e-3))
         autoscaler.tick(4e-3)  # inside the 1 s cooldown
         assert autoscaler.replicas_added == 1
         store.close()
