@@ -23,6 +23,12 @@ CPU time:
 * **sparse message passing** — a GAT training step (forward, loss,
   backward) over sampled CSR blocks, and the neighbor sampler that
   builds them; the dense net is ~80% of a ``gnn_dense`` step,
+* **the gradient path** — a DLRM training step (FFNN forward,
+  ``bce_with_logits``, backward through the embedding gather down to the
+  leaf) at ``dlrm_mem``'s shapes, and ``RowAdagrad.updated_rows`` for one
+  batch's sorted keys against an arena that already holds the whole
+  table (the ``adagrad`` row above runs on a fresh, cache-resident arena
+  and never sees ``resolve`` search 104,000 keys),
 * **the serving loop** — a closed loop of 256 zipfian users through
   :class:`~repro.serve.ServingLoop` over a resident sharded store (the
   shape of the repository benchmark's ``serve_restored`` with the disk
@@ -48,6 +54,7 @@ from emit import emit
 from repro.bench.wallclock import best_of, cores, rate, speedup
 from repro.core.embedding import EmbeddingTables
 from repro.data import GraphDataset, NeighborSampler
+from repro.data.ctr import CTRDataset
 from repro.core.mlkv import MLKV
 from repro.device import SimClock, SSDModel
 from repro.kv.common.serialization import (
@@ -62,8 +69,9 @@ from repro.kv.common.serialization import (
 )
 from repro.kv.parallel import ParallelShardStore, fork_available
 from repro.kv.sharded import ShardedKVStore
+from repro.models import FFNN
 from repro.models.gnn import GAT
-from repro.nn import Tensor, softmax_cross_entropy
+from repro.nn import Tensor, bce_with_logits, softmax_cross_entropy
 from repro.nn.optim import RowAdagrad, RowAdam
 from repro.serve import BatchPolicy, EmbeddingServer, LoadGenerator, ServingLoop
 
@@ -81,6 +89,10 @@ _GNN_HIDDEN = 256
 _GNN_BATCH = 64
 _GNN_FANOUTS = (5, 5)
 _GNN_STEPS = 10
+_DLRM_BATCH = 256
+_DLRM_FIELDS = 26
+_DLRM_CARDINALITY = 4000
+_DLRM_STEPS = 10
 _SERVE_KEYS = 100_000
 _SERVE_SHARDS = 4
 _SERVE_USERS = 256
@@ -445,6 +457,56 @@ def _bench_gnn(rows_out, metrics):
         })
 
 
+def _bench_dlrm(rows_out, metrics):
+    """The gradient path of a DLRM step at ``dlrm_mem``'s shapes.
+
+    A batch of 256 samples x 26 fields names ~3,670 of the table's
+    104,000 rows.  A step is the FFNN forward, ``bce_with_logits`` and
+    backward down to the gathered leaf; a row update is
+    ``RowAdagrad.updated_rows`` for the batch's sorted keys with every
+    key of the table already in the arena, as after a few hundred steps
+    of training.
+    """
+    dataset = CTRDataset(num_fields=_DLRM_FIELDS, field_cardinality=_DLRM_CARDINALITY, seed=0)
+    network = FFNN(dataset.num_dense, dataset.num_fields, _DIM)
+    rng = np.random.default_rng(18)
+    prepared = []
+    for batch in dataset.batches(_DLRM_STEPS, _DLRM_BATCH, seed=18):
+        keys = np.unique(batch.sparse)
+        rows = rng.normal(0.0, 0.05, (len(keys), _DIM)).astype(np.float32)
+        prepared.append((batch, keys, np.searchsorted(keys, batch.sparse), rows))
+
+    def steps():
+        for batch, _, index, rows in prepared:
+            network.zero_grad()
+            leaf = Tensor(rows, requires_grad=True)
+            bce_with_logits(network(batch.dense, leaf[index]), batch.labels).backward()
+
+    steps()  # warmup
+    metrics["dlrm_fwd_bwd_steps_per_s"] = rate(_DLRM_STEPS, best_of(steps, repeats=_REPEATS))
+
+    table_keys = _DLRM_FIELDS * _DLRM_CARDINALITY
+    adagrad = RowAdagrad(lr=0.05)
+    adagrad.delta_rows(rng.permutation(table_keys), np.ones((table_keys, _DIM), np.float32))
+    grads = [rng.standard_normal(rows.shape).astype(np.float32) for *_, rows in prepared]
+
+    def updates():
+        for (_, keys, _, rows), grad in zip(prepared, grads):
+            adagrad.updated_rows(keys, rows, grad)
+
+    updates()  # warmup
+    touched = sum(len(keys) for _, keys, _, _ in prepared)
+    metrics["row_adagrad_resident_keys_per_s"] = rate(touched, best_of(updates, repeats=_REPEATS))
+    for path, metric, digits in (("dlrm_fwd_bwd", "dlrm_fwd_bwd_steps_per_s", 1),
+                                 ("row_adagrad_resident", "row_adagrad_resident_keys_per_s", None)):
+        rows_out.append({
+            "path": path,
+            "vectorized_keys_per_s": round(metrics[metric], digits),
+            "reference_keys_per_s": 0,
+            "speedup": 0,
+        })
+
+
 def _bench_serving(rows_out, metrics):
     """The serving loop around a store that never leaves memory.
 
@@ -500,7 +562,7 @@ def _bench_serving(rows_out, metrics):
 
 
 def test_wallclock_hot_paths(benchmark):
-    """One sweep measuring all seven wall-clock hot paths.
+    """One sweep measuring all eight wall-clock hot paths.
 
     A single test (and a single emitted file) so the payload is atomic:
     either every wall metric refreshes or none does — the gate's
@@ -516,6 +578,7 @@ def test_wallclock_hot_paths(benchmark):
         throughputs = _bench_fanout(rows, metrics)
         _bench_out_of_core(rows, metrics)
         _bench_gnn(rows, metrics)
+        _bench_dlrm(rows, metrics)
         _bench_serving(rows, metrics)
         return rows, metrics, throughputs
 
@@ -544,6 +607,9 @@ def test_wallclock_hot_paths(benchmark):
             "gnn_hidden": _GNN_HIDDEN,
             "gnn_batch": _GNN_BATCH,
             "gnn_fanouts": list(_GNN_FANOUTS),
+            "dlrm_batch": _DLRM_BATCH,
+            "dlrm_fields": _DLRM_FIELDS,
+            "dlrm_table_keys": _DLRM_FIELDS * _DLRM_CARDINALITY,
             "serve_keys": _SERVE_KEYS,
             "serve_shards": _SERVE_SHARDS,
             "serve_users": _SERVE_USERS,

@@ -29,6 +29,11 @@ from repro.obs import profile as obs_profile
 PREFETCH_WORKERS = 4
 
 
+def _ascending(keys: np.ndarray) -> bool:
+    """1-D and strictly increasing, as trainers pass them: ``np.unique`` would change nothing."""
+    return keys.ndim == 1 and bool((keys[1:] > keys[:-1]).all())
+
+
 class _NullScope:
     def __enter__(self):
         return self
@@ -92,11 +97,12 @@ class EmbeddingTables:
         so the store's amortized hot path serves the whole minibatch.
         """
         keys = np.asarray(keys, dtype=np.int64)
-        unique, inverse = np.unique(keys, return_inverse=True)
+        unique, inverse = (keys, None) if _ascending(keys) else np.unique(keys, return_inverse=True)
         if not len(self.cache) and unique.shape[0]:
             # Nothing was prefetched: every key is a cache miss.
             self.cache.misses += unique.shape[0]
-            return self._fetch_many(unique.tolist())[inverse].reshape(*keys.shape, self.dim)
+            rows = self._fetch_many(unique.tolist())
+            return rows if inverse is None else rows[inverse].reshape(*keys.shape, self.dim)
         gathered = np.empty((unique.shape[0], self.dim), dtype=np.float32)
         fetch_rows: list[int] = []
         fetch_keys: list[int] = []
@@ -109,7 +115,7 @@ class EmbeddingTables:
                 fetch_keys.append(key)
         if fetch_keys:
             gathered[fetch_rows] = self._fetch_many(fetch_keys)
-        return gathered[inverse].reshape(*keys.shape, self.dim)
+        return gathered if inverse is None else gathered[inverse].reshape(*keys.shape, self.dim)
 
     def _consume_cached(self, key: int) -> Optional[np.ndarray]:
         """Training read from the app cache (or ``None`` on a miss).
@@ -168,8 +174,10 @@ class EmbeddingTables:
         # Last-duplicate-wins dedup, vectorized: unique over the reversed
         # keys makes each key's *first* hit its last original occurrence.
         token = obs_profile.begin()
-        unique, rev_index = np.unique(keys[::-1], return_index=True)
-        rows = values[keys.shape[0] - 1 - rev_index]
+        unique, rows = keys, values
+        if not _ascending(keys):
+            unique, rev_index = np.unique(keys[::-1], return_index=True)
+            rows = values[keys.shape[0] - 1 - rev_index]
         self.store.multi_put(unique.tolist(), encode_vectors(rows))
         obs_profile.end("emb.scatter", token, units=int(unique.shape[0]))
         if not len(self.cache):
@@ -190,7 +198,8 @@ class EmbeddingTables:
         conventional prefetching (limited by the bound).  Returns the
         number of records moved.
         """
-        keys = np.unique(np.asarray(keys, dtype=np.int64))
+        keys = np.asarray(keys, dtype=np.int64)
+        keys = keys if _ascending(keys) else np.unique(keys)
         if dest == "buffer":
             engine = getattr(self.store, "lookahead", None)
             if engine is None:
@@ -235,7 +244,7 @@ class EmbeddingTables:
         initialization (without inserting them).
         """
         keys = np.asarray(keys, dtype=np.int64)
-        unique, inverse = np.unique(keys, return_inverse=True)
+        unique, inverse = (keys, None) if _ascending(keys) else np.unique(keys, return_inverse=True)
         # Every store exposes batched committed reads: stores with an
         # admission protocol map them to their bypass path, for plain
         # engines multi_get already is the committed read.  ``tolist``
@@ -252,7 +261,7 @@ class EmbeddingTables:
             gathered[hit_rows] = decode_vectors(
                 [raws[i] for i in hit_rows], dim=self.dim
             )
-        return gathered[inverse].reshape(*keys.shape, self.dim)
+        return gathered if inverse is None else gathered[inverse].reshape(*keys.shape, self.dim)
 
     # ------------------------------------------------------------------
     def init_vector(self, key: int) -> np.ndarray:

@@ -62,6 +62,6 @@ def logsigmoid(x: Tensor) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(grad * (1.0 - sig))
+            x._accumulate(grad * (1.0 - sig), owned=True)
 
     return Tensor._make(data.astype(np.float32), (x,), backward)

@@ -1,15 +1,16 @@
-"""Optimizers: dense (SGD / Adagrad / Adam) and sparse-row (RowAdagrad).
+"""Optimizers: dense (SGD / Adagrad / Adam) and sparse-row (RowAdagrad / RowAdam).
 
 Dense optimizers step over ``Module.parameters()``.  ``RowAdagrad``
 implements the per-row adaptive update embedding tables need: the trainer
 hands it ``(keys, rows, grads)`` for just the rows touched by a batch,
 and it returns the updated rows to ``Put`` back into the store — the
-paper's Figure 3 line 17 (``emb_optimizer``) pattern.
+paper's Figure 3 line 17 (``emb_optimizer``) pattern; its per-key state
+lives in a ``_RowArena`` (keys map to rows through arrays, not a ``dict``).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -121,19 +122,20 @@ class Adam:
 class _RowArena:
     """Contiguous float32 row state keyed by embedding id.
 
-    The sparse-row optimizers used to keep one small numpy array per key
-    in a dict; every batch then paid a Python-level loop of tiny numpy
-    ops.  The arena packs all per-key state into growing ``(capacity,
-    width)`` matrices sharing one ``key -> slot`` map, so a whole batch
-    gathers/scatters with two fancy-indexing operations.  ``columns``
-    names the state matrices (e.g. ``("acc",)`` or ``("m", "v")``); an
-    optional int64 ``counts`` column carries per-key step counters.
+    All per-key state sits in growing ``(capacity, width)`` matrices, one per
+    name in ``columns`` (e.g. ``("acc",)`` or ``("m", "v")``), plus an optional
+    int64 ``counts`` column of per-key step counters; a batch gathers and
+    scatters with two fancy-indexing operations.  Three arrays map keys to
+    rows: ``keys`` (slot -> key, slots handed out in order of first appearance,
+    the order ``state_dict`` lists them in) and ``_sorted_keys`` with
+    ``_sorted_slots`` (the keys ascending and the slot of each): a batch resolves
+    with one ``searchsorted``, new keys merge in with one ``np.insert``.
     """
 
     def __init__(self, width: int, columns: tuple[str, ...], counts: bool = False) -> None:
         self.width = width
-        self.column_names = columns
-        self.slots: dict[int, int] = {}
+        # All three are replaced when keys arrive; an empty array has nothing to write in place.
+        self.keys = self._sorted_keys = self._sorted_slots = np.zeros(0, dtype=np.int64)
         self.columns: dict[str, np.ndarray] = {
             name: np.zeros((0, width), dtype=np.float32) for name in columns
         }
@@ -142,7 +144,7 @@ class _RowArena:
         )
 
     def __len__(self) -> int:
-        return len(self.slots)
+        return len(self.keys)
 
     def _ensure_capacity(self, needed: int) -> None:
         capacity = next(iter(self.columns.values())).shape[0]
@@ -160,23 +162,36 @@ class _RowArena:
 
     def resolve(self, keys: np.ndarray) -> np.ndarray:
         """Slot indices for ``keys``, allocating zeroed rows for new keys."""
-        slots = self.slots
-        get = slots.get
-        key_list = keys.tolist()
-        idx = np.fromiter(
-            (get(key, -1) for key in key_list), dtype=np.int64, count=len(key_list)
-        )
-        missing = np.flatnonzero(idx < 0)
-        if len(missing):
-            for position in missing.tolist():
-                slot = slots.setdefault(key_list[position], len(slots))
-                idx[position] = slot
-            self._ensure_capacity(len(slots))
+        known = self._sorted_keys
+        if len(known):
+            at = np.searchsorted(known, keys)
+            idx = np.take(self._sorted_slots, at, mode="clip")
+            new = np.take(known, at, mode="clip") != keys
+        else:
+            idx, new = np.empty(len(keys), dtype=np.int64), np.ones(len(keys), dtype=bool)
+        if new.any():
+            new_keys, first, inverse = np.unique(keys[new], return_index=True, return_inverse=True)
+            appearance = np.argsort(first)  # sorted new keys -> first-appearance order
+            new_slots = np.empty_like(appearance)
+            new_slots[appearance] = np.arange(len(self), len(self) + len(new_keys))
+            idx[new] = new_slots[inverse]
+            at = np.searchsorted(known, new_keys)
+            self._sorted_keys = np.insert(known, at, new_keys)
+            self._sorted_slots = np.insert(self._sorted_slots, at, new_slots)
+            self.keys = np.concatenate([self.keys, new_keys[appearance]])
+            self._ensure_capacity(len(self.keys))
         return idx
 
-    def rows(self, name: str) -> np.ndarray:
-        """The used portion of a state matrix (rows beyond it are spare)."""
-        return self.columns[name][: len(self.slots)]
+
+def _stack_rows(rows: Sequence) -> np.ndarray:
+    """Saved per-key rows as one ``(n, dim)`` block; ``ValueError`` on mixed widths."""
+    return np.array(rows, dtype=np.float32).reshape(len(rows), -1)
+
+
+def _no_rows(grads, arena: Optional[_RowArena]) -> np.ndarray:
+    """What a row optimizer returns for no keys: ``(0, dim)``, its state untouched."""
+    width = np.shape(grads)[-1] if np.ndim(grads) > 1 else 0 if arena is None else arena.width
+    return np.zeros((0, width), dtype=np.float32)
 
 
 class RowAdagrad:
@@ -210,19 +225,25 @@ class RowAdagrad:
             )
         return self._arena
 
-    def _advance_accumulators(self, keys: np.ndarray, grads: np.ndarray) -> np.ndarray:
-        """Fold ``grads**2`` into the accumulators; returns the new values.
+    def _step(self, keys: np.ndarray, grads: np.ndarray) -> np.ndarray:
+        """``lr * g / (sqrt(acc) + eps)`` per row, ``g**2`` folded into ``acc`` first.
 
         Duplicate keys must be pre-aggregated by the caller (the trainers
         sum gradients per unique key first) — the batched scatter writes
         each row once.
         """
+        keys = np.asarray(keys, dtype=np.int64).reshape(-1)
+        if not len(keys):
+            return _no_rows(grads, self._arena)
+        grads = np.asarray(grads, dtype=np.float32).reshape(len(keys), -1)
+        if not self.adaptive:
+            return self.lr * grads
         arena = self._arena_for(grads.shape[1])
         idx = arena.resolve(keys)
         acc = arena.columns["acc"][idx]
         acc += grads * grads
         arena.columns["acc"][idx] = acc
-        return acc
+        return self.lr * grads / (np.sqrt(acc) + self.eps)
 
     def updated_rows(
         self, keys: np.ndarray, rows: np.ndarray, grads: np.ndarray
@@ -232,13 +253,8 @@ class RowAdagrad:
         Duplicate keys must be pre-aggregated by the caller (the trainers
         sum gradients per unique key first).
         """
-        keys = np.asarray(keys, dtype=np.int64).reshape(-1)
-        rows = np.asarray(rows, dtype=np.float32).reshape(len(keys), -1)
-        grads = np.asarray(grads, dtype=np.float32).reshape(len(keys), -1)
-        if not self.adaptive:
-            return rows - self.lr * grads
-        acc = self._advance_accumulators(keys, grads)
-        return rows - self.lr * grads / (np.sqrt(acc) + self.eps)
+        step = self._step(keys, grads)
+        return np.asarray(rows, dtype=np.float32).reshape(step.shape) - step
 
     def delta_rows(self, keys: np.ndarray, grads: np.ndarray) -> np.ndarray:
         """Row *deltas* for ``grads``: ``new_row = row + delta``.
@@ -252,12 +268,7 @@ class RowAdagrad:
         :meth:`updated_rows`, this *advances* the accumulator state;
         call exactly one of the two per gradient batch.
         """
-        keys = np.asarray(keys, dtype=np.int64).reshape(-1)
-        grads = np.asarray(grads, dtype=np.float32).reshape(len(keys), -1)
-        if not self.adaptive:
-            return -(self.lr * grads)
-        acc = self._advance_accumulators(keys, grads)
-        return -(self.lr * grads / (np.sqrt(acc) + self.eps))
+        return -self._step(keys, grads)
 
     def state_bytes(self) -> int:
         """Size of the in-memory accumulator state (for DESIGN notes)."""
@@ -277,18 +288,18 @@ class RowAdagrad:
         acc = self._arena.columns["acc"]
         return {
             "accumulators": {
-                key: acc[slot].copy() for key, slot in self._arena.slots.items()
+                key: acc[slot].copy() for slot, key in enumerate(self._arena.keys.tolist())
             }
         }
 
     def load_state_dict(self, state: dict) -> None:
         self._arena = None
-        items = state["accumulators"].items()
-        for key, acc in items:
-            row = np.asarray(acc, dtype=np.float32).reshape(-1)
-            arena = self._arena_for(row.shape[0])
-            idx = arena.resolve(np.asarray([int(key)], dtype=np.int64))
-            arena.columns["acc"][idx[0]] = row
+        accumulators = state["accumulators"]
+        if accumulators:
+            acc = _stack_rows(list(accumulators.values()))
+            arena = self._arena_for(acc.shape[1])
+            idx = arena.resolve(np.fromiter(accumulators, np.int64, len(accumulators)))
+            arena.columns["acc"][idx] = acc
 
 
 class RowAdam:
@@ -360,6 +371,8 @@ class RowAdam:
         pre-aggregated by the caller.
         """
         keys = np.asarray(keys, dtype=np.int64).reshape(-1)
+        if not len(keys):
+            return _no_rows(grads, self._arena)
         grads = np.asarray(grads, dtype=np.float32).reshape(len(keys), -1)
         arena = self._arena_for(grads.shape[1])
         idx = arena.resolve(keys)
@@ -381,9 +394,8 @@ class RowAdam:
         self, keys: np.ndarray, rows: np.ndarray, grads: np.ndarray
     ) -> np.ndarray:
         """Row form of :meth:`delta_rows` (same state advance)."""
-        keys = np.asarray(keys, dtype=np.int64).reshape(-1)
-        rows = np.asarray(rows, dtype=np.float32).reshape(len(keys), -1)
-        return rows + self.delta_rows(keys, grads)
+        delta = self.delta_rows(keys, grads)
+        return np.asarray(rows, dtype=np.float32).reshape(delta.shape) + delta
 
     def state_bytes(self) -> int:
         """Size of the in-memory moment state (for DESIGN notes)."""
@@ -406,18 +418,19 @@ class RowAdam:
         return {
             "state": {
                 key: (m[slot].copy(), v[slot].copy(), int(counts[slot]))
-                for key, slot in self._arena.slots.items()
+                for slot, key in enumerate(self._arena.keys.tolist())
             }
         }
 
     def load_state_dict(self, state: dict) -> None:
         self._arena = None
-        for key, (m, v, t) in state["state"].items():
-            row_m = np.asarray(m, dtype=np.float32).reshape(-1)
-            row_v = np.asarray(v, dtype=np.float32).reshape(-1)
-            arena = self._arena_for(row_m.shape[0])
-            idx = arena.resolve(np.asarray([int(key)], dtype=np.int64))
-            arena.columns["m"][idx[0]] = row_m
-            arena.columns["v"][idx[0]] = row_v
+        saved = state["state"]
+        if saved:
+            m, v, steps = zip(*saved.values())
+            m, v = _stack_rows(m), _stack_rows(v)
+            arena = self._arena_for(m.shape[1])
+            idx = arena.resolve(np.fromiter(saved, np.int64, len(saved)))
+            arena.columns["m"][idx] = m
+            arena.columns["v"][idx] = v
             assert arena.counts is not None
-            arena.counts[idx[0]] = int(t)
+            arena.counts[idx] = steps

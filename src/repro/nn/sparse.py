@@ -121,7 +121,7 @@ def edge_softmax(block: Block, logits: Tensor) -> Tensor:
         if logits.requires_grad:
             weighted = grad * probs
             row_sum = np.add.reduceat(weighted, block.starts)[block.rows]
-            logits._accumulate(weighted - probs * row_sum)
+            logits._accumulate(weighted - probs * row_sum, owned=True)
 
     return Tensor._make(probs, (logits,), backward)
 
@@ -154,10 +154,10 @@ def aggregate(block: Block, edge_weights: Tensor | np.ndarray, h_src: Tensor) ->
 
     def backward(grad: np.ndarray) -> None:
         if weights.requires_grad:
-            weights._accumulate(
-                np.einsum("ij,ij->i", grad[block.rows], h_src.data[block.indices])
-            )
+            dots = np.einsum("ij,ij->i", grad[block.rows], h_src.data[block.indices])
+            weights._accumulate(dots, owned=True)
         if h_src.requires_grad:
-            h_src._accumulate(_weighted_sum(block.by_col, block.n_src, weights.data, grad))
+            scattered = _weighted_sum(block.by_col, block.n_src, weights.data, grad)
+            h_src._accumulate(scattered, owned=True)
 
     return Tensor._make(out, (weights, h_src), backward)

@@ -5,6 +5,12 @@ Dynamic tape: every operation records its parents and a backward closure;
 gradients.  Broadcasting follows numpy semantics — gradients are summed
 back over broadcast dimensions (``_unbroadcast``).
 
+A gradient array has one owner: a backward closure hands over an array it
+just computed and does not keep (``_accumulate(..., owned=True)``); a parent
+copies what is shared or a view (``__add__``, ``sum``, ``reshape``,
+``transpose``, ``concat``, ``stack``, the seed).  Indexing sums gradients back
+with an exact scatter-add (``docs/ARCHITECTURE.md``, "The gradient path").
+
 Only float32 is supported (embedding tables are float32 end-to-end).
 """
 
@@ -35,6 +41,28 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad
+
+
+def _scatter_rows(index: np.ndarray, grad: np.ndarray, rows: int) -> np.ndarray:
+    """``np.add.at(zeros((rows, d)), index, grad)`` bit for bit, 3-4x sooner: each
+    row's first occurrence is gathered into place, the remaining duplicates go
+    through the 1-D ``np.add.at`` (one tight loop, occurrence order) on a flat index."""
+    width = grad.shape[-1]
+    grad = grad.reshape(-1, width)
+    index = np.where(index < 0, index + rows, index).reshape(-1).astype(np.intp, copy=False)
+    if not len(index):
+        return np.zeros((rows, width), dtype=np.float32)
+    order = np.arange(len(index))
+    first = np.full(rows, -1)
+    first[index[::-1]] = order[::-1]  # the last store wins: each row's first occurrence
+    full = np.take(grad, first, axis=0)
+    full[first < 0] = 0.0  # rows the index never names
+    full += np.float32(0.0)  # as ``add.at``'s zeros do: a lone -0.0 becomes +0.0
+    rest = np.flatnonzero(first[index] != order)
+    if len(rest):
+        flat = (index[rest, None] * width + np.arange(width)).reshape(-1)
+        np.add.at(full.reshape(-1), flat, np.take(grad, rest, axis=0).reshape(-1))
+    return full
 
 
 class Tensor:
@@ -100,12 +128,14 @@ class Tensor:
             out._backward = backward
         return out
 
-    def _accumulate(self, grad: np.ndarray) -> None:
-        grad = _unbroadcast(grad, self.data.shape)
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add ``grad`` into ``.grad``.  ``owned``: the calling closure just computed
+        ``grad`` and keeps no reference, so it (like a fresh sum) is kept, not copied."""
+        reduced = _unbroadcast(grad, self.data.shape)
         if self.grad is None:
-            self.grad = grad.astype(np.float32, copy=True)
+            self.grad = reduced.astype(np.float32, copy=not owned and reduced is grad)
         else:
-            self.grad += grad
+            self.grad += reduced
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -126,7 +156,7 @@ class Tensor:
     def __neg__(self) -> "Tensor":
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(-grad)
+                self._accumulate(-grad, owned=True)
 
         return Tensor._make(-self.data, (self,), backward)
 
@@ -142,9 +172,9 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * other.data)
+                self._accumulate(grad * other.data, owned=True)
             if other.requires_grad:
-                other._accumulate(grad * self.data)
+                other._accumulate(grad * self.data, owned=True)
 
         return Tensor._make(self.data * other.data, (self, other), backward)
 
@@ -155,9 +185,9 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad / other.data)
+                self._accumulate(grad / other.data, owned=True)
             if other.requires_grad:
-                other._accumulate(-grad * self.data / (other.data * other.data))
+                other._accumulate(-grad * self.data / (other.data * other.data), owned=True)
 
         return Tensor._make(self.data / other.data, (self, other), backward)
 
@@ -167,7 +197,7 @@ class Tensor:
     def __pow__(self, exponent: float) -> "Tensor":
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * exponent * np.power(self.data, exponent - 1))
+                self._accumulate(grad * exponent * np.power(self.data, exponent - 1), owned=True)
 
         return Tensor._make(np.power(self.data, exponent), (self,), backward)
 
@@ -176,9 +206,9 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad @ np.swapaxes(other.data, -1, -2))
+                self._accumulate(grad @ np.swapaxes(other.data, -1, -2), owned=True)
             if other.requires_grad:
-                other._accumulate(np.swapaxes(self.data, -1, -2) @ grad)
+                other._accumulate(np.swapaxes(self.data, -1, -2) @ grad, owned=True)
 
         return Tensor._make(self.data @ other.data, (self, other), backward)
 
@@ -210,10 +240,18 @@ class Tensor:
 
     def __getitem__(self, index) -> "Tensor":
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
+            if not self.requires_grad:
+                return
+            items = index if isinstance(index, tuple) else (index,)
+            if isinstance(index, np.ndarray) and index.dtype.kind in "iu" and self.ndim == 2:
+                full = _scatter_rows(index, grad, len(self.data))  # an embedding gather
+            else:
                 full = np.zeros_like(self.data)
-                np.add.at(full, index, grad)
-                self._accumulate(full)
+                if all(type(item) in (slice, int, type(...)) for item in items):
+                    full[index] += grad  # a basic index names no element twice
+                else:
+                    np.add.at(full, index, grad)
+            self._accumulate(full, owned=True)
 
         return Tensor._make(self.data[index], (self,), backward)
 
@@ -251,7 +289,7 @@ class Tensor:
                 expanded = np.expand_dims(out_data, axis)
             mask = (self.data == expanded).astype(np.float32)
             mask /= np.maximum(mask.sum(axis=axis, keepdims=True), 1.0)
-            self._accumulate(mask * g)
+            self._accumulate(mask * g, owned=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -263,7 +301,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * mask)
+                self._accumulate(grad * mask, owned=True)
 
         return Tensor._make(self.data * mask, (self,), backward)
 
@@ -272,7 +310,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * mask)
+                self._accumulate(grad * mask, owned=True)
 
         return Tensor._make(self.data * mask, (self,), backward)
 
@@ -281,7 +319,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * out_data * (1.0 - out_data))
+                self._accumulate(grad * out_data * (1.0 - out_data), owned=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -290,7 +328,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * (1.0 - out_data * out_data))
+                self._accumulate(grad * (1.0 - out_data * out_data), owned=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -299,14 +337,14 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * out_data)
+                self._accumulate(grad * out_data, owned=True)
 
         return Tensor._make(out_data, (self,), backward)
 
     def log(self) -> "Tensor":
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad / self.data)
+                self._accumulate(grad / self.data, owned=True)
 
         return Tensor._make(np.log(self.data), (self,), backward)
 

@@ -180,3 +180,97 @@ class TestPeek:
         peeked = tables.peek(np.array([123]))
         fetched = tables.get(np.array([123]))
         np.testing.assert_array_equal(peeked, fetched)
+
+
+class TestSortedUniqueShortcut:
+    """Strictly increasing 1-D keys skip ``np.unique`` and the row gather;
+    the store must not be able to tell (same calls, same key lists, same
+    counters, same simulated clock) and the values must be the ones the
+    general path returns for the same keys shuffled and repeated."""
+
+    CALLS = ("multi_get", "multi_put", "snapshot_read_many", "lookahead")
+
+    def _stack(self, path):
+        from repro.device import SimClock, SSDModel
+
+        clock = SimClock()
+        store = MLKV(str(path), ssd=SSDModel(clock), staleness_bound=ASP_BOUND,
+                     memory_budget_bytes=1 << 14, page_bytes=1 << 12)
+        tables = EmbeddingTables(store, dim=8, seed=7, cache_entries=64)
+        populate = np.arange(0, 400, 3)
+        tables.put(populate, np.tile(populate[:, None], (1, 8)).astype(np.float32))
+        log = []
+        for name in self.CALLS:
+            def spy(keys, *rest, _inner=getattr(store, name), _name=name):
+                log.append((_name, list(keys)))
+                return _inner(keys, *rest)
+            setattr(store, name, spy)
+        return tables, log
+
+    @staticmethod
+    def _observed(tables, log):
+        store = tables.store
+        return (log, store.stats, store.ssd.stats(), store.clock.now,
+                tables.cache.hits, tables.cache.misses, sorted(tables.cache.keys()))
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_sorted_keys_equal_the_same_keys_shuffled_with_duplicates(self, tmp_path, warm):
+        rng = np.random.default_rng(3)
+        keys = np.unique(rng.integers(0, 500, size=90))  # stored and never-seen keys
+        shuffled = rng.permutation(np.concatenate([keys, keys[::4], keys[:9]]))
+        straight, straight_log = self._stack(tmp_path / "a")
+        general, general_log = self._stack(tmp_path / "b")
+        last = len(shuffled) - 1 - np.unique(shuffled[::-1], return_index=True)[1]
+        values = rng.standard_normal((len(keys), 8)).astype(np.float32)
+        noisy = rng.standard_normal((len(shuffled), 8)).astype(np.float32)
+        noisy[last] = values  # the last occurrence of each key carries its row
+        for tables in (straight, general):
+            if warm:
+                tables.lookahead(keys[::2].copy(), dest="cache")
+                tables.lookahead(keys[::5].copy(), dest="cache")
+        assert (len(straight.cache) > 0) == warm
+
+        steps = [
+            lambda t, k, v: t.peek(k),
+            lambda t, k, v: t.lookahead(k, dest="buffer"),
+            lambda t, k, v: t.get(k),
+            lambda t, k, v: t.put(k, v),
+            lambda t, k, v: t.lookahead(k, dest="cache"),
+            lambda t, k, v: t.get(k),
+            lambda t, k, v: t.peek(k),
+        ]
+        for step in steps:
+            got = step(straight, keys, values)
+            want = step(general, shuffled, noisy)
+            if isinstance(got, np.ndarray):
+                assert got.shape == (len(keys), 8) and got.flags.writeable
+                assert np.array_equal(got[np.searchsorted(keys, shuffled)], want)
+            else:
+                assert got == want
+            assert self._observed(straight, straight_log) == self._observed(general, general_log)
+        assert {name for name, _ in straight_log} == set(self.CALLS)
+
+    def test_the_shortcut_needs_strictly_increasing_one_dimensional_keys(self, tables):
+        from repro.core.embedding import _ascending
+
+        assert _ascending(np.array([1, 2, 9]))
+        assert _ascending(np.array([], dtype=np.int64)) and _ascending(np.array([4]))
+        assert not _ascending(np.array([1, 2, 2, 9]))   # a repeat is not unique
+        assert not _ascending(np.array([1, 3, 2]))
+        assert not _ascending(np.array([[1, 2], [3, 4]]))
+        # repeats in non-decreasing keys: one store read each, last put wins
+        keys = np.array([2, 2, 5, 5, 5])
+        rows = np.arange(40, dtype=np.float32).reshape(5, 8)
+        tables.put(keys, rows)
+        assert tables.store.stats.puts == 2
+        assert np.array_equal(tables.get(keys), rows[[1, 1, 4, 4, 4]])
+        assert np.array_equal(tables.peek(keys), rows[[1, 1, 4, 4, 4]])
+        assert tables.lookahead(keys, dest="cache") == 2
+
+    def test_rows_returned_for_sorted_keys_are_the_callers_to_change(self, tables):
+        keys = np.arange(6)
+        tables.put(keys, np.ones((6, 8), dtype=np.float32))
+        for read in (tables.get, tables.peek):
+            rows = read(keys)
+            rows += 5.0
+            assert np.array_equal(tables.peek(keys), np.ones((6, 8), dtype=np.float32))

@@ -74,6 +74,8 @@ class TestDirectionHeuristic:
         ("rescale_moved_keys_per_s", "higher"),
         ("gnn_fwd_bwd_steps_per_s", "higher"),
         ("gnn_sample_batches_per_s", "higher"),
+        ("dlrm_fwd_bwd_steps_per_s", "higher"),
+        ("row_adagrad_resident_keys_per_s", "higher"),
         ("serving_loop_requests_per_s", "higher"),
         ("zipfian_keys_per_s", "higher"),
         ("post_failover_p99_us", "lower"),
