@@ -91,9 +91,10 @@ bench-e2e-smoke:
 # transition is checked live, so a lost update or stale-read bug fails
 # loudly with an event trace instead of as a silent convergence drift.
 # The router suite is here because every replicated read and write —
-# including the live split of a lagging group — goes through it.
+# including the live split of a lagging group — goes through it; the
+# array-verb suite rides along for its router and replica-group tests.
 test-sanitize:
-	REPRO_SANITIZE=1 $(PYTHON) -m pytest tests/test_sharded.py tests/test_replication.py tests/test_distributed.py tests/test_analysis_sanitize.py tests/test_parallel.py -q
+	REPRO_SANITIZE=1 $(PYTHON) -m pytest tests/test_sharded.py tests/test_replication.py tests/test_distributed.py tests/test_analysis_sanitize.py tests/test_parallel.py tests/test_array_verbs.py -q
 
 # Prefer ruff (fast, wider net) when present; fall back to pyflakes,
 # then to the always-available compileall syntax check.  The repo's own

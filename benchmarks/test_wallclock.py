@@ -5,16 +5,20 @@ Every other bench runs on the simulated clock, which charges by
 measures, whose whole point is doing the same operations in less real
 CPU time:
 
-* **vectorized gather/scatter** — the embedding facade's batched
-  ``get``/``put`` (one ``multi_get``, one batch decode, one dedup'd
-  ``multi_put``) versus the per-key reference loop it replaced,
+* **vectorized gather/scatter** — the list-of-values vector codec (one
+  batch decode, one dedup'd batch encode) versus the per-key reference
+  loop it replaced, and the embedding facade's ``get``/``put`` end to end,
+* **rows in, rows out** — a ``tables.get`` + ``tables.put`` cycle of one
+  ``dlrm_mem`` step's keys over the resident table next to the
+  ``get_rows`` + ``put_rows`` cycle underneath it, and the 8-shard
+  router's ``get_rows`` next to its ``multi_get`` on the same keys,
 * **vectorized row optimizers** — ``RowAdagrad``/``RowAdam`` arena
   updates versus the per-key dict-of-rows reference,
 * **zero-copy record codec** — ``encode_records``/``decode_records``
   over one buffer versus per-record encode + slice,
 * **process-parallel shard fan-out** — aggregate ``multi_get``
   throughput of :class:`~repro.kv.parallel.ParallelShardStore` at
-  1/2/4 workers over 8 shards,
+  1/2/4 workers over 8 shards, on distinct keys the store holds,
 * **the out-of-core engine path** — ``multi_get``, ``multi_put`` and
   look-ahead staging of an MLKV store holding a table some seven times
   its buffer, where most of a batch is read from and re-appended past the
@@ -81,6 +85,8 @@ _CODEC_RECORDS = 20_000
 _FANOUT_SHARDS = 8
 _FANOUT_KEYS = 20_000
 _REPEATS = 5
+_CYCLE_TABLE_KEYS = 104_000
+_CYCLE_KEYS = 3_668
 _OOC_KEYS = 100_000
 _OOC_VALUE_BYTES = 128
 _OOC_BUDGET_BYTES = 2 << 20
@@ -260,6 +266,36 @@ def _bench_gather_scatter(rows_out, metrics):
     })
 
 
+def _bench_rows_cycle(rows_out, metrics):
+    """One ``dlrm_mem`` step's Get + Put: 3,668 sorted unique keys against a
+    resident 104,000-key table, through the facade (float32 matrix in and
+    out) and through the engine's array verbs (framed ``uint8`` rows)."""
+    rng = np.random.default_rng(17)
+    keys = np.sort(rng.permutation(_CYCLE_TABLE_KEYS)[:_CYCLE_KEYS])
+    values = rng.standard_normal((_CYCLE_KEYS, _DIM)).astype(np.float32)
+    with tempfile.TemporaryDirectory(prefix="wall-cycle-") as td:
+        store = MLKV(td, ssd=SSDModel(SimClock()), memory_budget_bytes=1 << 26)
+        tables = EmbeddingTables(store, dim=_DIM, cache_entries=0)
+        everything = np.arange(_CYCLE_TABLE_KEYS)
+        tables.put(everything, np.zeros((_CYCLE_TABLE_KEYS, _DIM), dtype=np.float32))
+        framed = np.empty((_CYCLE_KEYS, 1 + 4 * _DIM), dtype=np.uint8)
+        facade = best_of(lambda: tables.get(keys), repeats=4 * _REPEATS) + best_of(
+            lambda: tables.put(keys, values), repeats=4 * _REPEATS
+        )
+        engine = best_of(lambda: store.get_rows(keys, framed), repeats=4 * _REPEATS) + best_of(
+            lambda: store.put_rows(keys, framed), repeats=4 * _REPEATS
+        )
+        store.close()
+    metrics["facade_cycle_keys_per_s"] = rate(_CYCLE_KEYS, facade)
+    metrics["engine_rows_cycle_keys_per_s"] = rate(_CYCLE_KEYS, engine)
+    rows_out.append({
+        "path": "facade_cycle",
+        "vectorized_keys_per_s": round(metrics["facade_cycle_keys_per_s"]),
+        "reference_keys_per_s": round(metrics["engine_rows_cycle_keys_per_s"]),
+        "speedup": round(engine / facade, 2),
+    })
+
+
 def _bench_optimizers(rows_out, metrics):
     rng = np.random.default_rng(12)
     keys = np.unique(rng.integers(0, 200_000, size=_BATCH))
@@ -337,7 +373,10 @@ def _bench_fanout(rows_out, metrics):
     rng = np.random.default_rng(14)
     item_keys = list(range(0, 60_000, 2))
     item_values = [bytes([k % 251]) * 64 for k in item_keys]
-    probe = rng.integers(0, 60_000, size=_FANOUT_KEYS).tolist()
+    # Distinct keys, all present: a batch the engines serve as arrays.  (A
+    # probe of random keys is half absent and holds repeats, and measures
+    # the engines' per-key loop.)
+    probe = rng.permutation(item_keys)[:_FANOUT_KEYS].tolist()
 
     process_counts = [1, 2, 4] if fork_available() else [1]
     throughputs = {}
@@ -355,6 +394,18 @@ def _bench_fanout(rows_out, metrics):
             store.multi_put(item_keys, item_values)
             store.multi_get(probe)  # warm every shard's resident path
             elapsed = best_of(lambda: store.multi_get(probe), repeats=_REPEATS)
+            if processes == 1:
+                probe_array = np.array(probe)
+                out = np.empty((_FANOUT_KEYS, 64), dtype=np.uint8)
+                assert store.get_rows(probe_array, out).all()
+                rowed = best_of(lambda: store.get_rows(probe_array, out), repeats=_REPEATS)
+                metrics["router_get_rows_keys_per_s"] = rate(_FANOUT_KEYS, rowed)
+                rows_out.append({
+                    "path": "router_get_rows",
+                    "vectorized_keys_per_s": round(metrics["router_get_rows_keys_per_s"]),
+                    "reference_keys_per_s": round(rate(_FANOUT_KEYS, elapsed)),
+                    "speedup": round(elapsed / rowed, 2),
+                })
             store.close()
         throughputs[processes] = rate(_FANOUT_KEYS, elapsed)
         metrics[f"fanout_multi_get_keys_per_s_p{processes}"] = throughputs[processes]
@@ -562,7 +613,7 @@ def _bench_serving(rows_out, metrics):
 
 
 def test_wallclock_hot_paths(benchmark):
-    """One sweep measuring all eight wall-clock hot paths.
+    """One sweep measuring all nine wall-clock hot paths.
 
     A single test (and a single emitted file) so the payload is atomic:
     either every wall metric refreshes or none does — the gate's
@@ -573,6 +624,7 @@ def test_wallclock_hot_paths(benchmark):
         rows: list[dict] = []
         metrics: dict = {}
         _bench_gather_scatter(rows, metrics)
+        _bench_rows_cycle(rows, metrics)
         _bench_optimizers(rows, metrics)
         _bench_codec(rows, metrics)
         throughputs = _bench_fanout(rows, metrics)
@@ -600,6 +652,8 @@ def test_wallclock_hot_paths(benchmark):
             "codec_records": _CODEC_RECORDS,
             "fanout_shards": _FANOUT_SHARDS,
             "fanout_keys": _FANOUT_KEYS,
+            "cycle_table_keys": _CYCLE_TABLE_KEYS,
+            "cycle_keys": _CYCLE_KEYS,
             "ooc_keys": _OOC_KEYS,
             "ooc_value_bytes": _OOC_VALUE_BYTES,
             "ooc_budget_bytes": _OOC_BUDGET_BYTES,
@@ -627,6 +681,11 @@ def test_wallclock_hot_paths(benchmark):
     assert metrics["adagrad_speedup"] >= 3.0, metrics
     assert metrics["adam_speedup"] >= 3.0, metrics
     assert metrics["codec_encode_speedup"] >= 1.0, metrics
+    # Rows in, rows out: what the facade adds to the engine's array cycle is
+    # framing one matrix each way, and the router's array verb beats its
+    # list verb on the same keys.
+    assert metrics["facade_cycle_keys_per_s"] >= metrics["engine_rows_cycle_keys_per_s"] / 1.3, metrics
+    assert metrics["router_get_rows_keys_per_s"] > metrics["fanout_multi_get_keys_per_s_p1"], metrics
     # Fan-out scaling needs real cores; on a starved runner the numbers
     # are still emitted (with meta.cores saying why they are flat), but
     # only a runner with >=4 cores is held to the 2x aggregate claim.

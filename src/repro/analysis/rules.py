@@ -176,6 +176,8 @@ class SimulatedClockPurity(LintRule):
 _CONTRACT: dict[str, list[str]] = {
     "multi_get": ["keys"],
     "multi_put": ["keys", "values"],
+    "get_rows": ["keys", "out"],
+    "put_rows": ["keys", "rows"],
     "snapshot_read_many": ["keys"],
     "multi_rmw": ["keys", "update"],
     "freeze": [],

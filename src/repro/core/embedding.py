@@ -1,9 +1,9 @@
 """Embedding-table facade over an MLKV store (paper Figure 3's API).
 
 Maps integer sparse-feature identifiers to float32 vectors.  Responsible
-for (de)serialization, deterministic lazy initialization of unseen keys,
-the application-side cache that conventional prefetching fills, and the
-batch ``get``/``put``/``lookahead`` calls the trainers use.
+for framing batches as the matrices the store's array verbs take (keys stay
+arrays end to end), deterministic lazy initialization of unseen keys, the
+cache conventional prefetching fills, and the batch calls the trainers use.
 
 The application cache holds vectors fetched *through the Get protocol*
 (their staleness is already counted), so consuming a cached vector does
@@ -20,7 +20,7 @@ import numpy as np
 from repro.errors import ConfigError, StalenessViolation
 from repro.kv.api import KVStore
 from repro.kv.common.cache import LRUCache
-from repro.kv.common.serialization import decode_vectors, encode_vectors
+from repro.kv.common.serialization import decode_vectors, frame_vectors, unframe_vectors
 from repro.obs import profile as obs_profile
 
 
@@ -93,7 +93,7 @@ class EmbeddingTables:
         the store's Get protocol runs once; duplicates within the batch
         share the admission (embedding lookups for one minibatch are a
         single logical read per key).  All keys missing from the
-        application cache are fetched with **one** batched ``multi_get``,
+        application cache are fetched with **one** batched ``get_rows``,
         so the store's amortized hot path serves the whole minibatch.
         """
         keys = np.asarray(keys, dtype=np.int64)
@@ -101,7 +101,7 @@ class EmbeddingTables:
         if not len(self.cache) and unique.shape[0]:
             # Nothing was prefetched: every key is a cache miss.
             self.cache.misses += unique.shape[0]
-            rows = self._fetch_many(unique.tolist())
+            rows = self._fetch_many(unique)
             return rows if inverse is None else rows[inverse].reshape(*keys.shape, self.dim)
         gathered = np.empty((unique.shape[0], self.dim), dtype=np.float32)
         fetch_rows: list[int] = []
@@ -114,7 +114,7 @@ class EmbeddingTables:
                 fetch_rows.append(i)
                 fetch_keys.append(key)
         if fetch_keys:
-            gathered[fetch_rows] = self._fetch_many(fetch_keys)
+            gathered[fetch_rows] = self._fetch_many(np.array(fetch_keys, dtype=np.int64))
         return gathered if inverse is None else gathered[inverse].reshape(*keys.shape, self.dim)
 
     def _consume_cached(self, key: int) -> Optional[np.ndarray]:
@@ -136,28 +136,27 @@ class EmbeddingTables:
         self.cache.misses += 1
         return None
 
-    def _fetch_one(self, key: int) -> np.ndarray:
-        return self._fetch_many([key])[0]
-
-    def _fetch_many(self, keys: list[int]) -> np.ndarray:
+    def _fetch_many(self, keys: np.ndarray) -> np.ndarray:
         """One batched store read; unseen keys initialize and write back.
 
-        Returns a ``(len(keys), dim)`` float32 matrix.  Newly initialized
-        keys are inserted with one ``multi_put`` and re-read with a second
-        ``multi_get`` so their admissions are counted by the store's Get
-        protocol, exactly like the per-key path did.  The whole batch
-        moves through the batch codec: one encode buffer for the
-        initialization write-back, one vectorized decode for the result.
+        Returns a new ``(len(keys), dim)`` float32 matrix, unframed in one
+        pass from the framed rows ``get_rows`` fills.  Keys the store does
+        not hold are initialized, inserted with one ``put_rows`` and read
+        again with a second ``get_rows`` so that the store's Get protocol
+        counts their admissions.
         """
         token = obs_profile.begin()
-        raws = self.store.multi_get(keys)
-        missing = [key for key, raw in zip(keys, raws) if raw is None]
-        if missing:
-            init_rows = np.stack([self._init_vector(key) for key in missing])
-            self.store.multi_put(missing, encode_vectors(init_rows))
-            refreshed = iter(self.store.multi_get(missing))
-            raws = [raw if raw is not None else next(refreshed) for raw in raws]
-        rows = decode_vectors(raws, dim=self.dim)
+        framed = np.empty((len(keys), 1 + 4 * self.dim), dtype=np.uint8)
+        found = self.store.get_rows(keys, framed)
+        if not found.all():
+            missing = keys[~found]
+            init_rows = np.stack([self._init_vector(key) for key in missing.tolist()])
+            self.store.put_rows(missing, frame_vectors(init_rows))
+            refreshed = np.empty((len(missing), framed.shape[1]), dtype=np.uint8)
+            if not self.store.get_rows(missing, refreshed).all():
+                raise ValueError("the store lost a key it was just given")
+            framed[~found] = refreshed
+        rows = unframe_vectors(framed)
         obs_profile.end("emb.gather", token, units=len(keys))
         return rows
 
@@ -178,7 +177,7 @@ class EmbeddingTables:
         if not _ascending(keys):
             unique, rev_index = np.unique(keys[::-1], return_index=True)
             rows = values[keys.shape[0] - 1 - rev_index]
-        self.store.multi_put(unique.tolist(), encode_vectors(rows))
+        self.store.put_rows(unique, frame_vectors(rows))
         obs_profile.end("emb.scatter", token, units=int(unique.shape[0]))
         if not len(self.cache):
             return  # no prefetched entry to keep fresh
@@ -219,9 +218,9 @@ class EmbeddingTables:
                 else _NullScope()
             )
             with scope:
-                for key in keys:
+                for i, key in enumerate(keys):
                     try:
-                        vector = self._fetch_one(int(key))  # one admission per use
+                        vector = self._fetch_many(keys[i : i + 1])[0]  # one admission per use
                     except StalenessViolation:
                         # Prefetch is advisory: a key whose clock cannot
                         # admit another Get yet is simply skipped; the

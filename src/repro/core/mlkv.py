@@ -48,8 +48,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from repro.errors import StalenessViolation, StorageError
-from repro.kv.faster.hybridlog import row_values
+from repro.errors import StalenessViolation, StorageError, checkpoint_fields, load_checkpoint_json
+from repro.kv.api import piece_values
 from repro.kv.faster.record import (
     MAX_STALENESS,
     RECORD_HEADER_BYTES,
@@ -62,13 +62,7 @@ from repro.kv.faster.record import (
     word_flags,
     word_staleness,
 )
-from repro.kv.faster.store import (
-    FALLBACK_SHARE,
-    FasterKV,
-    PutProtocol,
-    load_sidecar,
-    sidecar_fields,
-)
+from repro.kv.faster.store import FALLBACK_SHARE, FasterKV, PutProtocol
 from repro.core.staleness import ASP_BOUND, ConsistencyMode, mode_for_bound
 from repro.obs.trace import span as obs_span
 
@@ -342,7 +336,7 @@ class MLKV(FasterKV):
         self.put(key, new_value)
         return new_value
 
-    def multi_get(self, keys) -> list:
+    def _get_many(self, keys) -> list:
         """Batched Get under the vector-clock protocol.
 
         The staleness bound is per key, so admission is decided per key —
@@ -355,23 +349,22 @@ class MLKV(FasterKV):
         epoch, so batched and looped reads admit identically.
         """
         if not self.bounded_staleness:
-            return super().multi_get(keys)
-        keys = self._normalize_keys(keys)
+            return super()._get_many(keys)
         with obs_span("kv.multi_get", clock=self.clock, engine="mlkv", keys=len(keys)):
             self._charge_batch_cpu(len(keys))
-            if CLOCK_OVERHEAD_SECONDS and keys:
+            if CLOCK_OVERHEAD_SECONDS and len(keys):
                 self.clock.advance(CLOCK_OVERHEAD_SECONDS * len(keys), component="cpu")
             self._stats.gets += len(keys)
-            results: list = []
             key_array = self._key_array(keys)
+            pieces: list = []
+            done = 0
             if key_array is not None and not self._has_duplicates(key_array):
-                self._get_runs(keys, key_array, results)
-            for position in range(len(results), len(keys)):
-                results.append(self._get_bounded(keys[position]))
-            return results
+                done = self._get_runs(key_array, pieces)
+            rest = self._normalize_keys(keys[done:])
+            return pieces + [self._get_bounded(key) for key in rest]
 
-    def _get_runs(self, keys: list, key_array: np.ndarray, results: list) -> None:
-        """Get a prefix of the batch into ``results``, plain keys as arrays.
+    def _get_runs(self, key_array: np.ndarray, pieces: list) -> int:
+        """Get a prefix of the batch into ``pieces``; returns its length.
 
         A key is *plain* when its newest record is as wide as the batch's
         other records and its Get would be admitted at once: a resident
@@ -391,7 +384,7 @@ class MLKV(FasterKV):
         read again only if its key has moved since.  Stops early once too
         many keys have taken the per-key path (``FALLBACK_SHARE``).
         """
-        count = len(keys)
+        count = len(key_array)
         stats = self.mlkv_stats
         limit = min(self.staleness_bound, MAX_STALENESS - 1)
         overflow = self._overflow_staleness
@@ -417,28 +410,31 @@ class MLKV(FasterKV):
                 plain[cold] = True
                 others = np.flatnonzero(~plain).tolist()
                 if len(others) > fallbacks_left:
-                    return
+                    return start
                 batch = _GetBatch(
                     rows, np.flatnonzero(resident), offsets,
                     released_words(words, staleness + np.uint64(1)),
                     cold, cold_keys, (cold_staleness + 1).tolist(),
                 )
                 others.append(count - start)  # each run ends at the next of these
-                self._admit_run(batch, 0, others[0], results)
+                self._admit_run(batch, 0, others[0], pieces)
+            served = others[0]
             for position, run_end in zip(others, others[1:]):
                 fallbacks_left -= 1
                 # Every path to the stall handler counts one of these first.
                 handler_runs = stats.stall_events + stats.cas_retries
-                results.append(self._get_bounded(keys[start + position]))
+                pieces.append(self._get_bounded(int(key_array[start + position])))
+                served = position + 1
                 if stats.stall_events + stats.cas_retries != handler_runs:
                     break
                 with self.epochs.guard():
-                    self._admit_run(batch, position + 1, run_end, results)
-            served = len(results) - start
+                    self._admit_run(batch, position + 1, run_end, pieces)
+                served = run_end
             fetched = addresses[served:], rows[served:], read[served:]
-            start = len(results)
+            start += served
+        return count
 
-    def _admit_run(self, batch: "_GetBatch", first: int, stop: int, results: list) -> None:
+    def _admit_run(self, batch: "_GetBatch", first: int, stop: int, pieces: list) -> None:
         """Admit the plain keys at positions ``first`` to ``stop`` of a
         classified batch: store the resident records' released words, bump
         the cold records' overflow entries and book their reads, append
@@ -459,9 +455,9 @@ class MLKV(FasterKV):
             self._charge_cold_reads(
                 RECORD_HEADER_BYTES + batch.rows.shape[1], int(high - low)
             )
-        results += row_values(batch.rows[first:stop])
+        pieces.append(batch.rows[first:stop])
 
-    def multi_put(self, keys, values) -> None:
+    def _put_many(self, keys, values) -> None:
         """Batched Put: one epoch/CPU acquisition, per-key clock updates.
 
         Keys whose records can be updated in place have value and latch
@@ -472,13 +468,11 @@ class MLKV(FasterKV):
         :meth:`~repro.kv.faster.store.FasterKV._put_runs`).
         """
         if not self.bounded_staleness:
-            super().multi_put(keys, values)
+            super()._put_many(keys, values)
             return
-        self._check_writable()
-        keys, values = self._normalize_pairs(keys, values)
         with obs_span("kv.multi_put", clock=self.clock, engine="mlkv", keys=len(keys)):
             self._charge_batch_cpu(len(keys))
-            if CLOCK_OVERHEAD_SECONDS and keys:
+            if CLOCK_OVERHEAD_SECONDS and len(keys):
                 self.clock.advance(CLOCK_OVERHEAD_SECONDS * len(keys), component="cpu")
             self._stats.puts += len(keys)
             with self.epochs.guard():
@@ -505,7 +499,7 @@ class MLKV(FasterKV):
         Uses FASTER's batched path directly: the vector-clock protocol is
         bypassed entirely, as evaluation reads require.
         """
-        return super().multi_get(keys)
+        return piece_values(FasterKV._get_many(self, self._normalize_keys(keys)))
 
     # The serving tier's committed-read contract maps onto the existing
     # evaluation reads: no admission, no vector-clock update.
@@ -546,7 +540,7 @@ class MLKV(FasterKV):
         a torn read) takes :meth:`_stage_one` at its turn, as every record
         of a short batch or one with repeated keys does.
         """
-        keys = list(keys)
+        keys = self._normalize_keys(keys)
         self.mlkv_stats.lookahead_requests += len(keys)
         with self.epochs.guard():
             key_array = self._key_array(keys)
@@ -658,8 +652,8 @@ class MLKV(FasterKV):
         path = os.path.join(directory, _STALENESS_FILE)
         bound = overflow = None
         if os.path.exists(path):
-            saved = load_sidecar(path)
-            with sidecar_fields(path):
+            saved = load_checkpoint_json(path)
+            with checkpoint_fields(path):
                 bound = saved["staleness_bound"]
                 overflow = {int(key): count for key, count in saved["overflow"].items()}
                 numbers = [bound, *overflow, *overflow.values()]

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import json
+from contextlib import contextmanager
+from typing import Iterator
+
 
 class ReproError(Exception):
     """Base class for all errors raised by this package."""
@@ -25,6 +29,30 @@ class StalenessViolation(ReproError):
 
 class CheckpointError(StorageError):
     """Checkpoint or recovery failed."""
+
+
+def load_checkpoint_json(path: str) -> dict:
+    """A JSON checkpoint file (engine sidecar, router manifest) as a ``dict``;
+    torn — cut short, not an object — it is a :class:`CheckpointError`."""
+    try:
+        with open(path) as f:
+            loaded = json.load(f)
+    except ValueError as exc:  # JSONDecodeError, bad UTF-8
+        raise CheckpointError(f"checkpoint file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise CheckpointError(f"checkpoint file {path} is not a JSON object")
+    return loaded
+
+
+@contextmanager
+def checkpoint_fields(path: str) -> Iterator[None]:
+    """Report a missing or mis-shaped field of such a file as a
+    :class:`CheckpointError`, not the lookup error it causes.  Wrap only the
+    code that picks fields apart, never code that opens a child store."""
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise CheckpointError(f"checkpoint file {path} is malformed: {exc!r}") from exc
 
 
 class ConfigError(ReproError):

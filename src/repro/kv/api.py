@@ -1,8 +1,14 @@
 """Common interface implemented by all storage engines.
 
 Keys are non-negative integers (sparse feature identifiers); values are
-opaque ``bytes``.  The embedding layer above serializes vectors with
-:mod:`repro.kv.common.serialization`.
+opaque ``bytes``.  A batch moves as lists (``multi_get`` / ``multi_put``)
+or as arrays (``get_rows`` / ``put_rows``: an integer key array and a
+``uint8[n, w]`` matrix, one value per row, both the caller's).  The array
+verbs are *defined* as the list verbs over ``keys.tolist()`` and
+:func:`row_values` — results, exceptions, counters, simulated charges —
+which is their default implementation; an override only skips the per-row
+``bytes``.  The embedding layer above frames its vectors as such matrices
+with :mod:`repro.kv.common.serialization`.
 """
 
 from __future__ import annotations
@@ -12,6 +18,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from types import TracebackType
 from typing import Any, Callable, Iterable, Iterator, Optional
+
+import numpy as np
 
 from repro.errors import CheckpointError, StorageError
 
@@ -37,6 +45,52 @@ class StoreStats:
         """Hits over total lookups; 0.0 before any lookup."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
+
+
+def row_values(rows: np.ndarray) -> list[bytes]:
+    """The rows of a C-contiguous ``uint8`` matrix as ``bytes`` values."""
+    if rows.shape[1] == 0:
+        return [b""] * len(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel().tolist()
+
+
+def check_rows(keys: np.ndarray, rows: np.ndarray) -> None:
+    """What only an array call can get wrong, rejected before anything is
+    charged: ``keys`` 1-D integers, ``rows`` C-contiguous ``uint8[n, w]``."""
+    if not (isinstance(keys, np.ndarray) and keys.ndim == 1 and keys.dtype.kind in "iu"
+            and isinstance(rows, np.ndarray) and rows.dtype == np.uint8
+            and rows.flags.c_contiguous and rows.shape[:-1] == keys.shape):
+        raise ValueError("need a 1-D integer key array and a C-contiguous uint8[n, w] matrix")
+
+
+def piece_values(pieces: list) -> list[Optional[bytes]]:
+    """The values of a batched Get an engine delivered in *pieces*, in key
+    order: a ``uint8`` matrix for a run of present keys, or one key's
+    ``bytes`` / ``None``."""
+    values: list[Optional[bytes]] = []
+    for piece in pieces:
+        values += row_values(piece) if isinstance(piece, np.ndarray) else [piece]
+    return values
+
+
+def fill_rows(keys: np.ndarray, out: np.ndarray, pieces: list) -> np.ndarray:
+    """The same pieces as the ``found`` mask and ``out`` rows of
+    :meth:`KVStore.get_rows`; the first value that is not a row raises."""
+    found = np.zeros(len(keys), dtype=bool)
+    at = 0
+    for piece in pieces:
+        if piece is None:
+            at += 1
+            continue
+        if not isinstance(piece, np.ndarray):
+            piece = np.frombuffer(piece, dtype=np.uint8).reshape(1, len(piece))
+        if len(piece):
+            if piece.shape[1] != out.shape[1]:
+                raise ValueError(f"key {keys[at]} holds {piece.shape[1]} bytes, not {out.shape[1]}")
+            out[at : at + len(piece)] = piece
+            found[at : at + len(piece)] = True
+            at += len(piece)
+    return found
 
 
 def walk_image_files(root: str) -> list[str]:
@@ -196,17 +250,35 @@ class KVStore(ABC):
         for key, value in zip(keys, values):
             self.put(key, value)
 
+    def get_rows(self, keys: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``multi_get(keys.tolist())`` into the rows of ``out``, a
+        C-contiguous ``uint8[n, w]`` matrix the caller owns.  Returns
+        ``found`` (``bool[n]``): row ``i`` holds key ``i``'s value where set
+        and is left as it was where the key is absent.  A present value that
+        is not ``w`` bytes long raises :class:`ValueError` once the batch
+        has been read."""
+        check_rows(keys, out)
+        return fill_rows(keys, out, self.multi_get(keys.tolist()))
+
+    def put_rows(self, keys: np.ndarray, rows: np.ndarray) -> None:
+        """``multi_put(keys.tolist(), row_values(rows))``: one ``w``-byte
+        value per key from the ``uint8[n, w]`` matrix ``rows``, which the
+        store does not keep."""
+        check_rows(keys, rows)
+        self.multi_put(keys.tolist(), row_values(rows))
+
     @staticmethod
     def _normalize_keys(keys: Iterable[int]) -> list[int]:
-        """Materialize a key iterable (generators have no ``len``)."""
-        return list(keys)
+        """Materialize a key iterable (generators have no ``len``); an
+        array becomes Python ints in one pass, not NumPy scalars."""
+        return keys.tolist() if isinstance(keys, np.ndarray) else list(keys)
 
     @staticmethod
     def _normalize_pairs(
         keys: Iterable[int], values: Iterable[bytes]
     ) -> tuple[list[int], list[bytes]]:
         """Materialize both iterables and enforce equal lengths."""
-        keys = list(keys)
+        keys = KVStore._normalize_keys(keys)
         values = list(values)
         if len(keys) != len(values):
             raise ValueError(

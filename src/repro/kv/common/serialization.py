@@ -17,7 +17,10 @@ preallocated buffer: ``struct.pack_into`` writes on the encode side,
 ``memoryview`` slices (no data copies) on the decode side.  A 10k-key
 batch therefore costs O(1) buffer allocations instead of O(n), which is
 what keeps the wall-clock hot paths (WAL group commit, process-pool
-shard fan-out, embedding gather/scatter) off the allocator.
+shard fan-out) off the allocator.  The embedding facade frames a batch of
+vectors as one matrix (:func:`frame_vectors` / :func:`unframe_vectors`)
+for the stores' array verbs; :func:`encode_vectors` / :func:`decode_vectors`
+cut the same framing into rows for callers of the list verbs.
 """
 
 from __future__ import annotations
@@ -251,25 +254,38 @@ def decode_values(buffer, count: int) -> list[Optional[bytes]]:
 # ----------------------------------------------------------------------
 # batch vector codec: contiguous (n, dim) matrices in and out
 # ----------------------------------------------------------------------
-def encode_vectors(matrix: np.ndarray) -> list[memoryview]:
-    """Serialize a ``(n, dim)`` float32 matrix into per-row encodings.
-
-    Framing per row matches :func:`encode_vector` byte for byte, but the
-    whole batch is rendered into **one** immutable buffer; the returned
-    read-only memoryviews alias it (safe to retain — the backing bytes
-    cannot be mutated or reused).  Engines accept these views anywhere a
-    value is expected.
-    """
+def frame_vectors(matrix: np.ndarray) -> np.ndarray:
+    """A ``(n, dim)`` float32 matrix as a ``uint8[n, 1 + 4 * dim]`` one:
+    row ``i`` is :func:`encode_vector` of vector ``i``, byte for byte —
+    what :meth:`~repro.kv.api.KVStore.put_rows` takes."""
     arr = np.ascontiguousarray(matrix, dtype=np.float32)
     if arr.ndim != 2:
         raise ValueError(f"expected a (n, dim) matrix, got shape {arr.shape}")
-    n, dim = arr.shape
-    record = 1 + 4 * dim
-    framed = np.empty((n, record), dtype=np.uint8)
+    framed = np.empty((arr.shape[0], 1 + 4 * arr.shape[1]), dtype=np.uint8)
     framed[:, 0] = _VECTOR_TAG_F32
     framed[:, 1:] = arr.view(np.uint8)
-    buffer = framed.tobytes()
-    view = memoryview(buffer)
+    return framed
+
+
+def unframe_vectors(framed: np.ndarray) -> np.ndarray:
+    """The inverse of :func:`frame_vectors`: a new, writable float32 matrix;
+    every row's tag is validated."""
+    if not (framed[:, 0] == _VECTOR_TAG_F32).all():
+        raise ValueError("not an encoded float32 vector")
+    return np.ascontiguousarray(framed[:, 1:]).view(np.float32)
+
+
+def encode_vectors(matrix: np.ndarray) -> list[memoryview]:
+    """:func:`frame_vectors` for the list verbs: per-row encodings.
+
+    The whole batch is rendered into **one** immutable buffer; the
+    returned read-only memoryviews alias it (safe to retain — the backing
+    bytes cannot be mutated or reused).  Engines accept these views
+    anywhere a value is expected.
+    """
+    framed = frame_vectors(matrix)
+    n, record = framed.shape
+    view = memoryview(framed.tobytes())
     return [view[i * record : (i + 1) * record] for i in range(n)]
 
 
@@ -301,8 +317,5 @@ def decode_vectors(
         for i, raw in enumerate(raws):
             out[i] = decode_vector(raw, dim=dim)
         return out
-    framed = np.frombuffer(joined, dtype=np.uint8).reshape(n, record)
-    if not (framed[:, 0] == _VECTOR_TAG_F32).all():
-        raise ValueError("not an encoded float32 vector")
-    out[:] = np.ascontiguousarray(framed[:, 1:]).view(np.float32)
+    out[:] = unframe_vectors(np.frombuffer(joined, dtype=np.uint8).reshape(n, record))
     return out

@@ -63,14 +63,6 @@ from repro.errors import StorageError
 TOMBSTONE_LEN = 0xFFFFFFFF
 
 
-def row_values(rows: np.ndarray) -> list[bytes]:
-    """The rows of a C-contiguous ``uint8`` matrix as ``bytes`` values."""
-    count, width = rows.shape
-    if width == 0:
-        return [b""] * count
-    return rows.view(np.dtype((np.void, width))).ravel().tolist()
-
-
 class HybridLog:
     """Append-only log with an in-memory tail window and a file-backed body."""
 

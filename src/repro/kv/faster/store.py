@@ -13,8 +13,9 @@ Operation lifecycle (FASTER §3, used as-is by MLKV):
 * ``checkpoint`` / :meth:`FasterKV.recover` — flush the log, persist the
   index and boundaries, and rebuild by scanning the log if the index
   snapshot is missing (fuzzy-checkpoint fallback).
-* ``multi_get`` / ``multi_put`` — resolve the whole batch through the
-  index at once and serve the *plain* keys as array operations: a Get of
+* ``multi_get`` / ``multi_put`` (and ``get_rows`` / ``put_rows``, the same
+  core behind arrays) — resolve the whole batch through the index at once
+  and serve the *plain* keys as array operations: a Get of
   a record of the batch's width, gathered from the page arena or fetched
   from the file with one positional read; a Put in place in the mutable
   region, or appended (read-copy-update, a cold or a fresh key) with the
@@ -30,18 +31,18 @@ from __future__ import annotations
 
 import json
 import os
-from contextlib import contextmanager
 from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from repro.device.clock import SimClock
 from repro.device.ssd import SSDModel
-from repro.errors import CheckpointError, StorageError
+from repro.errors import CheckpointError, StorageError, checkpoint_fields, load_checkpoint_json
 from repro.kv.api import CheckpointManager, KVStore, StoreStats
+from repro.kv.api import check_rows, fill_rows, piece_values, row_values
 from repro.kv.faster.epoch import EpochManager
 from repro.kv.faster.hashindex import HashIndex
-from repro.kv.faster.hybridlog import TOMBSTONE_LEN, HybridLog, row_values
+from repro.kv.faster.hybridlog import TOMBSTONE_LEN, HybridLog
 from repro.kv.faster.record import (
     FIRST_GENERATION,
     RECORD_HEADER_BYTES,
@@ -84,30 +85,6 @@ _PLAN_KEYS = 1024
 _META_FILE = "faster.meta.json"
 _INDEX_FILE = "faster.index.bin"
 _LOG_FILE = "faster.log"
-
-
-def load_sidecar(path: str) -> dict:
-    """A JSON checkpoint sidecar as a ``dict``; a torn one — cut short, or
-    not an object — is a :class:`CheckpointError` naming the file."""
-    try:
-        with open(path) as f:
-            loaded = json.load(f)
-    except ValueError as exc:  # JSONDecodeError, bad UTF-8
-        raise CheckpointError(f"checkpoint file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(loaded, dict):
-        raise CheckpointError(f"checkpoint file {path} is not a JSON object")
-    return loaded
-
-
-@contextmanager
-def sidecar_fields(path: str) -> Iterator[None]:
-    """Report a missing or mis-shaped field of a sidecar as a
-    :class:`CheckpointError` instead of the lookup error it causes; wraps
-    only the code that picks the fields apart."""
-    try:
-        yield
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise CheckpointError(f"checkpoint file {path} is malformed: {exc!r}") from exc
 
 
 class PutProtocol(NamedTuple):
@@ -270,6 +247,17 @@ class FasterKV(KVStore, CheckpointManager):
         cannot hide data stalls (the paper's Figure 2 premise); moving
         cold records at sequential cost is exclusively the job of
         look-ahead staging (:meth:`repro.core.mlkv.MLKV.lookahead`).
+        """
+        return piece_values(self._get_many(self._normalize_keys(keys)))
+
+    def get_rows(self, keys: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """:meth:`multi_get` with the values copied into ``out`` run by run."""
+        check_rows(keys, out)
+        return fill_rows(keys, out, self._get_many(keys))
+
+    def _get_many(self, keys) -> list:
+        """A batched Get of ``keys`` — the list of :meth:`multi_get` or the
+        array of :meth:`get_rows` — as pieces (:func:`~repro.kv.api.piece_values`).
 
         The index resolves the whole batch at once.  Records of the
         batch's width are *plain*: the resident ones are copied out of the
@@ -282,35 +270,43 @@ class FasterKV(KVStore, CheckpointManager):
         a read changes nothing another read depends on, but the simulated
         clock sees cold reads in order.
         """
-        keys = self._normalize_keys(keys)
         with obs_span("kv.multi_get", clock=self.clock, engine="faster", keys=len(keys)):
             self._charge_batch_cpu(len(keys))
             self._stats.gets += len(keys)
             with self.epochs.guard():
                 key_array = self._key_array(keys)
                 if key_array is None:
-                    return [self._get_in_epoch(key) for key in keys]
+                    return [self._get_in_epoch(key) for key in self._normalize_keys(keys)]
                 addresses, rows, resident, cold, _, _ = self._read_plain(key_array)
-                values = row_values(rows)
                 self._stats.hits += int(np.count_nonzero(resident))
                 others = np.flatnonzero(~(resident | cold))
                 cold = np.flatnonzero(cold)
                 record_len = RECORD_HEADER_BYTES + rows.shape[1]
-                charged = 0
+                pieces: list = []
+                charged = first = 0
                 for position, address in zip(others.tolist(), addresses[others].tolist()):
                     before = int(np.searchsorted(cold, position))
                     self._charge_cold_reads(record_len, before - charged)
                     charged = before
-                    values[position] = self._read_at(
-                        keys[position], address if address >= 0 else None
-                    )
+                    key, at = int(key_array[position]), address if address >= 0 else None
+                    pieces += (rows[first:position], self._read_at(key, at))
+                    first = position + 1
                 self._charge_cold_reads(record_len, len(cold) - charged)
-                return values
+                return pieces + [rows[first:]]
 
     def multi_put(self, keys, values) -> None:
         """Batched put: one epoch acquisition and amortized CPU per batch."""
         self._check_writable()
-        keys, values = self._normalize_pairs(keys, values)
+        self._put_many(*self._normalize_pairs(keys, values))
+
+    def put_rows(self, keys: np.ndarray, rows: np.ndarray) -> None:
+        """:meth:`multi_put` of the rows of a ``uint8`` matrix, as they are."""
+        self._check_writable()
+        check_rows(keys, rows)
+        self._put_many(keys, rows)
+
+    def _put_many(self, keys, values) -> None:
+        """A batched Put of lists (:meth:`multi_put`) or arrays (:meth:`put_rows`)."""
         with obs_span("kv.multi_put", clock=self.clock, engine="faster", keys=len(keys)):
             self._charge_batch_cpu(len(keys))
             self._stats.puts += len(keys)
@@ -323,13 +319,16 @@ class FasterKV(KVStore, CheckpointManager):
     # batch resolution, shared with MLKV
     # ------------------------------------------------------------------
     @staticmethod
-    def _key_array(keys: list) -> Optional[np.ndarray]:
-        """``keys`` as a ``uint64`` array, or ``None`` when some key cannot
-        be one (negative, too large, not an int) or the batch is too short
-        to pay for arrays (``MIN_ARRAY_BATCH``): it then goes through the
-        per-key methods and their treatment of such a key."""
+    def _key_array(keys) -> Optional[np.ndarray]:
+        """``keys`` (a list, or an integer array) as a ``uint64`` array of
+        its own, or ``None`` when some key cannot be one (negative, too
+        large, not an int) or the batch is too short to pay for arrays
+        (``MIN_ARRAY_BATCH``): it then goes through the per-key methods and
+        their treatment of such a key."""
         if len(keys) < MIN_ARRAY_BATCH:
             return None
+        if isinstance(keys, np.ndarray):
+            return None if keys.min() < 0 else keys.astype(np.uint64)
         try:
             return np.array(keys, dtype=np.uint64)
         except (OverflowError, TypeError, ValueError):
@@ -415,29 +414,26 @@ class FasterKV(KVStore, CheckpointManager):
             self._stats.misses += count
             self.ssd.random_read_many(record_len, count, blocking=True)
 
-    def _put_batch(self, keys: list, values: list, protocol: "PutProtocol") -> None:
+    def _put_batch(self, keys, values, protocol: "PutProtocol") -> None:
         """Apply a batch of puts in order (epoch held, CPU pre-charged).
 
-        Distinct keys with values of one width go through
-        :meth:`_put_runs` for as long as that pays; ``protocol.put_one``
-        (the per-key put) takes the rest of the batch, or all of it.
+        Distinct keys with values of one width — a matrix's rows, or a
+        list's values laid out as one — go through :meth:`_put_runs` for as
+        long as that pays; ``protocol.put_one`` (the per-key put) takes the
+        rest of the batch, or all of it.
         """
         done = 0
-        widths = set(map(len, values))
-        key_array = self._key_array(keys) if len(widths) == 1 else None
+        arrays = isinstance(values, np.ndarray)
+        key_array = self._key_array(keys) if arrays or len(set(map(len, values))) == 1 else None
         if key_array is not None and not self._has_duplicates(key_array):
-            done = self._put_runs(keys, values, key_array, widths.pop(), protocol)
+            rows = values if arrays else np.frombuffer(b"".join(values), dtype=np.uint8)
+            done = self._put_runs(key_array, rows.reshape(len(keys), len(values[0])), protocol)
+        if arrays and done < len(keys):
+            keys, values, done = keys[done:].tolist(), row_values(values[done:]), 0
         for position in range(done, len(keys)):
             protocol.put_one(keys[position], values[position])
 
-    def _put_runs(
-        self,
-        keys: list,
-        values: list,
-        key_array: np.ndarray,
-        width: int,
-        protocol: "PutProtocol",
-    ) -> int:
+    def _put_runs(self, key_array: np.ndarray, rows: np.ndarray, protocol: "PutProtocol") -> int:
         """Put a prefix of the batch, plain keys as arrays; returns its length.
 
         A key is *plain* when its put is one of two things.  *In place*:
@@ -476,14 +472,13 @@ class FasterKV(KVStore, CheckpointManager):
         ``put_one`` (``FALLBACK_SHARE``; page-opening appends aside).
         """
         log = self.log
-        count = len(keys)
+        count, width = rows.shape
         record_len = RECORD_HEADER_BYTES + width
         addresses, offsets, headers = self._resolve(key_array)
         words = headers["word"]
         same_width = headers["value_len"] == width
         unflagged = word_flags(words) == 0
         updated, superseded = protocol.words(words)
-        rows = np.frombuffer(b"".join(values), dtype=np.uint8).reshape(count, width)
         moved = np.full(count, -1, dtype=np.int64)  # new copies of keys the index holds
         fallbacks_left = count // FALLBACK_SHARE
         cursor = 0
@@ -521,7 +516,7 @@ class FasterKV(KVStore, CheckpointManager):
                     if not fallbacks_left:
                         return cursor
                     fallbacks_left -= 1
-                protocol.put_one(keys[cursor], values[cursor])
+                protocol.put_one(int(key_array[cursor]), rows[cursor].tobytes())
                 cursor += 1
             return count
         finally:
@@ -662,8 +657,8 @@ class FasterKV(KVStore, CheckpointManager):
         meta_path = os.path.join(directory, _META_FILE)
         if not os.path.exists(meta_path):
             raise CheckpointError(f"no checkpoint metadata in {directory}")
-        meta = load_sidecar(meta_path)
-        with sidecar_fields(meta_path):
+        meta = load_checkpoint_json(meta_path)
+        with checkpoint_fields(meta_path):
             page_bytes, tail_address = int(meta["page_bytes"]), int(meta["tail_address"])
             if page_bytes <= RECORD_HEADER_BYTES or tail_address < 0:
                 raise ValueError(f"page_bytes {page_bytes}, tail_address {tail_address}")

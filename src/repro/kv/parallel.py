@@ -451,6 +451,9 @@ class ParallelShardStore(ShardedKVStore):
             worker = pool[index % self.processes]
         return _ShardProxy(worker, next(self._child_ids), index)
 
+    get_rows = KVStore.get_rows  # the array verbs cross the pipes as the list verbs' frames
+    put_rows = KVStore.put_rows
+
     def _dispatch(self, op: str, batches: list, *args) -> list:
         """Hook 2: one framed message per worker, all sent before any
         reply is read, so the workers run their sub-batches concurrently.

@@ -49,7 +49,7 @@ from __future__ import annotations
 from typing import Callable, Iterator, Optional, Sequence
 
 from repro.device.clock import ReplicaVersionClock
-from repro.errors import ConfigError, StorageError
+from repro.errors import ConfigError, StorageError, checkpoint_fields
 from repro.kv.api import CheckpointManager, KVStore, StoreStats
 from repro.kv.sharded import (
     ShardedKVStore,
@@ -57,7 +57,6 @@ from repro.kv.sharded import (
     child_openers,
     child_relpath,
     child_type,
-    manifest_fields,
     merge_stats,
     read_manifest,
     record_count,
@@ -702,8 +701,8 @@ class ReplicaGroup(KVStore, CheckpointManager):
         checkpointed.  (Groups of a :class:`ReplicatedKVStore` are
         recorded in that store's manifest: use its ``restore``.)
         """
-        manifest = read_manifest(directory, _GROUP_MANIFEST)
-        with manifest_fields(directory):
+        path, manifest = read_manifest(directory, _GROUP_MANIFEST)
+        with checkpoint_fields(path):
             openers = child_openers(
                 directory, manifest["replicas"], manifest["types"], factory, **kwargs
             )
@@ -714,7 +713,7 @@ class ReplicaGroup(KVStore, CheckpointManager):
             read_policy=policy,
             directory=directory,
         )
-        with manifest_fields(directory):
+        with checkpoint_fields(path):
             group.load_state(manifest)
         return group
 
@@ -919,8 +918,8 @@ class ReplicatedKVStore(ShardedKVStore):
         checkpointed, so lag bookkeeping, pending hinted catch-ups and
         live splits survive recovery.
         """
-        manifest = read_manifest(directory, cls.manifest_name)
-        with manifest_fields(directory):
+        path, manifest = read_manifest(directory, cls.manifest_name)
+        with checkpoint_fields(path):
             states = [
                 {name: manifest[name][shard] for name in _GROUP_FIELDS}
                 for shard in range(len(manifest["replicas"]))
@@ -944,7 +943,7 @@ class ReplicatedKVStore(ShardedKVStore):
             directory=directory,
             **options,
         )
-        with manifest_fields(directory):
+        with checkpoint_fields(path):
             for group, state in zip(store.shards, states):
                 group.load_state(state)
         store._adopt_slots(manifest.get("slots"))

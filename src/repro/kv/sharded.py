@@ -38,13 +38,12 @@ from __future__ import annotations
 import importlib
 import json
 import os
-from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import CheckpointError, ConfigError
-from repro.kv.api import CheckpointManager, KVStore, StoreStats
+from repro.errors import CheckpointError, ConfigError, checkpoint_fields, load_checkpoint_json
+from repro.kv.api import CheckpointManager, KVStore, StoreStats, check_rows
 from repro.obs.trace import span as obs_span
 
 _MASK64 = (1 << 64) - 1
@@ -76,6 +75,17 @@ def shard_hash_array(keys: np.ndarray) -> np.ndarray:
     return x
 
 
+def partition_array(keys: np.ndarray, slots: Sequence[int]) -> list[tuple[int, np.ndarray]]:
+    """``(shard, positions)`` of a non-empty array of non-negative keys:
+    positions in input order, shards in order of first appearance."""
+    slot_arr = np.asarray(slots, dtype=np.int64)
+    shard_idx = slot_arr[shard_hash_array(keys) % np.uint64(len(slot_arr))]
+    order = np.argsort(shard_idx, kind="stable")
+    starts = np.flatnonzero(np.diff(shard_idx[order])) + 1
+    groups = sorted(np.split(order, starts), key=lambda group: group[0])
+    return [(int(shard_idx[group[0]]), group) for group in groups]
+
+
 def partition_positions(keys: list, slots: Sequence[int]) -> dict[int, list[int]]:
     """Group batch *positions* by owning shard under a slot table.
 
@@ -93,12 +103,7 @@ def partition_positions(keys: list, slots: Sequence[int]) -> dict[int, list[int]
         except (OverflowError, TypeError, ValueError):
             pass
         else:
-            slot_arr = np.asarray(slots, dtype=np.int64)
-            shard_idx = slot_arr[shard_hash_array(arr) % np.uint64(len(slot_arr))]
-            order = np.argsort(shard_idx, kind="stable")
-            starts = np.flatnonzero(np.diff(shard_idx[order])) + 1
-            groups = sorted(np.split(order, starts), key=lambda group: group[0])
-            return {int(shard_idx[group[0]]): group.tolist() for group in groups}
+            return {shard: group.tolist() for shard, group in partition_array(arr, slots)}
     by_shard: dict[int, list[int]] = {}
     for position, key in enumerate(keys):
         by_shard.setdefault(
@@ -206,36 +211,13 @@ def write_manifest(directory: str, name: str, manifest: dict) -> None:
     os.replace(tmp, os.path.join(directory, name))
 
 
-def read_manifest(directory: str, name: str) -> dict:
-    """Load a manifest, raising :class:`CheckpointError` if it is absent
-    or does not decode to a JSON object."""
+def read_manifest(directory: str, name: str) -> tuple[str, dict]:
+    """A manifest's path and contents; :class:`CheckpointError` if it is
+    absent or torn (:func:`~repro.errors.load_checkpoint_json`)."""
     path = os.path.join(directory, name)
     if not os.path.exists(path):
         raise CheckpointError(f"no coordinated manifest {name} in {directory}")
-    try:
-        with open(path) as f:
-            manifest = json.load(f)
-    except ValueError as exc:  # JSONDecodeError, bad UTF-8
-        raise CheckpointError(f"manifest {path} is not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise CheckpointError(f"manifest {path} is not a JSON object")
-    return manifest
-
-
-@contextmanager
-def manifest_fields(directory: str) -> Iterator[None]:
-    """Report a missing or mis-shaped manifest field as a
-    :class:`CheckpointError` instead of the lookup error it causes.
-
-    Wrap only the code that picks fields apart — never the code that
-    opens a child, whose own errors must stay what they are.
-    """
-    try:
-        yield
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
-        raise CheckpointError(
-            f"malformed coordinated manifest in {directory}: {exc!r}"
-        ) from exc
+    return path, load_checkpoint_json(path)
 
 
 def child_relpath(child: KVStore, base: str) -> str:
@@ -521,6 +503,47 @@ class ShardedKVStore(KVStore, CheckpointManager):
         self._fan_out("multi_put", keys, values)
         self._note_writes(keys)
 
+    def _fan_rows(self, op: str, keys: np.ndarray, rows: np.ndarray):
+        """Partition an array batch once and dispatch it as slices: keys and
+        rows permuted so that each shard's share is one contiguous stretch,
+        shards in order of first appearance.  Returns the permutation, the
+        permuted rows and the per-shard results."""
+        parts = partition_array(keys, self._slots)
+        order = np.concatenate([group for _, group in parts])
+        keys = keys[order]
+        rows = rows[order] if op == "put_rows" else np.empty_like(rows)
+        batches, start = [], 0
+        for shard, group in parts:
+            self._shard_ops[shard] += len(group)
+            stop = start + len(group)
+            batches.append((shard, (keys[start:stop], rows[start:stop])))
+            start = stop
+        return order, rows, self._dispatch(op, batches)
+
+    def get_rows(self, keys: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """One ``get_rows`` of contiguous slices per shard; the rows found
+        scattered back to their keys' places in ``out``."""
+        check_rows(keys, out)
+        if not len(keys) or keys.min() < 0:
+            return super().get_rows(keys, out)
+        order, rows, founds = self._fan_rows("get_rows", keys, out)
+        found = np.empty(len(keys), dtype=bool)
+        found[order] = held = np.concatenate(founds)
+        if not held.all():  # rows of absent keys stay as they were
+            order, rows = order[held], rows[held]
+        out[order] = rows
+        return found
+
+    def put_rows(self, keys: np.ndarray, rows: np.ndarray) -> None:
+        """One ``put_rows`` of contiguous slices per shard."""
+        self._check_writable()
+        check_rows(keys, rows)
+        if not len(keys) or keys.min() < 0:
+            return super().put_rows(keys, rows)
+        self._fan_rows("put_rows", keys, rows)
+        if self._migration is not None:
+            self._note_writes(keys.tolist())
+
     def multi_rmw(self, keys, update: Callable[[list, list], list]) -> list:
         """One ``child.multi_rmw(sub_keys, update)`` per shard.
 
@@ -695,8 +718,8 @@ class ShardedKVStore(KVStore, CheckpointManager):
     @classmethod
     def _reopen(cls, directory: str, factory, kwargs: dict, **options):
         """:meth:`restore`, with ``options`` passed on to the constructor."""
-        manifest = read_manifest(directory, cls.manifest_name)
-        with manifest_fields(directory):
+        path, manifest = read_manifest(directory, cls.manifest_name)
+        with checkpoint_fields(path):
             openers = child_openers(
                 directory, manifest["shards"], manifest["types"], factory, **kwargs
             )

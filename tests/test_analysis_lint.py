@@ -200,6 +200,10 @@ class KVStore(ABC):
         '''Batched read.'''
     def multi_put(self, keys, values):
         '''Batched write.'''
+    def get_rows(self, keys, out):
+        '''Batched read into a matrix.'''
+    def put_rows(self, keys, rows):
+        '''Batched write of a matrix.'''
     def snapshot_read_many(self, keys):
         '''Committed reads.'''
     def multi_rmw(self, keys, update):
@@ -262,6 +266,17 @@ class TestRep002ContractCompleteness:
         )
         assert rules_of(findings) == ["REP002"]
         assert "contract names it 'keys'" in findings[0].message
+
+    def test_flags_an_array_verb_overridden_with_another_signature(self):
+        findings = self.lint(
+            _COMPLETE_ENGINE
+            + "    def get_rows(self, keys):\n"
+            "        '''Rows out, but returned instead of filled.'''\n"
+            "    def put_rows(self, keys, values):\n"
+            "        '''Rows in, under the list verb's name.'''\n"
+        )
+        assert rules_of(findings) == ["REP002", "REP002"]
+        assert "get_rows" in findings[0].message and "put_rows" in findings[1].message
 
     def test_extra_params_need_defaults(self):
         flagged = self.lint(

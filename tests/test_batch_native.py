@@ -10,6 +10,12 @@ clock can see: results and exceptions, ``stats``, ``mlkv_stats``,
 ``clock.now``, device counters, region boundaries, the stall handler's
 call sequence, every key's staleness, the scan, and the bytes of every
 checkpoint file.
+
+A third store takes the same sequence through the array verbs: every
+``multi_get`` as a ``get_rows``, every ``multi_put`` whose values make a
+matrix as a ``put_rows`` (the stall handler's included).  It is the list
+verbs' twin in all of the above, and where a list holds a value that is
+not a row the array call raises ``ValueError`` once the batch is read.
 """
 
 from __future__ import annotations
@@ -21,8 +27,9 @@ from collections import Counter, deque
 from contextlib import contextmanager
 from dataclasses import asdict
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from repro.core.mlkv import MLKV
@@ -69,8 +76,8 @@ class Pipeline:
     """A trainer's update pipeline in miniature: deferred update batches,
     applied oldest-first by the stall handler (``BaseTrainer._on_stall``)."""
 
-    def __init__(self, store) -> None:
-        self.store = store
+    def __init__(self, put) -> None:
+        self.put = put
         self.pending: deque = deque()
         self.calls: list = []
 
@@ -78,26 +85,27 @@ class Pipeline:
         self.calls.append((key, len(self.pending)))
         if not self.pending:
             return False
-        keys, values = self.pending.popleft()
-        self.store.multi_put(keys, values)
+        self.put(*self.pending.popleft())
         return True
 
 
 class Side:
     """One store under test plus everything observable about it."""
 
-    def __init__(self, cls, directory, budget, bound, handler):
+    def __init__(self, cls, directory, budget, bound, handler, rows=False, **options):
+        self.rows = rows  # drive the array verbs wherever the batch allows
         pages, mutable_fraction = {**BUDGETS, **COLD_BUDGETS}[budget]
         kwargs = dict(
             ssd=SSDModel(SimClock()),
             memory_budget_bytes=pages * PAGE,
             page_bytes=PAGE,
             mutable_fraction=mutable_fraction,
+            **options,
         )
         if bound is not None:
             kwargs["staleness_bound"] = bound
         self.store = cls(directory, **kwargs)
-        self.pipeline = Pipeline(self.store)
+        self.pipeline = Pipeline(self.put)
         if handler:
             self.store.set_stall_handler(self.pipeline.on_stall)
         self.per_key_calls: Counter = Counter()
@@ -113,20 +121,48 @@ class Side:
 
             setattr(self.store, name, counted)
 
-    def apply(self, op):
+    @staticmethod
+    def key_array(keys) -> np.ndarray:
+        return np.array(keys, dtype=np.int64 if len(keys) % 2 else np.uint64)
+
+    def put(self, keys, values):
+        if self.rows and len(set(map(len, values))) <= 1:
+            width = len(values[0]) if values else WIDTH
+            rows = np.frombuffer(b"".join(values), dtype=np.uint8).reshape(len(keys), width)
+            return self.store.put_rows(self.key_array(keys), rows)
+        return self.store.multi_put(keys, values)
+
+    def get(self, keys, like):
+        """``multi_get``; on the array side ``get_rows`` into rows as wide
+        as the first value of ``like`` (what the list verb returned on the
+        twin store), read back as the list verb's result."""
+        if not self.rows:
+            return self.store.multi_get(keys)
+        widths = [len(value) for value in like if value is not None] if type(like) is list else []
+        out = np.full((len(keys), widths[0] if widths else WIDTH), 0xEE, dtype=np.uint8)
+        try:
+            found = self.store.get_rows(self.key_array(keys), out)
+        except ValueError as error:
+            odd = next(i for i, value in enumerate(like) if value is not None and len(value) != out.shape[1])
+            assert str(error) == f"key {keys[odd]} holds {len(like[odd])} bytes, not {out.shape[1]}"
+            return like
+        assert found.dtype == bool and (out[~found] == 0xEE).all()
+        return [row.tobytes() if held else None for row, held in zip(out, found)]
+
+    def apply(self, op, like=None):
         kind = op[0]
         try:
             if kind == "get":
-                return self.store.multi_get(op[1])
+                return self.get(op[1], like)
             if kind == "put":
-                return self.store.multi_put(op[1], op[2])
+                return self.put(op[1], op[2])
             if kind == "defer":
                 return self.pipeline.pending.append((op[1], op[2]))
             if kind == "step":  # a training step at pipeline depth 2
-                rows = self.store.multi_get(op[1])
+                rows = self.get(op[1], like)
                 self.pipeline.pending.append((op[1], op[2]))
                 if len(self.pipeline.pending) > 2:
-                    self.store.multi_put(*self.pipeline.pending.popleft())
+                    self.put(*self.pipeline.pending.popleft())
                 return rows
             if kind == "lookahead":
                 return self.store.lookahead(op[1])
@@ -170,37 +206,45 @@ class Side:
 
 
 class Pair:
-    """The batched store and its per-key twin, driven in lockstep."""
+    """The batched store, its per-key twin and its array-verb twin, driven
+    in lockstep."""
 
-    def __init__(self, root, engine, budget, bound=None, handler=False):
+    def __init__(self, root, engine, budget, bound=None, handler=False, **options):
         batched_cls, looped_cls = {
             "faster": (FasterKV, PerKeyFaster),
             "mlkv": (MLKV, PerKeyMLKV),
         }[engine]
-        self.batched = Side(batched_cls, os.path.join(root, "batched"), budget, bound, handler)
-        self.looped = Side(looped_cls, os.path.join(root, "looped"), budget, bound, handler)
+        args = (budget, bound, handler)
+        self.batched = Side(batched_cls, os.path.join(root, "batched"), *args, **options)
+        self.looped = Side(looped_cls, os.path.join(root, "looped"), *args, **options)
+        self.arrays = Side(batched_cls, os.path.join(root, "arrays"), *args, rows=True, **options)
+        self.sides = (self.batched, self.looped, self.arrays)
         self.run(("put", list(range(KEYS)), [value_for(key, 0) for key in range(KEYS)]))
 
     def run(self, op):
         got, expected = self.batched.apply(op), self.looped.apply(op)
         assert got == expected, f"{op[0]} results differ"
-        assert self.batched.observe() == self.looped.observe(), f"state differs after {op[0]}"
+        assert self.arrays.apply(op, like=expected) == expected, f"{op[0]} rows differ"
+        state = self.looped.observe()
+        assert self.batched.observe() == state, f"state differs after {op[0]}"
+        assert self.arrays.observe() == state, f"state differs after {op[0]} through the array verbs"
         return got
 
 
 
 @contextmanager
-def paired(engine, budget, bound=None, handler=False):
+def paired(engine, budget, bound=None, handler=False, **options):
     """A populated :class:`Pair` in a scratch directory; leaving the block
     cleanly runs the final comparison (staleness, scan, checkpoint bytes)."""
     with tempfile.TemporaryDirectory() as root:
-        pair = Pair(root, engine, budget, bound, handler)
+        pair = Pair(root, engine, budget, bound, handler, **options)
         try:
             yield pair
-            assert pair.batched.final() == pair.looped.final()
+            final = pair.looped.final()
+            assert pair.batched.final() == final and pair.arrays.final() == final
         finally:
-            pair.batched.store.close()
-            pair.looped.store.close()
+            for side in pair.sides:
+                side.store.close()
 
 
 # ----------------------------------------------------------------------
@@ -423,6 +467,23 @@ class TestOrderWithinABatch:
             assert pair.batched.per_key_calls["_get_bounded"] == 1
             assert all(store.log.in_mutable(store.index.find(key)) for key in moved)
 
+    def test_stall_handler_rewrites_an_earlier_key_in_place(self):
+        """The keys of one log page, side by side in the arena.  The last
+        but two stalls; the handler's update also overwrites the third, in
+        place, which the batch has already read: the batch returns what it
+        read then.  (Values are copied out of the arena run by run — a run
+        handed on as a view of the arena would show the new value.)"""
+        with paired("mlkv", "mutable", bound=0, handler=True) as pair:
+            store = pair.batched.store
+            batch = [key for key in range(KEYS) if store.index.find(key) // PAGE == 2]
+            early, stale = batch[2], batch[-3]
+            assert len(batch) == 23 and store.log.in_mutable(store.index.find(early))
+            pair.run(("get", [stale]))
+            pair.run(("defer", [early, stale], [value_for(early, 9), value_for(stale, 9)]))
+            values = pair.run(("get", batch))
+            assert values[2] == value_for(early, 0) and values[-3] == value_for(stale, 9)
+            assert pair.run(("snapshot", [early])) == [value_for(early, 9)]
+
     @pytest.mark.parametrize("bound", [0, 2])
     def test_key_over_the_bound_is_not_admitted(self, bound):
         """Without a handler the first key over the bound raises, with the
@@ -568,8 +629,8 @@ class TestColdBatches:
             assert pair.batched.per_key_calls["_get_bounded"] == len(stalling)
             assert len(fetched) <= len(keys) + 2 * len(stalling)
             monkeypatch.undo()
-            pair.looped.apply(("get", keys))
-            assert pair.batched.observe() == pair.looped.observe()
+            pair.arrays.apply(("get", keys), like=pair.looped.apply(("get", keys)))
+            assert pair.batched.observe() == pair.looped.observe() == pair.arrays.observe()
 
     def test_key_moved_and_evicted_again_by_a_stall_is_fetched_again(self):
         """The handler's update batch is longer than the window: most of
@@ -654,14 +715,14 @@ class TestColdBatches:
         with tempfile.TemporaryDirectory() as root:  # no final scan: the log is torn
             pair = Pair(root, engine, "evict", bound=2 if engine == "mlkv" else None)
             keys = on_disk_keys(pair, 60)
-            for side in (pair.batched, pair.looped):
+            for side in pair.sides:
                 index = side.store.index
                 first, second = index.find(keys[20]), index.find(keys[21])
                 index.upsert(keys[20], second)
                 index.upsert(keys[21], first)
             outcome = pair.run(("get", keys))
             assert outcome[0] == "raised" and "index corruption" in outcome[1]
-            for side in (pair.batched, pair.looped):
+            for side in pair.sides:
                 side.store.log._file.flush()
                 os.truncate(side.store.log.path, side.store.index.find(keys[10]) + 30)
             outcome = pair.run(("get", keys[:20]))
@@ -674,8 +735,8 @@ class TestColdBatches:
             outcome = pair.run(("get", absent + keys[11:20]))
             assert outcome[0] == "raised" and "log truncated" in outcome[1]
             assert pair.batched.store.stats.misses == misses + len(absent)
-            pair.batched.store.close()
-            pair.looped.store.close()
+            for side in pair.sides:
+                side.store.close()
 
     @pytest.mark.parametrize("engine", ["faster", "mlkv"])
     def test_crossed_entry_into_a_resident_record_raises_a_typed_error(self, engine):
@@ -685,11 +746,149 @@ class TestColdBatches:
         with tempfile.TemporaryDirectory() as root:  # no final scan: the index is crossed
             pair = Pair(root, engine, "mutable", bound=2 if engine == "mlkv" else None)
             keys = list(range(1, 41))
-            for side in (pair.batched, pair.looped):
+            for side in pair.sides:
                 side.store.index.upsert(keys[0], side.store.index.find(keys[0]) + 4)
             outcome = pair.run(("get", keys))
             assert outcome[0] == "raised" and "index corruption" in outcome[1]
             outcome = pair.run(("get", keys[1:] + keys[:1]))
             assert outcome[0] == "raised" and "index corruption" in outcome[1]
-            pair.batched.store.close()
-            pair.looped.store.close()
+            for side in pair.sides:
+                side.store.close()
+
+
+# ----------------------------------------------------------------------
+# the array verbs: every test above already drives them on the third store;
+# here the configurations, batch lengths and argument errors those leave out
+# ----------------------------------------------------------------------
+#: engine, staleness bound, stall handler, constructor options
+ARRAY_CONFIGS = {
+    "faster": ("faster", None, False, {}),
+    "bsp": ("mlkv", 0, True, {}),
+    "ssp4": ("mlkv", 4, True, {}),
+    "asp": ("mlkv", ASP_BOUND, False, {}),
+    "unbounded": ("mlkv", None, False, {"bounded_staleness": False}),
+}
+
+
+@pytest.mark.parametrize("config", sorted(ARRAY_CONFIGS))
+@pytest.mark.parametrize("budget", ["mutable", "read_only", "evict", "thrash"])
+class TestArrayVerbs:
+    @seed(23)
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_generated_sequences(self, config, budget, data):
+        engine, bound, handler, options = ARRAY_CONFIGS[config]
+        batches = data.draw(st.sampled_from([key_batches, spread_batches]))
+        ops = data.draw(operations(engine, batches))
+        with paired(engine, budget, bound, handler, **options) as pair:
+            for op in ops:
+                pair.run(op)
+
+    def test_batch_lengths_on_both_sides_of_the_array_threshold(self, config, budget):
+        """0, 1, 15, 16 and 1,024 keys: the per-key loop, the first batch
+        served as arrays, and one that is mostly fresh keys and fills pages."""
+        engine, bound, handler, options = ARRAY_CONFIGS[config]
+        with paired(engine, budget, bound, handler, **options) as pair:
+            for length in (0, 1, MIN_ARRAY_BATCH - 1, MIN_ARRAY_BATCH, 1024):
+                keys = list(range(7, 7 + length))
+                pair.run(("step", keys, [value_for(key, length % 250) for key in keys]))
+                pair.run(("put", keys, [value_for(key, 5) for key in keys]))
+                assert pair.run(("get", keys[::-1])) == [value_for(key, 5) for key in keys[::-1]]
+
+
+class TestArrayVerbArguments:
+    def test_an_odd_width_record_raises_once_the_batch_is_read(self):
+        """Every key of the batch is admitted, as ``multi_get`` admits it;
+        then the value that is no row is named."""
+        with paired("mlkv", "mutable", bound=2) as pair:
+            pair.run(("put", [30], [value_for(30, 1, WIDTH + 3)]))
+            store, keys = pair.arrays.store, np.arange(20, 60)
+            out = np.zeros((40, WIDTH), dtype=np.uint8)
+            with pytest.raises(ValueError, match=f"key 30 holds {WIDTH + 3} bytes, not {WIDTH}"):
+                store.get_rows(keys, out)
+            assert [store.staleness_of(key) for key in (29, 30, 31, 59)] == [1, 1, 1, 1]
+            for side in (pair.batched, pair.looped):
+                side.store.multi_get(keys.tolist())
+
+    def test_out_and_rows_are_the_callers(self):
+        """``out`` is a copy (a later Put does not reach it) and ``rows`` is
+        not kept (changing it after the call does not reach the store)."""
+        with paired("mlkv", "mutable", bound=ASP_BOUND) as pair:
+            store, keys = pair.arrays.store, np.arange(40, 140, dtype=np.uint64)
+            out = np.empty((100, WIDTH), dtype=np.uint8)
+            assert store.get_rows(keys, out).all()
+            before = out.copy()
+            rows = np.full((100, WIDTH), 7, dtype=np.uint8)
+            store.put_rows(keys, rows)
+            assert (out == before).all() and not np.shares_memory(out, store.log._arena)
+            rows[:] = 9
+            assert store.get_rows(keys, out).all() and (out == 7).all()
+            for side in (pair.batched, pair.looped):
+                side.store.multi_get(keys.tolist())
+                side.store.multi_put(keys.tolist(), [bytes([7]) * WIDTH] * 100)
+                side.store.multi_get(keys.tolist())
+
+    @pytest.mark.parametrize("engine", ["faster", "mlkv"])
+    def test_malformed_arguments_raise_before_anything_is_charged(self, engine):
+        with paired(engine, "mutable", bound=2 if engine == "mlkv" else None) as pair:
+            store, state = pair.arrays.store, pair.arrays.observe()
+            keys, rows = np.arange(40), np.zeros((40, WIDTH), dtype=np.uint8)
+            wide = np.zeros((40, 2 * WIDTH), dtype=np.uint8)
+            for bad_keys, bad_rows in [
+                (keys.astype(np.float64), rows),  # not an integer dtype
+                (keys.reshape(2, 20), rows),  # not 1-D
+                (keys.tolist(), rows),  # not an array
+                (keys, rows.astype(np.int8)),  # wrong dtype
+                (keys, rows[0]),  # wrong rank
+                (keys, rows[:39]),  # wrong row count
+                (keys, wide[:, ::2]),  # not contiguous
+                (keys, np.asfortranarray(rows)),
+            ]:
+                with pytest.raises(ValueError, match="1-D integer key array"):
+                    store.get_rows(bad_keys, bad_rows)
+                with pytest.raises(ValueError, match="1-D integer key array"):
+                    store.put_rows(bad_keys, bad_rows)
+            assert pair.arrays.observe() == state
+
+    @pytest.mark.parametrize("engine", ["faster", "mlkv"])
+    @pytest.mark.parametrize("length", [3, 40])
+    def test_a_negative_key_is_treated_as_the_list_verb_treats_it(self, engine, length):
+        """A miss for a Get, whatever the record header makes of it for a
+        Put: the array verbs leave such a batch to the per-key methods."""
+
+        def outcome(call, *args):
+            try:
+                return call(*args)
+            except Exception as error:  # the same one, whatever it is
+                return type(error), str(error)
+
+        with paired(engine, "mutable", bound=2 if engine == "mlkv" else None) as pair:
+            keys = np.arange(length) - 1
+            values = [value_for(key, 3) for key in range(length)]
+            rows = np.frombuffer(b"".join(values), dtype=np.uint8).reshape(length, WIDTH)
+            stores = [side.store for side in pair.sides]
+            puts = [outcome(store.multi_put, keys.tolist(), values) for store in stores[:2]]
+            assert puts[0] == puts[1] == outcome(stores[2].put_rows, keys, rows)
+            gets = [outcome(store.multi_get, keys.tolist()) for store in stores[:2]]
+            out = np.zeros((length, WIDTH), dtype=np.uint8)
+            found = outcome(stores[2].get_rows, keys, out)
+            assert gets[0] == gets[1]
+            if type(gets[0]) is list:
+                assert found.tolist() == [value is not None for value in gets[0]]
+                assert [row.tobytes() for row in out[found]] == [v for v in gets[0] if v is not None]
+            else:
+                assert found == gets[0]
+            assert pair.batched.observe() == pair.looped.observe() == pair.arrays.observe()
+
+    @pytest.mark.parametrize("engine", ["faster", "mlkv"])
+    def test_a_frozen_store_refuses_put_rows_as_it_refuses_multi_put(self, engine):
+        with paired(engine, "mutable", bound=2 if engine == "mlkv" else None) as pair:
+            for side in pair.sides:
+                side.store.freeze()
+            with pytest.raises(StorageError) as listed:
+                pair.batched.store.multi_put(list(range(40)), [bytes(WIDTH)] * 40)
+            with pytest.raises(StorageError) as rowed:
+                pair.arrays.store.put_rows(np.arange(40), np.zeros((40, WIDTH), dtype=np.uint8))
+            assert str(rowed.value) == str(listed.value) and "frozen" in str(rowed.value)
+            for side in pair.sides:
+                side.store.read_only = False  # the final checkpoint comparison writes

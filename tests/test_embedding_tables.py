@@ -188,7 +188,7 @@ class TestSortedUniqueShortcut:
     counters, same simulated clock) and the values must be the ones the
     general path returns for the same keys shuffled and repeated."""
 
-    CALLS = ("multi_get", "multi_put", "snapshot_read_many", "lookahead")
+    CALLS = ("get_rows", "put_rows", "snapshot_read_many", "lookahead")
 
     def _stack(self, path):
         from repro.device import SimClock, SSDModel
