@@ -9,10 +9,13 @@ export PYTHONPATH := src
 test:
 	$(PYTHON) -m pytest -x -q
 
-# Cross-layer observability suite: the metrics registry/profiler, the
-# dual-clock tracer, and the golden serving trace (one request stream →
-# one causally-connected span tree from the loop down to device I/O,
-# through replication failover).
+# Cross-layer observability suite: the read-only metrics registry (it
+# reads the owners' stats at export time), the dual-clock tracer and its
+# ledger, and the two golden traces — one served request stream
+# (through replication failover) and one DLRM training run (through
+# look-ahead and a disk-spilling log) each → one causally-connected span
+# tree from the loop down to device I/O, with tracing changing nothing
+# the run computes.
 test-obs:
 	$(PYTHON) -m pytest tests/test_obs_metrics.py tests/test_obs_trace.py -q
 

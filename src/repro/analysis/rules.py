@@ -12,8 +12,8 @@ REP003  layering: serve/ and train/dist/ reach storage only through
         ``repro.kv`` public names; core/ never imports serve/.
 REP004  no swallowed broad exceptions in crash-safety-critical modules.
 REP005  no iteration over set values (replay/fan-out nondeterminism).
-REP006  hot-path instrumentation goes through ``repro.obs`` handles,
-        never ad-hoc ``print``/stdout writes.
+REP006  hot-path instrumentation goes through ``repro.obs`` spans and
+        the owner's stats, never ad-hoc ``print``/stdout writes.
 REP007  every public class and function on the documented API surfaces
         (``repro.kv``, ``repro.serve``, ``repro.obs``,
         ``repro.train.dist``) carries a docstring.
@@ -46,8 +46,8 @@ _RANDOM_ALLOWED = {"Random"}
 #: ``perf_counter``; everything else (``time.time``, ``monotonic``,
 #: ``sleep``, ...) stays banned even there — a bench that sleeps or
 #: reads calendar time is either flaky or lying about the timeline.
-#: The same allowlist covers ``repro.obs``: dual-clock spans and the
-#: hot-path profiler measure wall time next to the simulated timeline.
+#: The same allowlist covers ``repro.obs``: dual-clock spans measure
+#: wall time next to the simulated timeline.
 _BENCH_WALL_ALLOWED = {"perf_counter", "perf_counter_ns"}
 
 
@@ -500,9 +500,10 @@ class NoSetIteration(LintRule):
 # REP006 — hot-path modules route instrumentation through repro.obs.
 # An ad-hoc print() (or raw stdout/stderr write) in a storage, serving,
 # device, or training module costs string formatting even when nobody is
-# observing, skews wall-clock benches, and scatters telemetry the
-# MetricsRegistry/Tracer exist to unify.  repro.obs hands out no-op
-# handles when disabled, so instrumentation routed through it is free.
+# observing, skews wall-clock benches, and scatters telemetry that has
+# two homes: a timing is a repro.obs span (one shared no-op while no
+# tracer is installed, so it is free), a count is a field of its owner's
+# stats, which the MetricsRegistry reads at export time.
 # ----------------------------------------------------------------------
 
 _HOT_PATH_PREFIXES = (
@@ -519,9 +520,9 @@ _STD_STREAMS = {"stdout", "stderr"}
 class InstrumentationViaObs(LintRule):
     name = "REP006"
     summary = (
-        "hot-path modules (kv/, core/, serve/, train/, device/) route "
-        "instrumentation through repro.obs handles; no ad-hoc print or "
-        "raw stdout/stderr writes"
+        "hot-path modules (kv/, core/, serve/, train/, device/) time with "
+        "repro.obs spans and count in their owner's stats; no ad-hoc "
+        "print or raw stdout/stderr writes"
     )
 
     def applies(self, module: Optional[str]) -> bool:
@@ -538,9 +539,9 @@ class InstrumentationViaObs(LintRule):
             if isinstance(func, ast.Name) and func.id == "print":
                 yield source.finding(
                     self.name, node,
-                    "ad-hoc `print()` in a hot-path module; route "
-                    "instrumentation through repro.obs (registry handles, "
-                    "spans, profiler hooks) — they are no-ops when disabled",
+                    "ad-hoc `print()` in a hot-path module; time it with a "
+                    "repro.obs span (a no-op while no tracer is installed) "
+                    "or count it in the owner's stats",
                 )
             elif (
                 isinstance(func, ast.Attribute)
@@ -553,7 +554,7 @@ class InstrumentationViaObs(LintRule):
                 yield source.finding(
                     self.name, node,
                     f"raw `sys.{func.value.attr}.write()` in a hot-path "
-                    "module; route instrumentation through repro.obs handles",
+                    "module; use a repro.obs span or the owner's stats",
                 )
 
 

@@ -21,9 +21,9 @@ To keep wall-clock numbers honest rather than noisy:
   gate only against order-of-magnitude collapses, not runner noise.
 
 Outside ``benchmarks/``, only this module and ``repro.obs`` (whose
-spans and profiler hooks carry wall timestamps alongside the simulated
-ones) may call ``time.perf_counter`` — analysis rule REP001 allowlists
-exactly those scopes; production code stays on the simulated clock.
+spans carry wall timestamps alongside the simulated ones) may call
+``time.perf_counter`` — analysis rule REP001 allowlists exactly those
+scopes; production code stays on the simulated clock.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from repro.errors import ConfigError, StalenessViolation
 from repro.kv.api import KVStore
 from repro.kv.common.cache import LRUCache
 from repro.kv.common.serialization import decode_vectors, frame_vectors, unframe_vectors
-from repro.obs import profile as obs_profile
+from repro.obs.trace import span as obs_span
 
 
 #: Dataloader worker threads issuing conventional (synchronous-API)
@@ -97,25 +97,28 @@ class EmbeddingTables:
         so the store's amortized hot path serves the whole minibatch.
         """
         keys = np.asarray(keys, dtype=np.int64)
-        unique, inverse = (keys, None) if _ascending(keys) else np.unique(keys, return_inverse=True)
-        if not len(self.cache) and unique.shape[0]:
-            # Nothing was prefetched: every key is a cache miss.
-            self.cache.misses += unique.shape[0]
-            rows = self._fetch_many(unique)
-            return rows if inverse is None else rows[inverse].reshape(*keys.shape, self.dim)
-        gathered = np.empty((unique.shape[0], self.dim), dtype=np.float32)
-        fetch_rows: list[int] = []
-        fetch_keys: list[int] = []
-        for i, key in enumerate(unique.tolist()):
-            vector = self._consume_cached(key)
-            if vector is not None:
-                gathered[i] = vector
-            else:
-                fetch_rows.append(i)
-                fetch_keys.append(key)
-        if fetch_keys:
-            gathered[fetch_rows] = self._fetch_many(np.array(fetch_keys, dtype=np.int64))
-        return gathered if inverse is None else gathered[inverse].reshape(*keys.shape, self.dim)
+        with obs_span("emb.get", keys=keys.size):
+            unique, inverse = (
+                (keys, None) if _ascending(keys) else np.unique(keys, return_inverse=True)
+            )
+            if not len(self.cache) and unique.shape[0]:
+                # Nothing was prefetched: every key is a cache miss.
+                self.cache.misses += unique.shape[0]
+                rows = self._fetch_many(unique)
+                return rows if inverse is None else rows[inverse].reshape(*keys.shape, self.dim)
+            gathered = np.empty((unique.shape[0], self.dim), dtype=np.float32)
+            fetch_rows: list[int] = []
+            fetch_keys: list[int] = []
+            for i, key in enumerate(unique.tolist()):
+                vector = self._consume_cached(key)
+                if vector is not None:
+                    gathered[i] = vector
+                else:
+                    fetch_rows.append(i)
+                    fetch_keys.append(key)
+            if fetch_keys:
+                gathered[fetch_rows] = self._fetch_many(np.array(fetch_keys, dtype=np.int64))
+            return gathered if inverse is None else gathered[inverse].reshape(*keys.shape, self.dim)
 
     def _consume_cached(self, key: int) -> Optional[np.ndarray]:
         """Training read from the app cache (or ``None`` on a miss).
@@ -145,7 +148,6 @@ class EmbeddingTables:
         again with a second ``get_rows`` so that the store's Get protocol
         counts their admissions.
         """
-        token = obs_profile.begin()
         framed = np.empty((len(keys), 1 + 4 * self.dim), dtype=np.uint8)
         found = self.store.get_rows(keys, framed)
         if not found.all():
@@ -156,9 +158,7 @@ class EmbeddingTables:
             if not self.store.get_rows(missing, refreshed).all():
                 raise ValueError("the store lost a key it was just given")
             framed[~found] = refreshed
-        rows = unframe_vectors(framed)
-        obs_profile.end("emb.gather", token, units=len(keys))
-        return rows
+        return unframe_vectors(framed)
 
     def put(self, keys, values: np.ndarray) -> None:
         """Write updated vectors back (backward-pass path).
@@ -170,22 +170,21 @@ class EmbeddingTables:
         values = np.asarray(values, dtype=np.float32).reshape(-1, self.dim)
         if keys.shape[0] != values.shape[0]:
             raise ConfigError("put requires one vector per key")
-        # Last-duplicate-wins dedup, vectorized: unique over the reversed
-        # keys makes each key's *first* hit its last original occurrence.
-        token = obs_profile.begin()
-        unique, rows = keys, values
-        if not _ascending(keys):
-            unique, rev_index = np.unique(keys[::-1], return_index=True)
-            rows = values[keys.shape[0] - 1 - rev_index]
-        self.store.put_rows(unique, frame_vectors(rows))
-        obs_profile.end("emb.scatter", token, units=int(unique.shape[0]))
-        if not len(self.cache):
-            return  # no prefetched entry to keep fresh
-        for i, key in enumerate(unique.tolist()):
-            entry = self.cache.peek(key)
-            if entry is not None:
-                # Keep an un-consumed prefetched entry fresh.
-                entry[0] = rows[i].copy()
+        with obs_span("emb.put", keys=keys.shape[0]):
+            # Last-duplicate-wins dedup, vectorized: unique over the reversed
+            # keys makes each key's *first* hit its last original occurrence.
+            unique, rows = keys, values
+            if not _ascending(keys):
+                unique, rev_index = np.unique(keys[::-1], return_index=True)
+                rows = values[keys.shape[0] - 1 - rev_index]
+            self.store.put_rows(unique, frame_vectors(rows))
+            if not len(self.cache):
+                return  # no prefetched entry to keep fresh
+            for i, key in enumerate(unique.tolist()):
+                entry = self.cache.peek(key)
+                if entry is not None:
+                    # Keep an un-consumed prefetched entry fresh.
+                    entry[0] = rows[i].copy()
 
     def lookahead(self, keys, dest: str = "buffer") -> int:
         """Non-blocking prefetch of future ``keys`` (paper §III-C2).
@@ -198,43 +197,44 @@ class EmbeddingTables:
         number of records moved.
         """
         keys = np.asarray(keys, dtype=np.int64)
-        keys = keys if _ascending(keys) else np.unique(keys)
-        if dest == "buffer":
-            engine = getattr(self.store, "lookahead", None)
-            if engine is None:
-                return 0  # plain KV stores have no in-store prefetch path
-            return engine(keys.tolist())
-        if dest == "cache":
-            moved = 0
-            ssd = getattr(self.store, "ssd", None)
-            # Conventional prefetching goes through the synchronous Get
-            # API on a few framework worker threads — limited overlap.
-            # Deliberately per-key (not multi_get): each worker issues an
-            # independent admission, and a key that cannot admit must not
-            # abort its siblings — that limitation is the paper's point.
-            scope = (
-                ssd.background(parallelism=PREFETCH_WORKERS)
-                if ssd is not None
-                else _NullScope()
-            )
-            with scope:
-                for i, key in enumerate(keys):
-                    try:
-                        vector = self._fetch_many(keys[i : i + 1])[0]  # one admission per use
-                    except StalenessViolation:
-                        # Prefetch is advisory: a key whose clock cannot
-                        # admit another Get yet is simply skipped; the
-                        # consumer fetches it (blocking) once it settles.
-                        continue
-                    entry = self.cache.peek(int(key))
-                    if entry is not None:
-                        entry[0] = vector
-                        entry[1] += 1
-                    else:
-                        self.cache.put(int(key), [vector, 1])
-                        moved += 1
-            return moved
-        raise ConfigError(f"unknown lookahead destination {dest!r}")
+        with obs_span("emb.lookahead", dest=dest, keys=keys.size):
+            keys = keys if _ascending(keys) else np.unique(keys)
+            if dest == "buffer":
+                engine = getattr(self.store, "lookahead", None)
+                if engine is None:
+                    return 0  # plain KV stores have no in-store prefetch path
+                return engine(keys.tolist())
+            if dest == "cache":
+                moved = 0
+                ssd = getattr(self.store, "ssd", None)
+                # Conventional prefetching goes through the synchronous Get
+                # API on a few framework worker threads — limited overlap.
+                # Deliberately per-key (not multi_get): each worker issues an
+                # independent admission, and a key that cannot admit must not
+                # abort its siblings — that limitation is the paper's point.
+                scope = (
+                    ssd.background(parallelism=PREFETCH_WORKERS)
+                    if ssd is not None
+                    else _NullScope()
+                )
+                with scope:
+                    for i, key in enumerate(keys):
+                        try:
+                            vector = self._fetch_many(keys[i : i + 1])[0]  # one admission per use
+                        except StalenessViolation:
+                            # Prefetch is advisory: a key whose clock cannot
+                            # admit another Get yet is simply skipped; the
+                            # consumer fetches it (blocking) once it settles.
+                            continue
+                        entry = self.cache.peek(int(key))
+                        if entry is not None:
+                            entry[0] = vector
+                            entry[1] += 1
+                        else:
+                            self.cache.put(int(key), [vector, 1])
+                            moved += 1
+                return moved
+            raise ConfigError(f"unknown lookahead destination {dest!r}")
 
     def peek(self, keys) -> np.ndarray:
         """Evaluation read: committed values, no staleness admission.

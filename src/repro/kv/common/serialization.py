@@ -26,11 +26,11 @@ cut the same framing into rows for callers of the list verbs.
 from __future__ import annotations
 
 import struct
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.obs import profile as obs_profile
+from repro.obs.trace import span as obs_span
 
 _RECORD_HEADER = struct.Struct("<QI")
 #: Public alias of the ``[u64 key][u32 value_len]`` header struct for
@@ -112,55 +112,53 @@ def encode_records(
             f"encode_records requires equally many keys and values; "
             f"got {len(keys)} keys and {len(values)} values"
         )
-    token = obs_profile.begin()
-    header = _RECORD_HEADER.size
-    n = len(keys)
-    width = len(values[0]) if n else 0
-    uniform = n > 1 and all(len(value) == width for value in values)
-    size = n * (header + width) if uniform else encoded_records_size(values)
-    if out is None:
-        out = bytearray(offset + size)
-    elif len(out) < offset + size:
-        out.extend(b"\x00" * (offset + size - len(out)))
-    if uniform:
-        # Uniform-width batch (the embedding-record case): view the
-        # destination as an (n, header + width) byte matrix and fill the
-        # key, length and payload columns with three vectorized passes
-        # instead of n pack calls.  int64 staging keeps numpy's
-        # negative-int check (uint64 would silently wrap on NumPy 1.x);
-        # 2**63.. keys fall through to the loop below, which handles the
-        # full uint64 range.
-        try:
-            key_arr = np.asarray(keys, dtype=np.int64)
-        except (OverflowError, TypeError, ValueError):
-            key_arr = None
-        if key_arr is not None:
-            if key_arr.min(initial=0) < 0:
+    with obs_span("codec.encode_records", keys=len(keys)):
+        header = _RECORD_HEADER.size
+        n = len(keys)
+        width = len(values[0]) if n else 0
+        uniform = n > 1 and all(len(value) == width for value in values)
+        size = n * (header + width) if uniform else encoded_records_size(values)
+        if out is None:
+            out = bytearray(offset + size)
+        elif len(out) < offset + size:
+            out.extend(b"\x00" * (offset + size - len(out)))
+        if uniform:
+            # Uniform-width batch (the embedding-record case): view the
+            # destination as an (n, header + width) byte matrix and fill the
+            # key, length and payload columns with three vectorized passes
+            # instead of n pack calls.  int64 staging keeps numpy's
+            # negative-int check (uint64 would silently wrap on NumPy 1.x);
+            # 2**63.. keys fall through to the loop below, which handles the
+            # full uint64 range.
+            try:
+                key_arr = np.asarray(keys, dtype=np.int64)
+            except (OverflowError, TypeError, ValueError):
+                key_arr = None
+            if key_arr is not None:
+                if key_arr.min(initial=0) < 0:
+                    raise ValueError("keys must be non-negative integers")
+                framed = np.frombuffer(
+                    out, dtype=np.uint8, count=size, offset=offset
+                ).reshape(n, header + width)
+                framed[:, :8] = (
+                    np.ascontiguousarray(key_arr.astype("<u8")).reshape(n, 1).view(np.uint8)
+                )
+                framed[:, 8:header] = np.full((n, 1), width, dtype="<u4").view(np.uint8)
+                framed[:, header:] = np.frombuffer(
+                    b"".join(values), dtype=np.uint8
+                ).reshape(n, width)
+                return out
+        pack = _RECORD_HEADER.pack_into
+        cursor = offset
+        for key, value in zip(keys, values):
+            if key < 0:
                 raise ValueError("keys must be non-negative integers")
-            framed = np.frombuffer(
-                out, dtype=np.uint8, count=size, offset=offset
-            ).reshape(n, header + width)
-            framed[:, :8] = (
-                np.ascontiguousarray(key_arr.astype("<u8")).reshape(n, 1).view(np.uint8)
-            )
-            framed[:, 8:header] = np.full((n, 1), width, dtype="<u4").view(np.uint8)
-            framed[:, header:] = np.frombuffer(
-                b"".join(values), dtype=np.uint8
-            ).reshape(n, width)
-            obs_profile.end("codec.encode_records", token, units=n)
-            return out
-    pack = _RECORD_HEADER.pack_into
-    cursor = offset
-    for key, value in zip(keys, values):
-        if key < 0:
-            raise ValueError("keys must be non-negative integers")
-        length = len(value)
-        pack(out, cursor, key, length)
-        cursor += header
-        out[cursor : cursor + length] = value
-        cursor += length
-    obs_profile.end("codec.encode_records", token, units=n)
-    return out
+            length = len(value)
+            pack(out, cursor, key, length)
+            cursor += header
+            out[cursor : cursor + length] = value
+            cursor += length
+        return out
 
 
 def decode_records(
@@ -197,7 +195,7 @@ def decode_records(
 # ----------------------------------------------------------------------
 # optional-value stream: the shard fan-out's multi_get reply framing
 # ----------------------------------------------------------------------
-def encode_values(values: Iterable[Optional[bytes]]) -> bytearray:
+def encode_values(values: Sequence[Optional[bytes]]) -> bytearray:
     """Pack a positional stream of optional values into one buffer.
 
     Each entry is ``[u32 len][bytes]``; an absent value (``None``) is the
@@ -205,50 +203,46 @@ def encode_values(values: Iterable[Optional[bytes]]) -> bytearray:
     framing of the process-pool shard executor: one buffer per sub-batch
     regardless of batch size.
     """
-    token = obs_profile.begin()
-    parts = bytearray()
-    pack = struct.pack
-    count = 0
-    for value in values:
-        count += 1
-        if value is None:
-            parts += pack("<I", _ABSENT_LEN)
-        else:
-            length = len(value)
-            if length >= _ABSENT_LEN:
-                raise ValueError(f"value of {length} bytes exceeds frame limit")
-            parts += pack("<I", length)
-            parts += value
-    obs_profile.end("codec.encode_values", token, units=count)
-    return parts
+    with obs_span("codec.encode_values", keys=len(values)):
+        parts = bytearray()
+        pack = struct.pack
+        for value in values:
+            if value is None:
+                parts += pack("<I", _ABSENT_LEN)
+            else:
+                length = len(value)
+                if length >= _ABSENT_LEN:
+                    raise ValueError(f"value of {length} bytes exceeds frame limit")
+                parts += pack("<I", length)
+                parts += value
+        return parts
 
 
 def decode_values(buffer, count: int) -> list[Optional[bytes]]:
     """Decode ``count`` optional values framed by :func:`encode_values`."""
-    token = obs_profile.begin()
-    view = memoryview(buffer)
-    out: list[Optional[bytes]] = []
-    cursor = 0
-    unpack = struct.unpack_from
-    for _ in range(count):
-        if cursor + 4 > len(view):
-            raise ValueError("truncated value stream")
-        (length,) = unpack("<I", view, cursor)
-        cursor += 4
-        if length == _ABSENT_LEN:
-            out.append(None)
-            continue
-        if cursor + length > len(view):
-            raise ValueError("truncated value stream")
-        out.append(bytes(view[cursor : cursor + length]))
-        cursor += length
-    if cursor != len(view):
-        raise ValueError(
-            f"value stream holds {len(view) - cursor} trailing byte(s) "
-            f"beyond {count} values"
-        )
-    obs_profile.end("codec.decode_values", token, units=count)
-    return out
+    with obs_span("codec.decode_values", keys=count):
+        view = memoryview(buffer)
+        out: list[Optional[bytes]] = []
+        cursor = 0
+        unpack = struct.unpack_from
+        for _ in range(count):
+            if cursor + 4 > len(view):
+                raise ValueError("truncated value stream")
+            (length,) = unpack("<I", view, cursor)
+            cursor += 4
+            if length == _ABSENT_LEN:
+                out.append(None)
+                continue
+            if cursor + length > len(view):
+                raise ValueError("truncated value stream")
+            out.append(bytes(view[cursor : cursor + length]))
+            cursor += length
+        if cursor != len(view):
+            raise ValueError(
+                f"value stream holds {len(view) - cursor} trailing byte(s) "
+                f"beyond {count} values"
+            )
+        return out
 
 
 # ----------------------------------------------------------------------

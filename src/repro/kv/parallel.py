@@ -76,8 +76,7 @@ from repro.kv.sharded import (
     child_type,
     record_count,
 )
-from repro.obs import profile as obs_profile
-from repro.obs.trace import span as obs_span
+from repro.obs.trace import span as obs_span, uninstall_tracer
 
 #: Framed batched ops whose reply carries one value per key, as one
 #: encoded buffer; the others (``multi_put``, ``lookahead``) reply with
@@ -170,7 +169,11 @@ def _worker_main(factory, conn) -> None:
     ``(op, [(child, count), ...], pickled_args)`` plus one payload buffer
     — which run ``child.op(*columns, *args)`` for each of the worker's
     batches.
+
+    A tracer the parent had installed at fork time is dropped first: the
+    worker's copy would collect spans no one can ever read.
     """
+    uninstall_tracer()
     stores: dict[int, KVStore] = {}
     while True:
         try:
@@ -472,43 +475,41 @@ class ParallelShardStore(ShardedKVStore):
             return super()._dispatch(op, batches, *args)
         total = sum(len(columns[0]) for _, columns in batches)
         with obs_span("kv.parallel_fanout", op=op, keys=total):
-            dispatch_token = obs_profile.begin()
-            by_worker: dict[_Worker, list[int]] = {}
-            for number, (shard, _) in enumerate(batches):
-                by_worker.setdefault(self.shards[shard].worker, []).append(number)
-            # Frame everything before sending anything: a key that will
-            # not encode must fail while every pipe is still idle.
-            requests = []
-            for worker, numbers in by_worker.items():
-                entries = [
-                    (self.shards[batches[n][0]].child, len(batches[n][1][0]))
-                    for n in numbers
-                ]
-                payload = _frame(op, [batches[n][1] for n in numbers])
-                requests.append((worker, numbers, (op, entries, pickled_args), payload))
-            for worker, _, header, payload in requests:
-                worker.send(header, payload)
-            obs_profile.end("parallel.dispatch", dispatch_token, units=total)
-            collect_token = obs_profile.begin()
+            with obs_span("parallel.dispatch", keys=total):
+                by_worker: dict[_Worker, list[int]] = {}
+                for number, (shard, _) in enumerate(batches):
+                    by_worker.setdefault(self.shards[shard].worker, []).append(number)
+                # Frame everything before sending anything: a key that will
+                # not encode must fail while every pipe is still idle.
+                requests = []
+                for worker, numbers in by_worker.items():
+                    entries = [
+                        (self.shards[batches[n][0]].child, len(batches[n][1][0]))
+                        for n in numbers
+                    ]
+                    payload = _frame(op, [batches[n][1] for n in numbers])
+                    requests.append((worker, numbers, (op, entries, pickled_args), payload))
+                for worker, _, header, payload in requests:
+                    worker.send(header, payload)
             results: list = [None] * len(batches)
             failures = []
-            # Every reply is read — even after a failure — so the pipes
-            # stay in lockstep for the next operation.
-            for worker, numbers, _, _ in requests:
-                status, meta, payload = worker.recv(with_payload=op in _VALUE_OPS)
-                if status != "ok":
-                    failures.append((status, meta))
-                elif payload is None:  # one plain result per batch
-                    for n, output in zip(numbers, meta):
-                        results[n] = output
-                else:  # one value per key: re-split the flat reply per batch
-                    values = decode_values(payload, meta)
-                    cursor = 0
-                    for n in numbers:
-                        count = len(batches[n][1][0])
-                        results[n] = values[cursor : cursor + count]
-                        cursor += count
-            obs_profile.end("parallel.collect", collect_token, units=total)
+            with obs_span("parallel.collect", keys=total):
+                # Every reply is read — even after a failure — so the pipes
+                # stay in lockstep for the next operation.
+                for worker, numbers, _, _ in requests:
+                    status, meta, payload = worker.recv(with_payload=op in _VALUE_OPS)
+                    if status != "ok":
+                        failures.append((status, meta))
+                    elif payload is None:  # one plain result per batch
+                        for n, output in zip(numbers, meta):
+                            results[n] = output
+                    else:  # one value per key: re-split the flat reply per batch
+                        values = decode_values(payload, meta)
+                        cursor = 0
+                        for n in numbers:
+                            count = len(batches[n][1][0])
+                            results[n] = values[cursor : cursor + count]
+                            cursor += count
         if failures:
             if len(failures) == len(requests) and all(
                 status == "nopickle" for status, _ in failures

@@ -1,38 +1,33 @@
-"""Cross-layer observability: metrics registry, tracing, profiling.
+"""Cross-layer observability: two primitives, no copies.
 
-``repro.obs`` is the one substrate every layer (device sim, KV engines,
-sharded/replicated/parallel stores, serving, distributed training)
-routes its instrumentation through:
-
-* :mod:`repro.obs.registry` — labeled counters / gauges / histograms
-  with per-component namespaces, JSON and Prometheus-text export, and
-  adapters that absorb the existing ad-hoc telemetry blocks
-  (``StoreStats``, ``ServingTelemetry``, replication health) into one
-  tree.  A disabled registry hands out shared no-op singletons, so the
-  instrumented hot paths allocate nothing when observability is off.
-* :mod:`repro.obs.trace` — spans carrying *both* simulated-clock and
-  wall-clock timestamps with parent/child causality, exported as Chrome
-  ``trace_event`` JSON (open in ``chrome://tracing`` or Perfetto);
-  ``python -m repro.obs.trace view FILE`` summarizes critical paths.
-* :mod:`repro.obs.profile` — wall-time phase attribution for the
-  hottest batch paths (gather/scatter, record codec, parallel fan-out);
-  a disabled profiler costs one global read per hook.
+* **Time is a span** (:mod:`repro.obs.trace`).  A span carries *both*
+  simulated-clock and wall-clock timestamps and a parent link, so a
+  training step (``train.step`` → ``emb.*`` / ``nn.*`` → ``kv.*`` →
+  ``device.io``) and a served batch (``serve.batch`` → ... →
+  ``device.io``) each render as one causal tree.  Spans are the only
+  timer in the hot paths: :meth:`Tracer.ledger
+  <repro.obs.trace.Tracer.ledger>` sums them per name (calls, keys,
+  total and self seconds on both clocks), ``python -m repro.obs.trace
+  view FILE`` prints the same ledger from a dump, and the dump itself
+  is Chrome ``trace_event`` JSON (``chrome://tracing``, Perfetto).
+  With no tracer installed :func:`span` returns one shared no-op — a
+  global read, no allocation, no clock read.
+* **A count lives where it is counted.**  Engines, the router and the
+  serving tier keep their own exact counters (``StoreStats``,
+  ``ServingTelemetry``, ``ServingLoop.report()``), observability on or
+  off.  :class:`~repro.obs.registry.MetricsRegistry` only *reads* them:
+  ``attach(component, read)`` takes a callable, and the JSON /
+  Prometheus exports call it at export time and flatten what it
+  returns, so an exported value is never stale and the registry knows
+  no layer's field names.
 
 Layering: this package sits *beside* the stack, not inside it — it
-imports nothing from ``repro.kv`` / ``repro.serve`` / ``repro.train``
-(the adapters duck-type their inputs), so any layer may import it
-without cycles.  Everything is disabled by default; nothing records
-until a test, bench, or operator opts in.
+imports nothing from ``repro.kv`` / ``repro.serve`` / ``repro.train``,
+so any layer may import it without cycles.  Nothing records until a
+test, bench, or operator installs a tracer.
 """
 
-from repro.obs import profile
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Namespace,
-)
+from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import (
     Span,
     Tracer,
@@ -44,17 +39,12 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
-    "Namespace",
     "Span",
     "Tracer",
     "active_tracer",
     "install_tracer",
     "instant",
-    "profile",
     "span",
     "uninstall_tracer",
 ]

@@ -25,9 +25,11 @@ the simulated single-threaded execution model, where nested work *is*
 the caller's callee.
 
 Export is the Chrome ``trace_event`` format (open ``chrome://tracing``
-or https://ui.perfetto.dev and load the file).  ``python -m
-repro.obs.trace view FILE`` prints a per-name aggregate and the
-critical path without leaving the terminal.
+or https://ui.perfetto.dev and load the file).  Spans are also the
+repository's only timer: :meth:`Tracer.ledger` sums them per name —
+calls, keys, total and self seconds on both clocks — and ``python -m
+repro.obs.trace view FILE`` prints that same ledger, plus the critical
+path, from a dump without leaving the terminal.
 """
 
 from __future__ import annotations
@@ -223,6 +225,11 @@ class Tracer:
         with open(path, "w") as handle:
             json.dump(self.to_chrome(), handle)
 
+    def ledger(self) -> dict[str, dict[str, float]]:
+        """Where the time went, per span name (:func:`ledger` of the
+        spans recorded so far)."""
+        return ledger(self.to_chrome()["traceEvents"])
+
     def reset(self) -> None:
         """Drop all recorded spans and instants."""
         self.spans.clear()
@@ -271,51 +278,81 @@ def instant(name: str, clock=None, **args) -> None:
 
 
 # ----------------------------------------------------------------------
-# CLI: `python -m repro.obs.trace view trace.json`
+# the ledger, and the CLI that prints it:
+# `python -m repro.obs.trace view trace.json`
 # ----------------------------------------------------------------------
-def _load_complete_events(path: str) -> list[dict]:
-    with open(path) as handle:
-        payload = json.load(handle)
-    events = payload["traceEvents"] if isinstance(payload, dict) else payload
-    return [event for event in events if event.get("ph") == "X"]
+_LEDGER_FIELDS = (
+    "calls", "keys", "sim_seconds", "sim_self_seconds", "wall_seconds", "wall_self_seconds",
+)
+
+
+def ledger(events: list[dict]) -> dict[str, dict[str, float]]:
+    """Aggregate Chrome complete events (``Tracer.to_chrome`` output, or
+    a loaded dump) per span name.
+
+    Each row holds ``calls``, ``keys`` (the sum of the spans' ``keys=``
+    argument) and, on the simulated and the wall clock alike, total
+    seconds and *self* seconds — a span's duration minus what its direct
+    children cover, so the self columns of a tree add up to its roots'
+    totals.  A span without a simulated clock counts 0 there.
+    """
+    spans = [
+        (event["name"], event.get("args", {}))
+        for event in events
+        if event.get("ph") == "X"
+    ]
+    covered: dict[int, list[float]] = {}  # parent id -> [sim_us, wall_us] of its children
+    for _, args in spans:
+        if "parent_id" in args:
+            below = covered.setdefault(args["parent_id"], [0.0, 0.0])
+            below[0] += args.get("sim_us", 0.0)
+            below[1] += args.get("wall_us", 0.0)
+    rows: dict[str, dict[str, float]] = {}
+    for name, args in spans:
+        sim, wall = args.get("sim_us", 0.0), args.get("wall_us", 0.0)
+        below_sim, below_wall = covered.get(args.get("span_id"), (0.0, 0.0))
+        row = rows.setdefault(name, dict.fromkeys(_LEDGER_FIELDS, 0))
+        row["calls"] += 1
+        row["keys"] += args.get("keys", 0)
+        row["sim_seconds"] += sim / 1e6
+        row["sim_self_seconds"] += max(0.0, sim - below_sim) / 1e6
+        row["wall_seconds"] += wall / 1e6
+        row["wall_self_seconds"] += max(0.0, wall - below_wall) / 1e6
+    return rows
 
 
 def _view(path: str) -> int:
-    events = _load_complete_events(path)
+    with open(path) as handle:
+        payload = json.load(handle)
+    events = payload["traceEvents"] if isinstance(payload, dict) else payload
+    events = [event for event in events if event.get("ph") == "X"]
     if not events:
         print(f"{path}: no complete (ph=X) events")
         return 1
-    by_id = {
-        event["args"]["span_id"]: event
-        for event in events
-        if "span_id" in event.get("args", {})
-    }
+    print(
+        f"{'span':<24}{'calls':>7}{'keys':>10}{'sim_ms':>12}{'sim_self_ms':>12}"
+        f"{'wall_ms':>12}{'wall_self_ms':>13}"
+    )
+    rows = ledger(events)
+    for name in sorted(
+        rows, key=lambda n: (-rows[n]["sim_self_seconds"], -rows[n]["wall_self_seconds"])
+    ):
+        row = rows[name]
+        print(
+            f"{name:<24}{row['calls']:>7}{row['keys']:>10}"
+            f"{row['sim_seconds'] * 1e3:>12.3f}{row['sim_self_seconds'] * 1e3:>12.3f}"
+            f"{row['wall_seconds'] * 1e3:>12.3f}{row['wall_self_seconds'] * 1e3:>13.3f}"
+        )
+    # Critical path: the longest root, descending into its longest child.
+    ids = {event.get("args", {}).get("span_id") for event in events}
     children: dict[int, list[dict]] = {}
     roots: list[dict] = []
     for event in events:
         parent = event.get("args", {}).get("parent_id")
-        if parent is not None and parent in by_id:
+        if parent is not None and parent in ids:
             children.setdefault(parent, []).append(event)
         else:
             roots.append(event)
-    # Per-name aggregate: total / self (minus direct children) / wall.
-    totals: dict[str, list[float]] = {}
-    for event in events:
-        own = event.get("dur", 0.0)
-        child_time = sum(
-            child.get("dur", 0.0)
-            for child in children.get(event.get("args", {}).get("span_id"), [])
-        )
-        bucket = totals.setdefault(event["name"], [0.0, 0.0, 0.0, 0.0])
-        bucket[0] += 1
-        bucket[1] += own
-        bucket[2] += max(0.0, own - child_time)
-        bucket[3] += event.get("args", {}).get("wall_us", 0.0)
-    print(f"{'span':<28}{'count':>7}{'total_us':>14}{'self_us':>14}{'wall_us':>14}")
-    ranked = sorted(totals.items(), key=lambda item: -item[1][2])
-    for name, (count, total, self_time, wall) in ranked:
-        print(f"{name:<28}{int(count):>7}{total:>14.1f}{self_time:>14.1f}{wall:>14.1f}")
-    # Critical path: the longest root, descending into its longest child.
     head = max(roots, key=lambda event: event.get("dur", 0.0))
     print("\ncritical path (longest root, longest child at each level):")
     depth = 0
@@ -353,6 +390,7 @@ __all__ = [
     "active_tracer",
     "install_tracer",
     "instant",
+    "ledger",
     "main",
     "span",
     "uninstall_tracer",

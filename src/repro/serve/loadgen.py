@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.data.arrivals import PoissonProcess, ThinkTimeProcess
 from repro.data.ycsb import UniformGenerator, YCSBWorkload, ZipfianGenerator
+from repro.device.faults import FaultSchedule
 from repro.errors import ConfigError
 from repro.serve.request import Request
 
@@ -149,7 +150,7 @@ class ClosedLoopArrivals:
         return min(self._remaining, sum(1 for time, _ in self._heap if time <= now))
 
 
-class ChaosInjector:
+class ChaosInjector(FaultSchedule):
     """Scheduled fault injection for the serving path.
 
     Chaos events are scheduled at simulated instants and fired by the
@@ -165,17 +166,6 @@ class ChaosInjector:
     ``slow_replica``.  Scheduling an event a store cannot honor raises
     at fire time, not silently.
     """
-
-    def __init__(self) -> None:
-        self._events: list[tuple[float, int, str, str, tuple]] = []
-        self._sequence = 0
-        self.fired: list[dict] = []
-
-    def _schedule(self, at: float, label: str, method: str, args: tuple) -> None:
-        if at < 0:
-            raise ConfigError(f"chaos events need non-negative times, got {at}")
-        heapq.heappush(self._events, (at, self._sequence, label, method, args))
-        self._sequence += 1
 
     def kill_replica_at(self, at: float, shard: int, replica: int) -> "ChaosInjector":
         """Kill ``replica`` of ``shard`` at simulated second ``at``."""
@@ -215,35 +205,17 @@ class ChaosInjector:
             )
         return self
 
-    def pending(self) -> int:
-        """Scheduled events not yet fired."""
-        return len(self._events)
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next scheduled event, or ``None``."""
-        return self._events[0][0] if self._events else None
-
     def fire_due(self, now: float, store, telemetry=None) -> int:
-        """Apply every event scheduled at or before ``now``.
+        """Apply every event scheduled at or before ``now`` to ``store``.
 
         Returns the number fired.  Each event flips the telemetry phase
         to ``after:<label>`` so subsequent request latencies are
         attributed to the post-event regime.
         """
-        count = 0
-        while self._events and self._events[0][0] <= now:
-            at, _, label, method, args = heapq.heappop(self._events)
-            action = getattr(store, method, None)
-            if action is None:
-                raise ConfigError(
-                    f"chaos event {label!r} needs a store with {method}(); "
-                    f"{type(store).__name__} has none"
-                )
-            action(*args)
-            self.fired.append({"label": label, "scheduled_at": at, "fired_at": now})
-            if telemetry is not None:
-                telemetry.set_phase(f"after:{label}", at=now)
-            count += 1
+        count = super().fire_due(now, store)
+        if telemetry is not None:
+            for event in self.fired[len(self.fired) - count :]:
+                telemetry.set_phase(f"after:{event['label']}", at=now)
         return count
 
 

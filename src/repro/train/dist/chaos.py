@@ -1,37 +1,26 @@
 """Scheduled fault injection for distributed training.
 
-Mirrors the serving tier's ``ChaosInjector``: events are scheduled at
-simulated instants and fired by the training engine as its clock passes
-them, so a worker dies *mid-epoch* with batches in flight and a replica
-dies *mid-push* with deltas half-fanned-out — the only honest way to
-test the exactly-once ledger and the replicated store's hinted handoff.
-
-Events name a method on the target the engine passes in (the engine
-itself for worker events, which forwards replica events to the store),
-so the injector stays decoupled from both.
+The training-side vocabulary over the shared
+:class:`~repro.device.faults.FaultSchedule` (the serving tier's
+``ChaosInjector`` is the other): events are scheduled at simulated
+instants and fired by the training engine as its clock passes them, so a
+worker dies *mid-epoch* with batches in flight and a replica dies
+*mid-push* with deltas half-fanned-out — the only honest way to test the
+exactly-once ledger and the replicated store's hinted handoff.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Optional
-
+from repro.device.faults import FaultSchedule
 from repro.errors import ConfigError
 
 
-class StragglerInjector:
-    """Time-scheduled worker and replica faults for a training run."""
+class StragglerInjector(FaultSchedule):
+    """Time-scheduled worker and replica faults for a training run.
 
-    def __init__(self) -> None:
-        self._events: list[tuple[float, int, str, str, tuple]] = []
-        self._sequence = 0
-        self.fired: list[dict] = []
-
-    def _schedule(self, at: float, label: str, method: str, args: tuple) -> None:
-        if at < 0:
-            raise ConfigError(f"chaos events need non-negative times, got {at}")
-        heapq.heappush(self._events, (at, self._sequence, label, method, args))
-        self._sequence += 1
+    ``fire_due(now, target)`` takes the engine as target: it implements
+    the worker events itself and forwards replica ones to its store.
+    """
 
     # ------------------------------------------------------------------
     # worker faults
@@ -86,33 +75,3 @@ class StragglerInjector:
             (shard, replica, catch_up),
         )
         return self
-
-    # ------------------------------------------------------------------
-    def pending(self) -> int:
-        """Scheduled events not yet fired."""
-        return len(self._events)
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next scheduled event, or ``None``."""
-        return self._events[0][0] if self._events else None
-
-    def fire_due(self, now: float, target) -> int:
-        """Apply every event scheduled at or before ``now`` to ``target``.
-
-        ``target`` duck-types the event methods (the engine implements
-        the worker ones and forwards replica ones to its store).  Returns
-        the number fired.
-        """
-        count = 0
-        while self._events and self._events[0][0] <= now:
-            at, _, label, method, args = heapq.heappop(self._events)
-            action = getattr(target, method, None)
-            if action is None:
-                raise ConfigError(
-                    f"chaos event {label!r} needs a target with {method}(); "
-                    f"{type(target).__name__} has none"
-                )
-            action(*args)
-            self.fired.append({"label": label, "scheduled_at": at, "fired_at": now})
-            count += 1
-        return count

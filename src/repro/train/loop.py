@@ -41,6 +41,7 @@ from repro.errors import ConfigError
 from repro.nn.layers import Module
 from repro.nn.optim import Adam, RowAdagrad
 from repro.nn.tensor import Tensor
+from repro.obs.trace import span as obs_span
 
 
 @dataclass
@@ -194,8 +195,9 @@ class BaseTrainer:
         for step, batch in enumerate(batches):
             if step < self._start_step:
                 continue
-            engine.advance(step)
-            self._train_one(batch, schedule[step])
+            with obs_span("train.step", clock=self.clock, step=step):
+                engine.advance(step)
+                self._train_one(batch, schedule[step])
             result.steps += 1
             result.samples += samples_per_batch
             if config.eval_every and (step + 1) % config.eval_every == 0:
@@ -248,12 +250,15 @@ class BaseTrainer:
         rows = self.tables.get(unique_keys)
         result.emb_access_seconds += self.clock.now - t0
 
-        loss_value, grads = self.compute_gradients(batch, unique_keys, rows)
-        self.nn_optimizer.step()
-        self.network.zero_grad()
+        with obs_span("nn.fwd_bwd", clock=self.clock):
+            loss_value, grads = self.compute_gradients(batch, unique_keys, rows)
+        with obs_span("nn.dense_opt", clock=self.clock):
+            self.nn_optimizer.step()
+            self.network.zero_grad()
         result.losses.append(loss_value)
 
-        new_rows = self.emb_optimizer.updated_rows(unique_keys, rows, grads)
+        with obs_span("nn.row_opt", clock=self.clock, keys=len(unique_keys)):
+            new_rows = self.emb_optimizer.updated_rows(unique_keys, rows, grads)
         self.pending.append((unique_keys, new_rows))
         t3 = self.clock.now
         while len(self.pending) > self.config.pipeline_depth:

@@ -525,7 +525,8 @@ class TestRep006InstrumentationViaObs:
             path=self.PATH,
         )
         assert rules_of(findings) == ["REP006"]
-        assert "repro.obs" in findings[0].message
+        assert "repro.obs span" in findings[0].message
+        assert "owner's stats" in findings[0].message
 
     def test_flags_raw_stream_writes(self):
         findings = lint_source(
@@ -547,16 +548,14 @@ class TestRep006InstrumentationViaObs:
             findings = lint_source("print('x')\n", path=path)
             assert rules_of(findings) == ["REP006"], path
 
-    def test_obs_handles_pass(self):
+    def test_spans_and_owner_stats_pass(self):
         findings = lint_source(
-            "from repro.obs import profile\n"
             "from repro.obs.trace import span\n"
             "def multi_get(self, keys):\n"
             "    '''Batched read.'''\n"
-            "    token = profile.begin()\n"
             "    with span('kv.multi_get', keys=len(keys)):\n"
             "        out = list(keys)\n"
-            "    profile.end('kv.read', token, units=len(keys))\n"
+            "    self._stats.gets += len(keys)\n"
             "    return out\n",
             path=self.PATH,
         )

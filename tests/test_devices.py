@@ -3,7 +3,10 @@
 import pytest
 
 from repro.device import ConcurrencyModel, EnergyModel, GPUModel, SimClock, SSDModel
+from repro.device.faults import FaultSchedule
 from repro.device.ssd import PAGE_BYTES
+from repro.serve import ChaosInjector, ServingTelemetry
+from repro.train.dist import StragglerInjector
 
 
 class TestSSDModel:
@@ -192,3 +195,53 @@ class TestConcurrencyModel:
             model.throughput(0, 0.0)
         with pytest.raises(ValueError):
             model.throughput(1, 1.5)
+
+
+class TestFaultSchedule:
+    """The one schedule/fire core under both chaos injectors."""
+
+    class Probe:
+        def __init__(self):
+            self.calls = []
+
+        def fail_replica(self, shard, replica):
+            self.calls.append(("fail", shard, replica))
+
+        def revive_replica(self, shard, replica, catch_up):
+            self.calls.append(("revive", shard, replica))
+
+    def test_both_injectors_fire_through_it(self):
+        assert issubclass(ChaosInjector, FaultSchedule)
+        assert StragglerInjector.fire_due is FaultSchedule.fire_due
+        for injector in (ChaosInjector, StragglerInjector):
+            assert injector._schedule is FaultSchedule._schedule
+            assert injector.pending is FaultSchedule.pending
+            assert injector.peek_time is FaultSchedule.peek_time
+
+    @pytest.mark.parametrize("injector", [ChaosInjector, StragglerInjector])
+    def test_equal_times_fire_in_scheduling_order(self, injector):
+        chaos = (
+            injector()
+            .revive_replica_at(2.0, 1, 0)
+            .kill_replica_at(1.0, 0, 1)
+            .revive_replica_at(1.0, 0, 1)
+        )
+        probe = self.Probe()
+        assert (chaos.pending(), chaos.peek_time()) == (3, 1.0)
+        assert chaos.fire_due(1.5, probe) == 2
+        assert probe.calls == [("fail", 0, 1), ("revive", 0, 1)]
+        assert [event["scheduled_at"] for event in chaos.fired] == [1.0, 1.0]
+        assert [event["fired_at"] for event in chaos.fired] == [1.5, 1.5]
+        assert (chaos.pending(), chaos.peek_time()) == (1, 2.0)
+
+    def test_serving_injector_flips_one_phase_per_event_in_firing_order(self):
+        chaos = ChaosInjector().kill_replica_at(1.0, 0, 1).revive_replica_at(1.0, 0, 1)
+        chaos.kill_replica_at(9.0, 1, 0)
+        telemetry = ServingTelemetry()
+        assert chaos.fire_due(1.5, self.Probe(), telemetry) == 2
+        assert telemetry.events == [
+            {"phase": "after:kill:0/1", "at": 1.5},
+            {"phase": "after:revive:0/1", "at": 1.5},
+        ]
+        assert chaos.fire_due(2.0, self.Probe(), telemetry) == 0
+        assert telemetry.phase == "after:revive:0/1"

@@ -20,6 +20,11 @@ neighbors are now summed in rank order instead of by a BLAS product, so
 two of the eight losses moved by one float32 ulp (relative 9.8e-8 and
 9.2e-8, the other six bit-equal) and ``emb_crc`` with them.  The
 ``dlrm`` and ``kge`` entries are the original capture.
+
+Every trajectory runs twice, without and with a ``repro.obs`` tracer
+installed: spans read clocks and never advance them, so the training
+spans (``train.step`` and below) must leave each loss bit and the final
+table where they were.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import pytest
 from repro.bench import build_stack
 from repro.bench.harness import run_dlrm, run_gnn, run_kge
 from repro.data import CTRDataset, GraphDataset, KGDataset
+from repro.obs.trace import install_tracer, uninstall_tracer
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_trajectories.json"
 
@@ -41,6 +47,13 @@ GOLDEN_PATH = Path(__file__).parent / "data" / "golden_trajectories.json"
 def golden():
     with open(GOLDEN_PATH) as f:
         return json.load(f)
+
+
+@pytest.fixture(params=[False, True], ids=["untraced", "traced"])
+def tracer(request):
+    """The process-wide tracer a traced run records into (else ``None``)."""
+    yield install_tracer() if request.param else None
+    uninstall_tracer()
 
 
 def _loss_hexes(losses) -> list[str]:
@@ -52,7 +65,9 @@ def _embedding_crc(stack, num_keys: int) -> int:
     return int(np.bitwise_xor.reduce(emb.astype(np.float32).view(np.uint32).reshape(-1)))
 
 
-def _assert_matches(golden_entry, losses, crc) -> None:
+def _assert_matches(golden_entry, losses, crc, tracer) -> None:
+    if tracer is not None:
+        assert tracer.ledger()["train.step"]["calls"] == len(losses)
     got = _loss_hexes(losses)
     want = golden_entry["losses"]
     assert len(got) == len(want)
@@ -61,26 +76,26 @@ def _assert_matches(golden_entry, losses, crc) -> None:
     assert crc == golden_entry["emb_crc"]
 
 
-def test_dlrm_trajectory_bit_identical(golden):
+def test_dlrm_trajectory_bit_identical(golden, tracer):
     stack = build_stack("mlkv", dim=8, memory_budget_bytes=1 << 20,
                         cache_entries=512)
     ctr = CTRDataset(num_fields=4, field_cardinality=300, seed=3)
     result = run_dlrm(stack, ctr, dim=8, num_batches=12, batch_size=16)
-    _assert_matches(golden["dlrm"], result.losses, _embedding_crc(stack, 1200))
+    _assert_matches(golden["dlrm"], result.losses, _embedding_crc(stack, 1200), tracer)
 
 
-def test_kge_trajectory_bit_identical(golden):
+def test_kge_trajectory_bit_identical(golden, tracer):
     stack = build_stack("faster", dim=8, memory_budget_bytes=1 << 20,
                         cache_entries=512)
     kg = KGDataset(num_entities=500, num_relations=5, seed=5)
     result = run_kge(stack, kg, dim=8, num_batches=12, batch_size=16)
-    _assert_matches(golden["kge"], result.losses, _embedding_crc(stack, 500))
+    _assert_matches(golden["kge"], result.losses, _embedding_crc(stack, 500), tracer)
 
 
-def test_gnn_trajectory_bit_identical(golden):
+def test_gnn_trajectory_bit_identical(golden, tracer):
     stack = build_stack("mlkv", dim=8, memory_budget_bytes=1 << 20,
                         cache_entries=512)
     graph = GraphDataset(num_nodes=300, avg_degree=5, num_classes=4, seed=7)
     result = run_gnn(stack, graph, dim=8, hidden_dim=16, num_batches=8,
                      batch_size=16, fanouts=(4,))
-    _assert_matches(golden["gnn"], result.losses, _embedding_crc(stack, 300))
+    _assert_matches(golden["gnn"], result.losses, _embedding_crc(stack, 300), tracer)

@@ -1,251 +1,251 @@
-"""The unified metrics registry and hot-path profiler (repro.obs).
+"""The read-only metrics registry (repro.obs.registry).
 
-Covers the handle contract (one object per ``(component, name,
-labels)``), the zero-allocation disabled mode, both export formats, the
-adapters that absorb the stack's existing telemetry blocks, and the
-wall-clock profiler the PR-8 hot paths are wired through.
+The registry holds readers, not values: ``attach`` takes a callable, the
+exports call it at export time and flatten whatever it returns with one
+generic walk.  Covered here: an exported value is never stale, every
+number the stack's real stats objects contain comes out with no
+per-source code (a bare engine, the router, an RF-2 replicated store, an
+SLO report with phases, a two-tenant loop report), both export formats,
+and the escaping of free-form label values.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from numbers import Real
 
-import numpy as np
 import pytest
 
-from repro.kv import StoreStats
-from repro.obs import MetricsRegistry, profile
-from repro.obs.registry import (
-    DISABLED,
-    _NOOP_COUNTER,
-    _NOOP_GAUGE,
-    _NOOP_HISTOGRAM,
+from repro.core.embedding import EmbeddingTables
+from repro.core.mlkv import MLKV
+from repro.device import SimClock, SSDModel
+from repro.kv import ReplicatedKVStore, ShardedKVStore, StoreStats
+from repro.kv.common.serialization import encode_vector
+from repro.kv.faster import FasterKV
+from repro.obs import MetricsRegistry
+from repro.serve import (
+    BatchPolicy,
+    ChaosInjector,
+    EmbeddingServer,
+    LoadGenerator,
+    ServingLoop,
+    TenantSpec,
+    namespace_key,
 )
-from repro.serve.telemetry import ServingTelemetry
+
+DIM = 8
 
 
-class TestHandles:
-    def test_same_key_returns_same_handle(self):
+def numbers_in(value) -> list[float]:
+    """Every number inside a stats object, found without the registry."""
+    if isinstance(value, Real):
+        return [float(value)]
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, field.name) for field in dataclasses.fields(value)]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [number for item in value for number in numbers_in(item)]
+    return []
+
+
+def assert_exports_every_number(read) -> dict:
+    """Attach ``read`` and check both exports carry each of its numbers."""
+    registry = MetricsRegistry()
+    registry.attach("c", read)
+    tree = registry.to_json()["c"]
+    expected = sorted(numbers_in(read()))
+    assert expected, "the source holds no numbers"
+    assert sorted(float(number) for number in tree.values()) == expected
+    json.dumps(tree)  # serializable as it is
+    lines = [
+        line for line in registry.to_prometheus().splitlines()
+        if not line.startswith("#")
+    ]
+    assert sorted(float(line.rsplit(" ", 1)[1]) for line in lines) == expected
+    return tree
+
+
+def faster(directory, ssd) -> FasterKV:
+    return FasterKV(str(directory), ssd=ssd, memory_budget_bytes=1 << 16)
+
+
+def load(store, count: int = 200) -> list[int]:
+    keys = list(range(count))
+    store.multi_put(keys, [bytes([key % 251]) * 12 for key in keys])
+    store.multi_get(keys[: count // 2] + [10_000])
+    return keys
+
+
+# ----------------------------------------------------------------------
+# attach: readers, read at export time
+# ----------------------------------------------------------------------
+class TestAttach:
+    def test_a_value_mutated_after_attach_is_what_the_export_reports(self):
+        stats = StoreStats()
         registry = MetricsRegistry()
-        a = registry.counter("serve", "requests", tier="hot")
-        b = registry.counter("serve", "requests", tier="hot")
-        assert a is b
-        a.inc(3)
-        assert b.value == 3
+        registry.attach("kv", lambda: stats)
+        assert registry.to_json()["kv"]["gets"] == 0
+        stats.gets, stats.hits = 10, 7
+        stats.extra["shard_ops"] = [4, 6]
+        tree = registry.to_json()["kv"]
+        assert tree["gets"] == 10 and tree["hits"] == 7
+        assert tree["extra_shard_ops{index=1}"] == 6
+        assert "repro_kv_gets 10.0" in registry.to_prometheus()
 
-    def test_label_order_does_not_split_handles(self):
+    def test_a_read_that_raises_propagates(self):
         registry = MetricsRegistry()
-        a = registry.gauge("kv", "lag", shard=0, replica=1)
-        b = registry.gauge("kv", "lag", replica=1, shard=0)
-        assert a is b
+        registry.attach("kv", lambda: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            registry.to_json()
+        with pytest.raises(ZeroDivisionError):
+            registry.to_prometheus()
 
-    def test_kind_mismatch_raises(self):
+    def test_labels_ride_on_every_number_of_the_source(self):
         registry = MetricsRegistry()
-        registry.counter("serve", "requests")
-        with pytest.raises(ValueError):
-            registry.gauge("serve", "requests")
+        registry.attach("serve", lambda: {"admitted": 4, "latency": {"p99": 2e-3}}, tenant="gold")
+        registry.attach("serve", lambda: {"admitted": 9, "latency": {"p99": 5e-3}}, tenant="bronze")
+        tree = registry.to_json()["serve"]
+        assert tree["admitted{tenant=gold}"] == 4
+        assert tree["latency_p99{tenant=bronze}"] == 5e-3
+        # One TYPE line per metric, its samples adjacent (exposition format).
+        lines = registry.to_prometheus().splitlines()
+        at = lines.index("# TYPE repro_serve_admitted gauge")
+        assert lines[at + 1 : at + 3] == [
+            'repro_serve_admitted{tenant="bronze"} 9.0',
+            'repro_serve_admitted{tenant="gold"} 4.0',
+        ]
+        assert lines.count("# TYPE repro_serve_admitted gauge") == 1
 
-    def test_counter_is_monotonic(self):
-        counter = MetricsRegistry().counter("serve", "requests")
-        with pytest.raises(ValueError):
-            counter.inc(-1)
-
-    def test_histogram_buckets_and_summary(self):
-        hist = MetricsRegistry().histogram("kv", "batch_seconds")
-        for value in (1e-5, 1e-3, 0.1):
-            hist.observe(value)
-        summary = hist.summary()
-        assert summary["count"] == 3
-        assert summary["min"] == 1e-5
-        assert summary["max"] == 0.1
-        assert sum(hist.bucket_counts) == 3
-        with pytest.raises(ValueError):
-            MetricsRegistry().histogram("kv", "bad", bounds=(2.0, 1.0))
-
-    def test_namespace_scopes_the_component(self):
+    def test_what_is_not_a_number_is_skipped(self):
         registry = MetricsRegistry()
-        serve = registry.namespace("serve")
-        serve.counter("requests").inc()
-        assert registry.counter("serve", "requests").value == 1
+        registry.attach("x", lambda: {"name": "mlkv", "none": None, "flag": True, "n": 3})
+        assert registry.to_json() == {"x": {"flag": True, "n": 3}}
+        assert MetricsRegistry().to_json() == {}
+        assert MetricsRegistry().to_prometheus() == ""
+
+    def test_nested_lists_extend_the_index_label(self):
+        registry = MetricsRegistry()
+        registry.attach("kv", lambda: {"lag": [[0, 3], [1, 0]]})
+        tree = registry.to_json()["kv"]
+        assert tree["lag{index=0.1}"] == 3 and tree["lag{index=1.0}"] == 1
+        assert 'repro_kv_lag{index="0.1"} 3.0' in registry.to_prometheus()
 
 
-class TestDisabledMode:
-    def test_disabled_registry_hands_out_shared_noops(self):
-        registry = MetricsRegistry(enabled=False)
-        assert registry.counter("a", "b") is _NOOP_COUNTER
-        assert registry.gauge("a", "b") is _NOOP_GAUGE
-        assert registry.histogram("a", "b") is _NOOP_HISTOGRAM
-        assert DISABLED.counter("x", "y") is _NOOP_COUNTER
+# ----------------------------------------------------------------------
+# the stack's own stats objects, no per-source code
+# ----------------------------------------------------------------------
+class TestRealSources:
+    def test_store_stats_of_a_bare_engine(self, tmp_path):
+        store = faster(tmp_path / "f", SSDModel(SimClock()))
+        load(store)
+        tree = assert_exports_every_number(lambda: store.stats)
+        assert tree["gets"] == 101 and tree["puts"] == 200
+        assert tree["hits"] + tree["misses"] == tree["gets"]
+        store.close()
 
-    def test_noop_handles_absorb_updates_without_state(self):
-        counter = DISABLED.counter("a", "b")
-        counter.inc(10)
-        assert counter.value == 0.0
-        DISABLED.gauge("a", "b").set(5)
-        DISABLED.histogram("a", "c").observe(1.0)
-        assert DISABLED.to_json() == {}
+    def test_store_stats_of_the_router_label_shard_ops_by_index(self, tmp_path):
+        ssd = SSDModel(SimClock())
+        store = ShardedKVStore(lambda shard: faster(tmp_path / f"s{shard}", ssd), 3)
+        load(store)
+        tree = assert_exports_every_number(lambda: store.stats)
+        shard_ops = store.stats.extra["shard_ops"]
+        assert [tree[f"extra_shard_ops{{index={i}}}"] for i in range(3)] == shard_ops
+        store.close()
 
-    def test_disabled_adapters_are_noops(self):
-        DISABLED.absorb_store_stats("kv", StoreStats())
-        DISABLED.absorb_serving_telemetry("serve", ServingTelemetry())
-        DISABLED.absorb_replication_health("kv", {"failovers": 3})
-        assert DISABLED.to_json() == {}
+    def test_store_stats_of_a_replicated_store(self, tmp_path):
+        ssd = SSDModel(SimClock())
+        store = ReplicatedKVStore(
+            lambda shard, replica: faster(tmp_path / f"s{shard}r{replica}", ssd),
+            num_shards=2,
+            replication=2,
+        )
+        keys = load(store)
+        store.fail_replica(0, 1)
+        store.multi_put(keys, [b"v2" * 6] * len(keys))  # hinted for the dead replica
+        store.multi_get(keys)
+        tree = assert_exports_every_number(lambda: store.stats)
+        extra = store.stats.extra
+        assert tree["extra_failovers"] == extra["failovers"]
+        assert tree["extra_replica_lag{index=0.1}"] == extra["replica_lag"][0][1] > 0
+        assert tree["extra_hints_outstanding{index=0.1}"] == extra["hints_outstanding"][0][1] > 0
+        store.close()
+
+    def test_slo_report_with_phases(self, tmp_path):
+        server = make_server(tmp_path / "s", replicated=True)
+        arrivals = LoadGenerator(300, "zipfian", seed=5).open_loop(
+            rate=2e5, count=400, start=server.clock.now
+        )
+        midpoint = server.clock.now + 0.5 * 400 / 2e5
+        chaos = ChaosInjector().kill_replica_at(midpoint, shard=0, replica=0)
+        loop = ServingLoop(server, BatchPolicy(max_batch=32, max_delay=50e-6), chaos=chaos)
+        telemetry = loop.run(arrivals)
+        tree = assert_exports_every_number(lambda: telemetry.slo_report(1e-3, server))
+        assert tree["requests"] == 400
+        assert tree["phases_after:kill:0/0_count"] + tree["phases_steady_count"] == 400
+        assert tree["replication_failovers"] >= 1
+        server.close()
+
+    def test_a_two_tenant_loop_report(self, tmp_path):
+        server = make_server(tmp_path / "s", tenant_count=2)
+        loop = ServingLoop(server, BatchPolicy(max_batch=32, max_delay=50e-6))
+        gen = LoadGenerator(300, "zipfian", seed=5)
+        start = server.clock.now
+        loop.add_tenant(TenantSpec("gold", target_p99=1e-3),
+                        gen.open_loop(rate=1e5, count=300, start=start))
+        loop.add_tenant(TenantSpec("flood", target_p99=1e-2, rate_limit=1e5, burst=16,
+                                   shed_depth=64),
+                        gen.open_loop(rate=2e6, count=900, start=start))
+        loop.run()
+        tree = assert_exports_every_number(lambda: loop.report())
+        report = loop.report()
+        for tenant in ("gold", "flood"):
+            block = report["tenants"][tenant]
+            assert tree[f"tenants_{tenant}_admitted"] == block["admitted"]
+            assert tree[f"tenants_{tenant}_latency_p99"] == block["latency"]["p99"]
+        assert tree["tenants_flood_shed_rate"] > 0
+        server.close()
 
 
+def make_server(directory, tenant_count: int = 1, replicated: bool = False) -> EmbeddingServer:
+    ssd = SSDModel(SimClock())
+    if replicated:
+        store = ReplicatedKVStore(
+            lambda shard, replica: faster(directory / f"s{shard}r{replica}", ssd),
+            num_shards=2,
+            replication=2,
+        )
+    else:
+        store = MLKV(str(directory), ssd=ssd, memory_budget_bytes=1 << 21)
+    tables = EmbeddingTables(store, DIM, seed=3, cache_entries=0)
+    keys = [namespace_key(tenant, key) for tenant in range(tenant_count) for key in range(300)]
+    store.multi_put(keys, [encode_vector(tables.init_vector(key)) for key in keys])
+    store.clock.drain()
+    return EmbeddingServer(store, dim=DIM, seed=3, cache_entries=0)
+
+
+# ----------------------------------------------------------------------
+# export formats
+# ----------------------------------------------------------------------
 class TestExport:
-    def _populated(self) -> MetricsRegistry:
-        registry = MetricsRegistry()
-        registry.counter("serve", "requests").inc(7)
-        registry.gauge("kv", "lag", shard=0).set(2)
-        registry.histogram("kv", "batch_seconds").observe(1e-3)
-        return registry
-
-    def test_json_tree_shape(self):
-        tree = self._populated().to_json()
-        assert tree["serve"]["requests"] == 7
-        assert tree["kv"]["lag{shard=0}"] == 2
-        assert tree["kv"]["batch_seconds"]["count"] == 1
-        json.dumps(tree)  # must be serializable as-is
-
-    def test_prometheus_text_format(self):
-        text = self._populated().to_prometheus()
-        assert "# TYPE repro_serve_requests counter" in text
-        assert "repro_serve_requests 7" in text
-        assert 'repro_kv_lag{shard="0"} 2' in text
-        assert "# TYPE repro_kv_batch_seconds histogram" in text
-        assert "repro_kv_batch_seconds_count 1" in text
-        # Cumulative le buckets: the +Inf bucket equals the count.
-        assert 'le="+Inf"} 1' in text
-
     def test_prometheus_sanitizes_metric_names(self):
         registry = MetricsRegistry()
-        registry.counter("kv.shard-0", "ops").inc()
-        assert "repro_kv_shard_0_ops 1" in registry.to_prometheus()
+        registry.attach("kv.shard-0", lambda: {"after:kill:0/0": {"count": 1}})
+        text = registry.to_prometheus()
+        assert "# TYPE repro_kv_shard_0_after_kill_0_0_count gauge" in text
+        assert "repro_kv_shard_0_after_kill_0_0_count 1.0" in text
 
-
-class TestAdapters:
-    def test_absorb_store_stats(self):
+    def test_prometheus_escapes_free_form_label_values(self):
+        """``TenantSpec.name`` is unvalidated; a quote, a backslash or a
+        line break in it must not break out of the label."""
+        name = 'ads"eu\\1\nx'
         registry = MetricsRegistry()
-        stats = StoreStats()
-        stats.gets, stats.hits, stats.misses = 10, 7, 3
-        stats.extra["shard_ops"] = [4, 6]
-        registry.absorb_store_stats("kv", stats)
-        tree = registry.to_json()["kv"]
-        assert tree["store_gets"] == 10
-        assert tree["store_hit_ratio"] == pytest.approx(0.7)
-        assert tree["shard_ops{shard=1}"] == 6
-
-    def test_absorb_replication_health_via_store_stats(self):
-        registry = MetricsRegistry()
-        stats = StoreStats()
-        stats.extra.update(
-            {
-                "failovers": 2,
-                "catchup_keys": 40,
-                "replica_lag": [[0, 3], [1, 0]],
-                "hints_outstanding": [[0, 5], [0, 0]],
-            }
-        )
-        registry.absorb_store_stats("kv", stats)
-        tree = registry.to_json()["kv"]
-        assert tree["replication_failovers"] == 2
-        assert tree["replication_catchup_keys"] == 40
-        assert tree["replication_max_lag"] == 3
-        assert tree["replication_hints_outstanding"] == 5
-
-    def test_absorb_serving_telemetry(self):
-        registry = MetricsRegistry()
-        telemetry = ServingTelemetry()
-        telemetry.record_requests(np.array([0.0]), 1e-3)
-        telemetry.record_requests(np.array([0.0]), 2e-3)
-        telemetry.record_batch(2, 0)
-        registry.absorb_serving_telemetry("serve", telemetry)
-        tree = registry.to_json()["serve"]
-        assert tree["requests_completed"] == 2
-        assert tree["batches_served"] == 1
-        assert tree["latency_seconds{quantile=p99}"] > 0
-        assert tree["latency_seconds{quantile=max}"] == pytest.approx(2e-3)
-
-    def test_absorb_tenant_report(self):
-        registry = MetricsRegistry()
-        report = {
-            "tenants": {
-                "gold": {
-                    "latency": {"p99": 120e-6},
-                    "slo_attainment": 0.99,
-                    "admitted": 400,
-                    "shed_rate": 0,
-                    "shed_queue": 0,
-                },
-                "bronze": {
-                    "latency": {"p99": 3e-3},
-                    "slo_attainment": 0.7,
-                    "admitted": 900,
-                    "shed_rate": 100,
-                    "shed_queue": 7,
-                },
-            },
-            "hedged_reads": 12,
-            "autoscaler": {"splits_completed": 1, "replicas_added": 2},
-        }
-        registry.absorb_tenant_report("serve", report)
-        tree = registry.to_json()["serve"]
-        assert tree["tenant_p99_seconds{tenant=gold}"] == pytest.approx(120e-6)
-        assert tree["tenant_slo_attainment{tenant=bronze}"] == pytest.approx(0.7)
-        assert tree["tenant_shed_rate{tenant=bronze}"] == 100
-        assert tree["hedged_reads"] == 12
-        assert tree["autoscale_splits_completed"] == 1
-        assert tree["autoscale_replicas_added"] == 2
-
-
-class TestProfiler:
-    def setup_method(self):
-        profile.disable()
-        profile.reset()
-
-    def teardown_method(self):
-        profile.disable()
-        profile.reset()
-
-    def test_disabled_begin_skips_the_clock_entirely(self):
-        assert not profile.is_enabled()
-        token = profile.begin()
-        assert token == 0.0
-        profile.end("phase", token, units=100)
-        assert profile.snapshot() == {}
-
-    def test_enabled_profiler_accumulates_phases(self):
-        profile.enable()
-        for _ in range(3):
-            token = profile.begin()
-            profile.end("codec.encode", token, units=10)
-        snap = profile.snapshot()
-        assert snap["codec.encode"]["calls"] == 3
-        assert snap["codec.encode"]["units"] == 30
-        assert snap["codec.encode"]["seconds"] >= 0.0
-
-    def test_reset_clears_accumulators(self):
-        profile.enable()
-        profile.end("phase", profile.begin(), units=1)
-        assert profile.snapshot()
-        profile.reset()
-        assert profile.snapshot() == {}
-
-    def test_hot_paths_report_through_the_profiler(self):
-        import numpy as np
-
-        from repro.kv.common.serialization import (
-            decode_values,
-            encode_records,
-            encode_values,
-            encode_vectors,
-        )
-
-        profile.enable()
-        rows = encode_vectors(np.ones((8, 4), dtype=np.float32))
-        encode_records(list(range(8)), rows)
-        decode_values(encode_values([bytes(row) for row in rows]), 8)
-        snap = profile.snapshot()
-        assert snap["codec.encode_records"]["units"] == 8
-        assert snap["codec.encode_values"]["units"] == 8
-        assert snap["codec.decode_values"]["units"] == 8
+        registry.attach("serve", lambda: {"admitted": 4, "shard_ops": [1, 2]},
+                        tenant=TenantSpec(name).name)
+        lines = registry.to_prometheus().splitlines()
+        assert 'repro_serve_admitted{tenant="ads\\"eu\\\\1\\nx"} 4.0' in lines
+        assert 'repro_serve_shard_ops{index="1",tenant="ads\\"eu\\\\1\\nx"} 2.0' in lines
+        # Five lines: two TYPE comments and three samples — no stray break.
+        assert len(lines) == 5
+        assert all(line.startswith(("#", "repro_serve_")) for line in lines)

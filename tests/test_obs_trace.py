@@ -1,23 +1,38 @@
-"""Dual-clock tracing (repro.obs.trace): unit contract + golden trace.
+"""Dual-clock tracing (repro.obs.trace): unit contract + golden traces.
 
-The golden test is the PR's acceptance gate: one served request stream
-over a replication-factor-2 store — with a replica killed mid-run —
-must produce a single causally-connected span tree from the serving
-loop (``serve.batch``) through the batcher, the server fetch, the
-replica fan-out, the engine batch read, down to device I/O charges, and
-the export must be valid Chrome ``trace_event`` JSON.
+The golden serving test: one served request stream over a
+replication-factor-2 store — with a replica killed mid-run — must
+produce a single causally-connected span tree from the serving loop
+(``serve.batch``) through the batcher, the server fetch, the replica
+fan-out, the engine batch read, down to device I/O charges, and the
+export must be valid Chrome ``trace_event`` JSON.
+
+Its training twin: a DLRM run over a disk-spilling MLKV with look-ahead
+must produce one tree per step from ``train.step`` through the facade
+(``emb.*``) and the engine (``kv.*``) down to ``device.io``, whose
+ledger says where the step went on both clocks — and installing the
+tracer must change nothing the run computes.
 """
 
 from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
-from repro.device import SimClock, SSDModel
 from repro.core.embedding import EmbeddingTables
+from repro.core.mlkv import MLKV
+from repro.data import CTRDataset
+from repro.device import GPUModel, SimClock, SSDModel
 from repro.kv import ReplicatedKVStore
-from repro.kv.common.serialization import encode_vector
+from repro.kv.common.serialization import (
+    decode_values,
+    encode_records,
+    encode_values,
+    encode_vector,
+    encode_vectors,
+)
 from repro.kv.faster import FasterKV
 from repro.obs.trace import (
     Tracer,
@@ -25,10 +40,12 @@ from repro.obs.trace import (
     active_tracer,
     install_tracer,
     instant,
+    ledger,
     main,
     span,
     uninstall_tracer,
 )
+from repro.models import FFNN
 from repro.serve import (
     BatchPolicy,
     ChaosInjector,
@@ -36,6 +53,7 @@ from repro.serve import (
     LoadGenerator,
     ServingLoop,
 )
+from repro.train import DLRMTrainer, TrainerConfig
 
 
 @pytest.fixture(autouse=True)
@@ -160,6 +178,41 @@ class TestTracerContract:
         assert "wall_us" in complete["args"]
         assert "sim_us" in complete["args"]
 
+    def test_ledger_sums_calls_keys_and_self_time_on_both_clocks(self):
+        clock = _FakeClock()
+        tracer = install_tracer(clock=clock)
+        for _ in range(2):
+            with span("emb.get", keys=10):
+                clock.now += 1e-3  # the facade's own millisecond
+                with span("kv.multi_get", keys=7):
+                    clock.now += 3e-3
+                with span("idle"):
+                    pass
+        rows = tracer.ledger()
+        assert set(rows) == {"emb.get", "kv.multi_get", "idle"}
+        outer, inner = rows["emb.get"], rows["kv.multi_get"]
+        assert (outer["calls"], outer["keys"]) == (2, 20)
+        assert (inner["calls"], inner["keys"]) == (2, 14)
+        assert outer["sim_seconds"] == pytest.approx(8e-3)
+        assert outer["sim_self_seconds"] == pytest.approx(2e-3)
+        assert inner["sim_seconds"] == inner["sim_self_seconds"] == pytest.approx(6e-3)
+        # Wall time nests the same way: self = total - direct children.
+        assert outer["wall_self_seconds"] == pytest.approx(
+            outer["wall_seconds"] - inner["wall_seconds"] - rows["idle"]["wall_seconds"]
+        )
+        assert rows["idle"]["keys"] == 0
+        # A tracer that recorded nothing has an empty ledger.
+        assert Tracer().ledger() == {}
+
+    def test_codec_spans_carry_their_unit_counts(self):
+        tracer = install_tracer()
+        rows = encode_vectors(np.ones((8, 4), dtype=np.float32))
+        encode_records(list(range(8)), rows)
+        decode_values(encode_values(rows), 8)
+        rows = tracer.ledger()
+        for name in ("codec.encode_records", "codec.encode_values", "codec.decode_values"):
+            assert (rows[name]["calls"], rows[name]["keys"]) == (1, 8), name
+
     def test_view_cli_summarizes_a_dump(self, tmp_path, capsys):
         clock = _FakeClock()
         install_tracer(clock=clock)
@@ -172,6 +225,7 @@ class TestTracerContract:
         assert main(["view", str(path)]) == 0
         out = capsys.readouterr().out
         assert "serve.batch" in out and "kv.multi_get" in out
+        assert "sim_self_ms" in out and "wall_self_ms" in out
         assert "critical path" in out
 
 
@@ -337,3 +391,125 @@ class TestGoldenServingTrace:
             assert "span_id" in event["args"]
         # The CLI digests the same file.
         assert main(["view", str(path)]) == 0
+
+
+# ----------------------------------------------------------------------
+# the golden training trace: train.step -> emb.* -> kv.* -> device.io
+# ----------------------------------------------------------------------
+_STEPS = 24
+_BATCH = 32
+
+
+def _train(directory, traced: bool):
+    """A small DLRM run whose table does not fit the log buffer; returns
+    the result, what it left in the counters, and the tracer (or None)."""
+    clock = SimClock()
+    ssd = SSDModel(clock)
+    store = MLKV(
+        str(directory), staleness_bound=4, ssd=ssd,
+        memory_budget_bytes=1 << 13, page_bytes=1 << 12,
+    )
+    tables = EmbeddingTables(store, _DIM, seed=_SEED, cache_entries=0)
+    dataset = CTRDataset(num_fields=4, field_cardinality=300, seed=3)
+    network = FFNN(
+        num_dense=dataset.num_dense, num_fields=4, emb_dim=_DIM, hidden=(16,),
+        rng=np.random.default_rng(0),
+    )
+    config = TrainerConfig(batch_size=_BATCH, pipeline_depth=1, lookahead_distance=2)
+    trainer = DLRMTrainer(tables, network, GPUModel(clock), config, dataset)
+    tracer = install_tracer(clock=clock) if traced else None
+    result = trainer.run(dataset.batches(_STEPS, _BATCH))
+    uninstall_tracer()
+    counters = (store.stats, store.mlkv_stats, ssd.stats())
+    store.close()
+    return result, counters, tracer
+
+
+class TestGoldenTrainingTrace:
+    def test_each_step_is_one_tree_from_the_loop_to_the_device(self, tmp_path):
+        result, _, tracer = _train(tmp_path / "mlkv", traced=True)
+        by_id = {record.span_id: record for record in tracer.spans}
+
+        def lineage(record):
+            chain = []
+            while record is not None:
+                chain.append(record.name)
+                record = by_id.get(record.parent_id)
+            return chain
+
+        for record in tracer.spans:
+            if record.parent_id is not None:
+                assert record.parent_id in by_id  # connected, no orphans
+
+        # Roots are training steps and nothing else — up to the last
+        # step.  What `run` does after it is not a step: the pending
+        # update it flushes and its closing evaluation (a committed read,
+        # off the training clock) are the only other roots.
+        roots = [record for record in tracer.spans if record.parent_id is None]
+        steps = [record for record in roots if record.name == "train.step"]
+        assert len(steps) == _STEPS
+        last_step = max(record.span_id for record in steps)
+        assert {record.name for record in roots if record.span_id <= last_step} == {"train.step"}
+        tail = sorted((r for r in roots if r.span_id > last_step), key=lambda r: r.span_id)
+        assert [record.name for record in tail] == ["emb.put", "kv.multi_get"]
+        first_tail = tail[0].span_id
+
+        # Every device charge of a step walks up through the facade to
+        # the step; one a Get or a Put made, through the engine's batch
+        # span too (look-ahead staging charges the device directly).
+        chains = [
+            lineage(record) for record in tracer.spans
+            if record.name == "device.io" and record.span_id < first_tail
+        ]
+        assert chains
+        for chain in chains:
+            assert chain[-1] == "train.step" and chain[-2].startswith("emb."), chain
+            if chain[-2] != "emb.lookahead":
+                assert chain[1] in ("kv.multi_get", "kv.multi_put"), chain
+        seen = {tuple(chain[1:]) for chain in chains}
+        assert ("kv.multi_get", "emb.get", "train.step") in seen
+        assert ("kv.multi_put", "emb.put", "train.step") in seen
+        assert ("emb.lookahead", "train.step") in seen
+
+        # Children nest inside their parents on the simulated timeline.
+        for record in tracer.spans:
+            parent = by_id.get(record.parent_id)
+            if parent is not None:
+                assert parent.sim_start <= record.sim_start
+                assert record.sim_end <= parent.sim_end
+
+        # The ledger says where the step went: named children cover it.
+        rows = tracer.ledger()
+        step = rows["train.step"]
+        assert step["calls"] == _STEPS
+        assert 1.0 - step["wall_self_seconds"] / step["wall_seconds"] >= 0.95
+        for name in ("emb.lookahead", "emb.get", "nn.fwd_bwd", "nn.dense_opt",
+                     "nn.row_opt", "emb.put"):
+            assert rows[name]["calls"] >= _STEPS - 2, name
+        # On the simulated clock the spans agree with the trainer's own
+        # accounting (to rounding: the result adds forward and backward
+        # separately, the span takes one difference).
+        assert rows["nn.fwd_bwd"]["sim_seconds"] == pytest.approx(
+            result.forward_seconds + result.backward_seconds, rel=1e-12
+        )
+        assert rows["kv.multi_get"]["keys"] >= rows["emb.get"]["keys"]
+
+    def test_view_reads_the_same_ledger_from_the_dump(self, tmp_path, capsys):
+        _, _, tracer = _train(tmp_path / "mlkv", traced=True)
+        path = tmp_path / "train_trace.json"
+        tracer.dump(str(path))
+        events = json.loads(path.read_text())["traceEvents"]
+        assert ledger(events) == tracer.ledger()
+        assert main(["view", str(path)]) == 0
+        out = capsys.readouterr().out
+        for name in ("train.step", "emb.get", "nn.fwd_bwd", "kv.multi_put", "device.io"):
+            assert name in out
+
+    def test_tracing_changes_nothing_the_run_computes(self, tmp_path):
+        plain, plain_counters, _ = _train(tmp_path / "plain", traced=False)
+        traced, traced_counters, _ = _train(tmp_path / "traced", traced=True)
+        assert traced.losses == plain.losses
+        assert traced.sim_seconds == plain.sim_seconds
+        assert traced.final_metric == plain.final_metric
+        assert traced_counters == plain_counters
+        assert plain_counters[2]["reads"] > 0  # the run did reach the disk

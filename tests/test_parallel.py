@@ -17,8 +17,10 @@ from repro.core.mlkv import MLKV
 from repro.device import SimClock, SSDModel
 from repro.errors import ConfigError, StorageError
 from repro.kv import ParallelShardStore, ShardedKVStore, create_sharded_store
+from repro.kv.faster import FasterKV
 from repro.kv.parallel import fork_available
 from repro.kv.sharded import _MANIFEST, partition_positions, shard_hash
+from repro.obs.trace import active_tracer, install_tracer, uninstall_tracer
 
 pytestmark = pytest.mark.skipif(
     not fork_available(), reason="fork start method unavailable"
@@ -37,6 +39,12 @@ def make_factory(base):
         )
 
     return factory
+
+
+def _traced_spans(store):
+    """Runs in a worker: spans held by its process-wide tracer, if any."""
+    tracer = active_tracer()
+    return None if tracer is None else len(tracer.spans)
 
 
 def _double(keys, values):
@@ -362,3 +370,49 @@ class TestCreateShardedStore:
         store.multi_put([1, 2], [b"a", b"b"])
         assert store.multi_get([1, 2]) == [b"a", b"b"]
         store.close()
+
+
+# ----------------------------------------------------------------------
+# tracing across the fork
+# ----------------------------------------------------------------------
+class TestTracedFanOut:
+    def test_workers_drop_the_tracer_they_were_forked_with(self, tmp_path):
+        """A worker forked while a tracer is installed must not keep
+        recording into its copy: no one can read it, and it grows for
+        the life of the worker.  The parent's trace keeps the fan-out."""
+        tracer = install_tracer()
+        store = ParallelShardStore(
+            lambda index: FasterKV(
+                str(tmp_path / f"shard{index}"), ssd=SSDModel(SimClock())
+            ),
+            4,
+            processes=2,
+        )
+        try:
+            keys = list(range(512))
+            store.multi_put(keys, [bytes([key % 251]) * 16 for key in keys])
+            for _ in range(50):
+                store.multi_get(keys)
+            assert [shard.call(_traced_spans) for shard in store.shards] == [None] * 4
+        finally:
+            store.close()
+            uninstall_tracer()
+        by_id = {record.span_id: record for record in tracer.spans}
+        fanouts = [r for r in tracer.spans if r.name == "kv.parallel_fanout"]
+        assert len(fanouts) == 51
+        for fanout in fanouts:
+            assert fanout.args["keys"] == 512
+            children = [
+                r.name for r in tracer.spans if r.parent_id == fanout.span_id
+            ]
+            assert children == ["parallel.dispatch", "parallel.collect"]
+        # The codec phases hang below the side of the pipe they run on.
+        parents = {
+            name: {by_id[r.parent_id].name for r in tracer.spans if r.name == name}
+            for name in ("codec.encode_records", "codec.decode_values")
+        }
+        assert parents == {
+            "codec.encode_records": {"parallel.dispatch"},
+            "codec.decode_values": {"parallel.collect"},
+        }
+        assert "codec.encode_values" not in {r.name for r in tracer.spans}  # worker side
