@@ -180,6 +180,8 @@ _CONTRACT: dict[str, list[str]] = {
     "put_rows": ["keys", "rows"],
     "snapshot_read_many": ["keys"],
     "multi_rmw": ["keys", "update"],
+    "lookahead": ["keys"],
+    "set_stall_handler": ["handler"],
     "freeze": [],
     "checkpoint": [],
     "restore": ["directory"],

@@ -171,17 +171,17 @@ class Sanitizer:
                 sanitizer.trace.record(
                     "group.pick_reader",
                     f"{_tag(self)} bound={bound} -> replica {choice} "
-                    f"(lag {self.clock.lag(choice)})",
+                    f"(lag {self.versions.lag(choice)})",
                 )
                 if not self.alive[choice]:
                     sanitizer._fail(
                         f"{_tag(self)}.pick_reader routed a read to dead "
                         f"replica {choice}"
                     )
-                if self.clock.lag(choice) > bound:
+                if self.versions.lag(choice) > bound:
                     sanitizer._fail(
                         f"{_tag(self)}.pick_reader admitted replica {choice} "
-                        f"with lag {self.clock.lag(choice)} beyond the "
+                        f"with lag {self.versions.lag(choice)} beyond the "
                         f"divergence bound {bound}"
                     )
                 return choice
@@ -214,7 +214,7 @@ class Sanitizer:
                 sanitizer.trace.record(
                     "group.complete_peer",
                     f"{_tag(self)} exclude={exclude} -> donor {donor} "
-                    f"(lag {self.clock.lag(donor)})",
+                    f"(lag {self.versions.lag(donor)})",
                 )
                 if donor == exclude:
                     sanitizer._fail(
@@ -226,10 +226,10 @@ class Sanitizer:
                         f"{_tag(self)}._complete_peer chose dead replica "
                         f"{donor} as a donor"
                     )
-                if self.clock.lag(donor) != 0:
+                if self.versions.lag(donor) != 0:
                     sanitizer._fail(
                         f"{_tag(self)}._complete_peer chose replica {donor} "
-                        f"with lag {self.clock.lag(donor)} as a donor; only "
+                        f"with lag {self.versions.lag(donor)} as a donor; only "
                         "a lag-0 peer holds every acknowledged write"
                     )
                 return donor
@@ -239,23 +239,23 @@ class Sanitizer:
             def make(original: Callable) -> Callable:
                 def checked(self: Any, *args: Any, **kwargs: Any) -> Any:
                     count = count_of(*args, **kwargs)
-                    pre_version = self.clock.version
-                    pre_applied = list(self.clock.applied)
+                    pre_version = self.versions.version
+                    pre_applied = list(self.versions.applied)
                     pre_alive = list(self.alive)
                     result = original(self, *args, **kwargs)
                     sanitizer.trace.record(
                         f"group.{op}",
                         f"{_tag(self)} count={count} "
-                        f"version {pre_version}->{self.clock.version}",
+                        f"version {pre_version}->{self.versions.version}",
                     )
-                    if self.clock.version != pre_version + count:
+                    if self.versions.version != pre_version + count:
                         sanitizer._fail(
                             f"{_tag(self)}.{op} acknowledged {count} writes "
                             f"but the group version moved {pre_version} -> "
-                            f"{self.clock.version}"
+                            f"{self.versions.version}"
                         )
                     for index, was in enumerate(pre_applied):
-                        now = self.clock.applied[index]
+                        now = self.versions.applied[index]
                         if pre_alive[index] and now != was + count:
                             sanitizer._fail(
                                 f"{_tag(self)}.{op}: live replica {index} "

@@ -26,14 +26,13 @@ truth.
 from __future__ import annotations
 
 import hashlib
-import importlib
-import json
 import os
 import shutil
 from typing import Optional
 
-from repro.errors import CheckpointError
-from repro.kv.api import KVStore, walk_image_files
+from repro.errors import CheckpointError, checkpoint_fields
+from repro.errors import load_checkpoint_json, write_checkpoint_json
+from repro.kv.api import KVStore, store_class
 
 
 def _sha256_file(path: str) -> tuple[str, int]:
@@ -51,13 +50,12 @@ def _sha256_file(path: str) -> tuple[str, int]:
 
 
 class CloudCheckpointer:
-    """Incremental checkpoint uploads (and restores) for any KVStore.
+    """Incremental checkpoint uploads (and restores) for any durable store.
 
-    Works over every engine implementing the
+    Works over every store implementing the
     :class:`~repro.kv.api.CheckpointManager` contract — FASTER, MLKV,
-    LSM, B+tree and coordinated :class:`~repro.kv.sharded.ShardedKVStore`
-    images alike; plain stores exposing only ``checkpoint()`` +
-    ``directory`` are served through the same duck-typed fallback.
+    LSM, B+tree, replica groups and coordinated
+    :class:`~repro.kv.sharded.ShardedKVStore` images alike.
 
     Parameters
     ----------
@@ -119,11 +117,11 @@ class CloudCheckpointer:
         cost nothing beyond the digest.
         """
         self.store.checkpoint()
-        root = self._checkpoint_root()
+        root = self.store.checkpoint_root()
         uploaded_bytes = 0
         uploaded_objects = 0
         files: dict[str, dict] = {}
-        for rel in self._checkpoint_files():
+        for rel in self.store.checkpoint_files():
             digest, size = _sha256_file(os.path.join(root, rel))
             files[rel] = {"sha256": digest, "bytes": size}
             if os.path.exists(os.path.join(self._objects_dir, digest)):
@@ -146,11 +144,8 @@ class CloudCheckpointer:
                           f"{type(self.store).__qualname__}",
         }
         manifest_path = self._manifest_path(epoch)
-        tmp = manifest_path + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(manifest, f)
-        os.replace(tmp, manifest_path)
-        clock = getattr(self.store, "clock", None)
+        write_checkpoint_json(manifest_path, manifest)
+        clock = self.store.clock
         if clock is not None:
             # Uploads overlap training; only device busy time is recorded.
             # The manifest counts as one more (tiny) object.
@@ -227,7 +222,7 @@ class CloudCheckpointer:
             os.makedirs(os.path.dirname(target) or directory, exist_ok=True)
             shutil.copy2(source, target)
             downloaded_bytes += entry["bytes"]
-        clock = getattr(self.store, "clock", None)
+        clock = None if self.store is None else self.store.clock
         if clock is not None:
             # Restore is downtime: the download blocks recovery.
             clock.advance(
@@ -262,44 +257,35 @@ class CloudCheckpointer:
         manifest = self._require_manifest(epoch)
         self.restore_to(directory, epoch=manifest["epoch"], overwrite=overwrite)
         if store_cls is None:
-            module_name, _, class_name = manifest["store_type"].rpartition(".")
-            store_cls = getattr(importlib.import_module(module_name), class_name)
+            store_cls = store_class(manifest["store_type"])
         store = store_cls.restore(directory, **kwargs)
         if read_only:
             store.freeze()
         return store
 
     # ------------------------------------------------------------------
-    def _checkpoint_root(self) -> str:
-        root_fn = getattr(self.store, "checkpoint_root", None)
-        if root_fn is not None:
-            return root_fn()
-        root = getattr(self.store, "directory", None)
-        if root is None:
-            raise CheckpointError(
-                f"{type(self.store).__name__} exposes no checkpoint directory"
-            )
-        return root
-
-    def _checkpoint_files(self) -> list[str]:
-        files_fn = getattr(self.store, "checkpoint_files", None)
-        if files_fn is not None:
-            return files_fn()
-        # Duck-typed fallback: the same walk as the CheckpointManager
-        # default, so nested files are never silently left out.
-        return walk_image_files(self._checkpoint_root())
-
     def _manifest_path(self, epoch: int) -> str:
         return os.path.join(self._manifests_dir, f"epoch_{epoch:06d}.json")
 
     def _load_manifest(self, epoch: Optional[int]) -> Optional[dict]:
+        """Epoch ``epoch``'s manifest, ``None`` when it was never committed;
+        a torn or malformed one is a :class:`CheckpointError`."""
         if epoch is None:
             return None
         path = self._manifest_path(epoch)
         if not os.path.exists(path):
             return None
-        with open(path) as f:
-            return json.load(f)
+        manifest = load_checkpoint_json(path)
+        with checkpoint_fields(path):
+            return {
+                "epoch": int(manifest["epoch"]),
+                "files": {
+                    rel: {"sha256": str(entry["sha256"]), "bytes": int(entry["bytes"])}
+                    for rel, entry in manifest["files"].items()
+                },
+                "deleted": list(manifest["deleted"]),
+                "store_type": str(manifest["store_type"]),
+            }
 
     def _require_manifest(self, epoch: Optional[int]) -> dict:
         manifest = self._load_manifest(

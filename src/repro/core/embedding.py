@@ -13,6 +13,7 @@ cache entry.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Optional
 
 import numpy as np
@@ -32,14 +33,6 @@ PREFETCH_WORKERS = 4
 def _ascending(keys: np.ndarray) -> bool:
     """1-D and strictly increasing, as trainers pass them: ``np.unique`` would change nothing."""
     return keys.ndim == 1 and bool((keys[1:] > keys[:-1]).all())
-
-
-class _NullScope:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        return None
 
 
 class EmbeddingTables:
@@ -200,13 +193,10 @@ class EmbeddingTables:
         with obs_span("emb.lookahead", dest=dest, keys=keys.size):
             keys = keys if _ascending(keys) else np.unique(keys)
             if dest == "buffer":
-                engine = getattr(self.store, "lookahead", None)
-                if engine is None:
-                    return 0  # plain KV stores have no in-store prefetch path
-                return engine(keys.tolist())
+                return self.store.lookahead(keys.tolist())
             if dest == "cache":
                 moved = 0
-                ssd = getattr(self.store, "ssd", None)
+                ssd = self.store.ssd
                 # Conventional prefetching goes through the synchronous Get
                 # API on a few framework worker threads — limited overlap.
                 # Deliberately per-key (not multi_get): each worker issues an
@@ -215,7 +205,7 @@ class EmbeddingTables:
                 scope = (
                     ssd.background(parallelism=PREFETCH_WORKERS)
                     if ssd is not None
-                    else _NullScope()
+                    else nullcontext()
                 )
                 with scope:
                     for i, key in enumerate(keys):

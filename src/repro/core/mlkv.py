@@ -40,7 +40,6 @@ case and the reference the batched paths are tested against.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from itertools import repeat
@@ -48,7 +47,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from repro.errors import StalenessViolation, StorageError, checkpoint_fields, load_checkpoint_json
+from repro.errors import StalenessViolation, StorageError, checkpoint_fields
+from repro.errors import load_checkpoint_json, write_checkpoint_json
 from repro.kv.api import piece_values
 from repro.kv.faster.record import (
     MAX_STALENESS,
@@ -188,14 +188,13 @@ class MLKV(FasterKV):
         """Admission loop of one bounded-staleness Get (CPU pre-charged)."""
         rounds = 0
         while True:
-            with self.epochs.guard():
-                address = self.index.find(key)
-                if address is None:
-                    self._stats.misses += 1
-                    return None
-                if not self.log.in_memory(address):
-                    return self._get_from_disk(key, address)
-                admitted, value = self._try_get_in_memory(key, address)
+            address = self.index.find(key)
+            if address is None:
+                self._stats.misses += 1
+                return None
+            if not self.log.in_memory(address):
+                return self._get_from_disk(key, address)
+            admitted, value = self._try_get_in_memory(key, address)
             if admitted:
                 return value
             rounds += 1
@@ -262,11 +261,10 @@ class MLKV(FasterKV):
         self._check_writable()
         self._charge_clock_overhead()
         self._stats.puts += 1
-        with self.epochs.guard():
-            self._put_bounded(key, value)
+        self._put_bounded(key, value)
 
     def _put_bounded(self, key: int, value: bytes) -> None:
-        """One bounded-staleness Put (CPU pre-charged, epoch held)."""
+        """One bounded-staleness Put (CPU pre-charged)."""
         address = self.index.find(key)
         if address is not None and self.log.in_memory(address):
             self._put_in_memory(key, address, value)
@@ -345,8 +343,8 @@ class MLKV(FasterKV):
         amortizes: one batch CPU charge instead of a full op charge per
         key.  The word CAS work itself cannot be amortized and stays a
         per-key clock charge.  Keys that stall run the stall handler
-        exactly as a looped Get would, at their turn and outside the
-        epoch, so batched and looped reads admit identically.
+        exactly as a looped Get would, at their turn, so batched and
+        looped reads admit identically.
         """
         if not self.bounded_staleness:
             return super()._get_many(keys)
@@ -393,31 +391,30 @@ class MLKV(FasterKV):
         start = 0
         while start < count:
             # Classify keys[start:]; positions below are relative to start.
-            with self.epochs.guard():
-                addresses, rows, resident, read, offsets, words = self._read_plain(
-                    key_array[start:], fetched
-                )
-                staleness = word_staleness(words)
-                resident &= (word_flags(words) == 0) & (staleness <= limit)
-                cold = np.flatnonzero(read)
+            addresses, rows, resident, read, offsets, words = self._read_plain(
+                key_array[start:], fetched
+            )
+            staleness = word_staleness(words)
+            resident &= (word_flags(words) == 0) & (staleness <= limit)
+            cold = np.flatnonzero(read)
+            cold_keys = key_array[start:][cold].tolist()
+            cold_staleness = _counts(map(overflow.get, cold_keys, repeat(0)), len(cold_keys))
+            admitted = cold_staleness <= min(self.staleness_bound, ASP_BOUND)
+            if not admitted.all():
+                cold, cold_staleness = cold[admitted], cold_staleness[admitted]
                 cold_keys = key_array[start:][cold].tolist()
-                cold_staleness = _counts(map(overflow.get, cold_keys, repeat(0)), len(cold_keys))
-                admitted = cold_staleness <= min(self.staleness_bound, ASP_BOUND)
-                if not admitted.all():
-                    cold, cold_staleness = cold[admitted], cold_staleness[admitted]
-                    cold_keys = key_array[start:][cold].tolist()
-                plain = resident.copy()
-                plain[cold] = True
-                others = np.flatnonzero(~plain).tolist()
-                if len(others) > fallbacks_left:
-                    return start
-                batch = _GetBatch(
-                    rows, np.flatnonzero(resident), offsets,
-                    released_words(words, staleness + np.uint64(1)),
-                    cold, cold_keys, (cold_staleness + 1).tolist(),
-                )
-                others.append(count - start)  # each run ends at the next of these
-                self._admit_run(batch, 0, others[0], pieces)
+            plain = resident.copy()
+            plain[cold] = True
+            others = np.flatnonzero(~plain).tolist()
+            if len(others) > fallbacks_left:
+                return start
+            batch = _GetBatch(
+                rows, np.flatnonzero(resident), offsets,
+                released_words(words, staleness + np.uint64(1)),
+                cold, cold_keys, (cold_staleness + 1).tolist(),
+            )
+            others.append(count - start)  # each run ends at the next of these
+            self._admit_run(batch, 0, others[0], pieces)
             served = others[0]
             for position, run_end in zip(others, others[1:]):
                 fallbacks_left -= 1
@@ -427,8 +424,7 @@ class MLKV(FasterKV):
                 served = position + 1
                 if stats.stall_events + stats.cas_retries != handler_runs:
                     break
-                with self.epochs.guard():
-                    self._admit_run(batch, position + 1, run_end, pieces)
+                self._admit_run(batch, position + 1, run_end, pieces)
                 served = run_end
             fetched = addresses[served:], rows[served:], read[served:]
             start += served
@@ -458,7 +454,7 @@ class MLKV(FasterKV):
         pieces.append(batch.rows[first:stop])
 
     def _put_many(self, keys, values) -> None:
-        """Batched Put: one epoch/CPU acquisition, per-key clock updates.
+        """Batched Put: one CPU charge per batch, per-key clock updates.
 
         Keys whose records can be updated in place have value and latch
         word written as arrays, and the new copies of keys that need one —
@@ -475,11 +471,10 @@ class MLKV(FasterKV):
             if CLOCK_OVERHEAD_SECONDS and len(keys):
                 self.clock.advance(CLOCK_OVERHEAD_SECONDS * len(keys), component="cpu")
             self._stats.puts += len(keys)
-            with self.epochs.guard():
-                self._put_batch(
-                    keys, values,
-                    PutProtocol(self._put_bounded, _settled_words, self._settled_fresh_words),
-                )
+            self._put_batch(
+                keys, values,
+                PutProtocol(self._put_bounded, _settled_words, self._settled_fresh_words),
+            )
 
     def _settled_fresh_words(self, keys: list) -> np.ndarray:
         """The disk branch of :meth:`_put_bounded` for a run of keys: each
@@ -542,30 +537,29 @@ class MLKV(FasterKV):
         """
         keys = self._normalize_keys(keys)
         self.mlkv_stats.lookahead_requests += len(keys)
-        with self.epochs.guard():
-            key_array = self._key_array(keys)
-            if key_array is not None:
-                addresses = self.index.find_many(key_array)
-            else:
-                found = map(self.index.find, keys)
-                addresses = np.array(
-                    [-1 if address is None else address for address in found], dtype=np.int64
-                )
-            self.mlkv_stats.lookahead_skipped_memory += int(
-                np.count_nonzero(addresses >= self.log.head_address)
+        key_array = self._key_array(keys)
+        if key_array is not None:
+            addresses = self.index.find_many(key_array)
+        else:
+            found = map(self.index.find, keys)
+            addresses = np.array(
+                [-1 if address is None else address for address in found], dtype=np.int64
             )
-            on_disk = np.flatnonzero((addresses >= 0) & (addresses < self.log.head_address))
-            on_disk = on_disk[np.argsort(addresses[on_disk], kind="stable")]
-            addresses = addresses[on_disk]
-            # One page-granular sequential scan covers the whole batch.
-            self.log.charge_prefetch_pages(addresses)
-            if key_array is not None and len(on_disk) and not self._has_duplicates(key_array):
-                copied = self._stage_runs(key_array[on_disk], addresses)
-            else:
-                copied = sum(
-                    self._stage_one(keys[position], address)
-                    for position, address in zip(on_disk.tolist(), addresses.tolist())
-                )
+        self.mlkv_stats.lookahead_skipped_memory += int(
+            np.count_nonzero(addresses >= self.log.head_address)
+        )
+        on_disk = np.flatnonzero((addresses >= 0) & (addresses < self.log.head_address))
+        on_disk = on_disk[np.argsort(addresses[on_disk], kind="stable")]
+        addresses = addresses[on_disk]
+        # One page-granular sequential scan covers the whole batch.
+        self.log.charge_prefetch_pages(addresses)
+        if key_array is not None and len(on_disk) and not self._has_duplicates(key_array):
+            copied = self._stage_runs(key_array[on_disk], addresses)
+        else:
+            copied = sum(
+                self._stage_one(keys[position], address)
+                for position, address in zip(on_disk.tolist(), addresses.tolist())
+            )
         self.mlkv_stats.lookahead_copied += copied
         return copied
 
@@ -627,18 +621,11 @@ class MLKV(FasterKV):
         killed run had.
         """
         super().checkpoint()
-        path = os.path.join(self.directory, _STALENESS_FILE)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(
-                {"staleness_bound": self.staleness_bound,
-                 "overflow": {
-                     str(key): value
-                     for key, value in self._overflow_staleness.items()
-                 }},
-                f,
-            )
-        os.replace(tmp, path)
+        overflow = {str(key): value for key, value in self._overflow_staleness.items()}
+        write_checkpoint_json(
+            os.path.join(self.directory, _STALENESS_FILE),
+            {"staleness_bound": self.staleness_bound, "overflow": overflow},
+        )
 
     @classmethod
     def restore(cls, directory: str, **kwargs) -> "MLKV":

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from contextlib import contextmanager
 from typing import Iterator
 
@@ -32,8 +33,9 @@ class CheckpointError(StorageError):
 
 
 def load_checkpoint_json(path: str) -> dict:
-    """A JSON checkpoint file (engine sidecar, router manifest) as a ``dict``;
-    torn — cut short, not an object — it is a :class:`CheckpointError`."""
+    """A JSON checkpoint file (engine sidecar or meta, router or epoch
+    manifest) as a ``dict``; torn — cut short, not an object — it is a
+    :class:`CheckpointError`."""
     try:
         with open(path) as f:
             loaded = json.load(f)
@@ -42,6 +44,16 @@ def load_checkpoint_json(path: str) -> dict:
     if not isinstance(loaded, dict):
         raise CheckpointError(f"checkpoint file {path} is not a JSON object")
     return loaded
+
+
+def write_checkpoint_json(path: str, obj: dict) -> None:
+    """Write ``obj`` as the JSON file :func:`load_checkpoint_json` reads,
+    through a temporary file and ``os.replace``: a crash leaves the old file
+    or the new one, never a torn one."""
+    tmp = path + ".tmp"
+    with open(tmp, "w") as f:
+        json.dump(obj, f)
+    os.replace(tmp, path)
 
 
 @contextmanager

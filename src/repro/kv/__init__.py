@@ -16,8 +16,8 @@ router, :class:`~repro.kv.sharded.ShardedKVStore` — slot-table hash
 partitioning, one batched sub-call per shard, live
 ``split_shard``/``migrate_shard`` rescaling (copy-then-cutover under
 load), coordinated checkpoints — and every engine overrides
-``multi_get``/``multi_put`` with genuinely batched hot paths (one epoch
-acquisition, WAL group commits, single leaf walks).  The router's
+``multi_get``/``multi_put`` with genuinely batched hot paths (one index
+probe of the whole batch, WAL group commits, single leaf walks).  The router's
 children are plain :class:`~repro.kv.api.KVStore` objects, so the other
 two stores are the same router with a different kind of child:
 :mod:`repro.kv.replicated` makes each shard an N-way

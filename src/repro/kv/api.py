@@ -9,23 +9,35 @@ verbs are *defined* as the list verbs over ``keys.tolist()`` and
 which is their default implementation; an override only skips the per-row
 ``bytes``.  The embedding layer above frames its vectors as such matrices
 with :mod:`repro.kv.common.serialization`.
+
+Everything a caller may ask a store about is declared on :class:`KVStore`
+with the answer of a store that lacks the capability — no device model or
+clock, no staleness bound, no directory, a stall handler ignored, a
+look-ahead that stages nothing — so callers read attributes instead of
+probing for them, and a composite store (router, replica group, worker
+proxy) computes the same answers from its children.
 """
 
 from __future__ import annotations
 
+import importlib
 import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from types import TracebackType
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
 from repro.errors import CheckpointError, StorageError
 
+if TYPE_CHECKING:
+    from repro.device.clock import SimClock
+    from repro.device.ssd import SSDModel
+
 #: Fraction of the per-operation CPU cost charged for each key inside a
 #: batched operation.  The remainder of a full op cost is paid once per
-#: batch: epoch/latch acquisition, index setup and call dispatch amortize
+#: batch: latch acquisition, index setup and call dispatch amortize
 #: across the batch, while per-key probe work does not.
 BATCH_CPU_FRACTION = 0.4
 
@@ -93,21 +105,19 @@ def fill_rows(keys: np.ndarray, out: np.ndarray, pieces: list) -> np.ndarray:
     return found
 
 
-def walk_image_files(root: str) -> list[str]:
-    """Relative paths of every durable file under ``root``, sorted.
-
-    The single definition of what belongs to a checkpoint image:
-    everything except in-flight temporaries (``*.tmp``).  Shared by
-    :meth:`CheckpointManager.checkpoint_files` and the uploader's
-    duck-typed fallback so the two can never disagree.
-    """
-    found: list[str] = []
-    for dirpath, _, filenames in os.walk(root):
-        for name in filenames:
-            if name.endswith(".tmp"):
-                continue
-            found.append(os.path.relpath(os.path.join(dirpath, name), root))
-    return sorted(found)
+def store_class(dotted: str) -> type["KVStore"]:
+    """The :class:`KVStore` class a checkpoint manifest names by its dotted
+    path, to call ``restore`` on.  A name that does not import, or names
+    anything but a :class:`KVStore` subclass, is a :class:`CheckpointError`
+    — nothing beyond the named module is imported, nothing is opened."""
+    module_name, _, class_name = dotted.rpartition(".")
+    try:
+        found = getattr(importlib.import_module(module_name), class_name)
+    except (ImportError, AttributeError, ValueError) as exc:
+        raise CheckpointError(f"manifest names unknown store type {dotted!r}") from exc
+    if not (isinstance(found, type) and issubclass(found, KVStore)):
+        raise CheckpointError(f"manifest type {dotted!r} is not a KVStore")
+    return found
 
 
 class CheckpointManager(ABC):
@@ -121,6 +131,8 @@ class CheckpointManager(ABC):
     whether left behind by a crash or downloaded from a bucket.
     """
 
+    directory: Optional[str]
+
     @abstractmethod
     def checkpoint(self) -> None:
         """Persist a crash-consistent image under :meth:`checkpoint_root`.
@@ -131,12 +143,11 @@ class CheckpointManager(ABC):
 
     def checkpoint_root(self) -> str:
         """Base directory containing the durable image."""
-        root: Optional[str] = getattr(self, "directory", None)
-        if root is None:
+        if self.directory is None:
             raise CheckpointError(
                 f"{type(self).__name__} has no checkpoint directory"
             )
-        return root
+        return self.directory
 
     def checkpoint_files(self) -> list[str]:
         """Relative paths of every file in the durable image, sorted.
@@ -145,7 +156,13 @@ class CheckpointManager(ABC):
         in-flight temporaries (``*.tmp``).  Engines whose directories hold
         non-durable scratch files override this.
         """
-        return walk_image_files(self.checkpoint_root())
+        root = self.checkpoint_root()
+        found: list[str] = []
+        for dirpath, _, filenames in os.walk(root):
+            for name in filenames:
+                if not name.endswith(".tmp"):
+                    found.append(os.path.relpath(os.path.join(dirpath, name), root))
+        return sorted(found)
 
     @classmethod
     @abstractmethod
@@ -160,6 +177,18 @@ class KVStore(ABC):
     #: Class-level default so engines need no constructor changes; see
     #: :meth:`freeze`.
     read_only: bool = False
+    #: The device model the store charges; ``None`` when it has none (a
+    #: composite: when its children do not share one).
+    ssd: Optional["SSDModel"] = None
+    #: The simulated clock the store charges, ``None`` likewise.
+    clock: Optional["SimClock"] = None
+    #: Outstanding Gets a key admits before a Get is held (MLKV's vector
+    #: clocks); ``None``: Gets are never held.
+    staleness_bound: Optional[int] = None
+    #: Where the store keeps its files; ``None`` for one that keeps none.
+    directory: Optional[str] = None
+    #: Simulated CPU seconds one operation costs on :attr:`clock`.
+    op_cpu_seconds: float = 0.0
 
     @abstractmethod
     def get(self, key: int) -> Optional[bytes]:
@@ -295,13 +324,22 @@ class KVStore(ABC):
         without a simulated clock (or with ``op_cpu_seconds=0``) charge
         nothing, matching their per-key paths.
         """
-        op_cpu_seconds = getattr(self, "op_cpu_seconds", 0.0)
-        clock = getattr(self, "clock", None)
-        if clock is not None and op_cpu_seconds and count:
-            clock.advance(
-                op_cpu_seconds * (1.0 + BATCH_CPU_FRACTION * (count - 1)),
+        if self.clock is not None and self.op_cpu_seconds and count:
+            self.clock.advance(
+                self.op_cpu_seconds * (1.0 + BATCH_CPU_FRACTION * (count - 1)),
                 component="cpu",
             )
+
+    def set_stall_handler(self, handler: Optional[Callable[[int], bool]]) -> None:
+        """Register the hook a Get held by :attr:`staleness_bound` runs
+        (``handler(key)`` returns whether it made progress).  A store that
+        never holds a Get has nothing to call it for and ignores it."""
+
+    def lookahead(self, keys: Iterable[int]) -> int:
+        """Stage ``keys`` into the store's memory ahead of their Gets,
+        without admitting them; returns the records moved.  A store
+        without an in-store prefetch path stages nothing: 0."""
+        return 0
 
     def snapshot_read(self, key: int) -> Optional[bytes]:
         """Committed read for serving/evaluation: no admission side effects.

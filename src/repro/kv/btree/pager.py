@@ -9,12 +9,12 @@ WiredTiger's block manager.
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 
 from repro.device.ssd import SSDModel
-from repro.errors import StorageError
+from repro.errors import StorageError, checkpoint_fields
+from repro.errors import load_checkpoint_json, write_checkpoint_json
 
 _LEN = struct.Struct("<I")
 
@@ -105,24 +105,23 @@ class PageStore:
             "live_bytes": self._live_bytes,
             "table": {str(pid): list(extent) for pid, extent in self._table.items()},
         }
-        tmp = meta_path + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(meta, f)
-        os.replace(tmp, meta_path)
+        write_checkpoint_json(meta_path, meta)
         self.ssd.sequential_write(os.path.getsize(meta_path), blocking=True)
 
     @classmethod
     def recover(cls, path: str, meta_path: str, ssd: SSDModel) -> tuple["PageStore", int]:
         """Re-open a checkpointed page store; returns ``(store, root_page)``."""
-        with open(meta_path) as f:
-            meta = json.load(f)
+        meta = load_checkpoint_json(meta_path)
+        with checkpoint_fields(meta_path):
+            table = {int(pid): tuple(extent) for pid, extent in meta["table"].items()}
+            next_page_id, end_offset = meta["next_page_id"], meta["end_offset"]
+            live_bytes, root_page = meta["live_bytes"], meta["root_page"]
         store = cls(path, ssd)
-        store._table = {int(pid): tuple(extent) for pid, extent in meta["table"].items()}
-        store._next_page_id = meta["next_page_id"]
-        store._end_offset = meta["end_offset"]
-        store._live_bytes = meta["live_bytes"]
+        store._table = table
+        store._next_page_id, store._end_offset = next_page_id, end_offset
+        store._live_bytes = live_bytes
         store.ssd.sequential_read(os.path.getsize(meta_path), blocking=True)
-        return store, meta["root_page"]
+        return store, root_page
 
     def close(self) -> None:
         """Flush and close the backing file."""

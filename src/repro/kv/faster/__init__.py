@@ -10,7 +10,6 @@ state management", VLDB 2018):
   in-memory mutable region ``[read_only, tail]``,
 * in-place updates in the mutable region, read-copy-update appends
   otherwise, page flush + eviction as the tail advances,
-* epoch protection serializing page eviction against in-flight operations,
 * fuzzy checkpointing and recovery.
 
 Every record carries the 64-bit lock word of Figure 5(a); plain FASTER
@@ -19,14 +18,12 @@ uses its locked / replaced / generation fields, and MLKV (in
 """
 
 from repro.kv.faster.record import RecordWord, RECORD_HEADER_BYTES
-from repro.kv.faster.epoch import EpochManager
 from repro.kv.faster.hybridlog import HybridLog
 from repro.kv.faster.store import FasterKV
 
 __all__ = [
     "RecordWord",
     "RECORD_HEADER_BYTES",
-    "EpochManager",
     "HybridLog",
     "FasterKV",
 ]

@@ -29,7 +29,6 @@ percent slower than the specialized in-memory frameworks in Figure 6.
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -37,10 +36,10 @@ import numpy as np
 
 from repro.device.clock import SimClock
 from repro.device.ssd import SSDModel
-from repro.errors import CheckpointError, StorageError, checkpoint_fields, load_checkpoint_json
+from repro.errors import CheckpointError, StorageError, checkpoint_fields
+from repro.errors import load_checkpoint_json, write_checkpoint_json
 from repro.kv.api import CheckpointManager, KVStore, StoreStats
 from repro.kv.api import check_rows, fill_rows, piece_values, row_values
-from repro.kv.faster.epoch import EpochManager
 from repro.kv.faster.hashindex import HashIndex
 from repro.kv.faster.hybridlog import TOMBSTONE_LEN, HybridLog
 from repro.kv.faster.record import (
@@ -151,7 +150,6 @@ class FasterKV(KVStore, CheckpointManager):
             ssd = SSDModel(SimClock())
         self.ssd = ssd
         self.clock = ssd.clock
-        self.epochs = EpochManager()
         self.log = HybridLog(
             os.path.join(directory, _LOG_FILE),
             ssd,
@@ -176,11 +174,6 @@ class FasterKV(KVStore, CheckpointManager):
         """Point lookup through the hash index into the hybrid log."""
         self._charge_cpu()
         self._stats.gets += 1
-        with self.epochs.guard():
-            return self._get_in_epoch(key)
-
-    def _get_in_epoch(self, key: int) -> Optional[bytes]:
-        """One read (CPU pre-charged, epoch held); shared by get/multi_get."""
         return self._read_at(key, self.index.find(key))
 
     def _read_at(self, key: int, address: Optional[int]) -> Optional[bytes]:
@@ -202,8 +195,7 @@ class FasterKV(KVStore, CheckpointManager):
         self._check_writable()
         self._charge_cpu()
         self._stats.puts += 1
-        with self.epochs.guard():
-            self._upsert(key, value)
+        self._upsert(key, value)
 
     def _upsert(self, key: int, value: bytes) -> int:
         """Insert/overwrite and return the (possibly unchanged) address."""
@@ -240,7 +232,7 @@ class FasterKV(KVStore, CheckpointManager):
         return new_address
 
     def multi_get(self, keys) -> list:
-        """Batched get: one epoch acquisition and amortized CPU per batch.
+        """Batched get: amortized CPU per batch.
 
         Only the fixed per-op overhead amortizes.  Disk-resident records
         still pay one blocking random read each — a synchronous Get API
@@ -273,29 +265,29 @@ class FasterKV(KVStore, CheckpointManager):
         with obs_span("kv.multi_get", clock=self.clock, engine="faster", keys=len(keys)):
             self._charge_batch_cpu(len(keys))
             self._stats.gets += len(keys)
-            with self.epochs.guard():
-                key_array = self._key_array(keys)
-                if key_array is None:
-                    return [self._get_in_epoch(key) for key in self._normalize_keys(keys)]
-                addresses, rows, resident, cold, _, _ = self._read_plain(key_array)
-                self._stats.hits += int(np.count_nonzero(resident))
-                others = np.flatnonzero(~(resident | cold))
-                cold = np.flatnonzero(cold)
-                record_len = RECORD_HEADER_BYTES + rows.shape[1]
-                pieces: list = []
-                charged = first = 0
-                for position, address in zip(others.tolist(), addresses[others].tolist()):
-                    before = int(np.searchsorted(cold, position))
-                    self._charge_cold_reads(record_len, before - charged)
-                    charged = before
-                    key, at = int(key_array[position]), address if address >= 0 else None
-                    pieces += (rows[first:position], self._read_at(key, at))
-                    first = position + 1
-                self._charge_cold_reads(record_len, len(cold) - charged)
-                return pieces + [rows[first:]]
+            key_array = self._key_array(keys)
+            if key_array is None:
+                keys = self._normalize_keys(keys)
+                return [self._read_at(key, self.index.find(key)) for key in keys]
+            addresses, rows, resident, cold, _, _ = self._read_plain(key_array)
+            self._stats.hits += int(np.count_nonzero(resident))
+            others = np.flatnonzero(~(resident | cold))
+            cold = np.flatnonzero(cold)
+            record_len = RECORD_HEADER_BYTES + rows.shape[1]
+            pieces: list = []
+            charged = first = 0
+            for position, address in zip(others.tolist(), addresses[others].tolist()):
+                before = int(np.searchsorted(cold, position))
+                self._charge_cold_reads(record_len, before - charged)
+                charged = before
+                key, at = int(key_array[position]), address if address >= 0 else None
+                pieces += (rows[first:position], self._read_at(key, at))
+                first = position + 1
+            self._charge_cold_reads(record_len, len(cold) - charged)
+            return pieces + [rows[first:]]
 
     def multi_put(self, keys, values) -> None:
-        """Batched put: one epoch acquisition and amortized CPU per batch."""
+        """Batched put: amortized CPU per batch."""
         self._check_writable()
         self._put_many(*self._normalize_pairs(keys, values))
 
@@ -310,10 +302,9 @@ class FasterKV(KVStore, CheckpointManager):
         with obs_span("kv.multi_put", clock=self.clock, engine="faster", keys=len(keys)):
             self._charge_batch_cpu(len(keys))
             self._stats.puts += len(keys)
-            with self.epochs.guard():
-                self._put_batch(
-                    keys, values, PutProtocol(self._upsert, _upsert_words, _upsert_fresh_words)
-                )
+            self._put_batch(
+                keys, values, PutProtocol(self._upsert, _upsert_words, _upsert_fresh_words)
+            )
 
     # ------------------------------------------------------------------
     # batch resolution, shared with MLKV
@@ -415,7 +406,7 @@ class FasterKV(KVStore, CheckpointManager):
             self.ssd.random_read_many(record_len, count, blocking=True)
 
     def _put_batch(self, keys, values, protocol: "PutProtocol") -> None:
-        """Apply a batch of puts in order (epoch held, CPU pre-charged).
+        """Apply a batch of puts in order (CPU pre-charged).
 
         Distinct keys with values of one width — a matrix's rows, or a
         list's values laid out as one — go through :meth:`_put_runs` for as
@@ -568,42 +559,39 @@ class FasterKV(KVStore, CheckpointManager):
         self._charge_cpu()
         self._stats.gets += 1
         self._stats.puts += 1
-        with self.epochs.guard():
-            address = self.index.find(key)
-            current: Optional[bytes] = None
-            if address is not None:
-                _, _, current, from_memory = self.log.read_record(address)
-                if from_memory:
-                    self._stats.hits += 1
-                else:
-                    self._stats.misses += 1
+        address = self.index.find(key)
+        current: Optional[bytes] = None
+        if address is not None:
+            _, _, current, from_memory = self.log.read_record(address)
+            if from_memory:
+                self._stats.hits += 1
             else:
                 self._stats.misses += 1
-            new_value = update(current)
-            self._upsert(key, new_value)
-            return new_value
+        else:
+            self._stats.misses += 1
+        new_value = update(current)
+        self._upsert(key, new_value)
+        return new_value
 
     def delete(self, key: int) -> bool:
         """Tombstone the key; returns whether it was present."""
         self._check_writable()
         self._charge_cpu()
         self._stats.deletes += 1
-        with self.epochs.guard():
-            address = self.index.find(key)
-            if address is None:
-                return False
-            word = pack_word(False, False, FIRST_GENERATION, 0)
-            self.log.append_tombstone(key, word)
-            self.index.remove(key)
-            return True
+        address = self.index.find(key)
+        if address is None:
+            return False
+        word = pack_word(False, False, FIRST_GENERATION, 0)
+        self.log.append_tombstone(key, word)
+        self.index.remove(key)
+        return True
 
     def scan(self) -> Iterator[tuple[int, bytes]]:
         """All live records, in hash-index order."""
-        with self.epochs.guard():
-            for key, address in list(self.index.items()):
-                _, _, value, _ = self.log.read_record(address)
-                if value is not None:
-                    yield key, value
+        for key, address in list(self.index.items()):
+            _, _, value, _ = self.log.read_record(address)
+            if value is not None:
+                yield key, value
 
     def __len__(self) -> int:
         return len(self.index)
@@ -635,10 +623,7 @@ class FasterKV(KVStore, CheckpointManager):
             "read_only_address": self.log.read_only_address,
             "page_bytes": self.log.page_bytes,
         }
-        tmp = os.path.join(self.directory, _META_FILE + ".tmp")
-        with open(tmp, "w") as f:
-            json.dump(meta, f)
-        os.replace(tmp, os.path.join(self.directory, _META_FILE))
+        write_checkpoint_json(os.path.join(self.directory, _META_FILE), meta)
 
     @classmethod
     def recover(

@@ -16,14 +16,14 @@ for the cost model.
 from __future__ import annotations
 
 import bisect
-import json
 import os
 import struct
 from typing import Iterator, Optional
 
 from repro.device.ssd import SSDModel
 from repro.kv.common.bloom import BloomFilter
-from repro.errors import StorageError
+from repro.errors import StorageError, checkpoint_fields
+from repro.errors import load_checkpoint_json, write_checkpoint_json
 
 _ENTRY = struct.Struct("<QI")
 #: value-length sentinel encoding a tombstone inside a block.
@@ -158,28 +158,27 @@ class SSTable:
             "bloom_hashes": self.bloom.num_hashes,
             "bloom_hex": self.bloom.to_bytes().hex(),
         }
-        with open(self.path + ".meta", "w") as f:
-            json.dump(meta, f)
+        write_checkpoint_json(self.path + ".meta", meta)
 
     @classmethod
     def open(cls, path: str) -> "SSTable":
         """Re-open a run from its sidecar (recovery path)."""
-        with open(path + ".meta") as f:
-            meta = json.load(f)
-        bloom = BloomFilter.from_bytes(
-            bytes.fromhex(meta["bloom_hex"]), meta["bloom_bits"], meta["bloom_hashes"]
-        )
-        return cls(
-            path=path,
-            first_keys=meta["first_keys"],
-            block_offsets=meta["block_offsets"],
-            block_lengths=meta["block_lengths"],
-            bloom=bloom,
-            min_key=meta["min_key"],
-            max_key=meta["max_key"],
-            entry_count=meta["entry_count"],
-            data_bytes=meta["data_bytes"],
-        )
+        meta = load_checkpoint_json(path + ".meta")
+        with checkpoint_fields(path + ".meta"):
+            bloom = BloomFilter.from_bytes(
+                bytes.fromhex(meta["bloom_hex"]), meta["bloom_bits"], meta["bloom_hashes"]
+            )
+            return cls(
+                path=path,
+                first_keys=meta["first_keys"],
+                block_offsets=meta["block_offsets"],
+                block_lengths=meta["block_lengths"],
+                bloom=bloom,
+                min_key=meta["min_key"],
+                max_key=meta["max_key"],
+                entry_count=meta["entry_count"],
+                data_bytes=meta["data_bytes"],
+            )
 
     # ------------------------------------------------------------------
     # reads

@@ -9,12 +9,12 @@ random reads — the same asymmetry that shapes Figure 7.
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Iterator, Optional
 
 from repro.device.clock import SimClock
 from repro.device.ssd import SSDModel
+from repro.errors import checkpoint_fields, load_checkpoint_json, write_checkpoint_json
 from repro.kv.api import CheckpointManager, KVStore, StoreStats
 from repro.kv.common.cache import LRUCache
 from repro.kv.lsm.compaction import LeveledPolicy, merge_runs
@@ -387,10 +387,7 @@ class LsmKV(KVStore, CheckpointManager):
                 for lv, run in self.levels.items()
             },
         }
-        tmp = os.path.join(self.directory, _MANIFEST + ".tmp")
-        with open(tmp, "w") as f:
-            json.dump(manifest, f)
-        os.replace(tmp, os.path.join(self.directory, _MANIFEST))
+        write_checkpoint_json(os.path.join(self.directory, _MANIFEST), manifest)
 
     def _run_path(self, name: str) -> str:
         """Resolve a manifest entry (absolute entries predate this PR)."""
@@ -401,14 +398,14 @@ class LsmKV(KVStore, CheckpointManager):
     def _maybe_recover(self) -> None:
         manifest_path = os.path.join(self.directory, _MANIFEST)
         if os.path.exists(manifest_path):
-            with open(manifest_path) as f:
-                manifest = json.load(f)
-            self._next_file_id = manifest["next_file_id"]
-            self.l0_runs = [SSTable.open(self._run_path(path)) for path in manifest["l0"]]
-            self.levels = {
-                int(lv): SSTable.open(self._run_path(path))
-                for lv, path in manifest["levels"].items()
-            }
+            manifest = load_checkpoint_json(manifest_path)
+            with checkpoint_fields(manifest_path):
+                next_file_id = int(manifest["next_file_id"])
+                l0 = [self._run_path(path) for path in manifest["l0"]]
+                levels = {int(lv): self._run_path(path) for lv, path in manifest["levels"].items()}
+            self._next_file_id = next_file_id
+            self.l0_runs = [SSTable.open(path) for path in l0]
+            self.levels = {lv: SSTable.open(path) for lv, path in levels.items()}
         # Replay any WAL entries that never reached an SSTable.
         wal_path = os.path.join(self.directory, "lsm.wal")
         if os.path.exists(wal_path) and os.path.getsize(wal_path) > 0:

@@ -26,12 +26,13 @@ checkpoints.
 
 This is deliberately an *opt-in, wall-clock* layer: engines inside the
 workers keep their own private simulated clocks (a shared simulated
-timeline across processes would serialize them again), so parallel
-stores expose no ``clock``/``ssd`` attribute and the serving tier's
-simulated-time paths refuse them gracefully; stall handlers do not cross
-the process boundary either.  Use :func:`create_sharded_store` to get a
-:class:`ParallelShardStore` when the platform allows it and a plain
-serial :class:`~repro.kv.sharded.ShardedKVStore` otherwise.
+timeline across processes would serialize them again), so a parallel
+store's ``clock`` and ``ssd`` are ``None`` — its proxies declare none —
+and the serving tier's simulated-time paths refuse it; a stall handler
+does not cross the process boundary either (a proxy ignores it, as every
+store without a staleness bound does).  Use :func:`create_sharded_store`
+to get a :class:`ParallelShardStore` when the platform allows it and a
+plain serial :class:`~repro.kv.sharded.ShardedKVStore` otherwise.
 
 Protocol invariants (the deadlock-freedom argument):
 
@@ -72,7 +73,6 @@ from repro.kv.common.serialization import (
 )
 from repro.kv.sharded import (
     ShardedKVStore,
-    call_batched,
     child_type,
     record_count,
 )
@@ -188,7 +188,7 @@ def _worker_main(factory, conn) -> None:
             elif op == "build":
                 _, child, index = message
                 store = stores[child] = factory(index)
-                conn.send(("ok", (child_type(store), getattr(store, "directory", None))))
+                conn.send(("ok", (child_type(store), store.directory)))
             elif op == "close":
                 for store in stores.values():
                     store.close()
@@ -209,7 +209,7 @@ def _worker_main(factory, conn) -> None:
                     continue
                 counts = [count for _, count in entries]
                 outputs = [
-                    call_batched(stores[child], op, columns, args)
+                    getattr(stores[child], op)(*columns, *args)
                     for (child, _), columns in zip(entries, _unframe(op, counts, payload))
                 ]
                 if op in _VALUE_OPS:

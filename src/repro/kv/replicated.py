@@ -33,11 +33,11 @@ Failure handling:
 * :meth:`~ReplicatedKVStore.revive_replica` brings it back: hinted keys
   are re-read from an up-to-date peer (``snapshot_read_many`` — the
   committed-read path checkpoints restore through) and replayed onto the
-  reviving replica, after which its clock acknowledges the current group
-  version.  If the hint set overflowed ``max_hints`` while it was down,
-  the replica is instead rebuilt wholesale from a peer's ``scan()`` —
-  the degenerate case where replaying a WAL-sized delta would cost more
-  than re-shipping the image.
+  reviving replica, after which the group's version vector acknowledges
+  it at the current group version.  If the hint set overflowed
+  ``max_hints`` while it was down, the replica is instead rebuilt
+  wholesale from a peer's ``scan()`` — the degenerate case where
+  replaying a WAL-sized delta would cost more than re-shipping the image.
 * :meth:`~ReplicatedKVStore.slow_replica` injects per-operation latency
   on one replica (a degraded disk, a noisy neighbor); the read router
   prefers un-slowed admissible replicas, so a slow replica is routed
@@ -60,9 +60,8 @@ from repro.kv.sharded import (
     merge_stats,
     read_manifest,
     record_count,
-    set_stall_handlers,
-    shared_attr,
-    sim_clock,
+    shared_clock,
+    shared_ssd,
     tightest_staleness_bound,
     write_manifest,
 )
@@ -91,9 +90,10 @@ class ReplicaGroup(KVStore, CheckpointManager):
     """One key range's replica set: N engines, a version clock, hint queues.
 
     The group is the unit of fan-out and failover, and to the router
-    above it just another child store.  ``clock`` is the group's
-    *version* clock (the name predates the group being a store); the
-    simulated clock its replicas charge is ``ssd.clock``.
+    above it just another child store.  ``versions`` is the group's
+    version vector (:class:`~repro.device.clock.ReplicaVersionClock`);
+    ``clock``, as on every store, is the simulated clock — here the one
+    of the device model the replicas share, ``None`` when they share none.
 
     Parameters
     ----------
@@ -139,7 +139,7 @@ class ReplicaGroup(KVStore, CheckpointManager):
         self.check_read_config(divergence_bound, read_policy)
         self.replicas: list[KVStore] = list(replicas)
         self.alive: list[bool] = [True] * len(self.replicas)
-        self.clock = ReplicaVersionClock(len(self.replicas))
+        self.versions = ReplicaVersionClock(len(self.replicas))
         self.max_hints = max_hints
         self.divergence_bound = divergence_bound
         self.read_policy = read_policy
@@ -192,7 +192,7 @@ class ReplicaGroup(KVStore, CheckpointManager):
         survivors = [
             index for index in self.live_indices() if index != replica
         ]
-        if not any(self.clock.lag(index) == 0 for index in survivors):
+        if not any(self.versions.lag(index) == 0 for index in survivors):
             raise StorageError(
                 f"cannot fail replica {replica}: no fully caught-up live "
                 "replica would remain (catch up a lagging replica first)"
@@ -219,7 +219,7 @@ class ReplicaGroup(KVStore, CheckpointManager):
         if not self.alive[replica]:
             raise StorageError("catch_up needs a live replica; revive it first")
         hints = self._hints[replica]
-        if hints is not None and not hints and self.clock.lag(replica) == 0:
+        if hints is not None and not hints and self.versions.lag(replica) == 0:
             return 0  # already converged: no donor needed
         donor = self._complete_peer(exclude=replica)
         replayed = 0
@@ -260,7 +260,7 @@ class ReplicaGroup(KVStore, CheckpointManager):
                 self.replicas[replica].multi_put(put_keys, put_values)
             replayed = len(keys)
         self._hints[replica] = set()
-        self.clock.ack(replica)
+        self.versions.ack(replica)
         self.catchup_keys += replayed
         return replayed
 
@@ -293,7 +293,7 @@ class ReplicaGroup(KVStore, CheckpointManager):
         candidates = [
             index
             for index in self.live_indices()
-            if index != exclude and self.clock.lag(index) == 0
+            if index != exclude and self.versions.lag(index) == 0
         ]
         if not candidates:
             raise StorageError(
@@ -317,13 +317,13 @@ class ReplicaGroup(KVStore, CheckpointManager):
         or slowed replica.
         """
         admissible = [
-            index for index in self.live_indices() if self.clock.in_bound(index, bound)
+            index for index in self.live_indices() if self.versions.in_bound(index, bound)
         ]
         if not admissible:
             live = self.live_indices()
             raise StorageError(
                 f"no replica within divergence bound {bound}; live replicas "
-                f"{live} lag {[self.clock.lag(index) for index in live]} "
+                f"{live} lag {[self.versions.lag(index) for index in live]} "
                 "(run catch_up first)"
             )
         healthy = [index for index in admissible if not self._slow_penalty[index]]
@@ -352,7 +352,7 @@ class ReplicaGroup(KVStore, CheckpointManager):
         wins; the routed replica's penalty otherwise).
         """
         admissible = [
-            index for index in self.live_indices() if self.clock.in_bound(index, bound)
+            index for index in self.live_indices() if self.versions.in_bound(index, bound)
         ]
         if not admissible:
             return self.pick_reader(bound), 0.0  # raises the routing error
@@ -390,7 +390,7 @@ class ReplicaGroup(KVStore, CheckpointManager):
             )
         if len(live) < self.replication:
             self.failovers += 1
-        ranked = sorted(live, key=lambda index: -self.clock.applied[index])
+        ranked = sorted(live, key=lambda index: -self.versions.applied[index])
         return ranked[:needed]
 
     def charge_penalty(self, replica: int, seconds: Optional[float] = None) -> None:
@@ -402,7 +402,7 @@ class ReplicaGroup(KVStore, CheckpointManager):
         if seconds is None:
             seconds = self._slow_penalty[replica]
         if seconds:
-            clock = getattr(self.replicas[replica], "clock", None)
+            clock = self.replicas[replica].clock
             if clock is not None:
                 clock.advance(seconds, component=CHAOS_COMPONENT)
 
@@ -424,35 +424,35 @@ class ReplicaGroup(KVStore, CheckpointManager):
     # ------------------------------------------------------------------
     def fanout_put(self, key: int, value: bytes) -> None:
         """Write to every live replica, hinting the write for down ones."""
-        self.clock.advance()
+        self.versions.advance()
         for index, replica in enumerate(self.replicas):
             if self.alive[index]:
                 replica.put(key, value)
                 # apply(), not ack(): a lagging replica keeps its gap —
                 # taking new writes does not un-miss the hinted ones.
-                self.clock.apply(index)
+                self.versions.apply(index)
             else:
                 self._hint(index, key)
 
     def fanout_delete(self, key: int) -> bool:
         """Delete on every live replica; returns whether any held the key."""
-        self.clock.advance()
+        self.versions.advance()
         existed = False
         for index, replica in enumerate(self.replicas):
             if self.alive[index]:
                 existed = replica.delete(key) or existed
-                self.clock.apply(index)
+                self.versions.apply(index)
             else:
                 self._hint(index, key)
         return existed
 
     def fanout_multi_put(self, keys: list, values: list) -> None:
         """Batched fan-out write with per-replica hinting."""
-        self.clock.advance(len(keys))
+        self.versions.advance(len(keys))
         for index, replica in enumerate(self.replicas):
             if self.alive[index]:
                 replica.multi_put(keys, values)
-                self.clock.apply(index, len(keys))
+                self.versions.apply(index, len(keys))
             else:
                 for key in keys:
                     self._hint(index, key)
@@ -495,7 +495,7 @@ class ReplicaGroup(KVStore, CheckpointManager):
         reader = self.replicas[replica]
         with obs_span(
             "kv.replica_read",
-            clock=sim_clock(reader),
+            clock=reader.clock,
             shard=self.shard,
             replica=replica,
             keys=len(keys),
@@ -535,8 +535,7 @@ class ReplicaGroup(KVStore, CheckpointManager):
 
     def lookahead(self, keys) -> int:
         """Stage a prefetch batch on the group's current reader."""
-        stage = getattr(self.replicas[self._read_replica()], "lookahead", None)
-        return stage(self._normalize_keys(keys)) if stage is not None else 0
+        return self.replicas[self._read_replica()].lookahead(self._normalize_keys(keys))
 
     def scan(self) -> Iterator[tuple[int, bytes]]:
         """All live records, once each, from a fully caught-up replica."""
@@ -588,21 +587,28 @@ class ReplicaGroup(KVStore, CheckpointManager):
         return new_value
 
     # ------------------------------------------------------------------
-    # pass-throughs, stats, lifecycle
+    # the store contract (computed from the replicas), stats, lifecycle
     # ------------------------------------------------------------------
     @property
     def ssd(self):
-        """The device model every replica shares, when there is one."""
-        return shared_attr(self.replicas, "ssd")
+        """The device model every replica shares, or ``None``."""
+        return shared_ssd(self.replicas)
+
+    @property
+    def clock(self):
+        """The simulated clock of the device model every replica shares, or
+        ``None``: what a checkpoint upload or a served batch is charged to."""
+        return shared_clock(self.replicas)
 
     @property
     def staleness_bound(self):
-        """Tightest replica bound, exposed only when every replica has one."""
+        """Tightest replica bound; ``None`` unless every replica has one."""
         return tightest_staleness_bound(self.replicas)
 
     def set_stall_handler(self, handler) -> None:
         """Install a stall callback on every replica engine."""
-        set_stall_handlers(self.replicas, handler)
+        for replica in self.replicas:
+            replica.set_stall_handler(handler)
 
     @property
     def stats(self) -> StoreStats:
@@ -617,7 +623,7 @@ class ReplicaGroup(KVStore, CheckpointManager):
         total = merge_stats(replica.stats for replica in self.replicas)
         indices = range(self.replication)
         total.extra.update(
-            replica_lag=[self.clock.lag(index) for index in indices],
+            replica_lag=[self.versions.lag(index) for index in indices],
             hints_outstanding=[self.hints_outstanding(index) for index in indices],
             slow_penalties=[self.slow_penalty(index) for index in indices],
             failovers=self.failovers,
@@ -663,10 +669,11 @@ class ReplicaGroup(KVStore, CheckpointManager):
         after restore replays exactly the keys the live run owed the dead
         replica (``None`` marks an overflowed queue).
         """
+        versions = self.versions
         return {
             "replicas": [child_relpath(replica, base) for replica in self.replicas],
             "types": [child_type(replica) for replica in self.replicas],
-            "clocks": {"version": self.clock.version, "applied": list(self.clock.applied)},
+            "clocks": {"version": versions.version, "applied": list(versions.applied)},
             "alive": list(self.alive),
             "max_hints": self.max_hints,
             "hints": [
@@ -680,8 +687,8 @@ class ReplicaGroup(KVStore, CheckpointManager):
         applied, alive, hints = state["clocks"]["applied"], state["alive"], state["hints"]
         if not len(applied) == len(alive) == len(hints) == count:
             raise ValueError(f"group state does not describe {count} replicas")
-        self.clock.version = int(state["clocks"]["version"])
-        self.clock.applied = [int(version) for version in applied]
+        self.versions.version = int(state["clocks"]["version"])
+        self.versions.applied = [int(version) for version in applied]
         self.alive = [bool(up) for up in alive]
         self.max_hints = int(state["max_hints"])
         self._hints = [None if keys is None else set(keys) for keys in hints]
@@ -813,7 +820,7 @@ class ReplicatedKVStore(ShardedKVStore):
         self.shards[shard].fail(replica)
         obs_instant(
             "chaos.fail_replica",
-            clock=getattr(self, "clock", None),
+            clock=self.clock,
             shard=shard,
             replica=replica,
         )
@@ -823,7 +830,7 @@ class ReplicatedKVStore(ShardedKVStore):
         replayed = self.shards[shard].revive(replica, catch_up=catch_up)
         obs_instant(
             "chaos.revive_replica",
-            clock=getattr(self, "clock", None),
+            clock=self.clock,
             shard=shard,
             replica=replica,
             replayed=replayed,
@@ -840,7 +847,7 @@ class ReplicatedKVStore(ShardedKVStore):
 
     def replica_lag(self, shard: int, replica: int) -> int:
         """Writes a replica is behind its group's newest write."""
-        return self.shards[shard].clock.lag(replica)
+        return self.shards[shard].versions.lag(replica)
 
     def live_replicas(self, shard: int) -> list[int]:
         """Indices of the live replicas of ``shard`` (the autoscaler's

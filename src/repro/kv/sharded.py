@@ -18,9 +18,12 @@ Two hooks are all a subclass overrides to change *where* children live:
 :meth:`ShardedKVStore._build_child` (how ``factory(index)`` becomes a
 child) and :meth:`ShardedKVStore._dispatch` (how one partitioned batched
 operation reaches the children).  Slot-table routing, live
-split/migrate with deferred cleanup, stats aggregation, the MLKV
-pass-throughs and the coordinated checkpoint manifest are inherited, so
-replication x live migration x process parallelism compose.
+split/migrate with deferred cleanup, stats aggregation, the store
+contract computed from the children (``ssd``, ``clock``,
+``staleness_bound``, ``set_stall_handler``, ``lookahead``: what they
+share, never an ``AttributeError``) and the coordinated checkpoint
+manifest are inherited, so replication x live migration x process
+parallelism compose.
 
 Batched operations are the reason this layer exists: ``multi_get`` /
 ``multi_put`` / ``multi_rmw`` split one application batch into at most
@@ -35,15 +38,14 @@ sparse-feature id ranges (0..n) spread uniformly instead of striping by
 
 from __future__ import annotations
 
-import importlib
-import json
 import os
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import CheckpointError, ConfigError, checkpoint_fields, load_checkpoint_json
-from repro.kv.api import CheckpointManager, KVStore, StoreStats, check_rows
+from repro.errors import CheckpointError, ConfigError, checkpoint_fields
+from repro.errors import load_checkpoint_json, write_checkpoint_json
+from repro.kv.api import CheckpointManager, KVStore, StoreStats, check_rows, store_class
 from repro.obs.trace import span as obs_span
 
 _MASK64 = (1 << 64) - 1
@@ -127,50 +129,26 @@ def record_count(store: KVStore) -> int:
         return sum(1 for _ in store.scan())
 
 
-def shared_attr(children: Sequence[KVStore], name: str):
-    """The ``name`` attribute all ``children`` share (one SSD model).
-
-    Children with private devices have no single queue or timeline, so
-    this raises ``AttributeError`` and ``getattr(store, name, None)``
-    call sites degrade gracefully.
-    """
-    first = getattr(children[0], name, None)
-    if first is not None and all(
-        getattr(child, name, None) is first for child in children
-    ):
-        return first
-    raise AttributeError(f"children do not share a single {name}")
+def shared_ssd(children: Sequence[KVStore]):
+    """The device model every child charges, or ``None``: children with
+    private devices (or none) have no single queue or timeline."""
+    first = children[0].ssd
+    return first if all(child.ssd is first for child in children) else None
 
 
-def sim_clock(store: KVStore):
-    """The simulated clock ``store`` charges, or ``None``.
-
-    Read through ``ssd`` because that is the one name every child means
-    the same thing by: an engine's ``clock`` is its ``ssd.clock``, while
-    a replica group's ``clock`` is its *version* clock.
-    """
-    return getattr(getattr(store, "ssd", None), "clock", None)
+def shared_clock(children: Sequence[KVStore]):
+    """The simulated clock of the device model every child shares, or ``None``."""
+    ssd = shared_ssd(children)
+    return None if ssd is None else ssd.clock
 
 
 def tightest_staleness_bound(children: Sequence[KVStore]):
-    """Smallest child bound, defined only when every child enforces one.
+    """Smallest child bound; ``None`` unless every child holds Gets to one.
 
-    The training loop clamps its conventional prefetch window with this;
-    raising ``AttributeError`` when a child lacks a bound keeps
-    ``getattr(store, "staleness_bound", None)`` call sites working.
+    The training loop clamps its conventional prefetch window with this.
     """
-    bounds = [getattr(child, "staleness_bound", None) for child in children]
-    if any(bound is None for bound in bounds):
-        raise AttributeError("not every child enforces a staleness bound")
-    return min(bounds)
-
-
-def set_stall_handlers(children: Sequence[KVStore], handler) -> None:
-    """Register the training stall hook on every capable child."""
-    for child in children:
-        sink = getattr(child, "set_stall_handler", None)
-        if sink is not None:
-            sink(handler)
+    bounds = [child.staleness_bound for child in children]
+    return None if None in bounds else min(bounds)
 
 
 def merge_stats(children: Iterable[StoreStats]) -> StoreStats:
@@ -205,10 +183,7 @@ def checkpoint_children(children: Sequence[KVStore]) -> None:
 def write_manifest(directory: str, name: str, manifest: dict) -> None:
     """Atomically (write-temp-then-replace) bind a checkpoint unit."""
     os.makedirs(directory, exist_ok=True)
-    tmp = os.path.join(directory, name + ".tmp")
-    with open(tmp, "w") as f:
-        json.dump(manifest, f)
-    os.replace(tmp, os.path.join(directory, name))
+    write_checkpoint_json(os.path.join(directory, name), manifest)
 
 
 def read_manifest(directory: str, name: str) -> tuple[str, dict]:
@@ -222,7 +197,7 @@ def read_manifest(directory: str, name: str) -> tuple[str, dict]:
 
 def child_relpath(child: KVStore, base: str) -> str:
     """A child's directory relative to the coordinated base directory."""
-    child_dir = getattr(child, "directory", None)
+    child_dir = child.directory
     if child_dir is None:
         raise CheckpointError(
             f"child {child_type(child)} has no directory; coordinated "
@@ -258,20 +233,14 @@ def child_opener(
     models or budgets), otherwise the recorded class's own ``restore``
     with ``kwargs`` forwarded.  A path escaping ``base`` or a recorded
     type that is not a :class:`KVStore` raises :class:`CheckpointError`
-    — before anything is imported beyond the named module or opened.
+    (:func:`~repro.kv.api.store_class`) — before anything is opened.
     """
     path = os.path.normpath(os.path.join(base, rel))
     if os.path.isabs(rel) or os.path.relpath(path, base).startswith(os.pardir):
         raise CheckpointError(f"manifest child path {rel!r} escapes {base}")
     if factory is not None:
         return lambda *index: factory(*index, path)
-    module_name, _, class_name = dotted.rpartition(".")
-    try:
-        child_cls = getattr(importlib.import_module(module_name), class_name)
-    except (ImportError, AttributeError, ValueError) as exc:
-        raise CheckpointError(f"manifest names unknown store type {dotted!r}") from exc
-    if not (isinstance(child_cls, type) and issubclass(child_cls, KVStore)):
-        raise CheckpointError(f"manifest type {dotted!r} is not a KVStore")
+    child_cls = store_class(dotted)
     return lambda *index: child_cls.restore(path, **kwargs)
 
 
@@ -285,17 +254,6 @@ def child_openers(
         child_opener(base, rel, dotted, factory, **kwargs)
         for rel, dotted in zip(rels, types)
     ]
-
-
-def call_batched(child: KVStore, op: str, columns: tuple, args: tuple):
-    """Run batched ``op`` on one child: ``child.op(*columns, *args)``.
-
-    The method is looked up on the instance at call time, so per-instance
-    wrappers (tracing, sanitizing) are honoured.  ``lookahead`` is the one
-    optional op: a child without it stages nothing.
-    """
-    method = getattr(child, op, None)
-    return method(*columns, *args) if method is not None else 0
 
 
 class ShardedKVStore(KVStore, CheckpointManager):
@@ -371,19 +329,21 @@ class ShardedKVStore(KVStore, CheckpointManager):
 
         Returns one result per batch, in order.  ``columns`` are the
         shard's slices of the operation's positional inputs (keys, and
-        values for ``multi_put``); ``args`` apply to every shard.
+        values for ``multi_put``); ``args`` apply to every shard.  The
+        method is looked up on the child at call time, so per-instance
+        wrappers (tracing, sanitizing) are honoured.
         """
         results = []
         for shard, columns in batches:
             child = self.shards[shard]
             with obs_span(
                 "kv.shard",
-                clock=sim_clock(child),
+                clock=child.clock,
                 shard=shard,
                 op=op,
                 keys=len(columns[0]),
             ):
-                results.append(call_batched(child, op, columns, args))
+                results.append(getattr(child, op)(*columns, *args))
         return results
 
     # ------------------------------------------------------------------
@@ -560,7 +520,8 @@ class ShardedKVStore(KVStore, CheckpointManager):
         return results
 
     def lookahead(self, keys) -> int:
-        """Fan a prefetch batch out to the children that support staging."""
+        """Fan a prefetch batch out to the children; returns the records
+        they staged."""
         return sum(self._fan_out("lookahead", self._normalize_keys(keys))[1])
 
     def scan(self) -> Iterator[tuple[int, bytes]]:
@@ -609,26 +570,23 @@ class ShardedKVStore(KVStore, CheckpointManager):
             self._closed = True
 
     # ------------------------------------------------------------------
-    # pass-throughs (only meaningful when the children support them)
+    # the store contract, computed from the children
     # ------------------------------------------------------------------
     @property
     def ssd(self):
-        """The device model every child shares (see :func:`shared_attr`).
-
-        Exposed so the embedding layer's conventional-prefetch background
-        scope works over a sharded store.
-        """
-        return shared_attr(self.shards, "ssd")
+        """The device model every child shares (see :func:`shared_ssd`), so
+        the embedding layer's conventional prefetch charges it."""
+        return shared_ssd(self.shards)
 
     @property
     def clock(self):
-        """The simulated clock of the shared device model, when there is one.
+        """The simulated clock of the shared device model, or ``None``.
 
         The serving tier times queueing and batching on the store's
         clock, so a sharded store serves traffic when its children share
-        one ``SSDModel``; otherwise the attribute is absent.
+        one ``SSDModel``.
         """
-        return self.ssd.clock
+        return shared_clock(self.shards)
 
     @property
     def staleness_bound(self):
@@ -636,8 +594,9 @@ class ShardedKVStore(KVStore, CheckpointManager):
         return tightest_staleness_bound(self.shards)
 
     def set_stall_handler(self, handler) -> None:
-        """Register the training stall hook on every capable child."""
-        set_stall_handlers(self.shards, handler)
+        """Register the training stall hook on every child."""
+        for shard in self.shards:
+            shard.set_stall_handler(handler)
 
     # ------------------------------------------------------------------
     # stats & balance

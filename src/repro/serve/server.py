@@ -129,11 +129,11 @@ class EmbeddingServer:
         self.tables = EmbeddingTables(
             store, dim, init_scale=init_scale, seed=seed, cache_entries=0
         )
-        bound = getattr(store, "staleness_bound", None)
+        bound = store.staleness_bound
         bounded_capable = (
             bound is not None
             and getattr(store, "bounded_staleness", True)
-            and not getattr(store, "read_only", False)
+            and not store.read_only
         )
         if read_mode == "auto":
             read_mode = "bounded" if bounded_capable else "snapshot"
@@ -147,10 +147,8 @@ class EmbeddingServer:
             reuse_limit = max(1, int(bound))
         self.cache = AdmissionCache(cache_entries, reuse_limit=reuse_limit)
         if read_mode == "bounded":
-            handler_sink = getattr(store, "set_stall_handler", None)
-            if handler_sink is not None:
-                handler_sink(self._refresh_on_stall)
-        self._clock = getattr(store, "clock", None)
+            store.set_stall_handler(self._refresh_on_stall)
+        self._clock = store.clock
         # Hit/miss counters the refresh handler's own snapshot reads
         # contributed; _fetch subtracts these so refreshes that fire
         # *inside* its measurement window are not booked as served tiers.

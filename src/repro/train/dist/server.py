@@ -187,7 +187,7 @@ class ParameterServer:
         self.pulls += 1
         with obs_span(
             "ps.pull",
-            clock=getattr(self.store, "clock", None),
+            clock=self.store.clock,
             worker=worker_id,
             keys=len(unique_keys),
         ):
@@ -207,7 +207,7 @@ class ParameterServer:
             return False
         with obs_span(
             "ps.push",
-            clock=getattr(self.store, "clock", None),
+            clock=self.store.clock,
             worker=packet.worker_id,
             batch=packet.batch_index,
             keys=len(packet.keys),
@@ -239,7 +239,7 @@ class ParameterServer:
             return 0
         with obs_span(
             "ps.apply_round",
-            clock=getattr(self.store, "clock", None),
+            clock=self.store.clock,
             packets=len(fresh),
         ):
             self._apply_dense([packet.dense_grads for packet in fresh])

@@ -129,9 +129,7 @@ class BaseTrainer:
         self.pending: deque[tuple[np.ndarray, np.ndarray]] = deque()
         self._result = TrainResult(metric_name=self.metric_name)
         self._start_step = 0
-        handler_sink = getattr(tables.store, "set_stall_handler", None)
-        if handler_sink is not None:
-            handler_sink(self._on_stall)
+        tables.store.set_stall_handler(self._on_stall)
 
     # ------------------------------------------------------------------
     # task-specific hooks
@@ -357,9 +355,8 @@ class BaseTrainer:
         incremental uploader ships trainer state and store state as one
         atomic epoch — a restore hands back both or neither.
         """
-        store = self.tables.store
         self.save_checkpoint(
-            os.path.join(self._checkpoint_root(store), self.TRAINER_STATE_FILE), step
+            os.path.join(self.tables.store.checkpoint_root(), self.TRAINER_STATE_FILE), step
         )
         return checkpointer.checkpoint()
 
@@ -385,9 +382,7 @@ class BaseTrainer:
         """
         tables = self.tables
         if path is None:
-            path = os.path.join(
-                self._checkpoint_root(tables.store), self.SERVABLE_FILE
-            )
+            path = os.path.join(tables.store.checkpoint_root(), self.SERVABLE_FILE)
         self.network.eval()
         try:
             servable = {
@@ -407,11 +402,6 @@ class BaseTrainer:
         finally:
             self.network.train()
         return path
-
-    @staticmethod
-    def _checkpoint_root(store) -> str:
-        root_fn = getattr(store, "checkpoint_root", None)
-        return root_fn() if root_fn is not None else store.directory
 
     def _carry_budget(self) -> float:
         """Seconds of background I/O allowed to stay in flight.
@@ -435,7 +425,7 @@ class BaseTrainer:
         window may only use the slack the pipeline leaves (paper
         §III-C2: conventional prefetching cannot exceed the bound).
         """
-        bound = getattr(self.tables.store, "staleness_bound", None)
+        bound = self.tables.store.staleness_bound
         window = self.config.conventional_window
         if bound is None:
             return window

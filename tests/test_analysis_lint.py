@@ -208,6 +208,10 @@ class KVStore(ABC):
         '''Committed reads.'''
     def multi_rmw(self, keys, update):
         '''Batched RMW.'''
+    def lookahead(self, keys):
+        '''Stage nothing.'''
+    def set_stall_handler(self, handler):
+        '''Ignore the hook.'''
     def freeze(self):
         '''Freeze.'''
 """
@@ -277,6 +281,18 @@ class TestRep002ContractCompleteness:
         )
         assert rules_of(findings) == ["REP002", "REP002"]
         assert "get_rows" in findings[0].message and "put_rows" in findings[1].message
+
+    def test_flags_a_capability_overridden_with_another_signature(self):
+        findings = self.lint(
+            _COMPLETE_ENGINE
+            + "    def lookahead(self, keys, dest):\n"
+            "        '''A destination no caller passes.'''\n"
+            "    def set_stall_handler(self, on_stall):\n"
+            "        '''The hook under another name.'''\n"
+        )
+        assert rules_of(findings) == ["REP002", "REP002"]
+        assert "lookahead" in findings[0].message
+        assert "set_stall_handler" in findings[1].message
 
     def test_extra_params_need_defaults(self):
         flagged = self.lint(

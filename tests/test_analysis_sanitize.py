@@ -126,7 +126,7 @@ class TestClockInvariants:
             store = make_replicated(tmp_path)
             store.put(1, b"a")
             group = store.groups[0]
-            group.clock.applied[0] = group.clock.version + 5  # corrupt
+            group.versions.applied[0] = group.versions.version + 5  # corrupt
             with pytest.raises(SanitizerError) as err:
                 store.put(2, b"b")
             assert "outside [0, version=" in str(err.value)
@@ -138,7 +138,7 @@ class TestClockInvariants:
             for key in range(6):
                 store.put(key, b"v")
             group = store.groups[0]
-            group.clock.applied[1] -= 2  # lost-update corruption
+            group.versions.applied[1] -= 2  # lost-update corruption
             with pytest.raises(SanitizerError) as err:
                 store.put(50, b"w")
             assert "moved backwards" in str(err.value)
@@ -182,7 +182,7 @@ class TestRoutingInvariants:
             live = [
                 index for index in self.live_indices() if index != exclude
             ]
-            lagging = [i for i in live if self.clock.lag(i) > 0]
+            lagging = [i for i in live if self.versions.lag(i) > 0]
             if lagging:  # prefer the worst possible donor
                 return lagging[0]
             return real_peer(self, exclude=exclude)
@@ -208,7 +208,7 @@ class TestRoutingInvariants:
             # Buggy replication: writes land but the applied-version
             # bookkeeping is dropped (instance attribute bypasses the
             # class-level wrapper, like a refactor that forgot the call).
-            group.clock.apply = lambda *args, **kwargs: None
+            group.versions.apply = lambda *args, **kwargs: None
             with pytest.raises(SanitizerError) as err:
                 store.put(2, b"b")
             assert "must apply every fanned-out write" in str(err.value)

@@ -111,7 +111,8 @@ class TestBaseClassDefaults:
     def test_a_replica_group(self, tmp_path):
         listed, rowed = _group(tmp_path / "a"), _group(tmp_path / "b")
         drive(listed, rowed)
-        assert (listed.clock.version, listed.clock.applied) == (rowed.clock.version, rowed.clock.applied)
+        assert (listed.versions.version, listed.versions.applied) == (
+            rowed.versions.version, rowed.versions.applied)
         listed.close(), rowed.close()
 
     @pytest.mark.parametrize("kind", ["lsm", "faster", "mlkv"])

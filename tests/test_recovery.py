@@ -252,6 +252,89 @@ class TestKillThenRestore:
             with pytest.raises(CheckpointError, match=r"faster\.meta\.json"):
                 FasterKV.recover(directory).close()
 
+    @pytest.mark.parametrize(
+        "kind, pattern, tear",
+        [
+            pytest.param(kind, pattern, tear, id=f"{pattern}-{label}")
+            for kind, pattern, label, tear in [
+                ("lsm", "lsm.manifest.json", "cut short", lambda text: text[: len(text) // 2]),
+                ("lsm", "lsm.manifest.json", "not an object", lambda text: "[1, 2]"),
+                ("lsm", "lsm.manifest.json", "no l0", lambda text: _without(text, "l0")),
+                ("lsm", "lsm.manifest.json", "no next_file_id",
+                 lambda text: _without(text, "next_file_id")),
+                ("lsm", "lsm.manifest.json", "levels a list", lambda text: _with(text, "levels", [1])),
+                ("lsm", "sst_*.data.meta", "cut short", lambda text: text[: len(text) // 2]),
+                ("lsm", "sst_*.data.meta", "no bloom_hex", lambda text: _without(text, "bloom_hex")),
+                ("lsm", "sst_*.data.meta", "bloom_hex not hex",
+                 lambda text: _with(text, "bloom_hex", "zz")),
+                ("btree", "btree.meta.json", "cut short", lambda text: text[: len(text) // 2]),
+                ("btree", "btree.meta.json", "no table", lambda text: _without(text, "table")),
+                ("btree", "btree.meta.json", "no root_page", lambda text: _without(text, "root_page")),
+                ("btree", "btree.meta.json", "table a list", lambda text: _with(text, "table", [1])),
+            ]
+        ],
+    )
+    def test_torn_engine_image_file_is_a_checkpoint_error(self, tmp_path, kind, pattern, tear):
+        """The same for the LSM manifest, an SSTable's ``.meta`` sidecar and
+        the B+tree meta: a torn one is a ``CheckpointError`` naming it."""
+        directory = tmp_path / "local"
+        store = build_store(kind, str(directory))
+        write_phase(store, range(3000))  # enough for the LSM to flush runs
+        store.checkpoint()
+        store.close()
+        torn = sorted(directory.glob(pattern))
+        assert torn
+        for path in torn:
+            path.write_text(tear(path.read_text()))
+        with pytest.raises(CheckpointError, match=pattern.replace(".", r"\.").replace("*", ".*")):
+            restore_store(kind, str(directory)).close()
+
+    @pytest.mark.parametrize(
+        "tear",
+        [
+            pytest.param(lambda text: text[: len(text) // 2], id="cut short"),
+            pytest.param(lambda text: "[1, 2]", id="not an object"),
+            pytest.param(lambda text: _without(text, "files"), id="no files"),
+            pytest.param(lambda text: _without(text, "store_type"), id="no store_type"),
+            pytest.param(lambda text: _with(text, "files", [1]), id="files a list"),
+            pytest.param(lambda text: _with(text, "files", {"a": {"bytes": 1}}), id="no sha256"),
+        ],
+    )
+    def test_torn_epoch_manifest_is_a_checkpoint_error(self, tmp_path, tear):
+        store = FasterKV(str(tmp_path / "local"), **_SMALL)
+        write_phase(store, range(20))
+        checkpointer = CloudCheckpointer(store, str(tmp_path / "bucket"))
+        checkpointer.checkpoint()
+        path = tmp_path / "bucket" / "manifests" / "epoch_000001.json"
+        path.write_text(tear(path.read_text()))
+        with pytest.raises(CheckpointError, match=r"epoch_000001\.json"):
+            checkpointer.restore(str(tmp_path / "restored"))
+        with pytest.raises(CheckpointError, match=r"epoch_000001\.json"):
+            checkpointer.checkpoint()  # the next epoch diffs against this one
+        store.close()
+
+    @pytest.mark.parametrize(
+        "store_type",
+        ["builtins.dict", "repro.no_such_module.Store", "repro.kv.faster.NoSuchKV", "FasterKV"],
+    )
+    def test_epoch_manifest_must_name_a_kvstore(self, tmp_path, store_type):
+        """``restore`` resolves the recorded class as a router manifest's
+        children are resolved: only an importable ``KVStore`` is opened."""
+        store = FasterKV(str(tmp_path / "local"), **_SMALL)
+        expected = write_phase(store, range(20))
+        checkpointer = CloudCheckpointer(store, str(tmp_path / "bucket"))
+        checkpointer.checkpoint()
+        path = tmp_path / "bucket" / "manifests" / "epoch_000001.json"
+        path.write_text(_with(path.read_text(), "store_type", store_type))
+        with pytest.raises(CheckpointError, match="store type|not a KVStore"):
+            checkpointer.restore(str(tmp_path / "restored"))
+        restored = checkpointer.restore(
+            str(tmp_path / "restored"), store_cls=FasterKV, overwrite=True
+        )
+        assert dict(restored.scan()) == expected
+        restored.close()
+        store.close()
+
     def test_restore_to_refuses_dirty_target(self, tmp_path):
         store = FasterKV(str(tmp_path / "local"), **_SMALL)
         store.put(1, b"x")
