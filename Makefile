@@ -54,9 +54,9 @@ bench-smoke:
 	$(PYTHON) -m pytest benchmarks/test_fig10_ycsb.py benchmarks/test_sharded_batched.py benchmarks/test_replicated.py -q
 
 # Real-time (wall-clock) hot-path bench on its own: vectorized
-# gather/scatter vs the per-row reference loops, arena optimizers,
-# batch record codec, and process-parallel shard fan-out.  Emits
-# BENCH_wallclock.json tagged clock="wall" so the gate applies the
+# gather/scatter vs the per-row reference loops, arena optimizers, the
+# router's array verb, the out-of-core engine path, the dense nets and
+# the serving loop.  Emits BENCH_wallclock.json tagged clock="wall" so the gate applies the
 # wider wall tolerance to it.
 bench-wallclock:
 	$(PYTHON) -m pytest benchmarks/test_wallclock.py -q --bench-root=.
@@ -98,7 +98,7 @@ bench-e2e-smoke:
 # array-verb suite rides along for its router and replica-group tests,
 # and the store-contract suite for what every composition answers.
 test-sanitize:
-	REPRO_SANITIZE=1 $(PYTHON) -m pytest tests/test_sharded.py tests/test_replication.py tests/test_distributed.py tests/test_analysis_sanitize.py tests/test_parallel.py tests/test_array_verbs.py tests/test_store_contract.py -q
+	REPRO_SANITIZE=1 $(PYTHON) -m pytest tests/test_sharded.py tests/test_replication.py tests/test_distributed.py tests/test_analysis_sanitize.py tests/test_array_verbs.py tests/test_store_contract.py -q
 
 # Prefer ruff (fast, wider net) when present; fall back to pyflakes,
 # then to the always-available compileall syntax check.  The repo's own

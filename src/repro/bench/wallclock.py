@@ -4,18 +4,17 @@ Everything else in the bench tier runs on the simulated clock — numbers
 are deterministic and machine-independent, which is what makes the perf
 gate trustworthy.  The *wall-clock* dimension deliberately breaks that
 rule for the handful of optimizations whose entire point is real CPU
-time: vectorized gather/scatter, the zero-copy batch codec, and
-process-parallel shard fan-out.  A simulated clock cannot see any of
-them (it charges by operation count, which these optimizations do not
-change).
+time: vectorized gather/scatter, the array store verbs, the batch-native
+engine paths.  A simulated clock cannot see any of them (it charges by
+operation count, which these optimizations do not change).
 
 To keep wall-clock numbers honest rather than noisy:
 
 * every sample is ``time.perf_counter`` around the closure, and a
   measurement is the **minimum** over ``repeats`` runs (the minimum
   estimates the noise-free cost; means absorb scheduler jitter),
-* measurements carry the machine's core count so a scaling claim can be
-  read against the parallelism that was actually available,
+* measurements carry the machine's core count, so a number can be read
+  against the parallelism that was actually available,
 * the perf gate applies a much wider tolerance to payloads tagged
   ``"clock": "wall"`` (see ``benchmarks/compare.py``) — wall numbers
   gate only against order-of-magnitude collapses, not runner noise.

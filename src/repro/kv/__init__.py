@@ -19,21 +19,17 @@ load), coordinated checkpoints — and every engine overrides
 ``multi_get``/``multi_put`` with genuinely batched hot paths (one index
 probe of the whole batch, WAL group commits, single leaf walks).  The router's
 children are plain :class:`~repro.kv.api.KVStore` objects, so the other
-two stores are the same router with a different kind of child:
+store is the same router with a different kind of child:
 :mod:`repro.kv.replicated` makes each shard an N-way
 :class:`~repro.kv.replicated.ReplicaGroup` (synchronous write fan-out,
-divergence-bounded read routing, failover with hinted catch-up), and
-:mod:`repro.kv.parallel` puts each shard's store in a forked worker
-process so batched fan-out uses real cores
-(:func:`~repro.kv.parallel.create_sharded_store` picks parallel or
-serial automatically).  Live migration, stats and checkpoint → restore
-are the router's, so they work for all three.
+divergence-bounded read routing, failover with hinted catch-up).  Live
+migration, stats and checkpoint → restore are the router's, so they work
+for both.
 """
 
 from repro.kv.api import CheckpointManager, KVStore, StoreStats
 from repro.kv.common.cache import ClockCache, LRUCache
 from repro.kv.common.serialization import decode_vector, encode_vector
-from repro.kv.parallel import ParallelShardStore, create_sharded_store
 from repro.kv.replicated import ReplicaGroup, ReplicatedKVStore
 from repro.kv.sharded import ShardedKVStore, ShardMigration, shard_hash
 
@@ -45,13 +41,11 @@ __all__ = [
     "ClockCache",
     "KVStore",
     "LRUCache",
-    "ParallelShardStore",
     "ReplicaGroup",
     "ReplicatedKVStore",
     "ShardMigration",
     "ShardedKVStore",
     "StoreStats",
-    "create_sharded_store",
     "decode_vector",
     "encode_vector",
     "shard_hash",

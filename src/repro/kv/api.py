@@ -14,8 +14,8 @@ Everything a caller may ask a store about is declared on :class:`KVStore`
 with the answer of a store that lacks the capability — no device model or
 clock, no staleness bound, no directory, a stall handler ignored, a
 look-ahead that stages nothing — so callers read attributes instead of
-probing for them, and a composite store (router, replica group, worker
-proxy) computes the same answers from its children.
+probing for them, and a composite store (router, replica group) computes
+the same answers from its children.
 """
 
 from __future__ import annotations

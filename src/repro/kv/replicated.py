@@ -115,8 +115,7 @@ class ReplicaGroup(KVStore, CheckpointManager):
         Optional base directory holding every replica's own directory.
         A group that has one writes its own manifest on
         :meth:`checkpoint` and reopens through :meth:`restore` — which is
-        how groups hosted by a plain or process-parallel router
-        checkpoint; groups of a :class:`ReplicatedKVStore` have none and
+        how groups hosted by a plain router checkpoint; groups of a :class:`ReplicatedKVStore` have none and
         are recorded in the store's manifest instead.
     """
 

@@ -9,21 +9,17 @@ is just a :class:`~repro.kv.api.KVStore`:
 
 * a local engine (FASTER / MLKV / LSM / B-tree, any mix),
 * a :class:`~repro.kv.replicated.ReplicaGroup` — N engines holding one
-  key range behind routed reads and fan-out writes,
-* a worker-process proxy (:mod:`repro.kv.parallel`) forwarding each call
-  over a pipe to an engine — or a replica group — living in a forked
-  worker.
+  key range behind routed reads and fan-out writes.
 
-Two hooks are all a subclass overrides to change *where* children live:
+One hook is all a subclass overrides to change what a child is:
 :meth:`ShardedKVStore._build_child` (how ``factory(index)`` becomes a
-child) and :meth:`ShardedKVStore._dispatch` (how one partitioned batched
-operation reaches the children).  Slot-table routing, live
-split/migrate with deferred cleanup, stats aggregation, the store
-contract computed from the children (``ssd``, ``clock``,
-``staleness_bound``, ``set_stall_handler``, ``lookahead``: what they
-share, never an ``AttributeError``) and the coordinated checkpoint
-manifest are inherited, so replication x live migration x process
-parallelism compose.
+child), which :class:`~repro.kv.replicated.ReplicatedKVStore` overrides
+to build a replica group.  Slot-table routing, live split/migrate with
+deferred cleanup, stats aggregation, the store contract computed from
+the children (``ssd``, ``clock``, ``staleness_bound``,
+``set_stall_handler``, ``lookahead``: what they share, never an
+``AttributeError``) and the coordinated checkpoint manifest are
+inherited, so replication and live migration compose.
 
 Batched operations are the reason this layer exists: ``multi_get`` /
 ``multi_put`` / ``multi_rmw`` split one application batch into at most
@@ -213,14 +209,8 @@ def child_relpath(child: KVStore, base: str) -> str:
 
 
 def child_type(child: KVStore) -> str:
-    """Dotted class path a manifest records for ``child``.
-
-    A worker-process proxy reports the class of the store it fronts
-    (``store_type``), so manifests never name the proxy.
-    """
-    return getattr(child, "store_type", None) or (
-        f"{type(child).__module__}.{type(child).__qualname__}"
-    )
+    """Dotted class path a manifest records for ``child``."""
+    return f"{type(child).__module__}.{type(child).__qualname__}"
 
 
 def child_opener(
@@ -268,7 +258,7 @@ class ShardedKVStore(KVStore, CheckpointManager):
         clock + SSD).
     num_shards:
         Initial number of partitions; :meth:`begin_split` adds engines
-        live, :meth:`rebalance` moves to an arbitrary count offline.
+        live.
     directory:
         Optional base directory for *coordinated* checkpoints: when every
         shard's own directory lives under it, :meth:`checkpoint` writes a
@@ -315,36 +305,14 @@ class ShardedKVStore(KVStore, CheckpointManager):
         return cls(lambda index: stores[index], len(stores), directory=directory)
 
     # ------------------------------------------------------------------
-    # the two hooks a subclass overrides to change where children live
+    # the one hook a subclass overrides: what a child is
     # ------------------------------------------------------------------
     def _build_child(self, factory: Callable, index: int) -> KVStore:
-        """Hook 1: turn ``factory`` into the child serving engine ``index``.
+        """Turn ``factory`` into the child serving engine ``index``.
 
         Called for every initial shard and for every migration target.
         """
         return factory(index)
-
-    def _dispatch(self, op: str, batches: list, *args) -> list:
-        """Hook 2: run batched ``op`` on each ``(shard, columns)`` batch.
-
-        Returns one result per batch, in order.  ``columns`` are the
-        shard's slices of the operation's positional inputs (keys, and
-        values for ``multi_put``); ``args`` apply to every shard.  The
-        method is looked up on the child at call time, so per-instance
-        wrappers (tracing, sanitizing) are honoured.
-        """
-        results = []
-        for shard, columns in batches:
-            child = self.shards[shard]
-            with obs_span(
-                "kv.shard",
-                clock=child.clock,
-                shard=shard,
-                op=op,
-                keys=len(columns[0]),
-            ):
-                results.append(getattr(child, op)(*columns, *args))
-        return results
 
     # ------------------------------------------------------------------
     # routing
@@ -362,6 +330,28 @@ class ShardedKVStore(KVStore, CheckpointManager):
         shard = self.shard_of(key)
         self._shard_ops[shard] += 1
         return self.shards[shard]
+
+    def _dispatch(self, op: str, batches: list, *args) -> list:
+        """Run batched ``op`` on each ``(shard, columns)`` batch, in order.
+
+        Returns one result per batch.  ``columns`` are the shard's slices
+        of the operation's positional inputs (keys, and values or rows for
+        the writes); ``args`` apply to every shard.  The method is looked
+        up on the child at call time, so per-instance wrappers (tracing,
+        sanitizing) are honoured.
+        """
+        results = []
+        for shard, columns in batches:
+            child = self.shards[shard]
+            with obs_span(
+                "kv.shard",
+                clock=child.clock,
+                shard=shard,
+                op=op,
+                keys=len(columns[0]),
+            ):
+                results.append(getattr(child, op)(*columns, *args))
+        return results
 
     def _fan_out(self, op: str, keys: list, values: Optional[list] = None, *args):
         """Partition one batch by owner and dispatch it.
@@ -530,8 +520,8 @@ class ShardedKVStore(KVStore, CheckpointManager):
         Every engine's ``scan`` yields its own order (LSM sorted, FASTER
         index order, ...), so the merged stream has no global order — the
         guarantees are that each live key appears exactly once and comes
-        from the shard owning it.  Serving cache warmup and
-        :meth:`rebalance` both stream through this.  Keys a deferred
+        from the shard owning it.  Serving cache warmup streams through
+        this.  Keys a deferred
         post-cutover cleanup has not deleted from their old engine yet
         are filtered out of that engine's stream (the target owns them).
         """
@@ -672,22 +662,12 @@ class ShardedKVStore(KVStore, CheckpointManager):
         manifest is imported and its own ``restore`` is called with
         ``kwargs`` forwarded.
         """
-        return cls._reopen(directory, factory, kwargs)
-
-    @classmethod
-    def _reopen(cls, directory: str, factory, kwargs: dict, **options):
-        """:meth:`restore`, with ``options`` passed on to the constructor."""
         path, manifest = read_manifest(directory, cls.manifest_name)
         with checkpoint_fields(path):
             openers = child_openers(
                 directory, manifest["shards"], manifest["types"], factory, **kwargs
             )
-        store = cls(
-            lambda index: openers[index](index),
-            len(openers),
-            directory=directory,
-            **options,
-        )
+        store = cls(lambda index: openers[index](index), len(openers), directory=directory)
         store._adopt_slots(manifest.get("slots"))
         return store
 
@@ -708,34 +688,6 @@ class ShardedKVStore(KVStore, CheckpointManager):
                 f"indices within 0..{len(self.shards) - 1}"
             )
         self._slots = list(slots)
-
-    # ------------------------------------------------------------------
-    # rebalancing
-    # ------------------------------------------------------------------
-    def rebalance(
-        self, factory: Callable[[int], KVStore], num_shards: int, batch: int = 1024
-    ) -> "ShardedKVStore":
-        """Stream every record into a new store with ``num_shards`` shards.
-
-        Returns the new store; this store remains readable (callers close
-        it once cut over).  Records move in ``batch``-sized ``multi_put``
-        calls so the target shards ingest through their batched paths.
-        The invariants tests rely on: the new store holds exactly the
-        same records, and only keys whose hash lands on a different
-        ``% num_shards`` bucket change shard.
-        """
-        target = ShardedKVStore(factory, num_shards)
-        pending_keys: list[int] = []
-        pending_values: list[bytes] = []
-        for key, value in self.scan():
-            pending_keys.append(key)
-            pending_values.append(value)
-            if len(pending_keys) >= batch:
-                target.multi_put(pending_keys, pending_values)
-                pending_keys, pending_values = [], []
-        if pending_keys:
-            target.multi_put(pending_keys, pending_values)
-        return target
 
     # ------------------------------------------------------------------
     # live migration: split / migrate with copy-then-cutover

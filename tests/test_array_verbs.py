@@ -31,7 +31,6 @@ from repro.kv.btree.store import BTreeKV
 from repro.kv.common.serialization import decode_vectors, encode_vectors
 from repro.kv.faster.store import FasterKV
 from repro.kv.lsm.store import LsmKV
-from repro.kv.parallel import ParallelShardStore, fork_available
 from repro.kv.replicated import ReplicaGroup, ReplicatedKVStore
 from repro.kv.sharded import ShardedKVStore
 
@@ -214,26 +213,20 @@ class TestRouter:
         for store, _, _ in stores:
             store.close()
 
-    def test_replicated_and_worker_process_routers_serve_rows(self, tmp_path):
+    def test_a_replicated_router_serves_rows(self, tmp_path):
         """Replica groups take the base-class verbs under the router's
-        override; worker processes take them over the router itself (the
-        pipes carry the list verbs' frames), a proxy reached directly too."""
+        override."""
         ssd = SSDModel(SimClock())
         replicated = ReplicatedKVStore(
             lambda shard, replica: _engine("mlkv", tmp_path / f"s{shard}r{replica}", ssd), 2)
         listed, _ = _router(tmp_path / "plain", shards=2)
         keys = np.random.default_rng(2).permutation(500)[:300]
-        stores = [replicated, listed]
-        if fork_available():
-            stores.append(ParallelShardStore(
-                lambda index: _engine("mlkv", tmp_path / f"w{index}"), 2, processes=2))
-        for store in stores:
+        for store in (replicated, listed):
             store.put_rows(keys, value_rows(keys, 4))
             assert get_listed(store, keys[::-1]) == row_values(value_rows(keys[::-1], 4))
             assert get_listed(store.shards[0], np.arange(600, 620)) == [None] * 20
-        assert replicated.stats.puts == 2 * listed.stats.puts == 2 * stores[-1].stats.puts
-        for store in stores:
-            store.close()
+        assert replicated.stats.puts == 2 * listed.stats.puts
+        replicated.close(), listed.close()
 
 
 # ----------------------------------------------------------------------

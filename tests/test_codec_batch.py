@@ -1,6 +1,6 @@
-"""Zero-copy batch record codec: byte-identity with the per-record
-framing, torn-buffer rejection, aliasing discipline, and engine
-round-trips with memoryview values over all four engines."""
+"""Batch vector codec: per-row views that are safe to hold, the batch
+decode equal to the per-row one, and engine round-trips with memoryview
+values over all four engines."""
 
 from __future__ import annotations
 
@@ -13,17 +13,10 @@ from repro.core.mlkv import MLKV
 from repro.device import SimClock, SSDModel
 from repro.kv.btree import BTreeKV
 from repro.kv.common.serialization import (
-    decode_record,
-    decode_records,
-    decode_values,
     decode_vector,
     decode_vectors,
-    encode_record,
-    encode_records,
-    encode_values,
     encode_vector,
     encode_vectors,
-    encoded_records_size,
 )
 from repro.kv.faster import FasterKV
 from repro.kv.lsm import LsmKV
@@ -44,120 +37,7 @@ def make_engine(kind: str, directory: str):
     )
 
 
-def _sample_batch(n: int = 500, seed: int = 0, uniform: bool = False):
-    rng = np.random.default_rng(seed)
-    keys = rng.integers(0, 1 << 48, size=n).tolist()
-    if uniform:
-        values = [rng.bytes(24) for _ in range(n)]
-    else:
-        values = [rng.bytes(int(length)) for length in rng.integers(0, 96, size=n)]
-    return keys, values
-
-
-# ----------------------------------------------------------------------
-# framing identity: the batch codec must be the per-record codec, faster
-# ----------------------------------------------------------------------
-class TestBatchFraming:
-    @pytest.mark.parametrize("uniform", [False, True])
-    def test_encode_records_matches_per_record_loop(self, uniform):
-        keys, values = _sample_batch(uniform=uniform)
-        loop = b"".join(encode_record(k, v) for k, v in zip(keys, values))
-        assert bytes(encode_records(keys, values)) == loop
-        assert len(loop) == encoded_records_size(values)
-
-    def test_round_trip_equals_loop_decode(self):
-        keys, values = _sample_batch(seed=1)
-        buffer = bytes(encode_records(keys, values))
-        assert list(decode_records(buffer)) == list(zip(keys, values))
-        # per-record reference walk over the same buffer
-        offset, walked = 0, []
-        while offset < len(buffer):
-            key, value, offset = decode_record(buffer, offset)
-            walked.append((key, value))
-        assert walked == list(zip(keys, values))
-
-    def test_mixed_lengths_that_sum_uniformly_stay_correct(self):
-        # 3+5 averages to 4: a size-only uniformity heuristic would take
-        # the fixed-width fast path here and corrupt the frame.
-        keys = [1, 2]
-        values = [b"abc", b"defgh"]
-        assert bytes(encode_records(keys, values)) == (
-            encode_record(1, b"abc") + encode_record(2, b"defgh")
-        )
-
-    def test_negative_key_rejected_on_both_paths(self):
-        with pytest.raises(ValueError):
-            encode_records([1, -2], [b"aa", b"bb"])  # uniform fast path
-        with pytest.raises(ValueError):
-            encode_records([1, -2], [b"a", b"bbb"])  # loop path
-
-    def test_huge_keys_use_full_uint64_range(self):
-        keys = [2**63, 2**64 - 1]
-        values = [b"xx", b"yy"]
-        assert list(decode_records(bytes(encode_records(keys, values)))) == list(
-            zip(keys, values)
-        )
-
-    def test_out_buffer_reuse_with_offset(self):
-        keys, values = _sample_batch(n=20, seed=2)
-        scratch = bytearray(b"\xee" * 11)
-        encode_records(keys, values, out=scratch, offset=11)
-        assert bytes(scratch[:11]) == b"\xee" * 11
-        assert list(decode_records(scratch, offset=11)) == list(zip(keys, values))
-
-
-class TestTornBuffers:
-    def test_truncated_header_rejected(self):
-        buffer = bytes(encode_records([7], [b"abcdef"]))
-        with pytest.raises(ValueError):
-            list(decode_records(buffer[:6]))
-
-    def test_truncated_value_rejected(self):
-        buffer = bytes(encode_records([7, 8], [b"abcdef", b"ghij"]))
-        with pytest.raises(ValueError):
-            list(decode_records(buffer[:-2]))
-
-    def test_partial_batch_before_tear_is_yielded(self):
-        keys, values = _sample_batch(n=10, seed=3)
-        buffer = bytes(encode_records(keys, values))
-        torn = buffer[:-1]
-        decoded = []
-        with pytest.raises(ValueError):
-            for item in decode_records(torn):
-                decoded.append(item)
-        # everything before the torn record decoded intact
-        assert decoded == list(zip(keys, values))[: len(decoded)]
-        assert len(decoded) == len(keys) - 1
-
-    def test_value_stream_truncation_rejected(self):
-        values = [b"abc", None, b"defg"]
-        buffer = bytes(encode_values(values))
-        assert decode_values(buffer, 3) == values
-        with pytest.raises(ValueError):
-            decode_values(buffer[:-1], 3)
-        with pytest.raises(ValueError):
-            decode_values(buffer + b"\x00", 3)  # trailing garbage
-
-
 class TestAliasing:
-    def test_zero_copy_views_alias_the_source_buffer(self):
-        keys, values = _sample_batch(n=5, seed=4)
-        buffer = bytes(encode_records(keys, values))
-        views = [value for _, value in decode_records(buffer, copy=False)]
-        assert all(isinstance(view, memoryview) for view in views)
-        assert [bytes(view) for view in views] == values
-
-    def test_scratch_reuse_invalidates_views_copy_true_does_not(self):
-        keys, values = _sample_batch(n=5, seed=5, uniform=True)
-        scratch = encode_records(keys, values)
-        copied = [value for _, value in decode_records(scratch, copy=True)]
-        views = [value for _, value in decode_records(scratch, copy=False)]
-        # overwrite the scratch buffer with a different batch
-        other_keys, other_values = _sample_batch(n=5, seed=6, uniform=True)
-        encode_records(other_keys, other_values, out=scratch)
-        assert copied == values  # copies are immune
-        assert [bytes(view) for view in views] != values  # views alias
-
     def test_encode_vectors_views_are_safe_to_hold(self):
         # encode_vectors hands out views over an *immutable* bytes object,
         # so they stay valid even after further encodes.
@@ -187,22 +67,6 @@ class TestAliasing:
 # engines accept the codec's zero-copy views end to end
 # ----------------------------------------------------------------------
 class TestEngineRoundTrip:
-    @pytest.mark.parametrize("kind", ENGINES)
-    def test_memoryview_values_round_trip(self, kind):
-        keys, values = _sample_batch(n=200, seed=8)
-        buffer = bytes(encode_records(keys, values))
-        views = [value for _, value in decode_records(buffer, copy=False)]
-        with tempfile.TemporaryDirectory(prefix=f"codec-{kind}-") as td:
-            store = make_engine(kind, td)
-            # last-wins for duplicate keys, matching multi_put's contract
-            expected = dict(zip(keys, values))
-            store.multi_put(keys, views)
-            got = store.multi_get(list(expected))
-            assert [bytes(raw) for raw in got] == [
-                expected[key] for key in expected
-            ]
-            store.close()
-
     @pytest.mark.parametrize("kind", ENGINES)
     def test_vector_views_round_trip(self, kind):
         rng = np.random.default_rng(9)

@@ -26,13 +26,7 @@ from repro.core.mlkv import MLKV
 from repro.data import CTRDataset
 from repro.device import GPUModel, SimClock, SSDModel
 from repro.kv import ReplicatedKVStore
-from repro.kv.common.serialization import (
-    decode_values,
-    encode_records,
-    encode_values,
-    encode_vector,
-    encode_vectors,
-)
+from repro.kv.common.serialization import encode_vector
 from repro.kv.faster import FasterKV
 from repro.obs.trace import (
     Tracer,
@@ -203,15 +197,6 @@ class TestTracerContract:
         assert rows["idle"]["keys"] == 0
         # A tracer that recorded nothing has an empty ledger.
         assert Tracer().ledger() == {}
-
-    def test_codec_spans_carry_their_unit_counts(self):
-        tracer = install_tracer()
-        rows = encode_vectors(np.ones((8, 4), dtype=np.float32))
-        encode_records(list(range(8)), rows)
-        decode_values(encode_values(rows), 8)
-        rows = tracer.ledger()
-        for name in ("codec.encode_records", "codec.encode_values", "codec.decode_values"):
-            assert (rows[name]["calls"], rows[name]["keys"]) == (1, 8), name
 
     def test_view_cli_summarizes_a_dump(self, tmp_path, capsys):
         clock = _FakeClock()

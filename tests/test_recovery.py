@@ -9,6 +9,7 @@ resurrected.
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from repro.kv.sharded import ShardedKVStore
 ENGINES = ["faster", "mlkv", "lsm", "btree", "sharded"]
 
 _SMALL = {"memory_budget_bytes": 1 << 16}
+
+PARALLEL_ROUTER_IMAGE = os.path.join(os.path.dirname(__file__), "data", "parallel_router_image")
 
 
 def build_store(kind: str, directory: str):
@@ -315,7 +318,8 @@ class TestKillThenRestore:
 
     @pytest.mark.parametrize(
         "store_type",
-        ["builtins.dict", "repro.no_such_module.Store", "repro.kv.faster.NoSuchKV", "FasterKV"],
+        ["builtins.dict", "repro.no_such_module.Store", "repro.kv.faster.NoSuchKV", "FasterKV",
+         "repro.kv.parallel.ParallelShardStore"],  # the process-parallel router, since removed
     )
     def test_epoch_manifest_must_name_a_kvstore(self, tmp_path, store_type):
         """``restore`` resolves the recorded class as a router manifest's
@@ -351,6 +355,27 @@ class TestKillThenRestore:
         assert restored.get(1) == b"x"
         restored.close()
         store.close()
+
+    def test_a_parallel_router_image_restores_as_a_sharded_store(self, tmp_path):
+        """``tests/data/parallel_router_image`` was checkpointed by the
+        process-parallel router before it was removed: two FASTER shards,
+        4 KiB pages, keys 0..199 of 16 bytes each.  Its manifest is a
+        plain router manifest, so the one router reopens it with the same
+        contents, slot table and owner of every key."""
+        directory = tmp_path / "image"
+        shutil.copytree(PARALLEL_ROUTER_IMAGE, directory)
+        restored = ShardedKVStore.restore(str(directory))
+        try:
+            assert type(restored) is ShardedKVStore and restored._slots == [0, 1]
+            assert [type(shard) for shard in restored.shards] == [FasterKV, FasterKV]
+            expected = {key: bytes([key % 251]) * 16 for key in range(200)}
+            assert dict(restored.scan()) == expected
+            for key, value in expected.items():
+                owner = restored.shard_of(key)
+                assert restored.shards[owner].get(key) == value
+                assert restored.shards[1 - owner].get(key) is None
+        finally:
+            restored.close()
 
     def test_sharded_checkpoint_requires_contained_shards(self, tmp_path):
         outside = FasterKV(str(tmp_path / "elsewhere"), **_SMALL)

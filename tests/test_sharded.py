@@ -1,18 +1,16 @@
-"""ShardedKVStore: routing, ordering, stats, rebalance — plus the
+"""ShardedKVStore: routing, ordering, stats — plus the
 batched-equals-looped property test run against all four engines.
 
 The batched contract (ordering, duplicates, iterables, scan/len, freeze,
 balance, checkpoint → restore) runs against every *shape* of the one
-router: serial children, RF=2 replica groups, worker-process proxies.
-The composition test drives what only a single router makes possible:
-replica groups — hosted locally or inside worker processes — split live
-under a writer, failed over, checkpointed and restored."""
+router: serial children and RF=2 replica groups.  The composition test
+drives what only a single router makes possible: replica groups split
+live under a writer, failed over, checkpointed and restored."""
 
 from __future__ import annotations
 
 import json
 import os
-from operator import methodcaller
 
 import numpy as np
 import pytest
@@ -20,24 +18,14 @@ import pytest
 from repro.core.mlkv import MLKV
 from repro.device import SimClock, SSDModel
 from repro.errors import CheckpointError, ConfigError, StorageError
-from repro.kv import (
-    ParallelShardStore,
-    ReplicaGroup,
-    ReplicatedKVStore,
-    ShardedKVStore,
-    shard_hash,
-)
+from repro.kv import ReplicatedKVStore, ShardedKVStore, shard_hash
 from repro.kv.btree import BTreeKV
 from repro.kv.faster import FasterKV
 from repro.kv.lsm import LsmKV
-from repro.kv.parallel import fork_available
 
 ENGINES = ("faster", "mlkv", "lsm", "btree")
 
-needs_fork = pytest.mark.skipif(
-    not fork_available(), reason="fork start method unavailable"
-)
-STORE_SHAPES = ("serial", "replicated", pytest.param("parallel", marks=needs_fork))
+STORE_SHAPES = ("serial", "replicated")
 
 
 def make_engine(kind: str, directory: str, memory_budget_bytes: int = 1 << 16):
@@ -55,7 +43,6 @@ def make_engine(kind: str, directory: str, memory_budget_bytes: int = 1 << 16):
 
 
 def _suffix(keys, values):
-    """Module-level so it pickles by reference into worker processes."""
     return [(value or b"") + b"!" for value in values]
 
 
@@ -79,17 +66,12 @@ def make_shaped(shape: str, base, coordinated: bool = False):
             directory=directory,
         )
 
-    def factory(index):
-        return FasterKV(str(base / f"shard{index}"))
-
-    if shape == "parallel":
-        return ParallelShardStore(factory, 4, directory=directory, processes=2)
-    return ShardedKVStore(factory, 4, directory=directory)
+    return ShardedKVStore(
+        lambda index: FasterKV(str(base / f"shard{index}")), 4, directory=directory
+    )
 
 
 def restore_shaped(shape: str, base):
-    if shape == "parallel":
-        return ParallelShardStore.restore(str(base), processes=2)
     cls = ReplicatedKVStore if shape == "replicated" else ShardedKVStore
     return cls.restore(str(base))
 
@@ -191,7 +173,7 @@ class TestCrossShardOrdering:
         assert shaped.multi_get(keys) == [b"v!"] * 60
         batches = []
 
-        def closure(sub_keys, values):  # closes over live state: cannot ship
+        def closure(sub_keys, values):
             batches.append(list(sub_keys))
             return [value + b"?" for value in values]
 
@@ -353,43 +335,6 @@ class TestStatsAggregation:
         store.close()
 
 
-class TestRebalance:
-    def test_rebalance_preserves_contents(self, sharded, tmp_path):
-        keys = list(range(300))
-        sharded.multi_put(keys, [key.to_bytes(4, "little") for key in keys])
-        moved = sharded.rebalance(
-            lambda index: FasterKV(str(tmp_path / f"new{index}")), num_shards=3
-        )
-        try:
-            assert dict(moved.scan()) == dict(sharded.scan())
-            assert moved.num_shards == 3
-            # Routing in the new store is consistent with its own hash.
-            for key in (0, 17, 255):
-                assert moved.shards[moved.shard_of(key)].get(key) is not None
-        finally:
-            moved.close()
-
-    def test_rebalance_only_moves_rehashed_keys(self, sharded, tmp_path):
-        keys = list(range(400))
-        sharded.multi_put(keys, [b"v"] * 400)
-        moved = sharded.rebalance(
-            lambda index: FasterKV(str(tmp_path / f"r{index}")), num_shards=8
-        )
-        try:
-            stayed = sum(
-                1
-                for key in keys
-                if shard_hash(key) % 8 == shard_hash(key) % 4
-            )
-            # Keys whose bucket is unchanged must land on the same index.
-            for key in keys:
-                if shard_hash(key) % 8 == shard_hash(key) % 4:
-                    assert moved.shards[sharded.shard_of(key)].get(key) is not None
-            assert 0 < stayed < len(keys)
-        finally:
-            moved.close()
-
-
 class TestMLKVPassthroughs:
     def test_lookahead_and_staleness_bound_fan_out(self, tmp_path):
         store = ShardedKVStore(
@@ -541,65 +486,24 @@ class TestBatchedEqualsLooped:
 
 
 class TestComposition:
-    """Replication x live migration x process hosting on the one router.
+    """Replication x live migration on the one router.
 
     RF=2 groups with ``divergence_bound=1``; one replica of the group
     being split is live, lagging and *admissible* — it still holds an old
     value for one key in the moving range — while the group is split
     under a writer, cut over with deferred cleanup, its successor failed
     over, and the whole store checkpointed and restored.  Every key must
-    equal a dict model throughout.  ``hosting`` puts the same groups
-    behind a :class:`ReplicatedKVStore` or inside
-    :class:`ParallelShardStore` worker processes.
+    equal a dict model throughout.
     """
 
-    HOSTINGS = ("replicated", pytest.param("parallel", marks=needs_fork))
-
-    @staticmethod
-    def _engine(base, shard, replica, generation=""):
-        return FasterKV(str(base / f"g{shard}{generation}" / f"r{replica}"))
-
-    def _build(self, hosting, base, generation=""):
-        """(store, factory for begin_split) over RF=2 FASTER groups."""
-        if hosting == "replicated":
-            def factory(shard, replica):
-                return self._engine(base, shard, replica, generation)
-
-            store = ReplicatedKVStore(
-                factory, 2, replication=2, divergence_bound=1, directory=str(base)
-            )
-            return store, factory
-
-        def group_factory(shard):
-            return ReplicaGroup(
-                [self._engine(base, shard, replica, generation) for replica in (0, 1)],
-                divergence_bound=1,
-                directory=str(base / f"g{shard}{generation}"),
-            )
-
-        store = ParallelShardStore(group_factory, 2, directory=str(base), processes=2)
-        return store, group_factory
-
-    @staticmethod
-    def _group(store, shard, name, *args):
-        """Call a :class:`ReplicaGroup` method on a local or proxied group."""
-        child = store.shards[shard]
-        if isinstance(child, ReplicaGroup):
-            return getattr(child, name)(*args)
-        return child.call(methodcaller(name, *args))
-
-    @staticmethod
-    def _restore(hosting, base):
-        if hosting == "replicated":
-            return ReplicatedKVStore.restore(str(base))
-        return ParallelShardStore.restore(str(base), processes=2)
-
-    @pytest.mark.parametrize("hosting", HOSTINGS)
     @pytest.mark.parametrize("parity", (0, 1))
-    def test_lagging_group_splits_live_fails_over_and_restores(
-        self, hosting, parity, tmp_path
-    ):
-        store, factory = self._build(hosting, tmp_path)
+    def test_lagging_group_splits_live_fails_over_and_restores(self, parity, tmp_path):
+        def factory(shard, replica):
+            return FasterKV(str(tmp_path / f"g{shard}" / f"r{replica}"))
+
+        store = ReplicatedKVStore(
+            factory, 2, replication=2, divergence_bound=1, directory=str(tmp_path)
+        )
         rng = np.random.default_rng(17)
         model = {key: f"v{key}".encode() for key in range(600)}
         store.multi_put(list(model), list(model.values()))
@@ -608,11 +512,11 @@ class TestComposition:
         # moves slot 2, so a key with hash % 4 == 2 is about to move.
         stale_key = next(key for key in model if shard_hash(key) % 4 == 2)
         assert store.shard_of(stale_key) == 0
-        self._group(store, 0, "fail", 1)
+        store.groups[0].fail(1)
         store.put(stale_key, b"fresh")  # replica 1 misses this one write
         model[stale_key] = b"fresh"
-        self._group(store, 0, "revive", 1, False)  # live, lag 1 <= bound 1
-        assert self._group(store, 0, "live_indices") == [0, 1]
+        store.groups[0].revive(1, False)  # live, lag 1 <= bound 1
+        assert store.groups[0].live_indices() == [0, 1]
         # Routed reads round-robin over both replicas, so one of the two
         # parities would hand a routed migration copy the stale value.
         for _ in range(parity):
@@ -647,7 +551,7 @@ class TestComposition:
 
         # Fail over the freshly built group, keep writing (hints queue up
         # against the dead replica), then checkpoint and restore.
-        self._group(store, 2, "fail", 0)
+        store.groups[2].fail(0)
         late = [key for key in model if store.shard_of(key) == 2][:20]
         store.multi_put(late, [b"late"] * len(late))
         model.update((key, b"late") for key in late)
@@ -658,15 +562,15 @@ class TestComposition:
         store.checkpoint()
         store.close()
 
-        restored = self._restore(hosting, tmp_path)
+        restored = ReplicatedKVStore.restore(str(tmp_path))
         try:
             assert restored._slots == slots and restored.num_shards == 3
-            assert self._group(restored, 2, "live_indices") == [1]
-            assert self._group(restored, 2, "hints_outstanding", 0) == len(late)
+            assert restored.groups[2].live_indices() == [1]
+            assert restored.groups[2].hints_outstanding(0) == len(late)
             check(restored)
             # The dead replica's hinted writes replay on revive.
-            assert self._group(restored, 2, "revive", 0) == len(late)
-            self._group(restored, 2, "fail", 1)
+            assert restored.groups[2].revive(0) == len(late)
+            restored.groups[2].fail(1)
             check(restored)
         finally:
             restored.close()

@@ -3,7 +3,7 @@
 ``KVStore`` declares ``clock``, ``ssd``, ``staleness_bound``, ``directory``,
 ``op_cpu_seconds``, ``set_stall_handler`` and ``lookahead`` with the answer
 of a store that lacks them, and every composition — bare engine, router,
-replica group, worker-process proxy — answers them without raising, so no
+replica group — answers them without raising, so no
 caller probes.  This file pins:
 
 * what each store answers (a composite: what its children share);
@@ -26,12 +26,11 @@ from repro.core import CloudCheckpointer, MLKV
 from repro.core.embedding import EmbeddingTables
 from repro.data import ThinkTimeProcess
 from repro.device import SimClock, SSDModel
-from repro.kv import ParallelShardStore, ReplicaGroup, ReplicatedKVStore, ShardedKVStore
+from repro.kv import ReplicaGroup, ReplicatedKVStore, ShardedKVStore
 from repro.kv import encode_vector
 from repro.kv.btree import BTreeKV
 from repro.kv.faster import FasterKV
 from repro.kv.lsm import LsmKV
-from repro.kv.parallel import fork_available
 from repro.serve import BatchPolicy, ClosedLoopArrivals, EmbeddingServer, LoadGenerator
 from repro.serve import ServingLoop
 
@@ -108,22 +107,11 @@ def build(name: str, tmp_path):
                    for index in range(2)]
         store = ReplicaGroup(engines)
         return store, dict(ssd=None, clock=None, staleness_bound=3, directory=None), engines, store
-    if name in ("parallel", "proxy"):
-        if not fork_available():
-            pytest.skip("fork start method unavailable")
-        parallel = ParallelShardStore(
-            lambda index: FasterKV(os.path.join(base, f"shard_{index}"), **_SMALL),
-            num_shards=2, directory=base, processes=2,
-        )
-        store = parallel if name == "parallel" else parallel.shards[1]
-        directory = base if name == "parallel" else os.path.join(base, "shard_1")
-        answers = dict(ssd=None, clock=None, staleness_bound=None, directory=directory)
-        return store, answers, [], parallel
     raise AssertionError(name)
 
 
 STORES = ["faster", "mlkv", "lsm", "btree", "native", "router", "router-of-mlkv",
-          "replicated", "group-shared", "group-private", "parallel", "proxy"]
+          "replicated", "group-shared", "group-private"]
 
 
 @pytest.mark.parametrize("name", STORES)
