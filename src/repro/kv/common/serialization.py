@@ -41,6 +41,8 @@ def encode_record(key: int, value: bytes) -> bytes:
 
 def decode_record(buffer: bytes, offset: int = 0) -> tuple[int, bytes, int]:
     """Decode a record at ``offset``; returns ``(key, value, next_offset)``."""
+    if offset + RECORD_HEADER.size > len(buffer):
+        raise ValueError("truncated record header")
     key, value_len = RECORD_HEADER.unpack_from(buffer, offset)
     start = offset + RECORD_HEADER.size
     end = start + value_len

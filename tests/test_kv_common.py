@@ -267,6 +267,42 @@ class TestSerialization:
         with pytest.raises(ValueError):
             decode_record(data)
 
+    def test_truncated_header_raises(self):
+        data = encode_record(7, b"abcdef")
+        for cut in (0, 6, 11):
+            with pytest.raises(ValueError):
+                decode_record(data[:cut])
+
+    def test_walk_stops_at_the_torn_record(self):
+        rng = np.random.default_rng(3)
+        records = [(int(key), rng.bytes(int(length)))
+                   for key, length in zip(rng.integers(0, 1 << 48, 10), rng.integers(0, 40, 10))]
+        torn = b"".join(encode_record(key, value) for key, value in records)[:-1]
+        offset, walked = 0, []
+        with pytest.raises(ValueError):
+            while offset < len(torn):
+                key, value, offset = decode_record(torn, offset)
+                walked.append((key, value))
+        assert walked == records[:-1]
+
+    def test_huge_keys_use_full_uint64_range(self):
+        for key in (2**63, 2**64 - 1):
+            assert decode_record(encode_record(key, b"xy"))[:2] == (key, b"xy")
+
+    def test_memoryview_value_encodes_like_bytes(self):
+        buffer = b"0123456789"
+        assert encode_record(5, memoryview(buffer)[2:6]) == encode_record(5, b"2345")
+
+    def test_decode_from_a_mutable_buffer_at_an_offset(self):
+        scratch = bytearray(b"\xee" * 11) + encode_record(9, b"") + encode_record(3, b"abc")
+        key, value, offset = decode_record(memoryview(scratch), 11)
+        assert (key, value) == (9, b"")
+        key, value, end = decode_record(scratch, offset)
+        assert (key, value, end) == (3, b"abc", len(scratch))
+        assert type(value) is bytes
+        scratch[-1:] = b"z"  # the decoded value does not alias the buffer
+        assert value == b"abc"
+
     def test_negative_key_rejected(self):
         with pytest.raises(ValueError):
             encode_record(-1, b"")

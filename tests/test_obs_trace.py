@@ -25,7 +25,7 @@ from repro.core.embedding import EmbeddingTables
 from repro.core.mlkv import MLKV
 from repro.data import CTRDataset
 from repro.device import GPUModel, SimClock, SSDModel
-from repro.kv import ReplicatedKVStore
+from repro.kv import ReplicatedKVStore, ShardedKVStore
 from repro.kv.common.serialization import encode_vector
 from repro.kv.faster import FasterKV
 from repro.obs.trace import (
@@ -212,6 +212,23 @@ class TestTracerContract:
         assert "serve.batch" in out and "kv.multi_get" in out
         assert "sim_self_ms" in out and "wall_self_ms" in out
         assert "critical path" in out
+
+    def test_router_records_one_shard_span_per_sub_batch(self, tmp_path):
+        store = ShardedKVStore(
+            lambda index: FasterKV(str(tmp_path / f"shard{index}"), ssd=SSDModel(SimClock())),
+            4,
+        )
+        keys = list(range(512))
+        store.multi_put(keys, [bytes([key % 251]) * 16 for key in keys])
+        tracer = install_tracer()
+        store.multi_get(keys + keys[:10])
+        uninstall_tracer()
+        store.close()
+        shard_spans = [record for record in tracer.spans if record.name == "kv.shard"]
+        assert sorted(record.args["shard"] for record in shard_spans) == [0, 1, 2, 3]
+        assert {record.args["op"] for record in shard_spans} == {"multi_get"}
+        assert sum(record.args["keys"] for record in shard_spans) == 522
+        assert tracer.ledger()["kv.shard"]["keys"] == 522
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,9 @@ batched-equals-looped property test run against all four engines.
 
 The batched contract (ordering, duplicates, iterables, scan/len, freeze,
 balance, checkpoint → restore) runs against every *shape* of the one
-router: serial children and RF=2 replica groups.  The composition test
+router: FASTER children, RF=2 replica groups and a mix of all four
+engines; each shape must also answer exactly what one unsharded engine
+fed the same operations answers.  The composition test
 drives what only a single router makes possible: replica groups split
 live under a writer, failed over, checkpointed and restored."""
 
@@ -22,10 +24,11 @@ from repro.kv import ReplicatedKVStore, ShardedKVStore, shard_hash
 from repro.kv.btree import BTreeKV
 from repro.kv.faster import FasterKV
 from repro.kv.lsm import LsmKV
+from repro.kv.sharded import partition_array, partition_positions, shard_hash_array
 
 ENGINES = ("faster", "mlkv", "lsm", "btree")
 
-STORE_SHAPES = ("serial", "replicated")
+STORE_SHAPES = ("serial", "replicated", "mixed")
 
 
 def make_engine(kind: str, directory: str, memory_budget_bytes: int = 1 << 16):
@@ -55,20 +58,24 @@ def sharded(tmp_path):
     store.close()
 
 
-def make_shaped(shape: str, base, coordinated: bool = False):
-    """A 4-shard store over FASTER engines in one of the router's shapes."""
-    directory = str(base) if coordinated else None
+def child_factory(shape: str, base):
+    """The factory a shape builds its children with — and, since
+    ``begin_split`` takes the same signature, its migration targets."""
     if shape == "replicated":
-        return ReplicatedKVStore(
-            lambda shard, replica: FasterKV(str(base / f"shard{shard}r{replica}")),
-            num_shards=4,
-            replication=2,
-            directory=directory,
-        )
+        return lambda shard, replica: FasterKV(str(base / f"shard{shard}r{replica}"))
+    if shape == "mixed":
+        return lambda index: make_engine(ENGINES[index % 4], str(base / f"shard{index}"))
+    return lambda index: FasterKV(str(base / f"shard{index}"))
 
-    return ShardedKVStore(
-        lambda index: FasterKV(str(base / f"shard{index}")), 4, directory=directory
-    )
+
+def make_shaped(shape: str, base, coordinated: bool = False):
+    """A 4-shard store in one of the router's shapes: FASTER children,
+    RF=2 groups of FASTER replicas, or one child of each engine kind."""
+    directory = str(base) if coordinated else None
+    factory = child_factory(shape, base)
+    if shape == "replicated":
+        return ReplicatedKVStore(factory, num_shards=4, replication=2, directory=directory)
+    return ShardedKVStore(factory, 4, directory=directory)
 
 
 def restore_shaped(shape: str, base):
@@ -114,6 +121,68 @@ class TestRouting:
         # Consecutive keys must not stripe round-robin across shards.
         shards = [shard_hash(key) % 4 for key in range(16)]
         assert shards != [key % 4 for key in range(16)]
+
+    def test_failed_child_build_raises_the_factory_error(self, tmp_path):
+        def factory(index):
+            if index == 3:
+                raise ConfigError("shard 3 cannot be built")
+            return FasterKV(str(tmp_path / f"half{index}"))
+
+        with pytest.raises(ConfigError, match="shard 3"):
+            ShardedKVStore(factory, 4)
+
+
+#: Slot tables the partitioners must honour: the identity, one after a
+#: split re-pointed slots, and a single-engine table.
+SLOT_TABLES = {
+    "identity": [0, 1, 2, 3],
+    "migrated": [0, 1, 2, 3, 4, 1, 0, 3],
+    "single": [0],
+}
+
+
+def scalar_partition(keys, slots) -> dict[int, list[int]]:
+    """The per-key reference the vectorized partitioners must equal."""
+    expected: dict[int, list[int]] = {}
+    for position, key in enumerate(keys):
+        expected.setdefault(slots[shard_hash(key) % len(slots)], []).append(position)
+    return expected
+
+
+class TestPartition:
+    def test_vectorized_hash_matches_scalar_hash(self):
+        keys = np.concatenate([
+            np.array([0, 1, 2**63 - 1, 2**63, 2**64 - 1], dtype=np.uint64),
+            np.random.default_rng(4).integers(0, 2**63, 500, dtype=np.uint64) * np.uint64(2),
+        ])
+        assert shard_hash_array(keys).tolist() == [shard_hash(int(key)) for key in keys]
+
+    @pytest.mark.parametrize("table", SLOT_TABLES)
+    def test_vectorized_partition_matches_scalar_hash(self, table):
+        slots = SLOT_TABLES[table]
+        keys = list(range(500)) + [2**63, 2**64 - 1]
+        expected = scalar_partition(keys, slots)
+        got = partition_positions(keys, slots)
+        assert got == expected
+        assert list(got) == list(expected)  # shards in order of first appearance
+
+    @pytest.mark.parametrize("table", SLOT_TABLES)
+    def test_array_partition_matches_scalar_hash(self, table):
+        slots = SLOT_TABLES[table]
+        keys = np.random.default_rng(11).integers(0, 1 << 40, 700)
+        got = [(shard, group.tolist()) for shard, group in partition_array(keys, slots)]
+        assert got == list(scalar_partition(keys.tolist(), slots).items())
+
+    def test_keys_past_uint64_take_the_per_key_path(self):
+        slots = SLOT_TABLES["migrated"]
+        for keys in ([2**64, 5, 2**64 + 9], [2**64 + 1], [12]):
+            assert partition_positions(keys, slots) == scalar_partition(keys, slots)
+
+    def test_positions_preserve_input_order_per_shard(self):
+        positions = partition_positions(list(range(100)), list(range(4)))
+        for per_shard in positions.values():
+            assert per_shard == sorted(per_shard)
+        assert sorted(p for group in positions.values() for p in group) == list(range(100))
 
 
 class TestCrossShardOrdering:
@@ -282,6 +351,158 @@ class TestCrossShardOrdering:
         store.multi_put(keys, [b"x" * 64 for _ in keys])
         assert dict(store.scan()) == {key: b"x" * 64 for key in keys}
         store.close()
+
+
+def _explode(keys, values):
+    raise ZeroDivisionError("boom")
+
+
+def _engines_of(store):
+    """The engines under a router: its children, or its groups' replicas."""
+    if isinstance(store, ReplicatedKVStore):
+        return [replica for group in store.groups for replica in group.replicas]
+    return list(store.shards)
+
+
+@pytest.fixture
+def reference(tmp_path):
+    """One unsharded engine: what every shape must answer like."""
+    engine = FasterKV(str(tmp_path / "reference"))
+    yield engine
+    engine.close()
+
+
+def _load_both(store, reference, n=1200, seed=0):
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(0, 4000, size=n).tolist()
+    values = [bytes([key % 251]) * (4 + key % 7) for key in keys]
+    store.multi_put(keys, values)
+    reference.multi_put(keys, values)
+    return keys
+
+
+class TestAgainstOneEngine:
+    """Each shape, fed the same operations as one unsharded engine,
+    answers exactly what that engine answers."""
+
+    def test_batched_reads_match(self, shaped, reference):
+        _load_both(shaped, reference)
+        probe = list(range(0, 5000, 3))  # hits and misses
+        expected = reference.multi_get(probe)
+        assert shaped.multi_get(probe) == expected
+        assert shaped.snapshot_read_many(probe) == expected
+        assert shaped.read_committed_many(probe) == expected
+        assert shaped.read_current_many(probe) == expected
+
+    def test_single_ops_match(self, shaped, reference):
+        keys = _load_both(shaped, reference)
+        for key in keys[:40] + [999_999]:
+            assert shaped.get(key) == reference.get(key)
+            assert shaped.snapshot_read(key) == reference.snapshot_read(key)
+        assert shaped.delete(keys[0]) is reference.delete(keys[0]) is True
+        assert shaped.delete(999_999) is reference.delete(999_999) is False
+        shaped.put(31337, b"v")
+        reference.put(31337, b"v")
+        assert shaped.get(31337) == reference.get(31337) == b"v"
+        for key in (keys[1], 424242):  # present, then absent
+            update = lambda old: (old or b"") + b"+"
+            assert shaped.rmw(key, update) == reference.rmw(key, update)
+        assert dict(shaped.scan()) == dict(reference.scan())
+
+    def test_overwrites_that_change_length_match(self, shaped, reference):
+        rng = np.random.default_rng(5)
+        for round_no in range(4):
+            keys = rng.integers(0, 300, 400).tolist()
+            values = [bytes([(key + round_no) % 251]) * (2 + (key + round_no) % 9)
+                      for key in keys]
+            shaped.multi_put(keys, values)
+            reference.multi_put(keys, values)
+            doomed = keys[::17]
+            assert [shaped.delete(key) for key in doomed] == [
+                reference.delete(key) for key in doomed
+            ]
+        assert dict(shaped.scan()) == dict(reference.scan())
+        assert len(shaped) == len(reference)
+
+    def test_empty_batches(self, shaped):
+        assert shaped.multi_get([]) == []
+        assert shaped.snapshot_read_many([]) == []
+        shaped.multi_put([], [])
+        assert shaped.multi_rmw([], _suffix) == []
+        assert shaped.lookahead([]) == 0
+        assert len(shaped) == 0 and sum(shaped.balance()) == 0
+
+    def test_rows_round_trip_and_absent_rows_stay(self, shaped):
+        keys = np.random.default_rng(2).permutation(500)[:300]
+        rows = np.arange(300 * 8, dtype=np.uint8).reshape(300, 8)
+        shaped.put_rows(keys, rows)
+        out = np.full((320, 8), 7, dtype=np.uint8)
+        probe = np.concatenate([keys[::-1], np.arange(600, 620)])
+        found = shaped.get_rows(probe, out)
+        assert found.tolist() == [True] * 300 + [False] * 20
+        assert np.array_equal(out[:300], rows[::-1])
+        assert (out[300:] == 7).all()
+        assert shaped.multi_get(keys[:5].tolist()) == [bytes(row) for row in rows[:5]]
+
+    def test_stats_count_the_routed_read_path(self, shaped):
+        copies = 2 if isinstance(shaped, ReplicatedKVStore) else 1
+        shaped.multi_put(list(range(50)), [b"x"] * 50)
+        shaped.multi_get(list(range(80)))
+        stats = shaped.stats
+        assert (stats.puts, stats.gets) == (50 * copies, 80)
+        assert sum(stats.extra["shard_ops"]) == 130
+        assert (stats.hits, stats.misses) == (
+            sum(child.stats.hits for child in shaped.shards),
+            sum(child.stats.misses for child in shaped.shards),
+        )
+        # A hit is each engine's own notion (a buffer hit on the LSM and
+        # B-tree), so only all-FASTER shapes pin it to found keys.
+        if all(isinstance(child, FasterKV) for child in _engines_of(shaped)):
+            assert (stats.hits, stats.misses) == (50, 30)
+
+    def test_stats_survive_close(self, shaped):
+        shaped.multi_put(list(range(60)), [b"y"] * 60)
+        shaped.multi_get(list(range(90)))
+        before = shaped.stats
+        shaped.close()
+        after = shaped.stats
+        assert (after.puts, after.gets, after.hits, after.misses) == (
+            before.puts, before.gets, before.hits, before.misses,
+        )
+        assert after.extra["shard_ops"] == before.extra["shard_ops"]
+        shaped.close()  # idempotent
+
+    def test_failing_update_propagates_and_writes_nothing(self, shaped):
+        keys = list(range(40))
+        shaped.multi_put(keys, [b"x"] * 40)
+        with pytest.raises(ZeroDivisionError):
+            shaped.multi_rmw(keys, _explode)
+        assert shaped.multi_get(keys) == [b"x"] * 40
+        assert shaped.multi_rmw(keys, _suffix) == [b"x!"] * 40
+
+    @pytest.mark.parametrize("shape", STORE_SHAPES)
+    def test_split_slot_table_survives_checkpoint(self, shape, tmp_path):
+        store = make_shaped(shape, tmp_path, coordinated=True)
+        keys = list(range(300))
+        values = [bytes([key % 251]) * 8 for key in keys]
+        store.multi_put(keys, values)
+        store.split_shard(0, child_factory(shape, tmp_path))
+        slots = list(store._slots)
+        assert slots != list(range(4))
+        store.checkpoint()
+        assert store.checkpoint_root() == str(tmp_path)
+        assert type(store).manifest_name in store.checkpoint_files()
+        store.close()
+        restored = restore_shaped(shape, tmp_path)
+        try:
+            assert restored._slots == slots and restored.num_shards == 5
+            assert restored.multi_get(keys) == values
+            assert [restored.shard_of(key) for key in keys] == [
+                slots[shard_hash(key) % len(slots)] for key in keys
+            ]
+            assert restored.checkpoint_root() == str(tmp_path)
+        finally:
+            restored.close()
 
 
 class TestStatsAggregation:

@@ -91,6 +91,18 @@ def build(name: str, tmp_path):
                    for bound in (5, 3)]
         store = ShardedKVStore.from_stores(engines)
         return store, dict(shared, staleness_bound=3, directory=None), engines, store
+    if name == "router-private":
+        engines = [_engine("faster", os.path.join(base, str(index)), SSDModel(SimClock()))
+                   for index in range(2)]
+        store = ShardedKVStore.from_stores(engines)
+        return store, dict(ssd=None, clock=None, staleness_bound=None, directory=None), [], store
+    if name == "router-of-groups":
+        groups = [ReplicaGroup([_engine("mlkv", os.path.join(base, f"{shard}-{replica}"), ssd)
+                                for replica in range(2)])
+                  for shard in range(2)]
+        store = ShardedKVStore.from_stores(groups, directory=base)
+        engines = [replica for group in groups for replica in group.replicas]
+        return store, dict(shared, staleness_bound=3, directory=base), engines, store
     if name == "replicated":
         store = ReplicatedKVStore(
             lambda shard, replica: _engine("mlkv", os.path.join(base, f"{shard}-{replica}"), ssd),
@@ -111,7 +123,8 @@ def build(name: str, tmp_path):
 
 
 STORES = ["faster", "mlkv", "lsm", "btree", "native", "router", "router-of-mlkv",
-          "replicated", "group-shared", "group-private"]
+          "router-private", "router-of-groups", "replicated", "group-shared",
+          "group-private"]
 
 
 @pytest.mark.parametrize("name", STORES)
