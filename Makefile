@@ -96,9 +96,11 @@ bench-e2e-smoke:
 # The router suite is here because every replicated read and write —
 # including the live split of a lagging group — goes through it; the
 # array-verb suite rides along for its router and replica-group tests,
-# and the store-contract suite for what every composition answers.
+# the store-contract suite for what every composition answers, and the
+# look-ahead clamp and checkpoint suites so that staging (training, a
+# resumed run, the serving prefetcher over a router) runs checked too.
 test-sanitize:
-	REPRO_SANITIZE=1 $(PYTHON) -m pytest tests/test_sharded.py tests/test_replication.py tests/test_distributed.py tests/test_analysis_sanitize.py tests/test_array_verbs.py tests/test_store_contract.py -q
+	REPRO_SANITIZE=1 $(PYTHON) -m pytest tests/test_sharded.py tests/test_replication.py tests/test_distributed.py tests/test_analysis_sanitize.py tests/test_array_verbs.py tests/test_store_contract.py tests/test_lookahead_clamp.py tests/test_lookahead_checkpoint.py -q
 
 # Prefer ruff (fast, wider net) when present; fall back to pyflakes,
 # then to the always-available compileall syntax check.  The repo's own

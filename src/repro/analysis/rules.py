@@ -181,6 +181,7 @@ _CONTRACT: dict[str, list[str]] = {
     "snapshot_read_many": ["keys"],
     "multi_rmw": ["keys", "update"],
     "lookahead": ["keys"],
+    "lookahead_capacity": ["value_bytes"],
     "set_stall_handler": ["handler"],
     "freeze": [],
     "checkpoint": [],

@@ -21,7 +21,8 @@ import numpy as np
 from repro.errors import ConfigError, StalenessViolation
 from repro.kv.api import KVStore
 from repro.kv.common.cache import LRUCache
-from repro.kv.common.serialization import decode_vectors, frame_vectors, unframe_vectors
+from repro.kv.common.serialization import decode_vectors, frame_vectors, framed_width
+from repro.kv.common.serialization import unframe_vectors
 from repro.obs.trace import span as obs_span
 
 
@@ -141,7 +142,7 @@ class EmbeddingTables:
         again with a second ``get_rows`` so that the store's Get protocol
         counts their admissions.
         """
-        framed = np.empty((len(keys), 1 + 4 * self.dim), dtype=np.uint8)
+        framed = np.empty((len(keys), framed_width(self.dim)), dtype=np.uint8)
         found = self.store.get_rows(keys, framed)
         if not found.all():
             missing = keys[~found]

@@ -13,7 +13,24 @@ Two windows model the paper's distinction:
   cache performs Get admissions, which the bound limits;
 * the *look-ahead* window (``dest='buffer'``) reaches ``distance``
   batches ahead regardless of the bound, because staging into the store's
-  memory buffer performs no admissions.
+  memory buffer performs no admissions — but no further than the buffer
+  holds.  Staging hides a disk stall only while the staged copy is still
+  in the mutable region when its batch's Puts land, ``pipeline_depth``
+  steps after its Gets: a Put there updates it in place.  Staged further
+  ahead, the copies are read-only by then, every Put appends a copy of
+  its own, and the appends push the staged copies of the next batches
+  out of memory before their Gets — which stall on disk after all.  The
+  window is therefore clamped to ``capacity // batch_keys -
+  pipeline_depth`` batches, where ``capacity`` is what the store's buffer
+  holds of records this wide
+  (:meth:`~repro.kv.api.KVStore.lookahead_capacity`) and ``batch_keys``
+  the largest batch of the schedule — but never below one batch, nor
+  below the conventional window: that one Gets batch ``step + window``
+  now, and a look-ahead that stops short of it would stage those records
+  only after the Gets read them from disk, for nobody to read again.
+  Every input is fixed before the first step, so the clamp binds from the
+  first call: a window sized from the log's measured growth would feed
+  back on itself and oscillate.
 """
 
 from __future__ import annotations
@@ -23,6 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.embedding import EmbeddingTables
+from repro.kv.common.serialization import framed_width
 
 
 class LookaheadEngine:
@@ -35,10 +53,14 @@ class LookaheadEngine:
     batch_keys:
         The known schedule: one int array of embedding keys per batch.
     distance:
-        Look-ahead window in batches (0 disables look-ahead).
+        Look-ahead window in batches (0 disables look-ahead); clamped to
+        what the store's buffer holds (module docstring).
     conventional_window:
         Conventional (cache) prefetch window; clamped to the store's
         staleness bound by the caller.
+    pipeline_depth:
+        Steps between a batch's Gets and its Puts (the trainer's pipeline
+        depth; 0 for a reader that never writes back).
     """
 
     def __init__(
@@ -47,15 +69,29 @@ class LookaheadEngine:
         batch_keys: Sequence[np.ndarray],
         distance: int = 0,
         conventional_window: int = 0,
+        pipeline_depth: int = 0,
     ) -> None:
-        if distance < 0 or conventional_window < 0:
+        if distance < 0 or conventional_window < 0 or pipeline_depth < 0:
             raise ValueError("prefetch windows must be non-negative")
         self.tables = tables
         self.batch_keys = batch_keys
         self.distance = distance
         self.conventional_window = conventional_window
+        self.pipeline_depth = pipeline_depth
+        self._largest_batch = max(map(len, batch_keys), default=0)
         self._buffer_cursor = 0
         self._cache_cursor = 0
+
+    def buffer_window(self) -> int:
+        """Batches ahead the look-ahead stages: ``distance``, clamped so
+        that a staged batch is still in the mutable region when its Puts
+        land, and reaching at least as far as the conventional window
+        (module docstring)."""
+        if not self.distance or not self._largest_batch:
+            return self.distance
+        capacity = self.tables.store.lookahead_capacity(framed_width(self.tables.dim))
+        fits = capacity // self._largest_batch - self.pipeline_depth
+        return min(self.distance, max(1, self.conventional_window, fits))
 
     def advance(self, step: int) -> dict[str, int]:
         """Prefetch for the window following batch ``step``.
@@ -64,7 +100,7 @@ class LookaheadEngine:
         """
         staged = 0
         cached = 0
-        buffer_target = min(len(self.batch_keys), step + 1 + self.distance)
+        buffer_target = min(len(self.batch_keys), step + 1 + self.buffer_window())
         start = max(self._buffer_cursor, step + 1)
         if start < buffer_target:
             # Stage the window's batches with one Lookahead call: the

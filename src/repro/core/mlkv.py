@@ -41,6 +41,7 @@ case and the reference the batched paths are tested against.
 from __future__ import annotations
 
 import os
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, NamedTuple, Optional
@@ -85,6 +86,9 @@ class MLKVStats:
     stall_seconds: float = 0.0
     cas_retries: int = 0
     lookahead_copied: int = 0
+    #: Staged records that left memory before a Get or a committed read
+    #: read them: the look-ahead window outran the buffer (thrash).
+    lookahead_evicted_unread: int = 0
     lookahead_skipped_memory: int = 0
     lookahead_requests: int = 0
     overflow_entries: int = 0
@@ -110,13 +114,15 @@ class _GetBatch(NamedTuple):
     """A classified stretch of a batched Get (:meth:`MLKV._get_runs`).
 
     Positions count from the stretch's first key and come in ascending
-    order.  ``rows`` holds every plain key's value.  ``resident`` lists
-    the plain keys in memory (``offsets`` and ``words``, indexed by
-    position: where their latch words live and what an admitted Get
-    leaves there); ``cold`` lists the plain keys on disk, with the key and
-    the overflow-table entry an admitted Get leaves for each.
+    order.  ``keys`` are the stretch's keys, ``rows`` holds every plain
+    key's value.  ``resident`` lists the plain keys in memory (``offsets``
+    and ``words``, indexed by position: where their latch words live and
+    what an admitted Get leaves there); ``cold`` lists the plain keys on
+    disk, with the key and the overflow-table entry an admitted Get leaves
+    for each.
     """
 
+    keys: np.ndarray
     rows: np.ndarray
     resident: np.ndarray
     offsets: np.ndarray
@@ -160,6 +166,9 @@ class MLKV(FasterKV):
         # Rare-path fallback: staleness counters for records whose word
         # left memory while they still had outstanding Gets.
         self._overflow_staleness: dict[int, int] = {}
+        # Staged copies no Get has read yet, key -> address, in address
+        # order (:meth:`_sweep_staged` counts the ones evicted unread).
+        self._staged_unread: OrderedDict[int, int] = OrderedDict()
 
     @property
     def mode(self) -> ConsistencyMode:
@@ -179,23 +188,33 @@ class MLKV(FasterKV):
     # ------------------------------------------------------------------
     def get(self, key: int) -> Optional[bytes]:
         if not self.bounded_staleness:
+            self._note_reads((key,))
             return super().get(key)
         self._charge_clock_overhead()
         self._stats.gets += 1
         return self._get_bounded(key)
 
     def _get_bounded(self, key: int) -> Optional[bytes]:
-        """Admission loop of one bounded-staleness Get (CPU pre-charged)."""
+        """Admission loop of one bounded-staleness Get (CPU pre-charged).
+
+        The key is resolved through the index again after every run of the
+        stall handler: the updates it applied may have moved the record —
+        a Put of a record on disk appends its new copy at the tail, with
+        the clock of its overflow entry — so a Get admitted after a stall
+        reads the newest copy, wherever it is by then.
+        """
         rounds = 0
         while True:
             address = self.index.find(key)
             if address is None:
                 self._stats.misses += 1
                 return None
-            if not self.log.in_memory(address):
-                return self._get_from_disk(key, address)
-            admitted, value = self._try_get_in_memory(key, address)
+            if self.log.in_memory(address):
+                admitted, value = self._try_get_in_memory(key, address)
+            else:
+                admitted, value = self._try_get_from_disk(key, address)
             if admitted:
+                self._note_reads((key,))
                 return value
             rounds += 1
             if rounds > _MAX_STALL_ROUNDS:
@@ -233,35 +252,30 @@ class MLKV(FasterKV):
         finally:
             handle.store(pack_word(False, False, next_generation(generation), staleness + 1))
 
-    def _get_from_disk(self, key: int, address: int) -> Optional[bytes]:
-        """Blocking disk read; staleness tracked in the overflow table."""
+    def _try_get_from_disk(self, key: int, address: int) -> tuple[bool, Optional[bytes]]:
+        """One admission attempt on a record on disk, its clock kept in the
+        overflow table: a blocking read once admitted."""
         staleness = self._overflow_staleness.get(key, 0)
-        rounds = 0
-        while staleness > self.staleness_bound:
+        if staleness > self.staleness_bound:
             self.mlkv_stats.stall_events += 1
-            rounds += 1
-            if rounds > _MAX_STALL_ROUNDS:
-                raise StalenessViolation(
-                    f"key {key} stuck beyond bound {self.staleness_bound}"
-                )
-            self._run_stall_handler(key)
-            staleness = self._overflow_staleness.get(key, 0)
+            return False, None
         _, record_key, value, _ = self.log.read_record(address)
         if record_key != key:
             raise StorageError(f"index corruption: wanted {key}, got {record_key}")
         self._stats.misses += 1
         self._overflow_staleness[key] = staleness + 1
         self.mlkv_stats.overflow_entries = len(self._overflow_staleness)
-        return value
+        return True, value
 
     def put(self, key: int, value: bytes) -> None:
         if not self.bounded_staleness:
             super().put(key, value)
-            return
-        self._check_writable()
-        self._charge_clock_overhead()
-        self._stats.puts += 1
-        self._put_bounded(key, value)
+        else:
+            self._check_writable()
+            self._charge_clock_overhead()
+            self._stats.puts += 1
+            self._put_bounded(key, value)
+        self._sweep_staged()
 
     def _put_bounded(self, key: int, value: bytes) -> None:
         """One bounded-staleness Put (CPU pre-charged)."""
@@ -329,7 +343,10 @@ class MLKV(FasterKV):
         started — matching the 50/50 YCSB workload of §IV-E.
         """
         if not self.bounded_staleness:
-            return super().rmw(key, update)
+            self._note_reads((key,))
+            new_value = super().rmw(key, update)
+            self._sweep_staged()
+            return new_value
         new_value = update(self.get(key))
         self.put(key, new_value)
         return new_value
@@ -347,6 +364,7 @@ class MLKV(FasterKV):
         looped reads admit identically.
         """
         if not self.bounded_staleness:
+            self._note_reads(keys)
             return super()._get_many(keys)
         with obs_span("kv.multi_get", clock=self.clock, engine="mlkv", keys=len(keys)):
             self._charge_batch_cpu(len(keys))
@@ -409,7 +427,7 @@ class MLKV(FasterKV):
             if len(others) > fallbacks_left:
                 return start
             batch = _GetBatch(
-                rows, np.flatnonzero(resident), offsets,
+                key_array[start:], rows, np.flatnonzero(resident), offsets,
                 released_words(words, staleness + np.uint64(1)),
                 cold, cold_keys, (cold_staleness + 1).tolist(),
             )
@@ -451,6 +469,7 @@ class MLKV(FasterKV):
             self._charge_cold_reads(
                 RECORD_HEADER_BYTES + batch.rows.shape[1], int(high - low)
             )
+        self._note_reads(batch.keys[first:stop])
         pieces.append(batch.rows[first:stop])
 
     def _put_many(self, keys, values) -> None:
@@ -465,6 +484,7 @@ class MLKV(FasterKV):
         """
         if not self.bounded_staleness:
             super()._put_many(keys, values)
+            self._sweep_staged()
             return
         with obs_span("kv.multi_put", clock=self.clock, engine="mlkv", keys=len(keys)):
             self._charge_batch_cpu(len(keys))
@@ -475,6 +495,13 @@ class MLKV(FasterKV):
                 keys, values,
                 PutProtocol(self._put_bounded, _settled_words, self._settled_fresh_words),
             )
+        self._sweep_staged()
+
+    def delete(self, key: int) -> bool:
+        """Tombstone the key (FASTER's delete); returns whether it was present."""
+        removed = super().delete(key)
+        self._sweep_staged()  # the tombstone's append may evict a page
+        return removed
 
     def _settled_fresh_words(self, keys: list) -> np.ndarray:
         """The disk branch of :meth:`_put_bounded` for a run of keys: each
@@ -486,6 +513,7 @@ class MLKV(FasterKV):
 
     def read_committed(self, key: int) -> Optional[bytes]:
         """Snapshot read for evaluation: no admission, no clock update."""
+        self._note_reads((key,))
         return super().get(key)
 
     def read_committed_many(self, keys) -> list:
@@ -494,7 +522,9 @@ class MLKV(FasterKV):
         Uses FASTER's batched path directly: the vector-clock protocol is
         bypassed entirely, as evaluation reads require.
         """
-        return piece_values(FasterKV._get_many(self, self._normalize_keys(keys)))
+        keys = self._normalize_keys(keys)
+        self._note_reads(keys)
+        return piece_values(FasterKV._get_many(self, keys))
 
     # The serving tier's committed-read contract maps onto the existing
     # evaluation reads: no admission, no vector-clock update.
@@ -561,7 +591,34 @@ class MLKV(FasterKV):
                 for position, address in zip(on_disk.tolist(), addresses.tolist())
             )
         self.mlkv_stats.lookahead_copied += copied
+        self._sweep_staged()
         return copied
+
+    def lookahead_capacity(self, value_bytes: int) -> int:
+        """Records of ``value_bytes``-byte values the mutable region holds
+        (:meth:`~repro.kv.faster.hybridlog.HybridLog.mutable_records`).
+        Stage more than that ahead of their Puts and the first copies are
+        read-only when the Puts land: each appends a copy of its own, and
+        the appends push staged copies out of memory unread."""
+        return self.log.mutable_records(RECORD_HEADER_BYTES + value_bytes)
+
+    def _note_reads(self, keys) -> None:
+        """A Get or a committed read has read ``keys``: their staged
+        copies leave the unread ledger."""
+        staged = self._staged_unread
+        if staged:
+            for key in keys.tolist() if isinstance(keys, np.ndarray) else keys:
+                staged.pop(key, None)
+
+    def _sweep_staged(self) -> None:
+        """Count the staged copies below the head, unread, as evicted."""
+        staged, head = self._staged_unread, self.log.head_address
+        while staged:
+            key, address = next(iter(staged.items()))
+            if address >= head:
+                return
+            del staged[key]
+            self.mlkv_stats.lookahead_evicted_unread += 1
 
     def _stage_one(self, key: int, address: int) -> bool:
         """Copy ``key``'s record at disk ``address`` to the tail; whether
@@ -578,7 +635,10 @@ class MLKV(FasterKV):
             staleness = min(staleness + overflow, MAX_STALENESS)
             word = pack_word(locked, replaced, generation, staleness)
         new_address = self.log.append(key, value, word)
-        return self.index.compare_exchange(key, address, new_address)
+        if not self.index.compare_exchange(key, address, new_address):
+            return False
+        self._staged_unread[key] = new_address
+        return True
 
     def _stage_runs(self, key_array: np.ndarray, addresses: np.ndarray) -> int:
         """:meth:`_stage_one` for distinct keys in log-address order, the
@@ -600,6 +660,7 @@ class MLKV(FasterKV):
                     key_array[run], rows[run], restaled_words(words[run], staleness)
                 )
                 self.index.swing_many(key_array[run], new_addresses)
+                self._staged_unread.update(zip(key_array[run].tolist(), new_addresses.tolist()))
                 copied += stop - first
             if stop < len(plain):
                 copied += self._stage_one(int(key_array[stop]), int(addresses[stop]))

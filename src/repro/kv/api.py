@@ -13,9 +13,10 @@ with :mod:`repro.kv.common.serialization`.
 Everything a caller may ask a store about is declared on :class:`KVStore`
 with the answer of a store that lacks the capability — no device model or
 clock, no staleness bound, no directory, a stall handler ignored, a
-look-ahead that stages nothing — so callers read attributes instead of
-probing for them, and a composite store (router, replica group) computes
-the same answers from its children.
+look-ahead that stages nothing into a buffer that holds nothing — so
+callers read attributes instead of probing for them, and a composite
+store (router, replica group) computes the same answers from its
+children.
 """
 
 from __future__ import annotations
@@ -339,6 +340,13 @@ class KVStore(ABC):
         """Stage ``keys`` into the store's memory ahead of their Gets,
         without admitting them; returns the records moved.  A store
         without an in-store prefetch path stages nothing: 0."""
+        return 0
+
+    def lookahead_capacity(self, value_bytes: int) -> int:
+        """How many records of ``value_bytes``-byte values :meth:`lookahead`
+        can stage before the first of them is pushed out of the region
+        where a Put updates it in place; a look-ahead window sizes itself
+        by it.  A store that stages nothing holds none: 0."""
         return 0
 
     def snapshot_read(self, key: int) -> Optional[bytes]:

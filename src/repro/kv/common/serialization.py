@@ -76,14 +76,19 @@ def decode_vector(data: bytes, dim: int | None = None) -> np.ndarray:
 # ----------------------------------------------------------------------
 # batch vector codec: contiguous (n, dim) matrices in and out
 # ----------------------------------------------------------------------
+def framed_width(dim: int) -> int:
+    """Bytes of one framed ``dim``-vector: the tag and the float32s."""
+    return 1 + 4 * dim
+
+
 def frame_vectors(matrix: np.ndarray) -> np.ndarray:
-    """A ``(n, dim)`` float32 matrix as a ``uint8[n, 1 + 4 * dim]`` one:
-    row ``i`` is :func:`encode_vector` of vector ``i``, byte for byte —
-    what :meth:`~repro.kv.api.KVStore.put_rows` takes."""
+    """A ``(n, dim)`` float32 matrix as a ``uint8[n, framed_width(dim)]``
+    one: row ``i`` is :func:`encode_vector` of vector ``i``, byte for byte
+    — what :meth:`~repro.kv.api.KVStore.put_rows` takes."""
     arr = np.ascontiguousarray(matrix, dtype=np.float32)
     if arr.ndim != 2:
         raise ValueError(f"expected a (n, dim) matrix, got shape {arr.shape}")
-    framed = np.empty((arr.shape[0], 1 + 4 * arr.shape[1]), dtype=np.uint8)
+    framed = np.empty((arr.shape[0], framed_width(arr.shape[1])), dtype=np.uint8)
     framed[:, 0] = _VECTOR_TAG_F32
     framed[:, 1:] = arr.view(np.uint8)
     return framed

@@ -125,6 +125,18 @@ class HybridLog:
         """Whether the address is in the mutable (in-place-update) region."""
         return address >= self.read_only_address
 
+    def mutable_records(self, record_len: int) -> int:
+        """How many ``record_len``-byte records the mutable region is sure
+        to hold: ``mutable_bytes`` of them, but no more than the resident
+        pages below the tail page (a page opened at the tail evicts the
+        head page whole), and a page takes whole records only
+        (:meth:`_reserve`)."""
+        if record_len > self.page_bytes:
+            return 0
+        span = min(self.mutable_bytes, (self.memory_pages - 1) * self.page_bytes)
+        pages, rest = divmod(span, self.page_bytes)
+        return pages * (self.page_bytes // record_len) + rest // record_len
+
     def memory_bytes_used(self) -> int:
         """Bytes held by the resident pages between head and tail."""
         head_page = self._page_no(self.head_address)

@@ -536,6 +536,11 @@ class ReplicaGroup(KVStore, CheckpointManager):
         """Stage a prefetch batch on the group's current reader."""
         return self.replicas[self._read_replica()].lookahead(self._normalize_keys(keys))
 
+    def lookahead_capacity(self, value_bytes: int) -> int:
+        """The smallest replica's: any of them may be the reader a
+        prefetch batch is staged on."""
+        return min(replica.lookahead_capacity(value_bytes) for replica in self.replicas)
+
     def scan(self) -> Iterator[tuple[int, bytes]]:
         """All live records, once each, from a fully caught-up replica."""
         yield from self.replicas[self._complete_peer(exclude=-1)].scan()

@@ -17,9 +17,9 @@ child), which :class:`~repro.kv.replicated.ReplicatedKVStore` overrides
 to build a replica group.  Slot-table routing, live split/migrate with
 deferred cleanup, stats aggregation, the store contract computed from
 the children (``ssd``, ``clock``, ``staleness_bound``,
-``set_stall_handler``, ``lookahead``: what they share, never an
-``AttributeError``) and the coordinated checkpoint manifest are
-inherited, so replication and live migration compose.
+``set_stall_handler``, ``lookahead``, ``lookahead_capacity``: what they
+share, never an ``AttributeError``) and the coordinated checkpoint
+manifest are inherited, so replication and live migration compose.
 
 Batched operations are the reason this layer exists: ``multi_get`` /
 ``multi_put`` / ``multi_rmw`` split one application batch into at most
@@ -513,6 +513,11 @@ class ShardedKVStore(KVStore, CheckpointManager):
         """Fan a prefetch batch out to the children; returns the records
         they staged."""
         return sum(self._fan_out("lookahead", self._normalize_keys(keys))[1])
+
+    def lookahead_capacity(self, value_bytes: int) -> int:
+        """What the children's buffers hold together: a prefetch batch
+        spreads over them as the shard hash does."""
+        return sum(shard.lookahead_capacity(value_bytes) for shard in self.shards)
 
     def scan(self) -> Iterator[tuple[int, bytes]]:
         """All live records: the child iterators merged shard by shard.

@@ -129,6 +129,7 @@ class BaseTrainer:
         self.pending: deque[tuple[np.ndarray, np.ndarray]] = deque()
         self._result = TrainResult(metric_name=self.metric_name)
         self._start_step = 0
+        self._lookahead: Optional[LookaheadEngine] = None  # set by run()
         tables.store.set_stall_handler(self._on_stall)
 
     # ------------------------------------------------------------------
@@ -180,11 +181,12 @@ class BaseTrainer:
         result = self._result
         samples_per_batch = samples_per_batch or config.batch_size
         schedule = [np.unique(self.embedding_keys(batch)) for batch in batches]
-        engine = LookaheadEngine(
+        engine = self._lookahead = LookaheadEngine(
             self.tables,
             schedule,
             distance=config.lookahead_distance,
             conventional_window=self._clamped_window(),
+            pipeline_depth=config.pipeline_depth,
         )
         if checkpointer is not None and checkpoint_every is None:
             checkpoint_every = checkpointer.every_n_steps
@@ -406,13 +408,12 @@ class BaseTrainer:
     def _carry_budget(self) -> float:
         """Seconds of background I/O allowed to stay in flight.
 
-        Proportional to how many batches ahead any prefetcher reaches:
-        deeper windows legitimately overlap more future compute.
+        Proportional to how many batches ahead any prefetcher reaches —
+        the look-ahead as far as the buffer lets it, not as far as it was
+        asked to: deeper windows legitimately overlap more future compute.
         """
-        window_batches = max(
-            1, self.config.lookahead_distance, self._clamped_window(),
-            self.config.pipeline_depth,
-        )
+        reach = 0 if self._lookahead is None else self._lookahead.buffer_window()
+        window_batches = max(1, reach, self._clamped_window(), self.config.pipeline_depth)
         steps = max(1, self._result.steps + 1)
         avg_step = (self.clock.now - getattr(self, "_run_start", 0.0)) / steps
         return window_batches * max(avg_step, 1e-6)

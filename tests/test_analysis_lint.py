@@ -210,6 +210,8 @@ class KVStore(ABC):
         '''Batched RMW.'''
     def lookahead(self, keys):
         '''Stage nothing.'''
+    def lookahead_capacity(self, value_bytes):
+        '''Hold nothing.'''
     def set_stall_handler(self, handler):
         '''Ignore the hook.'''
     def freeze(self):
@@ -289,10 +291,13 @@ class TestRep002ContractCompleteness:
             "        '''A destination no caller passes.'''\n"
             "    def set_stall_handler(self, on_stall):\n"
             "        '''The hook under another name.'''\n"
+            "    def lookahead_capacity(self):\n"
+            "        '''A capacity that forgot the record width.'''\n"
         )
-        assert rules_of(findings) == ["REP002", "REP002"]
+        assert rules_of(findings) == ["REP002", "REP002", "REP002"]
         assert "lookahead" in findings[0].message
         assert "set_stall_handler" in findings[1].message
+        assert "lookahead_capacity" in findings[2].message
 
     def test_extra_params_need_defaults(self):
         flagged = self.lint(

@@ -588,9 +588,9 @@ class TestColdBatches:
 
     def test_cold_key_over_the_bound_stalls_at_its_turn(self):
         """Cold key 31 of the batch stalls; the handler's update batch
-        rewrites it and cold keys behind it (new copies at the tail,
-        pages evicted on the way), so the rest of the batch is resolved
-        again: those keys are read from memory, once."""
+        rewrites it and cold keys behind it (new copies at the tail), so
+        the stalled key and the rest of the batch are resolved again: the
+        rewritten keys are read from memory, once, the stalled one too."""
         with paired("mlkv", "evict", bound=0, handler=True) as pair:
             store = pair.batched.store
             keys = on_disk_keys(pair, 60)
@@ -600,12 +600,37 @@ class TestColdBatches:
             pair.batched.count_per_key_calls()
             reads = store.ssd.reads
             values = pair.run(("get", keys))
-            # (The stalled Get itself goes on to read the address it
-            # resolved before the handler ran, as ``_get_from_disk`` does.)
-            assert values == [value_for(key, 9 if key in moved[1:] else 0) for key in keys]
+            assert values == [value_for(key, 9 if key in moved else 0) for key in keys]
             assert pair.batched.pipeline.calls == [(keys[30], 1)]
             assert pair.batched.per_key_calls["_get_bounded"] == 1
-            assert store.ssd.reads == reads + 30 + 1 + 10
+            # One blocking read per key still on disk: the 30 in front of
+            # the stall and the 10 behind the rewritten ones.  The stalled
+            # key's Get reads its new copy in memory, not the one on disk
+            # the update superseded.
+            assert store.ssd.reads == reads + 30 + 10
+            # Its clock is where the Put left it, in the new copy's word,
+            # plus this Get: no overflow entry is left behind for it.
+            assert store.staleness_of(keys[30]) == 1
+            assert keys[30] not in store._overflow_staleness
+
+    def test_nothing_pending_leaves_no_staleness(self):
+        """A cold Get that stalled, then every update applied: each Get has
+        met its Put, so every key's clock reads 0 and the overflow table is
+        empty — also once the records are back on disk, where a clock is
+        read from that table."""
+        with paired("mlkv", "evict", bound=0, handler=True) as pair:
+            store = pair.batched.store
+            keys = on_disk_keys(pair, 60)
+            pair.run(("get", keys[30:31]))
+            pair.run(("defer", keys[30:50], [value_for(key, 9) for key in keys[30:50]]))
+            pair.run(("get", keys))  # stalls on keys[30]: the handler applies the update
+            pair.run(("put", keys, [value_for(key, 4) for key in keys]))
+            assert not pair.batched.pipeline.pending
+            fresh = list(range(KEYS + 20, KEYS + 320))
+            pair.run(("put", fresh, [value_for(key, 1) for key in fresh]))
+            assert not any(store.log.in_memory(store.index.find(key)) for key in keys)
+            assert [store.staleness_of(key) for key in keys] == [0] * len(keys)
+            assert store._overflow_staleness == {}
 
     def test_stalls_do_not_fetch_the_remaining_cold_records_again(self, monkeypatch):
         """Four cold keys of a 100-key batch stall, and each time the rest
@@ -643,7 +668,7 @@ class TestColdBatches:
             pair.run(("get", keys[10:11]))
             pair.run(("defer", moved, [value_for(key, 9) for key in moved]))
             values = pair.run(("get", keys))
-            assert values == [value_for(key, 9 if key in moved[1:] else 0) for key in keys]
+            assert values == [value_for(key, 9 if key in moved else 0) for key in keys]
             assert sum(not store.log.in_memory(store.index.find(key)) for key in moved) > 20
 
     def test_lookahead_window_larger_than_the_buffer(self):

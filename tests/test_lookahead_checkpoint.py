@@ -107,3 +107,74 @@ class TestCloudCheckpointer:
         with pytest.raises(CheckpointError):
             CloudCheckpointer(store, str(tmp_path / "b"), upload_bandwidth=0)
         store.close()
+
+
+class TestClampedWindowAcrossAResume:
+    """A run killed at a checkpoint and resumed on a restored store keeps
+    the clamped look-ahead window: the resumed engine stages one window
+    after the resume point, as wide as the clamp lets it be, and then one
+    batch a step exactly as the uninterrupted run does."""
+
+    STEPS, KILL_AT, DIM = 16, 8, 8
+
+    def _trainer(self, store, clock):
+        from repro.data import CTRDataset
+        from repro.device import GPUModel
+        from repro.models import FFNN
+        from repro.train import DLRMTrainer, TrainerConfig
+
+        tables = EmbeddingTables(store, dim=self.DIM, seed=0, cache_entries=0)
+        calls = []
+        stage = tables.lookahead
+
+        def recorded(keys, dest="buffer"):
+            calls.append(np.asarray(keys).tolist())
+            return stage(keys, dest=dest)
+
+        tables.lookahead = recorded
+        dataset = CTRDataset(num_fields=4, field_cardinality=400, seed=0)
+        config = TrainerConfig(batch_size=64, pipeline_depth=2, lookahead_distance=8, seed=0)
+        network = FFNN(num_dense=13, num_fields=4, emb_dim=self.DIM, hidden=(16,),
+                       rng=np.random.default_rng(0))
+        trainer = DLRMTrainer(tables, network, GPUModel(clock, flops_per_second=5e12),
+                              config, dataset)
+        return trainer, dataset.batches(self.STEPS, 64), calls
+
+    def _store(self, path):
+        from repro.device import SimClock, SSDModel
+
+        clock = SimClock()
+        return MLKV(path, staleness_bound=ASP_BOUND, ssd=SSDModel(clock),
+                    memory_budget_bytes=1 << 15, page_bytes=1 << 12), clock
+
+    def test_resume_stages_the_clamped_window(self, tmp_path):
+        store, clock = self._store(str(tmp_path / "full"))
+        trainer, batches, full_calls = self._trainer(store, clock)
+        full = trainer.run(batches)
+        # Eight 4 KiB pages are sure to hold 7 x 77 = 539 53-byte records:
+        # three batches of at most 165 keys, less the pipeline's two — one
+        # batch a call, for a distance of 8.
+        largest = max(len(np.unique(trainer.embedding_keys(batch))) for batch in batches)
+        assert (store.lookahead_capacity(1 + 4 * self.DIM), largest) == (539, 165)
+        assert len(full_calls) == self.STEPS - 1
+        assert store.mlkv_stats.lookahead_copied > 0
+        assert store.mlkv_stats.lookahead_evicted_unread == 0
+        store.close()
+
+        store, clock = self._store(str(tmp_path / "killed"))
+        trainer, batches, _ = self._trainer(store, clock)
+        checkpointer = CloudCheckpointer(store, str(tmp_path / "bucket"))
+        trainer.run(batches[: self.KILL_AT], checkpointer=checkpointer,
+                    checkpoint_every=self.KILL_AT)
+
+        restored_dir = str(tmp_path / "resumed")
+        restored = checkpointer.restore(restored_dir, staleness_bound=ASP_BOUND,
+                                        memory_budget_bytes=1 << 15, page_bytes=1 << 12)
+        trainer, batches, resumed_calls = self._trainer(restored, restored.clock)
+        trainer.load_checkpoint(restored_dir)
+        resumed = trainer.run(batches)
+        assert resumed.losses == full.losses[self.KILL_AT :]
+        assert resumed_calls == full_calls[self.KILL_AT :]
+        assert restored.mlkv_stats.lookahead_evicted_unread == 0
+        store.close()
+        restored.close()

@@ -145,6 +145,18 @@ class TestRealSources:
         assert tree["hits"] + tree["misses"] == tree["gets"]
         store.close()
 
+    def test_mlkv_stats_carry_the_look_ahead_thrash(self, tmp_path):
+        """Staging more than the buffer holds: the staged records pushed
+        out of memory before any Get read them come out as a number."""
+        store = MLKV(str(tmp_path / "m"), ssd=SSDModel(SimClock()),
+                     memory_budget_bytes=1 << 13, page_bytes=1 << 12)
+        keys = load(store, 1000)
+        store.lookahead(keys[:600])
+        tree = assert_exports_every_number(lambda: store.mlkv_stats)
+        assert tree["lookahead_copied"] == store.mlkv_stats.lookahead_copied > 0
+        assert tree["lookahead_evicted_unread"] == store.mlkv_stats.lookahead_evicted_unread > 0
+        store.close()
+
     def test_store_stats_of_the_router_label_shard_ops_by_index(self, tmp_path):
         ssd = SSDModel(SimClock())
         store = ShardedKVStore(lambda shard: faster(tmp_path / f"s{shard}", ssd), 3)

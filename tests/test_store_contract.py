@@ -1,8 +1,8 @@
 """The store contract: every capability a caller asks a store about.
 
 ``KVStore`` declares ``clock``, ``ssd``, ``staleness_bound``, ``directory``,
-``op_cpu_seconds``, ``set_stall_handler`` and ``lookahead`` with the answer
-of a store that lacks them, and every composition — bare engine, router,
+``op_cpu_seconds``, ``set_stall_handler``, ``lookahead`` and
+``lookahead_capacity`` with the answer of a store that lacks them, and every composition — bare engine, router,
 replica group — answers them without raising, so no
 caller probes.  This file pins:
 
@@ -36,11 +36,11 @@ from repro.serve import ServingLoop
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
-#: The names callers read instead of probing: the seven the contract
+#: The names callers read instead of probing: the eight the contract
 #: declares, ``read_only``, and ``CheckpointManager``'s two image methods.
 CONTRACT_NAMES = frozenset({
     "clock", "ssd", "staleness_bound", "directory", "lookahead",
-    "set_stall_handler", "op_cpu_seconds", "read_only",
+    "lookahead_capacity", "set_stall_handler", "op_cpu_seconds", "read_only",
     "checkpoint_root", "checkpoint_files",
 })
 
@@ -126,6 +126,19 @@ STORES = ["faster", "mlkv", "lsm", "btree", "native", "router", "router-of-mlkv"
           "router-private", "router-of-groups", "replicated", "group-shared",
           "group-private"]
 
+#: ``lookahead_capacity(33)`` of each store: 53-byte records.  An MLKV
+#: engine of 64 KiB, 90% mutable (58,982 bytes), holds 14 4-KiB pages of
+#: 77 and 30 more in the last 1,638 bytes.  ``router-of-mlkv``'s engines
+#: have two 32 KiB pages: the page below the tail page, 618, is all they
+#: are sure to hold.  A router adds its children up, a replica group
+#: answers for its smallest replica, and a store that stages nothing
+#: holds nothing.
+CAPACITY = {
+    "faster": 0, "mlkv": 1108, "lsm": 0, "btree": 0, "native": 0, "router": 1108,
+    "router-of-mlkv": 2 * 618, "router-private": 0, "router-of-groups": 2 * 1108,
+    "replicated": 2 * 1108, "group-shared": 1108, "group-private": 1108,
+}
+
 
 @pytest.mark.parametrize("name", STORES)
 def test_every_store_answers_the_contract(tmp_path, name):
@@ -138,6 +151,7 @@ def test_every_store_answers_the_contract(tmp_path, name):
         assert answers["directory"] == expected["directory"]
         assert store.read_only is False
         assert store.op_cpu_seconds >= 0.0
+        assert store.lookahead_capacity(33) == CAPACITY[name]
         store.put(7, b"seven")
         store.set_stall_handler(_stall)
         staged = store.lookahead([7, 8, 9])
@@ -153,6 +167,7 @@ def test_a_store_without_look_ahead_stages_nothing(tmp_path):
     store = FasterKV(str(tmp_path / "f"), **_SMALL)
     store.multi_put(list(range(100)), [bytes(8)] * 100)
     before = (store.stats.gets, store.stats.hits, store.stats.misses, store.clock.now)
+    assert store.lookahead_capacity(8) == 0
     assert store.lookahead(list(range(100))) == 0
     assert (store.stats.gets, store.stats.hits, store.stats.misses, store.clock.now) == before
     store.set_stall_handler(_stall)  # nothing to call it for: ignored
