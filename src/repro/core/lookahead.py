@@ -72,7 +72,7 @@ class LookaheadEngine:
         pipeline_depth: int = 0,
     ) -> None:
         if distance < 0 or conventional_window < 0 or pipeline_depth < 0:
-            raise ValueError("prefetch windows must be non-negative")
+            raise ValueError("prefetch windows and the pipeline depth must be non-negative")
         self.tables = tables
         self.batch_keys = batch_keys
         self.distance = distance

@@ -175,7 +175,12 @@ class TestTrainingWindow:
 
     def test_distance_zero_stages_nothing(self, tmp_path, monkeypatch):
         off = train(str(tmp_path / "off"), 1 << 16, distance=0)
-        assert off["calls"] == [] and off["mlkv"][:3] == (0, 0, 0)
+        assert off["calls"] == [] and off["mlkv"] == (0, 0, 0, 0, 495)
+        # What the run computed before the clamp, to the byte.
+        assert off["clock"] == 0.7020509842878593
+        assert off["log_sha256"] == (
+            "8dee72e849c79794865aedbfe604b79c94315c600a6d189988582c18d3276bfd"
+        )
         unclamped(monkeypatch)
         assert same_run(off, train(str(tmp_path / "before"), 1 << 16, distance=0))
 

@@ -2,9 +2,9 @@
 
 ``KVStore`` declares ``clock``, ``ssd``, ``staleness_bound``, ``directory``,
 ``op_cpu_seconds``, ``set_stall_handler``, ``lookahead`` and
-``lookahead_capacity`` with the answer of a store that lacks them, and every composition — bare engine, router,
-replica group — answers them without raising, so no
-caller probes.  This file pins:
+``lookahead_capacity`` with the answer of a store that lacks them, and
+every composition — bare engine, router, replica group — answers them
+without raising, so no caller probes.  This file pins:
 
 * what each store answers (a composite: what its children share);
 * the two compositions the answers make work: a free-standing replica
