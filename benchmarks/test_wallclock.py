@@ -19,6 +19,10 @@ CPU time:
   its buffer, where most of a batch is read from and re-appended past the
   file (batched positional reads, block appends, overflow-table
   admission),
+* **small batches** — the serving tier's sub-calls: an 18-key
+  ``snapshot_read_many`` of records on disk against one MLKV engine, and
+  a 63-key one through a 4-shard router, each next to the per-key loop of
+  ``snapshot_read`` over the same keys,
 * **sparse message passing** — a GAT training step (forward, loss,
   backward) over sampled CSR blocks, and the neighbor sampler that
   builds them; the dense net is ~80% of a ``gnn_dense`` step,
@@ -77,6 +81,11 @@ _CYCLE_KEYS = 3_668
 _OOC_KEYS = 100_000
 _OOC_VALUE_BYTES = 128
 _OOC_BUDGET_BYTES = 2 << 20
+_SMALL_TABLE_KEYS = 25_000
+_SMALL_BUDGET_BYTES = 1 << 20
+_SMALL_ENGINE_KEYS = 18
+_SMALL_ROUTER_KEYS = 63
+_SMALL_CALLS = 64
 _GNN_NODES = 20_000
 _GNN_HIDDEN = 256
 _GNN_BATCH = 64
@@ -394,6 +403,79 @@ def _bench_out_of_core(rows_out, metrics):
         })
 
 
+def _small_batches(store, owner, table: int, size: int, rng) -> list:
+    """Fill ``store`` with keys ``0..table-1`` (128-byte values) and draw
+    ``_SMALL_CALLS`` batches of ``size`` distinct keys whose records are on
+    disk; ``owner(key)`` is the engine holding ``key``."""
+    value = bytes(_OOC_VALUE_BYTES)
+    for start in range(0, table, _BATCH):
+        keys = list(range(start, min(start + _BATCH, table)))
+        store.multi_put(keys, [value] * len(keys))
+    on_disk = [
+        key for key in range(table)
+        if not owner(key).log.in_memory(owner(key).index.find(key))
+    ]
+    return [rng.choice(on_disk, size=size, replace=False).tolist() for _ in range(_SMALL_CALLS)]
+
+
+def _bench_small_batches(rows_out, metrics):
+    """The serving tier's sub-call sizes, against the per-key loop.
+
+    ``serve_restored`` reads ~63 keys per micro-batch through a 4-shard
+    router, ~18 per engine, every record on disk.  Here one MLKV engine
+    and a 4-shard router hold 25,000 128-byte records an engine behind a
+    1 MiB buffer each; a timed call reads ``_SMALL_CALLS`` batches of
+    distinct keys whose records are on disk (snapshot reads move nothing,
+    so every repeat reads what the first did).  The reference is
+    ``snapshot_read`` key by key over the same batches.
+    """
+    rng = np.random.default_rng(18)
+    with tempfile.TemporaryDirectory(prefix="wall-small-") as td:
+        ssd = SSDModel(SimClock())
+        engine = MLKV(os.path.join(td, "engine"), ssd=ssd, memory_budget_bytes=_SMALL_BUDGET_BYTES)
+        router = ShardedKVStore(
+            lambda index: MLKV(os.path.join(td, f"shard{index}"), ssd=ssd,
+                               memory_budget_bytes=_SMALL_BUDGET_BYTES),
+            _SERVE_SHARDS,
+        )
+        sides = {
+            "small_engine_snapshot": (engine, _small_batches(
+                engine, lambda key: engine, _SMALL_TABLE_KEYS, _SMALL_ENGINE_KEYS, rng)),
+            "small_router_snapshot": (router, _small_batches(
+                router, lambda key: router.shards[router.shard_of(key)],
+                _SERVE_SHARDS * _SMALL_TABLE_KEYS, _SMALL_ROUTER_KEYS, rng)),
+        }
+        calls = {}
+        for path, (store, batches) in sides.items():
+            misses = store.stats.misses
+            for batch in batches:
+                store.snapshot_read_many(batch)
+            assert store.stats.misses - misses == sum(map(len, batches)), path  # all on disk
+            calls[path] = lambda store=store, batches=batches: [
+                store.snapshot_read_many(batch) for batch in batches
+            ]
+            calls[path + "_loop"] = lambda store=store, batches=batches: [
+                store.snapshot_read(key) for batch in batches for key in batch
+            ]
+        # Alternated in one loop, so the best of each saw the same host speed.
+        best = dict.fromkeys(calls, float("inf"))
+        for _ in range(2 * _REPEATS):
+            for name, call in calls.items():
+                best[name] = min(best[name], best_of(call, repeats=1))
+        engine.close()
+        router.close()
+    for path, (_, batches) in sides.items():
+        keys = sum(map(len, batches))
+        metrics[path + "_keys_per_s"] = rate(keys, best[path])
+        metrics[path + "_speedup"] = speedup(best[path + "_loop"], best[path])
+        rows_out.append({
+            "path": path,
+            "vectorized_keys_per_s": round(metrics[path + "_keys_per_s"]),
+            "reference_keys_per_s": round(rate(keys, best[path + "_loop"])),
+            "speedup": round(metrics[path + "_speedup"], 2),
+        })
+
+
 def _bench_gnn(rows_out, metrics):
     """GAT training steps and neighbor sampling at ``gnn_dense``'s shapes.
 
@@ -559,6 +641,7 @@ def test_wallclock_hot_paths(benchmark):
         _bench_optimizers(rows, metrics)
         _bench_router(rows, metrics)
         _bench_out_of_core(rows, metrics)
+        _bench_small_batches(rows, metrics)
         _bench_gnn(rows, metrics)
         _bench_dlrm(rows, metrics)
         _bench_serving(rows, metrics)
@@ -586,6 +669,11 @@ def test_wallclock_hot_paths(benchmark):
             "ooc_keys": _OOC_KEYS,
             "ooc_value_bytes": _OOC_VALUE_BYTES,
             "ooc_budget_bytes": _OOC_BUDGET_BYTES,
+            "small_table_keys": _SMALL_TABLE_KEYS,
+            "small_budget_bytes": _SMALL_BUDGET_BYTES,
+            "small_engine_keys": _SMALL_ENGINE_KEYS,
+            "small_router_keys": _SMALL_ROUTER_KEYS,
+            "small_calls": _SMALL_CALLS,
             "gnn_nodes": _GNN_NODES,
             "gnn_hidden": _GNN_HIDDEN,
             "gnn_batch": _GNN_BATCH,
@@ -614,3 +702,6 @@ def test_wallclock_hot_paths(benchmark):
     # list verb on the same keys.
     assert metrics["facade_cycle_keys_per_s"] >= metrics["engine_rows_cycle_keys_per_s"] / 1.3, metrics
     assert metrics["router_get_rows_keys_per_s"] > metrics["router_multi_get_keys_per_s"], metrics
+    # A serving sub-call's worth of keys on disk costs less as one array
+    # call than key by key: the batch pays for its keys, not a flat toll.
+    assert metrics["small_engine_snapshot_speedup"] >= 1.15, metrics

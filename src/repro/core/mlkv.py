@@ -41,7 +41,7 @@ case and the reference the batched paths are tested against.
 from __future__ import annotations
 
 import os
-from collections import OrderedDict
+from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, NamedTuple, Optional
@@ -114,15 +114,16 @@ class _GetBatch(NamedTuple):
     """A classified stretch of a batched Get (:meth:`MLKV._get_runs`).
 
     Positions count from the stretch's first key and come in ascending
-    order.  ``keys`` are the stretch's keys, ``rows`` holds every plain
-    key's value.  ``resident`` lists the plain keys in memory (``offsets``
-    and ``words``, indexed by position: where their latch words live and
-    what an admitted Get leaves there); ``cold`` lists the plain keys on
-    disk, with the key and the overflow-table entry an admitted Get leaves
-    for each.
+    order.  ``keys`` are the stretch's keys and ``addresses`` their index
+    entries, ``rows`` holds every plain key's value.  ``resident`` lists
+    the plain keys in memory (``offsets`` and ``words``, indexed by
+    position: where their latch words live and what an admitted Get
+    leaves there); ``cold`` lists the plain keys on disk, with the key and
+    the overflow-table entry an admitted Get leaves for each.
     """
 
     keys: np.ndarray
+    addresses: np.ndarray
     rows: np.ndarray
     resident: np.ndarray
     offsets: np.ndarray
@@ -166,9 +167,11 @@ class MLKV(FasterKV):
         # Rare-path fallback: staleness counters for records whose word
         # left memory while they still had outstanding Gets.
         self._overflow_staleness: dict[int, int] = {}
-        # Staged copies no Get has read yet, key -> address, in address
-        # order (:meth:`_sweep_staged` counts the ones evicted unread).
-        self._staged_unread: OrderedDict[int, int] = OrderedDict()
+        # Staged copies no Get has read yet, key -> address; and every
+        # staged copy, read or not, as (address, key) in address order, for
+        # :meth:`_sweep_staged` to count the ones evicted unread.
+        self._staged_unread: dict[int, int] = {}
+        self._staged_order: deque[tuple[int, int]] = deque()
 
     @property
     def mode(self) -> ConsistencyMode:
@@ -427,7 +430,7 @@ class MLKV(FasterKV):
             if len(others) > fallbacks_left:
                 return start
             batch = _GetBatch(
-                key_array[start:], rows, np.flatnonzero(resident), offsets,
+                key_array[start:], addresses, rows, np.flatnonzero(resident), offsets,
                 released_words(words, staleness + np.uint64(1)),
                 cold, cold_keys, (cold_staleness + 1).tolist(),
             )
@@ -452,7 +455,10 @@ class MLKV(FasterKV):
         """Admit the plain keys at positions ``first`` to ``stop`` of a
         classified batch: store the resident records' released words, bump
         the cold records' overflow entries and book their reads, append
-        the values to ``results``."""
+        the values to ``results``.  A staged copy is at or above the
+        oldest one staged, and its key's index entry at or above the copy,
+        so only keys whose entry is that high can leave the unread
+        ledger."""
         if stop <= first:
             return
         low, high = np.searchsorted(batch.resident, (first, stop))
@@ -469,7 +475,10 @@ class MLKV(FasterKV):
             self._charge_cold_reads(
                 RECORD_HEADER_BYTES + batch.rows.shape[1], int(high - low)
             )
-        self._note_reads(batch.keys[first:stop])
+        if self._staged_unread:
+            run = slice(first, stop)
+            oldest = self._staged_order[0][0]
+            self._note_reads(batch.keys[run][batch.addresses[run] >= oldest])
         pieces.append(batch.rows[first:stop])
 
     def _put_many(self, keys, values) -> None:
@@ -607,18 +616,18 @@ class MLKV(FasterKV):
         copies leave the unread ledger."""
         staged = self._staged_unread
         if staged:
+            pop = staged.pop
             for key in keys.tolist() if isinstance(keys, np.ndarray) else keys:
-                staged.pop(key, None)
+                pop(key, None)
 
     def _sweep_staged(self) -> None:
         """Count the staged copies below the head, unread, as evicted."""
-        staged, head = self._staged_unread, self.log.head_address
-        while staged:
-            key, address = next(iter(staged.items()))
-            if address >= head:
-                return
-            del staged[key]
-            self.mlkv_stats.lookahead_evicted_unread += 1
+        staged, order, head = self._staged_unread, self._staged_order, self.log.head_address
+        while order and order[0][0] < head:
+            address, key = order.popleft()
+            if staged.get(key) == address:
+                del staged[key]
+                self.mlkv_stats.lookahead_evicted_unread += 1
 
     def _stage_one(self, key: int, address: int) -> bool:
         """Copy ``key``'s record at disk ``address`` to the tail; whether
@@ -638,6 +647,7 @@ class MLKV(FasterKV):
         if not self.index.compare_exchange(key, address, new_address):
             return False
         self._staged_unread[key] = new_address
+        self._staged_order.append((new_address, key))
         return True
 
     def _stage_runs(self, key_array: np.ndarray, addresses: np.ndarray) -> int:
@@ -660,7 +670,9 @@ class MLKV(FasterKV):
                     key_array[run], rows[run], restaled_words(words[run], staleness)
                 )
                 self.index.swing_many(key_array[run], new_addresses)
-                self._staged_unread.update(zip(key_array[run].tolist(), new_addresses.tolist()))
+                staged_keys, staged_at = key_array[run].tolist(), new_addresses.tolist()
+                self._staged_unread.update(zip(staged_keys, staged_at))
+                self._staged_order.extend(zip(staged_at, staged_keys))
                 copied += stop - first
             if stop < len(plain):
                 copied += self._stage_one(int(key_array[stop]), int(addresses[stop]))

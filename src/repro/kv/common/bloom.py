@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 
 def _mix64(x: int) -> int:
     """SplitMix64 finalizer — a cheap, well-distributed 64-bit mix."""
@@ -16,6 +18,24 @@ def _mix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
     return x ^ (x >> 31)
+
+
+_MIX_ADD = np.uint64(0x9E3779B97F4A7C15)
+_MIX_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_MUL2 = np.uint64(0x94D049BB133111EB)
+_SHIFT1, _SHIFT2, _SHIFT3 = np.uint64(30), np.uint64(27), np.uint64(31)
+
+
+def _mix64_many(keys: np.ndarray) -> np.ndarray:
+    """:func:`_mix64` over a ``uint64`` array, into a new array (``uint64``
+    arithmetic wraps modulo 2**64 as the masks above do)."""
+    x = keys + _MIX_ADD
+    x ^= x >> _SHIFT1
+    x *= _MIX_MUL1
+    x ^= x >> _SHIFT2
+    x *= _MIX_MUL2
+    x ^= x >> _SHIFT3
+    return x
 
 
 class BloomFilter:

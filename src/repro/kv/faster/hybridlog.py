@@ -101,6 +101,7 @@ class HybridLog:
             with open(path, "wb"):
                 pass
         self._file = open(path, "r+b")
+        self._unflushed = False  # pages written that positional reads cannot see yet
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -265,6 +266,7 @@ class HybridLog:
         """Copy resident page ``page_no`` to its place in the backing file."""
         self._file.seek(page_no * self.page_bytes)
         self._file.write(self._frame(page_no))
+        self._unflushed = True
         self.ssd.sequential_write(self.page_bytes, blocking=blocking)
 
     # ------------------------------------------------------------------
@@ -295,9 +297,17 @@ class HybridLog:
         self.ssd.random_read(RECORD_HEADER_BYTES + value_len, blocking=blocking)
         return word, key, value, False
 
+    def _read_fd(self) -> int:
+        """The log file's descriptor, with every page written so far where
+        a positional read sees it (the file object buffers writes)."""
+        if self._unflushed:
+            self._file.flush()
+            self._unflushed = False
+        return self._file.fileno()
+
     def _pread(self, address: int, nbytes: int) -> bytes:
         """``nbytes`` of the file at ``address``; fewer is a torn log."""
-        data = os.pread(self._file.fileno(), nbytes, address)
+        data = os.pread(self._read_fd(), nbytes, address)
         if len(data) < nbytes:
             raise StorageError(f"log truncated at address {address}")
         return data
@@ -305,7 +315,6 @@ class HybridLog:
     def read_disk_record(self, address: int) -> tuple[int, int, Optional[bytes]]:
         """``(word, key, value)`` of the record at ``address`` in the file
         (``value`` is ``None`` for a tombstone); charges nothing."""
-        self._file.flush()
         word, key, value_len = decode_record_header(self._pread(address, RECORD_HEADER_BYTES))
         if value_len == TOMBSTONE_LEN:
             return word, key, None
@@ -322,8 +331,7 @@ class HybridLog:
         """:meth:`batch_width` of the record at ``address`` in the file; 0
         as well where the file ends inside the header, which is for the
         read of that record to report."""
-        self._file.flush()
-        header = os.pread(self._file.fileno(), RECORD_HEADER_BYTES, address)
+        header = os.pread(self._read_fd(), RECORD_HEADER_BYTES, address)
         if len(header) < RECORD_HEADER_BYTES:
             return 0
         return self.batch_width(decode_record_header(header)[2])
@@ -334,25 +342,27 @@ class HybridLog:
         """The records at ``addresses`` in the file, taken to hold ``width``
         value bytes each: ``(headers, rows, complete)``; charges nothing.
 
-        One positional read per record, straight into one matrix.
-        ``headers`` are ``HEADER_DTYPE`` rows, ``rows`` the ``width`` bytes
-        behind each.  A row means something only where its header says
-        ``width`` too; ``complete`` is ``False`` where the file ended
-        inside the read.  Callers send every record they cannot vouch for
-        through :meth:`read_disk_record`, which raises what is wrong with
-        it.
+        One positional read per record, joined into one matrix (a torn
+        record padded with zeros).  ``headers`` are ``HEADER_DTYPE`` rows,
+        ``rows`` the ``width`` bytes behind each.  A row means something
+        only where its header says ``width`` too; ``complete`` is
+        ``False`` where the file ended inside the read.  Callers send
+        every record they cannot vouch for through
+        :meth:`read_disk_record`, which raises what is wrong with it.
         """
-        self._file.flush()
         record_len = RECORD_HEADER_BYTES + width
-        fd = self._file.fileno()
-        records = np.empty((len(addresses), record_len), dtype=np.uint8)
-        flat = memoryview(records.reshape(-1))
-        read = [
-            os.preadv(fd, (flat[start : start + record_len],), address)
-            for start, address in zip(range(0, records.size, record_len), addresses.tolist())
-        ]
-        complete = np.array(read, dtype=np.int64) == record_len
-        headers = records[:, :RECORD_HEADER_BYTES].view(HEADER_DTYPE).reshape(len(read))
+        fd = self._read_fd()
+        chunks = [os.pread(fd, record_len, address) for address in addresses.tolist()]
+        # No read returns more than it asks for: the sum is whole only
+        # when every read is.
+        if sum(map(len, chunks)) == record_len * len(chunks):
+            complete = np.ones(len(chunks), dtype=bool)
+        else:
+            complete = np.fromiter(map(len, chunks), dtype=np.int64, count=len(chunks)) == record_len
+            chunks = [chunk.ljust(record_len, b"\0") for chunk in chunks]
+        records = np.frombuffer(bytearray().join(chunks), dtype=np.uint8)
+        records = records.reshape(len(chunks), record_len)
+        headers = records[:, :RECORD_HEADER_BYTES].view(HEADER_DTYPE).reshape(len(chunks))
         return headers, records[:, RECORD_HEADER_BYTES:], complete
 
     def record_word(self, address: int) -> RecordWord:
@@ -455,8 +465,7 @@ class HybridLog:
         self._check_open()
         for page_no in range(self._page_no(self.head_address), self._top_page + 1):
             self._write_page(page_no, blocking)
-        self._file.flush()
-        os.fsync(self._file.fileno())
+        os.fsync(self._read_fd())
 
     def reset_resident(self, tail_address: int) -> None:
         """Restart the in-memory window empty at ``tail_address`` (recovery).

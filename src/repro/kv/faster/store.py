@@ -44,6 +44,7 @@ from repro.kv.faster.hashindex import HashIndex
 from repro.kv.faster.hybridlog import TOMBSTONE_LEN, HybridLog
 from repro.kv.faster.record import (
     FIRST_GENERATION,
+    HEADER_DTYPE,
     RECORD_HEADER_BYTES,
     next_generation,
     pack_word,
@@ -59,14 +60,18 @@ from repro.obs.trace import span as obs_span
 DEFAULT_OP_CPU_SECONDS = 0.9e-6
 
 #: Fewest keys a batched operation serves as arrays.  Measured on the
-#: benchmark host (128-byte values, a 100k-entry index): an array call
-#: costs a flat 90-160 us (key array, index probe, header gather, result
-#: assembly) plus 1-2 us a key, the per-key loop 6.5 us a key on cold
-#: records and 2.5 us (snapshot read) to 8 us (admitted Get) on resident
-#: ones.  The two cross at 16-18 keys for cold batches and resident Gets
-#: and nearer 30 for resident snapshot reads and Puts; the threshold sits
-#: at the low end because past it the array path's cost stays flat while
-#: the loop's keeps climbing.
+#: 2-vCPU benchmark host (128-byte values, 25k keys behind a 1 MiB
+#: buffer; array path and per-key loop alternated in one loop): a batched
+#: read whose records are all on disk costs ~35 us plus ~1.3 us a key as
+#: arrays (index walk, one positional read a record, result assembly),
+#: key by key ~6 us a key, so the two cross near 10 keys; resident
+#: snapshot reads cross near 20, admitted Gets near 30 and Puts, whose
+#: plan and block append cost ~300 us a batch, near 60.  The threshold
+#: sits between the reads' crossings, where a serving sub-call lands
+#: (~18 keys, on disk): either side of it a read pays at most ~20% more
+#: than the cheaper path would, and past it the array path's cost grows
+#: slowly where the loop's keeps climbing.  Admitted Gets and Puts come
+#: in training batches of thousands of keys.
 MIN_ARRAY_BATCH = 16
 
 #: A batched operation hands each key that is not plain to the per-key
@@ -74,7 +79,11 @@ MIN_ARRAY_BATCH = 16
 #: re-slicing (a Get) or re-planning (a Put) the rest of the batch.  Once
 #: more than one key in this many has gone that way, the rest of the batch
 #: takes the per-key loop.  The append that opens a log page is per-key by
-#: design, one in a page's worth of records, and is not counted.
+#: design, one in a page's worth of records, and is not counted.  Measured
+#: on 256-key bounded Gets with absent keys mixed in, the array path stays
+#: ahead of the loop up to about one key in four (2x ahead at one in
+#: sixteen); a Put's re-plan costs more than a Get's re-slice, so the
+#: share is kept where a Put's plan still pays for itself.
 FALLBACK_SHARE = 16
 
 #: A run of puts is planned over at most this many keys ahead, so that a
@@ -270,10 +279,15 @@ class FasterKV(KVStore, CheckpointManager):
                 keys = self._normalize_keys(keys)
                 return [self._read_at(key, self.index.find(key)) for key in keys]
             addresses, rows, resident, cold, _, _ = self._read_plain(key_array)
-            self._stats.hits += int(np.count_nonzero(resident))
-            others = np.flatnonzero(~(resident | cold))
-            cold = np.flatnonzero(cold)
+            hits = int(np.count_nonzero(resident))
+            self._stats.hits += hits
             record_len = RECORD_HEADER_BYTES + rows.shape[1]
+            served = resident | cold
+            if served.all():
+                self._charge_cold_reads(record_len, len(served) - hits)
+                return [rows]
+            others = np.flatnonzero(~served)
+            cold = np.flatnonzero(cold)
             pieces: list = []
             charged = first = 0
             for position, address in zip(others.tolist(), addresses[others].tolist()):
@@ -332,20 +346,27 @@ class FasterKV(KVStore, CheckpointManager):
 
     def _resolve(
         self, key_array: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Index entries, arena offsets and record headers of a batch.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Index entries, residency, arena offsets and record headers of a
+        batch.
 
-        Offsets and headers mean something only where the address is
-        resident (at or above ``log.head_address``); elsewhere they
-        describe whatever sits at arena offset 0, so that every batch
-        position has a row and callers mask by address.  They go stale
-        with the next append that evicts a page: whoever holds them
-        across one compares addresses with the head again.
+        ``in_memory`` marks the addresses at or above ``log.head_address``.
+        Offsets and headers mean something only there; elsewhere they
+        describe whatever sits at arena offset 0 — or nothing, zeros, when
+        no record of the batch is resident and nothing is gathered — so
+        that every batch position has a row and callers mask by address.
+        They go stale with the next append that evicts a page: whoever
+        holds them across one compares addresses with the head again.
         """
         addresses = self.index.find_many(key_array)
+        in_memory = addresses >= self.log.head_address
+        if not in_memory.any():
+            count = len(addresses)
+            offsets, headers = np.zeros(count, dtype=np.int64), np.zeros(count, HEADER_DTYPE)
+            return addresses, in_memory, offsets, headers
         offsets = self.log.arena_offsets(addresses)
-        offsets[addresses < self.log.head_address] = 0
-        return addresses, offsets, self.log.read_headers(offsets)
+        offsets[~in_memory] = 0
+        return addresses, in_memory, offsets, self.log.read_headers(offsets)
 
     def _read_plain(
         self, key_array: np.ndarray, earlier: Optional[tuple] = None
@@ -366,22 +387,29 @@ class FasterKV(KVStore, CheckpointManager):
         fetched is read again only if the index has moved on from it.
         Nothing is charged or counted: the caller books hits, misses and
         the cold reads' device time for the records it goes on to serve.
+
+        The work follows what the batch holds: a batch with nothing
+        resident gathers nothing from the arena, and one whose every
+        record is on disk is served from the fetched matrix as it stands.
         """
         log = self.log
-        addresses, offsets, headers = self._resolve(key_array)
-        in_memory = addresses >= log.head_address
-        on_disk = np.flatnonzero((addresses >= 0) & ~in_memory)
+        count = len(key_array)
+        addresses, in_memory, offsets, headers = self._resolve(key_array)
+        cold = np.zeros(count, dtype=bool)
         if in_memory.any():
+            on_disk = np.flatnonzero((addresses >= 0) & ~in_memory)
             width = log.batch_width(int(headers["value_len"][in_memory.argmax()]))
+            resident = in_memory & (headers["value_len"] == width) & (headers["key"] == key_array)
+            if resident.all():
+                rows = log.read_rows(offsets, width)
+            else:
+                rows = np.empty((count, width), dtype=np.uint8)
+                rows[resident] = log.read_rows(offsets[resident], width)
         else:
+            on_disk = np.flatnonzero(addresses >= 0)
             width = log.disk_value_len(int(addresses[on_disk[0]])) if len(on_disk) else 0
-        resident = in_memory & (headers["value_len"] == width) & (headers["key"] == key_array)
-        cold = np.zeros(len(key_array), dtype=bool)
-        if resident.all():
-            rows = log.read_rows(offsets, width)
-        else:
-            rows = np.empty((len(key_array), width), dtype=np.uint8)
-            rows[resident] = log.read_rows(offsets[resident], width)
+            resident = in_memory
+            rows = np.empty((count, width), dtype=np.uint8)
         if earlier is not None and earlier[1].shape[1] == width:
             fetched_at, fetched_rows, fetched = earlier
             known = on_disk[fetched[on_disk] & (fetched_at[on_disk] == addresses[on_disk])]
@@ -389,13 +417,13 @@ class FasterKV(KVStore, CheckpointManager):
             rows[known] = fetched_rows[known]
             on_disk = on_disk[~cold[on_disk]]
         if len(on_disk):
-            disk_headers, disk_rows, complete = log.read_disk_records(addresses[on_disk], width)
-            matching = on_disk[
-                complete
-                & (disk_headers["value_len"] == width)
-                & (disk_headers["key"] == key_array[on_disk])
-            ]
-            cold[matching] = True
+            whole = len(on_disk) == count  # every position, in order: no gathers, no scatters
+            at, expected = (addresses, key_array) if whole else (addresses[on_disk], key_array[on_disk])
+            disk_headers, disk_rows, complete = log.read_disk_records(at, width)
+            matching = complete & (disk_headers["value_len"] == width) & (disk_headers["key"] == expected)
+            if whole:
+                return addresses, disk_rows, resident, matching, offsets, headers["word"]
+            cold[on_disk[matching]] = True
             rows[on_disk] = disk_rows
         return addresses, rows, resident, cold, offsets, headers["word"]
 
@@ -465,7 +493,7 @@ class FasterKV(KVStore, CheckpointManager):
         log = self.log
         count, width = rows.shape
         record_len = RECORD_HEADER_BYTES + width
-        addresses, offsets, headers = self._resolve(key_array)
+        addresses, _, offsets, headers = self._resolve(key_array)
         words = headers["word"]
         same_width = headers["value_len"] == width
         unflagged = word_flags(words) == 0

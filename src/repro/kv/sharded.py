@@ -42,42 +42,36 @@ import numpy as np
 from repro.errors import CheckpointError, ConfigError, checkpoint_fields
 from repro.errors import load_checkpoint_json, write_checkpoint_json
 from repro.kv.api import CheckpointManager, KVStore, StoreStats, check_rows, store_class
+from repro.kv.common.bloom import _mix64, _mix64_many
 from repro.obs.trace import span as obs_span
-
-_MASK64 = (1 << 64) - 1
 
 _MANIFEST = "sharded.manifest.json"
 
 
 def shard_hash(key: int) -> int:
     """splitmix64 finalizer: decorrelates shard choice from key locality."""
-    x = (int(key) + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (x ^ (x >> 31)) & _MASK64
+    return _mix64(int(key))
 
 
 def shard_hash_array(keys: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`shard_hash` over a uint64 key array.
+    """Vectorized :func:`shard_hash` over an array of non-negative keys.
 
     uint64 arithmetic wraps modulo 2**64 exactly like the masked Python
     version, so the two agree bit for bit on every key.
     """
-    x = keys.astype(np.uint64, copy=True)
-    x += np.uint64(0x9E3779B97F4A7C15)
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
-    return x
+    return _mix64_many(keys.astype(np.uint64, copy=False))
+
+
+def _owners(keys: np.ndarray, slots: Sequence[int]) -> np.ndarray:
+    """The engine owning each key of an array under a slot table."""
+    slot_arr = np.asarray(slots, dtype=np.int64)
+    return slot_arr[shard_hash_array(keys) % np.uint64(len(slot_arr))]
 
 
 def partition_array(keys: np.ndarray, slots: Sequence[int]) -> list[tuple[int, np.ndarray]]:
     """``(shard, positions)`` of a non-empty array of non-negative keys:
     positions in input order, shards in order of first appearance."""
-    slot_arr = np.asarray(slots, dtype=np.int64)
-    shard_idx = slot_arr[shard_hash_array(keys) % np.uint64(len(slot_arr))]
+    shard_idx = _owners(keys, slots)
     order = np.argsort(shard_idx, kind="stable")
     starts = np.flatnonzero(np.diff(shard_idx[order])) + 1
     groups = sorted(np.split(order, starts), key=lambda group: group[0])
@@ -87,26 +81,34 @@ def partition_array(keys: np.ndarray, slots: Sequence[int]) -> list[tuple[int, n
 def partition_positions(keys: list, slots: Sequence[int]) -> dict[int, list[int]]:
     """Group batch *positions* by owning shard under a slot table.
 
-    One vectorized splitmix64 pass plus a stable grouping sort; per-shard
+    One vectorized splitmix64 pass names every key's shard, and one walk
+    over those names files each position under its shard: per-shard
     position lists preserve input order, and shards come out in order of
     first appearance in the batch — the order the per-key loop visits
     them, which is observable when the children share one simulated
-    clock.  Keys the uint64 conversion rejects fall back to the per-key
-    loop (out-of-range values then surface the engine's own error
-    downstream).  The only partitioner in ``repro.kv``.
+    clock.  (The walk costs a list append a key, which the caller's
+    per-shard key lists cost anyway; grouping by a sort instead costs a
+    dozen NumPy calls a batch, more than the walk below a few hundred
+    keys, where the serving tier's batches are.)  Keys the uint64
+    conversion rejects fall back to the per-key loop (out-of-range values
+    then surface the engine's own error downstream).  The only
+    partitioner of a list in ``repro.kv``.
     """
-    if len(keys) > 1:
-        try:
-            arr = np.asarray(keys, dtype=np.uint64)
-        except (OverflowError, TypeError, ValueError):
-            pass
-        else:
-            return {shard: group.tolist() for shard, group in partition_array(arr, slots)}
+    try:
+        array = np.array(keys, dtype=np.uint64) if len(keys) > 1 else None
+    except (OverflowError, TypeError, ValueError):
+        array = None
+    if array is None:
+        owners = [slots[shard_hash(key) % len(slots)] for key in keys]
+    else:
+        owners = _owners(array, slots).tolist()
     by_shard: dict[int, list[int]] = {}
-    for position, key in enumerate(keys):
-        by_shard.setdefault(
-            slots[shard_hash(key) % len(slots)], []
-        ).append(position)
+    for position, shard in enumerate(owners):
+        group = by_shard.get(shard)
+        if group is None:
+            by_shard[shard] = [position]
+        else:
+            group.append(position)
     return by_shard
 
 
