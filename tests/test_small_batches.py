@@ -168,13 +168,15 @@ class TestSmallBatches:
             keys = list(range(length))
             values = [value_for(key, 1, WIDTH + 5 if key == 3 else WIDTH) for key in keys]
             pair.run(("put", keys, values))
-            for key in (1, length - 2):
+            deleted = (1, length - 2)
+            for key in deleted:
                 pair.run(("delete", key))
             later = list(range(length, KEYS))  # pushes the batch out of the window
             pair.run(("put", later, [value_for(key, 1) for key in later]))
             store = pair.batched.store
-            assert not any(store.log.in_memory(store.index.find(key) or 0) for key in keys)
-            values = [None if key in (1, length - 2) else value for key, value in zip(keys, values)]
+            kept = [key for key in keys if key not in deleted]
+            assert not any(store.log.in_memory(store.index.find(key)) for key in kept)
+            values = [None if key in deleted else value for key, value in zip(keys, values)]
             self.check_reads(pair, keys, values)
 
     def test_a_cold_record_torn_at_the_end_of_the_file(self, engine, bound, handler, length):
