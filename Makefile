@@ -95,6 +95,8 @@ bench-e2e-smoke:
 # loudly with an event trace instead of as a silent convergence drift.
 # The router suite is here because every replicated read and write —
 # including the live split of a lagging group — goes through it; the
+# chaos-serving and tenancy suites because their replica kills, revives
+# and hedged reads act on the replica groups directly, mid-run; the
 # array-verb suite rides along for its router and replica-group tests,
 # the store-contract suite for what every composition answers, and the
 # look-ahead clamp and checkpoint suites so that staging (training, a
@@ -102,7 +104,7 @@ bench-e2e-smoke:
 # the small-batch suite for the router's list fan-out and the engines'
 # small array reads.
 test-sanitize:
-	REPRO_SANITIZE=1 $(PYTHON) -m pytest tests/test_sharded.py tests/test_replication.py tests/test_distributed.py tests/test_analysis_sanitize.py tests/test_array_verbs.py tests/test_store_contract.py tests/test_lookahead_clamp.py tests/test_lookahead_checkpoint.py tests/test_small_batches.py -q
+	REPRO_SANITIZE=1 $(PYTHON) -m pytest tests/test_sharded.py tests/test_replication.py tests/test_distributed.py tests/test_analysis_sanitize.py tests/test_array_verbs.py tests/test_store_contract.py tests/test_lookahead_clamp.py tests/test_lookahead_checkpoint.py tests/test_small_batches.py tests/test_chaos_serving.py tests/test_tenancy.py -q
 
 # Prefer ruff (fast, wider net) when present; fall back to pyflakes,
 # then to the always-available compileall syntax check.  The repo's own

@@ -27,7 +27,7 @@ from emit import emit
 
 from repro.core.embedding import EmbeddingTables
 from repro.device import SimClock, SSDModel
-from repro.kv import ReplicatedKVStore, ShardedKVStore
+from repro.kv import ReplicaGroup, ShardedKVStore
 from repro.kv.faster import FasterKV
 from repro.kv.common.serialization import encode_vector
 from repro.serve import BatchPolicy, ChaosInjector, EmbeddingServer, LoadGenerator, ServingLoop
@@ -61,16 +61,16 @@ def _emit_cumulative() -> None:
 
 
 def _build_replicated_server(replication: int, cache_entries: int = 0):
-    """A 2-shard, N-replica store preloaded with _ITEMS vectors."""
+    """A router of 2 N-replica groups preloaded with _ITEMS vectors."""
     clock = SimClock()
     ssd = SSDModel(clock)
     work = tempfile.mkdtemp(prefix=f"replicated-bench-rf{replication}-")
-    store = ReplicatedKVStore(
-        lambda shard, replica: FasterKV(
-            f"{work}/s{shard}r{replica}", ssd=ssd, memory_budget_bytes=1 << 22
-        ),
+    store = ShardedKVStore(
+        lambda shard: ReplicaGroup([
+            FasterKV(f"{work}/s{shard}r{replica}", ssd=ssd, memory_budget_bytes=1 << 22)
+            for replica in range(replication)
+        ]),
         num_shards=2,
-        replication=replication,
     )
     tables = EmbeddingTables(store, _DIM, seed=_SEED, cache_entries=0)
     keys = list(range(_ITEMS))

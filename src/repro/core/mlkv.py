@@ -520,13 +520,14 @@ class MLKV(FasterKV):
         staleness -= staleness > 0
         return staleness | np.uint64(pack_word(False, False, 1, 0))
 
-    def read_committed(self, key: int) -> Optional[bytes]:
-        """Snapshot read for evaluation: no admission, no clock update."""
+    def snapshot_read(self, key: int) -> Optional[bytes]:
+        """Committed read for evaluation and serving: no admission, no
+        clock update."""
         self._note_reads((key,))
         return super().get(key)
 
-    def read_committed_many(self, keys) -> list:
-        """Batched snapshot reads (no admission, no clock updates).
+    def snapshot_read_many(self, keys) -> list:
+        """Batched committed reads (no admission, no clock updates).
 
         Uses FASTER's batched path directly: the vector-clock protocol is
         bypassed entirely, as evaluation reads require.
@@ -534,11 +535,6 @@ class MLKV(FasterKV):
         keys = self._normalize_keys(keys)
         self._note_reads(keys)
         return piece_values(FasterKV._get_many(self, keys))
-
-    # The serving tier's committed-read contract maps onto the existing
-    # evaluation reads: no admission, no vector-clock update.
-    snapshot_read = read_committed
-    snapshot_read_many = read_committed_many
 
     def staleness_of(self, key: int) -> int:
         """Current vector-clock value for ``key`` (0 if unknown)."""

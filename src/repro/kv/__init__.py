@@ -18,19 +18,18 @@ partitioning, one batched sub-call per shard, live
 load), coordinated checkpoints — and every engine overrides
 ``multi_get``/``multi_put`` with genuinely batched hot paths (one index
 probe of the whole batch, WAL group commits, single leaf walks).  The router's
-children are plain :class:`~repro.kv.api.KVStore` objects, so the other
-store is the same router with a different kind of child:
-:mod:`repro.kv.replicated` makes each shard an N-way
-:class:`~repro.kv.replicated.ReplicaGroup` (synchronous write fan-out,
-divergence-bounded read routing, failover with hinted catch-up).  Live
-migration, stats and checkpoint → restore are the router's, so they work
-for both.
+children are plain :class:`~repro.kv.api.KVStore` objects, so the
+replicated store is the same router with a different kind of child: a
+factory returning an N-way :class:`~repro.kv.replicated.ReplicaGroup`
+(synchronous write fan-out, divergence-bounded read routing, failover
+with hinted catch-up).  Live migration, stats and checkpoint → restore
+are the router's, so they work for both.
 """
 
 from repro.kv.api import CheckpointManager, KVStore, StoreStats
 from repro.kv.common.cache import ClockCache, LRUCache
 from repro.kv.common.serialization import decode_vector, encode_vector
-from repro.kv.replicated import ReplicaGroup, ReplicatedKVStore
+from repro.kv.replicated import ReplicaGroup
 from repro.kv.sharded import ShardedKVStore, ShardMigration, shard_hash
 
 # The names above are the storage layer's public surface: the serving
@@ -42,7 +41,6 @@ __all__ = [
     "KVStore",
     "LRUCache",
     "ReplicaGroup",
-    "ReplicatedKVStore",
     "ShardMigration",
     "ShardedKVStore",
     "StoreStats",

@@ -5,12 +5,10 @@ independent engine instances holding the same key range.  Writes fan
 out to every live replica synchronously; reads route to **one** replica,
 so read throughput is unchanged by the replication factor and a failed
 replica costs availability nothing — the group simply stops picking it.
-:class:`ReplicatedKVStore` is the shard router
-(:class:`~repro.kv.sharded.ShardedKVStore`) with one group per shard: it
-adds only how groups are built, the operator surface
-(``fail_replica`` / ``revive_replica`` / ...) and the group state in the
-checkpoint manifest; routing, batched fan-out, live split/migrate and
-deferred cleanup are the router's.
+A replicated, sharded store is the shard router with one group per
+shard, ``ShardedKVStore(lambda shard: ReplicaGroup([...]), n)``: routing,
+batched fan-out, live split/migrate and deferred cleanup are the
+router's; every replica setting and operator verb is the group's.
 
 Consistency reuses the paper's machinery instead of inventing a new
 mode: each group keeps a :class:`~repro.device.clock.ReplicaVersionClock`
@@ -27,21 +25,23 @@ never stale write-backs.
 
 Failure handling:
 
-* :meth:`~ReplicatedKVStore.fail_replica` marks a replica dead.  Writes
-  continue on the survivors; each key written while a replica is down is
-  recorded as a **hint** against it (hinted handoff).
-* :meth:`~ReplicatedKVStore.revive_replica` brings it back: hinted keys
-  are re-read from an up-to-date peer (``snapshot_read_many`` — the
-  committed-read path checkpoints restore through) and replayed onto the
-  reviving replica, after which the group's version vector acknowledges
-  it at the current group version.  If the hint set overflowed
-  ``max_hints`` while it was down, the replica is instead rebuilt
-  wholesale from a peer's ``scan()`` — the degenerate case where
-  replaying a WAL-sized delta would cost more than re-shipping the image.
-* :meth:`~ReplicatedKVStore.slow_replica` injects per-operation latency
-  on one replica (a degraded disk, a noisy neighbor); the read router
-  prefers un-slowed admissible replicas, so a slow replica is routed
-  around exactly like a dead one as long as a healthy peer exists.
+* :meth:`~ReplicaGroup.fail` marks a replica dead.  Writes continue on
+  the survivors; each key written while a replica is down is recorded as
+  a **hint** against it (hinted handoff).
+* :meth:`~ReplicaGroup.revive` brings it back: hinted keys are re-read
+  from an up-to-date peer (``snapshot_read_many`` — the committed-read
+  path checkpoints restore through) and replayed onto the reviving
+  replica, after which the group's version vector acknowledges it at the
+  current group version.  If the hint set overflowed ``max_hints`` while
+  it was down, the replica is instead rebuilt wholesale from a peer's
+  ``scan()`` — the degenerate case where replaying a WAL-sized delta
+  would cost more than re-shipping the image.
+* :meth:`~ReplicaGroup.slow` injects per-operation latency on one
+  replica (a degraded disk, a noisy neighbor); the read router prefers
+  un-slowed admissible replicas, so a slow replica is routed around
+  exactly like a dead one as long as a healthy peer exists.  With a
+  ``hedge_threshold`` set, reads spread over slowed replicas too and
+  hedge to a faster peer instead (:meth:`~ReplicaGroup.pick_hedged_reader`).
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from repro.device.clock import ReplicaVersionClock
 from repro.errors import ConfigError, StorageError, checkpoint_fields
 from repro.kv.api import CheckpointManager, KVStore, StoreStats
 from repro.kv.sharded import (
-    ShardedKVStore,
     checkpoint_children,
     child_openers,
     child_relpath,
@@ -65,21 +64,13 @@ from repro.kv.sharded import (
     tightest_staleness_bound,
     write_manifest,
 )
-from repro.obs.trace import instant as obs_instant
 from repro.obs.trace import span as obs_span
 
 READ_POLICIES = ("one", "quorum")
 
 #: Coordinated checkpoint manifest binding every replica image plus the
 #: group state (version clocks, liveness, hint queues) into one unit.
-_MANIFEST = "replicated.manifest.json"
-
-#: The same for one free-standing group that owns a directory.
-_GROUP_MANIFEST = "group.manifest.json"
-
-#: Per-group manifest fields; the store's manifest holds one list of each
-#: (a row per shard), a group-owned manifest holds them directly.
-_GROUP_FIELDS = ("replicas", "types", "clocks", "alive", "max_hints", "hints")
+_MANIFEST = "group.manifest.json"
 
 #: Clock component chaos-injected slowness is charged to (visible in the
 #: busy-time table, separate from genuine cpu/ssd work).
@@ -114,16 +105,12 @@ class ReplicaGroup(KVStore, CheckpointManager):
     directory:
         Optional base directory holding every replica's own directory.
         A group that has one writes its own manifest on
-        :meth:`checkpoint` and reopens through :meth:`restore` — which is
-        how groups hosted by a plain router checkpoint; groups of a :class:`ReplicatedKVStore` have none and
-        are recorded in the store's manifest instead.
-    """
+        :meth:`checkpoint` and reopens through :meth:`restore`, which is
+        how a router of groups checkpoints and restores them.
 
-    #: Engine index the hosting router serves this group at (labels spans).
-    shard: Optional[int] = None
-    #: Hedge routed reads past this many seconds of injected slowness
-    #: (``None``: plain routing; see :meth:`pick_hedged_reader`).
-    hedge_threshold: Optional[float] = None
+    Like ``divergence_bound`` and ``read_policy``, :attr:`hedge_threshold`
+    is group state the operator may set at any time.
+    """
 
     def __init__(
         self,
@@ -135,13 +122,19 @@ class ReplicaGroup(KVStore, CheckpointManager):
     ) -> None:
         if not replicas:
             raise ConfigError("a replica group needs at least one replica")
-        self.check_read_config(divergence_bound, read_policy)
+        if divergence_bound < 0:
+            raise ConfigError(f"divergence_bound must be >= 0, got {divergence_bound}")
+        if read_policy not in READ_POLICIES:
+            raise ConfigError(
+                f"read_policy must be one of {READ_POLICIES}, got {read_policy!r}"
+            )
         self.replicas: list[KVStore] = list(replicas)
         self.alive: list[bool] = [True] * len(self.replicas)
         self.versions = ReplicaVersionClock(len(self.replicas))
         self.max_hints = max_hints
         self.divergence_bound = divergence_bound
         self.read_policy = read_policy
+        self._hedge_threshold: Optional[float] = None
         self.directory = directory
         # Per-replica hinted-handoff sets: keys written while it was down.
         # ``None`` marks an overflowed set (full resync needed on revive).
@@ -153,15 +146,23 @@ class ReplicaGroup(KVStore, CheckpointManager):
         self.resyncs = 0  # full scan-copy rebuilds
         self.hedged_reads = 0  # reads answered by a hedge instead of waiting
 
-    @staticmethod
-    def check_read_config(divergence_bound: int, read_policy: str) -> None:
-        """Reject a negative bound or an unknown read policy."""
-        if divergence_bound < 0:
-            raise ConfigError(f"divergence_bound must be >= 0, got {divergence_bound}")
-        if read_policy not in READ_POLICIES:
-            raise ConfigError(
-                f"read_policy must be one of {READ_POLICIES}, got {read_policy!r}"
-            )
+    @property
+    def hedge_threshold(self) -> Optional[float]:
+        """Hedge routed reads past this many seconds of injected slowness.
+
+        ``None`` (the default) routes plainly.  Set, reads spread
+        round-robin over the whole admissible pool — slowed replicas
+        included — and a read routed to a replica slowed beyond the
+        threshold waits it out and duplicates to the least-slow peer
+        (:meth:`pick_hedged_reader`), counted in ``hedged_reads``.
+        """
+        return self._hedge_threshold
+
+    @hedge_threshold.setter
+    def hedge_threshold(self, seconds: Optional[float]) -> None:
+        if seconds is not None and seconds < 0:
+            raise ConfigError(f"hedge threshold must be non-negative, got {seconds}")
+        self._hedge_threshold = seconds
 
     # ------------------------------------------------------------------
     # liveness & health
@@ -407,12 +408,12 @@ class ReplicaGroup(KVStore, CheckpointManager):
 
     def _read_replica(self) -> int:
         """Route one read under the group's policy, paying its latency."""
-        if self.hedge_threshold is None:
+        if self._hedge_threshold is None:
             choice = self.pick_reader(self.divergence_bound)
             self.charge_penalty(choice)
         else:
             choice, charge = self.pick_hedged_reader(
-                self.divergence_bound, self.hedge_threshold
+                self.divergence_bound, self._hedge_threshold
             )
             self.charge_penalty(choice, charge)
         return choice
@@ -482,9 +483,7 @@ class ReplicaGroup(KVStore, CheckpointManager):
         exactly why ``"one"`` + divergence bound is the serving path.
         """
         if self.read_policy == "quorum":
-            with obs_span(
-                "kv.replica_read", shard=self.shard, policy="quorum", keys=len(keys)
-            ):
+            with obs_span("kv.replica_read", policy="quorum", keys=len(keys)):
                 answers = []
                 for replica in self.quorum_readers():
                     self.charge_penalty(replica)
@@ -492,13 +491,7 @@ class ReplicaGroup(KVStore, CheckpointManager):
                 return answers[0]
         replica = self._read_replica()
         reader = self.replicas[replica]
-        with obs_span(
-            "kv.replica_read",
-            clock=reader.clock,
-            shard=self.shard,
-            replica=replica,
-            keys=len(keys),
-        ):
+        with obs_span("kv.replica_read", clock=reader.clock, replica=replica, keys=len(keys)):
             return getattr(reader, op)(keys)
 
     def _read_one(self, op: str, batched_op: str, key: int) -> Optional[bytes]:
@@ -567,10 +560,7 @@ class ReplicaGroup(KVStore, CheckpointManager):
         self._check_writable()
         keys, values = self._normalize_pairs(keys, values)
         with obs_span(
-            "kv.replica_write",
-            shard=self.shard,
-            live_replicas=len(self.live_indices()),
-            keys=len(keys),
+            "kv.replica_write", live_replicas=len(self.live_indices()), keys=len(keys)
         ):
             self.fanout_multi_put(keys, values)
 
@@ -655,47 +645,27 @@ class ReplicaGroup(KVStore, CheckpointManager):
         """Checkpoint every replica; bind them when the group has a directory.
 
         Each replica engine persists its own crash-consistent image
-        first; the group manifest (see :meth:`state`) is written
-        atomically last.
-        """
-        checkpoint_children(self.replicas)
-        if self.directory is not None:
-            manifest = self.state(self.directory)
-            manifest["divergence_bound"] = self.divergence_bound
-            manifest["read_policy"] = self.read_policy
-            write_manifest(self.directory, _GROUP_MANIFEST, manifest)
-
-    def state(self, base: str) -> dict:
-        """What a restore cannot rediscover from the replica images.
-
-        Replica locations (relative to ``base``) and classes, the version
-        clock, liveness flags and the hinted-handoff queues — so a revive
-        after restore replays exactly the keys the live run owed the dead
+        first; the group manifest is written atomically last.  It holds
+        what a restore cannot rediscover from the replica images: replica
+        locations and classes, the read settings, the version clock,
+        liveness flags and the hinted-handoff queues — so a revive after
+        restore replays exactly the keys the live run owed the dead
         replica (``None`` marks an overflowed queue).
         """
-        versions = self.versions
-        return {
+        checkpoint_children(self.replicas)
+        if self.directory is None:
+            return
+        base, versions = self.directory, self.versions
+        write_manifest(base, _MANIFEST, {
             "replicas": [child_relpath(replica, base) for replica in self.replicas],
             "types": [child_type(replica) for replica in self.replicas],
             "clocks": {"version": versions.version, "applied": list(versions.applied)},
             "alive": list(self.alive),
             "max_hints": self.max_hints,
-            "hints": [
-                None if hints is None else sorted(hints) for hints in self._hints
-            ],
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Adopt the version clock, liveness and hints :meth:`state` saved."""
-        count = len(self.replicas)
-        applied, alive, hints = state["clocks"]["applied"], state["alive"], state["hints"]
-        if not len(applied) == len(alive) == len(hints) == count:
-            raise ValueError(f"group state does not describe {count} replicas")
-        self.versions.version = int(state["clocks"]["version"])
-        self.versions.applied = [int(version) for version in applied]
-        self.alive = [bool(up) for up in alive]
-        self.max_hints = int(state["max_hints"])
-        self._hints = [None if keys is None else set(keys) for keys in hints]
+            "hints": [None if hints is None else sorted(hints) for hints in self._hints],
+            "divergence_bound": self.divergence_bound,
+            "read_policy": self.read_policy,
+        })
 
     @classmethod
     def restore(
@@ -709,253 +679,29 @@ class ReplicaGroup(KVStore, CheckpointManager):
         ``factory(replica_index, replica_directory)`` rebuilds one
         replica; otherwise each recorded class's ``restore`` is called
         with ``kwargs`` forwarded.  Group state comes back exactly as
-        checkpointed.  (Groups of a :class:`ReplicatedKVStore` are
-        recorded in that store's manifest: use its ``restore``.)
+        checkpointed.
         """
-        path, manifest = read_manifest(directory, _GROUP_MANIFEST)
+        path, manifest = read_manifest(directory, _MANIFEST)
         with checkpoint_fields(path):
             openers = child_openers(
                 directory, manifest["replicas"], manifest["types"], factory, **kwargs
             )
-            bound, policy = manifest["divergence_bound"], manifest["read_policy"]
-        group = cls(
-            [opener(index) for index, opener in enumerate(openers)],
-            divergence_bound=bound,
-            read_policy=policy,
-            directory=directory,
-        )
-        with checkpoint_fields(path):
-            group.load_state(manifest)
-        return group
-
-
-class _GroupSetting:
-    """A read-routing setting of the store, mirrored onto every group.
-
-    The groups do the routing, so they hold the live value; the store
-    keeps its own copy to build later groups (a split's target) with.
-    """
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, store, owner=None):
-        return self if store is None else store.__dict__[self.name]
-
-    def __set__(self, store, value) -> None:
-        store.__dict__[self.name] = value
-        for group in getattr(store, "shards", ()):
-            setattr(group, self.name, value)
-
-
-class ReplicatedKVStore(ShardedKVStore):
-    """The shard router with an N-way :class:`ReplicaGroup` per shard.
-
-    Parameters
-    ----------
-    factory:
-        ``factory(shard_index, replica_index) -> KVStore`` building one
-        engine per (shard, replica); replicas of a shard must be
-        independent instances (their own directories).  Migration
-        factories (``begin_split`` / ``begin_migrate``) have the same
-        shape.
-    num_shards:
-        Number of hash partitions (the router's splitmix64 routing).
-    replication:
-        Replicas per shard (1 = plain sharding with group bookkeeping).
-    divergence_bound, read_policy, max_hints:
-        Passed to every :class:`ReplicaGroup`; the first two stay
-        settable on the store and apply to all groups.
-    directory:
-        Optional base directory for the coordinated checkpoint manifest;
-        every replica's own directory must live under it.  Without one,
-        ``checkpoint`` degrades to the per-replica checkpoints only.
-    """
-
-    manifest_name = _MANIFEST
-    divergence_bound = _GroupSetting()
-    read_policy = _GroupSetting()
-    #: Request hedging is off (``None``) until the serving tier opts in
-    #: through :meth:`enable_hedging`.
-    hedge_threshold = _GroupSetting()
-
-    def __init__(
-        self,
-        factory: Callable[[int, int], KVStore],
-        num_shards: int,
-        replication: int = 2,
-        divergence_bound: int = 0,
-        read_policy: str = "one",
-        max_hints: int = 100_000,
-        directory: Optional[str] = None,
-    ) -> None:
-        if replication <= 0:
-            raise ConfigError(f"replication must be positive, got {replication}")
-        ReplicaGroup.check_read_config(divergence_bound, read_policy)
-        self.replication = replication
-        self.max_hints = max_hints
-        self.divergence_bound = divergence_bound
-        self.read_policy = read_policy
-        self.hedge_threshold = None
-        super().__init__(factory, num_shards, directory=directory)
-
-    def _build_child(self, factory: Callable[[int, int], KVStore], index: int) -> ReplicaGroup:
-        """A child is a replica group over ``factory(index, replica)`` engines."""
-        group = ReplicaGroup(
-            [factory(index, replica) for replica in range(self.replication)],
-            max_hints=self.max_hints,
-            divergence_bound=self.divergence_bound,
-            read_policy=self.read_policy,
-        )
-        group.shard = index
-        group.hedge_threshold = self.hedge_threshold
-        return group
-
-    @property
-    def groups(self) -> list[ReplicaGroup]:
-        """The replica groups, one per engine index (the router's children)."""
-        return self.shards
-
-    # ------------------------------------------------------------------
-    # fault injection & recovery (the operator / chaos surface)
-    # ------------------------------------------------------------------
-    def fail_replica(self, shard: int, replica: int) -> None:
-        """Kill one replica; reads and writes route around it."""
-        self.shards[shard].fail(replica)
-        obs_instant(
-            "chaos.fail_replica",
-            clock=self.clock,
-            shard=shard,
-            replica=replica,
-        )
-
-    def revive_replica(self, shard: int, replica: int, catch_up: bool = True) -> int:
-        """Bring a replica back (hinted catch-up unless ``catch_up=False``)."""
-        replayed = self.shards[shard].revive(replica, catch_up=catch_up)
-        obs_instant(
-            "chaos.revive_replica",
-            clock=self.clock,
-            shard=shard,
-            replica=replica,
-            replayed=replayed,
-        )
-        return replayed
-
-    def catch_up_replica(self, shard: int, replica: int) -> int:
-        """Replay missed writes onto a live, lagging replica."""
-        return self.shards[shard].catch_up(replica)
-
-    def slow_replica(self, shard: int, replica: int, penalty_seconds: float) -> None:
-        """Inject per-read latency on one replica (0 clears it)."""
-        self.shards[shard].slow(replica, penalty_seconds)
-
-    def replica_lag(self, shard: int, replica: int) -> int:
-        """Writes a replica is behind its group's newest write."""
-        return self.shards[shard].versions.lag(replica)
-
-    def live_replicas(self, shard: int) -> list[int]:
-        """Indices of the live replicas of ``shard`` (the autoscaler's
-        add/remove-replica surface reads this)."""
-        return self.shards[shard].live_indices()
-
-    def enable_hedging(self, threshold_seconds: Optional[float]) -> None:
-        """Turn on request hedging for routed reads (``None`` disables).
-
-        Hedged routing spreads reads round-robin over the whole
-        admissible pool — slowed replicas included — and caps the cost
-        of landing on one: a read routed to a replica slowed beyond
-        ``threshold_seconds`` (the signal :meth:`slow_replica` injects
-        and :meth:`ReplicaGroup.slow_penalty` exposes) waits the
-        threshold and then duplicates to the least-slow admissible
-        peer, completing at the faster of the two — the classic
-        tail-latency hedge.  Hedges taken are counted per group
-        (``hedged_reads`` in ``stats.extra``).
-        """
-        if threshold_seconds is not None and threshold_seconds < 0:
-            raise ConfigError(
-                f"hedge threshold must be non-negative, got {threshold_seconds}"
-            )
-        self.hedge_threshold = threshold_seconds
-
-    @property
-    def stats(self) -> StoreStats:
-        """The router's aggregate with replication health flattened in.
-
-        Per-group vectors (``replica_lag``, ``hints_outstanding``,
-        ``slow_penalties``) become one row per shard; ``failovers``,
-        ``catchup_keys`` and ``hedged_reads`` are summed over groups.
-        """
-        total = super().stats
-        groups = total.extra["shards"]
-        for name in ("replica_lag", "hints_outstanding", "slow_penalties"):
-            total.extra[name] = [group[name] for group in groups]
-        for name in ("failovers", "catchup_keys", "hedged_reads"):
-            total.extra[name] = sum(group[name] for group in groups)
-        return total
-
-    # ------------------------------------------------------------------
-    # coordinated checkpoint / restore (the router's, plus group state)
-    # ------------------------------------------------------------------
-    def _manifest(self) -> dict:
-        """Replica locations and classes plus every group's state, a row
-        per shard, and the slot table."""
-        states = [group.state(self.directory) for group in self.shards]
-        manifest = {
-            "num_shards": self.num_shards,
-            "replication": self.replication,
-            "divergence_bound": self.divergence_bound,
-            "read_policy": self.read_policy,
-            "slots": list(self._slots),
-        }
-        for name in _GROUP_FIELDS:
-            manifest[name] = [state[name] for state in states]
-        return manifest
-
-    @classmethod
-    def restore(
-        cls,
-        directory: str,
-        factory: Optional[Callable[[int, int, str], KVStore]] = None,
-        **kwargs,
-    ) -> "ReplicatedKVStore":
-        """Reopen a coordinated replicated checkpoint.
-
-        ``factory(shard_index, replica_index, replica_directory)``
-        rebuilds one replica engine from its image — use it to re-wire
-        shared SSD/clock models.  When omitted, each replica's class
-        recorded in the manifest is imported and its own ``restore`` is
-        called with ``kwargs`` forwarded.  Group state — version clocks,
-        liveness, hint queues — and the slot table come back exactly as
-        checkpointed, so lag bookkeeping, pending hinted catch-ups and
-        live splits survive recovery.
-        """
-        path, manifest = read_manifest(directory, cls.manifest_name)
-        with checkpoint_fields(path):
-            states = [
-                {name: manifest[name][shard] for name in _GROUP_FIELDS}
-                for shard in range(len(manifest["replicas"]))
-            ]
-            openers = [
-                child_openers(
-                    directory, state["replicas"], state["types"], factory, **kwargs
-                )
-                for state in states
-            ]
-            if any(len(row) != len(openers[0]) for row in openers):
-                raise ValueError("every shard must record the same replica count")
-            options = {
-                "replication": len(openers[0]),
+            settings = {
+                "max_hints": int(manifest["max_hints"]),
                 "divergence_bound": manifest["divergence_bound"],
                 "read_policy": manifest["read_policy"],
             }
-        store = cls(
-            lambda shard, replica: openers[shard][replica](shard, replica),
-            len(openers),
+        group = cls(
+            [opener(index) for index, opener in enumerate(openers)],
             directory=directory,
-            **options,
+            **settings,
         )
         with checkpoint_fields(path):
-            for group, state in zip(store.shards, states):
-                group.load_state(state)
-        store._adopt_slots(manifest.get("slots"))
-        return store
+            clocks, alive, hints = manifest["clocks"], manifest["alive"], manifest["hints"]
+            if not len(clocks["applied"]) == len(alive) == len(hints) == len(openers):
+                raise ValueError(f"group state does not describe {len(openers)} replicas")
+            group.versions.version = int(clocks["version"])
+            group.versions.applied = [int(version) for version in clocks["applied"]]
+            group.alive = [bool(up) for up in alive]
+            group._hints = [None if keys is None else set(keys) for keys in hints]
+        return group

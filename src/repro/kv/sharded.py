@@ -9,17 +9,18 @@ is just a :class:`~repro.kv.api.KVStore`:
 
 * a local engine (FASTER / MLKV / LSM / B-tree, any mix),
 * a :class:`~repro.kv.replicated.ReplicaGroup` — N engines holding one
-  key range behind routed reads and fan-out writes.
+  key range behind routed reads and fan-out writes; a router of groups
+  is the replicated store, and the groups own every replica setting and
+  operator verb.
 
-One hook is all a subclass overrides to change what a child is:
-:meth:`ShardedKVStore._build_child` (how ``factory(index)`` becomes a
-child), which :class:`~repro.kv.replicated.ReplicatedKVStore` overrides
-to build a replica group.  Slot-table routing, live split/migrate with
-deferred cleanup, stats aggregation, the store contract computed from
-the children (``ssd``, ``clock``, ``staleness_bound``,
-``set_stall_handler``, ``lookahead``, ``lookahead_capacity``: what they
-share, never an ``AttributeError``) and the coordinated checkpoint
-manifest are inherited, so replication and live migration compose.
+A child is whatever ``factory(index)`` returns, for the initial shards
+and for every migration target alike; the router has no subclass hooks.
+Slot-table routing, live split/migrate with deferred cleanup, stats
+aggregation, the store contract computed from the children (``ssd``,
+``clock``, ``staleness_bound``, ``set_stall_handler``, ``lookahead``,
+``lookahead_capacity``: what they share, never an ``AttributeError``)
+and the coordinated checkpoint manifest apply to every kind of child,
+so replication and live migration compose.
 
 Batched operations are the reason this layer exists: ``multi_get`` /
 ``multi_put`` / ``multi_rmw`` split one application batch into at most
@@ -152,17 +153,33 @@ def tightest_staleness_bound(children: Sequence[KVStore]):
 def merge_stats(children: Iterable[StoreStats]) -> StoreStats:
     """Sum child counters into a fresh :class:`StoreStats`.
 
+    Extras merge by kind: numbers are summed and lists concatenated in
+    child order, so a composite reports its children's health under the
+    keys they use — a router of replica groups has the groups'
+    ``failovers``, ``catchup_keys`` and ``hedged_reads`` summed and their
+    ``replica_lag`` vectors joined, exactly the shape one group reports.
     ``extra["shards"]`` keeps each child's own extras, in child order.
     """
     total = StoreStats()
-    per_child = total.extra["shards"] = []
+    merged = total.extra
+    per_child = []
     for child in children:
         total.gets += child.gets
         total.puts += child.puts
         total.deletes += child.deletes
         total.hits += child.hits
         total.misses += child.misses
-        per_child.append(dict(child.extra))
+        extra = child.extra
+        if extra:
+            for name, value in extra.items():
+                if name == "shards":
+                    continue
+                if isinstance(value, list):
+                    merged.setdefault(name, []).extend(value)
+                else:
+                    merged[name] = merged.get(name, 0) + value
+        per_child.append(dict(extra))
+    merged["shards"] = per_child
     return total
 
 
@@ -267,9 +284,6 @@ class ShardedKVStore(KVStore, CheckpointManager):
         manifest binding the per-shard images into one restorable unit.
     """
 
-    #: File name of this store's coordinated-checkpoint manifest.
-    manifest_name = _MANIFEST
-
     def __init__(
         self,
         factory: Callable[[int], KVStore],
@@ -294,9 +308,7 @@ class ShardedKVStore(KVStore, CheckpointManager):
         # so these are unreachable; scans filter them until drained).
         self._cleanup_backlog: dict[int, set[int]] = {}
         self._closed = False
-        self.shards: list[KVStore] = [
-            self._build_child(factory, index) for index in range(num_shards)
-        ]
+        self.shards: list[KVStore] = [factory(index) for index in range(num_shards)]
 
     @classmethod
     def from_stores(
@@ -305,16 +317,6 @@ class ShardedKVStore(KVStore, CheckpointManager):
         """Wrap already-constructed child engines (one per shard)."""
         stores = list(stores)
         return cls(lambda index: stores[index], len(stores), directory=directory)
-
-    # ------------------------------------------------------------------
-    # the one hook a subclass overrides: what a child is
-    # ------------------------------------------------------------------
-    def _build_child(self, factory: Callable, index: int) -> KVStore:
-        """Turn ``factory`` into the child serving engine ``index``.
-
-        Called for every initial shard and for every migration target.
-        """
-        return factory(index)
 
     # ------------------------------------------------------------------
     # routing
@@ -433,16 +435,6 @@ class ShardedKVStore(KVStore, CheckpointManager):
     def read_current_many(self, keys) -> list:
         """Batched write-back-safe reads (see :meth:`KVStore.read_current_many`)."""
         return self._gather("read_current_many", keys)
-
-    def read_committed_many(self, keys) -> list:
-        """Training-side alias of :meth:`snapshot_read_many`.
-
-        Every child's ``snapshot_read_many`` already is its committed
-        batched read (``read_committed_many`` on MLKV, ``multi_get`` on
-        plain engines), so both entry points share one fan-out and one
-        set of routed-op counters.
-        """
-        return self.snapshot_read_many(keys)
 
     def multi_put(self, keys, values) -> None:
         """One batched sub-write per shard.
@@ -643,16 +635,12 @@ class ShardedKVStore(KVStore, CheckpointManager):
             self.cleanup_step(4096)
         checkpoint_children(self.shards)
         if self.directory is not None:
-            write_manifest(self.directory, self.manifest_name, self._manifest())
-
-    def _manifest(self) -> dict:
-        """What :meth:`restore` needs to rebuild routing and children."""
-        return {
-            "num_shards": self.num_shards,
-            "shards": [child_relpath(shard, self.directory) for shard in self.shards],
-            "types": [child_type(shard) for shard in self.shards],
-            "slots": list(self._slots),
-        }
+            write_manifest(self.directory, _MANIFEST, {
+                "num_shards": self.num_shards,
+                "shards": [child_relpath(shard, self.directory) for shard in self.shards],
+                "types": [child_type(shard) for shard in self.shards],
+                "slots": list(self._slots),
+            })
 
     @classmethod
     def restore(
@@ -669,7 +657,7 @@ class ShardedKVStore(KVStore, CheckpointManager):
         manifest is imported and its own ``restore`` is called with
         ``kwargs`` forwarded.
         """
-        path, manifest = read_manifest(directory, cls.manifest_name)
+        path, manifest = read_manifest(directory, _MANIFEST)
         with checkpoint_fields(path):
             openers = child_openers(
                 directory, manifest["shards"], manifest["types"], factory, **kwargs
@@ -718,7 +706,7 @@ class ShardedKVStore(KVStore, CheckpointManager):
         if len(owned) == 1:
             self._slots = self._slots + self._slots
             owned = [owned[0], owned[0] + len(self._slots) // 2]
-        target = self._build_child(factory, len(self.shards))
+        target = factory(len(self.shards))
         self._migration = ShardMigration(
             self, shard_index, target, moving_slots={owned[-1]}, replace=False
         )
@@ -744,7 +732,7 @@ class ShardedKVStore(KVStore, CheckpointManager):
         closed after cutover.
         """
         owned = self._owned_slots(shard_index)
-        target = self._build_child(factory, shard_index)
+        target = factory(shard_index)
         self._migration = ShardMigration(
             self, shard_index, target, moving_slots=set(owned), replace=True
         )

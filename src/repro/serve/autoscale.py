@@ -17,9 +17,10 @@ autoscaler reacts to a sustained latency-window breach by:
 * **migrating the hottest shard** — same discipline via
   ``begin_migrate`` when the shard count is capped but imbalance says
   one engine is the problem (node replacement);
-* **adding / removing replicas** — on a replicated store, reviving a
-  previously-retired replica under pressure (hinted catch-up brings it
-  consistent) and retiring one again when the latency window relaxes.
+* **adding / removing replicas** — on the shards served by a
+  :class:`~repro.kv.ReplicaGroup`, reviving a previously-retired replica
+  under pressure (hinted catch-up brings it consistent) and retiring one
+  again when the latency window relaxes.
 
 Every decision lands in an auditable log (:attr:`Autoscaler.decisions`)
 and as an obs instant on the simulated timeline; when a telemetry
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.errors import ConfigError, StorageError
-from repro.kv import ReplicatedKVStore, ShardedKVStore
+from repro.kv import ReplicaGroup, ShardedKVStore
 from repro.obs.trace import instant as obs_instant
 from repro.serve.telemetry import LatencyHistogram, ServingTelemetry
 
@@ -67,9 +68,8 @@ class AutoscalerConfig:
         triggers ``begin_migrate`` of the hottest engine (``None``
         disables migration).
     scale_in_p99:
-        On a replicated store, a window p99 *below* this retires one
-        replica of the most-replicated shard (``None`` disables
-        scale-in).
+        A window p99 *below* this retires one replica of the
+        most-replicated group (``None`` disables scale-in).
     min_window:
         Completed requests a window needs before its p99 is trusted.
     """
@@ -105,14 +105,13 @@ class Autoscaler:
     store:
         The shared store: a :class:`~repro.kv.ShardedKVStore` (any
         router has the split / migrate / deferred-cleanup surface;
-        anything else is a ``ConfigError``).  Replica add/remove runs
-        only on a :class:`~repro.kv.ReplicatedKVStore`, decided once
-        here.
+        anything else is a ``ConfigError``).  Replica add/remove acts
+        on whichever of its children are replica groups
+        (:class:`~repro.kv.ReplicaGroup`).
     factory:
-        Builds a fresh engine for splits and migrations, in the shape of
-        the store's own constructor factory: ``factory(engine_index)``,
-        or ``factory(engine_index, replica_index)`` for a replicated
-        store (unused on stores without splits).
+        Builds a fresh child for splits and migrations, in the shape of
+        the store's own constructor factory: ``factory(engine_index)``
+        (a replica group, on a router of groups).
     config:
         The :class:`AutoscalerConfig` policy knobs.
     telemetry:
@@ -134,7 +133,6 @@ class Autoscaler:
                 f"{type(store).__name__} is not a router"
             )
         self.store = store
-        self._replicated = isinstance(store, ReplicatedKVStore)
         self.factory = factory
         self.config = config or AutoscalerConfig()
         self.telemetry = telemetry
@@ -285,47 +283,48 @@ class Autoscaler:
             )
             self._set_phase(f"after:{label}", now)
 
+    def _groups(self) -> list[tuple[int, ReplicaGroup]]:
+        """``(shard, group)`` for every child that is a replica group."""
+        return [
+            (shard, child)
+            for shard, child in enumerate(self.store.shards)
+            if isinstance(child, ReplicaGroup)
+        ]
+
     def _add_replica(self, now: float, window_p99: float) -> bool:
         """Revive the first retired replica found (hinted catch-up)."""
-        if not self._replicated:
-            return False
-        store = self.store
-        for shard in range(store.num_shards):
-            live = store.live_replicas(shard)
-            if len(live) < store.replication:
-                dead = [
-                    index for index in range(store.replication) if index not in live
-                ]
-                replayed = store.revive_replica(shard, dead[0], catch_up=True)
-                self.replicas_added += 1
-                self._last_action = now
-                self._record(
-                    now,
-                    action="add_replica",
-                    shard=shard,
-                    replica=dead[0],
-                    catchup_keys=replayed,
-                    window_p99=window_p99,
-                )
-                self._set_phase("after:add_replica", now)
-                return True
+        for shard, group in self._groups():
+            if all(group.alive):
+                continue
+            dead = group.alive.index(False)
+            replayed = group.revive(dead, catch_up=True)
+            self.replicas_added += 1
+            self._last_action = now
+            self._record(
+                now,
+                action="add_replica",
+                shard=shard,
+                replica=dead,
+                catchup_keys=replayed,
+                window_p99=window_p99,
+            )
+            self._set_phase("after:add_replica", now)
+            return True
         return False
 
     def _remove_replica(self, now: float, window_p99: float) -> bool:
-        """Retire one replica of the most-replicated shard (scale-in)."""
-        if not self._replicated:
-            return False
-        store = self.store
-        best_shard, best_live = -1, 1
-        for shard in range(store.num_shards):
-            live = store.live_replicas(shard)
+        """Retire one replica of the most-replicated group (scale-in)."""
+        best, best_live = None, 1
+        for shard, group in self._groups():
+            live = group.live_indices()
             if len(live) > best_live:
-                best_shard, best_live = shard, len(live)
-        if best_shard < 0:
+                best, best_live = (shard, group), len(live)
+        if best is None:
             return False
-        victim = store.live_replicas(best_shard)[-1]
+        shard, group = best
+        victim = group.live_indices()[-1]
         try:
-            store.fail_replica(best_shard, victim)
+            group.fail(victim)
         except StorageError:
             return False  # the fail invariant vetoed it: keep the replica
         self.replicas_removed += 1
@@ -333,7 +332,7 @@ class Autoscaler:
         self._record(
             now,
             action="remove_replica",
-            shard=best_shard,
+            shard=shard,
             replica=victim,
             window_p99=window_p99,
         )

@@ -159,17 +159,17 @@ class ChaosInjector(FaultSchedule):
     Each fired event switches the telemetry phase, so one run yields
     before/after latency percentiles.
 
-    Events duck-type against the store: :meth:`kill_replica_at` and
-    :meth:`revive_replica_at` need the
-    :class:`~repro.kv.replicated.ReplicatedKVStore` fault surface
-    (``fail_replica`` / ``revive_replica``), :meth:`slow_shard` needs
-    ``slow_replica``.  Scheduling an event a store cannot honor raises
-    at fire time, not silently.
+    Replica events act on the :class:`~repro.kv.replicated.ReplicaGroup`
+    serving the named shard of the store: :meth:`kill_replica_at` calls
+    its ``fail``, :meth:`revive_replica_at` its ``revive``,
+    :meth:`slow_shard` its ``slow``.  Scheduling an event a store cannot
+    honor (no shards, or a shard that is not a group) raises at fire
+    time, not silently.
     """
 
     def kill_replica_at(self, at: float, shard: int, replica: int) -> "ChaosInjector":
         """Kill ``replica`` of ``shard`` at simulated second ``at``."""
-        self._schedule(at, f"kill:{shard}/{replica}", "fail_replica", (shard, replica))
+        self._schedule(at, f"kill:{shard}/{replica}", "fail", (replica,), shard)
         return self
 
     def revive_replica_at(
@@ -177,7 +177,7 @@ class ChaosInjector(FaultSchedule):
     ) -> "ChaosInjector":
         """Revive a killed replica (hinted catch-up unless disabled)."""
         self._schedule(
-            at, f"revive:{shard}/{replica}", "revive_replica", (shard, replica, catch_up)
+            at, f"revive:{shard}/{replica}", "revive", (replica, catch_up), shard
         )
         return self
 
@@ -195,14 +195,12 @@ class ChaosInjector(FaultSchedule):
         stays slow for the rest of the run.
         """
         self._schedule(
-            at, f"slow:{shard}/{replica}", "slow_replica", (shard, replica, penalty_seconds)
+            at, f"slow:{shard}/{replica}", "slow", (replica, penalty_seconds), shard
         )
         if until is not None:
             if until <= at:
                 raise ConfigError(f"slow_shard until={until} must be after at={at}")
-            self._schedule(
-                until, f"heal:{shard}/{replica}", "slow_replica", (shard, replica, 0.0)
-            )
+            self._schedule(until, f"heal:{shard}/{replica}", "slow", (replica, 0.0), shard)
         return self
 
     def fire_due(self, now: float, store, telemetry=None) -> int:

@@ -92,10 +92,6 @@ class ServingLoop:
         Optional :class:`~repro.serve.autoscale.Autoscaler` ticked
         between batches; it observes completed-request latencies and
         drives live rescaling against the shared store.
-    hedge_threshold:
-        When set, routed reads hedge against replicas slowed beyond this
-        many simulated seconds; needs a store with
-        :meth:`~repro.kv.ReplicatedKVStore.enable_hedging`.
     """
 
     def __init__(
@@ -105,7 +101,6 @@ class ServingLoop:
         prefetch_distance: int = 0,
         chaos=None,
         autoscaler=None,
-        hedge_threshold: Optional[float] = None,
     ) -> None:
         self.server = server
         self.policy = policy or BatchPolicy()
@@ -120,14 +115,6 @@ class ServingLoop:
         # real async server's event loop would have.
         self.chaos = chaos
         self.autoscaler = autoscaler
-        if hedge_threshold is not None:
-            enable = getattr(server.store, "enable_hedging", None)
-            if enable is None:
-                raise ConfigError(
-                    "hedge_threshold needs a store with enable_hedging() "
-                    f"(a replicated store); {type(server.store).__name__} has none"
-                )
-            enable(hedge_threshold)
 
     # ------------------------------------------------------------------
     # tenancy
@@ -400,13 +387,13 @@ class ServingLoop:
 
         The loop-wide block is the aggregate telemetry judged against
         ``target_p99`` (default: the tightest tenant target), with
-        store/replication stats, coalescing, ``queue_high_water`` (the
-        most admitted-but-unserved requests ever queued), hedged reads,
-        chaos events and the autoscaler's decision log.  ``tenants``
-        maps each tenant name to its own ``slo_report`` (against its
-        *own* ``target_p99``) extended with admission counters and
-        ``slo_attainment`` — the fraction of its served requests inside
-        the target.
+        store/replication stats (hedged reads among them), coalescing,
+        ``queue_high_water`` (the most admitted-but-unserved requests
+        ever queued), chaos events and the autoscaler's decision log.
+        ``tenants`` maps each tenant name to its own ``slo_report``
+        (against its *own* ``target_p99``) extended with admission
+        counters and ``slo_attainment`` — the fraction of its served
+        requests inside the target.
         """
         tenants = {}
         for tenant in self.tenants:
@@ -433,9 +420,6 @@ class ServingLoop:
             self.batcher.requests_coalesced / batched if batched else 0.0
         )
         report["queue_high_water"] = self.queue.max_depth_seen
-        extra = self.server.store.stats.extra
-        if "hedged_reads" in extra:
-            report["hedged_reads"] = extra["hedged_reads"]
         if self.chaos is not None:
             report["chaos_events"] = list(self.chaos.fired)
             # Events scheduled past the end of the run never fired; a

@@ -357,12 +357,11 @@ class ServingTelemetry:
             }
             extra = stats.extra
             if "failovers" in extra:
+                # One replica group or a router of them: the same keys.
                 report["replication"] = {
                     "failovers": extra["failovers"],
                     "catchup_keys": extra["catchup_keys"],
-                    "max_replica_lag": max(
-                        (lag for lags in extra["replica_lag"] for lag in lags),
-                        default=0,
-                    ),
+                    "max_replica_lag": max(extra["replica_lag"], default=0),
+                    "hedged_reads": extra["hedged_reads"],
                 }
         return report

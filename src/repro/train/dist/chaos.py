@@ -6,7 +6,7 @@ The training-side vocabulary over the shared
 instants and fired by the training engine as its clock passes them, so a
 worker dies *mid-epoch* with batches in flight and a replica dies
 *mid-push* with deltas half-fanned-out — the only honest way to test the
-exactly-once ledger and the replicated store's hinted handoff.
+exactly-once ledger and a replica group's hinted handoff.
 """
 
 from __future__ import annotations
@@ -18,8 +18,10 @@ from repro.errors import ConfigError
 class StragglerInjector(FaultSchedule):
     """Time-scheduled worker and replica faults for a training run.
 
-    ``fire_due(now, target)`` takes the engine as target: it implements
-    the worker events itself and forwards replica ones to its store.
+    ``fire_due(now, engine, store)``: the engine implements the worker
+    events; a replica event acts on the
+    :class:`~repro.kv.replicated.ReplicaGroup` serving its shard of the
+    engine's store.
     """
 
     # ------------------------------------------------------------------
@@ -53,15 +55,13 @@ class StragglerInjector(FaultSchedule):
         return self
 
     # ------------------------------------------------------------------
-    # server-side (replica) faults, forwarded to the backing store
+    # server-side (replica) faults, on the backing store's groups
     # ------------------------------------------------------------------
     def kill_replica_at(
         self, at: float, shard: int, replica: int
     ) -> "StragglerInjector":
         """Kill one store replica — including *during* a push fan-out."""
-        self._schedule(
-            at, f"kill-replica:{shard}/{replica}", "fail_replica", (shard, replica)
-        )
+        self._schedule(at, f"kill-replica:{shard}/{replica}", "fail", (replica,), shard)
         return self
 
     def revive_replica_at(
@@ -69,9 +69,6 @@ class StragglerInjector(FaultSchedule):
     ) -> "StragglerInjector":
         """Schedule a replica revival (with catch-up) at ``at``."""
         self._schedule(
-            at,
-            f"revive-replica:{shard}/{replica}",
-            "revive_replica",
-            (shard, replica, catch_up),
+            at, f"revive-replica:{shard}/{replica}", "revive", (replica, catch_up), shard
         )
         return self

@@ -181,14 +181,6 @@ class DistributedTrainer:
         """Restore a slowed worker to the template compute speed."""
         self.workers[worker_id].restore_speed(self._template_flops)
 
-    def fail_replica(self, shard: int, replica: int) -> None:
-        """Fail one storage replica through the server's store."""
-        self.server.store.fail_replica(shard, replica)
-
-    def revive_replica(self, shard: int, replica: int, catch_up: bool = True) -> int:
-        """Revive a failed replica; returns the replayed catch-up keys."""
-        return self.server.store.revive_replica(shard, replica, catch_up=catch_up)
-
     # ------------------------------------------------------------------
     # the run
     # ------------------------------------------------------------------
@@ -396,7 +388,7 @@ class DistributedTrainer:
     def _fire_chaos(self, now: float) -> int:
         if self.chaos is None:
             return 0
-        return self.chaos.fire_due(now, self)
+        return self.chaos.fire_due(now, self, self.server.store)
 
     # ------------------------------------------------------------------
     # evaluation (off the training clock, on the canonical model)

@@ -216,9 +216,6 @@ class BaseTrainer:
         result.final_metric = self._offline_eval()
         if not result.history or result.history[-1][1] != result.final_metric:
             result.history.append((result.sim_seconds, result.final_metric))
-        store_stats = getattr(self.tables.store, "mlkv_stats", None)
-        if store_stats is not None:
-            result.stall_events = store_stats.stall_events
         return result
 
     def compute_gradients(
@@ -272,7 +269,13 @@ class BaseTrainer:
         result.emb_access_seconds += self.clock.now - t4
 
     def _on_stall(self, key: int) -> bool:
-        """MLKV's stall hook: make progress by applying pending updates."""
+        """MLKV's stall hook: make progress by applying pending updates.
+
+        Every admission an engine refuses calls it once, whichever engine
+        of the store holds the key, so counting here counts the stalls
+        of the whole store.
+        """
+        self._result.stall_events += 1
         if not self.pending:
             return False
         self._apply_oldest()

@@ -384,7 +384,7 @@ class TestRep003Layering:
 
     def test_passes_facade_public_names(self):
         findings = lint_source(
-            "from repro.kv import KVStore, ReplicatedKVStore, decode_vector\n",
+            "from repro.kv import KVStore, ReplicaGroup, decode_vector\n",
             path="src/repro/serve/fixture.py",
         )
         assert findings == []

@@ -24,7 +24,8 @@ from repro.core.embedding import EmbeddingTables
 from repro.device import GPUModel, SimClock, SSDModel
 from repro.errors import SanitizerError
 from repro.kv.faster import FasterKV
-from repro.kv.replicated import ReplicaGroup, ReplicatedKVStore
+from repro.kv import ShardedKVStore
+from repro.kv.replicated import ReplicaGroup
 from repro.models import FFNN
 from repro.train import TrainerConfig, WorkerProgressClock
 from repro.train.dist.server import ParameterServer, PushPacket
@@ -50,14 +51,15 @@ def fresh_sanitizer():
         enable_sanitizer()
 
 
-def make_replicated(root, *, shards=2, replication=2, bound=0, directory=None):
+def make_replicated(root, *, shards=2, replication=2, bound=0):
+    """A router of ``shards`` replica groups of FASTER replicas."""
     ssd = SSDModel(SimClock())
-    return ReplicatedKVStore(
-        lambda shard, replica: FasterKV(str(root / f"s{shard}r{replica}"), ssd=ssd),
-        num_shards=shards,
-        replication=replication,
-        divergence_bound=bound,
-        directory=directory,
+    return ShardedKVStore(
+        lambda shard: ReplicaGroup(
+            [FasterKV(str(root / f"s{shard}r{replica}"), ssd=ssd) for replica in range(replication)],
+            divergence_bound=bound,
+        ),
+        shards,
     )
 
 
@@ -98,9 +100,9 @@ class TestLifecycle:
                 store.put(key, bytes([key]) * 4)
             for key in range(30):
                 assert store.get(key) == bytes([key]) * 4
-            store.fail_replica(0, 1)
+            store.shards[0].fail(1)
             store.put(99, b"x")
-            store.revive_replica(0, 1)
+            store.shards[0].revive(1)
             assert len(sanitizer.trace) > 0
             assert sanitizer.violations == 0
 
@@ -125,7 +127,7 @@ class TestClockInvariants:
         with sanitized():
             store = make_replicated(tmp_path)
             store.put(1, b"a")
-            group = store.groups[0]
+            group = store.shards[0]
             group.versions.applied[0] = group.versions.version + 5  # corrupt
             with pytest.raises(SanitizerError) as err:
                 store.put(2, b"b")
@@ -137,7 +139,7 @@ class TestClockInvariants:
             store = make_replicated(tmp_path, shards=1)
             for key in range(6):
                 store.put(key, b"v")
-            group = store.groups[0]
+            group = store.shards[0]
             group.versions.applied[1] -= 2  # lost-update corruption
             with pytest.raises(SanitizerError) as err:
                 store.put(50, b"w")
@@ -155,7 +157,7 @@ class TestRoutingInvariants:
         with sanitized():
             store = make_replicated(tmp_path, shards=1)
             store.put(1, b"a")
-            store.fail_replica(0, 0)
+            store.shards[0].fail(0)
             with pytest.raises(SanitizerError) as err:
                 store.get(1)
             assert "dead replica" in str(err.value)
@@ -168,9 +170,9 @@ class TestRoutingInvariants:
         with sanitized():
             store = make_replicated(tmp_path, shards=1)
             store.put(1, b"a")
-            store.fail_replica(0, 1)
+            store.shards[0].fail(1)
             store.put(2, b"b")  # replica 1 now lags by 1
-            store.revive_replica(0, 1, catch_up=False)
+            store.shards[0].revive(1, catch_up=False)
             with pytest.raises(SanitizerError) as err:
                 store.get(1)
             assert "beyond the divergence bound" in str(err.value)
@@ -191,20 +193,20 @@ class TestRoutingInvariants:
         with sanitized():
             store = make_replicated(tmp_path, shards=1, replication=3, bound=5)
             store.put(1, b"a")
-            store.fail_replica(0, 1)
+            store.shards[0].fail(1)
             store.put(2, b"b")
-            store.revive_replica(0, 1, catch_up=False)  # live, lag 1
-            store.fail_replica(0, 2)
+            store.shards[0].revive(1, catch_up=False)  # live, lag 1
+            store.shards[0].fail(2)
             store.put(3, b"c")  # hints queue up for replica 2
             with pytest.raises(SanitizerError) as err:
-                store.revive_replica(0, 2)  # catch-up picks the lagging donor
+                store.shards[0].revive(2)  # catch-up picks the lagging donor
             assert "as a donor" in str(err.value)
 
     def test_fanout_that_loses_clock_bookkeeping_is_caught(self, tmp_path):
         with sanitized():
             store = make_replicated(tmp_path, shards=1)
             store.put(1, b"a")
-            group = store.groups[0]
+            group = store.shards[0]
             # Buggy replication: writes land but the applied-version
             # bookkeeping is dropped (instance attribute bypasses the
             # class-level wrapper, like a refactor that forgot the call).

@@ -31,7 +31,7 @@ from repro.kv.btree.store import BTreeKV
 from repro.kv.common.serialization import decode_vectors, encode_vectors
 from repro.kv.faster.store import FasterKV
 from repro.kv.lsm.store import LsmKV
-from repro.kv.replicated import ReplicaGroup, ReplicatedKVStore
+from repro.kv.replicated import ReplicaGroup
 from repro.kv.sharded import ShardedKVStore
 
 WIDTH = 20
@@ -217,8 +217,12 @@ class TestRouter:
         """Replica groups take the base-class verbs under the router's
         override."""
         ssd = SSDModel(SimClock())
-        replicated = ReplicatedKVStore(
-            lambda shard, replica: _engine("mlkv", tmp_path / f"s{shard}r{replica}", ssd), 2)
+        replicated = ShardedKVStore(
+            lambda shard: ReplicaGroup(
+                [_engine("mlkv", tmp_path / f"s{shard}r{replica}", ssd) for replica in range(2)]
+            ),
+            2,
+        )
         listed, _ = _router(tmp_path / "plain", shards=2)
         keys = np.random.default_rng(2).permutation(500)[:300]
         for store in (replicated, listed):

@@ -1,11 +1,14 @@
 """Chaos-injected serving: failover end to end through the read path.
 
-An :class:`EmbeddingServer` over a :class:`ReplicatedKVStore` is driven
-by the open-loop generator while a :class:`ChaosInjector` kills, slows
-and revives replicas mid-run.  The acceptance invariant: with
+An :class:`EmbeddingServer` over a shard router of
+:class:`ReplicaGroup` children is driven by the open-loop generator
+while a :class:`ChaosInjector` kills, slows and revives replicas
+mid-run.  The acceptance invariant: with
 replication factor 2, killing a replica with requests in flight loses
 zero requests, and the telemetry attributes latencies to before/after
-phases so the failover's cost is measurable.
+phases so the failover's cost is measurable.  The report's
+``replication`` block reads the same counters the groups keep, over one
+bare group or a router of them.
 """
 
 from __future__ import annotations
@@ -15,9 +18,10 @@ import pytest
 from repro.core.embedding import EmbeddingTables
 from repro.device import SimClock, SSDModel
 from repro.errors import ConfigError
-from repro.kv import ReplicatedKVStore, ShardedKVStore
+from repro.kv import ReplicaGroup, ShardedKVStore
 from repro.kv.faster import FasterKV
 from repro.kv.common.serialization import encode_vector
+from repro.obs.trace import install_tracer, uninstall_tracer
 from repro.serve import (
     BatchPolicy,
     ChaosInjector,
@@ -32,16 +36,21 @@ _RATE = 2e5
 _SEED = 3
 
 
-def build_server(tmp_path, replication: int = 2, cache_entries: int = 0):
+def build_server(tmp_path, replication: int = 2, cache_entries: int = 0, shards: int = 2):
+    """A server over a router of ``shards`` replica groups (``shards=0``:
+    over one bare group), preloaded with ``_ITEMS`` vectors."""
     clock = SimClock()
     ssd = SSDModel(clock)
-    store = ReplicatedKVStore(
-        lambda shard, replica: FasterKV(
-            str(tmp_path / f"s{shard}r{replica}"), ssd=ssd, memory_budget_bytes=1 << 21
-        ),
-        num_shards=2,
-        replication=replication,
-    )
+
+    def group(shard):
+        return ReplicaGroup([
+            FasterKV(
+                str(tmp_path / f"s{shard}r{replica}"), ssd=ssd, memory_budget_bytes=1 << 21
+            )
+            for replica in range(replication)
+        ])
+
+    store = ShardedKVStore(group, shards) if shards else group(0)
     tables = EmbeddingTables(store, _DIM, seed=_SEED, cache_entries=0)
     keys = list(range(_ITEMS))
     store.multi_put(keys, [encode_vector(tables.init_vector(key)) for key in keys])
@@ -95,7 +104,7 @@ class TestKillFailover:
         assert len(arrivals.issued) == count
         assert all(request.value is not None for request in arrivals.issued)
         store = server.store
-        assert store.replica_lag(0, 0) == 0
+        assert store.shards[0].versions.lag(0) == 0
         assert store.stats.extra["catchup_keys"] >= 0
         assert len(report["chaos_events"]) == 2
         server.close()
@@ -176,8 +185,9 @@ class TestSlowShard:
 
 class TestChaosContract:
     def test_incapable_store_raises_at_fire_time(self, tmp_path, ssd):
-        """A sharded (non-replicated) store has no replica fault surface;
-        scheduling against it must fail loudly at fire time."""
+        """A router of plain engines has no replica group to fault, and a
+        bare group has no shards; scheduling against either must fail
+        loudly at fire time."""
         store = ShardedKVStore(
             lambda index: FasterKV(str(tmp_path / f"plain{index}"), ssd=ssd), 2
         )
@@ -185,16 +195,29 @@ class TestChaosContract:
         with pytest.raises(ConfigError):
             chaos.fire_due(now=1.0, store=store)
         store.close()
+        group = ReplicaGroup([FasterKV(str(tmp_path / f"r{index}"), ssd=ssd) for index in (0, 1)])
+        chaos = ChaosInjector().slow_shard(0.0, shard=0, penalty_seconds=1e-3)
+        with pytest.raises(ConfigError):
+            chaos.fire_due(now=1.0, store=group)
+        group.close()
 
     def test_events_fire_in_time_order(self, tmp_path, ssd):
         fired = []
 
-        class Probe:
-            def fail_replica(self, shard, replica):
-                fired.append(("kill", shard, replica))
+        class Group:
+            clock = None
 
-            def slow_replica(self, shard, replica, penalty):
-                fired.append(("slow", shard, replica))
+            def __init__(self, shard):
+                self.shard = shard
+
+            def fail(self, replica):
+                fired.append(("kill", self.shard, replica))
+
+            def slow(self, replica, penalty):
+                fired.append(("slow", self.shard, replica))
+
+        class Probe:
+            shards = [Group(0), Group(1)]
 
         chaos = (
             ChaosInjector()
@@ -206,3 +229,88 @@ class TestChaosContract:
         assert chaos.fire_due(now=3.0, store=Probe()) == 2
         assert fired == [("kill", 0, 1), ("slow", 1, 0)]
         assert chaos.pending() == 0
+
+    def test_replica_events_record_instants_where_they_fire(self, tmp_path):
+        server = build_server(tmp_path)
+        store = server.store
+        chaos = (
+            ChaosInjector()
+            .kill_replica_at(1.0, shard=1, replica=0)
+            .slow_shard(1.0, shard=0, penalty_seconds=1e-6)
+            .revive_replica_at(2.0, shard=1, replica=0)
+        )
+        store.put(next(key for key in range(_ITEMS) if store.shard_of(key) == 1), b"hint")
+        tracer = install_tracer()
+        try:
+            chaos.fire_due(now=1.0, store=store)
+            store.put(next(key for key in range(_ITEMS) if store.shard_of(key) == 1), b"late")
+            chaos.fire_due(now=2.0, store=store)
+        finally:
+            uninstall_tracer()
+        instants = [(event.name, event.args) for event in tracer.instants]
+        assert instants == [
+            ("chaos.fail_replica", {"shard": 1, "replica": 0}),
+            ("chaos.revive_replica", {"shard": 1, "replica": 0, "replayed": 1}),
+        ]
+        assert store.shards[1].alive == [True, True]
+        assert store.shards[0].slow_penalty(0) == 1e-6
+        server.close()
+
+
+def _expected_replication(groups) -> dict:
+    """The replication block a report must show: the groups' own counts."""
+    return {
+        "failovers": sum(group.failovers for group in groups),
+        "catchup_keys": sum(group.catchup_keys for group in groups),
+        "max_replica_lag": max(
+            group.versions.lag(replica) for group in groups for replica in range(group.replication)
+        ),
+        "hedged_reads": sum(group.hedged_reads for group in groups),
+    }
+
+
+def _degrade(group, keys) -> None:
+    """Give a 3-replica group every health counter: a hinted catch-up of
+    ``keys``, a dead replica lagging them, and hedged slow reads."""
+    values = group.snapshot_read_many(keys)
+    group.fail(2)
+    group.multi_put(keys, values)
+    group.revive(2)  # replays the hinted keys
+    group.fail(1)
+    group.multi_put(keys, values)  # replica 1 now lags len(keys) writes
+    group.slow(0, 2e-3)
+    group.slow(2, 1e-6)
+    group.hedge_threshold = 50e-6
+
+
+class TestReplicationReport:
+    """``report()["replication"]`` over both replicated shapes."""
+
+    def test_report_over_a_bare_group(self, tmp_path):
+        server = build_server(tmp_path, replication=3, shards=0)
+        group = server.store
+        _degrade(group, list(range(0, _ITEMS, 7)))
+        report, arrivals = drive(server, count=600)
+        assert all(request.value is not None for request in arrivals.issued)
+        replication = report["replication"]
+        assert replication == _expected_replication([group])
+        assert replication["catchup_keys"] > 0 and replication["max_replica_lag"] > 0
+        assert replication["failovers"] > 0 and replication["hedged_reads"] > 0
+        server.close()
+
+    def test_report_over_a_router_of_groups_after_a_kill(self, tmp_path):
+        server = build_server(tmp_path, replication=3)
+        store = server.store
+        _degrade(store.shards[0], [key for key in range(_ITEMS) if store.shard_of(key) == 0][:40])
+        count = 900
+        midpoint = server.clock.now + 0.5 * count / _RATE
+        chaos = ChaosInjector().kill_replica_at(midpoint, shard=1, replica=0)
+        report, arrivals = drive(server, chaos=chaos, count=count)
+        assert all(request.value is not None for request in arrivals.issued)
+        assert [event["label"] for event in report["chaos_events"]] == ["kill:1/0"]
+        replication = report["replication"]
+        assert replication == _expected_replication(store.shards)
+        assert store.shards[1].failovers > 0  # the kill's reroutes are counted
+        assert replication["catchup_keys"] == 40 and replication["max_replica_lag"] == 40
+        assert replication["hedged_reads"] > 0
+        server.close()

@@ -201,14 +201,23 @@ class TestFaultSchedule:
     """The one schedule/fire core under both chaos injectors."""
 
     class Probe:
+        """A store whose shards record the group verbs fired at them."""
+
+        class Group:
+            clock = None
+
+            def __init__(self, calls, shard):
+                self.calls, self.shard = calls, shard
+
+            def fail(self, replica):
+                self.calls.append(("fail", self.shard, replica))
+
+            def revive(self, replica, catch_up):
+                self.calls.append(("revive", self.shard, replica))
+
         def __init__(self):
             self.calls = []
-
-        def fail_replica(self, shard, replica):
-            self.calls.append(("fail", shard, replica))
-
-        def revive_replica(self, shard, replica, catch_up):
-            self.calls.append(("revive", shard, replica))
+            self.shards = [self.Group(self.calls, shard) for shard in (0, 1)]
 
     def test_both_injectors_fire_through_it(self):
         assert issubclass(ChaosInjector, FaultSchedule)

@@ -28,7 +28,7 @@ from repro.data import CTRDataset, KGDataset
 from repro.device import GPUModel, SimClock, SSDModel
 from repro.errors import ConfigError, StalenessViolation
 from repro.kv.faster import FasterKV
-from repro.kv.replicated import ReplicatedKVStore
+from repro.kv.replicated import ReplicaGroup
 from repro.kv.sharded import ShardedKVStore
 from repro.models import FFNN, DistMult
 from repro.nn.optim import RowAdagrad, RowAdam
@@ -62,12 +62,12 @@ def make_stack(root, kind="faster", gpu_flops=5e9, shards=2, replication=2):
             directory=str(root),
         )
     elif kind == "replicated":
-        store = ReplicatedKVStore(
-            lambda shard, replica: FasterKV(
-                str(root / f"s{shard}r{replica}"), ssd=ssd
+        store = ShardedKVStore(
+            lambda shard: ReplicaGroup(
+                [FasterKV(str(root / f"s{shard}r{replica}"), ssd=ssd)
+                 for replica in range(replication)]
             ),
             num_shards=shards,
-            replication=replication,
         )
     else:  # pragma: no cover - test bug
         raise ValueError(kind)
@@ -251,13 +251,13 @@ class TestMultiRmw:
         store = stack.store
         keys = list(range(20))
         store.multi_put(keys, [b"v0"] * 20)
-        store.fail_replica(0, 1)
+        store.shards[0].fail(1)
         new_values = store.multi_rmw(keys, self._bump)
         assert new_values == [b"v0!"] * 20
         assert store.multi_get(keys) == new_values
-        store.revive_replica(0, 1)
+        store.shards[0].revive(1)
         for shard in range(store.num_shards):
-            for replica in store.groups[shard].replicas:
+            for replica in store.shards[shard].replicas:
                 for key in keys:
                     if store.shard_of(key) == shard:
                         assert replica.get(key) == b"v0!"
@@ -612,7 +612,7 @@ class TestReplicaFaults:
             all_embedding_bits(stack.tables, total),
         )
         assert stack.store.stats.extra["failovers"] > 0  # the fault was real
-        assert stack.store.replica_lag(0, 1) == 0  # revive caught it up
+        assert stack.store.shards[0].versions.lag(1) == 0  # revive caught it up
 
     def test_replica_kill_without_revive_still_finishes(self, tmp_path):
         chaos = StragglerInjector().kill_replica_at(1e-9, 1, 0)
@@ -706,7 +706,7 @@ class TestStragglerInjector:
             chaos.slow_worker_at(0.0, 0, 0.0)
         chaos.kill_replica_at(0.0, 0, 0)
         with pytest.raises(ConfigError):
-            chaos.fire_due(1.0, object())  # target lacks fail_replica
+            chaos.fire_due(1.0, object())  # the target has no shards
 
 
 class TestDistConfig:

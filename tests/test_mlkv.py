@@ -265,12 +265,12 @@ class TestLookahead:
             assert ssd.clock.busy_seconds("ssd") > 0
 
 
-class TestReadCommitted:
+class TestSnapshotRead:
     def test_reads_do_not_touch_the_clock(self, tmp_path):
         with make_store(tmp_path, bound=0) as store:
             store.put(1, b"v")
             store.get(1)
-            assert store.read_committed(1) == b"v"
+            assert store.snapshot_read(1) == b"v"
             assert store.staleness_of(1) == 1  # unchanged
 
 

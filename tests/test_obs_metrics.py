@@ -20,7 +20,7 @@ import pytest
 from repro.core.embedding import EmbeddingTables
 from repro.core.mlkv import MLKV
 from repro.device import SimClock, SSDModel
-from repro.kv import ReplicatedKVStore, ShardedKVStore, StoreStats
+from repro.kv import ReplicaGroup, ShardedKVStore, StoreStats
 from repro.kv.common.serialization import encode_vector
 from repro.kv.faster import FasterKV
 from repro.obs import MetricsRegistry
@@ -168,24 +168,21 @@ class TestRealSources:
 
     def test_store_stats_of_a_replicated_store(self, tmp_path):
         ssd = SSDModel(SimClock())
-        store = ReplicatedKVStore(
-            lambda shard, replica: faster(tmp_path / f"s{shard}r{replica}", ssd),
-            num_shards=2,
-            replication=2,
-        )
+        store = replicated(tmp_path, ssd)
         keys = load(store)
-        store.fail_replica(0, 1)
+        store.shards[0].fail(1)
         store.multi_put(keys, [b"v2" * 6] * len(keys))  # hinted for the dead replica
         store.multi_get(keys)
         tree = assert_exports_every_number(lambda: store.stats)
         extra = store.stats.extra
         assert tree["extra_failovers"] == extra["failovers"]
-        assert tree["extra_replica_lag{index=0.1}"] == extra["replica_lag"][0][1] > 0
-        assert tree["extra_hints_outstanding{index=0.1}"] == extra["hints_outstanding"][0][1] > 0
+        # One vector per health field, shard 0's replicas first.
+        assert tree["extra_replica_lag{index=1}"] == extra["replica_lag"][1] > 0
+        assert tree["extra_hints_outstanding{index=1}"] == extra["hints_outstanding"][1] > 0
         store.close()
 
     def test_slo_report_with_phases(self, tmp_path):
-        server = make_server(tmp_path / "s", replicated=True)
+        server = make_server(tmp_path / "s", replicated_store=True)
         arrivals = LoadGenerator(300, "zipfian", seed=5).open_loop(
             rate=2e5, count=400, start=server.clock.now
         )
@@ -220,14 +217,20 @@ class TestRealSources:
         server.close()
 
 
-def make_server(directory, tenant_count: int = 1, replicated: bool = False) -> EmbeddingServer:
+def replicated(directory, ssd) -> ShardedKVStore:
+    """A router of two RF=2 replica groups of FASTER replicas."""
+    return ShardedKVStore(
+        lambda shard: ReplicaGroup(
+            [faster(directory / f"s{shard}r{replica}", ssd) for replica in range(2)]
+        ),
+        num_shards=2,
+    )
+
+
+def make_server(directory, tenant_count: int = 1, replicated_store: bool = False) -> EmbeddingServer:
     ssd = SSDModel(SimClock())
-    if replicated:
-        store = ReplicatedKVStore(
-            lambda shard, replica: faster(directory / f"s{shard}r{replica}", ssd),
-            num_shards=2,
-            replication=2,
-        )
+    if replicated_store:
+        store = replicated(directory, ssd)
     else:
         store = MLKV(str(directory), ssd=ssd, memory_budget_bytes=1 << 21)
     tables = EmbeddingTables(store, DIM, seed=3, cache_entries=0)

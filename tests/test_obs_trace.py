@@ -25,7 +25,7 @@ from repro.core.embedding import EmbeddingTables
 from repro.core.mlkv import MLKV
 from repro.data import CTRDataset
 from repro.device import GPUModel, SimClock, SSDModel
-from repro.kv import ReplicatedKVStore, ShardedKVStore
+from repro.kv import ReplicaGroup, ShardedKVStore
 from repro.kv.common.serialization import encode_vector
 from repro.kv.faster import FasterKV
 from repro.obs.trace import (
@@ -243,17 +243,19 @@ _SEED = 11
 def _build_replicated_server(tmp_path):
     clock = SimClock()
     ssd = SSDModel(clock)
-    store = ReplicatedKVStore(
-        lambda shard, replica: FasterKV(
-            str(tmp_path / f"s{shard}r{replica}"),
-            ssd=ssd,
-            # Small enough that a slice of the working set lives on disk,
-            # so the trace reaches real device.io spans on the read path.
-            memory_budget_bytes=1 << 13,
-            page_bytes=1 << 12,
-        ),
+    store = ShardedKVStore(
+        lambda shard: ReplicaGroup([
+            FasterKV(
+                str(tmp_path / f"s{shard}r{replica}"),
+                ssd=ssd,
+                # Small enough that a slice of the working set lives on disk,
+                # so the trace reaches real device.io spans on the read path.
+                memory_budget_bytes=1 << 13,
+                page_bytes=1 << 12,
+            )
+            for replica in range(2)
+        ]),
         num_shards=2,
-        replication=2,
     )
     tables = EmbeddingTables(store, _DIM, seed=_SEED, cache_entries=0)
     keys = list(range(_ITEMS))
@@ -345,12 +347,14 @@ class TestGoldenServingTrace:
         assert kills[0].sim_start >= midpoint
 
         # Post-failover reads route to the survivor and are still traced:
-        # some replica_read spans on shard 0 name replica 1 after the kill.
+        # some replica_read spans under shard 0's kv.shard span name
+        # replica 1 after the kill.
         survivor_reads = [
             record
             for record in tracer.spans
             if record.name == "kv.replica_read"
-            and record.args.get("shard") == 0
+            and by_id[record.parent_id].name == "kv.shard"
+            and by_id[record.parent_id].args.get("shard") == 0
             and record.args.get("replica") == 1
             and record.sim_start is not None
             and record.sim_start >= kills[0].sim_start

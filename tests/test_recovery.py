@@ -23,6 +23,7 @@ from repro.kv.api import CheckpointManager
 from repro.kv.btree import BTreeKV
 from repro.kv.faster import FasterKV
 from repro.kv.lsm import LsmKV
+from repro.kv.replicated import ReplicaGroup
 from repro.kv.sharded import ShardedKVStore
 
 ENGINES = ["faster", "mlkv", "lsm", "btree", "sharded"]
@@ -30,6 +31,7 @@ ENGINES = ["faster", "mlkv", "lsm", "btree", "sharded"]
 _SMALL = {"memory_budget_bytes": 1 << 16}
 
 PARALLEL_ROUTER_IMAGE = os.path.join(os.path.dirname(__file__), "data", "parallel_router_image")
+REPLICATED_ROUTER_IMAGE = os.path.join(os.path.dirname(__file__), "data", "replicated_router_image")
 
 
 def build_store(kind: str, directory: str):
@@ -319,7 +321,8 @@ class TestKillThenRestore:
     @pytest.mark.parametrize(
         "store_type",
         ["builtins.dict", "repro.no_such_module.Store", "repro.kv.faster.NoSuchKV", "FasterKV",
-         "repro.kv.parallel.ParallelShardStore"],  # the process-parallel router, since removed
+         "repro.kv.parallel.ParallelShardStore",  # the process-parallel router, since removed
+         "repro.kv.replicated.ReplicatedKVStore"],  # the replicated router, since removed
     )
     def test_epoch_manifest_must_name_a_kvstore(self, tmp_path, store_type):
         """``restore`` resolves the recorded class as a router manifest's
@@ -376,6 +379,21 @@ class TestKillThenRestore:
                 assert restored.shards[1 - owner].get(key) is None
         finally:
             restored.close()
+
+    def test_a_replicated_router_image_no_longer_restores(self, tmp_path):
+        """``tests/data/replicated_router_image`` was checkpointed by the
+        replicated router before it was removed: two shards of two FASTER
+        replicas, 4 KiB pages, keys 0..199 of 16 bytes each, every
+        group's state in one ``replicated.manifest.json``.  Restoring that
+        format was dropped with the class: neither the router nor a group
+        finds its manifest, so both raise ``CheckpointError``."""
+        directory = tmp_path / "image"
+        shutil.copytree(REPLICATED_ROUTER_IMAGE, directory)
+        assert (directory / "replicated.manifest.json").exists()
+        with pytest.raises(CheckpointError, match="sharded.manifest.json"):
+            ShardedKVStore.restore(str(directory))
+        with pytest.raises(CheckpointError, match="group.manifest.json"):
+            ReplicaGroup.restore(str(directory))
 
     def test_sharded_checkpoint_requires_contained_shards(self, tmp_path):
         outside = FasterKV(str(tmp_path / "elsewhere"), **_SMALL)

@@ -1,4 +1,5 @@
-"""ReplicatedKVStore + live shard migration: the availability layer.
+"""Replica groups under the shard router + live shard migration: the
+availability layer.
 
 Covers the replica version clock, write fan-out and read routing,
 failover with hinted catch-up (and the hint-overflow full resync),
@@ -15,7 +16,7 @@ import pytest
 from repro.core.mlkv import MLKV
 from repro.device import ReplicaVersionClock, SimClock, SSDModel
 from repro.errors import CheckpointError, ConfigError, StorageError
-from repro.kv import ReplicatedKVStore, ShardedKVStore
+from repro.kv import ReplicaGroup, ShardedKVStore
 from repro.kv.btree import BTreeKV
 from repro.kv.faster import FasterKV
 from repro.kv.lsm import LsmKV
@@ -29,14 +30,24 @@ def make_engine(kind: str, directory: str, ssd=None, memory_budget_bytes: int = 
     return cls(directory, ssd=ssd, memory_budget_bytes=memory_budget_bytes)
 
 
+def replicated_store(make, num_shards, replication=2, base=None, **settings):
+    """A router of ``num_shards`` replica groups over ``make(shard,
+    replica)`` engines; with ``base``, each group owns ``base/g{shard}``
+    and the router ``base``, so the whole store checkpoints."""
+
+    def group(shard):
+        directory = None if base is None else str(base / f"g{shard}")
+        replicas = [make(shard, replica) for replica in range(replication)]
+        return ReplicaGroup(replicas, directory=directory, **settings)
+
+    return ShardedKVStore(group, num_shards, directory=None if base is None else str(base))
+
+
 @pytest.fixture
 def replicated(tmp_path, ssd):
-    store = ReplicatedKVStore(
-        lambda shard, replica: FasterKV(
-            str(tmp_path / f"s{shard}r{replica}"), ssd=ssd
-        ),
+    store = replicated_store(
+        lambda shard, replica: FasterKV(str(tmp_path / f"s{shard}r{replica}"), ssd=ssd),
         num_shards=2,
-        replication=2,
     )
     yield store
     store.close()
@@ -97,7 +108,7 @@ class TestFanOutAndRouting:
     def test_writes_reach_every_replica(self, replicated):
         keys = list(range(100))
         replicated.multi_put(keys, [f"v{key}".encode() for key in keys])
-        for shard, group in enumerate(replicated.groups):
+        for shard, group in enumerate(replicated.shards):
             for replica in group.replicas:
                 for key in keys:
                     if replicated.shard_of(key) == shard:
@@ -111,14 +122,14 @@ class TestFanOutAndRouting:
 
     def test_reads_round_robin_across_replicas(self, replicated):
         replicated.put(1, b"x")
-        group = replicated.groups[replicated.shard_of(1)]
+        group = replicated.shards[replicated.shard_of(1)]
         seen = {group.pick_reader(0) for _ in range(4)}
         assert seen == {0, 1}
 
     def test_delete_fans_out(self, replicated):
         replicated.put(5, b"x")
         assert replicated.delete(5) is True
-        for group in replicated.groups:
+        for group in replicated.shards:
             for replica in group.replicas:
                 assert replica.get(5) is None
 
@@ -126,7 +137,7 @@ class TestFanOutAndRouting:
         replicated.put(9, b"a")
         assert replicated.rmw(9, lambda old: (old or b"") + b"b") == b"ab"
         shard = replicated.shard_of(9)
-        for replica in replicated.groups[shard].replicas:
+        for replica in replicated.shards[shard].replicas:
             assert replica.get(9) == b"ab"
 
     def test_rmw_reads_the_freshest_replica_not_a_stale_admissible_one(
@@ -137,51 +148,56 @@ class TestFanOutAndRouting:
         the fresher copies (a lost update)."""
         replicated.put(9, b"v1")
         shard = replicated.shard_of(9)
-        replicated.fail_replica(shard, 0)
+        replicated.shards[shard].fail(0)
         replicated.put(9, b"v2")
-        replicated.revive_replica(shard, 0, catch_up=False)  # holds v1, lags
-        replicated.divergence_bound = 100  # read routing would admit it
+        replicated.shards[shard].revive(0, catch_up=False)  # holds v1, lags
+        replicated.shards[shard].divergence_bound = 100  # read routing would admit it
         for _ in range(4):  # every routing choice must still see v2
             assert replicated.rmw(9, lambda old: old) == b"v2"
 
     def test_invalid_config_rejected(self, tmp_path, ssd):
         factory = lambda s, r: FasterKV(str(tmp_path / f"x{s}{r}"), ssd=ssd)
         with pytest.raises(ConfigError):
-            ReplicatedKVStore(factory, num_shards=0)
+            replicated_store(factory, num_shards=0)
         with pytest.raises(ConfigError):
-            ReplicatedKVStore(factory, num_shards=1, replication=0)
+            replicated_store(factory, num_shards=1, replication=0)
         with pytest.raises(ConfigError):
-            ReplicatedKVStore(factory, num_shards=1, read_policy="most")
+            replicated_store(factory, num_shards=1, read_policy="most")
         with pytest.raises(ConfigError):
-            ReplicatedKVStore(factory, num_shards=1, divergence_bound=-1)
+            replicated_store(factory, num_shards=1, divergence_bound=-1)
+        group = replicated_store(factory, num_shards=1).shards[0]
+        with pytest.raises(ConfigError):
+            group.hedge_threshold = -1e-6
+        group.hedge_threshold = 0.0
+        group.close()
 
 
 class TestFailoverAndCatchUp:
     def test_killed_replica_is_routed_around(self, replicated):
         keys = list(range(50))
         replicated.multi_put(keys, [b"v"] * 50)
-        replicated.fail_replica(0, 0)
+        replicated.shards[0].fail(0)
         assert replicated.multi_get(keys) == [b"v"] * 50
-        group = replicated.groups[0]
+        group = replicated.shards[0]
         assert group.failovers > 0
 
     def test_cannot_kill_last_replica(self, replicated):
-        replicated.fail_replica(0, 0)
+        replicated.shards[0].fail(0)
         with pytest.raises(StorageError):
-            replicated.fail_replica(0, 1)
+            replicated.shards[0].fail(1)
 
     def test_hinted_catch_up_replays_missed_writes(self, replicated):
         keys = list(range(60))
         replicated.multi_put(keys, [b"old"] * 60)
-        replicated.fail_replica(0, 0)
+        replicated.shards[0].fail(0)
         replicated.multi_put(keys, [b"new"] * 60)
         replicated.delete(keys[0])
-        dead = replicated.groups[0].replicas[0]
+        dead = replicated.shards[0].replicas[0]
         shard0_keys = [key for key in keys if replicated.shard_of(key) == 0]
         assert any(dead.get(key) == b"old" for key in shard0_keys)
-        assert replicated.replica_lag(0, 0) > 0
-        replicated.revive_replica(0, 0)
-        assert replicated.replica_lag(0, 0) == 0
+        assert replicated.shards[0].versions.lag(0) > 0
+        replicated.shards[0].revive(0)
+        assert replicated.shards[0].versions.lag(0) == 0
         for key in shard0_keys:
             expected = None if key == keys[0] else b"new"
             assert dead.get(key) == expected
@@ -189,10 +205,10 @@ class TestFailoverAndCatchUp:
     def test_revive_without_catch_up_leaves_lagging_replica_unread(self, replicated):
         keys = [key for key in range(200) if replicated.shard_of(key) == 0][:20]
         replicated.multi_put(keys, [b"old"] * len(keys))
-        replicated.fail_replica(0, 0)
+        replicated.shards[0].fail(0)
         replicated.multi_put(keys, [b"new"] * len(keys))
-        replicated.revive_replica(0, 0, catch_up=False)
-        lag = replicated.replica_lag(0, 0)
+        replicated.shards[0].revive(0, catch_up=False)
+        lag = replicated.shards[0].versions.lag(0)
         assert lag == len(keys)
         # divergence_bound=0: the lagging replica must not serve reads.
         for _ in range(6):
@@ -201,17 +217,17 @@ class TestFailoverAndCatchUp:
         # un-miss the hinted ones, so the replica stays excluded.
         fresh = [key for key in range(200, 400) if replicated.shard_of(key) == 0][:5]
         replicated.multi_put(fresh, [b"post"] * len(fresh))
-        assert replicated.replica_lag(0, 0) == lag
+        assert replicated.shards[0].versions.lag(0) == lag
         for _ in range(6):
             assert replicated.get(keys[0]) == b"new"
         # A loose bound would admit it again (the staleness contract).
-        replicated.divergence_bound = lag
-        values = {replicated.groups[0].pick_reader(lag) for _ in range(4)}
+        replicated.shards[0].divergence_bound = lag
+        values = {replicated.shards[0].pick_reader(lag) for _ in range(4)}
         assert values == {0, 1}
-        replicated.divergence_bound = 0
-        replicated.catch_up_replica(0, 0)
-        assert replicated.replica_lag(0, 0) == 0
-        assert replicated.groups[0].replicas[0].get(keys[0]) == b"new"
+        replicated.shards[0].divergence_bound = 0
+        replicated.shards[0].catch_up(0)
+        assert replicated.shards[0].versions.lag(0) == 0
+        assert replicated.shards[0].replicas[0].get(keys[0]) == b"new"
 
     def test_cannot_fail_the_only_caught_up_replica(self, replicated):
         """The group must always keep one complete (lag 0) live replica:
@@ -220,14 +236,14 @@ class TestFailoverAndCatchUp:
         unsound (disjoint gaps cannot repair each other)."""
         replicated.put(1, b"x")
         shard = replicated.shard_of(1)
-        replicated.fail_replica(shard, 0)
+        replicated.shards[shard].fail(0)
         replicated.put(1, b"y")
-        replicated.revive_replica(shard, 0, catch_up=False)  # lags
+        replicated.shards[shard].revive(0, catch_up=False)  # lags
         with pytest.raises(StorageError):
-            replicated.fail_replica(shard, 1)  # the only complete copy
+            replicated.shards[shard].fail(1)  # the only complete copy
         # After catching up, the same kill is legal.
-        replicated.catch_up_replica(shard, 0)
-        replicated.fail_replica(shard, 1)
+        replicated.shards[shard].catch_up(0)
+        replicated.shards[shard].fail(1)
         assert replicated.get(1) == b"y"
 
     def test_disjoint_gaps_cannot_lose_acknowledged_writes(self, replicated):
@@ -237,18 +253,18 @@ class TestFailoverAndCatchUp:
         invariant now refuses the second kill outright."""
         key = 42
         shard = replicated.shard_of(key)
-        replicated.fail_replica(shard, 0)
+        replicated.shards[shard].fail(0)
         replicated.put(key, b"v1")
-        replicated.revive_replica(shard, 0, catch_up=False)
+        replicated.shards[shard].revive(0, catch_up=False)
         with pytest.raises(StorageError):
-            replicated.fail_replica(shard, 1)
+            replicated.shards[shard].fail(1)
         replicated.put(key, b"v2")  # still fanned to the complete replica
-        replicated.catch_up_replica(shard, 0)
-        for group_replica in replicated.groups[shard].replicas:
+        replicated.shards[shard].catch_up(0)
+        for group_replica in replicated.shards[shard].replicas:
             assert group_replica.get(key) == b"v2"
 
     def test_hint_overflow_triggers_full_resync(self, tmp_path, ssd):
-        store = ReplicatedKVStore(
+        store = replicated_store(
             lambda shard, replica: FasterKV(
                 str(tmp_path / f"o{shard}r{replica}"), ssd=ssd
             ),
@@ -258,12 +274,12 @@ class TestFailoverAndCatchUp:
         )
         keys = list(range(100))
         store.multi_put(keys, [b"seed"] * 100)
-        store.fail_replica(0, 0)
+        store.shards[0].fail(0)
         store.multi_put(keys, [b"fresh"] * 100)  # >> max_hints
         store.delete(99)
-        group = store.groups[0]
+        group = store.shards[0]
         assert group.hints_outstanding(0) == -1  # overflowed
-        store.revive_replica(0, 0)
+        store.shards[0].revive(0)
         assert group.resyncs == 1
         dead = group.replicas[0]
         assert all(dead.get(key) == b"fresh" for key in keys[:99])
@@ -274,7 +290,7 @@ class TestFailoverAndCatchUp:
 class TestQuorum:
     @pytest.fixture
     def quorum(self, tmp_path, ssd):
-        store = ReplicatedKVStore(
+        store = replicated_store(
             lambda shard, replica: FasterKV(
                 str(tmp_path / f"q{shard}r{replica}"), ssd=ssd
             ),
@@ -287,37 +303,37 @@ class TestQuorum:
 
     def test_quorum_reads_survive_minority_failure(self, quorum):
         quorum.multi_put([1, 2, 3], [b"a", b"b", b"c"])
-        quorum.fail_replica(0, 0)
+        quorum.shards[0].fail(0)
         assert quorum.multi_get([1, 2, 3]) == [b"a", b"b", b"c"]
         assert quorum.get(2) == b"b"
 
     def test_quorum_fails_without_majority(self, quorum):
         quorum.put(1, b"x")
-        quorum.fail_replica(0, 0)
-        quorum.fail_replica(0, 1)
+        quorum.shards[0].fail(0)
+        quorum.shards[0].fail(1)
         with pytest.raises(StorageError):
             quorum.get(1)
 
     def test_quorum_answers_from_freshest(self, quorum):
         quorum.put(1, b"v1")
-        quorum.fail_replica(0, 2)
+        quorum.shards[0].fail(2)
         quorum.put(1, b"v2")
-        quorum.revive_replica(0, 2, catch_up=False)  # lags behind
+        quorum.shards[0].revive(2, catch_up=False)  # lags behind
         # Freshest-first ranking must answer v2 even though replica 2
         # (holding v1) is live and could be part of the majority.
         assert quorum.get(1) == b"v2"
 
     def test_quorum_counts_short_group_reads_as_failovers(self, quorum):
         quorum.put(1, b"x")
-        assert quorum.groups[0].failovers == 0
-        quorum.fail_replica(0, 0)
+        assert quorum.shards[0].failovers == 0
+        quorum.shards[0].fail(0)
         quorum.get(1)
-        assert quorum.groups[0].failovers > 0
+        assert quorum.shards[0].failovers > 0
 
 
 class TestServingSurface:
     def test_shared_clock_and_ssd_exposed(self, tmp_path, ssd):
-        store = ReplicatedKVStore(
+        store = replicated_store(
             lambda shard, replica: FasterKV(
                 str(tmp_path / f"c{shard}r{replica}"), ssd=ssd
             ),
@@ -337,11 +353,23 @@ class TestServingSurface:
 
     def test_stats_track_replication_health(self, replicated):
         replicated.multi_put(list(range(40)), [b"v"] * 40)
-        replicated.fail_replica(0, 1)
+        replicated.shards[0].fail(1)
+        replicated.multi_put(list(range(40)), [b"w"] * 40)
+        replicated.multi_get(list(range(40)))
         stats = replicated.stats
         assert stats.extra["shard_ops"][0] > 0
-        assert len(stats.extra["replica_lag"]) == 2
-        assert stats.extra["hints_outstanding"][0][1] >= 0
+        # One shape: the router joins the groups' vectors and sums their
+        # counters under the keys one group reports them with.
+        groups = [group.stats.extra for group in replicated.shards]
+        assert set(groups[0]) <= set(stats.extra)
+        for name in ("replica_lag", "hints_outstanding", "slow_penalties"):
+            assert stats.extra[name] == groups[0][name] + groups[1][name]
+        for name in ("failovers", "catchup_keys", "hedged_reads"):
+            assert stats.extra[name] == groups[0][name] + groups[1][name]
+        assert stats.extra["replica_lag"][1] > 0  # shard 0, replica 1
+        assert stats.extra["hints_outstanding"][1] > 0
+        assert stats.extra["failovers"] == replicated.shards[0].failovers > 0
+        assert stats.extra["shards"][0]["replica_lag"] == groups[0]["replica_lag"]
 
     def test_freeze_propagates(self, replicated):
         replicated.put(1, b"x")
@@ -351,7 +379,7 @@ class TestServingSurface:
         assert replicated.get(1) == b"x"
 
     def test_staleness_bound_exposed_for_mlkv_children(self, tmp_path, ssd):
-        store = ReplicatedKVStore(
+        store = replicated_store(
             lambda shard, replica: MLKV(
                 str(tmp_path / f"m{shard}r{replica}"), ssd=ssd, staleness_bound=4
             ),
@@ -364,13 +392,13 @@ class TestServingSurface:
     def test_slow_replica_is_avoided(self, replicated):
         replicated.put(1, b"x")
         shard = replicated.shard_of(1)
-        replicated.slow_replica(shard, 0, 5e-3)
-        group = replicated.groups[shard]
+        replicated.shards[shard].slow(0, 5e-3)
+        group = replicated.shards[shard]
         for _ in range(4):
             assert group.pick_reader(0) == 1
         assert group.failovers > 0
         # Both slowed: least penalty wins and the charge hits the clock.
-        replicated.slow_replica(shard, 1, 10e-3)
+        replicated.shards[shard].slow(1, 10e-3)
         before = replicated.clock.now
         assert replicated.get(1) == b"x"
         assert replicated.clock.now - before >= 5e-3
@@ -577,6 +605,43 @@ class TestLiveSplit:
         assert restored.multi_get(keys) == [f"s{key}".encode() for key in keys]
         restored.close()
 
+    def test_a_group_migrates_in_place_around_a_dead_replica(self, tmp_path, ssd):
+        """Node replacement on a router of groups: the copy reads from the
+        group's fully caught-up replica while one is dead and a writer
+        keeps going, and the replacement group owns every slot after."""
+        built = []
+
+        def factory(shard):
+            built.append(shard)
+            return ReplicaGroup([
+                FasterKV(str(tmp_path / f"m{len(built)}s{shard}r{replica}"), ssd=ssd)
+                for replica in range(2)
+            ])
+
+        store = ShardedKVStore(factory, 2)
+        keys = list(range(300))
+        expected = {key: f"m{key}".encode() for key in keys}
+        store.multi_put(keys, list(expected.values()))
+        old_group = store.shards[1]
+        old_group.fail(0)
+        migration = store.begin_migrate(1, factory)
+        step = 0
+        while migration.copy_step(32):
+            moving = [key for key in keys if store.shard_of(key) == 1][step::17][:3]
+            store.multi_put(moving, [b"live%d" % step] * len(moving))
+            expected.update((key, b"live%d" % step) for key in moving)
+            step += 1
+        assert migration.cutover() == 1 and step > 1
+        new_group = store.shards[1]
+        assert new_group is not old_group and isinstance(new_group, ReplicaGroup)
+        assert new_group.alive == [True, True] and store.num_shards == 2
+        assert store.multi_get(keys) == [expected[key] for key in keys]
+        for replica in new_group.replicas:  # both copies received the move
+            for key in keys:
+                if store.shard_of(key) == 1:
+                    assert replica.get(key) == expected[key]
+        store.close()
+
     def test_replicated_store_of_split_capable_groups(self, tmp_path, ssd):
         """Replication composes over sharded children: each 'replica' can
         itself be a sharded store, and fan-out still preserves data."""
@@ -588,81 +653,98 @@ class TestLiveSplit:
                 num_shards=2,
             )
 
-        store = ReplicatedKVStore(factory, num_shards=1, replication=2)
+        store = replicated_store(factory, num_shards=1, replication=2)
         keys = list(range(120))
         store.multi_put(keys, [b"deep"] * 120)
-        store.fail_replica(0, 0)
+        store.shards[0].fail(0)
         assert store.multi_get(keys) == [b"deep"] * 120
-        store.revive_replica(0, 0)
-        assert store.replica_lag(0, 0) == 0
+        store.shards[0].revive(0)
+        assert store.shards[0].versions.lag(0) == 0
         store.close()
 
 
 class TestCoordinatedCheckpoint:
-    """Replicated checkpoint/restore: one manifest binds every replica
-    image plus the group state a restore cannot rediscover."""
+    """Checkpoint/restore of a router of groups: the router's manifest
+    binds one image per group, and each group's own manifest binds its
+    replica images plus the group state a restore cannot rediscover."""
 
     def _build(self, base, ssd, bound=1):
-        return ReplicatedKVStore(
-            lambda shard, replica: FasterKV(
-                str(base / f"s{shard}r{replica}"), ssd=ssd
-            ),
+        return replicated_store(
+            lambda shard, replica: FasterKV(str(base / f"g{shard}" / f"r{replica}"), ssd=ssd),
             num_shards=2,
-            replication=2,
             divergence_bound=bound,
-            directory=str(base),
+            base=base,
         )
 
     def test_round_trip_preserves_data_and_group_state(self, tmp_path, ssd):
         store = self._build(tmp_path, ssd)
         keys = list(range(80))
         store.multi_put(keys, [bytes([k % 251]) * 6 for k in keys])
-        store.fail_replica(0, 1)
+        store.shards[0].fail(1)
         store.put(1000, b"hinted")  # queues a hint against the dead replica
         store.checkpoint()
-        assert (tmp_path / "replicated.manifest.json").exists()
+        assert (tmp_path / "sharded.manifest.json").exists()
+        assert (tmp_path / "g0" / "group.manifest.json").exists()
         store.close()
 
-        restored = ReplicatedKVStore.restore(
-            str(tmp_path), ssd=SSDModel(SimClock())
-        )
-        assert restored.num_shards == 2 and restored.replication == 2
-        assert restored.divergence_bound == 1
+        restored = ShardedKVStore.restore(str(tmp_path), ssd=SSDModel(SimClock()))
+        assert restored.num_shards == 2
+        assert [type(group) for group in restored.shards] == [ReplicaGroup, ReplicaGroup]
+        assert [len(group.replicas) for group in restored.shards] == [2, 2]
+        assert [group.divergence_bound for group in restored.shards] == [1, 1]
         assert restored.directory == str(tmp_path)
         for k in keys:
             assert restored.get(k) == bytes([k % 251]) * 6
         assert restored.get(1000) == b"hinted"
         # Liveness, clocks and hint queues survived: the dead replica is
         # still dead, still lagging, and its hinted keys replay on revive.
-        group = restored.groups[0]
+        group = restored.shards[0]
         assert group.alive == [True, False]
         assert group.versions.lag(1) > 0
         assert group.hints_outstanding(1) >= 1
-        replayed = restored.revive_replica(0, 1)
+        replayed = group.revive(1)
         assert replayed >= 1
         assert group.versions.lag(1) == 0
         restored.close()
 
-    def test_restore_via_factory(self, tmp_path, ssd):
+    def test_restore_via_factory_keeps_the_slot_table(self, tmp_path, ssd):
         store = self._build(tmp_path, ssd)
         store.multi_put(list(range(40)), [b"v"] * 40)
+        store.split_shard(
+            0,
+            lambda shard: ReplicaGroup(
+                [FasterKV(str(tmp_path / f"g{shard}" / f"r{replica}"), ssd=ssd)
+                 for replica in range(2)],
+                directory=str(tmp_path / f"g{shard}"),
+            ),
+        )
+        store.shards[2].fail(0)
+        store.multi_put(list(range(40)), [b"w"] * 40)  # hinted on shard 2
+        slots, hinted = list(store._slots), store.shards[2].hints_outstanding(0)
         store.checkpoint()
         store.close()
 
         opened = []
         fresh = SSDModel(SimClock())
 
-        def factory(shard, replica, directory):
-            opened.append((shard, replica))
-            return FasterKV.restore(directory, ssd=fresh)
+        def factory(shard, directory):
+            def replica(index, path):
+                opened.append((shard, index))
+                return FasterKV.restore(path, ssd=fresh)
 
-        restored = ReplicatedKVStore.restore(str(tmp_path), factory=factory)
-        assert sorted(opened) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-        assert restored.multi_get(list(range(40))) == [b"v"] * 40
+            return ReplicaGroup.restore(directory, factory=replica)
+
+        restored = ShardedKVStore.restore(str(tmp_path), factory=factory)
+        assert sorted(opened) == [(shard, index) for shard in range(3) for index in range(2)]
+        assert restored._slots == slots and hinted > 0
+        assert restored.shards[2].alive == [False, True]
+        assert restored.shards[2].hints_outstanding(0) == hinted
+        assert restored.multi_get(list(range(40))) == [b"w"] * 40
+        assert restored.clock is fresh.clock
         restored.close()
 
     def test_checkpoint_without_directory_skips_manifest(self, tmp_path, ssd):
-        store = ReplicatedKVStore(
+        store = replicated_store(
             lambda shard, replica: FasterKV(
                 str(tmp_path / f"s{shard}r{replica}"), ssd=ssd
             ),
@@ -671,20 +753,20 @@ class TestCoordinatedCheckpoint:
         )
         store.put(1, b"a")
         store.checkpoint()  # per-replica images only, no manifest
-        assert not (tmp_path / "replicated.manifest.json").exists()
+        assert not list(tmp_path.rglob("*.manifest.json"))
         store.close()
 
     def test_replica_outside_base_is_rejected(self, tmp_path, ssd):
         outside = tmp_path / "elsewhere"
         base = tmp_path / "base"
         base.mkdir()
-        store = ReplicatedKVStore(
+        store = replicated_store(
             lambda shard, replica: FasterKV(
                 str(outside / f"s{shard}r{replica}"), ssd=ssd
             ),
             num_shards=1,
             replication=2,
-            directory=str(base),
+            base=base,
         )
         store.put(1, b"a")
         with pytest.raises(CheckpointError):

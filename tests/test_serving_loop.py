@@ -23,7 +23,7 @@ from repro.core.mlkv import MLKV
 from repro.data import ThinkTimeProcess
 from repro.data.arrivals import FlashCrowdProcess
 from repro.device import SimClock, SSDModel
-from repro.kv import ReplicatedKVStore, encode_vector
+from repro.kv import ReplicaGroup, ShardedKVStore, encode_vector
 from repro.serve import (
     Autoscaler,
     AutoscalerConfig,
@@ -110,14 +110,17 @@ class TestComposition:
         ssd = SSDModel(SimClock())
         built = []
 
-        def factory(shard, replica):
-            built.append((shard, replica))
+        def replica(shard, index):
+            built.append((shard, index))
             # Two 4 KiB pages per engine: most records are disk-resident,
             # so the prefetcher has something to stage.
-            return MLKV(str(tmp_path / f"s{shard}r{replica}-{len(built)}"), ssd=ssd,
+            return MLKV(str(tmp_path / f"s{shard}r{index}-{len(built)}"), ssd=ssd,
                         memory_budget_bytes=1 << 13, page_bytes=1 << 12)
 
-        store = ReplicatedKVStore(factory, num_shards=2, replication=2)
+        def factory(shard):
+            return ReplicaGroup([replica(shard, index) for index in range(2)])
+
+        store = ShardedKVStore(factory, num_shards=2)
         tables = EmbeddingTables(store, DIM, seed=7, cache_entries=0)
         items = 600
         keys = list(range(items))
@@ -128,7 +131,7 @@ class TestComposition:
 
         def staged():
             return sum(replica.mlkv_stats.lookahead_copied
-                       for group in store.groups for replica in group.replicas)
+                       for group in store.shards for replica in group.replicas)
 
         staged_before = staged()
         autoscaler = Autoscaler(

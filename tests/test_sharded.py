@@ -20,7 +20,7 @@ import pytest
 from repro.core.mlkv import MLKV
 from repro.device import SimClock, SSDModel
 from repro.errors import CheckpointError, ConfigError, StorageError
-from repro.kv import ReplicatedKVStore, ShardedKVStore, shard_hash
+from repro.kv import ReplicaGroup, ShardedKVStore, shard_hash
 from repro.kv.btree import BTreeKV
 from repro.kv.faster import FasterKV
 from repro.kv.lsm import LsmKV
@@ -62,7 +62,10 @@ def child_factory(shape: str, base):
     """The factory a shape builds its children with — and, since
     ``begin_split`` takes the same signature, its migration targets."""
     if shape == "replicated":
-        return lambda shard, replica: FasterKV(str(base / f"shard{shard}r{replica}"))
+        return lambda index: ReplicaGroup(
+            [FasterKV(str(base / f"shard{index}" / f"r{replica}")) for replica in range(2)],
+            directory=str(base / f"shard{index}"),
+        )
     if shape == "mixed":
         return lambda index: make_engine(ENGINES[index % 4], str(base / f"shard{index}"))
     return lambda index: FasterKV(str(base / f"shard{index}"))
@@ -72,15 +75,7 @@ def make_shaped(shape: str, base, coordinated: bool = False):
     """A 4-shard store in one of the router's shapes: FASTER children,
     RF=2 groups of FASTER replicas, or one child of each engine kind."""
     directory = str(base) if coordinated else None
-    factory = child_factory(shape, base)
-    if shape == "replicated":
-        return ReplicatedKVStore(factory, num_shards=4, replication=2, directory=directory)
-    return ShardedKVStore(factory, 4, directory=directory)
-
-
-def restore_shaped(shape: str, base):
-    cls = ReplicatedKVStore if shape == "replicated" else ShardedKVStore
-    return cls.restore(str(base))
+    return ShardedKVStore(child_factory(shape, base), 4, directory=directory)
 
 
 @pytest.fixture(params=STORE_SHAPES)
@@ -260,15 +255,17 @@ class TestCrossShardOrdering:
         store.multi_put(keys, values)
         store.checkpoint()
         store.close()
-        manifest_path = tmp_path / type(store).manifest_name
+        manifest_path = tmp_path / "sharded.manifest.json"
         for legacy in (False, True):
             if legacy:  # manifests written before slot tables were recorded
                 manifest = json.loads(manifest_path.read_text())
                 del manifest["slots"]
                 manifest_path.write_text(json.dumps(manifest))
-            restored = restore_shaped(shape, tmp_path)
+            restored = ShardedKVStore.restore(str(tmp_path))
             try:
-                assert type(restored) is type(store)
+                assert [type(child) for child in restored.shards] == [
+                    type(child) for child in store.shards
+                ]
                 assert restored.multi_get(keys) == values
                 assert len(restored) == 300
             finally:
@@ -282,16 +279,17 @@ class TestCrossShardOrdering:
         store.multi_put(list(range(40)), [b"v"] * 40)
         store.checkpoint()
         store.close()
-        manifest_path = tmp_path / type(store).manifest_name
+        router_path = tmp_path / "sharded.manifest.json"
+        # A group's replicas are recorded in the group's own manifest.
+        manifest_path = (
+            tmp_path / "shard0" / "group.manifest.json" if shape == "replicated" else router_path
+        )
         pristine = manifest_path.read_text()
         children = "replicas" if shape == "replicated" else "shards"
 
         def first_entry(field, value):
             manifest = json.loads(pristine)
-            if shape == "replicated":
-                manifest[field][0][0] = value
-            else:
-                manifest[field][0] = value
+            manifest[field][0] = value
             return json.dumps(manifest)
 
         without_children = json.loads(pristine)
@@ -308,14 +306,17 @@ class TestCrossShardOrdering:
         for label, text in corruptions.items():
             manifest_path.write_text(text)
             with pytest.raises(CheckpointError):
-                restore_shaped(shape, tmp_path).close()
+                ShardedKVStore.restore(str(tmp_path)).close()
                 pytest.fail(f"{shape}: restore accepted a manifest with {label}")
-        manifest_path.write_text(json.dumps({**json.loads(pristine), "slots": [0, 9]}))
+        manifest_path.write_text(pristine)
+        router = json.loads(router_path.read_text())
+        router_path.write_text(json.dumps({**router, "slots": [0, 9]}))
         with pytest.raises(CheckpointError):
-            restore_shaped(shape, tmp_path).close()
+            ShardedKVStore.restore(str(tmp_path)).close()
+        router_path.write_text(json.dumps(router))
         os.remove(manifest_path)
         with pytest.raises(CheckpointError):
-            restore_shaped(shape, tmp_path).close()
+            ShardedKVStore.restore(str(tmp_path)).close()
 
     def test_scan_merges_mixed_engine_children(self, tmp_path):
         """Serving cache warmup streams scan() over any engine mix: every
@@ -359,9 +360,11 @@ def _explode(keys, values):
 
 def _engines_of(store):
     """The engines under a router: its children, or its groups' replicas."""
-    if isinstance(store, ReplicatedKVStore):
-        return [replica for group in store.groups for replica in group.replicas]
-    return list(store.shards)
+    return [
+        engine
+        for child in store.shards
+        for engine in (child.replicas if isinstance(child, ReplicaGroup) else [child])
+    ]
 
 
 @pytest.fixture
@@ -391,7 +394,6 @@ class TestAgainstOneEngine:
         expected = reference.multi_get(probe)
         assert shaped.multi_get(probe) == expected
         assert shaped.snapshot_read_many(probe) == expected
-        assert shaped.read_committed_many(probe) == expected
         assert shaped.read_current_many(probe) == expected
 
     def test_single_ops_match(self, shaped, reference):
@@ -445,7 +447,7 @@ class TestAgainstOneEngine:
         assert shaped.multi_get(keys[:5].tolist()) == [bytes(row) for row in rows[:5]]
 
     def test_stats_count_the_routed_read_path(self, shaped):
-        copies = 2 if isinstance(shaped, ReplicatedKVStore) else 1
+        copies = 2 if isinstance(shaped.shards[0], ReplicaGroup) else 1
         shaped.multi_put(list(range(50)), [b"x"] * 50)
         shaped.multi_get(list(range(80)))
         stats = shaped.stats
@@ -491,9 +493,9 @@ class TestAgainstOneEngine:
         assert slots != list(range(4))
         store.checkpoint()
         assert store.checkpoint_root() == str(tmp_path)
-        assert type(store).manifest_name in store.checkpoint_files()
+        assert "sharded.manifest.json" in store.checkpoint_files()
         store.close()
-        restored = restore_shaped(shape, tmp_path)
+        restored = ShardedKVStore.restore(str(tmp_path))
         try:
             assert restored._slots == slots and restored.num_shards == 5
             assert restored.multi_get(keys) == values
@@ -572,7 +574,7 @@ class TestMLKVPassthroughs:
             assert store.staleness_bound == 3  # tightest child bound
             copied = store.lookahead(keys)
             assert copied > 0  # small buffers forced records to disk
-            committed = store.read_committed_many([5, 40000, 2])
+            committed = store.snapshot_read_many([5, 40000, 2])
             assert committed[0] is not None and committed[1] is None
         finally:
             store.close()
@@ -719,12 +721,14 @@ class TestComposition:
 
     @pytest.mark.parametrize("parity", (0, 1))
     def test_lagging_group_splits_live_fails_over_and_restores(self, parity, tmp_path):
-        def factory(shard, replica):
-            return FasterKV(str(tmp_path / f"g{shard}" / f"r{replica}"))
+        def factory(shard):
+            return ReplicaGroup(
+                [FasterKV(str(tmp_path / f"g{shard}" / f"r{replica}")) for replica in range(2)],
+                divergence_bound=1,
+                directory=str(tmp_path / f"g{shard}"),
+            )
 
-        store = ReplicatedKVStore(
-            factory, 2, replication=2, divergence_bound=1, directory=str(tmp_path)
-        )
+        store = ShardedKVStore(factory, 2, directory=str(tmp_path))
         rng = np.random.default_rng(17)
         model = {key: f"v{key}".encode() for key in range(600)}
         store.multi_put(list(model), list(model.values()))
@@ -733,11 +737,11 @@ class TestComposition:
         # moves slot 2, so a key with hash % 4 == 2 is about to move.
         stale_key = next(key for key in model if shard_hash(key) % 4 == 2)
         assert store.shard_of(stale_key) == 0
-        store.groups[0].fail(1)
+        store.shards[0].fail(1)
         store.put(stale_key, b"fresh")  # replica 1 misses this one write
         model[stale_key] = b"fresh"
-        store.groups[0].revive(1, False)  # live, lag 1 <= bound 1
-        assert store.groups[0].live_indices() == [0, 1]
+        store.shards[0].revive(1, False)  # live, lag 1 <= bound 1
+        assert store.shards[0].live_indices() == [0, 1]
         # Routed reads round-robin over both replicas, so one of the two
         # parities would hand a routed migration copy the stale value.
         for _ in range(parity):
@@ -772,7 +776,7 @@ class TestComposition:
 
         # Fail over the freshly built group, keep writing (hints queue up
         # against the dead replica), then checkpoint and restore.
-        store.groups[2].fail(0)
+        store.shards[2].fail(0)
         late = [key for key in model if store.shard_of(key) == 2][:20]
         store.multi_put(late, [b"late"] * len(late))
         model.update((key, b"late") for key in late)
@@ -783,15 +787,15 @@ class TestComposition:
         store.checkpoint()
         store.close()
 
-        restored = ReplicatedKVStore.restore(str(tmp_path))
+        restored = ShardedKVStore.restore(str(tmp_path))
         try:
             assert restored._slots == slots and restored.num_shards == 3
-            assert restored.groups[2].live_indices() == [1]
-            assert restored.groups[2].hints_outstanding(0) == len(late)
+            assert restored.shards[2].live_indices() == [1]
+            assert restored.shards[2].hints_outstanding(0) == len(late)
             check(restored)
             # The dead replica's hinted writes replay on revive.
-            assert restored.groups[2].revive(0) == len(late)
-            restored.groups[2].fail(1)
+            assert restored.shards[2].revive(0) == len(late)
+            restored.shards[2].fail(1)
             check(restored)
         finally:
             restored.close()

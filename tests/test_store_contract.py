@@ -26,7 +26,7 @@ from repro.core import CloudCheckpointer, MLKV
 from repro.core.embedding import EmbeddingTables
 from repro.data import ThinkTimeProcess
 from repro.device import SimClock, SSDModel
-from repro.kv import ReplicaGroup, ReplicatedKVStore, ShardedKVStore
+from repro.kv import ReplicaGroup, ShardedKVStore
 from repro.kv import encode_vector
 from repro.kv.btree import BTreeKV
 from repro.kv.faster import FasterKV
@@ -103,13 +103,6 @@ def build(name: str, tmp_path):
         store = ShardedKVStore.from_stores(groups, directory=base)
         engines = [replica for group in groups for replica in group.replicas]
         return store, dict(shared, staleness_bound=3, directory=base), engines, store
-    if name == "replicated":
-        store = ReplicatedKVStore(
-            lambda shard, replica: _engine("mlkv", os.path.join(base, f"{shard}-{replica}"), ssd),
-            num_shards=2, replication=2, directory=base,
-        )
-        engines = [replica for group in store.groups for replica in group.replicas]
-        return store, dict(shared, staleness_bound=3, directory=base), engines, store
     if name == "group-shared":
         engines = [_engine("mlkv", os.path.join(base, str(index)), ssd) for index in range(2)]
         store = ReplicaGroup(engines, directory=base)
@@ -123,7 +116,7 @@ def build(name: str, tmp_path):
 
 
 STORES = ["faster", "mlkv", "lsm", "btree", "native", "router", "router-of-mlkv",
-          "router-private", "router-of-groups", "replicated", "group-shared",
+          "router-private", "router-of-groups", "group-shared",
           "group-private"]
 
 #: ``lookahead_capacity(33)`` of each store: 53-byte records.  An MLKV
@@ -136,7 +129,7 @@ STORES = ["faster", "mlkv", "lsm", "btree", "native", "router", "router-of-mlkv"
 CAPACITY = {
     "faster": 0, "mlkv": 1108, "lsm": 0, "btree": 0, "native": 0, "router": 1108,
     "router-of-mlkv": 2 * 618, "router-private": 0, "router-of-groups": 2 * 1108,
-    "replicated": 2 * 1108, "group-shared": 1108, "group-private": 1108,
+    "group-shared": 1108, "group-private": 1108,
 }
 
 

@@ -26,7 +26,7 @@ from repro.core.mlkv import MLKV
 from repro.data.arrivals import FlashCrowdProcess, PoissonProcess, ThinkTimeProcess
 from repro.device import SimClock, SSDModel
 from repro.errors import ConfigError
-from repro.kv import ReplicatedKVStore, ShardedKVStore, encode_vector
+from repro.kv import ReplicaGroup, ShardedKVStore, encode_vector
 from repro.kv.faster import FasterKV
 from repro.serve import (
     Autoscaler,
@@ -248,12 +248,6 @@ class TestAdmissionControl:
             cluster.tenant("missing")
         server.store.close()
 
-    def test_hedging_requires_replicated_surface(self, tmp_path):
-        server = make_server(tmp_path / "s", item_count=50)
-        with pytest.raises(ConfigError):
-            ServingLoop(server, hedge_threshold=10e-6)
-        server.store.close()
-
     def test_source_gets_back_the_keys_it_issued(self, tmp_path):
         """Served or shed, ``on_complete`` hands a tenant's source its own
         tenant-local key — never the namespaced one the store saw."""
@@ -358,12 +352,12 @@ class TestPriorityIsolation:
 # ----------------------------------------------------------------------
 def make_replicated_server(tmp_path, item_count=200, replication=2):
     ssd = SSDModel(SimClock())
-    store = ReplicatedKVStore(
-        lambda shard, replica: FasterKV(
-            str(tmp_path / f"s{shard}r{replica}"), ssd=ssd
+    store = ShardedKVStore(
+        lambda shard: ReplicaGroup(
+            [FasterKV(str(tmp_path / f"s{shard}r{replica}"), ssd=ssd)
+             for replica in range(replication)]
         ),
         num_shards=2,
-        replication=replication,
     )
     tables = EmbeddingTables(store, DIM, seed=3, cache_entries=0)
     keys = list(range(item_count))
@@ -379,20 +373,18 @@ class TestHedging:
         store, server = make_replicated_server(tmp_path)
         threshold = 20e-6
         heavy, light = 5e-3, 30e-6
-        for shard in range(store.num_shards):
-            store.slow_replica(shard, 0, heavy)
-            store.slow_replica(shard, 1, light)
-        cluster = ServingLoop(
-            server, BatchPolicy(max_batch=16, max_delay=50e-6),
-            hedge_threshold=threshold,
-        )
+        for group in store.shards:
+            group.slow(0, heavy)
+            group.slow(1, light)
+            group.hedge_threshold = threshold
+        cluster = ServingLoop(server, BatchPolicy(max_batch=16, max_delay=50e-6))
         arrivals = LoadGenerator(200, "uniform", seed=6).open_loop(
             rate=2e5, count=600, start=server.clock.now
         )
         cluster.add_tenant(TenantSpec("t", target_p99=1e-2), arrivals)
         cluster.run()
         report = cluster.report()
-        assert report["hedged_reads"] > 0
+        assert report["replication"]["hedged_reads"] > 0
         assert report["latency"]["p99"] < heavy
         server.store.close()
 
@@ -401,20 +393,18 @@ class TestHedging:
         fire and the degradation shows up in the tail — honestly."""
         store, server = make_replicated_server(tmp_path)
         heavy = 5e-3
-        for shard in range(store.num_shards):
+        for group in store.shards:
             for replica in range(2):
-                store.slow_replica(shard, replica, heavy)
-        cluster = ServingLoop(
-            server, BatchPolicy(max_batch=16, max_delay=50e-6),
-            hedge_threshold=20e-6,
-        )
+                group.slow(replica, heavy)
+            group.hedge_threshold = 20e-6
+        cluster = ServingLoop(server, BatchPolicy(max_batch=16, max_delay=50e-6))
         arrivals = LoadGenerator(200, "uniform", seed=6).open_loop(
             rate=2e5, count=300, start=server.clock.now
         )
         cluster.add_tenant(TenantSpec("t", target_p99=1e-2), arrivals)
         cluster.run()
         report = cluster.report()
-        assert report["hedged_reads"] == 0
+        assert report["replication"]["hedged_reads"] == 0
         assert report["latency"]["p99"] > heavy
         server.store.close()
 
@@ -423,8 +413,8 @@ class TestHedging:
         replica — no hedges, and the heavy penalty never lands."""
         store, server = make_replicated_server(tmp_path)
         for shard in range(store.num_shards):
-            store.slow_replica(shard, 0, 5e-3)
-            store.slow_replica(shard, 1, 30e-6)
+            store.shards[shard].slow(0, 5e-3)
+            store.shards[shard].slow(1, 30e-6)
         cluster = ServingLoop(server, BatchPolicy(max_batch=16, max_delay=50e-6))
         arrivals = LoadGenerator(200, "uniform", seed=6).open_loop(
             rate=2e5, count=600, start=server.clock.now
@@ -432,7 +422,7 @@ class TestHedging:
         cluster.add_tenant(TenantSpec("t", target_p99=1e-2), arrivals)
         cluster.run()
         report = cluster.report()
-        assert report["hedged_reads"] == 0
+        assert report["replication"]["hedged_reads"] == 0
         assert report["latency"]["p99"] < 5e-3
         server.store.close()
 
@@ -514,7 +504,7 @@ class TestAutoscaler:
 
     def test_replica_add_then_scale_in(self, tmp_path):
         store, _server = make_replicated_server(tmp_path, replication=2)
-        store.fail_replica(0, 1)
+        store.shards[0].fail(1)
         autoscaler = Autoscaler(
             store,
             config=AutoscalerConfig(p99_threshold=100e-6, check_interval=1e-3,
@@ -525,12 +515,12 @@ class TestAutoscaler:
         autoscaler.observe_requests(np.full(16, 5e-3))
         autoscaler.tick(0.0)
         assert autoscaler.replicas_added == 1
-        assert store.live_replicas(0) == [0, 1]
+        assert store.shards[0].live_indices() == [0, 1]
         # Calm window → retire one replica again.
         autoscaler.observe_requests(np.full(16, 1e-6))
         autoscaler.tick(5e-3)
         assert autoscaler.replicas_removed == 1
-        assert len(store.live_replicas(0)) + len(store.live_replicas(1)) == 3
+        assert len(store.shards[0].live_indices()) + len(store.shards[1].live_indices()) == 3
         summary = autoscaler.summary()
         assert [d["action"] for d in summary["decisions"]] == [
             "add_replica", "remove_replica",
@@ -539,7 +529,7 @@ class TestAutoscaler:
 
     def test_cooldown_and_min_window_gate_actions(self, tmp_path):
         store, _server = make_replicated_server(tmp_path, replication=2)
-        store.fail_replica(0, 1)
+        store.shards[0].fail(1)
         autoscaler = Autoscaler(
             store,
             config=AutoscalerConfig(p99_threshold=100e-6, check_interval=1e-3,
@@ -553,7 +543,7 @@ class TestAutoscaler:
         autoscaler.observe_requests(np.full(64, 5e-3))
         autoscaler.tick(2e-3)
         assert autoscaler.replicas_added == 1
-        store.fail_replica(0, 1)
+        store.shards[0].fail(1)
         autoscaler.observe_requests(np.full(64, 5e-3))
         autoscaler.tick(4e-3)  # inside the 1 s cooldown
         assert autoscaler.replicas_added == 1

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from repro.bench import build_stack
+from repro.core.embedding import EmbeddingTables
+from repro.core.mlkv import MLKV
 from repro.core.staleness import ASP_BOUND
 from repro.data import CTRDataset
+from repro.device import GPUModel, SimClock, SSDModel
 from repro.errors import ConfigError
+from repro.kv import ShardedKVStore
 from repro.models import FFNN
 from repro.train import DLRMTrainer, TrainerConfig
 
@@ -59,6 +63,32 @@ class TestPipelineMechanics:
         # Hot keys recur within the window, so bound-1 training must stall.
         assert result.stall_events > 0
         stack.close()
+
+    @pytest.mark.parametrize("shards", [0, 2], ids=["bare", "router"])
+    def test_stall_events_count_every_engines_stalls(self, tmp_path, shards):
+        """The trainer counts the stalls its handler sees, so a router of
+        MLKV shards reports its engines' stalls summed, as one engine
+        reports its own."""
+        clock = SimClock()
+        ssd = SSDModel(clock)
+
+        def engine(index):
+            return MLKV(str(tmp_path / f"mlkv{index}"), staleness_bound=1, ssd=ssd,
+                        memory_budget_bytes=1 << 20)
+
+        store = ShardedKVStore(engine, shards) if shards else engine(0)
+        engines = list(store.shards) if shards else [store]
+        dataset = CTRDataset(num_fields=3, field_cardinality=60, seed=0)
+        network = FFNN(num_dense=13, num_fields=3, emb_dim=8, hidden=(16,),
+                       rng=np.random.default_rng(0))
+        trainer = DLRMTrainer(EmbeddingTables(store, 8, cache_entries=512), network,
+                              GPUModel(clock), TrainerConfig(batch_size=16, pipeline_depth=8),
+                              dataset)
+        result = trainer.run(dataset.batches(30, 16))
+        counted = [engine.mlkv_stats.stall_events for engine in engines]
+        assert result.stall_events == sum(counted)
+        assert all(count > 0 for count in counted)
+        store.close()
 
     def test_result_accounting(self):
         stack, dataset, trainer = make_trainer()
