@@ -21,6 +21,10 @@ two of the eight losses moved by one float32 ulp (relative 9.8e-8 and
 9.2e-8, the other six bit-equal) and ``emb_crc`` with them.  The
 ``dlrm`` and ``kge`` entries are the original capture.
 
+The ``gat`` entry runs the same graph through the attention model; it
+was captured before GAT's attention scores moved into one autograd node
+(``edge_logits``), which had to leave every bit where it was.
+
 Every trajectory runs twice, without and with a ``repro.obs`` tracer
 installed: spans read clocks and never advance them, so the training
 spans (``train.step`` and below) must leave each loss bit and the final
@@ -99,3 +103,12 @@ def test_gnn_trajectory_bit_identical(golden, tracer):
     result = run_gnn(stack, graph, dim=8, hidden_dim=16, num_batches=8,
                      batch_size=16, fanouts=(4,))
     _assert_matches(golden["gnn"], result.losses, _embedding_crc(stack, 300), tracer)
+
+
+def test_gat_trajectory_bit_identical(golden, tracer):
+    stack = build_stack("mlkv", dim=8, memory_budget_bytes=1 << 20,
+                        cache_entries=512)
+    graph = GraphDataset(num_nodes=300, avg_degree=5, num_classes=4, seed=7)
+    result = run_gnn(stack, graph, model_name="gat", dim=8, hidden_dim=16,
+                     num_batches=8, batch_size=16, fanouts=(4,))
+    _assert_matches(golden["gat"], result.losses, _embedding_crc(stack, 300), tracer)
