@@ -4,10 +4,20 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-recovery test-dist test-sanitize test-obs serve-smoke serve-mt-smoke bench bench-smoke bench-gate bench-wallclock bench-e2e bench-e2e-smoke lint typecheck docs-check analyze
+.PHONY: test test-nn test-recovery test-dist test-sanitize test-obs serve-smoke serve-mt-smoke bench bench-smoke bench-gate bench-wallclock bench-e2e bench-e2e-smoke lint typecheck docs-check analyze
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# The dense net's bit pins on their own: golden training trajectories
+# (DLRM, TransE, GraphSage, GAT; untraced and traced), the gradient
+# path's scatter kernel, every autograd op (an inner-dimension-1 product
+# ≡ np.matmul), sparse message passing (GAT's one-node attention scores
+# ≡ the four nodes they replaced, signs of zero included), the vectorized
+# paths ≡ their reference loops, and the models — so a change that moves
+# one float bit of training fails attributably.
+test-nn:
+	$(PYTHON) -m pytest tests/test_golden_trajectories.py tests/test_gradient_path.py tests/test_tensor.py tests/test_sparse_message_passing.py tests/test_vectorized_equivalence.py tests/test_models.py -q
 
 # Cross-layer observability suite: the read-only metrics registry (it
 # reads the owners' stats at export time), the dual-clock tracer and its

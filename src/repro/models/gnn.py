@@ -57,11 +57,10 @@ class GATLayer(Module):
 
     def forward(self, x_src: Tensor, dst_index: np.ndarray, block: Block) -> Tensor:
         h_src = self.w(x_src)                     # [n_src, d]
-        e_src = h_src @ self.a_src                # [n_src, 1]
         # Destinations sit in the source frontier: score every source as
         # one and pick, instead of a second w(x_dst) product.
-        e_dst = (h_src @ self.a_dst)[dst_index]   # [n_dst, 1]
-        logits = edge_logits(block, e_dst, e_src).leaky_relu(0.2)  # [nnz]
+        logits = edge_logits(block, h_src, self.a_src, self.a_dst, dst_index)
+        logits = logits.leaky_relu(0.2)           # [nnz]
         attention = edge_softmax(block, logits)
         out = aggregate(block, attention, h_src)
         return out.relu() if self.activation else out

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, _matmul, _scatter_rows
 
 
 class EdgeGroups(NamedTuple):
@@ -97,18 +97,47 @@ class Block:
         return block
 
 
-def edge_logits(block: Block, e_dst: Tensor, e_src: Tensor) -> Tensor:
-    """Per-edge ``e_dst[row] + e_src[col]`` from per-node scores, ``[nnz]``."""
-    out = e_dst.data.reshape(-1)[block.rows] + e_src.data.reshape(-1)[block.indices]
+def edge_logits(block: Block, h_src: Tensor, a_src: Tensor, a_dst: Tensor,
+                dst_index: np.ndarray) -> Tensor:
+    """GAT's per-edge scores ``e_dst[row] + e_src[col]``, ``[nnz]``, where
+    ``e_src = h_src @ a_src`` and ``e_dst = (h_src @ a_dst)[dst_index]``.
+
+    Destinations sit in the source frontier at ``dst_index``, so both
+    attention vectors score every source row and the destinations are
+    picked.  One node gives the bits of those three ops and the sum: the
+    same products forward, and ``h_src``'s gradient added in place in the
+    same order — ``g_dst @ a_dst.T`` on the destination rows only (the
+    rest of ``g_dst`` is zero), then ``g_src @ a_src.T`` — each as a
+    broadcast multiply, signs of zero included.  The attention vectors'
+    gradients keep the full-height ``h_src.T @ g``: a product over the
+    destination rows alone can sum in another order.
+    """
+    e_src = h_src.data @ a_src.data
+    e_dst = h_src.data @ a_dst.data
+    out = e_dst.reshape(-1)[dst_index][block.rows] + e_src.reshape(-1)[block.indices]
 
     def backward(grad: np.ndarray) -> None:
-        if e_dst.requires_grad:
-            e_dst._accumulate(np.add.reduceat(grad, block.starts).reshape(e_dst.shape))
-        if e_src.requires_grad:
-            per_src = np.bincount(block.indices, weights=grad, minlength=block.n_src)
-            e_src._accumulate(per_src.astype(np.float32).reshape(e_src.shape))
+        per_dst = np.add.reduceat(grad, block.starts).reshape(-1, 1)
+        g_dst = _scatter_rows(dst_index, per_dst, block.n_src)
+        if h_src.requires_grad:
+            if h_src.grad is None:
+                h_src.grad = np.zeros_like(h_src.data)
+            rows = np.unique(dst_index)
+            h_src.grad[rows] += g_dst[rows] * a_dst.data.T
+        if a_dst.requires_grad:
+            a_dst._accumulate(h_src.data.T @ g_dst, owned=True)
+        del per_dst, g_dst  # the [n_src, d] product below is the node's peak
+        g_src = np.bincount(block.indices, weights=grad, minlength=block.n_src)
+        g_src = g_src.astype(np.float32).reshape(-1, 1)
+        if h_src.requires_grad:
+            # Last, so its +0.0-started products turn every -0.0 left in
+            # h_src.grad into +0.0, as the composed ops' full-height g_dst
+            # product would.
+            h_src.grad += _matmul(g_src, a_src.data.T)
+        if a_src.requires_grad:
+            a_src._accumulate(h_src.data.T @ g_src, owned=True)
 
-    return Tensor._make(out, (e_dst, e_src), backward)
+    return Tensor._make(out, (h_src, a_src, a_dst), backward)
 
 
 def edge_softmax(block: Block, logits: Tensor) -> Tensor:

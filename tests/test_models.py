@@ -141,7 +141,7 @@ class TestGNNLayers:
         block = Block.from_dense(mask)
 
         h_src = layer.w(x_src)
-        logits = edge_logits(block, (h_src @ layer.a_dst)[dst_index], h_src @ layer.a_src)
+        logits = edge_logits(block, h_src, layer.a_src, layer.a_dst, dst_index)
         att = np.zeros(mask.shape, dtype=np.float32)
         att[block.rows, block.indices] = edge_softmax(block, logits.leaky_relu(0.2)).numpy()
         np.testing.assert_allclose(att.sum(axis=1), 1.0, atol=1e-5)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from gnn_oracle import dense_gat, dense_sage, masked_softmax, to_dense
 from repro.models.gnn import GATLayer, SageLayer
 from repro.nn import Tensor
-from repro.nn.sparse import Block, aggregate, edge_softmax
+from repro.nn.sparse import Block, aggregate, edge_logits, edge_softmax
 
 RELATIVE = 1e-5
 
@@ -145,6 +145,115 @@ class TestSparseEqualsDense:
         (want ** 2.0).sum().backward()
         assert_close(out.numpy(), want.numpy())
         assert_close(x.grad, dense_x.grad)
+
+
+def _product(h: Tensor, a: Tensor) -> Tensor:
+    """``h @ a`` as its own node, with ``np.matmul`` both ways."""
+
+    def backward(grad: np.ndarray) -> None:
+        h._accumulate(grad @ a.data.T, owned=True)
+        a._accumulate(h.data.T @ grad, owned=True)
+
+    return Tensor._make(h.data @ a.data, (h, a), backward)
+
+
+def four_node_logits(block, h_src, a_src, a_dst, dst_index):
+    """GAT's edge scores composed of four nodes: two products, the pick and the sum."""
+    e_src = _product(h_src, a_src)
+    e_dst = _product(h_src, a_dst)[dst_index]
+
+    def backward(grad: np.ndarray) -> None:
+        e_dst._accumulate(np.add.reduceat(grad, block.starts).reshape(e_dst.shape))
+        per_src = np.bincount(block.indices, weights=grad, minlength=block.n_src)
+        e_src._accumulate(per_src.astype(np.float32).reshape(e_src.shape))
+
+    out = e_dst.data.reshape(-1)[block.rows] + e_src.data.reshape(-1)[block.indices]
+    return Tensor._make(out, (e_dst, e_src), backward)
+
+
+def _signed_zeros(rng, shape, share):
+    """Normal draws with ``share`` of the entries 0.0 and as many -0.0."""
+    values = rng.normal(size=shape).astype(np.float32)
+    draw = rng.random(shape)
+    values[draw < share] = 0.0
+    values[draw > 1 - share] = -0.0
+    return values
+
+
+def _attention_pass(logits_fn, block, dst_index, arrays, through_aggregate):
+    """Scores, output and the three gradients of one GAT attention pass."""
+    h_data, a_src_data, a_dst_data, upstream, preset = arrays
+    h_src = Tensor(h_data, requires_grad=True)
+    a_src = Tensor(a_src_data, requires_grad=True)
+    a_dst = Tensor(a_dst_data, requires_grad=True)
+    if preset is not None:
+        h_src.grad = preset.copy()  # as if h_src fed another node first
+    logits = logits_fn(block, h_src, a_src, a_dst, dst_index)
+    attention = edge_softmax(block, logits.leaky_relu(0.2))
+    if through_aggregate:
+        out = aggregate(block, attention, h_src)
+    else:
+        out = attention
+    (out * Tensor(upstream[: out.data.size].reshape(out.shape))).sum().backward()
+    return [logits.data, out.data, h_src.grad, a_src.grad, a_dst.grad]
+
+
+def _assert_same_bits(got: list, want: list) -> None:
+    for name, g, w in zip(["logits", "out", "h_src", "a_src", "a_dst"], got, want):
+        assert g.shape == w.shape, name
+        assert np.array_equal(g.view(np.uint32), w.view(np.uint32)), name
+
+
+class TestFusedEdgeLogits:
+    """``edge_logits`` is one node with the bits of the four it stands for:
+    the forward scores and every gradient, signs of zero included."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(sampled_layers(), st.integers(0, 2**16), st.booleans(), st.booleans())
+    def test_equals_the_four_node_composition(self, layer_input, seed, through_aggregate,
+                                              zeros_in_a):
+        # Row 0 is an isolated node's self edge: its softmax gradient is
+        # exactly 0, so its source's g_src is too; the last source has none.
+        block, dst_index = layer_input
+        rng = np.random.default_rng(seed)
+        width = 4
+        arrays = [
+            _signed_zeros(rng, (block.n_src, width), 0.1),
+            _signed_zeros(rng, (width, 1), 0.25 if zeros_in_a else 0.0),
+            _signed_zeros(rng, (width, 1), 0.25 if zeros_in_a else 0.0),
+            _signed_zeros(rng, (max(block.n_dst * width, len(block.indices)),), 0.3),
+            _signed_zeros(rng, (block.n_src, width), 0.4),  # h_src.grad holding -0.0
+        ]
+        got = _attention_pass(edge_logits, block, dst_index, arrays, through_aggregate)
+        want = _attention_pass(four_node_logits, block, dst_index, arrays, through_aggregate)
+        _assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_one_edge_rows_and_an_unscored_source(self, seed):
+        """Rows 0 and 2 have one edge each (row 0 its self edge), so their
+        softmax gradients are exactly 0; source 5 is nobody's neighbour and
+        no destination, and h_src's gradient arrives with -0.0 in it (or
+        starts with this node)."""
+        rows = np.array([0, 1, 1, 2, 3, 3, 3])
+        cols = np.array([1, 0, 2, 4, 1, 3, 0])
+        block = Block.from_edges(4, 6, rows, cols)
+        dst_index = np.array([1, 2, 0, 3])
+        rng = np.random.default_rng(seed)
+        inputs = [
+            _signed_zeros(rng, (6, 3), 0.2),
+            _signed_zeros(rng, (3, 1), 0.2),
+            _signed_zeros(rng, (3, 1), 0.2),
+            _signed_zeros(rng, (12,), 0.3),
+        ]
+        negative_zeros = np.full((6, 3), -0.0, dtype=np.float32)
+        for through_aggregate, preset in [(False, negative_zeros), (True, negative_zeros),
+                                          (False, None)]:
+            arrays = inputs + [preset]
+            got = _attention_pass(edge_logits, block, dst_index, arrays, through_aggregate)
+            want = _attention_pass(four_node_logits, block, dst_index, arrays,
+                                   through_aggregate)
+            _assert_same_bits(got, want)
+            assert not (np.signbit(got[2]) & (got[2] == 0)).any()  # no -0.0 left
 
 
 class TestBlock:

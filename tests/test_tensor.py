@@ -139,8 +139,11 @@ class TestGradcheck:
         )
 
     def test_edge_logits(self):
+        dst_index = np.array([2, 0, 3])  # destinations' positions among the sources
         check_gradients(
-            lambda a, b: (edge_logits(EDGES, a, b) * np.arange(7)).sum(), (3, 1), (4, 1)
+            lambda h, a_src, a_dst: (
+                edge_logits(EDGES, h, a_src, a_dst, dst_index) * np.arange(7)).sum(),
+            (4, 3), (3, 1), (3, 1)
         )
 
     def test_aggregate(self):
@@ -148,6 +151,62 @@ class TestGradcheck:
 
     def test_logsigmoid(self):
         check_gradients(lambda a: logsigmoid(a).sum(), (5,))
+
+
+def _signed_zeros(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Normal draws with a third of the entries 0.0 and a third -0.0."""
+    values = rng.normal(size=shape).astype(np.float32)
+    draw = rng.random(shape)
+    values[draw < 1 / 3] = 0.0
+    values[draw > 2 / 3] = -0.0
+    return values
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(values).view(np.uint32)
+
+
+class TestInnerDimensionOne:
+    """A product with inner dimension 1 is a broadcast multiply in the
+    backward pass; it must equal ``np.matmul`` bit for bit, which starts
+    each sum at +0.0 and so never returns a -0.0."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_vector_product_equals_matmul(self, seed):
+        rng = np.random.default_rng(seed)
+        x, a = _signed_zeros(rng, (37, 9)), _signed_zeros(rng, (9, 1))
+        upstream = _signed_zeros(rng, (37, 1))
+        x_t, a_t = Tensor(x, requires_grad=True), Tensor(a, requires_grad=True)
+        (x_t @ a_t).backward(upstream)
+        assert np.array_equal(_bits(x_t.grad), _bits(np.matmul(upstream, a.T)))
+        assert np.array_equal(_bits(a_t.grad), _bits(np.matmul(x.T, upstream)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_one_row_batch_equals_matmul(self, seed):
+        rng = np.random.default_rng(seed)
+        x, w = _signed_zeros(rng, (1, 6)), _signed_zeros(rng, (6, 5))
+        upstream = _signed_zeros(rng, (1, 5))
+        x_t, w_t = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        (x_t @ w_t).backward(upstream)
+        assert np.array_equal(_bits(w_t.grad), _bits(np.matmul(x.T, upstream)))
+        assert np.array_equal(_bits(x_t.grad), _bits(np.matmul(upstream, w.T)))
+
+    def test_batched_vector_products_equal_matmul(self):
+        rng = np.random.default_rng(7)
+        x, a = _signed_zeros(rng, (3, 8, 4)), _signed_zeros(rng, (3, 4, 1))
+        upstream = _signed_zeros(rng, (3, 8, 1))
+        x_t, a_t = Tensor(x, requires_grad=True), Tensor(a, requires_grad=True)
+        (x_t @ a_t).backward(upstream)
+        want = np.matmul(upstream, np.swapaxes(a, -1, -2))
+        assert np.array_equal(_bits(x_t.grad), _bits(want))
+
+    def test_no_negative_zero_survives(self):
+        """-0.0 x 1.0 and 0.0 x -1.0 are both -0.0; matmul's sum makes them +0.0."""
+        x_t = Tensor(np.ones((2, 3)), requires_grad=True)
+        a_t = Tensor(np.array([[1.0], [-1.0], [2.0]]), requires_grad=True)
+        (x_t @ a_t).backward(np.array([[-0.0], [0.0]], dtype=np.float32))
+        assert x_t.grad.shape == (2, 3) and not x_t.grad.any()
+        assert not np.signbit(x_t.grad).any()
 
 
 class TestAutogradMechanics:
