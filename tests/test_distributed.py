@@ -244,24 +244,6 @@ class TestMultiRmw:
             stack.store.multi_rmw([1, 2, 3], lambda keys, raws: [b"x"])
         stack.store.close()
 
-    def test_replicated_reads_survivor_and_fans_out(self, tmp_path):
-        """With a replica dead, RMW reads the caught-up survivor and the
-        revived replica replays the hinted writes."""
-        stack = make_stack(tmp_path, kind="replicated")
-        store = stack.store
-        keys = list(range(20))
-        store.multi_put(keys, [b"v0"] * 20)
-        store.shards[0].fail(1)
-        new_values = store.multi_rmw(keys, self._bump)
-        assert new_values == [b"v0!"] * 20
-        assert store.multi_get(keys) == new_values
-        store.shards[0].revive(1)
-        for shard in range(store.num_shards):
-            for replica in store.shards[shard].replicas:
-                for key in keys:
-                    if store.shard_of(key) == shard:
-                        assert replica.get(key) == b"v0!"
-        store.close()
 
 
 # ----------------------------------------------------------------------
@@ -622,6 +604,62 @@ class TestReplicaFaults:
         )
         assert trainer.server.lost_batches(self.NUM_BATCHES) == []
         assert len(result.losses) == self.NUM_BATCHES
+
+
+    def test_push_over_a_lagging_reader_loses_no_update(self, tmp_path):
+        """Routed reads prefer a lagging replica, yet the server folds each
+        delta onto the lag-0 row: the committed rows equal the same pushes
+        on a bare engine, bit for bit.  Folding onto a routed read would
+        drop the deltas the lagging replica missed."""
+        ssd = SSDModel(SimClock())
+        store = ShardedKVStore(
+            lambda shard: ReplicaGroup(
+                [FasterKV(str(tmp_path / f"s{shard}r{replica}"), ssd=ssd)
+                 for replica in range(2)],
+                divergence_bound=64,
+            ),
+            num_shards=2,
+        )
+        twin = FasterKV(str(tmp_path / "twin"), ssd=SSDModel(SimClock()))
+        servers = []
+        for backing in (store, twin):
+            network = FFNN(
+                num_dense=CTR.num_dense, num_fields=CTR.num_fields,
+                emb_dim=DIM, rng=np.random.default_rng(SEED),
+            )
+            tables = EmbeddingTables(backing, DIM, cache_entries=0)
+            servers.append(ParameterServer(tables, network, dlrm_config()))
+        batches = [np.arange(0, 30), np.arange(10, 40), np.arange(0, 50)]
+
+        def push(index):
+            keys = batches[index].astype(np.int64)
+            grads = np.random.default_rng(index).normal(size=(len(keys), DIM))
+            for server in servers:
+                server.push_deltas(PushPacket(
+                    worker_id=0, seq=index, batch_index=index, keys=keys,
+                    emb_grads=grads.astype(np.float32),
+                    dense_grads=[
+                        np.zeros_like(p.data) for p in server.network.parameters()
+                    ],
+                    loss=1.0,
+                ))
+
+        for server in servers:
+            server.register_worker(0)
+        push(0)
+        for group in store.shards:
+            group.fail(1)
+        push(1)  # replica 1 misses these deltas
+        for group in store.shards:
+            group.revive(1, catch_up=False)
+            group.slow(0, 1e-3)
+            assert 0 < group.versions.lag(1) <= group.divergence_bound
+            assert group.pick_reader(group.divergence_bound) == 1
+        push(2)  # keys 40..49 are new: their base is init_vector
+        keys = list(range(50))
+        assert store.read_current_many(keys) == twin.snapshot_read_many(keys)
+        store.close()
+        twin.close()
 
 
 # ----------------------------------------------------------------------
