@@ -179,7 +179,6 @@ _CONTRACT: dict[str, list[str]] = {
     "get_rows": ["keys", "out"],
     "put_rows": ["keys", "rows"],
     "snapshot_read_many": ["keys"],
-    "multi_rmw": ["keys", "update"],
     "lookahead": ["keys"],
     "lookahead_capacity": ["value_bytes"],
     "set_stall_handler": ["handler"],

@@ -237,21 +237,36 @@ class EmbeddingTables:
         unique, inverse = (keys, None) if _ascending(keys) else np.unique(keys, return_inverse=True)
         # Every store exposes batched committed reads: stores with an
         # admission protocol map them to their bypass path, for plain
-        # engines multi_get already is the committed read.  ``tolist``
-        # marshals the whole key array to Python ints in one C-level pass
-        # (works for any integer dtype) instead of per-element ``int()``.
-        raws = self.store.snapshot_read_many(unique.tolist())
-        gathered = np.empty((unique.shape[0], self.dim), dtype=np.float32)
-        unique_keys = unique.tolist()
-        hit_rows = [i for i, raw in enumerate(raws) if raw is not None]
-        for i, raw in enumerate(raws):
+        # engines multi_get already is the committed read.
+        gathered = self._decode_or_init(unique, self.store.snapshot_read_many(unique.tolist()))
+        return gathered if inverse is None else gathered[inverse].reshape(*keys.shape, self.dim)
+
+    def read_current(self, keys) -> np.ndarray:
+        """Rows safe to write back: ``store.read_current_many``, decoded.
+
+        What an update folds onto — a replica group answers from a
+        replica holding every acknowledged write, never a bounded-stale
+        routed read.  Absent keys return their lazy initialization
+        (without inserting them); no staleness admission.
+        """
+        keys = np.asarray(keys, dtype=np.int64).reshape(-1)
+        return self._decode_or_init(keys, self.store.read_current_many(keys.tolist()))
+
+    def _decode_or_init(self, keys: np.ndarray, raws: list) -> np.ndarray:
+        """``(len(keys), dim)`` rows: the stored ``raws`` decoded, each
+        ``None`` replaced by its key's lazy initialization."""
+        gathered = np.empty((keys.shape[0], self.dim), dtype=np.float32)
+        hit_rows = []
+        for i, (key, raw) in enumerate(zip(keys.tolist(), raws)):
             if raw is None:
-                gathered[i] = self._init_vector(unique_keys[i])
+                gathered[i] = self._init_vector(key)
+            else:
+                hit_rows.append(i)
         if hit_rows:
             gathered[hit_rows] = decode_vectors(
                 [raws[i] for i in hit_rows], dim=self.dim
             )
-        return gathered if inverse is None else gathered[inverse].reshape(*keys.shape, self.dim)
+        return gathered
 
     # ------------------------------------------------------------------
     def init_vector(self, key: int) -> np.ndarray:

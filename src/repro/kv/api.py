@@ -235,38 +235,6 @@ class KVStore(ABC):
         keys = self._normalize_keys(keys)
         return [self.get(key) for key in keys]
 
-    def multi_rmw(
-        self,
-        keys: Iterable[int],
-        update: Callable[[list[int], list[Optional[bytes]]], list[bytes]],
-    ) -> list[bytes]:
-        """Batched read-modify-write; returns the new values written.
-
-        ``update(sub_keys, current_values) -> new_values`` receives the
-        *committed* current values (``None`` for absent keys) and returns
-        one new value per key.  Keys must be unique within the batch.
-        Composed stores may invoke ``update`` once per sub-batch (e.g.
-        per shard), so it must not rely on seeing the whole batch at
-        once — look values up by key, not by global position.
-
-        The read half uses :meth:`read_current_many` (a committed read,
-        never an admission-counting Get): server-side RMW is a storage
-        maintenance path, not a training read, so it must not consume
-        staleness budget.  This is the parameter-server apply path:
-        workers push optimizer *deltas* and the server folds them into
-        the stored rows without round-tripping rows through workers.
-        """
-        keys = self._normalize_keys(keys)
-        new_values = update(keys, self.read_current_many(keys))
-        new_values = list(new_values)
-        if len(new_values) != len(keys):
-            raise ValueError(
-                f"multi_rmw update returned {len(new_values)} values "
-                f"for {len(keys)} keys"
-            )
-        self.multi_put(keys, new_values)
-        return new_values
-
     def multi_put(self, keys: Iterable[int], values: Iterable[bytes]) -> None:
         """Batched put applied in input order (the last duplicate wins).
 
@@ -369,7 +337,7 @@ class KVStore(ABC):
         For an engine that is its committed read.  A store whose routed
         reads may be bounded-stale (a replica group) overrides this to
         answer from a copy holding every acknowledged write: it is what
-        :meth:`multi_rmw` folds its update over and what a live shard
+        the parameter server adds its deltas onto and what a live shard
         migration copies from, so a stale read never becomes a write.
         """
         return self.snapshot_read_many(keys)

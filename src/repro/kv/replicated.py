@@ -18,8 +18,9 @@ applied (normally zero: fan-out is synchronous; failures and deliberate
 catch-up-free revivals make it positive), and the ``divergence_bound``
 admits a replica for reads only while its lag is within the bound — the
 same staleness contract bounded stores give individual records.  Values
-that will be written somewhere (``rmw``, ``multi_rmw``,
-``read_current_many`` — what a live migration copies from — ``scan``)
+that will be written somewhere (``rmw``, ``read_current_many`` — what
+the parameter server adds deltas onto and a live migration copies from —
+``scan``)
 always come from a lag-0 replica: the bound licenses stale *reads*,
 never stale write-backs.
 
@@ -567,12 +568,11 @@ class ReplicaGroup(KVStore, CheckpointManager):
     def rmw(self, key: int, update: Callable[[Optional[bytes]], bytes]) -> bytes:
         """Read-modify-write reading from a fully caught-up replica.
 
-        Same rule as :meth:`read_current_many` (which the inherited
-        :meth:`multi_rmw` — the parameter-server apply hook — reads
-        through): the read half never goes through read routing.  The
-        write half fans out through the group, so a replica killed
-        mid-push loses nothing: the survivor takes the delta and the
-        revive replays it.
+        Same rule as :meth:`read_current_many` (which the parameter
+        server's apply reads through): the read half never goes through
+        read routing.  The write half fans out through the group, so a
+        replica killed mid-push loses nothing: the survivor takes the
+        write and the revive replays it.
         """
         self._check_writable()
         donor = self.replicas[self._complete_peer(exclude=-1)]

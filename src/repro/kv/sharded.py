@@ -23,9 +23,10 @@ and the coordinated checkpoint manifest apply to every kind of child,
 so replication and live migration compose.
 
 Batched operations are the reason this layer exists: ``multi_get`` /
-``multi_put`` / ``multi_rmw`` split one application batch into at most
-one *sub-batch per shard*, so every child still gets its amortized
-batched hot path rather than degenerating into per-key routing.
+``multi_put`` and the array verbs ``get_rows`` / ``put_rows`` split one
+application batch into at most one *sub-batch per shard*, so every child
+still gets its amortized batched hot path rather than degenerating into
+per-key routing.
 
 The shard function is a splitmix64 finalizer over the key, so dense
 sparse-feature id ranges (0..n) spread uniformly instead of striping by
@@ -487,21 +488,6 @@ class ShardedKVStore(KVStore, CheckpointManager):
         self._fan_rows("put_rows", keys, rows)
         if self._migration is not None:
             self._note_writes(keys.tolist())
-
-    def multi_rmw(self, keys, update: Callable[[list, list], list]) -> list:
-        """One ``child.multi_rmw(sub_keys, update)`` per shard.
-
-        ``update`` therefore runs once per shard sub-batch (which the
-        :meth:`KVStore.multi_rmw` contract allows), and each child reads
-        the values it folds the update over itself — a replica group
-        from a fully caught-up replica, never through a bounded-stale
-        routed read.
-        """
-        self._check_writable()
-        keys = self._normalize_keys(keys)
-        results = self._gather("multi_rmw", keys, update)
-        self._note_writes(keys)
-        return results
 
     def lookahead(self, keys) -> int:
         """Fan a prefetch batch out to the children; returns the records

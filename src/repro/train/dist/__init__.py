@@ -1,7 +1,7 @@
 """Parameter-server distributed training over the KV store stack.
 
-``ParameterServer`` (canonical model + delta application through
-``multi_rmw``), ``Worker`` (replica network on a private clock view),
+``ParameterServer`` (canonical model + delta application onto lag-0
+rows), ``Worker`` (replica network on a private clock view),
 ``DistributedTrainer`` (sync / bounded-async / fully-async scheduling
 with elastic membership), and ``StragglerInjector`` (scheduled worker
 and replica faults).  See ``docs/ARCHITECTURE.md`` § "Distributed

@@ -10,12 +10,13 @@ worker-progress vector clock that extends MLKV's bounded-staleness
 admission idea across workers.
 
 Workers never ship rows back.  They push ``(keys, grads)`` and the
-server folds the optimizer's deltas into storage through
-``multi_rmw`` — a committed read-modify-write, so a replicated store
-applies each delta on a fully caught-up replica and fans it out.  Pushes
-carry a batch identity; a ledger guarantees each batch's delta is applied
-*exactly once* even when workers die between compute and push and their
-batches are re-queued to someone else.
+server adds the optimizer's deltas onto the committed rows
+(``EmbeddingTables.read_current`` — on a replicated store a fully
+caught-up replica, never a bounded-stale routed read) and writes the
+batch back with one ``put``, which fans out to every live replica.
+Pushes carry a batch identity; a ledger guarantees each batch's delta is
+applied *exactly once* even when workers die between compute and push
+and their batches are re-queued to someone else.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numpy as np
 
 from repro.core.embedding import EmbeddingTables
 from repro.errors import ConfigError, StalenessViolation
-from repro.kv import decode_vector, encode_vector
 from repro.nn.layers import Module
 from repro.nn.optim import Adam, RowAdagrad
 from repro.obs.trace import span as obs_span
@@ -125,7 +125,7 @@ class ParameterServer:
     tables:
         Embedding facade over the backing store (plain, sharded, or
         replicated) — pulls go through its admission-counting ``get``,
-        pushes through the store's ``multi_rmw``.
+        pushes through its ``read_current`` and ``put``.
     network:
         The canonical dense model.  Workers train bitwise copies; the
         server applies their gradients here with the single Adam state.
@@ -225,8 +225,8 @@ class ParameterServer:
         Dense gradients are averaged across the round (the all-reduce a
         real PS performs) and stepped once; embedding delta batches are
         applied sequentially in worker-id order — deterministic, and safe
-        for overlapping keys because each ``multi_rmw`` re-reads the
-        committed row.  For a 1-worker round the average is ``g / 1``
+        for overlapping keys because each batch re-reads the
+        committed rows.  For a 1-worker round the average is ``g / 1``
         and one delta batch applies: bit-identical to ``BaseTrainer``.
         """
         packets = sorted(packets, key=lambda packet: packet.worker_id)
@@ -276,29 +276,14 @@ class ParameterServer:
     def _apply_emb(self, keys: np.ndarray, grads: np.ndarray) -> None:
         """Fold one gradient batch into storage as optimizer deltas.
 
-        The optimizer state advances here (server-side), then the store's
-        ``multi_rmw`` adds each delta onto the committed row.  Because
-        neither row optimizer reads row values, ``row + delta`` is
-        bit-identical to the fused ``updated_rows`` path — IEEE
-        ``a + (-x) == a - x``.
+        The optimizer state advances here (server-side), then each delta
+        is added onto the committed row and the batch written back with
+        one ``put``.  Because neither row optimizer reads row values,
+        ``row + delta`` is bit-identical to the fused ``updated_rows``
+        path — IEEE ``a + (-x) == a - x``.
         """
-        keys = np.asarray(keys, dtype=np.int64).reshape(-1)
         deltas = self.emb_optimizer.delta_rows(keys, grads)
-        dim = self.tables.dim
-        delta_by_key = {int(key): deltas[i] for i, key in enumerate(keys)}
-        tables = self.tables
-
-        def fold(sub_keys: list, raws: list) -> list:
-            out = []
-            for key, raw in zip(sub_keys, raws):
-                base = (
-                    tables.init_vector(int(key)) if raw is None
-                    else decode_vector(raw, dim=dim)
-                )
-                out.append(encode_vector(base + delta_by_key[int(key)]))
-            return out
-
-        self.store.multi_rmw([int(key) for key in keys], fold)
+        self.tables.put(keys, self.tables.read_current(keys) + deltas)
 
     # ------------------------------------------------------------------
     # membership and elasticity

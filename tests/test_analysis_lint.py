@@ -206,8 +206,6 @@ class KVStore(ABC):
         '''Batched write of a matrix.'''
     def snapshot_read_many(self, keys):
         '''Committed reads.'''
-    def multi_rmw(self, keys, update):
-        '''Batched RMW.'''
     def lookahead(self, keys):
         '''Stage nothing.'''
     def lookahead_capacity(self, value_bytes):

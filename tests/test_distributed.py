@@ -3,8 +3,8 @@
 The load-bearing properties, in test order:
 
 * ``WorkerClockView`` timelines overlap compute without losing busy time.
-* ``multi_rmw`` is a correct batched RMW on plain, sharded, and
-  replicated stores (replicated reads from a fully caught-up replica).
+* ``EmbeddingTables.read_current`` decodes stored rows and initializes
+  absent ones on plain, sharded, and replicated stores.
 * Delta-form optimizers are bit-identical to their fused row form, and
   delta batches commute exactly on disjoint keys (with documented
   bounded divergence on overlapping keys).
@@ -12,7 +12,8 @@ The load-bearing properties, in test order:
   ``BaseTrainer`` on DLRM and KGE; N-worker runs reproduce themselves.
 * Killing a worker mid-epoch or a store replica mid-push (RF=2) loses
   no delta and double-applies none; the replica-kill sync run is
-  bit-identical to the fault-free run.
+  bit-identical to the fault-free run, and a push while routed reads
+  prefer a lagging replica still folds onto the lag-0 rows.
 """
 
 from __future__ import annotations
@@ -200,50 +201,23 @@ class TestWorkerProgressClock:
 
 
 # ----------------------------------------------------------------------
-# multi_rmw across store kinds
+# the rows the server's apply reads
 # ----------------------------------------------------------------------
-class TestMultiRmw:
-    def _bump(self, sub_keys, raws):
-        return [
-            (b"\x00" if raw is None else raw) + b"!" for raw in raws
-        ]
-
+class TestReadCurrent:
     @pytest.mark.parametrize("kind", ["faster", "sharded", "replicated"])
-    def test_read_modify_write_roundtrip(self, tmp_path, kind):
+    def test_stored_rows_decode_and_absent_keys_initialize(self, tmp_path, kind):
         stack = make_stack(tmp_path, kind=kind)
-        keys = list(range(10))
-        stack.store.multi_put(keys, [bytes([k]) for k in keys])
-        new_values = stack.store.multi_rmw(keys, self._bump)
-        assert new_values == [bytes([k]) + b"!" for k in keys]
-        assert stack.store.multi_get(keys) == new_values
+        tables = stack.tables
+        written = np.arange(10, dtype=np.int64)
+        rows = np.random.default_rng(0).normal(size=(10, DIM)).astype(np.float32)
+        tables.put(written, rows)
+        keys = np.array([12, 3, 0, 11, 9], dtype=np.int64)
+        got = tables.read_current(keys)
+        np.testing.assert_array_equal(got[[1, 2, 4]], rows[[3, 0, 9]])
+        np.testing.assert_array_equal(got[0], tables.init_vector(12))
+        np.testing.assert_array_equal(got[3], tables.init_vector(11))
+        assert stack.store.multi_get([11, 12]) == [None, None]  # not inserted
         stack.store.close()
-
-    def test_absent_keys_reach_update_as_none(self, tmp_path):
-        stack = make_stack(tmp_path)
-        seen = {}
-
-        def record(sub_keys, raws):
-            seen.update(dict(zip(sub_keys, raws)))
-            return [b"new" for _ in sub_keys]
-
-        stack.store.put(1, b"old")
-        stack.store.multi_rmw([1, 2], record)
-        assert seen == {1: b"old", 2: None}
-        assert stack.store.get(2) == b"new"
-        stack.store.close()
-
-    def test_length_mismatch_rejected(self, tmp_path):
-        stack = make_stack(tmp_path)
-        with pytest.raises(ValueError):
-            stack.store.multi_rmw([1, 2], lambda keys, raws: [b"only-one"])
-        stack.store.close()
-
-    def test_replicated_length_mismatch_rejected(self, tmp_path):
-        stack = make_stack(tmp_path, kind="replicated")
-        with pytest.raises(ValueError):
-            stack.store.multi_rmw([1, 2, 3], lambda keys, raws: [b"x"])
-        stack.store.close()
-
 
 
 # ----------------------------------------------------------------------

@@ -45,10 +45,6 @@ def make_engine(kind: str, directory: str, memory_budget_bytes: int = 1 << 16):
     raise AssertionError(kind)
 
 
-def _suffix(keys, values):
-    return [(value or b"") + b"!" for value in values]
-
-
 @pytest.fixture
 def sharded(tmp_path):
     store = ShardedKVStore(
@@ -217,7 +213,9 @@ class TestCrossShardOrdering:
             lambda: shaped.delete(1),
             lambda: shaped.multi_put([3], [b"z"]),
             lambda: shaped.rmw(1, lambda old: b"z"),
-            lambda: shaped.multi_rmw([1], _suffix),
+            lambda: shaped.put_rows(
+                np.array([1], dtype=np.int64), np.zeros((1, 1), dtype=np.uint8)
+            ),
         ):
             with pytest.raises(StorageError):
                 write()
@@ -229,23 +227,6 @@ class TestCrossShardOrdering:
         shaped.get(0)
         assert sum(shaped.balance()) == sum(shaped.stats.extra["shard_ops"]) == 141
         assert shaped.imbalance() >= 1.0
-
-    def test_multi_rmw_runs_once_per_shard_with_one_behaviour(self, shaped):
-        keys = list(range(60))
-        shaped.multi_put(keys, [b"v"] * 60)
-        assert shaped.multi_rmw(keys, _suffix) == [b"v!"] * 60
-        assert shaped.multi_get(keys) == [b"v!"] * 60
-        batches = []
-
-        def closure(sub_keys, values):
-            batches.append(list(sub_keys))
-            return [value + b"?" for value in values]
-
-        assert shaped.multi_rmw(keys, closure) == [b"v!?"] * 60
-        assert sorted(key for batch in batches for key in batch) == keys
-        for batch in batches:  # one invocation per shard sub-batch
-            assert len({shaped.shard_of(key) for key in batch}) == 1
-        assert len(batches) == len({shaped.shard_of(key) for key in keys})
 
     @pytest.mark.parametrize("shape", STORE_SHAPES)
     def test_checkpoint_restore_round_trip(self, shape, tmp_path):
@@ -354,10 +335,6 @@ class TestCrossShardOrdering:
         store.close()
 
 
-def _explode(keys, values):
-    raise ZeroDivisionError("boom")
-
-
 def _engines_of(store):
     """The engines under a router: its children, or its groups' replicas."""
     return [
@@ -430,7 +407,7 @@ class TestAgainstOneEngine:
         assert shaped.multi_get([]) == []
         assert shaped.snapshot_read_many([]) == []
         shaped.multi_put([], [])
-        assert shaped.multi_rmw([], _suffix) == []
+        assert shaped.read_current_many([]) == []
         assert shaped.lookahead([]) == 0
         assert len(shaped) == 0 and sum(shaped.balance()) == 0
 
@@ -473,14 +450,6 @@ class TestAgainstOneEngine:
         )
         assert after.extra["shard_ops"] == before.extra["shard_ops"]
         shaped.close()  # idempotent
-
-    def test_failing_update_propagates_and_writes_nothing(self, shaped):
-        keys = list(range(40))
-        shaped.multi_put(keys, [b"x"] * 40)
-        with pytest.raises(ZeroDivisionError):
-            shaped.multi_rmw(keys, _explode)
-        assert shaped.multi_get(keys) == [b"x"] * 40
-        assert shaped.multi_rmw(keys, _suffix) == [b"x!"] * 40
 
     @pytest.mark.parametrize("shape", STORE_SHAPES)
     def test_split_slot_table_survives_checkpoint(self, shape, tmp_path):
@@ -780,7 +749,11 @@ class TestComposition:
         late = [key for key in model if store.shard_of(key) == 2][:20]
         store.multi_put(late, [b"late"] * len(late))
         model.update((key, b"late") for key in late)
-        assert store.multi_rmw(late[:5], _suffix) == [b"late!"] * 5
+        # A read that feeds a write comes from the surviving replica
+        # while the dead one's hints queue up.
+        current = store.read_current_many(late[:5])
+        assert current == [b"late"] * 5
+        store.multi_put(late[:5], [value + b"!" for value in current])
         model.update((key, b"late!") for key in late[:5])
         check(store)
         slots = list(store._slots)
