@@ -4,7 +4,8 @@ The load-bearing properties, in test order:
 
 * ``WorkerClockView`` timelines overlap compute without losing busy time.
 * ``EmbeddingTables.read_current`` decodes stored rows and initializes
-  absent ones on plain, sharded, and replicated stores.
+  absent ones on plain, sharded, and replicated stores; it reads the
+  lag-0 replica where ``peek`` keeps the routed read, and admits nothing.
 * Delta-form optimizers are bit-identical to their fused row form, and
   delta batches commute exactly on disjoint keys (with documented
   bounded divergence on overlapping keys).
@@ -25,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.core.embedding import EmbeddingTables
+from repro.core.mlkv import MLKV
 from repro.data import CTRDataset, KGDataset
 from repro.device import GPUModel, SimClock, SSDModel
 from repro.errors import ConfigError, StalenessViolation
@@ -218,6 +220,62 @@ class TestReadCurrent:
         np.testing.assert_array_equal(got[3], tables.init_vector(11))
         assert stack.store.multi_get([11, 12]) == [None, None]  # not inserted
         stack.store.close()
+
+    @pytest.mark.parametrize("kind", ["faster", "sharded", "replicated"])
+    def test_agrees_with_peek_when_no_replica_lags(self, tmp_path, kind):
+        """Both reads decode through one helper; with every replica
+        caught up they answer the same rows, duplicates and misses too."""
+        stack = make_stack(tmp_path, kind=kind)
+        tables = stack.tables
+        rows = np.random.default_rng(1).normal(size=(20, DIM)).astype(np.float32)
+        tables.put(np.arange(20, dtype=np.int64), rows)
+        keys = np.array([19, 4, 33, 4, 0, 21, 19], dtype=np.int64)
+        current = tables.read_current(keys)
+        assert current.shape == (len(keys), DIM) and current.dtype == np.float32
+        np.testing.assert_array_equal(current, tables.peek(keys))
+        stack.store.close()
+
+    def test_reads_the_lag_zero_replica_while_peek_reads_the_routed_one(self, tmp_path):
+        """``read_current`` answers from a replica holding every
+        acknowledged write; evaluation's ``peek`` keeps the routed,
+        bounded-stale read (and its replica choice)."""
+        ssd = SSDModel(SimClock())
+        store = ShardedKVStore(
+            lambda shard: ReplicaGroup(
+                [FasterKV(str(tmp_path / f"s{shard}r{replica}"), ssd=ssd)
+                 for replica in range(2)],
+                divergence_bound=64,
+            ),
+            num_shards=2,
+        )
+        tables = EmbeddingTables(store, DIM, cache_entries=0)
+        keys = np.arange(16, dtype=np.int64)
+        old = np.ones((16, DIM), dtype=np.float32)
+        new = np.full((16, DIM), 2.0, dtype=np.float32)
+        tables.put(keys, old)
+        for group in store.shards:
+            group.fail(1)
+        tables.put(keys, new)  # replica 1 misses this write
+        for group in store.shards:
+            group.revive(1, catch_up=False)
+            group.slow(0, 1e-3)
+            assert group.pick_reader(group.divergence_bound) == 1
+        np.testing.assert_array_equal(tables.read_current(keys), new)
+        np.testing.assert_array_equal(tables.peek(keys), old)
+        store.close()
+
+    def test_reads_past_an_mlkv_staleness_bound_without_admission(self, tmp_path):
+        """What an update folds onto is a committed read: it neither waits
+        on nor advances a key's staleness clock."""
+        store = MLKV(str(tmp_path / "m"), staleness_bound=0)
+        tables = EmbeddingTables(store, DIM, cache_entries=0)
+        rows = np.random.default_rng(2).normal(size=(4, DIM)).astype(np.float32)
+        tables.put(np.arange(4, dtype=np.int64), rows)
+        store.get(1)  # key 1 now sits at the BSP bound
+        assert store.staleness_of(1) == 1
+        np.testing.assert_array_equal(tables.read_current(np.arange(4)), rows)
+        assert [store.staleness_of(key) for key in range(4)] == [0, 1, 0, 0]
+        store.close()
 
 
 # ----------------------------------------------------------------------

@@ -423,6 +423,42 @@ class TestAgainstOneEngine:
         assert (out[300:] == 7).all()
         assert shaped.multi_get(keys[:5].tolist()) == [bytes(row) for row in rows[:5]]
 
+    def test_read_current_then_put_rows_matches(self, shaped, reference):
+        """The parameter server's apply over a router: one committed read
+        of every shard, then one row write of every shard."""
+        rng = np.random.default_rng(4)
+        keys = rng.permutation(400)[:200]
+        rows = rng.integers(0, 256, (200, 8), dtype=np.uint8)
+        for store in (shaped, reference):
+            store.put_rows(keys[:150], rows[:150])  # the last 50 stay absent
+        for _ in range(3):
+            batch = rng.permutation(keys)[:120]
+            current = shaped.read_current_many(batch.tolist())
+            assert current == reference.read_current_many(batch.tolist())
+            base = np.array(
+                [np.zeros(8, np.uint8) if raw is None else np.frombuffer(raw, np.uint8)
+                 for raw in current]
+            )
+            updated = np.ascontiguousarray(base + np.uint8(1))
+            shaped.put_rows(batch, updated)
+            reference.put_rows(batch, updated)
+        assert dict(shaped.scan()) == dict(reference.scan())
+
+    def test_rejected_put_rows_writes_nothing(self, shaped):
+        keys = np.arange(40)
+        shaped.put_rows(keys, np.full((40, 8), 1, dtype=np.uint8))
+        before = sum(shaped.balance())
+        rows = np.full((40, 8), 2, dtype=np.uint8)
+        for bad_keys, bad_rows in [
+            (keys, rows[:39]),  # one row short
+            (keys.astype(np.float64), rows),  # not integer keys
+            (keys, np.asfortranarray(rows)),  # not C-contiguous
+        ]:
+            with pytest.raises(ValueError):
+                shaped.put_rows(bad_keys, bad_rows)
+        assert sum(shaped.balance()) == before  # no shard was reached
+        assert shaped.multi_get(keys.tolist()) == [bytes([1]) * 8] * 40
+
     def test_stats_count_the_routed_read_path(self, shaped):
         copies = 2 if isinstance(shaped.shards[0], ReplicaGroup) else 1
         shaped.multi_put(list(range(50)), [b"x"] * 50)
