@@ -70,18 +70,23 @@ class NeighborSampler:
     def _sample_layer(self, dst: np.ndarray, fanout: int) -> tuple[np.ndarray, np.ndarray, Block]:
         """One hop: the source frontier, ``dst``'s positions in it, the block."""
         indptr, neighbors = self.graph.indptr, self.graph.indices
-        picked = []
-        # One draw per destination, in frontier order: the RNG stream (and
-        # so the sampled graph) is a pinned contract.
-        for node, lo, hi in zip(dst.tolist(), indptr[dst].tolist(), indptr[dst + 1].tolist()):
-            if lo == hi:
-                picked.append(np.array([node], dtype=np.int64))  # isolated: self edge
-            else:
-                picked.append(self._rng.choice(neighbors[lo:hi], size=min(fanout, hi - lo),
-                                               replace=False))
-        rows = np.repeat(np.arange(len(dst)), [len(chosen) for chosen in picked])
+        lo = indptr[dst]
+        degrees = indptr[dst + 1] - lo
+        # Each destination's neighbours are exactly what one
+        # rng.choice(neighbors[lo:hi], min(fanout, deg), replace=False) per
+        # row, in frontier order, would pick: the RNG stream (and so the
+        # sampled graph) is a pinned contract.  The loop is the fallback.
+        picks = _choice_positions(self._rng.bit_generator, degrees, fanout)
+        if picks is None:
+            picks = np.concatenate([np.empty(0, dtype=np.int64)] + [
+                self._rng.choice(deg, size=min(fanout, deg), replace=False)
+                for deg in degrees.tolist() if deg])
+        rows = np.repeat(np.arange(len(dst)), np.clip(degrees, 1, fanout))
+        chosen = dst[rows]  # an isolated destination keeps a self edge
+        linked = degrees[rows] > 0
+        chosen[linked] = neighbors[lo[rows[linked]] + picks]
         # Source frontier: destinations first, then new neighbors as first seen.
-        nodes = np.concatenate([dst] + picked)
+        nodes = np.concatenate([dst, chosen])
         _, first, inverse = np.unique(nodes, return_index=True, return_inverse=True)
         src = nodes[np.sort(first)]
         position = np.argsort(np.argsort(first))[inverse]
@@ -89,6 +94,91 @@ class NeighborSampler:
         block = Block.from_edges(len(dst), len(src), rows, position[len(dst):],
                                  mean=self.mode == "mean")
         return src, position[:len(dst)], block
+
+
+# Past this degree numpy's choice(replace=False) may shuffle an arange of
+# the whole population instead of running Floyd's algorithm.
+_FLOYD_MAX_DEGREE = 10_000
+
+
+def _choice_positions(bit_generator: np.random.BitGenerator, degrees: np.ndarray,
+                      fanout: int) -> np.ndarray | None:
+    """Positions ``Generator.choice(deg, min(fanout, deg), replace=False)``
+    picks for every row with ``deg > 0``, concatenated in row order, drawn
+    from ``bit_generator``'s stream as those calls in turn would draw them.
+
+    For a population of at most 10,000, numpy's choice runs Floyd's
+    algorithm — pick ``t`` of ``k`` draws ``v`` in ``[0, j]``, ``j = deg - k
+    + t``, and takes ``j`` instead if ``v`` is already picked — then
+    shuffles the picks: for ``i = k - 1 … 1`` it swaps pick ``i`` with a
+    draw in ``[0, i]``.  Each draw is Lemire's bounded integer on one
+    ``next_uint32`` word; a draw in ``[0, 0]`` takes no word.  Here every
+    word of the layer comes from one ``random_raw`` call, Floyd's picks run
+    as ≤ ``fanout`` passes over all rows and the shuffle as ≤ ``fanout - 1``.
+    Returns ``None``, with the generator as it was, when a row's degree
+    exceeds 10,000 or a draw would reject its word and need another.
+    """
+    if (degrees > _FLOYD_MAX_DEGREE).any():
+        return None
+    k = np.minimum(degrees, fanout)[:, None]
+    step = np.arange(fanout)
+    floyd_j = degrees[:, None] - k + step            # pick t draws in [0, j]
+    swap_i = k - 1 - step[:-1]                       # shuffle step s swaps pick i
+    bounds = np.concatenate([floyd_j, swap_i], axis=1)
+    drawn = np.concatenate([(step < k) & (floyd_j > 0), swap_i > 0], axis=1)
+    saved = bit_generator.state
+    values = _lemire_draws(_next_uint32s(bit_generator, int(drawn.sum())), bounds[drawn])
+    if values is None:
+        bit_generator.state = saved
+        return None
+    draws = np.zeros(bounds.shape, dtype=np.int64)
+    draws[drawn] = values
+    picks = np.zeros((len(degrees), fanout), dtype=np.int64)
+    for t in range(fanout):
+        repeat = (picks[:, :t] == draws[:, t, None]).any(axis=1)
+        picks[:, t] = np.where(repeat, floyd_j[:, t], draws[:, t])
+    for s in range(fanout - 1):
+        live = np.flatnonzero(drawn[:, fanout + s])
+        i, j = swap_i[live, s], draws[live, fanout + s]
+        picks[live, i], picks[live, j] = picks[live, j], picks[live, i]
+    return picks[step < k]
+
+
+def _next_uint32s(bit_generator: np.random.BitGenerator, n: int) -> np.ndarray:
+    """The next ``n`` words PCG64's ``next_uint32`` returns, as ``uint64``,
+    leaving the generator where ``n`` calls would.
+
+    ``next_uint32`` returns the buffered half-word if there is one, else
+    the low half of a fresh 64-bit output and buffers the high half.  Once
+    the buffer is spent numpy clears ``has_uint32`` but keeps the spent
+    half in ``uinteger``, so the state written back does too.
+    """
+    if n == 0:
+        return np.empty(0, dtype=np.uint64)
+    state = bit_generator.state
+    buffered = state["has_uint32"]
+    raw = bit_generator.random_raw((n - buffered + 1) // 2)
+    halves = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()
+    words = np.concatenate([np.full(buffered, state["uinteger"], dtype=np.uint64), halves])
+    state = bit_generator.state
+    state["has_uint32"] = (n - buffered) % 2
+    if len(raw):
+        state["uinteger"] = int(raw[-1] >> 32)
+    bit_generator.state = state
+    return words[:n]
+
+
+def _lemire_draws(words: np.ndarray, bounds: np.ndarray) -> np.ndarray | None:
+    """Lemire's bounded integers in ``[0, bound]``, one word each, as numpy's
+    ``random_bounded_uint64`` computes them from ``next_uint32`` words;
+    ``None`` if any word falls under its rejection threshold (numpy would
+    draw another word for it)."""
+    span = bounds.astype(np.uint64) + 1
+    scaled = words.astype(np.uint64) * span
+    threshold = (2**32 - span) % span
+    if ((scaled & 0xFFFFFFFF) < threshold).any():
+        return None
+    return (scaled >> 32).astype(np.int64)
 
 
 class NegativeSampler:

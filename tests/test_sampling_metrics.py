@@ -1,11 +1,14 @@
 """Neighbor/negative samplers and evaluation metrics."""
 
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.data import GraphDataset, NegativeSampler, NeighborSampler
+from repro.data.sampling import _choice_positions, _lemire_draws
+from repro.nn.sparse import Block
 from repro.train import accuracy, auc, hits_at_k
 
 
@@ -119,6 +122,162 @@ class TestNeighborSampler:
         crcs = [_sample_crc(sampler.sample(seeds))
                 for seeds in sparse_graph.seed_batches(3, 32, seed=seed + 1)]
         assert crcs == SAMPLER_PINS[(mode, seed)]
+
+
+def _csr(degrees, seed=0):
+    """A multigraph whose first nodes have the given out-degrees and pick
+    neighbours among 20× as many nodes (the rest isolated), so the order
+    of each row's picks decides the source frontier's order."""
+    num_nodes = 20 * len(degrees)
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    indptr[1:len(degrees) + 1] = np.cumsum(degrees)
+    indptr[len(degrees) + 1:] = indptr[len(degrees)]
+    indices = np.random.default_rng(seed).integers(0, num_nodes, indptr[-1])
+    return SimpleNamespace(indptr=indptr, indices=indices)
+
+
+def _loop_layer(graph, rng, dst, fanout, mean):
+    """The sampler's layer written as one ``rng.choice`` per destination:
+    the reference the array path must equal, draw for draw."""
+    picked = []
+    for node, lo, hi in zip(dst.tolist(), graph.indptr[dst].tolist(),
+                            graph.indptr[dst + 1].tolist()):
+        if lo == hi:
+            picked.append(np.array([node], dtype=np.int64))
+        else:
+            picked.append(rng.choice(graph.indices[lo:hi], size=min(fanout, hi - lo),
+                                     replace=False))
+    rows = np.repeat(np.arange(len(dst)), [len(chosen) for chosen in picked])
+    nodes = np.concatenate([dst] + picked)
+    _, first, inverse = np.unique(nodes, return_index=True, return_inverse=True)
+    src = nodes[np.sort(first)]
+    position = np.argsort(np.argsort(first))[inverse]
+    block = Block.from_edges(len(dst), len(src), rows, position[len(dst):], mean=mean)
+    return src, position[:len(dst)], block
+
+
+def _assert_same_layer(got, want):
+    for a, b in zip(got[:2], want[:2]):
+        np.testing.assert_array_equal(a, b)
+    got_block, want_block = got[2], want[2]
+    np.testing.assert_array_equal(got_block.indptr, want_block.indptr)
+    np.testing.assert_array_equal(got_block.indices, want_block.indices)
+    if want_block.weights is None:
+        assert got_block.weights is None
+    else:
+        np.testing.assert_array_equal(got_block.weights, want_block.weights)
+
+
+def _layer_pair(graph, fanout, seed, mode="mean", entry=None):
+    """A sampler and a generator in the same state: ``entry(rng)`` runs on
+    both before the layer."""
+    sampler = NeighborSampler(graph, fanouts=(fanout,), mode=mode, seed=seed)
+    rng = np.random.default_rng(seed)
+    if entry is not None:
+        entry(sampler._rng)
+        entry(rng)
+    return sampler, rng
+
+
+def _buffer_a_half_word(rng):
+    rng.choice(2, size=1, replace=False)  # one next_uint32 word: buffers a half
+    assert rng.bit_generator.state["has_uint32"] == 1
+
+
+class TestExactChoiceStream:
+    """The array-shaped layer reproduces numpy's ``Generator.choice(replace=False)``
+    stream exactly: same picks, same generator state afterwards.  A numpy
+    release that changes ``choice`` fails here instead of silently changing
+    every sampled graph."""
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["no-buffer", "buffered"])
+    @pytest.mark.parametrize("fanout", range(1, 11))
+    def test_layer_equals_the_choice_loop(self, fanout, buffered):
+        entry = _buffer_a_half_word if buffered else None
+        for layer in range(4):
+            seed = 100 * fanout + layer
+            draw = np.random.default_rng(seed + 7)
+            degrees = draw.integers(1, 601, 48)
+            degrees[:16] = draw.integers(1, fanout + 2, 16)  # k == deg, deg == 1
+            degrees[16] = 1
+            degrees[17] = 0  # isolated: self edge, no draw
+            graph = _csr(degrees, seed)
+            dst = draw.permutation(len(degrees))
+            sampler, rng = _layer_pair(graph, fanout, seed, entry=entry)
+
+            probe = np.random.default_rng(seed)
+            if entry is not None:
+                entry(probe)
+            assert _choice_positions(probe.bit_generator, degrees[dst], fanout) is not None
+
+            got = sampler._sample_layer(dst, fanout)
+            _assert_same_layer(got, _loop_layer(graph, rng, dst, fanout, mean=True))
+            assert sampler._rng.bit_generator.state == rng.bit_generator.state
+            assert probe.bit_generator.state == rng.bit_generator.state
+            np.testing.assert_array_equal(sampler._rng.choice(1000, 7, replace=False),
+                                          rng.choice(1000, 7, replace=False))
+            assert sampler._rng.random() == rng.random()
+
+    def test_degree_over_ten_thousand_takes_the_loop(self):
+        degrees = np.array([3, 12_000, 0, 7, 1])
+        graph = _csr(degrees, seed=1)
+        dst = np.arange(len(degrees))
+        sampler, rng = _layer_pair(graph, 5, seed=2, mode="mask")
+        before = sampler._rng.bit_generator.state
+        assert _choice_positions(sampler._rng.bit_generator, degrees, 5) is None
+        assert sampler._rng.bit_generator.state == before
+        _assert_same_layer(sampler._sample_layer(dst, 5),
+                           _loop_layer(graph, rng, dst, 5, mean=False))
+        assert sampler._rng.bit_generator.state == rng.bit_generator.state
+
+    def test_lemire_helper_flags_a_rejected_word(self):
+        # Bound 2: threshold (2**32 - 1 - 2) % 3 == 1, so word 0 (leftover 0)
+        # is rejected; word 1 gives (1 * 3) >> 32 == 0.
+        assert _lemire_draws(np.array([0], dtype=np.uint64), np.array([2])) is None
+        assert _lemire_draws(np.array([1, 0], dtype=np.uint64), np.array([2, 2])) is None
+        words = np.array([1, 2**31, 2**32 - 1, 0], dtype=np.uint64)
+        bounds = np.array([2, 2, 9, 7])  # bound 7: span 8 divides 2**32, no threshold
+        np.testing.assert_array_equal(_lemire_draws(words, bounds),
+                                      (words * (bounds.astype(np.uint64) + 1)) >> 32)
+
+    def test_rejected_word_restores_state_and_takes_the_loop(self):
+        def crafted(rng):  # the next word is 0: rejected by a draw in [0, 2]
+            state = rng.bit_generator.state
+            state["has_uint32"], state["uinteger"] = 1, 0
+            rng.bit_generator.state = state
+
+        # numpy itself spends a second word on it: Floyd's one draw in [0, 2].
+        rng = np.random.default_rng(0)
+        crafted(rng)
+        rng.choice(3, size=1, replace=False)
+        assert rng.bit_generator.state["has_uint32"] == 1
+
+        fanout = 4
+        degrees = np.array([fanout + 2, 9, 1, 30])  # first draw: j = deg - k = 2
+        graph = _csr(degrees, seed=3)
+        dst = np.arange(len(degrees))
+        sampler, rng = _layer_pair(graph, fanout, seed=4, entry=crafted)
+        saved = sampler._rng.bit_generator.state
+        assert _choice_positions(sampler._rng.bit_generator, degrees, fanout) is None
+        assert sampler._rng.bit_generator.state == saved
+        _assert_same_layer(sampler._sample_layer(dst, fanout),
+                           _loop_layer(graph, rng, dst, fanout, mean=True))
+        assert sampler._rng.bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["no-buffer", "buffered"])
+    def test_empty_or_isolated_layer_draws_no_word(self, buffered):
+        entry = _buffer_a_half_word if buffered else None
+        graph = _csr(np.array([0, 0, 0, 2]), seed=5)
+        sampler, rng = _layer_pair(graph, 3, seed=6, entry=entry)
+        before = sampler._rng.bit_generator.state
+        empty = _choice_positions(sampler._rng.bit_generator, np.zeros(0, dtype=np.int64), 3)
+        assert len(empty) == 0 and sampler._rng.bit_generator.state == before
+        dst = np.array([2, 0, 1])
+        src, dst_index, block = sampler._sample_layer(dst, 3)
+        assert sampler._rng.bit_generator.state == before
+        np.testing.assert_array_equal(src, dst)
+        np.testing.assert_array_equal(block.indices, dst_index)
+        _assert_same_layer((src, dst_index, block), _loop_layer(graph, rng, dst, 3, mean=True))
 
 
 class TestNegativeSampler:
