@@ -28,3 +28,6 @@ from repro.errors import (  # noqa: F401
     StalenessViolation,
     StorageError,
 )
+from repro import _heap
+
+_heap.keep_freed_heap_resident()
