@@ -120,10 +120,10 @@ test-sanitize:
 
 # Prefer ruff (fast, wider net) when present; fall back to pyflakes,
 # then to the always-available compileall syntax check.  The repo's own
-# AST linter (REP001-REP007: simulated-clock purity, KV contract
+# AST linter (REP001-REP008: simulated-clock purity, KV contract
 # completeness, storage layering, no swallowed exceptions, no set-order
 # iteration, instrumentation-through-repro.obs, public docstrings on
-# the serving/storage surfaces) always runs — it has no third-party
+# the serving/storage surfaces, one sort-based dedupe) always runs — it has no third-party
 # dependencies — and so does the docs checker (intra-repo markdown
 # links, make targets and CI jobs named in the docs must exist).
 lint:

@@ -1,4 +1,4 @@
-"""The built-in rule catalog: REP001-REP007.
+"""The built-in rule catalog: REP001-REP008.
 
 Each rule states one invariant the simulated train/serve stack rests on
 and generic linters cannot express.  Rules scope themselves by module
@@ -17,6 +17,8 @@ REP006  hot-path instrumentation goes through ``repro.obs`` spans and
 REP007  every public class and function on the documented API surfaces
         (``repro.kv``, ``repro.serve``, ``repro.obs``,
         ``repro.train.dist``) carries a docstring.
+REP008  key sets are deduplicated with ``repro._arrays.sorted_unique``:
+        no bare ``np.unique`` (numpy's hashing path) outside that module.
 """
 
 from __future__ import annotations
@@ -639,11 +641,74 @@ class PublicDocstrings(LintRule):
                     )
 
 
+# ----------------------------------------------------------------------
+# REP008 — one dedupe.  On numpy 2.4 a bare ``np.unique(x)`` takes a
+# hashing path about eleven times slower than one sort plus an
+# adjacent-difference mask, which is what ``repro._arrays.sorted_unique``
+# does.  Asking for indices, an inverse, counts or an axis selects the
+# sort path, so only the bare form is flagged; the helper's own module is
+# the one place that may call it.
+# ----------------------------------------------------------------------
+
+_DEDUPE_MODULE = "repro._arrays"
+
+
+def _selects_sort_path(call: ast.Call) -> bool:
+    """Whether a ``unique`` call asks for more than the values (a second
+    positional argument, any ``return_*``/``axis``, or ``**kwargs``)."""
+    return len(call.args) > 1 or any(
+        keyword.arg is None or keyword.arg == "axis" or keyword.arg.startswith("return_")
+        for keyword in call.keywords
+    )
+
+
+@register
+class OneDedupe(LintRule):
+    name = "REP008"
+    summary = (
+        "no bare np.unique(x) under repro (numpy's hashing path); "
+        "deduplicate with repro._arrays.sorted_unique"
+    )
+
+    def applies(self, module: Optional[str]) -> bool:
+        return super().applies(module) and module != _DEDUPE_MODULE
+
+    def check(self, source: SourceFile) -> Iterator[Finding]:
+        numpy_aliases: set[str] = set()
+        unique_aliases: set[str] = set()
+        for node in ast.walk(source.tree):
+            if isinstance(node, ast.Import):
+                numpy_aliases.update(
+                    alias.asname or alias.name for alias in node.names if alias.name == "numpy"
+                )
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy" and node.level == 0:
+                unique_aliases.update(
+                    alias.asname or alias.name for alias in node.names if alias.name == "unique"
+                )
+        for node in ast.walk(source.tree):
+            if not isinstance(node, ast.Call) or _selects_sort_path(node):
+                continue
+            func = node.func
+            bare = (
+                isinstance(func, ast.Attribute)
+                and func.attr == "unique"
+                and isinstance(func.value, ast.Name)
+                and func.value.id in numpy_aliases
+            ) or (isinstance(func, ast.Name) and func.id in unique_aliases)
+            if bare:
+                yield source.finding(
+                    self.name, node,
+                    "bare `np.unique()` takes numpy's hashing path; deduplicate "
+                    "with repro._arrays.sorted_unique (one sort)",
+                )
+
+
 __all__: Iterable[str] = [
     "InstrumentationViaObs",
     "KVContractCompleteness",
     "NoSetIteration",
     "NoSwallowedBroadExceptions",
+    "OneDedupe",
     "PublicDocstrings",
     "SimulatedClockPurity",
     "StorageLayering",

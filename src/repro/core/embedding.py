@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro._arrays import sorted_unique
 from repro.errors import ConfigError, StalenessViolation
 from repro.kv.api import KVStore
 from repro.kv.common.cache import LRUCache
@@ -192,7 +193,7 @@ class EmbeddingTables:
         """
         keys = np.asarray(keys, dtype=np.int64)
         with obs_span("emb.lookahead", dest=dest, keys=keys.size):
-            keys = keys if _ascending(keys) else np.unique(keys)
+            keys = keys if _ascending(keys) else sorted_unique(keys)
             if dest == "buffer":
                 return self.store.lookahead(keys.tolist())
             if dest == "cache":

@@ -7,8 +7,10 @@ addresses — so a whole batch of keys resolves with a handful of array
 operations (:meth:`HashIndex.find_many`) instead of one Python probe per
 key.  Full keys are stored (no tag compression).  Scalar operations walk
 the same slots through ``memoryview`` s of the arrays, which index to
-plain Python ints; so does a short batch, from home slots hashed as one
-array (``WALK_KEYS``).
+plain Python ints; so do a short batch, from home slots hashed as one
+array (``WALK_KEYS``), the last keys of a long one (``_TAIL_KEYS``), and
+a batch of fresh keys (:meth:`HashIndex.insert_absent_many`), whose
+slots depend on the order they come in.
 
 The index never stores values: it maps each key to the log address of its
 newest record, which is the invariant the store and recovery rely on.
@@ -41,6 +43,15 @@ _REMOVED = -2
 #: near 300 keys when every key is present and near 450 when a quarter
 #: are absent (an absent key's chain runs to an empty slot).
 WALK_KEYS = 384
+
+#: :meth:`HashIndex._slots_of` walks the chains of the keys still probing
+#: in Python, from the slots the array passes reached, once this few are
+#: left.  A long batch's passes thin out fast and then crawl: a 3,700-key
+#: lookup in a 262,144-slot table 40% full took 19 passes, the last nine
+#: for one key.  On the 2-vCPU benchmark host, best of 300 lookups,
+#: walking the tail cut it from 214 to 173 us (medians 227 and 186);
+#: thresholds 16 and 128 measured no better, 800 worse.
+_TAIL_KEYS = 64
 
 
 class HashIndex:
@@ -139,8 +150,9 @@ class HashIndex:
         """The slot holding each key of a ``uint64`` array; ``-1`` where absent.
 
         Every key probes its home slot in one pass; the (few) keys that
-        met another key or a removed slot there advance together, so the
-        number of passes is the longest probe chain, not the batch size.
+        met another key or a removed slot there advance together, one pass
+        a step, until no more than ``_TAIL_KEYS`` are left, whose chains
+        are then walked in Python as :meth:`find` walks them.
         """
         located = np.full(keys.shape, -1, dtype=np.intp)
         slots = (_mix64_many(keys) & np.uint64(self._mask)).astype(np.intp)
@@ -158,6 +170,25 @@ class HashIndex:
             pending = np.flatnonzero(probing) if pending is None else pending[probing]
             keys = keys[probing]
             slots = (slots[probing] + 1) & self._mask
+            if len(pending) <= _TAIL_KEYS:
+                break
+        ends = np.array(self._chain_ends(keys.tolist(), slots.tolist()), dtype=np.intp)
+        located[pending] = np.where(self._addresses[ends] >= 0, ends, -1)
+        return located
+
+    def _chain_ends(self, keys: list, slots: list) -> list:
+        """Walk each key's chain from its slot as :meth:`find` does: the
+        slot holding the key, or the empty slot that ends the chain."""
+        addresses, stored, mask = self._address_view, self._key_view, self._mask
+        ends = []
+        for key, slot in zip(keys, slots):
+            while True:
+                address = addresses[slot]
+                if address == _EMPTY or (address >= 0 and stored[slot] == key):
+                    break
+                slot = (slot + 1) & mask
+            ends.append(slot)
+        return ends
 
     def find_many(self, keys: np.ndarray) -> np.ndarray:
         """Log addresses of a ``uint64`` key array; ``-1`` where absent.
@@ -169,17 +200,8 @@ class HashIndex:
         if len(keys) >= WALK_KEYS:
             slots = self._slots_of(keys)
             return np.where(slots >= 0, self._addresses[slots], _EMPTY)
-        addresses, stored, mask = self._address_view, self._key_view, self._mask
-        homes = (_mix64_many(keys) & np.uint64(mask)).tolist()
-        found = []
-        for key, slot in zip(keys.tolist(), homes):
-            while True:
-                address = addresses[slot]
-                if address == _EMPTY or (address >= 0 and stored[slot] == key):
-                    break
-                slot = (slot + 1) & mask
-            found.append(address)
-        return np.array(found, dtype=np.int64)
+        homes = (_mix64_many(keys) & np.uint64(self._mask)).tolist()
+        return self._addresses[self._chain_ends(keys.tolist(), homes)]
 
     def swing_many(self, keys: np.ndarray, addresses: np.ndarray) -> None:
         """Point distinct keys that are *all present* at new addresses.
@@ -210,6 +232,40 @@ class HashIndex:
         if self._used + keys.size > _MAX_LOAD * (self._mask + 1):
             self._rebuild(self._size + keys.size)
         self._place(keys, addresses)
+
+    def insert_absent_many(self, keys: np.ndarray, addresses: np.ndarray) -> None:
+        """Insert distinct ``uint64`` keys the index does not hold.
+
+        Equals a looped :meth:`upsert`, slot for slot: each key takes the
+        first slot on its chain that is not live (a removed slot before a
+        later empty one, as :meth:`_probe` picks), in batch order, and the
+        table is rebuilt at the key whose insert crosses the load limit,
+        after which the keys left are hashed for the new table.
+        """
+        key_list, address_list = keys.tolist(), addresses.tolist()
+        start = 0
+        while start < len(key_list):
+            mask = self._mask
+            limit = _MAX_LOAD * (mask + 1)
+            stored, slot_addresses = self._key_view, self._address_view
+            homes = (_mix64_many(keys[start:]) & np.uint64(mask)).tolist()
+            used, size = self._used, self._size
+            for key, address, slot in zip(key_list[start:], address_list[start:], homes):
+                current = slot_addresses[slot]
+                while current >= 0:
+                    slot = (slot + 1) & mask
+                    current = slot_addresses[slot]
+                if current == _EMPTY:
+                    used += 1
+                stored[slot] = key
+                slot_addresses[slot] = address
+                size += 1
+                if used > limit:
+                    break
+            start += size - self._size
+            self._used, self._size = used, size
+            if used > limit:
+                self._rebuild(size)
 
     def _place(self, keys: np.ndarray, addresses: np.ndarray) -> None:
         """Insert or overwrite distinct ``keys``; capacity already ensured."""

@@ -49,6 +49,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from repro._arrays import sorted_unique
 from repro.device.ssd import PAGE_BYTES, SSDModel
 from repro.kv.faster.record import (
     HEADER_DTYPE,
@@ -452,7 +453,7 @@ class HybridLog:
         staging versus per-record random reads through the Get API.
         Returns the number of distinct blocks charged.
         """
-        blocks = np.unique(np.asarray(addresses, dtype=np.int64) // PAGE_BYTES).size
+        blocks = sorted_unique(np.asarray(addresses, dtype=np.int64) // PAGE_BYTES).size
         if blocks:
             self.ssd.sequential_read(blocks * PAGE_BYTES, blocking=False)
         return blocks

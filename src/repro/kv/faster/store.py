@@ -485,8 +485,9 @@ class FasterKV(KVStore, CheckpointManager):
         page.  Nothing but the key's own put reads its index entry, so
         the entries of keys the index already held are swung to the new
         copies together, when the batch (or this method's part in it) is
-        over; keys new to the index go in at their turn, one by one —
-        where a key lands among colliding ones depends on who came first.
+        over; keys new to the index go in at their turn, in batch order
+        (:meth:`HashIndex.insert_absent_many`) — where a key lands among
+        colliding ones depends on who came first.
         Gives the rest of the batch up once too many keys have taken
         ``put_one`` (``FALLBACK_SHARE``; page-opening appends aside).
         """
@@ -523,9 +524,7 @@ class FasterKV(KVStore, CheckpointManager):
                     new_addresses = log.append_many(key_array[chosen], rows[chosen], new_words)
                     absent = addresses[chosen] < 0
                     moved[chosen] = np.where(absent, -1, new_addresses)
-                    new_keys = key_array[chosen[absent]].tolist()
-                    for key, address in zip(new_keys, new_addresses[absent].tolist()):
-                        self.index.upsert(key, address)
+                    self.index.insert_absent_many(key_array[chosen[absent]], new_addresses[absent])
                     old = chosen[~fresh]
                     log.write_words(offsets[old], superseded[old])
                 cursor += length

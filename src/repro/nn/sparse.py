@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro._arrays import sorted_unique
 from repro.nn.tensor import Tensor, _matmul, _scatter_rows
 
 
@@ -81,7 +82,7 @@ class Block:
                    mean: bool = False) -> "Block":
         """Block of an edge list in any order; an edge listed twice counts
         once.  ``mean`` weights every edge ``1/deg`` of its row."""
-        rows, cols = np.divmod(np.unique(rows * n_src + cols), n_src)
+        rows, cols = np.divmod(sorted_unique(rows * n_src + cols), n_src)
         degree = np.bincount(rows, minlength=n_dst)
         weights = np.float32(1.0) / degree[rows].astype(np.float32) if mean else None
         return cls(n_src, np.concatenate([[0], np.cumsum(degree)]), cols, weights)
@@ -122,7 +123,7 @@ def edge_logits(block: Block, h_src: Tensor, a_src: Tensor, a_dst: Tensor,
         if h_src.requires_grad:
             if h_src.grad is None:
                 h_src.grad = np.zeros_like(h_src.data)
-            rows = np.unique(dst_index)
+            rows = sorted_unique(dst_index)
             h_src.grad[rows] += g_dst[rows] * a_dst.data.T
         if a_dst.requires_grad:
             a_dst._accumulate(h_src.data.T @ g_dst, owned=True)

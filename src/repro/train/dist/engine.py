@@ -33,6 +33,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from repro._arrays import sorted_unique
 from repro.core.embedding import EmbeddingTables
 from repro.device.clock import WorkerClockView
 from repro.device.gpu import GPUModel
@@ -195,7 +196,7 @@ class DistributedTrainer:
         """
         samples_per_batch = samples_per_batch or self.config.batch_size
         schedule = [
-            np.unique(self.evaluator.embedding_keys(batch)) for batch in batches
+            sorted_unique(self.evaluator.embedding_keys(batch)) for batch in batches
         ]
         queue: deque[tuple[int, object]] = deque(enumerate(batches))
         start = self.clock.now

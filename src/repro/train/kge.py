@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro._arrays import sorted_unique
 from repro.data.kg import KGDataset, TripleBatch
 from repro.nn.losses import logistic_ranking_loss
 from repro.train.loop import BaseTrainer, TrainerConfig
@@ -39,7 +40,7 @@ class KGETrainer(BaseTrainer):
         """Hits@10 of true tails against sampled candidates."""
         batch = self._eval_batch
         keys = np.concatenate([batch.heads, batch.tails, batch.neg_tails.reshape(-1)])
-        unique = np.unique(keys)
+        unique = sorted_unique(keys)
         rows = self.tables.peek(unique)
         leaf = self.leaf(rows)
         heads = leaf[self.gather_index(unique, batch.heads)]

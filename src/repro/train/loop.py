@@ -34,6 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro._arrays import sorted_unique
 from repro.core.embedding import EmbeddingTables
 from repro.core.lookahead import LookaheadEngine
 from repro.device.gpu import GPUModel
@@ -180,7 +181,7 @@ class BaseTrainer:
         config = self.config
         result = self._result
         samples_per_batch = samples_per_batch or config.batch_size
-        schedule = [np.unique(self.embedding_keys(batch)) for batch in batches]
+        schedule = [sorted_unique(self.embedding_keys(batch)) for batch in batches]
         engine = self._lookahead = LookaheadEngine(
             self.tables,
             schedule,

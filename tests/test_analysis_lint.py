@@ -30,7 +30,7 @@ class TestEngine:
         names = set(rule_registry())
         assert {
             "REP001", "REP002", "REP003", "REP004", "REP005", "REP006",
-            "REP007",
+            "REP007", "REP008",
         } <= names
 
     def test_module_name_mapping(self):
@@ -664,6 +664,69 @@ class TestRep007PublicDocstrings:
         findings = lint_source(
             "def helper():  # repro: lint-ignore[REP007] internal shim\n"
             "    return 1\n",
+            path=self.PATH,
+        )
+        assert findings == []
+
+
+# ----------------------------------------------------------------------
+# REP008 — one dedupe: no bare np.unique under repro
+# ----------------------------------------------------------------------
+class TestRep008OneDedupe:
+    PATH = "src/repro/train/fixture.py"
+
+    def test_flags_bare_unique(self):
+        findings = lint_source(
+            "import numpy as np\n"
+            "schedule = [np.unique(keys) for keys in batches]\n"
+            "rows = np.unique(a * n + b)\n",
+            path=self.PATH,
+        )
+        assert rules_of(findings) == ["REP008", "REP008"]
+        assert "sorted_unique" in findings[0].message
+
+    def test_flags_every_spelling_of_numpy(self):
+        findings = lint_source(
+            "import numpy\n"
+            "from numpy import unique as dedupe\n"
+            "a = numpy.unique(keys)\n"
+            "b = dedupe(keys)\n",
+            path="src/repro/kv/fixture.py",
+        )
+        assert rules_of(findings) == ["REP008", "REP008"]
+
+    def test_sort_path_calls_pass(self):
+        findings = lint_source(
+            "import numpy as np\n"
+            "unique, inverse = np.unique(keys, return_inverse=True)\n"
+            "unique, first = np.unique(keys[::-1], return_index=True)\n"
+            "unique, counts = np.unique(keys, return_counts=True)\n"
+            "rows = np.unique(matrix, axis=0)\n"
+            "both = np.unique(keys, True)\n"
+            "given = np.unique(keys, **options)\n",
+            path=self.PATH,
+        )
+        assert findings == []
+
+    def test_other_uniques_pass(self):
+        findings = lint_source(
+            "import numpy as np\n"
+            "import pandas as pd\n"
+            "a = pd.unique(keys)\n"
+            "b = frame.unique()\n",
+            path=self.PATH,
+        )
+        assert findings == []
+
+    def test_the_helper_module_and_out_of_scope_files_may_call_it(self):
+        source = "import numpy as np\nvalues = np.unique(keys)\n"
+        for path in ("src/repro/_arrays.py", "tests/test_fixture.py", "benchmarks/fixture.py"):
+            assert "REP008" not in rules_of(lint_source(source, path=path)), path
+
+    def test_pragma_suppresses(self):
+        findings = lint_source(
+            "import numpy as np\n"
+            "values = np.unique(keys)  # repro: lint-ignore[REP008] float keys\n",
             path=self.PATH,
         )
         assert findings == []

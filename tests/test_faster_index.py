@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.kv.common.bloom import _mix64
 from repro.kv.faster.hashindex import HashIndex
 
 
@@ -243,3 +244,73 @@ class TestSwingMany:
         index = self.loaded(10)
         index.swing_many(keys_of([]), np.empty(0, dtype=np.int64))
         assert len(index) == 10
+
+
+def slot_state(index: HashIndex) -> tuple:
+    """Everything a looped ``upsert`` leaves behind, slot for slot."""
+    return (index._keys.tolist(), index._addresses.tolist(), index._used, index._size,
+            index.slot_count)
+
+
+class TestInsertAbsentMany:
+    """Fresh keys in one pass ≡ a looped ``upsert``, slot for slot."""
+
+    def history(self, initial_slots: int, inserted, removed) -> HashIndex:
+        index = HashIndex(initial_slots=initial_slots)
+        for address, key in enumerate(inserted):
+            index.upsert(key, address)
+        for key in removed:
+            index.remove(key)
+        return index
+
+    def assert_equal_to_loop(self, initial_slots, inserted, removed, batch) -> HashIndex:
+        batched = self.history(initial_slots, inserted, removed)
+        looped = self.history(initial_slots, inserted, removed)
+        addresses = np.arange(len(batch), dtype=np.int64) + 50_000
+        batched.insert_absent_many(keys_of(batch), addresses)
+        for key, address in zip(batch, addresses.tolist()):
+            looped.upsert(key, address)
+        assert slot_state(batched) == slot_state(looped)
+        return batched
+
+    def test_empty_batch(self):
+        index = self.assert_equal_to_loop(64, [1, 2, 3], [], [])
+        assert len(index) == 3
+
+    def test_removed_slots_are_taken_before_later_empty_ones(self):
+        """Keys sharing one home slot, every other one removed: the
+        batch refills the removed slots, in order, before the chain's end."""
+        mask = 1024 - 1
+        colliding = [key for key in range(1 << 20) if _mix64(key) & mask == 9][:40]
+        removed = colliding[:30:2]
+        index = self.assert_equal_to_loop(1024, colliding[:30], removed, removed[::-1] + colliding[30:])
+        assert index._used == 40 and index.slot_count == 1024
+        assert index.find_many(keys_of(colliding)).tolist() == [index.find(key) for key in colliding]
+
+    def test_reinserted_removed_keys_and_new_ones(self):
+        inserted = [key * 7919 for key in range(200)]
+        removed = inserted[::3]
+        batch = removed[::2] + [key * 7919 + 1 for key in range(100)]
+        self.assert_equal_to_loop(1024, inserted, removed, batch)
+
+    def test_the_load_limit_crossed_once(self):
+        """64 slots rebuild past 32 used; the looped rebuild at the 33rd key
+        grows to 128, whereas one after the whole batch would need 256."""
+        index = self.assert_equal_to_loop(64, list(range(20)), [3, 7], [100 + key for key in range(26)])
+        assert index.slot_count == 128
+
+    def test_the_load_limit_crossed_twice(self):
+        index = self.assert_equal_to_loop(64, list(range(20)), [3, 7], [100 + key for key in range(60)])
+        assert index.slot_count == 256
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_generated_histories(self, data):
+        initial_slots = data.draw(st.sampled_from([4, 64, 1024]))
+        inserted = data.draw(st.lists(st.integers(0, 1 << 40), max_size=300, unique=True))
+        removed = data.draw(st.lists(st.sampled_from(inserted), max_size=60, unique=True)) if inserted else []
+        fresh = data.draw(st.lists(st.integers(0, 1 << 40), max_size=300, unique=True))
+        live = set(inserted) - set(removed)
+        batch = [key for key in removed + fresh if key not in live]
+        batch = list(dict.fromkeys(data.draw(st.permutations(batch))))
+        self.assert_equal_to_loop(initial_slots, inserted, removed, batch)

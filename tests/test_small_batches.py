@@ -3,8 +3,9 @@
 Three places switch on what a batch holds rather than on one path for all:
 
 * :meth:`HashIndex.find_many` walks each key's probe chain below
-  ``WALK_KEYS`` keys and advances all chains as arrays from there on —
-  the two probes must find the same entries on every table;
+  ``WALK_KEYS`` keys and advances all chains as arrays from there on,
+  until ``_TAIL_KEYS`` keys are left to walk — the three probes must
+  find the same entries on every table;
 * the engines' batched read gathers nothing from the arena when no record
   of the batch is resident, and serves a batch whose every record is on
   disk straight from the fetched matrix — the array path's small end must
@@ -36,16 +37,21 @@ from test_batch_native import KEYS, WIDTH, Pair, on_disk_keys, paired, value_for
 
 
 # ----------------------------------------------------------------------
-# the index: walked probes ≡ array probes ≡ find
+# the index: walked probes ≡ array probes ≡ tail-walked probes ≡ find
 # ----------------------------------------------------------------------
-def both_probes(index: HashIndex, keys: list) -> tuple[list, list]:
-    """``find_many`` of ``keys`` walked and as arrays, whatever their number."""
+def every_probe(index: HashIndex, keys: list) -> tuple[list, list, list]:
+    """``find_many`` of ``keys``, whatever their number: walked, as array
+    passes to the end of every chain, and as one array pass whose keys
+    still probing are walked on from there."""
     batch = np.array(keys, dtype=np.uint64)
     with mock.patch.object(hashindex, "WALK_KEYS", len(keys) + 1):
         walked = index.find_many(batch).tolist()
     with mock.patch.object(hashindex, "WALK_KEYS", 0):
-        arrays = index.find_many(batch).tolist()
-    return walked, arrays
+        with mock.patch.object(hashindex, "_TAIL_KEYS", 0):
+            arrays = index.find_many(batch).tolist()
+        with mock.patch.object(hashindex, "_TAIL_KEYS", len(keys) + 1):
+            tail_walked = index.find_many(batch).tolist()
+    return walked, arrays, tail_walked
 
 
 def expected(index: HashIndex, keys: list) -> list:
@@ -81,8 +87,8 @@ class TestFindMany:
     @given(history=index_histories())
     def test_walked_and_array_probes_equal_find(self, history):
         index, keys = history
-        walked, arrays = both_probes(index, keys)
-        assert walked == arrays == expected(index, keys)
+        walked, arrays, tail_walked = every_probe(index, keys)
+        assert walked == arrays == tail_walked == expected(index, keys)
         assert index.find_many(np.array(keys, dtype=np.uint64)).tolist() == walked
 
     def test_a_probe_chain_longer_than_a_batch(self):
@@ -97,9 +103,11 @@ class TestFindMany:
             index.remove(key)
         assert index.slot_count == 1024  # no rebuild scattered the chain
         keys = colliding[::-1] + [colliding[0], 7 << 30]
-        walked, arrays = both_probes(index, keys)
-        assert walked == arrays == expected(index, keys)
+        walked, arrays, tail_walked = every_probe(index, keys)
+        assert walked == arrays == tail_walked == expected(index, keys)
         assert walked[0] == 79 and walked[-1] == -1
+        with mock.patch.object(hashindex, "WALK_KEYS", 0):  # arrays, then the last 64 walked
+            assert index.find_many(np.array(keys, dtype=np.uint64)).tolist() == walked
 
     def test_the_switch_sits_between_the_two_probes(self):
         """``WALK_KEYS - 1`` keys are walked; ``WALK_KEYS`` go as arrays."""
