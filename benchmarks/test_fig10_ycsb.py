@@ -7,7 +7,9 @@ Three sweeps, uniform and zipfian key choice:
 * value size (store-level runs).
 
 Paper: MLKV's vector-clock overhead is <10% on uniform and <20% on
-zipfian workloads; disabling bounded staleness removes the overhead.
+zipfian workloads; disabling bounded staleness removes the overhead
+(that configuration is FASTER itself, and ``tests/test_mlkv.py`` pins
+MLKV's cost over it to exactly the clock overhead per key).
 """
 
 import tempfile
@@ -23,12 +25,11 @@ _ITEMS = 20_000
 _OPS = 20_000
 
 
-def _make_store(kind: str, buffer_bytes: int, bounded: bool = True):
+def _make_store(kind: str, buffer_bytes: int):
     ssd = SSDModel(SimClock())
     directory = tempfile.mkdtemp(prefix=f"ycsb-{kind}-")
     if kind == "mlkv":
-        return MLKV(directory, ssd=ssd, memory_budget_bytes=buffer_bytes,
-                    bounded_staleness=bounded)
+        return MLKV(directory, ssd=ssd, memory_budget_bytes=buffer_bytes)
     return FasterKV(directory, ssd=ssd, memory_budget_bytes=buffer_bytes)
 
 
@@ -134,11 +135,3 @@ def test_fig10_value_size_sweep(benchmark):
     report("fig10_ycsb_value_size", rows)
     assert all(row["MLKV (ops/s)"] > 0 for row in rows)
 
-
-def test_fig10_disabled_bound_removes_overhead():
-    """§IV-E: disabling bounded staleness leaves memory overhead only."""
-    workload = YCSBWorkload(8000, distribution="uniform", seed=12)
-    disabled = _run_ycsb(_make_store("mlkv", 1 << 20, bounded=False), workload, 8000)
-    workload = YCSBWorkload(8000, distribution="uniform", seed=12)
-    plain = _run_ycsb(_make_store("faster", 1 << 20), workload, 8000)
-    assert abs(1.0 - disabled / plain) < 0.02

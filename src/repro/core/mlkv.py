@@ -18,9 +18,10 @@ retries.  The time the handler spends applying updates is exactly the
 data-stall time of Figure 2; MLKV counts stall events and stall seconds
 in :class:`MLKVStats` so the figures can report it.
 
-Setting ``bounded_staleness=False`` bypasses all word manipulation on the
-hot path, which is the "user disables bounded staleness consistency"
-configuration of §IV-E (memory overhead only, no CPU overhead).
+The "user disables bounded staleness consistency" configuration of
+§IV-E (memory overhead only, no CPU overhead) is :class:`FasterKV` over
+the same log: the latch words stay in the records, and nothing reads or
+writes them on the hot path.
 
 The batched operations run the same protocol on arrays.  A batch is
 resolved through the index once; its *plain* keys — records of one width
@@ -142,9 +143,6 @@ class MLKV(FasterKV):
         Workspace directory (hybrid log + checkpoints).
     staleness_bound:
         Per-key bound on outstanding Gets; 0 = BSP, ``ASP_BOUND`` = ASP.
-    bounded_staleness:
-        When ``False``, Get/Put skip the vector-clock protocol entirely
-        and behave exactly like FASTER (used by the YCSB ablation).
     **store_kwargs:
         Forwarded to :class:`~repro.kv.faster.store.FasterKV`
         (``ssd``, ``memory_budget_bytes``, ``page_bytes``, ...).
@@ -154,14 +152,12 @@ class MLKV(FasterKV):
         self,
         directory: str,
         staleness_bound: int = ASP_BOUND,
-        bounded_staleness: bool = True,
         **store_kwargs,
     ) -> None:
         if staleness_bound < 0:
             raise ValueError("staleness_bound must be non-negative")
         super().__init__(directory, **store_kwargs)
         self.staleness_bound = staleness_bound
-        self.bounded_staleness = bounded_staleness
         self.mlkv_stats = MLKVStats()
         self._stall_handler: Optional[Callable[[int], bool]] = None
         # Rare-path fallback: staleness counters for records whose word
@@ -190,9 +186,6 @@ class MLKV(FasterKV):
     # Get / Put with the vector-clock protocol
     # ------------------------------------------------------------------
     def get(self, key: int) -> Optional[bytes]:
-        if not self.bounded_staleness:
-            self._note_reads((key,))
-            return super().get(key)
         self._charge_clock_overhead()
         self._stats.gets += 1
         return self._get_bounded(key)
@@ -271,13 +264,10 @@ class MLKV(FasterKV):
         return True, value
 
     def put(self, key: int, value: bytes) -> None:
-        if not self.bounded_staleness:
-            super().put(key, value)
-        else:
-            self._check_writable()
-            self._charge_clock_overhead()
-            self._stats.puts += 1
-            self._put_bounded(key, value)
+        self._check_writable()
+        self._charge_clock_overhead()
+        self._stats.puts += 1
+        self._put_bounded(key, value)
         self._sweep_staged()
 
     def _put_bounded(self, key: int, value: bytes) -> None:
@@ -345,11 +335,6 @@ class MLKV(FasterKV):
         Put half settles it, so a completed RMW leaves the clock where it
         started — matching the 50/50 YCSB workload of §IV-E.
         """
-        if not self.bounded_staleness:
-            self._note_reads((key,))
-            new_value = super().rmw(key, update)
-            self._sweep_staged()
-            return new_value
         new_value = update(self.get(key))
         self.put(key, new_value)
         return new_value
@@ -366,9 +351,6 @@ class MLKV(FasterKV):
         exactly as a looped Get would, at their turn, so batched and
         looped reads admit identically.
         """
-        if not self.bounded_staleness:
-            self._note_reads(keys)
-            return super()._get_many(keys)
         with obs_span("kv.multi_get", clock=self.clock, engine="mlkv", keys=len(keys)):
             self._charge_batch_cpu(len(keys))
             if CLOCK_OVERHEAD_SECONDS and len(keys):
@@ -491,10 +473,6 @@ class MLKV(FasterKV):
         others take :meth:`_put_bounded` at their turn (see
         :meth:`~repro.kv.faster.store.FasterKV._put_runs`).
         """
-        if not self.bounded_staleness:
-            super()._put_many(keys, values)
-            self._sweep_staged()
-            return
         with obs_span("kv.multi_put", clock=self.clock, engine="mlkv", keys=len(keys)):
             self._charge_batch_cpu(len(keys))
             if CLOCK_OVERHEAD_SECONDS and len(keys):

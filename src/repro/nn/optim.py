@@ -200,7 +200,7 @@ class RowAdagrad:
     Accumulator state lives in host memory in a contiguous per-row arena
     (the specialized frameworks keep the same state in their
     parameter-server shards); only the embedding *values* round-trip
-    through storage.  Falls back to plain SGD when ``adaptive=False``.
+    through storage.
 
     Updates are batched numpy over the whole ``(n_keys, dim)`` block and
     bit-identical to the per-key reference loop: every elementwise op
@@ -208,12 +208,11 @@ class RowAdagrad:
     the same order per element.
     """
 
-    def __init__(self, lr: float = 0.05, eps: float = 1e-10, adaptive: bool = True) -> None:
+    def __init__(self, lr: float = 0.05, eps: float = 1e-10) -> None:
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.lr = lr
         self.eps = eps
-        self.adaptive = adaptive
         self._arena: Optional[_RowArena] = None
 
     def _arena_for(self, dim: int) -> _RowArena:
@@ -236,8 +235,6 @@ class RowAdagrad:
         if not len(keys):
             return _no_rows(grads, self._arena)
         grads = np.asarray(grads, dtype=np.float32).reshape(len(keys), -1)
-        if not self.adaptive:
-            return self.lr * grads
         arena = self._arena_for(grads.shape[1])
         idx = arena.resolve(keys)
         acc = arena.columns["acc"][idx]

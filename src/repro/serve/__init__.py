@@ -29,8 +29,8 @@ online service measured against latency SLOs:
   table-set + SLO class): its spec and runtime state, per-tenant key
   namespacing, and token-bucket + queue-depth admission control;
 * :mod:`repro.serve.autoscale` — the telemetry-driven policy closing
-  the elasticity loop: live ``split_shard`` / ``migrate_shard`` and
-  replica add/remove driven between micro-batches under load.
+  the elasticity loop: live shard splits and replica add/remove
+  driven between micro-batches under load.
 """
 
 from repro.serve.autoscale import Autoscaler, AutoscalerConfig

@@ -1,9 +1,9 @@
 """Telemetry-driven autoscaling: closing the elasticity loop under load.
 
-PR 4 gave the storage layer live rescaling *primitives* — incremental
+The storage layer has live rescaling *primitives* — incremental
 ``split_shard`` / ``migrate_shard`` with copy-then-cutover, and replica
 fail/revive with hinted catch-up.  This module adds the *policy* that
-drives them while requests are in flight: the
+drives two of them while requests are in flight: the
 :class:`~repro.serve.loop.ServingLoop` feeds every served batch's
 latencies into the :class:`Autoscaler` and ticks it between
 micro-batches (the only points simulated time advances), and the
@@ -13,10 +13,8 @@ autoscaler reacts to a sustained latency-window breach by:
   the most routed operations, then *one bounded copy step per tick* so
   the copy interleaves with live serving exactly as a production
   rescale would, then ``cutover`` (which replays the dual-logged write
-  deltas, so zero requests and zero writes are lost);
-* **migrating the hottest shard** — same discipline via
-  ``begin_migrate`` when the shard count is capped but imbalance says
-  one engine is the problem (node replacement);
+  deltas, so zero requests and zero writes are lost), until
+  ``max_shards``;
 * **adding / removing replicas** — on the shards served by a
   :class:`~repro.kv.ReplicaGroup`, reviving a previously-retired replica
   under pressure (hinted catch-up brings it consistent) and retiring one
@@ -48,7 +46,7 @@ class AutoscalerConfig:
     ----------
     check_interval:
         Simulated seconds between policy evaluations; between checks the
-        autoscaler only advances an in-flight migration.
+        autoscaler only advances an in-flight split.
     p99_threshold:
         Scale *out* when the latency window's p99 exceeds this
         (``None`` disables the latency trigger).
@@ -58,15 +56,11 @@ class AutoscalerConfig:
     cooldown:
         Minimum simulated seconds between completed scale actions.
     copy_batch:
-        Keys copied per migration step — the knob trading rescale speed
+        Keys copied per split step — the knob trading rescale speed
         against per-batch latency impact on live traffic.
     max_shards:
         Shard-count ceiling for splits; beyond it the policy falls back
-        to migration / replica actions.
-    imbalance_threshold:
-        When splits are capped, a max/mean routed-ops ratio above this
-        triggers ``begin_migrate`` of the hottest engine (``None``
-        disables migration).
+        to replica actions.
     scale_in_p99:
         A window p99 *below* this retires one replica of the
         most-replicated group (``None`` disables scale-in).
@@ -80,7 +74,6 @@ class AutoscalerConfig:
     cooldown: float = 4e-3
     copy_batch: int = 512
     max_shards: int = 8
-    imbalance_threshold: Optional[float] = None
     scale_in_p99: Optional[float] = None
     min_window: int = 64
 
@@ -104,12 +97,12 @@ class Autoscaler:
     ----------
     store:
         The shared store: a :class:`~repro.kv.ShardedKVStore` (any
-        router has the split / migrate / deferred-cleanup surface;
+        router has the split / deferred-cleanup surface;
         anything else is a ``ConfigError``).  Replica add/remove acts
         on whichever of its children are replica groups
         (:class:`~repro.kv.ReplicaGroup`).
     factory:
-        Builds a fresh child for splits and migrations, in the shape of
+        Builds a fresh child for splits, in the shape of
         the store's own constructor factory: ``factory(engine_index)``
         (a replica group, on a router of groups).
     config:
@@ -129,7 +122,7 @@ class Autoscaler:
     ) -> None:
         if not isinstance(store, ShardedKVStore):
             raise ConfigError(
-                "Autoscaler drives a ShardedKVStore's split/migrate surface; "
+                "Autoscaler drives a ShardedKVStore's split surface; "
                 f"{type(store).__name__} is not a router"
             )
         self.store = store
@@ -138,12 +131,10 @@ class Autoscaler:
         self.telemetry = telemetry
         self.decisions: list[dict] = []
         self._migration = None
-        self._migration_label: Optional[str] = None
         self._window = LatencyHistogram()
         self._last_check: Optional[float] = None
         self._last_action: Optional[float] = None
         self.splits_completed = 0
-        self.migrations_completed = 0
         self.replicas_added = 0
         self.replicas_removed = 0
 
@@ -156,16 +147,16 @@ class Autoscaler:
 
     @property
     def rescaling(self) -> bool:
-        """Whether a split/migrate copy is currently in flight."""
+        """Whether a split's copy is currently in flight."""
         return self._migration is not None
 
     # ------------------------------------------------------------------
     # the tick — called by the serving loop between batches
     # ------------------------------------------------------------------
     def tick(self, now: float, queue_depth: int = 0) -> None:
-        """Advance an in-flight migration or evaluate the policy.
+        """Advance an in-flight split or evaluate the policy.
 
-        An in-flight migration gets exactly one ``copy_step`` per tick
+        An in-flight split gets exactly one ``copy_step`` per tick
         (cutover when the snapshot drains), so rescale work is spread
         across batch boundaries instead of stalling the loop.  Policy
         evaluation runs at most every ``check_interval`` simulated
@@ -212,11 +203,9 @@ class Autoscaler:
 
     def _scale_out(self, now: float, window_p99: float, queue_depth: int) -> bool:
         store = self.store
-        config = self.config
-        if self.factory is not None and store.num_shards < config.max_shards:
+        if self.factory is not None and store.num_shards < self.config.max_shards:
             hottest = self._hottest_shard()
             self._migration = store.begin_split(hottest, self.factory)
-            self._migration_label = "split"
             self._record(
                 now,
                 action="split_begin",
@@ -227,27 +216,7 @@ class Autoscaler:
             )
             self._set_phase("rescale:split", now)
             return True
-        if self._add_replica(now, window_p99):
-            return True
-        if (
-            self.factory is not None
-            and config.imbalance_threshold is not None
-            and store.imbalance() > config.imbalance_threshold
-        ):
-            hottest = self._hottest_shard()
-            self._migration = store.begin_migrate(hottest, self.factory)
-            self._migration_label = "migrate"
-            self._record(
-                now,
-                action="migrate_begin",
-                shard=hottest,
-                window_p99=window_p99,
-                queue_depth=queue_depth,
-                remaining=self._migration.remaining,
-            )
-            self._set_phase("rescale:migrate", now)
-            return True
-        return False
+        return self._add_replica(now, window_p99)
 
     def _drain_cleanup(self) -> bool:
         """One bounded post-cutover cleanup step, when any is pending.
@@ -266,22 +235,17 @@ class Autoscaler:
         migration = self._migration
         if migration.copy_step(self.config.copy_batch) == 0:
             index = migration.cutover(defer_cleanup=True)
-            label = self._migration_label
             self._migration = None
-            self._migration_label = None
             self._last_action = now
-            if label == "split":
-                self.splits_completed += 1
-            else:
-                self.migrations_completed += 1
+            self.splits_completed += 1
             self._record(
                 now,
-                action=f"{label}_cutover",
+                action="split_cutover",
                 engine=index,
                 keys_copied=migration.keys_copied,
                 delta_replayed=migration.delta_replayed,
             )
-            self._set_phase(f"after:{label}", now)
+            self._set_phase("after:split", now)
 
     def _groups(self) -> list[tuple[int, ReplicaGroup]]:
         """``(shard, group)`` for every child that is a replica group."""
@@ -366,7 +330,6 @@ class Autoscaler:
         return {
             "decisions": list(self.decisions),
             "splits_completed": self.splits_completed,
-            "migrations_completed": self.migrations_completed,
             "replicas_added": self.replicas_added,
             "replicas_removed": self.replicas_removed,
             "rescaling": self.rescaling,

@@ -116,10 +116,6 @@ class AdmissionCache:
             return
         self._entries.put(key, [vector, self.reuse_limit])
 
-    def invalidate(self, key: int) -> None:
-        """Drop a key (an online update made the cached copy stale)."""
-        self._entries.pop(key)
-
     def hit_ratio(self) -> float:
         """Cache-tier hit ratio over every answered request."""
         total = self.tiers.total

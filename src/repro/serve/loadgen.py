@@ -2,8 +2,7 @@
 
 Both loops draw *keys* from the same choosers the YCSB benchmarks use
 (:class:`~repro.data.ycsb.ZipfianGenerator` /
-:class:`~repro.data.ycsb.UniformGenerator`, or the read side of a full
-:class:`~repro.data.ycsb.YCSBWorkload`) and *times* from the arrival
+:class:`~repro.data.ycsb.UniformGenerator`) and *times* from the arrival
 processes in :mod:`repro.data.arrivals`:
 
 * **open loop** — a Poisson stream at a fixed offered rate, independent
@@ -28,13 +27,12 @@ popped: a :class:`Request` exists only once the loop has taken it.
 from __future__ import annotations
 
 import heapq
-from itertools import islice
 from typing import Optional
 
 import numpy as np
 
 from repro.data.arrivals import PoissonProcess, ThinkTimeProcess
-from repro.data.ycsb import UniformGenerator, YCSBWorkload, ZipfianGenerator
+from repro.data.ycsb import UniformGenerator, ZipfianGenerator
 from repro.device.faults import FaultSchedule
 from repro.errors import ConfigError
 from repro.serve.request import Request
@@ -273,22 +271,6 @@ class LoadGenerator:
         if self.distribution == "uniform":
             return UniformGenerator(self.item_count, seed=self.seed)
         raise ConfigError(f"unknown key distribution {self.distribution!r}")
-
-    def replay_ycsb(
-        self, workload: YCSBWorkload, rate: float, count: int, start: float = 0.0
-    ) -> OpenLoopArrivals:
-        """Open-loop arrivals whose keys replay a YCSB workload's reads.
-
-        Update operations in the mix are skipped — the serving tier is a
-        read path; the generator draws operations until ``count`` reads
-        have been collected.
-        """
-        times = PoissonProcess(rate, seed=self.seed ^ 0xB22, start=start).times(count)
-        reads = (op.key for op in workload.operations(count * 4) if op.is_read)
-        keys = list(islice(reads, count))
-        # Pathological mixes: top up directly.
-        keys.extend(workload.generator.batch(count - len(keys)).tolist())
-        return OpenLoopArrivals(times, keys)
 
     def closed_loop(
         self,

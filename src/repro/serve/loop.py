@@ -36,8 +36,8 @@ highest priority first) and per-tenant telemetry.
 
 Between batches — the only points simulated time advances — the loop
 fires due chaos events, ticks the autoscaler
-(:mod:`repro.serve.autoscale`: live ``split_shard`` / ``migrate_shard``
-/ replica add-remove while requests are in flight) and, when the single
+(:mod:`repro.serve.autoscale`: live shard splits and replica
+add-remove while requests are in flight) and, when the single
 tenant's source exposes a key schedule (open-loop replay), advances the
 training stack's :class:`~repro.core.lookahead.LookaheadEngine` as a
 *serving prefetcher*: the store's look-ahead buffer is staged

@@ -29,10 +29,11 @@ Read modes
     writable, else ``snapshot``.
 
 The hot-key :class:`~repro.serve.cache.AdmissionCache` sits in front of
-both modes.  In bounded mode its per-entry reuse limit defaults to the
-staleness bound, budgeting cache reuse at one bound's worth of serves
-per admission — the cache then never lets a key drift further from the
-store clock than the store itself would allow between settlements.
+both modes.  In bounded mode under a finite bound its per-entry reuse
+limit is the staleness bound (at least 1), budgeting cache reuse at one
+bound's worth of serves per admission — the cache then never lets a key
+drift further from the store clock than the store itself would allow
+between settlements.
 """
 
 from __future__ import annotations
@@ -114,7 +115,6 @@ class EmbeddingServer:
         init_scale: float = 0.05,
         cache_entries: int = 4096,
         read_mode: str = "auto",
-        reuse_limit: Optional[int] = None,
         telemetry: Optional[ServingTelemetry] = None,
     ) -> None:
         if read_mode not in READ_MODES:
@@ -130,11 +130,7 @@ class EmbeddingServer:
             store, dim, init_scale=init_scale, seed=seed, cache_entries=0
         )
         bound = store.staleness_bound
-        bounded_capable = (
-            bound is not None
-            and getattr(store, "bounded_staleness", True)
-            and not store.read_only
-        )
+        bounded_capable = bound is not None and not store.read_only
         if read_mode == "auto":
             read_mode = "bounded" if bounded_capable else "snapshot"
         elif read_mode == "bounded" and not bounded_capable:
@@ -143,8 +139,7 @@ class EmbeddingServer:
                 "bound (MLKV); use read_mode='snapshot' for this store"
             )
         self.read_mode = read_mode
-        if reuse_limit is None and read_mode == "bounded" and bound < ASP_BOUND:
-            reuse_limit = max(1, int(bound))
+        reuse_limit = max(1, int(bound)) if read_mode == "bounded" and bound < ASP_BOUND else None
         self.cache = AdmissionCache(cache_entries, reuse_limit=reuse_limit)
         if read_mode == "bounded":
             store.set_stall_handler(self._refresh_on_stall)

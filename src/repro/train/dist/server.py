@@ -130,7 +130,7 @@ class ParameterServer:
         The canonical dense model.  Workers train bitwise copies; the
         server applies their gradients here with the single Adam state.
     config:
-        Optimizer knobs (``emb_lr``, ``nn_lr``, ``adaptive_emb``).
+        Optimizer knobs (``emb_lr``, ``nn_lr``).
     staleness_bound:
         Cross-worker SSP bound enforced at pull time (``None`` =
         unbounded).  This is the *worker-level* bound; a per-record bound
@@ -152,9 +152,7 @@ class ParameterServer:
         self.network = network
         self.config = config
         self.staleness_bound = staleness_bound
-        self.emb_optimizer = emb_optimizer or RowAdagrad(
-            lr=config.emb_lr, adaptive=config.adaptive_emb
-        )
+        self.emb_optimizer = emb_optimizer or RowAdagrad(lr=config.emb_lr)
         self.nn_optimizer = Adam(network.parameters(), lr=config.nn_lr)
         self.progress = WorkerProgressClock()
         #: batch_index -> (worker_id, seq) of the push that applied it.

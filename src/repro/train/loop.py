@@ -55,7 +55,6 @@ class TrainerConfig:
     conventional_window: int = 0
     emb_lr: float = 0.05
     nn_lr: float = 0.005
-    adaptive_emb: bool = True
     eval_every: int = 0
     eval_size: int = 512
     seed: int = 0
@@ -125,7 +124,7 @@ class BaseTrainer:
         self.gpu = gpu
         self.clock = gpu.clock
         self.config = config
-        self.emb_optimizer = RowAdagrad(lr=config.emb_lr, adaptive=config.adaptive_emb)
+        self.emb_optimizer = RowAdagrad(lr=config.emb_lr)
         self.nn_optimizer = Adam(network.parameters(), lr=config.nn_lr)
         self.pending: deque[tuple[np.ndarray, np.ndarray]] = deque()
         self._result = TrainResult(metric_name=self.metric_name)

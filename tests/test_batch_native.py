@@ -92,7 +92,7 @@ class Pipeline:
 class Side:
     """One store under test plus everything observable about it."""
 
-    def __init__(self, cls, directory, budget, bound, handler, rows=False, **options):
+    def __init__(self, cls, directory, budget, bound, handler, rows=False):
         self.rows = rows  # drive the array verbs wherever the batch allows
         pages, mutable_fraction = {**BUDGETS, **COLD_BUDGETS}[budget]
         kwargs = dict(
@@ -100,7 +100,6 @@ class Side:
             memory_budget_bytes=pages * PAGE,
             page_bytes=PAGE,
             mutable_fraction=mutable_fraction,
-            **options,
         )
         if bound is not None:
             kwargs["staleness_bound"] = bound
@@ -209,15 +208,15 @@ class Pair:
     """The batched store, its per-key twin and its array-verb twin, driven
     in lockstep."""
 
-    def __init__(self, root, engine, budget, bound=None, handler=False, **options):
+    def __init__(self, root, engine, budget, bound=None, handler=False):
         batched_cls, looped_cls = {
             "faster": (FasterKV, PerKeyFaster),
             "mlkv": (MLKV, PerKeyMLKV),
         }[engine]
         args = (budget, bound, handler)
-        self.batched = Side(batched_cls, os.path.join(root, "batched"), *args, **options)
-        self.looped = Side(looped_cls, os.path.join(root, "looped"), *args, **options)
-        self.arrays = Side(batched_cls, os.path.join(root, "arrays"), *args, rows=True, **options)
+        self.batched = Side(batched_cls, os.path.join(root, "batched"), *args)
+        self.looped = Side(looped_cls, os.path.join(root, "looped"), *args)
+        self.arrays = Side(batched_cls, os.path.join(root, "arrays"), *args, rows=True)
         self.sides = (self.batched, self.looped, self.arrays)
         self.run(("put", list(range(KEYS)), [value_for(key, 0) for key in range(KEYS)]))
 
@@ -233,11 +232,11 @@ class Pair:
 
 
 @contextmanager
-def paired(engine, budget, bound=None, handler=False, **options):
+def paired(engine, budget, bound=None, handler=False):
     """A populated :class:`Pair` in a scratch directory; leaving the block
     cleanly runs the final comparison (staleness, scan, checkpoint bytes)."""
     with tempfile.TemporaryDirectory() as root:
-        pair = Pair(root, engine, budget, bound, handler, **options)
+        pair = Pair(root, engine, budget, bound, handler)
         try:
             yield pair
             final = pair.looped.final()
@@ -785,13 +784,12 @@ class TestColdBatches:
 # the array verbs: every test above already drives them on the third store;
 # here the configurations, batch lengths and argument errors those leave out
 # ----------------------------------------------------------------------
-#: engine, staleness bound, stall handler, constructor options
+#: engine, staleness bound, stall handler
 ARRAY_CONFIGS = {
-    "faster": ("faster", None, False, {}),
-    "bsp": ("mlkv", 0, True, {}),
-    "ssp4": ("mlkv", 4, True, {}),
-    "asp": ("mlkv", ASP_BOUND, False, {}),
-    "unbounded": ("mlkv", None, False, {"bounded_staleness": False}),
+    "faster": ("faster", None, False),
+    "bsp": ("mlkv", 0, True),
+    "ssp4": ("mlkv", 4, True),
+    "asp": ("mlkv", ASP_BOUND, False),
 }
 
 
@@ -802,18 +800,18 @@ class TestArrayVerbs:
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
     def test_generated_sequences(self, config, budget, data):
-        engine, bound, handler, options = ARRAY_CONFIGS[config]
+        engine, bound, handler = ARRAY_CONFIGS[config]
         batches = data.draw(st.sampled_from([key_batches, spread_batches]))
         ops = data.draw(operations(engine, batches))
-        with paired(engine, budget, bound, handler, **options) as pair:
+        with paired(engine, budget, bound, handler) as pair:
             for op in ops:
                 pair.run(op)
 
     def test_batch_lengths_on_both_sides_of_the_array_threshold(self, config, budget):
         """0, 1, 15, 16 and 1,024 keys: the per-key loop, the first batch
         served as arrays, and one that is mostly fresh keys and fills pages."""
-        engine, bound, handler, options = ARRAY_CONFIGS[config]
-        with paired(engine, budget, bound, handler, **options) as pair:
+        engine, bound, handler = ARRAY_CONFIGS[config]
+        with paired(engine, budget, bound, handler) as pair:
             for length in (0, 1, MIN_ARRAY_BATCH - 1, MIN_ARRAY_BATCH, 1024):
                 keys = list(range(7, 7 + length))
                 pair.run(("step", keys, [value_for(key, length % 250) for key in keys]))

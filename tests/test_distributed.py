@@ -285,12 +285,11 @@ class TestDeltaForm:
     def _grads(self, n, seed):
         return np.random.default_rng(seed).normal(size=(n, DIM)).astype(np.float32)
 
-    @pytest.mark.parametrize("adaptive", [True, False])
-    def test_adagrad_delta_bitwise_equals_row_form(self, adaptive):
+    def test_adagrad_delta_bitwise_equals_row_form(self):
         keys = np.array([3, 7, 3 + 11, 40], dtype=np.int64)
         rows = self._grads(4, 1)
-        fused = RowAdagrad(lr=0.05, adaptive=adaptive)
-        delta = RowAdagrad(lr=0.05, adaptive=adaptive)
+        fused = RowAdagrad(lr=0.05)
+        delta = RowAdagrad(lr=0.05)
         for seed in range(5):  # state advances identically across batches
             grads = self._grads(4, 10 + seed)
             via_rows = fused.updated_rows(keys, rows, grads)

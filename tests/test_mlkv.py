@@ -1,10 +1,13 @@
 """MLKV: the vector-clock protocol, stall handling, lookahead, modes."""
 
+import numpy as np
 import pytest
 
 from repro.core import MLKV, ASP_BOUND, ConsistencyMode, mode_for_bound
+from repro.core.mlkv import CLOCK_OVERHEAD_SECONDS
 from repro.device import SimClock, SSDModel
 from repro.errors import StalenessViolation
+from repro.kv.faster import FasterKV
 
 
 def make_store(path, bound=ASP_BOUND, **kwargs):
@@ -74,6 +77,40 @@ class TestVectorClock:
             store.get(1)
             store.put(1, b"even-longer-value!")
             assert store.staleness_of(1) == 1
+
+    def test_clock_costs_exactly_its_overhead_over_faster(self, tmp_path):
+        """§IV-E: with the clock off MLKV is FASTER, so an in-memory run
+        on MLKV returns what FASTER returns, counts what it counts, and
+        takes ``CLOCK_OVERHEAD_SECONDS`` more per key — no more, no less."""
+        stores = [
+            engine(str(tmp_path / engine.__name__), ssd=SSDModel(SimClock()),
+                   memory_budget_bytes=1 << 20)
+            for engine in (MLKV, FasterKV)
+        ]
+        rows = np.arange(64 * 8, dtype=np.uint8).reshape(64, 8)
+        results = []
+        for store in stores:
+            out = np.zeros_like(rows)
+            store.put_rows(np.arange(64), rows)
+            found = store.get_rows(np.arange(64)[::-1], out)
+            for key in range(100, 108):
+                store.put(key, bytes([key]) * 8)
+            scalars = [store.get(key) for key in range(100, 108)]
+            store.multi_put(range(200, 232), [bytes([key]) * 8 for key in range(32)])
+            results.append((out.tobytes(), found.tolist(), scalars,
+                            store.multi_get(range(200, 232))))
+        keys = 64 + 64 + 8 + 8 + 32 + 32
+        mlkv, faster = stores
+        assert results[0] == results[1]
+        counters = ("gets", "puts", "hits", "misses")
+        assert [getattr(mlkv.stats, name) for name in counters] == [
+            getattr(faster.stats, name) for name in counters
+        ]
+        assert mlkv.clock.now - faster.clock.now == pytest.approx(
+            keys * CLOCK_OVERHEAD_SECONDS
+        )
+        for store in stores:
+            store.close()
 
 
 class TestBoundEnforcement:
@@ -187,15 +224,6 @@ class TestDiskResidentStaleness:
         assert store.index.find(0) == 4 * page and store.log.head_address == page
         assert store.get(0) == b"n" * width
         assert store.staleness_of(0) == 1
-        store.close()
-
-    def test_bounded_staleness_disabled_bypasses_protocol(self, tmp_path):
-        store = MLKV(str(tmp_path), staleness_bound=0, bounded_staleness=False,
-                     memory_budget_bytes=1 << 14, page_bytes=1 << 12)
-        store.put(1, b"v")
-        for _ in range(10):
-            assert store.get(1) == b"v"  # no admission, no violation
-        assert store.staleness_of(1) == 0
         store.close()
 
 

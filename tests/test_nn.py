@@ -143,13 +143,6 @@ class TestOptimizers:
 
 
 class TestRowAdagrad:
-    def test_plain_sgd_mode(self):
-        opt = RowAdagrad(lr=0.1, adaptive=False)
-        rows = np.ones((2, 4), dtype=np.float32)
-        grads = np.full((2, 4), 2.0, dtype=np.float32)
-        out = opt.updated_rows(np.array([1, 2]), rows, grads)
-        np.testing.assert_allclose(out, rows - 0.2)
-
     def test_adaptive_scales_by_accumulated_square(self):
         opt = RowAdagrad(lr=1.0)
         keys = np.array([7])

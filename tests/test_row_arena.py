@@ -173,7 +173,7 @@ class TestLoadStateDict:
 # ----------------------------------------------------------------------
 # a batch of no keys
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("make", [RowAdagrad, lambda: RowAdagrad(adaptive=False), RowAdam])
+@pytest.mark.parametrize("make", [RowAdagrad, RowAdam])
 @pytest.mark.parametrize("warm", [False, True])
 def test_no_keys_give_no_rows_and_touch_no_state(make, warm):
     optimizer = make()
