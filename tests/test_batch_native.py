@@ -784,13 +784,21 @@ class TestColdBatches:
 # the array verbs: every test above already drives them on the third store;
 # here the configurations, batch lengths and argument errors those leave out
 # ----------------------------------------------------------------------
-#: engine, staleness bound, stall handler
+#: engine, staleness bound, stall handler.  "unbounded" is MLKV built with
+#: no bound (its default, ASP) under a trainer's stall handler, which no
+#: Get may then call.
 ARRAY_CONFIGS = {
     "faster": ("faster", None, False),
     "bsp": ("mlkv", 0, True),
     "ssp4": ("mlkv", 4, True),
     "asp": ("mlkv", ASP_BOUND, False),
+    "unbounded": ("mlkv", None, True),
 }
+
+
+def assert_no_stall_without_a_bound(config, pair):
+    if config == "unbounded":
+        assert not any(side.pipeline.calls for side in pair.sides)
 
 
 @pytest.mark.parametrize("config", sorted(ARRAY_CONFIGS))
@@ -806,6 +814,7 @@ class TestArrayVerbs:
         with paired(engine, budget, bound, handler) as pair:
             for op in ops:
                 pair.run(op)
+            assert_no_stall_without_a_bound(config, pair)
 
     def test_batch_lengths_on_both_sides_of_the_array_threshold(self, config, budget):
         """0, 1, 15, 16 and 1,024 keys: the per-key loop, the first batch
@@ -817,6 +826,7 @@ class TestArrayVerbs:
                 pair.run(("step", keys, [value_for(key, length % 250) for key in keys]))
                 pair.run(("put", keys, [value_for(key, 5) for key in keys]))
                 assert pair.run(("get", keys[::-1])) == [value_for(key, 5) for key in keys[::-1]]
+            assert_no_stall_without_a_bound(config, pair)
 
 
 class TestArrayVerbArguments:

@@ -285,12 +285,18 @@ class TestDeltaForm:
     def _grads(self, n, seed):
         return np.random.default_rng(seed).normal(size=(n, DIM)).astype(np.float32)
 
-    def test_adagrad_delta_bitwise_equals_row_form(self):
+    @pytest.mark.parametrize("restored", [False, True])
+    def test_adagrad_delta_bitwise_equals_row_form(self, restored):
+        """``restored``: half-way, the delta side restarts from its own
+        checkpointed state, as a parameter server does after a failure."""
         keys = np.array([3, 7, 3 + 11, 40], dtype=np.int64)
         rows = self._grads(4, 1)
         fused = RowAdagrad(lr=0.05)
         delta = RowAdagrad(lr=0.05)
         for seed in range(5):  # state advances identically across batches
+            if restored and seed == 2:
+                state, delta = delta.state_dict(), RowAdagrad(lr=0.05)
+                delta.load_state_dict(state)
             grads = self._grads(4, 10 + seed)
             via_rows = fused.updated_rows(keys, rows, grads)
             via_delta = rows + delta.delta_rows(keys, grads)

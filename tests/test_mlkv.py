@@ -226,6 +226,22 @@ class TestDiskResidentStaleness:
         assert store.staleness_of(0) == 1
         store.close()
 
+    def test_bounded_staleness_disabled_bypasses_protocol(self, tmp_path):
+        """§IV-E's clock-off configuration is FasterKV over the same log:
+        the Gets a BSP bound blocks go straight through."""
+        options = {"memory_budget_bytes": 1 << 14, "page_bytes": 1 << 12}
+        bsp = MLKV(str(tmp_path / "bsp"), staleness_bound=0, **options)
+        off = FasterKV(str(tmp_path / "off"), **options)
+        for store in (bsp, off):
+            store.put(1, b"v")
+        assert bsp.get(1) == b"v"
+        with pytest.raises(StalenessViolation):
+            bsp.get(1)
+        for _ in range(10):
+            assert off.get(1) == b"v"  # no admission, no violation
+        for store in (bsp, off):
+            store.close()
+
 
 class TestLookahead:
     def test_copies_disk_records_into_memory(self, tmp_path):

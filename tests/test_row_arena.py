@@ -173,7 +173,20 @@ class TestLoadStateDict:
 # ----------------------------------------------------------------------
 # a batch of no keys
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("make", [RowAdagrad, RowAdam])
+def restored(optimizer, state):
+    optimizer.load_state_dict(state)
+    return optimizer
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        RowAdagrad,
+        # state from a checkpoint: the arena's width comes from the load
+        lambda: restored(RowAdagrad(), {"accumulators": {9: np.ones(DIM, np.float32)}}),
+        RowAdam,
+    ],
+)
 @pytest.mark.parametrize("warm", [False, True])
 def test_no_keys_give_no_rows_and_touch_no_state(make, warm):
     optimizer = make()

@@ -525,6 +525,17 @@ class TestBoundedServing:
         assert server.cache.reuse_limit == 3
         store.close()
 
+    @pytest.mark.parametrize("bound, read_mode, reuse_limit", [
+        (0, "bounded", 1),  # BSP still lets a cached row serve one read
+        (ASP_BOUND, "bounded", None),  # no finite bound, no limit
+        (3, "snapshot", None),  # snapshot reads never age out
+    ])
+    def test_reuse_limit_follows_a_finite_bound(self, tmp_path, bound, read_mode, reuse_limit):
+        store = make_serving_store(tmp_path / "s", item_count=10, staleness_bound=bound)
+        server = EmbeddingServer(store, dim=DIM, seed=3, cache_entries=16, read_mode=read_mode)
+        assert server.cache.reuse_limit == reuse_limit
+        store.close()
+
     def test_bounded_mode_rejected_without_bound(self, tmp_path):
         store = FasterKV(str(tmp_path / "f"), ssd=SSDModel(SimClock()))
         with pytest.raises(ConfigError):
