@@ -108,7 +108,7 @@ bench-e2e-smoke:
 # The router suite is here because every replicated read and write —
 # including the live split of a lagging group — goes through it; the
 # chaos-serving and tenancy suites because their replica kills, revives
-# and hedged reads act on the replica groups directly, mid-run; the
+# and slowed replicas act on the replica groups directly, mid-run; the
 # array-verb suite rides along for its router and replica-group tests,
 # the store-contract suite for what every composition answers, and the
 # look-ahead clamp and checkpoint suites so that staging (training, a

@@ -8,8 +8,8 @@ invariants that only hold while the system is actually running:
   replica's applied version decreases or overtakes the group version
   (:class:`~repro.device.clock.ReplicaVersionClock`).
 * **Admission discipline** — every read the router serves comes from a
-  live replica within the divergence bound; quorum reads touch a live
-  majority (``pick_reader`` / ``quorum_readers``).
+  live replica within the divergence bound (``pick_reader``, the one
+  read route of a replica group).
 * **Sound donors** — catch-up, committed rmw and scans source only from
   live lag-0 peers (``_complete_peer``), because the scalar clock cannot
   name *which* writes a lagging replica missed.
@@ -187,27 +187,6 @@ class Sanitizer:
                 return choice
             return checked
 
-        def make_quorum_readers(original: Callable) -> Callable:
-            def checked(self: Any) -> list[int]:
-                readers = original(self)
-                sanitizer.trace.record(
-                    "group.quorum_readers", f"{_tag(self)} -> {readers}"
-                )
-                needed = self.replication // 2 + 1
-                if len(readers) < needed:
-                    sanitizer._fail(
-                        f"{_tag(self)}.quorum_readers returned {len(readers)} "
-                        f"readers; a majority is {needed} of {self.replication}"
-                    )
-                for index in readers:
-                    if not self.alive[index]:
-                        sanitizer._fail(
-                            f"{_tag(self)}.quorum_readers included dead "
-                            f"replica {index}"
-                        )
-                return readers
-            return checked
-
         def make_complete_peer(original: Callable) -> Callable:
             def checked(self: Any, exclude: int) -> int:
                 donor = original(self, exclude=exclude)
@@ -273,7 +252,6 @@ class Sanitizer:
             return make
 
         self._patch(ReplicaGroup, "pick_reader", make_pick_reader)
-        self._patch(ReplicaGroup, "quorum_readers", make_quorum_readers)
         self._patch(ReplicaGroup, "_complete_peer", make_complete_peer)
         self._patch(
             ReplicaGroup, "fanout_put",

@@ -353,7 +353,7 @@ class MLKV(FasterKV):
         """
         with obs_span("kv.multi_get", clock=self.clock, engine="mlkv", keys=len(keys)):
             self._charge_batch_cpu(len(keys))
-            if CLOCK_OVERHEAD_SECONDS and len(keys):
+            if len(keys):
                 self.clock.advance(CLOCK_OVERHEAD_SECONDS * len(keys), component="cpu")
             self._stats.gets += len(keys)
             key_array = self._key_array(keys)
@@ -475,7 +475,7 @@ class MLKV(FasterKV):
         """
         with obs_span("kv.multi_put", clock=self.clock, engine="mlkv", keys=len(keys)):
             self._charge_batch_cpu(len(keys))
-            if CLOCK_OVERHEAD_SECONDS and len(keys):
+            if len(keys):
                 self.clock.advance(CLOCK_OVERHEAD_SECONDS * len(keys), component="cpu")
             self._stats.puts += len(keys)
             self._put_batch(
@@ -716,5 +716,4 @@ class MLKV(FasterKV):
 
     def _charge_clock_overhead(self) -> None:
         self._charge_cpu()
-        if CLOCK_OVERHEAD_SECONDS:
-            self.clock.advance(CLOCK_OVERHEAD_SECONDS, component="cpu")
+        self.clock.advance(CLOCK_OVERHEAD_SECONDS, component="cpu")

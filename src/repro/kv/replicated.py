@@ -7,7 +7,7 @@ so read throughput is unchanged by the replication factor and a failed
 replica costs availability nothing — the group simply stops picking it.
 A replicated, sharded store is the shard router with one group per
 shard, ``ShardedKVStore(lambda shard: ReplicaGroup([...]), n)``: routing,
-batched fan-out, live split/migrate and deferred cleanup are the
+batched fan-out, live splits and deferred cleanup are the
 router's; every replica setting and operator verb is the group's.
 
 Consistency reuses the paper's machinery instead of inventing a new
@@ -19,7 +19,7 @@ catch-up-free revivals make it positive), and the ``divergence_bound``
 admits a replica for reads only while its lag is within the bound — the
 same staleness contract bounded stores give individual records.  Values
 that will be written somewhere (``rmw``, ``read_current_many`` — what
-the parameter server adds deltas onto and a live migration copies from —
+the parameter server adds deltas onto and a live split copies from —
 ``scan``)
 always come from a lag-0 replica: the bound licenses stale *reads*,
 never stale write-backs.
@@ -40,9 +40,9 @@ Failure handling:
 * :meth:`~ReplicaGroup.slow` injects per-operation latency on one
   replica (a degraded disk, a noisy neighbor); the read router prefers
   un-slowed admissible replicas, so a slow replica is routed around
-  exactly like a dead one as long as a healthy peer exists.  With a
-  ``hedge_threshold`` set, reads spread over slowed replicas too and
-  hedge to a faster peer instead (:meth:`~ReplicaGroup.pick_hedged_reader`).
+  exactly like a dead one as long as a healthy peer exists; when every
+  admissible replica is slowed, the least-slowed one serves and its
+  penalty is paid.
 """
 
 from __future__ import annotations
@@ -66,8 +66,6 @@ from repro.kv.sharded import (
     write_manifest,
 )
 from repro.obs.trace import span as obs_span
-
-READ_POLICIES = ("one", "quorum")
 
 #: Coordinated checkpoint manifest binding every replica image plus the
 #: group state (version clocks, liveness, hint queues) into one unit.
@@ -98,19 +96,13 @@ class ReplicaGroup(KVStore, CheckpointManager):
     divergence_bound:
         Maximum missed writes a replica may lag and still serve reads
         (0 = only fully caught-up replicas serve; the BSP of replicas).
-    read_policy:
-        ``"one"`` — route each read to one admissible replica (the
-        serving hot path); ``"quorum"`` — read a majority and answer
-        from the freshest (survives reading a stale replica even when
-        the bound admits it).
     directory:
         Optional base directory holding every replica's own directory.
         A group that has one writes its own manifest on
         :meth:`checkpoint` and reopens through :meth:`restore`, which is
         how a router of groups checkpoints and restores them.
 
-    Like ``divergence_bound`` and ``read_policy``, :attr:`hedge_threshold`
-    is group state the operator may set at any time.
+    Every read routes to one admissible replica (:meth:`pick_reader`).
     """
 
     def __init__(
@@ -118,24 +110,17 @@ class ReplicaGroup(KVStore, CheckpointManager):
         replicas: Sequence[KVStore],
         max_hints: int = 100_000,
         divergence_bound: int = 0,
-        read_policy: str = "one",
         directory: Optional[str] = None,
     ) -> None:
         if not replicas:
             raise ConfigError("a replica group needs at least one replica")
         if divergence_bound < 0:
             raise ConfigError(f"divergence_bound must be >= 0, got {divergence_bound}")
-        if read_policy not in READ_POLICIES:
-            raise ConfigError(
-                f"read_policy must be one of {READ_POLICIES}, got {read_policy!r}"
-            )
         self.replicas: list[KVStore] = list(replicas)
         self.alive: list[bool] = [True] * len(self.replicas)
         self.versions = ReplicaVersionClock(len(self.replicas))
         self.max_hints = max_hints
         self.divergence_bound = divergence_bound
-        self.read_policy = read_policy
-        self._hedge_threshold: Optional[float] = None
         self.directory = directory
         # Per-replica hinted-handoff sets: keys written while it was down.
         # ``None`` marks an overflowed set (full resync needed on revive).
@@ -145,25 +130,6 @@ class ReplicaGroup(KVStore, CheckpointManager):
         self.failovers = 0  # reads that skipped the preferred replica
         self.catchup_keys = 0  # keys replayed by hinted catch-up
         self.resyncs = 0  # full scan-copy rebuilds
-        self.hedged_reads = 0  # reads answered by a hedge instead of waiting
-
-    @property
-    def hedge_threshold(self) -> Optional[float]:
-        """Hedge routed reads past this many seconds of injected slowness.
-
-        ``None`` (the default) routes plainly.  Set, reads spread
-        round-robin over the whole admissible pool — slowed replicas
-        included — and a read routed to a replica slowed beyond the
-        threshold waits it out and duplicates to the least-slow peer
-        (:meth:`pick_hedged_reader`), counted in ``hedged_reads``.
-        """
-        return self._hedge_threshold
-
-    @hedge_threshold.setter
-    def hedge_threshold(self, seconds: Optional[float]) -> None:
-        if seconds is not None and seconds < 0:
-            raise ConfigError(f"hedge threshold must be non-negative, got {seconds}")
-        self._hedge_threshold = seconds
 
     # ------------------------------------------------------------------
     # liveness & health
@@ -273,13 +239,7 @@ class ReplicaGroup(KVStore, CheckpointManager):
         self._slow_penalty[replica] = penalty_seconds
 
     def slow_penalty(self, replica: int) -> float:
-        """The injected per-read latency on ``replica`` (0 = healthy).
-
-        This is the routing signal the serving tier's request hedging
-        consults: a non-zero penalty on every admissible replica means
-        routing around the slowness is impossible and a hedge is the
-        only way to cap the read's latency.
-        """
+        """The injected per-read latency on ``replica`` (0 = healthy)."""
         return self._slow_penalty[replica]
 
     def _complete_peer(self, exclude: int) -> int:
@@ -337,86 +297,14 @@ class ReplicaGroup(KVStore, CheckpointManager):
         self._cursor += 1
         return choice
 
-    def pick_hedged_reader(self, bound: int, threshold: float) -> tuple[int, float]:
-        """One admissible replica with request hedging against slowness.
-
-        Unlike :meth:`pick_reader` — which *avoids* slowed replicas and
-        so hot-spots every read onto the least-penalized one — hedged
-        routing round-robins over the **whole** admissible pool, slowed
-        replicas included: the hedge is what makes spreading load over
-        degraded replicas safe.  When the routed replica's injected
-        penalty exceeds ``threshold``, the read waits the threshold and
-        duplicates to the least-slow admissible peer, completing at the
-        faster of the two.  Returns ``(replica, charge)`` where
-        ``charge`` is the latency cost to pay on the simulated clock
-        (``threshold`` + the hedge target's own penalty when the hedge
-        wins; the routed replica's penalty otherwise).
-        """
-        admissible = [
-            index for index in self.live_indices() if self.versions.in_bound(index, bound)
-        ]
-        if not admissible:
-            return self.pick_reader(bound), 0.0  # raises the routing error
-        if len(admissible) < self.replication:
-            self.failovers += 1
-        choice = admissible[self._cursor % len(admissible)]
-        self._cursor += 1
-        penalty = self._slow_penalty[choice]
-        if penalty <= threshold:
-            return choice, penalty
-        alternates = [index for index in admissible if index != choice]
-        if not alternates:
-            return choice, penalty
-        alternate = min(alternates, key=lambda index: self._slow_penalty[index])
-        hedged_cost = threshold + self._slow_penalty[alternate]
-        if hedged_cost < penalty:
-            self.hedged_reads += 1
-            return alternate, hedged_cost
-        return choice, penalty
-
-    def quorum_readers(self) -> list[int]:
-        """A majority of live replicas, freshest first.
-
-        Quorum reads filter on liveness only — the freshest-first
-        ranking (the first reader's answers win) is what guarantees a
-        current value, so the divergence bound does not apply here.
-        Reads served by a short group still count as failovers.
-        """
-        live = self.live_indices()
-        needed = self.replication // 2 + 1
-        if len(live) < needed:
-            raise StorageError(
-                f"quorum needs {needed} of {self.replication} replicas, "
-                f"only {len(live)} live"
-            )
-        if len(live) < self.replication:
-            self.failovers += 1
-        ranked = sorted(live, key=lambda index: -self.versions.applied[index])
-        return ranked[:needed]
-
-    def charge_penalty(self, replica: int, seconds: Optional[float] = None) -> None:
-        """Pay injected slowness on the replica's simulated clock.
-
-        ``seconds`` defaults to the replica's own penalty; a hedged read
-        passes the (smaller) cost of the hedge that won instead.
-        """
-        if seconds is None:
-            seconds = self._slow_penalty[replica]
-        if seconds:
-            clock = self.replicas[replica].clock
-            if clock is not None:
-                clock.advance(seconds, component=CHAOS_COMPONENT)
-
     def _read_replica(self) -> int:
-        """Route one read under the group's policy, paying its latency."""
-        if self._hedge_threshold is None:
-            choice = self.pick_reader(self.divergence_bound)
-            self.charge_penalty(choice)
-        else:
-            choice, charge = self.pick_hedged_reader(
-                self.divergence_bound, self._hedge_threshold
-            )
-            self.charge_penalty(choice, charge)
+        """Route one read (:meth:`pick_reader`), paying its injected latency."""
+        choice = self.pick_reader(self.divergence_bound)
+        penalty = self._slow_penalty[choice]
+        if penalty:
+            clock = self.replicas[choice].clock
+            if clock is not None:
+                clock.advance(penalty, component=CHAOS_COMPONENT)
         return choice
 
     # ------------------------------------------------------------------
@@ -472,44 +360,25 @@ class ReplicaGroup(KVStore, CheckpointManager):
         return -1 if hints is None else len(hints)
 
     # ------------------------------------------------------------------
-    # KVStore interface — reads (routed, or a majority)
+    # KVStore interface — reads (routed to one replica)
     # ------------------------------------------------------------------
     def _read(self, op: str, keys: list) -> list:
-        """One batched read ``op`` under the group's read policy.
-
-        ``"quorum"`` reads a majority and answers from the freshest:
-        ``quorum_readers`` ranks by applied version, so the first
-        reader's answers win; the remaining majority members are still
-        read (paying their cost) — that is the price of quorum reads and
-        exactly why ``"one"`` + divergence bound is the serving path.
-        """
-        if self.read_policy == "quorum":
-            with obs_span("kv.replica_read", policy="quorum", keys=len(keys)):
-                answers = []
-                for replica in self.quorum_readers():
-                    self.charge_penalty(replica)
-                    answers.append(getattr(self.replicas[replica], op)(keys))
-                return answers[0]
+        """One batched read ``op``, served by one routed replica."""
         replica = self._read_replica()
         reader = self.replicas[replica]
         with obs_span("kv.replica_read", clock=reader.clock, replica=replica, keys=len(keys)):
             return getattr(reader, op)(keys)
 
-    def _read_one(self, op: str, batched_op: str, key: int) -> Optional[bytes]:
-        if self.read_policy == "quorum":
-            return self._read(batched_op, [key])[0]
-        return getattr(self.replicas[self._read_replica()], op)(key)
-
     def get(self, key: int) -> Optional[bytes]:
-        """Read from one bounded-staleness replica (or a majority)."""
-        return self._read_one("get", "multi_get", key)
+        """Read from one bounded-staleness replica."""
+        return self.replicas[self._read_replica()].get(key)
 
     def snapshot_read(self, key: int) -> Optional[bytes]:
         """Committed read (no staleness consumption), routed like ``get``."""
-        return self._read_one("snapshot_read", "snapshot_read_many", key)
+        return self.replicas[self._read_replica()].snapshot_read(key)
 
     def multi_get(self, keys) -> list:
-        """One batched read served by one replica (or a majority)."""
+        """One batched read served by one replica."""
         return self._read("multi_get", self._normalize_keys(keys))
 
     def snapshot_read_many(self, keys) -> list:
@@ -611,7 +480,7 @@ class ReplicaGroup(KVStore, CheckpointManager):
         Reads touch one replica and writes touch all live replicas, so
         ``puts`` counts fan-out copies (the real work done) while
         ``gets``/``hits``/``misses`` reflect the single routed read
-        path.  ``extra`` carries the lag vector, failover and hedge
+        path.  ``extra`` carries the lag vector, failover and catch-up
         counts, hinted keys outstanding and injected penalties.
         """
         total = merge_stats(replica.stats for replica in self.replicas)
@@ -622,7 +491,6 @@ class ReplicaGroup(KVStore, CheckpointManager):
             slow_penalties=[self.slow_penalty(index) for index in indices],
             failovers=self.failovers,
             catchup_keys=self.catchup_keys,
-            hedged_reads=self.hedged_reads,
         )
         return total
 
@@ -647,7 +515,7 @@ class ReplicaGroup(KVStore, CheckpointManager):
         Each replica engine persists its own crash-consistent image
         first; the group manifest is written atomically last.  It holds
         what a restore cannot rediscover from the replica images: replica
-        locations and classes, the read settings, the version clock,
+        locations and classes, the read and hint settings, the version clock,
         liveness flags and the hinted-handoff queues — so a revive after
         restore replays exactly the keys the live run owed the dead
         replica (``None`` marks an overflowed queue).
@@ -664,7 +532,6 @@ class ReplicaGroup(KVStore, CheckpointManager):
             "max_hints": self.max_hints,
             "hints": [None if hints is None else sorted(hints) for hints in self._hints],
             "divergence_bound": self.divergence_bound,
-            "read_policy": self.read_policy,
         })
 
     @classmethod
@@ -679,7 +546,8 @@ class ReplicaGroup(KVStore, CheckpointManager):
         ``factory(replica_index, replica_directory)`` rebuilds one
         replica; otherwise each recorded class's ``restore`` is called
         with ``kwargs`` forwarded.  Group state comes back exactly as
-        checkpointed.
+        checkpointed.  Older images also record a read policy, which is
+        not read: every group routes reads one way.
         """
         path, manifest = read_manifest(directory, _MANIFEST)
         with checkpoint_fields(path):
@@ -689,7 +557,6 @@ class ReplicaGroup(KVStore, CheckpointManager):
             settings = {
                 "max_hints": int(manifest["max_hints"]),
                 "divergence_bound": manifest["divergence_bound"],
-                "read_policy": manifest["read_policy"],
             }
         group = cls(
             [opener(index) for index, opener in enumerate(openers)],

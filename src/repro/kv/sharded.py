@@ -14,13 +14,13 @@ is just a :class:`~repro.kv.api.KVStore`:
   operator verb.
 
 A child is whatever ``factory(index)`` returns, for the initial shards
-and for every migration target alike; the router has no subclass hooks.
-Slot-table routing, live split/migrate with deferred cleanup, stats
+and for every split target alike; the router has no subclass hooks.
+Slot-table routing, live splits with deferred cleanup, stats
 aggregation, the store contract computed from the children (``ssd``,
 ``clock``, ``staleness_bound``, ``set_stall_handler``, ``lookahead``,
 ``lookahead_capacity``: what they share, never an ``AttributeError``)
 and the coordinated checkpoint manifest apply to every kind of child,
-so replication and live migration compose.
+so replication and live splits compose.
 
 Batched operations are the reason this layer exists: ``multi_get`` /
 ``multi_put`` and the array verbs ``get_rows`` / ``put_rows`` split one
@@ -157,7 +157,7 @@ def merge_stats(children: Iterable[StoreStats]) -> StoreStats:
     Extras merge by kind: numbers are summed and lists concatenated in
     child order, so a composite reports its children's health under the
     keys they use — a router of replica groups has the groups'
-    ``failovers``, ``catchup_keys`` and ``hedged_reads`` summed and their
+    ``failovers`` and ``catchup_keys`` summed and their
     ``replica_lag`` vectors joined, exactly the shape one group reports.
     ``extra["shards"]`` keeps each child's own extras, in child order.
     """
@@ -671,7 +671,7 @@ class ShardedKVStore(KVStore, CheckpointManager):
         self._slots = list(slots)
 
     # ------------------------------------------------------------------
-    # live migration: split / migrate with copy-then-cutover
+    # live split with copy-then-cutover
     # ------------------------------------------------------------------
     def begin_split(self, shard_index: int, factory: Callable) -> "ShardMigration":
         """Start splitting one engine's key range onto a new engine.
@@ -693,9 +693,7 @@ class ShardedKVStore(KVStore, CheckpointManager):
             self._slots = self._slots + self._slots
             owned = [owned[0], owned[0] + len(self._slots) // 2]
         target = factory(len(self.shards))
-        self._migration = ShardMigration(
-            self, shard_index, target, moving_slots={owned[-1]}, replace=False
-        )
+        self._migration = ShardMigration(self, shard_index, target, moving_slots={owned[-1]})
         return self._migration
 
     def split_shard(self, shard_index: int, factory: Callable, batch: int = 1024) -> int:
@@ -707,26 +705,6 @@ class ShardedKVStore(KVStore, CheckpointManager):
         drive the migration object directly.
         """
         return self.begin_split(shard_index, factory).run(batch=batch)
-
-    def begin_migrate(self, shard_index: int, factory: Callable) -> "ShardMigration":
-        """Start moving an engine's *entire* range to a replacement engine.
-
-        The replacement (built from ``factory`` for the same engine
-        index) takes over every slot the old engine owns at cutover —
-        node replacement for a failed or hot shard, with the same
-        copy-then-cutover discipline as a split.  The old engine is
-        closed after cutover.
-        """
-        owned = self._owned_slots(shard_index)
-        target = factory(shard_index)
-        self._migration = ShardMigration(
-            self, shard_index, target, moving_slots=set(owned), replace=True
-        )
-        return self._migration
-
-    def migrate_shard(self, shard_index: int, factory: Callable, batch: int = 1024) -> int:
-        """Replace an engine in one call; returns the engine's index."""
-        return self.begin_migrate(shard_index, factory).run(batch=batch)
 
     def cleanup_pending(self) -> int:
         """Moved keys still awaiting deferred post-cutover deletion."""
@@ -774,7 +752,7 @@ class ShardedKVStore(KVStore, CheckpointManager):
             raise ConfigError("cannot migrate a frozen store")
         # A new migration snapshots raw engine scans, so finish any
         # deferred cleanup first — leftover moved keys on an old engine
-        # must not leak into a snapshot or survive an engine replacement.
+        # must not leak into a snapshot.
         while self._cleanup_backlog:
             self.cleanup_step(4096)
         owned = [slot for slot, engine in enumerate(self._slots) if engine == shard_index]
@@ -788,7 +766,7 @@ class ShardMigration:
 
     Lifecycle::
 
-        migration = store.begin_split(0, factory)   # or begin_migrate
+        migration = store.begin_split(0, factory)
         while migration.copy_step(batch):            # interleave writes
             ...                                      #   freely here
         migration.cutover()                          # or .abort() on failure
@@ -813,13 +791,11 @@ class ShardMigration:
         source_index: int,
         target: KVStore,
         moving_slots: set[int],
-        replace: bool,
     ) -> None:
         self.store = store
         self.source_index = source_index
         self.target = target
         self.moving_slots = set(moving_slots)
-        self.replace = replace
         self.done = False
         # Begin-time snapshot of the moving key set; values are read
         # lazily so the copy sees current data and the delta log covers
@@ -913,7 +889,7 @@ class ShardMigration:
         (each pass re-reads current values, so the target ends
         bit-identical to the source for every moved key), flips the
         routing slot(s) to the target, and deletes the moved keys from
-        the source (a replaced engine is closed outright instead).
+        the source.
 
         With ``defer_cleanup=True`` the source-side deletes are queued on
         the store instead of executed here: the routing flip makes the
@@ -945,10 +921,6 @@ class ShardMigration:
 
     def _install(self, defer_cleanup: bool) -> int:
         store = self.store
-        if self.replace:
-            store.shards[self.source_index] = self.target
-            self._source.close()
-            return self.source_index
         target_index = len(store.shards)
         store.shards.append(self.target)
         store._shard_ops.append(0)

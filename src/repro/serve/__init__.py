@@ -22,15 +22,14 @@ online service measured against latency SLOs:
 * :mod:`repro.serve.loop` — :class:`ServingLoop`, the one
   discrete-event serving loop binding it all together.  It always runs
   over a list of tenants (``run(arrivals)`` is the implicit one-tenant
-  case), with priority-aware batch cutoff, request hedging against slow
-  replicas, and the training look-ahead engine reused as a serving
-  prefetcher;
+  case), with priority-aware batch cutoff and the training look-ahead
+  engine reused as a serving prefetcher;
 * :mod:`repro.serve.tenancy` — what is about a tenant (model +
   table-set + SLO class): its spec and runtime state, per-tenant key
   namespacing, and token-bucket + queue-depth admission control;
 * :mod:`repro.serve.autoscale` — the telemetry-driven policy closing
-  the elasticity loop: live shard splits and replica add/remove
-  driven between micro-batches under load.
+  the elasticity loop: live shard splits driven between micro-batches
+  under load.
 """
 
 from repro.serve.autoscale import Autoscaler, AutoscalerConfig

@@ -1,24 +1,17 @@
 """Telemetry-driven autoscaling: closing the elasticity loop under load.
 
-The storage layer has live rescaling *primitives* — incremental
-``split_shard`` / ``migrate_shard`` with copy-then-cutover, and replica
-fail/revive with hinted catch-up.  This module adds the *policy* that
-drives two of them while requests are in flight: the
-:class:`~repro.serve.loop.ServingLoop` feeds every served batch's
+The storage layer has one live rescaling *primitive* — the shard
+router's incremental ``begin_split`` with copy-then-cutover.  This
+module adds the *policy* that drives it while requests are in flight:
+the :class:`~repro.serve.loop.ServingLoop` feeds every served batch's
 latencies into the :class:`Autoscaler` and ticks it between
 micro-batches (the only points simulated time advances), and the
-autoscaler reacts to a sustained latency-window breach by:
-
-* **splitting the hottest shard** — ``begin_split`` on the engine with
-  the most routed operations, then *one bounded copy step per tick* so
-  the copy interleaves with live serving exactly as a production
-  rescale would, then ``cutover`` (which replays the dual-logged write
-  deltas, so zero requests and zero writes are lost), until
-  ``max_shards``;
-* **adding / removing replicas** — on the shards served by a
-  :class:`~repro.kv.ReplicaGroup`, reviving a previously-retired replica
-  under pressure (hinted catch-up brings it consistent) and retiring one
-  again when the latency window relaxes.
+autoscaler reacts to a sustained latency-window breach by **splitting
+the hottest shard** — ``begin_split`` on the engine with the most routed
+operations, then *one bounded copy step per tick* so the copy
+interleaves with live serving exactly as a production rescale would,
+then ``cutover`` (which replays the dual-logged write deltas, so zero
+requests and zero writes are lost), until ``max_shards``.
 
 Every decision lands in an auditable log (:attr:`Autoscaler.decisions`)
 and as an obs instant on the simulated timeline; when a telemetry
@@ -32,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.errors import ConfigError, StorageError
-from repro.kv import ReplicaGroup, ShardedKVStore
+from repro.errors import ConfigError
+from repro.kv import ShardedKVStore
 from repro.obs.trace import instant as obs_instant
 from repro.serve.telemetry import LatencyHistogram, ServingTelemetry
 
@@ -59,11 +52,8 @@ class AutoscalerConfig:
         Keys copied per split step — the knob trading rescale speed
         against per-batch latency impact on live traffic.
     max_shards:
-        Shard-count ceiling for splits; beyond it the policy falls back
-        to replica actions.
-    scale_in_p99:
-        A window p99 *below* this retires one replica of the
-        most-replicated group (``None`` disables scale-in).
+        Shard-count ceiling for splits; at it a hot window changes
+        nothing.
     min_window:
         Completed requests a window needs before its p99 is trusted.
     """
@@ -74,7 +64,6 @@ class AutoscalerConfig:
     cooldown: float = 4e-3
     copy_batch: int = 512
     max_shards: int = 8
-    scale_in_p99: Optional[float] = None
     min_window: int = 64
 
     def __post_init__(self) -> None:
@@ -98,9 +87,7 @@ class Autoscaler:
     store:
         The shared store: a :class:`~repro.kv.ShardedKVStore` (any
         router has the split / deferred-cleanup surface;
-        anything else is a ``ConfigError``).  Replica add/remove acts
-        on whichever of its children are replica groups
-        (:class:`~repro.kv.ReplicaGroup`).
+        anything else is a ``ConfigError``).
     factory:
         Builds a fresh child for splits, in the shape of
         the store's own constructor factory: ``factory(engine_index)``
@@ -116,7 +103,7 @@ class Autoscaler:
     def __init__(
         self,
         store,
-        factory: Optional[Callable[[int], object]] = None,
+        factory: Callable[[int], object],
         config: Optional[AutoscalerConfig] = None,
         telemetry: Optional[ServingTelemetry] = None,
     ) -> None:
@@ -135,8 +122,6 @@ class Autoscaler:
         self._last_check: Optional[float] = None
         self._last_action: Optional[float] = None
         self.splits_completed = 0
-        self.replicas_added = 0
-        self.replicas_removed = 0
 
     # ------------------------------------------------------------------
     # signal intake
@@ -183,14 +168,8 @@ class Autoscaler:
                 and queue_depth > config.depth_threshold
             )
         )
-        if hot and self._scale_out(now, window_p99, queue_depth):
-            return
-        if (
-            config.scale_in_p99 is not None
-            and window_count >= config.min_window
-            and window_p99 < config.scale_in_p99
-        ):
-            self._remove_replica(now, window_p99)
+        if hot and self.store.num_shards < config.max_shards:
+            self._begin_split(now, window_p99, queue_depth)
 
     # ------------------------------------------------------------------
     # actions
@@ -201,22 +180,18 @@ class Autoscaler:
             and now - self._last_action < self.config.cooldown
         )
 
-    def _scale_out(self, now: float, window_p99: float, queue_depth: int) -> bool:
-        store = self.store
-        if self.factory is not None and store.num_shards < self.config.max_shards:
-            hottest = self._hottest_shard()
-            self._migration = store.begin_split(hottest, self.factory)
-            self._record(
-                now,
-                action="split_begin",
-                shard=hottest,
-                window_p99=window_p99,
-                queue_depth=queue_depth,
-                remaining=self._migration.remaining,
-            )
-            self._set_phase("rescale:split", now)
-            return True
-        return self._add_replica(now, window_p99)
+    def _begin_split(self, now: float, window_p99: float, queue_depth: int) -> None:
+        hottest = self._hottest_shard()
+        self._migration = self.store.begin_split(hottest, self.factory)
+        self._record(
+            now,
+            action="split_begin",
+            shard=hottest,
+            window_p99=window_p99,
+            queue_depth=queue_depth,
+            remaining=self._migration.remaining,
+        )
+        self._set_phase("rescale:split", now)
 
     def _drain_cleanup(self) -> bool:
         """One bounded post-cutover cleanup step, when any is pending.
@@ -247,62 +222,6 @@ class Autoscaler:
             )
             self._set_phase("after:split", now)
 
-    def _groups(self) -> list[tuple[int, ReplicaGroup]]:
-        """``(shard, group)`` for every child that is a replica group."""
-        return [
-            (shard, child)
-            for shard, child in enumerate(self.store.shards)
-            if isinstance(child, ReplicaGroup)
-        ]
-
-    def _add_replica(self, now: float, window_p99: float) -> bool:
-        """Revive the first retired replica found (hinted catch-up)."""
-        for shard, group in self._groups():
-            if all(group.alive):
-                continue
-            dead = group.alive.index(False)
-            replayed = group.revive(dead, catch_up=True)
-            self.replicas_added += 1
-            self._last_action = now
-            self._record(
-                now,
-                action="add_replica",
-                shard=shard,
-                replica=dead,
-                catchup_keys=replayed,
-                window_p99=window_p99,
-            )
-            self._set_phase("after:add_replica", now)
-            return True
-        return False
-
-    def _remove_replica(self, now: float, window_p99: float) -> bool:
-        """Retire one replica of the most-replicated group (scale-in)."""
-        best, best_live = None, 1
-        for shard, group in self._groups():
-            live = group.live_indices()
-            if len(live) > best_live:
-                best, best_live = (shard, group), len(live)
-        if best is None:
-            return False
-        shard, group = best
-        victim = group.live_indices()[-1]
-        try:
-            group.fail(victim)
-        except StorageError:
-            return False  # the fail invariant vetoed it: keep the replica
-        self.replicas_removed += 1
-        self._last_action = now
-        self._record(
-            now,
-            action="remove_replica",
-            shard=shard,
-            replica=victim,
-            window_p99=window_p99,
-        )
-        self._set_phase("after:remove_replica", now)
-        return True
-
     # ------------------------------------------------------------------
     # bookkeeping
     # ------------------------------------------------------------------
@@ -330,7 +249,5 @@ class Autoscaler:
         return {
             "decisions": list(self.decisions),
             "splits_completed": self.splits_completed,
-            "replicas_added": self.replicas_added,
-            "replicas_removed": self.replicas_removed,
             "rescaling": self.rescaling,
         }

@@ -170,13 +170,9 @@ class ChaosInjector(FaultSchedule):
         self._schedule(at, f"kill:{shard}/{replica}", "fail", (replica,), shard)
         return self
 
-    def revive_replica_at(
-        self, at: float, shard: int, replica: int, catch_up: bool = True
-    ) -> "ChaosInjector":
-        """Revive a killed replica (hinted catch-up unless disabled)."""
-        self._schedule(
-            at, f"revive:{shard}/{replica}", "revive", (replica, catch_up), shard
-        )
+    def revive_replica_at(self, at: float, shard: int, replica: int) -> "ChaosInjector":
+        """Revive a killed replica, with hinted catch-up."""
+        self._schedule(at, f"revive:{shard}/{replica}", "revive", (replica,), shard)
         return self
 
     def slow_shard(

@@ -36,8 +36,8 @@ highest priority first) and per-tenant telemetry.
 
 Between batches — the only points simulated time advances — the loop
 fires due chaos events, ticks the autoscaler
-(:mod:`repro.serve.autoscale`: live shard splits and replica
-add-remove while requests are in flight) and, when the single
+(:mod:`repro.serve.autoscale`: live shard splits while requests are
+in flight) and, when the single
 tenant's source exposes a key schedule (open-loop replay), advances the
 training stack's :class:`~repro.core.lookahead.LookaheadEngine` as a
 *serving prefetcher*: the store's look-ahead buffer is staged
@@ -387,7 +387,7 @@ class ServingLoop:
 
         The loop-wide block is the aggregate telemetry judged against
         ``target_p99`` (default: the tightest tenant target), with
-        store/replication stats (hedged reads among them), coalescing,
+        store/replication stats, coalescing,
         ``queue_high_water`` (the most admitted-but-unserved requests
         ever queued), chaos events and the autoscaler's decision log.
         ``tenants`` maps each tenant name to its own ``slo_report``

@@ -362,6 +362,5 @@ class ServingTelemetry:
                     "failovers": extra["failovers"],
                     "catchup_keys": extra["catchup_keys"],
                     "max_replica_lag": max(extra["replica_lag"], default=0),
-                    "hedged_reads": extra["hedged_reads"],
                 }
         return report

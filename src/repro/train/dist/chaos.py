@@ -64,11 +64,7 @@ class StragglerInjector(FaultSchedule):
         self._schedule(at, f"kill-replica:{shard}/{replica}", "fail", (replica,), shard)
         return self
 
-    def revive_replica_at(
-        self, at: float, shard: int, replica: int, catch_up: bool = True
-    ) -> "StragglerInjector":
+    def revive_replica_at(self, at: float, shard: int, replica: int) -> "StragglerInjector":
         """Schedule a replica revival (with catch-up) at ``at``."""
-        self._schedule(
-            at, f"revive-replica:{shard}/{replica}", "revive", (replica, catch_up), shard
-        )
+        self._schedule(at, f"revive-replica:{shard}/{replica}", "revive", (replica,), shard)
         return self

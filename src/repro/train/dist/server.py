@@ -21,7 +21,7 @@ and their batches are re-queued to someone else.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -284,7 +284,7 @@ class ParameterServer:
         self.tables.put(keys, self.tables.read_current(keys) + deltas)
 
     # ------------------------------------------------------------------
-    # membership and elasticity
+    # membership
     # ------------------------------------------------------------------
     def register_worker(self, worker_id: int) -> None:
         """Register a worker with the progress clock."""
@@ -293,25 +293,6 @@ class ParameterServer:
     def deregister_worker(self, worker_id: int) -> None:
         """Remove a worker from the progress clock."""
         self.progress.deregister(worker_id)
-
-    def scale_out(
-        self,
-        shard_factory: Callable[[int], object],
-        shard_index: Optional[int] = None,
-    ) -> Optional[int]:
-        """Split the busiest store shard to absorb a growing fleet.
-
-        Delegates to the store's live-migration path (``split_shard``,
-        PR 4) when the backing store is sharded; plain stores have
-        nothing to split and return ``None``.  Defaults to splitting the
-        shard with the most routed operations.
-        """
-        split = getattr(self.store, "split_shard", None)
-        if split is None:
-            return None
-        if shard_index is None:
-            shard_index = int(np.argmax(self.store.balance()))
-        return split(shard_index, shard_factory)
 
     def lost_batches(self, total: int) -> list[int]:
         """Batch indices never applied (should be empty after a run)."""

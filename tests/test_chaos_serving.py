@@ -265,13 +265,13 @@ def _expected_replication(groups) -> dict:
         "max_replica_lag": max(
             group.versions.lag(replica) for group in groups for replica in range(group.replication)
         ),
-        "hedged_reads": sum(group.hedged_reads for group in groups),
     }
 
 
 def _degrade(group, keys) -> None:
     """Give a 3-replica group every health counter: a hinted catch-up of
-    ``keys``, a dead replica lagging them, and hedged slow reads."""
+    ``keys``, a dead replica lagging them, and both admissible replicas
+    slowed, so the least-slowed one (2) serves every read and pays."""
     values = group.snapshot_read_many(keys)
     group.fail(2)
     group.multi_put(keys, values)
@@ -280,7 +280,6 @@ def _degrade(group, keys) -> None:
     group.multi_put(keys, values)  # replica 1 now lags len(keys) writes
     group.slow(0, 2e-3)
     group.slow(2, 1e-6)
-    group.hedge_threshold = 50e-6
 
 
 class TestReplicationReport:
@@ -290,18 +289,23 @@ class TestReplicationReport:
         server = build_server(tmp_path, replication=3, shards=0)
         group = server.store
         _degrade(group, list(range(0, _ITEMS, 7)))
+        gets = [replica.stats.gets for replica in group.replicas]
         report, arrivals = drive(server, count=600)
         assert all(request.value is not None for request in arrivals.issued)
         replication = report["replication"]
         assert replication == _expected_replication([group])
         assert replication["catchup_keys"] > 0 and replication["max_replica_lag"] > 0
-        assert replication["failovers"] > 0 and replication["hedged_reads"] > 0
+        assert replication["failovers"] > 0
+        served = [replica.stats.gets - before for replica, before in zip(group.replicas, gets)]
+        assert served[0] == served[1] == 0 < served[2]
+        assert server.clock.busy_seconds("chaos") > 0
         server.close()
 
     def test_report_over_a_router_of_groups_after_a_kill(self, tmp_path):
         server = build_server(tmp_path, replication=3)
         store = server.store
         _degrade(store.shards[0], [key for key in range(_ITEMS) if store.shard_of(key) == 0][:40])
+        slowest_gets = store.shards[0].replicas[0].stats.gets
         count = 900
         midpoint = server.clock.now + 0.5 * count / _RATE
         chaos = ChaosInjector().kill_replica_at(midpoint, shard=1, replica=0)
@@ -312,5 +316,5 @@ class TestReplicationReport:
         assert replication == _expected_replication(store.shards)
         assert store.shards[1].failovers > 0  # the kill's reroutes are counted
         assert replication["catchup_keys"] == 40 and replication["max_replica_lag"] == 40
-        assert replication["hedged_reads"] > 0
+        assert store.shards[0].replicas[0].stats.gets == slowest_gets  # routed around
         server.close()

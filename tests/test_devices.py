@@ -212,7 +212,7 @@ class TestFaultSchedule:
             def fail(self, replica):
                 self.calls.append(("fail", self.shard, replica))
 
-            def revive(self, replica, catch_up):
+            def revive(self, replica, catch_up=True):
                 self.calls.append(("revive", self.shard, replica))
 
         def __init__(self):

@@ -714,24 +714,40 @@ class TestElasticity:
         assert trainer.server.lost_batches(12) == []
         assert result.sim_seconds < clean.sim_seconds  # extra hands helped
 
-    def test_scale_out_splits_busiest_shard(self, tmp_path):
+    def test_split_of_the_busiest_shard_keeps_every_embedding_bit(self, tmp_path):
         trainer, _, stack, _ = run_dist(
             tmp_path, workers=2, mode="bounded", kind="sharded",
         )
         total = CTR.num_fields * CTR.field_cardinality
         before = all_embedding_bits(stack.tables, total).copy()
-        new_index = trainer.server.scale_out(
-            lambda index: FasterKV(str(tmp_path / f"split{index}"), ssd=stack.ssd)
+        busiest = int(np.argmax(stack.store.balance()))
+        new_index = stack.store.split_shard(
+            busiest, lambda index: FasterKV(str(tmp_path / f"split{index}"), ssd=stack.ssd)
         )
-        assert new_index == stack.store.num_shards - 1
+        assert new_index == stack.store.num_shards - 1 == 2
+        np.testing.assert_array_equal(
+            before, all_embedding_bits(stack.tables, total)
+        )
+        assert trainer.server.lost_batches(12) == []
+
+    def test_split_of_a_replicated_store_keeps_every_embedding_bit(self, tmp_path):
+        _, _, stack, _ = run_dist(
+            tmp_path, workers=2, mode="bounded", kind="replicated",
+        )
+        total = CTR.num_fields * CTR.field_cardinality
+        before = all_embedding_bits(stack.tables, total).copy()
+        stack.store.shards[0].fail(1)  # the copy reads the caught-up replica
+        stack.store.split_shard(
+            0,
+            lambda shard: ReplicaGroup(
+                [FasterKV(str(tmp_path / f"split{shard}r{replica}"), ssd=stack.ssd)
+                 for replica in range(2)]
+            ),
+        )
         assert stack.store.num_shards == 3
         np.testing.assert_array_equal(
             before, all_embedding_bits(stack.tables, total)
         )
-
-    def test_scale_out_is_noop_on_plain_stores(self, tmp_path):
-        trainer, _, _, _ = run_dist(tmp_path, workers=1, mode="sync")
-        assert trainer.server.scale_out(lambda index: None) is None
 
     def test_remove_worker_between_steps(self, tmp_path):
         trainer, result, _, _ = run_dist(tmp_path, workers=3, mode="async")

@@ -3,9 +3,9 @@ availability layer.
 
 Covers the replica version clock, write fan-out and read routing,
 failover with hinted catch-up (and the hint-overflow full resync),
-quorum reads, divergence-bound admission, chaos injection, and the
-split/migrate copy-then-cutover property — the latter against all four
-engines under a live interleaved write load.
+divergence-bound admission, chaos injection, and the split
+copy-then-cutover property — the latter against all four engines under
+a live interleaved write load.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import pytest
 from repro.core.mlkv import MLKV
 from repro.device import ReplicaVersionClock, SimClock, SSDModel
 from repro.errors import CheckpointError, ConfigError, StorageError
+from repro.errors import load_checkpoint_json, write_checkpoint_json
 from repro.kv import ReplicaGroup, ShardedKVStore
 from repro.kv.btree import BTreeKV
 from repro.kv.faster import FasterKV
@@ -162,13 +163,11 @@ class TestFanOutAndRouting:
         with pytest.raises(ConfigError):
             replicated_store(factory, num_shards=1, replication=0)
         with pytest.raises(ConfigError):
-            replicated_store(factory, num_shards=1, read_policy="most")
-        with pytest.raises(ConfigError):
             replicated_store(factory, num_shards=1, divergence_bound=-1)
         group = replicated_store(factory, num_shards=1).shards[0]
         with pytest.raises(ConfigError):
-            group.hedge_threshold = -1e-6
-        group.hedge_threshold = 0.0
+            group.slow(0, -1e-6)
+        group.slow(0, 0.0)
         group.close()
 
 
@@ -287,48 +286,60 @@ class TestFailoverAndCatchUp:
         store.close()
 
 
-class TestQuorum:
+class TestRoutedReads:
+    """Every read of a group goes through ``pick_reader``: one live
+    replica within the divergence bound."""
+
     @pytest.fixture
-    def quorum(self, tmp_path, ssd):
+    def trio(self, tmp_path, ssd):
         store = replicated_store(
             lambda shard, replica: FasterKV(
                 str(tmp_path / f"q{shard}r{replica}"), ssd=ssd
             ),
             num_shards=1,
             replication=3,
-            read_policy="quorum",
         )
         yield store
         store.close()
 
-    def test_quorum_reads_survive_minority_failure(self, quorum):
-        quorum.multi_put([1, 2, 3], [b"a", b"b", b"c"])
-        quorum.shards[0].fail(0)
-        assert quorum.multi_get([1, 2, 3]) == [b"a", b"b", b"c"]
-        assert quorum.get(2) == b"b"
+    def test_routed_reads_survive_minority_failure(self, trio):
+        trio.multi_put([1, 2, 3], [b"a", b"b", b"c"])
+        trio.shards[0].fail(0)
+        for _ in range(3):  # the cursor visits both survivors
+            assert trio.multi_get([1, 2, 3]) == [b"a", b"b", b"c"]
+            assert trio.get(2) == b"b"
+            assert trio.snapshot_read(3) == b"c"
 
-    def test_quorum_fails_without_majority(self, quorum):
-        quorum.put(1, b"x")
-        quorum.shards[0].fail(0)
-        quorum.shards[0].fail(1)
+    def test_lagging_revived_replica_never_serves_at_bound_zero(self, trio):
+        trio.put(1, b"v1")
+        group = trio.shards[0]
+        group.fail(2)
+        trio.put(1, b"v2")
+        group.revive(2, catch_up=False)  # holds v1, lags
+        assert group.versions.lag(2) > 0 and group.divergence_bound == 0
+        for _ in range(6):
+            assert trio.get(1) == b"v2"
+            assert trio.multi_get([1]) == [b"v2"]
+            assert group.pick_reader(0) != 2
+
+    def test_short_group_reads_count_as_failovers(self, trio):
+        trio.put(1, b"x")
+        trio.get(1)
+        assert trio.shards[0].failovers == 0
+        trio.shards[0].fail(0)
+        trio.get(1)
+        assert trio.shards[0].failovers == 1
+
+    def test_last_caught_up_replica_cannot_fail(self, trio):
+        group = trio.shards[0]
+        group.fail(2)
+        trio.put(1, b"x")
+        group.revive(2, catch_up=False)  # live but lagging
+        group.fail(0)
         with pytest.raises(StorageError):
-            quorum.get(1)
-
-    def test_quorum_answers_from_freshest(self, quorum):
-        quorum.put(1, b"v1")
-        quorum.shards[0].fail(2)
-        quorum.put(1, b"v2")
-        quorum.shards[0].revive(2, catch_up=False)  # lags behind
-        # Freshest-first ranking must answer v2 even though replica 2
-        # (holding v1) is live and could be part of the majority.
-        assert quorum.get(1) == b"v2"
-
-    def test_quorum_counts_short_group_reads_as_failovers(self, quorum):
-        quorum.put(1, b"x")
-        assert quorum.shards[0].failovers == 0
-        quorum.shards[0].fail(0)
-        quorum.get(1)
-        assert quorum.shards[0].failovers > 0
+            group.fail(1)  # replica 2 could not repair the group
+        assert group.alive == [False, True, True]
+        assert trio.get(1) == b"x"
 
 
 class TestServingSurface:
@@ -364,7 +375,7 @@ class TestServingSurface:
         assert set(groups[0]) <= set(stats.extra)
         for name in ("replica_lag", "hints_outstanding", "slow_penalties"):
             assert stats.extra[name] == groups[0][name] + groups[1][name]
-        for name in ("failovers", "catchup_keys", "hedged_reads"):
+        for name in ("failovers", "catchup_keys"):
             assert stats.extra[name] == groups[0][name] + groups[1][name]
         assert stats.extra["replica_lag"][1] > 0  # shard 0, replica 1
         assert stats.extra["hints_outstanding"][1] > 0
@@ -405,7 +416,7 @@ class TestServingSurface:
 
 
 class TestLiveSplit:
-    """split_shard / migrate_shard: copy-then-cutover, no lost mappings."""
+    """split_shard: copy-then-cutover, no lost mappings."""
 
     def _make(self, kind, tmp_path):
         counter = [0]
@@ -528,18 +539,19 @@ class TestLiveSplit:
         assert len(store) == 500
         store.close()
 
-    def test_migrate_shard_replaces_engine_in_place(self, tmp_path):
+    def test_split_carries_a_write_made_before_the_copy(self, tmp_path):
         factory = self._make("faster", tmp_path)
         store = ShardedKVStore(factory, 2)
         keys = list(range(300))
         store.multi_put(keys, [b"m"] * 300)
         old_engine = store.shards[1]
-        migration = store.begin_migrate(1, factory)
-        store.put(keys[0], b"live")  # interleaved write
-        migration.run()
-        assert store.shards[1] is not old_engine
-        assert len(store.shards) == 2
-        expected = [b"live" if key == keys[0] else b"m" for key in keys]
+        migration = store.begin_split(1, factory)
+        moving = next(key for key in keys if store.slot_of(key) in migration.moving_slots)
+        store.put(moving, b"live")  # dual-logged before any copy step
+        assert migration.run() == 2
+        assert store.shards[1] is old_engine and len(store.shards) == 3
+        assert store.shard_of(moving) == 2 and store.shards[2].get(moving) == b"live"
+        expected = [b"live" if key == moving else b"m" for key in keys]
         assert store.multi_get(keys) == expected
         store.close()
 
@@ -550,7 +562,7 @@ class TestLiveSplit:
         with pytest.raises(ConfigError):
             store.begin_split(1, factory)
         with pytest.raises(ConfigError):
-            store.begin_migrate(0, factory)
+            store.begin_split(0, factory)
         store.close()
 
     def test_abort_unblocks_the_store_and_keeps_it_intact(self, tmp_path):
@@ -605,10 +617,10 @@ class TestLiveSplit:
         assert restored.multi_get(keys) == [f"s{key}".encode() for key in keys]
         restored.close()
 
-    def test_a_group_migrates_in_place_around_a_dead_replica(self, tmp_path, ssd):
-        """Node replacement on a router of groups: the copy reads from the
+    def test_a_group_splits_around_a_dead_replica(self, tmp_path, ssd):
+        """A split on a router of groups: the copy reads from the source
         group's fully caught-up replica while one is dead and a writer
-        keeps going, and the replacement group owns every slot after."""
+        keeps going, and the new group owns the moved slot after."""
         built = []
 
         def factory(shard):
@@ -624,22 +636,25 @@ class TestLiveSplit:
         store.multi_put(keys, list(expected.values()))
         old_group = store.shards[1]
         old_group.fail(0)
-        migration = store.begin_migrate(1, factory)
+        migration = store.begin_split(1, factory)
         step = 0
         while migration.copy_step(32):
-            moving = [key for key in keys if store.shard_of(key) == 1][step::17][:3]
+            moving = [key for key in keys if store.slot_of(key) in migration.moving_slots]
+            moving = moving[step::17][:3]
             store.multi_put(moving, [b"live%d" % step] * len(moving))
             expected.update((key, b"live%d" % step) for key in moving)
             step += 1
-        assert migration.cutover() == 1 and step > 1
-        new_group = store.shards[1]
-        assert new_group is not old_group and isinstance(new_group, ReplicaGroup)
-        assert new_group.alive == [True, True] and store.num_shards == 2
+        assert migration.cutover() == 2 and step > 1
+        new_group = store.shards[2]
+        assert store.shards[1] is old_group and isinstance(new_group, ReplicaGroup)
+        assert new_group.alive == [True, True] and store.num_shards == 3
+        assert old_group.alive == [False, True] and old_group.hints_outstanding(0) > 0
         assert store.multi_get(keys) == [expected[key] for key in keys]
+        moved = [key for key in keys if store.shard_of(key) == 2]
+        assert moved
         for replica in new_group.replicas:  # both copies received the move
-            for key in keys:
-                if store.shard_of(key) == 1:
-                    assert replica.get(key) == expected[key]
+            for key in moved:
+                assert replica.get(key) == expected[key]
         store.close()
 
     def test_replicated_store_of_split_capable_groups(self, tmp_path, ssd):
@@ -705,6 +720,37 @@ class TestCoordinatedCheckpoint:
         replayed = group.revive(1)
         assert replayed >= 1
         assert group.versions.lag(1) == 0
+        restored.close()
+
+    def test_an_image_naming_a_read_policy_still_restores(self, tmp_path, ssd):
+        """Group manifests written before reads had one route carry
+        ``"read_policy": "one"``; restore ignores the key."""
+        store = self._build(tmp_path, ssd)
+        store.multi_put(list(range(30)), [b"v"] * 30)
+        store.shards[1].fail(0)
+        store.multi_put(list(range(30)), [b"w"] * 30)  # hinted on shard 1
+        store.checkpoint()
+        groups = [
+            (group.versions.version, list(group.versions.applied), list(group.alive),
+             group.hints_outstanding(0), group.hints_outstanding(1))
+            for group in store.shards
+        ]
+        store.close()
+        for shard in range(2):
+            path = str(tmp_path / f"g{shard}" / "group.manifest.json")
+            manifest = load_checkpoint_json(path)
+            assert "read_policy" not in manifest
+            manifest["read_policy"] = "one"
+            write_checkpoint_json(path, manifest)
+
+        restored = ShardedKVStore.restore(str(tmp_path), ssd=SSDModel(SimClock()))
+        assert [
+            (group.versions.version, group.versions.applied, group.alive,
+             group.hints_outstanding(0), group.hints_outstanding(1))
+            for group in restored.shards
+        ] == groups
+        assert groups[1][2] == [False, True] and groups[1][3] > 0
+        assert restored.multi_get(list(range(30))) == [b"w"] * 30
         restored.close()
 
     def test_restore_via_factory_keeps_the_slot_table(self, tmp_path, ssd):

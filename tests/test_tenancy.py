@@ -1,4 +1,4 @@
-"""Multi-tenant serving: namespacing, admission, priority, hedging, autoscale.
+"""Multi-tenant serving: namespacing, admission, priority, slow replicas, autoscale.
 
 The acceptance surface of tenants on the one
 :class:`~repro.serve.ServingLoop`:
@@ -11,9 +11,10 @@ The acceptance surface of tenants on the one
   the zero-lost invariant ``completed + shed == offered``;
 * priority-aware cutoff keeps a high-SLO tenant's p99 tight under a
   best-effort flood;
-* hedged reads cap the damage of a slowed replica;
-* the autoscaler splits a hot shard / revives and retires replicas
-  *while requests are in flight* without losing a request or a key.
+* read routing keeps a slowed replica out of the tail while a faster
+  peer exists, and pays the least penalty when none does;
+* the autoscaler splits a hot shard *while requests are in flight*
+  without losing a request or a key, and does nothing else.
 """
 
 from __future__ import annotations
@@ -348,7 +349,7 @@ class TestPriorityIsolation:
 
 
 # ----------------------------------------------------------------------
-# hedging
+# slow replicas
 # ----------------------------------------------------------------------
 def make_replicated_server(tmp_path, item_count=200, replication=2):
     ssd = SSDModel(SimClock())
@@ -366,64 +367,59 @@ def make_replicated_server(tmp_path, item_count=200, replication=2):
     return store, EmbeddingServer(store, dim=DIM, seed=3, cache_entries=0)
 
 
-class TestHedging:
-    def test_hedged_reads_cap_slow_replica_penalty(self, tmp_path):
-        """Hedged routing spreads over the degraded pool; the hedge caps
-        the reads that land on the heavy replica at threshold + light."""
+def serve_uniform(server, count):
+    """Serve ``count`` uniform open-loop requests; the loop's report."""
+    cluster = ServingLoop(server, BatchPolicy(max_batch=16, max_delay=50e-6))
+    arrivals = LoadGenerator(200, "uniform", seed=6).open_loop(
+        rate=2e5, count=count, start=server.clock.now
+    )
+    cluster.add_tenant(TenantSpec("t", target_p99=1e-2), arrivals)
+    cluster.run()
+    return cluster.report()
+
+
+class TestSlowReplicas:
+    def test_slowed_replica_is_routed_around(self, tmp_path):
+        """One replica per group slowed, its peer healthy: every read goes
+        to the peer, so the penalty never lands on the clock."""
         store, server = make_replicated_server(tmp_path)
-        threshold = 20e-6
-        heavy, light = 5e-3, 30e-6
+        heavy = 5e-3
         for group in store.shards:
             group.slow(0, heavy)
-            group.slow(1, light)
-            group.hedge_threshold = threshold
-        cluster = ServingLoop(server, BatchPolicy(max_batch=16, max_delay=50e-6))
-        arrivals = LoadGenerator(200, "uniform", seed=6).open_loop(
-            rate=2e5, count=600, start=server.clock.now
-        )
-        cluster.add_tenant(TenantSpec("t", target_p99=1e-2), arrivals)
-        cluster.run()
-        report = cluster.report()
-        assert report["replication"]["hedged_reads"] > 0
+        report = serve_uniform(server, 600)
         assert report["latency"]["p99"] < heavy
+        assert report["replication"]["failovers"] > 0
+        assert store.clock.busy_seconds("chaos") == 0.0
+        for group in store.shards:
+            assert group.replicas[0].stats.gets == 0 < group.replicas[1].stats.gets
         server.store.close()
 
-    def test_no_hedge_when_no_faster_peer(self, tmp_path):
-        """With every replica equally heavy a hedge cannot win, so none
-        fire and the degradation shows up in the tail — honestly."""
+    def test_equally_slowed_replicas_pay_the_penalty(self, tmp_path):
+        """With every replica equally heavy there is nowhere to route
+        around, and the degradation shows up in the tail — honestly."""
         store, server = make_replicated_server(tmp_path)
         heavy = 5e-3
         for group in store.shards:
             for replica in range(2):
                 group.slow(replica, heavy)
-            group.hedge_threshold = 20e-6
-        cluster = ServingLoop(server, BatchPolicy(max_batch=16, max_delay=50e-6))
-        arrivals = LoadGenerator(200, "uniform", seed=6).open_loop(
-            rate=2e5, count=300, start=server.clock.now
-        )
-        cluster.add_tenant(TenantSpec("t", target_p99=1e-2), arrivals)
-        cluster.run()
-        report = cluster.report()
-        assert report["replication"]["hedged_reads"] == 0
+        report = serve_uniform(server, 300)
         assert report["latency"]["p99"] > heavy
         server.store.close()
 
-    def test_hedging_disabled_routes_around_slowness(self, tmp_path):
-        """Without hedging the penalty-aware router hot-spots the light
-        replica — no hedges, and the heavy penalty never lands."""
+    def test_least_slowed_replica_serves_and_is_charged(self, tmp_path):
+        """Both replicas slowed: the least-slowed one serves every read,
+        and each routed read pays its penalty on the shared clock."""
         store, server = make_replicated_server(tmp_path)
+        heavy, light = 5e-3, 30e-6
         for shard in range(store.num_shards):
-            store.shards[shard].slow(0, 5e-3)
-            store.shards[shard].slow(1, 30e-6)
-        cluster = ServingLoop(server, BatchPolicy(max_batch=16, max_delay=50e-6))
-        arrivals = LoadGenerator(200, "uniform", seed=6).open_loop(
-            rate=2e5, count=600, start=server.clock.now
-        )
-        cluster.add_tenant(TenantSpec("t", target_p99=1e-2), arrivals)
-        cluster.run()
-        report = cluster.report()
-        assert report["replication"]["hedged_reads"] == 0
-        assert report["latency"]["p99"] < 5e-3
+            store.shards[shard].slow(0, heavy)
+            store.shards[shard].slow(1, light)
+        report = serve_uniform(server, 600)
+        assert report["latency"]["p99"] < heavy
+        reads = store.clock.busy_seconds("chaos") / light
+        assert reads >= 2 and reads == pytest.approx(round(reads))
+        for group in store.shards:
+            assert group.replicas[0].stats.gets == 0 < group.replicas[1].stats.gets
         server.store.close()
 
 
@@ -442,11 +438,11 @@ class TestAutoscaler:
             AutoscalerConfig(max_shards=0)
 
     def test_needs_a_router(self, tmp_path):
-        """A bare engine has no split/migrate surface: say so at
-        construction, not at the first decision."""
+        """A bare engine has no split surface: say so at construction,
+        not at the first decision."""
         store = MLKV(str(tmp_path / "bare"), ssd=SSDModel(SimClock()))
         with pytest.raises(ConfigError):
-            Autoscaler(store)
+            Autoscaler(store, lambda index: store)
         store.close()
 
     def test_split_under_live_load_loses_nothing(self, tmp_path):
@@ -502,49 +498,62 @@ class TestAutoscaler:
             assert store.get(key) is not None
         store.close()
 
-    def test_replica_add_then_scale_in(self, tmp_path):
+    def test_hot_window_at_max_shards_changes_nothing(self, tmp_path):
+        """At ``max_shards`` a hot window records no decision: a dead
+        replica stays dead, because splitting is the one rescale."""
         store, _server = make_replicated_server(tmp_path, replication=2)
         store.shards[0].fail(1)
         autoscaler = Autoscaler(
             store,
-            config=AutoscalerConfig(p99_threshold=100e-6, check_interval=1e-3,
-                                    min_window=8, cooldown=0.0,
-                                    scale_in_p99=10e-6),
+            lambda index: pytest.fail("no split may start at max_shards"),
+            AutoscalerConfig(p99_threshold=100e-6, check_interval=1e-3,
+                             min_window=8, cooldown=0.0, max_shards=2),
         )
-        # Hot window → revive the dead replica.
-        autoscaler.observe_requests(np.full(16, 5e-3))
-        autoscaler.tick(0.0)
-        assert autoscaler.replicas_added == 1
-        assert store.shards[0].live_indices() == [0, 1]
-        # Calm window → retire one replica again.
-        autoscaler.observe_requests(np.full(16, 1e-6))
-        autoscaler.tick(5e-3)
-        assert autoscaler.replicas_removed == 1
-        assert len(store.shards[0].live_indices()) + len(store.shards[1].live_indices()) == 3
-        summary = autoscaler.summary()
-        assert [d["action"] for d in summary["decisions"]] == [
-            "add_replica", "remove_replica",
-        ]
+        for tick in range(3):
+            autoscaler.observe_requests(np.full(16, 5e-3))
+            autoscaler.tick(tick * 2e-3)
+        assert store.shards[0].alive == [True, False]
+        assert store.num_shards == 2
+        assert autoscaler.summary() == {
+            "decisions": [], "splits_completed": 0, "rescaling": False,
+        }
         store.close()
 
-    def test_cooldown_and_min_window_gate_actions(self, tmp_path):
+    def test_cooldown_and_min_window_gate_splits(self, tmp_path):
         store, _server = make_replicated_server(tmp_path, replication=2)
-        store.shards[0].fail(1)
+        built = []
+
+        def factory(index):
+            built.append(index)
+            return ReplicaGroup([
+                FasterKV(str(tmp_path / f"n{len(built)}s{index}r{replica}"), ssd=store.ssd)
+                for replica in range(2)
+            ])
+
         autoscaler = Autoscaler(
-            store,
-            config=AutoscalerConfig(p99_threshold=100e-6, check_interval=1e-3,
-                                    min_window=32, cooldown=1.0),
+            store, factory,
+            AutoscalerConfig(p99_threshold=100e-6, check_interval=1e-3,
+                             min_window=32, cooldown=1.0, copy_batch=1024),
         )
-        # Too few samples: no action even though the window is hot.
+        # Too few samples: no split even though the window is hot.
         autoscaler.observe_requests(np.full(8, 5e-3))
         autoscaler.tick(0.0)
-        assert autoscaler.replicas_added == 0
-        # Enough samples → acts once; cooldown then suppresses the next.
+        assert not autoscaler.rescaling and built == []
+        # Enough samples → one split starts and cuts over on the next tick.
         autoscaler.observe_requests(np.full(64, 5e-3))
         autoscaler.tick(2e-3)
-        assert autoscaler.replicas_added == 1
-        store.shards[0].fail(1)
+        assert autoscaler.rescaling and built == [2]
+        autoscaler.tick(2.5e-3)
+        assert autoscaler.splits_completed == 1 and store.num_shards == 3
+        while store.cleanup_pending():
+            autoscaler.tick(3e-3)
+        # Hot again, but inside the 1 s cooldown since the cutover.
         autoscaler.observe_requests(np.full(64, 5e-3))
-        autoscaler.tick(4e-3)  # inside the 1 s cooldown
-        assert autoscaler.replicas_added == 1
+        autoscaler.tick(6e-3)
+        assert not autoscaler.rescaling and built == [2]
+        assert [d["action"] for d in autoscaler.decisions] == ["split_begin", "split_cutover"]
+        # Past the cooldown the same window splits again.
+        autoscaler.observe_requests(np.full(64, 5e-3))
+        autoscaler.tick(1.1)
+        assert autoscaler.rescaling and built == [2, 3]
         store.close()
