@@ -552,7 +552,8 @@ class MLKV(FasterKV):
         self.mlkv_stats.lookahead_requests += len(keys)
         key_array = self._key_array(keys)
         if key_array is not None:
-            addresses = self.index.find_many(key_array)
+            slots, addresses = self.index.locate_many(key_array)
+            rebuilds = self.index.rebuilds
         else:
             found = map(self.index.find, keys)
             addresses = np.array(
@@ -567,7 +568,7 @@ class MLKV(FasterKV):
         # One page-granular sequential scan covers the whole batch.
         self.log.charge_prefetch_pages(addresses)
         if key_array is not None and len(on_disk) and not self._has_duplicates(key_array):
-            copied = self._stage_runs(key_array[on_disk], addresses)
+            copied = self._stage_runs(key_array[on_disk], addresses, slots[on_disk], rebuilds)
         else:
             copied = sum(
                 self._stage_one(keys[position], address)
@@ -624,10 +625,14 @@ class MLKV(FasterKV):
         self._staged_order.append((new_address, key))
         return True
 
-    def _stage_runs(self, key_array: np.ndarray, addresses: np.ndarray) -> int:
+    def _stage_runs(
+        self, key_array: np.ndarray, addresses: np.ndarray, slots: np.ndarray, rebuilds: int
+    ) -> int:
         """:meth:`_stage_one` for distinct keys in log-address order, the
         records that are what the index promised as arrays; returns how
-        many were copied."""
+        many were copied.  ``slots`` are where the index held the keys
+        after ``rebuilds`` rebuilds
+        (:meth:`~repro.kv.faster.hashindex.HashIndex.locate_many`)."""
         log = self.log
         width = log.disk_value_len(int(addresses[0]))
         headers, rows, complete = log.read_disk_records(addresses, width)
@@ -643,7 +648,7 @@ class MLKV(FasterKV):
                 new_addresses = log.append_many(
                     key_array[run], rows[run], restaled_words(words[run], staleness)
                 )
-                self.index.swing_many(key_array[run], new_addresses)
+                self.index.swing_many(key_array[run], new_addresses, slots[run], rebuilds)
                 staged_keys, staged_at = key_array[run].tolist(), new_addresses.tolist()
                 self._staged_unread.update(zip(staged_keys, staged_at))
                 self._staged_order.extend(zip(staged_at, staged_keys))

@@ -62,6 +62,9 @@ class HashIndex:
             raise ValueError("initial_slots must be a positive power of two")
         self._size = 0  # live entries
         self._used = 0  # slots no longer _EMPTY: live + removed
+        #: Times the table has been rebuilt: slots found before the last
+        #: rebuild (:meth:`locate_many`) no longer hold their keys.
+        self.rebuilds = 0
         self._allocate(initial_slots)
 
     def _allocate(self, slots: int) -> None:
@@ -203,15 +206,37 @@ class HashIndex:
         homes = (_mix64_many(keys) & np.uint64(self._mask)).tolist()
         return self._addresses[self._chain_ends(keys.tolist(), homes)]
 
-    def swing_many(self, keys: np.ndarray, addresses: np.ndarray) -> None:
+    def locate_many(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(slots, addresses)`` of a ``uint64`` key array: the slot
+        holding each key and its log address, ``-1`` where absent.
+
+        :meth:`find_many` with the slots kept, for a caller that goes on
+        to :meth:`swing_many` some of the keys; they stay where they are
+        until the table is next rebuilt (``rebuilds``).
+        """
+        if len(keys) >= WALK_KEYS:
+            slots = self._slots_of(keys)
+            return slots, np.where(slots >= 0, self._addresses[slots], _EMPTY)
+        homes = (_mix64_many(keys) & np.uint64(self._mask)).tolist()
+        ends = np.array(self._chain_ends(keys.tolist(), homes), dtype=np.intp)
+        addresses = self._addresses[ends]
+        return np.where(addresses >= 0, ends, -1), addresses
+
+    def swing_many(
+        self, keys: np.ndarray, addresses: np.ndarray, slots: np.ndarray, rebuilds: int
+    ) -> None:
         """Point distinct keys that are *all present* at new addresses.
 
-        The batched form of the read-copy-update swing.  It only rewrites
-        address slots: no entry moves, the load accounting does not change
-        and the table is never rebuilt, so the slot order :meth:`entries`
-        exposes is what a run of scalar :meth:`upsert` calls leaves.
+        The batched form of the read-copy-update swing.  ``slots`` are
+        where :meth:`locate_many` found the keys when the table had been
+        rebuilt ``rebuilds`` times; the keys are probed again only if it
+        has been rebuilt since.  It only rewrites address slots: no entry
+        moves, the load accounting does not change and the table is never
+        rebuilt, so the slot order :meth:`entries` exposes is what a run
+        of scalar :meth:`upsert` calls leaves.
         """
-        slots = self._slots_of(keys)
+        if rebuilds != self.rebuilds:
+            slots = self._slots_of(keys)
         if slots.size and slots.min() < 0:
             raise KeyError("swing_many requires every key to be present")
         self._addresses[slots] = addresses
@@ -301,6 +326,7 @@ class HashIndex:
         """Re-place the live entries, dropping removed slots; grows the
         table until ``entries`` fill at most a third of it."""
         keys, addresses = self.entries()
+        self.rebuilds += 1
         slots = self._mask + 1
         while entries * 3 > slots:
             slots *= 2

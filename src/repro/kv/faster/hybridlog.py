@@ -20,13 +20,13 @@ FASTER, used by MLKV Section III-C)::
 The in-memory window is one ``uint8`` arena of ``memory_pages`` page
 frames; page ``p`` lives in frame ``p % memory_pages``, so a resident
 address maps to an arena offset by arithmetic alone and a batch of
-same-width records is a set of rows of one strided view of the arena
-(:meth:`HybridLog.read_headers`, :meth:`HybridLog.read_rows`,
-:meth:`HybridLog.write_values`).  A frame is reused only by the page
-``memory_pages`` above its current one, which is opened only after the
-current one has been written to the file.  The arena is reserved with
-``np.zeros`` — frames never touched cost no resident memory — and a frame
-is zeroed when a page is opened in it.
+same-width records is a set of items of one overlapping ``np.void``
+view of the arena, each record one item (:meth:`HybridLog.read_headers`,
+:meth:`HybridLog.read_rows`, :meth:`HybridLog.write_values`).  A frame
+is reused only by the page ``memory_pages`` above its current one, which
+is opened only after the current one has been written to the file.  The
+arena is reserved with ``np.zeros`` — frames never touched cost no
+resident memory — and a frame is zeroed when a page is opened in it.
 
 Look-ahead staging (:meth:`repro.core.mlkv.MLKV.lookahead`) copies
 disk-resident records back into the mutable region: it charges one
@@ -47,7 +47,6 @@ import os
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro._arrays import sorted_unique
 from repro.device.ssd import PAGE_BYTES, SSDModel
@@ -387,11 +386,18 @@ class HybridLog:
     # batched access to resident records
     # ------------------------------------------------------------------
     def _window(self, width: int) -> np.ndarray:
-        """View of the arena whose row ``i`` is ``arena[i : i + width]``: the
-        records at a set of offsets are a fancy index into its rows."""
+        """View of the arena whose item ``i`` is ``arena[i : i + width]`` as
+        one ``width``-byte ``np.void``: the records at a set of offsets are
+        a fancy index into it, and each is copied as one item, not as
+        ``width`` one-byte ones."""
         window = self._windows.get(width)
         if window is None:
-            window = sliding_window_view(self._arena, width, writeable=True)
+            window = np.ndarray(
+                shape=(self._arena_bytes - width + 1,),
+                dtype=(np.void, width),
+                buffer=self._arena,
+                strides=(1,),
+            )
             self._windows[width] = window
         return window
 
@@ -401,21 +407,19 @@ class HybridLog:
 
     def read_headers(self, offsets: np.ndarray) -> np.ndarray:
         """Headers of the records at ``offsets``, as ``HEADER_DTYPE`` rows."""
-        rows = self._window(RECORD_HEADER_BYTES)[offsets]
-        return rows.view(HEADER_DTYPE).reshape(len(offsets))
+        return self._window(RECORD_HEADER_BYTES)[offsets].view(HEADER_DTYPE)
 
     def write_words(self, offsets: np.ndarray, words: np.ndarray) -> None:
         """Store one latch word per record at ``offsets``."""
-        self._window(8)[offsets] = (
-            words.astype("<u8", copy=False).reshape(-1, 1).view(np.uint8)
-        )
+        self._window(8)[offsets] = words.astype("<u8", copy=False).view("V8")
 
     def read_rows(self, offsets: np.ndarray, value_len: int) -> np.ndarray:
         """Values of records at ``offsets`` that all hold ``value_len``
         bytes, as the rows of a new ``uint8`` matrix."""
         if value_len == 0:
             return np.empty((len(offsets), 0), dtype=np.uint8)
-        return self._window(value_len)[offsets + RECORD_HEADER_BYTES]
+        rows = self._window(value_len)[offsets + RECORD_HEADER_BYTES]
+        return rows.view(np.uint8).reshape(len(offsets), value_len)
 
     def write_values(self, offsets: np.ndarray, values: np.ndarray) -> None:
         """Overwrite the values of records at ``offsets`` with the rows of
@@ -424,8 +428,10 @@ class HybridLog:
         The in-place update of a batch: the caller has established that
         every record is in the mutable region and already this wide.
         """
-        if values.shape[1]:
-            self._window(values.shape[1])[offsets + RECORD_HEADER_BYTES] = values
+        width = values.shape[1]
+        if width:
+            records = np.ascontiguousarray(values).view((np.void, width))
+            self._window(width)[offsets + RECORD_HEADER_BYTES] = records.reshape(len(values))
 
     # ------------------------------------------------------------------
     # prefetch support

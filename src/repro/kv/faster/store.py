@@ -341,14 +341,18 @@ class FasterKV(KVStore, CheckpointManager):
 
     @staticmethod
     def _has_duplicates(key_array: np.ndarray) -> bool:
+        """Whether a key repeats; a strictly ascending batch (what the
+        embedding facade sends) is told apart without a sort."""
+        if (key_array[1:] > key_array[:-1]).all():
+            return False
         ordered = np.sort(key_array)
         return bool((ordered[1:] == ordered[:-1]).any())
 
-    def _resolve(
-        self, key_array: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Index entries, residency, arena offsets and record headers of a
-        batch.
+    def _resident(
+        self, addresses: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Residency, arena offsets and record headers of a batch's index
+        entries.
 
         ``in_memory`` marks the addresses at or above ``log.head_address``.
         Offsets and headers mean something only there; elsewhere they
@@ -358,15 +362,14 @@ class FasterKV(KVStore, CheckpointManager):
         They go stale with the next append that evicts a page: whoever
         holds them across one compares addresses with the head again.
         """
-        addresses = self.index.find_many(key_array)
         in_memory = addresses >= self.log.head_address
         if not in_memory.any():
             count = len(addresses)
             offsets, headers = np.zeros(count, dtype=np.int64), np.zeros(count, HEADER_DTYPE)
-            return addresses, in_memory, offsets, headers
+            return in_memory, offsets, headers
         offsets = self.log.arena_offsets(addresses)
         offsets[~in_memory] = 0
-        return addresses, in_memory, offsets, self.log.read_headers(offsets)
+        return in_memory, offsets, self.log.read_headers(offsets)
 
     def _read_plain(
         self, key_array: np.ndarray, earlier: Optional[tuple] = None
@@ -394,7 +397,8 @@ class FasterKV(KVStore, CheckpointManager):
         """
         log = self.log
         count = len(key_array)
-        addresses, in_memory, offsets, headers = self._resolve(key_array)
+        addresses = self.index.find_many(key_array)
+        in_memory, offsets, headers = self._resident(addresses)
         cold = np.zeros(count, dtype=bool)
         if in_memory.any():
             on_disk = np.flatnonzero((addresses >= 0) & ~in_memory)
@@ -485,7 +489,9 @@ class FasterKV(KVStore, CheckpointManager):
         page.  Nothing but the key's own put reads its index entry, so
         the entries of keys the index already held are swung to the new
         copies together, when the batch (or this method's part in it) is
-        over; keys new to the index go in at their turn, in batch order
+        over, at the slots the resolution found them in (probed again only
+        if an insert rebuilt the table in between); keys new to the index
+        go in at their turn, in batch order
         (:meth:`HashIndex.insert_absent_many`) — where a key lands among
         colliding ones depends on who came first.
         Gives the rest of the batch up once too many keys have taken
@@ -494,7 +500,10 @@ class FasterKV(KVStore, CheckpointManager):
         log = self.log
         count, width = rows.shape
         record_len = RECORD_HEADER_BYTES + width
-        addresses, _, offsets, headers = self._resolve(key_array)
+        index = self.index
+        slots, addresses = index.locate_many(key_array)
+        rebuilds = index.rebuilds
+        _, offsets, headers = self._resident(addresses)
         words = headers["word"]
         same_width = headers["value_len"] == width
         unflagged = word_flags(words) == 0
@@ -524,7 +533,7 @@ class FasterKV(KVStore, CheckpointManager):
                     new_addresses = log.append_many(key_array[chosen], rows[chosen], new_words)
                     absent = addresses[chosen] < 0
                     moved[chosen] = np.where(absent, -1, new_addresses)
-                    self.index.insert_absent_many(key_array[chosen[absent]], new_addresses[absent])
+                    index.insert_absent_many(key_array[chosen[absent]], new_addresses[absent])
                     old = chosen[~fresh]
                     log.write_words(offsets[old], superseded[old])
                 cursor += length
@@ -539,7 +548,7 @@ class FasterKV(KVStore, CheckpointManager):
             return count
         finally:
             chosen = np.flatnonzero(moved >= 0)
-            self.index.swing_many(key_array[chosen], moved[chosen])
+            index.swing_many(key_array[chosen], moved[chosen], slots[chosen], rebuilds)
 
     def _plan_run(
         self,

@@ -693,7 +693,7 @@ class ShardedKVStore(KVStore, CheckpointManager):
             self._slots = self._slots + self._slots
             owned = [owned[0], owned[0] + len(self._slots) // 2]
         target = factory(len(self.shards))
-        self._migration = ShardMigration(self, shard_index, target, moving_slots={owned[-1]})
+        self._migration = ShardMigration(self, shard_index, target, moving_slot=owned[-1])
         return self._migration
 
     def split_shard(self, shard_index: int, factory: Callable, batch: int = 1024) -> int:
@@ -776,7 +776,7 @@ class ShardMigration:
     moving key range *also* recorded as deltas.  ``copy_step`` streams
     the begin-time snapshot to the target in batches; ``cutover`` drains
     the remaining snapshot, replays the delta log until it is empty,
-    re-points the routing slot(s), and removes moved keys from the source
+    re-points the routing slot, and removes moved keys from the source
     — so at every instant each key has exactly one serving owner and no
     write is lost.  Source values are read with ``read_current_many``:
     committed (no admissions, no staleness consumption) and, on a replica
@@ -790,12 +790,12 @@ class ShardMigration:
         store: ShardedKVStore,
         source_index: int,
         target: KVStore,
-        moving_slots: set[int],
+        moving_slot: int,
     ) -> None:
         self.store = store
         self.source_index = source_index
         self.target = target
-        self.moving_slots = set(moving_slots)
+        self.moving_slot = moving_slot
         self.done = False
         # Begin-time snapshot of the moving key set; values are read
         # lazily so the copy sees current data and the delta log covers
@@ -811,7 +811,7 @@ class ShardMigration:
         self.delta_replayed = 0
 
     def _moves(self, key: int) -> bool:
-        return self.store.slot_of(key) in self.moving_slots
+        return self.store.slot_of(key) == self.moving_slot
 
     def note_write(self, key: int) -> None:
         """Dual-log a source write that falls in the moving range."""
@@ -888,7 +888,7 @@ class ShardMigration:
         Drains the snapshot, replays the delta log until it is empty
         (each pass re-reads current values, so the target ends
         bit-identical to the source for every moved key), flips the
-        routing slot(s) to the target, and deletes the moved keys from
+        routing slot to the target, and deletes the moved keys from
         the source.
 
         With ``defer_cleanup=True`` the source-side deletes are queued on
@@ -925,8 +925,7 @@ class ShardMigration:
         store.shards.append(self.target)
         store._shard_ops.append(0)
         store.num_shards = len(store.shards)
-        for slot in self.moving_slots:
-            store._slots[slot] = target_index
+        store._slots[self.moving_slot] = target_index
         if defer_cleanup:
             backlog = store._cleanup_backlog.setdefault(self.source_index, set())
             backlog.update(self._moved_keys)

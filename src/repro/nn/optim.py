@@ -119,23 +119,36 @@ class Adam:
         self._v = [np.array(v, copy=True) for v in state["v"]]
 
 
+#: New keys go into a small sorted run of :class:`_RowArena`, which merges
+#: into the main run once it holds more than a ``1 / _MERGE_SHARE`` of it.
+_MERGE_SHARE = 8
+
+
 class _RowArena:
     """Contiguous float32 row state keyed by embedding id.
 
     All per-key state sits in growing ``(capacity, width)`` matrices, one per
     name in ``columns`` (e.g. ``("acc",)`` or ``("m", "v")``), plus an optional
     int64 ``counts`` column of per-key step counters; a batch gathers and
-    scatters with two fancy-indexing operations.  Three arrays map keys to
-    rows: ``keys`` (slot -> key, slots handed out in order of first appearance,
-    the order ``state_dict`` lists them in) and ``_sorted_keys`` with
-    ``_sorted_slots`` (the keys ascending and the slot of each): a batch resolves
-    with one ``searchsorted``, new keys merge in with one ``np.insert``.
+    scatters with two fancy-indexing operations.  ``keys`` maps slot -> key
+    (slots handed out in order of first appearance, the order ``state_dict``
+    lists them in) and grows by doubling with the matrices.  Keys map to
+    slots through two sorted runs, each a key array ascending with the slot
+    of each key beside it: a batch resolves with one ``searchsorted`` into
+    the main run and one, for the keys it misses, into the recent run.  New
+    keys are inserted into the recent run, which merges into the main one
+    once it outgrows ``1 / _MERGE_SHARE`` of it — so a step's new keys cost
+    what the batch and the recent run hold, not the whole table, and the
+    main run is rewritten once per that many new keys.
     """
 
     def __init__(self, width: int, columns: tuple[str, ...], counts: bool = False) -> None:
         self.width = width
-        # All three are replaced when keys arrive; an empty array has nothing to write in place.
-        self.keys = self._sorted_keys = self._sorted_slots = np.zeros(0, dtype=np.int64)
+        self._count = 0
+        self._slot_keys = np.zeros(0, dtype=np.int64)  # grown with the matrices
+        # Replaced, not written in place, when keys arrive.
+        self._sorted_keys = self._sorted_slots = np.zeros(0, dtype=np.int64)
+        self._recent_keys = self._recent_slots = np.zeros(0, dtype=np.int64)
         self.columns: dict[str, np.ndarray] = {
             name: np.zeros((0, width), dtype=np.float32) for name in columns
         }
@@ -144,7 +157,12 @@ class _RowArena:
         )
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return self._count
+
+    @property
+    def keys(self) -> np.ndarray:
+        """The key of each slot handed out, slot by slot."""
+        return self._slot_keys[: self._count]
 
     def _ensure_capacity(self, needed: int) -> None:
         capacity = next(iter(self.columns.values())).shape[0]
@@ -155,32 +173,68 @@ class _RowArena:
             grown = np.zeros((new_capacity, self.width), dtype=np.float32)
             grown[:capacity] = data
             self.columns[name] = grown
+        slot_keys = np.zeros(new_capacity, dtype=np.int64)
+        slot_keys[:capacity] = self._slot_keys
+        self._slot_keys = slot_keys
         if self.counts is not None:
             counts = np.zeros(new_capacity, dtype=np.int64)
             counts[: len(self.counts)] = self.counts
             self.counts = counts
 
+    @staticmethod
+    def _find(
+        run_keys: np.ndarray, run_slots: np.ndarray, keys: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(slots, found)`` of ``keys`` in a non-empty sorted run: the slot
+        of each key the run holds, and which those are."""
+        at = np.searchsorted(run_keys, keys)
+        found = np.take(run_keys, at, mode="clip") == keys
+        return np.take(run_slots, at, mode="clip"), found
+
     def resolve(self, keys: np.ndarray) -> np.ndarray:
         """Slot indices for ``keys``, allocating zeroed rows for new keys."""
-        known = self._sorted_keys
-        if len(known):
-            at = np.searchsorted(known, keys)
-            idx = np.take(self._sorted_slots, at, mode="clip")
-            new = np.take(known, at, mode="clip") != keys
+        if len(self._sorted_keys):
+            idx, known = self._find(self._sorted_keys, self._sorted_slots, keys)
+            new = ~known
         else:
             idx, new = np.empty(len(keys), dtype=np.int64), np.ones(len(keys), dtype=bool)
+        if len(self._recent_keys) and new.any():
+            missed = np.flatnonzero(new)
+            slots, found = self._find(self._recent_keys, self._recent_slots, keys[missed])
+            idx[missed[found]] = slots[found]
+            new[missed[found]] = False
         if new.any():
-            new_keys, first, inverse = np.unique(keys[new], return_index=True, return_inverse=True)
+            self._add(keys[new], idx, new)
+        return idx
+
+    def _add(self, fresh: np.ndarray, idx: np.ndarray, new: np.ndarray) -> None:
+        """Hand out slots to the keys ``fresh`` (``keys[new]`` of a batch,
+        known to neither run) in order of first appearance, and store
+        them at ``idx[new]``."""
+        start = self._count
+        if (fresh[1:] > fresh[:-1]).all():
+            # Ascending and distinct: first appearance is sorted order.
+            new_keys = appearing = fresh
+            new_slots = np.arange(start, start + len(fresh))
+            idx[new] = new_slots
+        else:
+            new_keys, first, inverse = np.unique(fresh, return_index=True, return_inverse=True)
             appearance = np.argsort(first)  # sorted new keys -> first-appearance order
             new_slots = np.empty_like(appearance)
-            new_slots[appearance] = np.arange(len(self), len(self) + len(new_keys))
+            new_slots[appearance] = np.arange(start, start + len(new_keys))
             idx[new] = new_slots[inverse]
-            at = np.searchsorted(known, new_keys)
-            self._sorted_keys = np.insert(known, at, new_keys)
-            self._sorted_slots = np.insert(self._sorted_slots, at, new_slots)
-            self.keys = np.concatenate([self.keys, new_keys[appearance]])
-            self._ensure_capacity(len(self.keys))
-        return idx
+            appearing = new_keys[appearance]
+        at = np.searchsorted(self._recent_keys, new_keys)
+        self._recent_keys = np.insert(self._recent_keys, at, new_keys)
+        self._recent_slots = np.insert(self._recent_slots, at, new_slots)
+        if len(self._recent_keys) * _MERGE_SHARE > len(self._sorted_keys):
+            at = np.searchsorted(self._sorted_keys, self._recent_keys)
+            self._sorted_keys = np.insert(self._sorted_keys, at, self._recent_keys)
+            self._sorted_slots = np.insert(self._sorted_slots, at, self._recent_slots)
+            self._recent_keys = self._recent_slots = np.zeros(0, dtype=np.int64)
+        self._count = start + len(appearing)
+        self._ensure_capacity(self._count)
+        self._slot_keys[start : self._count] = appearing
 
 
 def _stack_rows(rows: Sequence) -> np.ndarray:

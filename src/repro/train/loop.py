@@ -454,8 +454,16 @@ class BaseTrainer:
     # ------------------------------------------------------------------
     @staticmethod
     def gather_index(unique_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        """Positions of ``keys`` inside sorted ``unique_keys``."""
-        return np.searchsorted(unique_keys, keys)
+        """Positions of ``keys`` inside sorted ``unique_keys``:
+        ``np.searchsorted(unique_keys, keys)``, searched in key order — one
+        sort of the batch, then a search whose successive probes stay close
+        together in ``unique_keys`` instead of landing at random — and
+        scattered back."""
+        flat = keys.reshape(-1)
+        order = np.argsort(flat)
+        positions = np.empty(flat.shape, dtype=np.intp)
+        positions[order] = np.searchsorted(unique_keys, flat[order])
+        return positions.reshape(keys.shape)
 
     @staticmethod
     def leaf(rows: np.ndarray) -> Tensor:

@@ -521,6 +521,31 @@ class TestOrderWithinABatch:
             expected = [value_for(key, 6) for key in on_head_page]
             assert pair.run(("snapshot", on_head_page)) == expected
 
+    @pytest.mark.parametrize("engine", ["faster", "mlkv"])
+    def test_swing_after_the_index_is_rebuilt_mid_batch(self, engine):
+        """Read-only keys get new copies, their index entries swung when
+        the batch is over; the fresh keys among them take the index past
+        its load limit partway through, so the table is rebuilt and the
+        slots the batch found the read-only keys in hold other keys by
+        then."""
+        with paired(engine, "read_only") as pair:
+            store = pair.batched.store
+            read_only = [
+                key for key in range(KEYS) if not store.log.in_mutable(store.index.find(key))
+            ][:60]
+            fresh = list(range(1000, 1300))  # 240 + 300 entries: past half of 1,024 slots
+            assert len(read_only) == 60 and store.index.slot_count == 1024
+            keys = []
+            for position, key in enumerate(read_only):
+                keys += fresh[5 * position : 5 * position + 5] + [key]
+            rebuilds = store.index.rebuilds
+            pair.run(("put", keys, [value_for(key, 5) for key in keys]))
+            assert store.index.rebuilds > rebuilds and store.index.slot_count > 1024
+            entries = [array.tolist() for array in pair.looped.store.index.entries()]
+            for side in (pair.batched, pair.arrays):
+                assert [array.tolist() for array in side.store.index.entries()] == entries
+            assert pair.run(("snapshot", keys)) == [value_for(key, 5) for key in keys]
+
 
 # ----------------------------------------------------------------------
 # the cold cases, pinned down

@@ -196,11 +196,17 @@ class TestSwingMany:
             index.upsert(key * 7919, key)
         return index
 
+    @staticmethod
+    def swing(index: HashIndex, keys: np.ndarray, addresses: np.ndarray) -> None:
+        """Locate, then swing at the slots found."""
+        slots, _ = index.locate_many(keys)
+        index.swing_many(keys, addresses, slots, index.rebuilds)
+
     def test_equals_scalar_upserts_of_present_keys(self):
         swung, looped = self.loaded(), self.loaded()
         keys = keys_of([key * 7919 for key in range(0, 500, 3)])
         addresses = np.arange(len(keys), dtype=np.int64) + 10_000
-        swung.swing_many(keys, addresses)
+        self.swing(swung, keys, addresses)
         for key, address in zip(keys.tolist(), addresses.tolist()):
             looped.upsert(key, address)
         assert [array.tolist() for array in swung.entries()] == [
@@ -215,7 +221,7 @@ class TestSwingMany:
         layout = index.entries()[0].tolist()
         keys = keys_of([key * 7919 for key in range(100)])
         addresses = np.arange(100, dtype=np.int64) + 10_000
-        index.swing_many(keys, addresses)
+        self.swing(index, keys, addresses)
         assert index.slot_count == 1024 and index.entries()[0].tolist() == layout
         assert index.find_many(keys).tolist() == addresses.tolist()
         assert len(index) == 500
@@ -228,7 +234,7 @@ class TestSwingMany:
             index.remove(key * 7919)
         used = index._used
         keys = keys_of([key * 7919 for key in range(1, 300, 2)])
-        index.swing_many(keys, np.full(150, 42, dtype=np.int64))
+        self.swing(index, keys, np.full(150, 42, dtype=np.int64))
         assert (index._used, len(index)) == (used, 150)
         assert index.find_many(keys).tolist() == [42] * 150
         assert index.find(0) is None
@@ -237,13 +243,37 @@ class TestSwingMany:
         index = self.loaded(10)
         before = [array.tolist() for array in index.entries()]
         with pytest.raises(KeyError):
-            index.swing_many(keys_of([0, 1, 7919]), np.array([5, 6, 7], dtype=np.int64))
+            self.swing(index, keys_of([0, 1, 7919]), np.array([5, 6, 7], dtype=np.int64))
         assert [array.tolist() for array in index.entries()] == before
 
     def test_empty_batch(self):
         index = self.loaded(10)
-        index.swing_many(keys_of([]), np.empty(0, dtype=np.int64))
+        self.swing(index, keys_of([]), np.empty(0, dtype=np.int64))
         assert len(index) == 10
+
+    @pytest.mark.parametrize("count", [50, 450])  # walked, then array passes (WALK_KEYS)
+    def test_locate_many_is_find_many_with_the_slots(self, count):
+        index = self.loaded()
+        keys = keys_of([key * 7919 for key in range(count)] + [7919 * 1000 + 1, 3])
+        slots, addresses = index.locate_many(keys)
+        assert addresses.tolist() == index.find_many(keys).tolist()
+        present = addresses >= 0
+        assert present.sum() == count and (slots[~present] == -1).all()
+        assert index._keys[slots[present]].tolist() == keys[present].tolist()
+
+    def test_slots_found_before_a_rebuild_are_probed_again(self):
+        index = self.loaded(400)
+        keys = keys_of([key * 7919 for key in range(0, 400, 5)])
+        slots, _ = index.locate_many(keys)
+        rebuilds = index.rebuilds
+        fresh = keys_of([key * 7919 + 1 for key in range(200)])
+        index.insert_absent_many(fresh, np.arange(200, dtype=np.int64))
+        assert index.rebuilds > rebuilds
+        addresses = np.arange(len(keys), dtype=np.int64) + 10_000
+        index.swing_many(keys, addresses, slots, rebuilds)
+        assert index.find_many(keys).tolist() == addresses.tolist()
+        assert index.find_many(fresh).tolist() == list(range(200))
+        assert len(index) == 600
 
 
 def slot_state(index: HashIndex) -> tuple:

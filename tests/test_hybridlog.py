@@ -8,7 +8,7 @@ import pytest
 from repro.device import SimClock, SSDModel
 from repro.errors import StorageError
 from repro.kv.faster.hybridlog import TOMBSTONE_LEN, HybridLog
-from repro.kv.faster.record import pack_word, unpack_word
+from repro.kv.faster.record import RECORD_HEADER_BYTES, pack_word, unpack_word
 
 
 def make_log(tmp_path, pages=4, page_bytes=1024, mutable_fraction=0.9):
@@ -235,6 +235,83 @@ class TestAppendMany:
             np.empty(0, dtype=np.uint64),
         )
         assert addresses.tolist() == [] and log.tail_address == 0
+
+
+class TestResidentBatches:
+    """The batched reads and writes of resident records (one ``np.void``
+    item per record) ≡ one record at a time, wherever a record sits: at
+    odd arena offsets, and flush against the end of the arena's last
+    frame."""
+
+    PAGE = 1024
+
+    def filled(self, tmp_path, width: int, layout: str):
+        """Six pages of ``width``-byte records, the last four resident, each
+        page led by one record of another width: ``(log, addresses, keys,
+        values)`` of the resident ``width``-byte records.  The lead is as
+        long as makes the page's last record end on its last byte
+        (``"flush"``), or one byte shorter (``"odd"``: the records then
+        sit one byte earlier, at odd offsets where the record length is
+        even)."""
+        log, _ = make_log(tmp_path, pages=4, page_bytes=self.PAGE)
+        record_len = RECORD_HEADER_BYTES + width
+        per_page = (self.PAGE - RECORD_HEADER_BYTES - 1) // record_len
+        lead = self.PAGE - per_page * record_len - RECORD_HEADER_BYTES - (layout == "odd")
+        rng = np.random.default_rng(width)
+        addresses, values = [], []
+        for page in range(6):
+            assert log.append(100_000 + page, bytes(lead), WORD) == page * self.PAGE
+            for _ in range(per_page):
+                values.append(rng.integers(0, 256, width, dtype=np.uint8).tobytes())
+                addresses.append(log.append(len(addresses), values[-1], WORD))
+        resident = [i for i, address in enumerate(addresses) if log.in_memory(address)]
+        return log, np.array(addresses)[resident], resident, [values[i] for i in resident]
+
+    @pytest.mark.parametrize("width", [8, 16, 129])
+    @pytest.mark.parametrize("layout", ["flush", "odd"])
+    def test_batched_reads_equal_record_reads(self, tmp_path, width, layout):
+        log, addresses, keys, values = self.filled(tmp_path, width, layout)
+        offsets = log.arena_offsets(addresses)
+        ends = offsets + RECORD_HEADER_BYTES + width
+        if layout == "flush":
+            assert (ends == log.memory_pages * self.PAGE).sum() == 1
+        else:
+            assert (offsets % 2).any()
+        order = np.random.default_rng(1).permutation(len(offsets))  # no order assumed
+        headers = log.read_headers(offsets[order])
+        rows = log.read_rows(offsets[order], width)
+        assert rows.shape == (len(order), width) and rows.dtype == np.uint8
+        for position, header, row in zip(order.tolist(), headers, rows):
+            word, key, value, in_memory = log.read_record(int(addresses[position]))
+            assert in_memory and value == values[position] == row.tobytes()
+            assert (int(header["word"]), int(header["key"]), int(header["value_len"])) == (
+                word, keys[position], width,
+            )
+
+    @pytest.mark.parametrize("width", [8, 16, 129])
+    @pytest.mark.parametrize("layout", ["flush", "odd"])
+    def test_batched_writes_read_back(self, tmp_path, width, layout):
+        log, addresses, keys, values = self.filled(tmp_path, width, layout)
+        offsets = log.arena_offsets(addresses)
+        rng = np.random.default_rng(width)
+        picked = rng.permutation(len(offsets))[: len(offsets) // 2]
+        words = np.array([pack_word(False, True, 1 + i, i % 5) for i in range(len(picked))],
+                         dtype=np.uint64)
+        wide = rng.integers(0, 256, (len(picked), width + 3), dtype=np.uint8)
+        log.write_words(offsets[picked], words)
+        log.write_values(offsets[picked], wide[:, 1 : width + 1])  # rows not contiguous
+        written = dict(zip(picked.tolist(), zip(words.tolist(), wide[:, 1 : width + 1])))
+        for position, address in enumerate(addresses.tolist()):
+            word, key, value, _ = log.read_record(address)
+            assert key == keys[position]
+            if position in written:
+                assert (word, value) == (written[position][0], written[position][1].tobytes())
+            else:
+                assert (word, value) == (WORD, values[position])
+        # Words taken straight from a header field (a strided view) store alike.
+        log.write_words(offsets[picked], log.read_headers(offsets[picked[::-1]])["word"])
+        reversed_words = words[::-1].tolist()
+        assert [log.read_record(int(addresses[i]))[0] for i in picked.tolist()] == reversed_words
 
 
 class TestDiskReads:

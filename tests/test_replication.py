@@ -546,7 +546,7 @@ class TestLiveSplit:
         store.multi_put(keys, [b"m"] * 300)
         old_engine = store.shards[1]
         migration = store.begin_split(1, factory)
-        moving = next(key for key in keys if store.slot_of(key) in migration.moving_slots)
+        moving = next(key for key in keys if store.slot_of(key) == migration.moving_slot)
         store.put(moving, b"live")  # dual-logged before any copy step
         assert migration.run() == 2
         assert store.shards[1] is old_engine and len(store.shards) == 3
@@ -639,7 +639,7 @@ class TestLiveSplit:
         migration = store.begin_split(1, factory)
         step = 0
         while migration.copy_step(32):
-            moving = [key for key in keys if store.slot_of(key) in migration.moving_slots]
+            moving = [key for key in keys if store.slot_of(key) == migration.moving_slot]
             moving = moving[step::17][:3]
             store.multi_put(moving, [b"live%d" % step] * len(moving))
             expected.update((key, b"live%d" % step) for key in moving)

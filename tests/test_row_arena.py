@@ -1,7 +1,8 @@
 """Row-optimizer state indexed by arrays: arena ≡ dict, saved state, no keys.
 
-``_RowArena`` maps keys to rows with a slot -> key array plus a sorted key
-array and its slot permutation.  The reference is the dict it replaced:
+``_RowArena`` maps keys to rows with a slot -> key array plus two sorted
+runs of keys, each with the slot of every key (a main run and a run of
+recent keys that merges into it).  The reference is the dict it replaced:
 ``slots.setdefault(key, len(slots))`` in order of appearance.  The two
 files under ``tests/data/row_*_state_parent.pkl`` are ``state_dict()``s
 pickled by the commit before the arrays (dict-backed arena) after
@@ -70,6 +71,50 @@ def test_resolve_matches_the_dict_reference(seed):
         assert np.array_equal(arena.columns["acc"][arena.resolve(keys)],
                               np.broadcast_to(keys[:, None].astype(np.float32), (len(keys), DIM)))
     assert doublings >= 2
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_resolve_matches_the_dict_reference_over_many_merges(seed):
+    """Thousands of keys arriving a few dozen at a time, so the run of
+    recent keys merges into the main one many times over, in batches that
+    are ascending (the path that skips the dedupe), unsorted with repeats,
+    or known keys only; halfway the state is saved and loaded into a new
+    optimizer, whose arena carries on."""
+    rng = np.random.default_rng(seed)
+    universe = np.unique(np.concatenate([
+        rng.integers(INT64.min, INT64.max, 3000), np.arange(-1000, 1000), [INT64.min, INT64.max],
+    ]))
+    universe = rng.permutation(universe)
+    arena, reference = _RowArena(DIM, ("acc",)), DictArena()
+    merges = 0
+    for round_ in range(400):
+        seen = len(reference.slots)
+        fresh = universe[seen : seen + int(rng.integers(0, 40))]
+        known = rng.choice(universe[:seen], int(rng.integers(0, 60))) if seen else fresh[:0]
+        keys = np.concatenate([known, fresh] if round_ % 7 else [known])
+        shape = round_ % 3
+        if shape == 0:
+            keys = np.unique(keys)
+        elif shape == 1:
+            keys = rng.permutation(np.concatenate([keys, keys[: len(keys) // 3]]))
+        main = len(arena._sorted_keys)
+        got, want = arena.resolve(keys), reference.resolve(keys)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        merges += len(arena._sorted_keys) != main
+        # each slot's row holds the slot number, through saving and loading
+        arena.columns["acc"][got] = got[:, None].astype(np.float32)
+        if round_ == 200:
+            saved = {"accumulators": {
+                key: arena.columns["acc"][slot] for slot, key in enumerate(arena.keys.tolist())
+            }}
+            loaded = RowAdagrad()
+            loaded.load_state_dict(saved)
+            assert loaded._arena is not None
+            arena = loaded._arena
+            assert list(loaded.state_dict()["accumulators"]) == list(reference.slots)
+        assert np.array_equal(arena.columns["acc"][arena.resolve(keys), 0], want)
+    assert arena.keys.tolist() == list(reference.slots) and len(arena) > 3000
+    assert merges >= 10
 
 
 def test_state_dict_lists_keys_in_first_appearance_order():

@@ -15,11 +15,13 @@ import tempfile
 import numpy as np
 import pytest
 
+from repro._arrays import sorted_unique
 from repro.core.embedding import EmbeddingTables
 from repro.core.mlkv import MLKV
 from repro.device import SimClock, SSDModel
 from repro.kv.common.serialization import decode_vector
 from repro.nn.optim import RowAdagrad, RowAdam
+from repro.train.loop import BaseTrainer
 
 DIM = 8
 
@@ -216,3 +218,41 @@ class TestPeekDtypeRegression:
         got = tables.get(np.array([11, 12], dtype=np.uint32))
         again = tables.get(np.array([11, 12], dtype=np.int16))
         assert np.array_equal(bits(got), bits(again))
+
+
+# ----------------------------------------------------------------------
+# the trainers' gather index
+# ----------------------------------------------------------------------
+class TestGatherIndex:
+    """``BaseTrainer.gather_index`` (one sort of the batch, a search in key
+    order, a scatter back) ≡ ``np.searchsorted(unique, keys)``."""
+
+    # 1-D (a GNN frontier), [batch, fields] (DLRM), [batch, negatives] (KGE)
+    @pytest.mark.parametrize("shape", [(700,), (256, 26), (64, 32)])
+    @pytest.mark.parametrize("order", ["random", "sorted", "reversed"])
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint64])
+    def test_equals_searchsorted(self, shape, order, dtype):
+        rng = np.random.default_rng(sum(shape))
+        keys = rng.integers(0, 900, size=shape).astype(dtype)  # duplicates galore
+        if order != "random":
+            ordered = np.sort(keys, axis=None)
+            keys = (ordered if order == "sorted" else ordered[::-1]).reshape(shape)
+        unique = sorted_unique(keys)
+        for table in (unique, unique.astype(np.int64)):  # keys narrower than the table
+            expected = np.searchsorted(table, keys)
+            got = BaseTrainer.gather_index(table, keys)
+            assert got.shape == expected.shape and got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+
+    def test_kge_parts_gather_from_the_union(self):
+        """KGE gathers heads, tails and negatives from the unique keys of
+        all three: each part holds only some of them, and a key absent
+        from the table lands where ``searchsorted`` puts it."""
+        rng = np.random.default_rng(7)
+        heads, tails = rng.integers(0, 400, 128), rng.integers(0, 400, 128)
+        negatives = rng.integers(0, 400, (128, 16))
+        unique = sorted_unique(np.concatenate([heads, tails, negatives.reshape(-1)]))
+        for part in (heads, tails, negatives, np.array([-5, 401, 10_000])):
+            assert np.array_equal(
+                BaseTrainer.gather_index(unique, part), np.searchsorted(unique, part)
+            )
