@@ -113,11 +113,14 @@ bench-e2e-smoke:
 # array-verb suite rides along for its router and replica-group tests,
 # the store-contract suite for what every composition answers, and the
 # look-ahead clamp and checkpoint suites so that staging (training, a
-# resumed run, the serving prefetcher over a router) runs checked too, and
+# resumed run, the serving prefetcher over a router) runs checked too,
+# with the staged-copy ledger's model test (its arrays ≡ the dict-and-deque
+# reference, inside a store too) beside them; the hash index suite for
+# the long lookups it remembers until a key takes or leaves a slot; and
 # the small-batch suite for the router's list fan-out and the engines'
 # small array reads.
 test-sanitize:
-	REPRO_SANITIZE=1 $(PYTHON) -m pytest tests/test_sharded.py tests/test_replication.py tests/test_distributed.py tests/test_analysis_sanitize.py tests/test_array_verbs.py tests/test_store_contract.py tests/test_lookahead_clamp.py tests/test_lookahead_checkpoint.py tests/test_small_batches.py tests/test_chaos_serving.py tests/test_tenancy.py -q
+	REPRO_SANITIZE=1 $(PYTHON) -m pytest tests/test_sharded.py tests/test_replication.py tests/test_distributed.py tests/test_analysis_sanitize.py tests/test_array_verbs.py tests/test_store_contract.py tests/test_lookahead_clamp.py tests/test_lookahead_checkpoint.py tests/test_staged_ledger.py tests/test_faster_index.py tests/test_small_batches.py tests/test_chaos_serving.py tests/test_tenancy.py -q
 
 # Prefer ruff (fast, wider net) when present; fall back to pyflakes,
 # then to the always-available compileall syntax check.  The repo's own

@@ -195,7 +195,7 @@ class EmbeddingTables:
         with obs_span("emb.lookahead", dest=dest, keys=keys.size):
             keys = keys if _ascending(keys) else sorted_unique(keys)
             if dest == "buffer":
-                return self.store.lookahead(keys.tolist())
+                return self.store.lookahead(keys)
             if dest == "cache":
                 moved = 0
                 ssd = self.store.ssd

@@ -42,7 +42,6 @@ case and the reference the batched paths are tested against.
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, NamedTuple, Optional
@@ -111,6 +110,79 @@ def _settled_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return updated, replaced_words(released_words(updated, staleness))
 
 
+def _read_keys(keys: list) -> np.ndarray:
+    """The keys of a list that a record can have (``uint64``) as an array."""
+    try:
+        return np.array(keys, dtype=np.uint64)
+    except OverflowError:
+        return np.array([key for key in keys if 0 <= key < 1 << 64], dtype=np.uint64)
+
+
+class _UnreadStaged:
+    """The staged copies no Get or committed read has read yet.
+
+    One entry a key — the address of its newest staged copy — in two
+    arrays ordered by key.  Staging a key again replaces its entry, and a
+    read of the key removes it, whichever copy the read found.  A staged
+    copy that leaves memory leaves the ledger with it: :meth:`sweep`
+    counts the entries below the log's head.
+    """
+
+    def __init__(self) -> None:
+        self.keys = np.empty(0, dtype=np.uint64)
+        self.addresses = np.empty(0, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def stage(self, keys: np.ndarray, addresses: np.ndarray) -> None:
+        """Enter copies of ``keys`` (``uint64``) staged at ``addresses``;
+        of a key staged twice, the later copy stands."""
+        merged = np.concatenate((self.keys, keys))
+        order = np.argsort(merged, kind="stable")  # a key's later entries sort after it
+        ordered = merged[order]
+        last = np.empty(len(ordered), dtype=bool)
+        last[-1:] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=last[:-1])
+        self.keys = ordered[last]
+        self.addresses = np.concatenate((self.addresses, addresses))[order[last]]
+
+    def read(self, keys: np.ndarray) -> None:
+        """``keys`` (``uint64``) have been read: drop their entries.
+
+        A few keys are searched for one by one; a batch about as long as
+        the ledger is merged with it in one stable argsort, which costs
+        less than its searches from a quarter of the ledger's length on
+        (3,500 entries, 2-vCPU host: 36 against 33 µs at 1,024 keys, 50
+        against 134 at 3,669).
+        """
+        count = len(self.keys)
+        if 4 * len(keys) < count:
+            at = np.minimum(np.searchsorted(self.keys, keys), count - 1)
+            read = at[self.keys[at] == keys]
+        else:
+            merged = np.concatenate((self.keys, keys))
+            order = np.argsort(merged, kind="stable")
+            ordered = merged[order]
+            # An entry's key sorts just before the read keys equal to it.
+            equal = np.zeros(len(ordered), dtype=bool)
+            np.equal(ordered[1:], ordered[:-1], out=equal[:-1])
+            read = order[equal & (order < count)]
+        if len(read):
+            keep = np.ones(count, dtype=bool)
+            keep[read] = False
+            self.keys, self.addresses = self.keys[keep], self.addresses[keep]
+
+    def sweep(self, head: int) -> int:
+        """Drop the entries below ``head``; returns how many there were."""
+        evicted = self.addresses < head
+        count = int(np.count_nonzero(evicted))
+        if count:
+            keep = ~evicted
+            self.keys, self.addresses = self.keys[keep], self.addresses[keep]
+        return count
+
+
 class _GetBatch(NamedTuple):
     """A classified stretch of a batched Get (:meth:`MLKV._get_runs`).
 
@@ -163,11 +235,9 @@ class MLKV(FasterKV):
         # Rare-path fallback: staleness counters for records whose word
         # left memory while they still had outstanding Gets.
         self._overflow_staleness: dict[int, int] = {}
-        # Staged copies no Get has read yet, key -> address; and every
-        # staged copy, read or not, as (address, key) in address order, for
-        # :meth:`_sweep_staged` to count the ones evicted unread.
-        self._staged_unread: dict[int, int] = {}
-        self._staged_order: deque[tuple[int, int]] = deque()
+        # Staged copies no Get has read yet, for :meth:`_sweep_staged` to
+        # count the ones evicted unread.
+        self._unread = _UnreadStaged()
 
     @property
     def mode(self) -> ConsistencyMode:
@@ -210,7 +280,7 @@ class MLKV(FasterKV):
             else:
                 admitted, value = self._try_get_from_disk(key, address)
             if admitted:
-                self._note_reads((key,))
+                self._note_reads([key])
                 return value
             rounds += 1
             if rounds > _MAX_STALL_ROUNDS:
@@ -437,9 +507,7 @@ class MLKV(FasterKV):
         """Admit the plain keys at positions ``first`` to ``stop`` of a
         classified batch: store the resident records' released words, bump
         the cold records' overflow entries and book their reads, append
-        the values to ``results``.  A staged copy is at or above the
-        oldest one staged, and its key's index entry at or above the copy,
-        so only keys whose entry is that high can leave the unread
+        the values to ``results``, and take the keys off the unread
         ledger."""
         if stop <= first:
             return
@@ -457,10 +525,7 @@ class MLKV(FasterKV):
             self._charge_cold_reads(
                 RECORD_HEADER_BYTES + batch.rows.shape[1], int(high - low)
             )
-        if self._staged_unread:
-            run = slice(first, stop)
-            oldest = self._staged_order[0][0]
-            self._note_reads(batch.keys[run][batch.addresses[run] >= oldest])
+        self._note_reads(batch.keys[first:stop])
         pieces.append(batch.rows[first:stop])
 
     def _put_many(self, keys, values) -> None:
@@ -501,7 +566,7 @@ class MLKV(FasterKV):
     def snapshot_read(self, key: int) -> Optional[bytes]:
         """Committed read for evaluation and serving: no admission, no
         clock update."""
-        self._note_reads((key,))
+        self._note_reads([key])
         return super().get(key)
 
     def snapshot_read_many(self, keys) -> list:
@@ -537,24 +602,27 @@ class MLKV(FasterKV):
         original word (staleness preserved), then the index is swung to
         the new copy.  Returns the number of records copied.
 
-        The batch is resolved through the index at once and its cold
-        records are charged as one page-granular scan in log-address
-        order.  Distinct keys are then staged as arrays: one positional
-        read per record, their overflow entries folded into the words in
-        one pass, one block append per log page
-        (:meth:`~repro.kv.faster.hybridlog.HybridLog.append_many`) and one
-        swing of the index.  A record that is not what the index promised
-        (another key, a tombstone, another width than the batch's first,
-        a torn read) takes :meth:`_stage_one` at its turn, as every record
-        of a short batch or one with repeated keys does.
+        ``keys`` is an iterable of ints; an integer array stays one until
+        the per-key path.  The batch is resolved
+        through the index at once and its cold records are charged as one
+        page-granular scan in log-address order.  Distinct keys are then
+        staged as arrays: one positional read per record, their overflow
+        entries folded into the words in one pass, one block append per
+        log page (:meth:`~repro.kv.faster.hybridlog.HybridLog.append_many`)
+        and one swing of the index.  A record that is not what the index
+        promised (another key, a tombstone, another width than the batch's
+        first, a torn read) takes :meth:`_stage_one` at its turn, as every
+        record of a short batch or one with repeated keys does.
         """
-        keys = self._normalize_keys(keys)
+        if not isinstance(keys, np.ndarray):
+            keys = self._normalize_keys(keys)
         self.mlkv_stats.lookahead_requests += len(keys)
         key_array = self._key_array(keys)
         if key_array is not None:
             slots, addresses = self.index.locate_many(key_array)
             rebuilds = self.index.rebuilds
         else:
+            keys = self._normalize_keys(keys)
             found = map(self.index.find, keys)
             addresses = np.array(
                 [-1 if address is None else address for address in found], dtype=np.int64
@@ -568,15 +636,21 @@ class MLKV(FasterKV):
         # One page-granular sequential scan covers the whole batch.
         self.log.charge_prefetch_pages(addresses)
         if key_array is not None and len(on_disk) and not self._has_duplicates(key_array):
-            copied = self._stage_runs(key_array[on_disk], addresses, slots[on_disk], rebuilds)
+            staged_keys = key_array[on_disk]
+            staged_at = self._stage_runs(staged_keys, addresses, slots[on_disk], rebuilds)
         else:
-            copied = sum(
-                self._stage_one(keys[position], address)
-                for position, address in zip(on_disk.tolist(), addresses.tolist())
+            keys = self._normalize_keys(keys)
+            staged_keys = np.array([keys[position] for position in on_disk.tolist()], dtype=np.uint64)
+            staged_at = np.array(
+                list(map(self._stage_one, staged_keys.tolist(), addresses.tolist())),
+                dtype=np.int64,
             )
-        self.mlkv_stats.lookahead_copied += copied
+        copied = staged_at >= 0
+        self._unread.stage(staged_keys[copied], staged_at[copied])
+        count = int(np.count_nonzero(copied))
+        self.mlkv_stats.lookahead_copied += count
         self._sweep_staged()
-        return copied
+        return count
 
     def lookahead_capacity(self, value_bytes: int) -> int:
         """Records of ``value_bytes``-byte values the mutable region holds
@@ -587,29 +661,23 @@ class MLKV(FasterKV):
         return self.log.mutable_records(RECORD_HEADER_BYTES + value_bytes)
 
     def _note_reads(self, keys) -> None:
-        """A Get or a committed read has read ``keys``: their staged
-        copies leave the unread ledger."""
-        staged = self._staged_unread
-        if staged:
-            pop = staged.pop
-            for key in keys.tolist() if isinstance(keys, np.ndarray) else keys:
-                pop(key, None)
+        """A Get or a committed read has read ``keys`` (a ``uint64`` array
+        or a list): their staged copies leave the unread ledger."""
+        if len(self._unread):
+            self._unread.read(keys if isinstance(keys, np.ndarray) else _read_keys(keys))
 
     def _sweep_staged(self) -> None:
         """Count the staged copies below the head, unread, as evicted."""
-        staged, order, head = self._staged_unread, self._staged_order, self.log.head_address
-        while order and order[0][0] < head:
-            address, key = order.popleft()
-            if staged.get(key) == address:
-                del staged[key]
-                self.mlkv_stats.lookahead_evicted_unread += 1
+        if len(self._unread):
+            self.mlkv_stats.lookahead_evicted_unread += self._unread.sweep(self.log.head_address)
 
-    def _stage_one(self, key: int, address: int) -> bool:
-        """Copy ``key``'s record at disk ``address`` to the tail; whether
-        it was there to copy (device time already charged)."""
+    def _stage_one(self, key: int, address: int) -> int:
+        """Copy ``key``'s record at disk ``address`` to the tail (device
+        time already charged); the copy's address, or -1 when the record
+        was not there to copy."""
         word, record_key, value = self.log.prefetch_read(address, charge=False)
         if record_key != key or value is None:
-            return False
+            return -1
         # Fold the overflow-table delta (Gets served while the record was
         # on disk) back into the staged word, so the in-memory clock is
         # authoritative again.
@@ -620,18 +688,16 @@ class MLKV(FasterKV):
             word = pack_word(locked, replaced, generation, staleness)
         new_address = self.log.append(key, value, word)
         if not self.index.compare_exchange(key, address, new_address):
-            return False
-        self._staged_unread[key] = new_address
-        self._staged_order.append((new_address, key))
-        return True
+            return -1
+        return new_address
 
     def _stage_runs(
         self, key_array: np.ndarray, addresses: np.ndarray, slots: np.ndarray, rebuilds: int
-    ) -> int:
+    ) -> np.ndarray:
         """:meth:`_stage_one` for distinct keys in log-address order, the
-        records that are what the index promised as arrays; returns how
-        many were copied.  ``slots`` are where the index held the keys
-        after ``rebuilds`` rebuilds
+        records that are what the index promised as arrays; returns the
+        address of each key's copy, -1 where none was made.  ``slots`` are
+        where the index held the keys after ``rebuilds`` rebuilds
         (:meth:`~repro.kv.faster.hashindex.HashIndex.locate_many`)."""
         log = self.log
         width = log.disk_value_len(int(addresses[0]))
@@ -639,24 +705,21 @@ class MLKV(FasterKV):
         plain = complete & (headers["value_len"] == width) & (headers["key"] == key_array)
         settle = self._overflow_staleness.pop
         words = headers["word"]
-        copied = first = 0
+        staged_at = np.full(len(plain), -1, dtype=np.int64)
+        first = 0
         for stop in np.flatnonzero(~plain).tolist() + [len(plain)]:
             if stop > first:
                 run = slice(first, stop)
                 folded = _counts(map(settle, key_array[run].tolist(), repeat(0)), stop - first)
                 staleness = np.minimum(word_staleness(words[run]) + folded, MAX_STALENESS)
-                new_addresses = log.append_many(
+                staged_at[run] = log.append_many(
                     key_array[run], rows[run], restaled_words(words[run], staleness)
                 )
-                self.index.swing_many(key_array[run], new_addresses, slots[run], rebuilds)
-                staged_keys, staged_at = key_array[run].tolist(), new_addresses.tolist()
-                self._staged_unread.update(zip(staged_keys, staged_at))
-                self._staged_order.extend(zip(staged_at, staged_keys))
-                copied += stop - first
+                self.index.swing_many(key_array[run], staged_at[run], slots[run], rebuilds)
             if stop < len(plain):
-                copied += self._stage_one(int(key_array[stop]), int(addresses[stop]))
+                staged_at[stop] = self._stage_one(int(key_array[stop]), int(addresses[stop]))
             first = stop + 1
-        return copied
+        return staged_at
 
     # ------------------------------------------------------------------
     # checkpoint / restore

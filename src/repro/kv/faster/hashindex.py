@@ -53,6 +53,15 @@ WALK_KEYS = 384
 #: thresholds 16 and 128 measured no better, 800 worse.
 _TAIL_KEYS = 64
 
+#: Long lookups (:meth:`HashIndex._slots_of`) whose slots the index keeps,
+#: matched by the keys looked up.  A training step's keys are looked up by
+#: the look-ahead that stages them, by their Get ``lookahead_distance``
+#: steps later and by their Put ``pipeline_depth`` steps after that; each
+#: step adds one lookup, so the count covers the look-ahead window plus
+#: the pipeline depth (4 + 2 on the benchmark's DLRM) with room to spare.
+#: Eight 3,700-key lookups hold ~0.5 MB.
+_REMEMBERED = 8
+
 
 class HashIndex:
     """Open-addressing hash index from int keys to log addresses."""
@@ -68,6 +77,9 @@ class HashIndex:
         self._allocate(initial_slots)
 
     def _allocate(self, slots: int) -> None:
+        #: ``(keys, slots)`` of recent long lookups, the latest used last;
+        #: forgotten whenever a key takes or leaves a slot.
+        self._remembered: list[tuple[np.ndarray, np.ndarray]] = []
         self._keys = np.zeros(slots, dtype=np.uint64)
         self._addresses = np.full(slots, _EMPTY, dtype=np.int64)
         self._key_view = memoryview(self._keys)
@@ -121,6 +133,7 @@ class HashIndex:
                 self._used += 1
             self._key_view[slot] = key
             self._size += 1
+            self._remembered.clear()
         self._address_view[slot] = address
         if self._used > _MAX_LOAD * (self._mask + 1):
             self._rebuild(self._size)
@@ -144,13 +157,31 @@ class HashIndex:
         if present:
             self._address_view[slot] = _REMOVED
             self._size -= 1
+            self._remembered.clear()
         return present
 
     # ------------------------------------------------------------------
     # batched operations
     # ------------------------------------------------------------------
     def _slots_of(self, keys: np.ndarray) -> np.ndarray:
-        """The slot holding each key of a ``uint64`` array; ``-1`` where absent.
+        """The slot holding each key of a ``uint64`` array; ``-1`` where
+        absent.  Read-only: the slots of a lookup of the same keys since
+        the last key took or left a slot, or of a new probe
+        (:meth:`_probe_slots`), which is remembered in its place."""
+        remembered = self._remembered
+        for position, (seen, slots) in enumerate(remembered):
+            if len(seen) == len(keys) and np.array_equal(seen, keys):
+                remembered.append(remembered.pop(position))
+                return slots
+        slots = self._probe_slots(keys)
+        slots.flags.writeable = False
+        remembered.append((keys.copy(), slots))
+        if len(remembered) > _REMEMBERED:
+            del remembered[0]
+        return slots
+
+    def _probe_slots(self, keys: np.ndarray) -> np.ndarray:
+        """:meth:`_slots_of` probed afresh.
 
         Every key probes its home slot in one pass; the (few) keys that
         met another key or a removed slot there advance together, one pass
@@ -197,7 +228,8 @@ class HashIndex:
         """Log addresses of a ``uint64`` key array; ``-1`` where absent.
 
         Below ``WALK_KEYS`` keys each probe chain is walked as
-        :meth:`find` walks it; longer batches advance every chain at once
+        :meth:`find` walks it; longer batches advance every chain at once,
+        or gather at the slots a lookup of the same keys found
         (:meth:`_slots_of`).
         """
         if len(keys) >= WALK_KEYS:
@@ -268,6 +300,8 @@ class HashIndex:
         after which the keys left are hashed for the new table.
         """
         key_list, address_list = keys.tolist(), addresses.tolist()
+        if key_list:
+            self._remembered.clear()
         start = 0
         while start < len(key_list):
             mask = self._mask
@@ -306,6 +340,8 @@ class HashIndex:
             placed = vacant & (self._keys[slots] == keys)
             self._addresses[slots[placed]] = addresses[placed]
             inserted = int(placed.sum())
+            if inserted:
+                self._remembered.clear()
             self._size += inserted
             self._used += inserted
             probing = ~(present | placed)

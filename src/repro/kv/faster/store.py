@@ -572,11 +572,21 @@ class FasterKV(KVStore, CheckpointManager):
         records the boundary passes on that count, and repeat until none
         is added: each round can only add appends, and the appends before
         the first key still undecided are by then exact.
+
+        A run with no key certain to append appends nothing: the log keeps
+        ``read_only_address >= tail_address - mutable_bytes``
+        (:meth:`HybridLog._advance_regions`, and ``reset_resident`` on a
+        restore), so a record in the mutable region has a ``boundary`` of
+        at least 0: only an append before it could move the read-only
+        boundary past it.
         """
         log = self.log
         free = resident & unflagged
         mutable = free & same_width & (addresses >= log.read_only_address)
         certain = ~resident | (free & ~mutable)
+        if not certain.any():
+            none = np.zeros(len(addresses), dtype=bool)
+            return mutable, none, none
         appended = certain
         if mutable.any():
             boundary = addresses + (log.mutable_bytes - log.tail_address)

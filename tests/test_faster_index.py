@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kv.common.bloom import _mix64
-from repro.kv.faster.hashindex import HashIndex
+from repro.kv.faster.hashindex import WALK_KEYS, HashIndex
 
 
 def keys_of(values) -> np.ndarray:
@@ -344,3 +344,147 @@ class TestInsertAbsentMany:
         batch = [key for key in removed + fresh if key not in live]
         batch = list(dict.fromkeys(data.draw(st.permutations(batch))))
         self.assert_equal_to_loop(initial_slots, inserted, removed, batch)
+
+
+class TestRememberedLookups:
+    """A long lookup's slots are handed out again for the same keys until
+    a key takes or leaves a slot; the answers are a fresh ``find``'s."""
+
+    #: Keys looked up: present, removed below, and never inserted.
+    PROBE = keys_of([key * 7919 for key in range(WALK_KEYS + 100)] + [3, 5, 1 << 50])
+
+    def loaded(self) -> HashIndex:
+        index = HashIndex(initial_slots=4096)  # rebuilt once 2,048 slots are used
+        for key in range(WALK_KEYS):
+            index.upsert(key * 7919, key)
+        return index
+
+    def assert_fresh(self, index: HashIndex) -> None:
+        """Twice (the second from what the first left remembered): the
+        lookup verbs ≡ a ``find`` loop, absent keys included."""
+        expected = [-1 if found is None else found for found in map(index.find, self.PROBE.tolist())]
+        for _ in range(2):
+            assert index.find_many(self.PROBE).tolist() == expected
+            slots, addresses = index.locate_many(self.PROBE)
+            assert addresses.tolist() == expected
+            present = addresses >= 0
+            assert (slots[~present] == -1).all()
+            assert index._keys[slots[present]].tolist() == self.PROBE[present].tolist()
+
+    def test_a_repeat_lookup_probes_nothing(self, monkeypatch):
+        index = self.loaded()
+        self.assert_fresh(index)
+        monkeypatch.setattr(index, "_probe_slots", None)  # any probe now raises
+        self.assert_fresh(index)
+
+    def test_insert_absent_many(self):
+        index = self.loaded()
+        self.assert_fresh(index)
+        fresh = self.PROBE[-3:]
+        index.insert_absent_many(fresh, np.array([7, 8, 9], dtype=np.int64))
+        self.assert_fresh(index)
+        assert index.find_many(self.PROBE)[-3:].tolist() == [7, 8, 9]
+
+    def test_upsert_of_a_fresh_key(self):
+        index = self.loaded()
+        self.assert_fresh(index)
+        index.upsert(5, 55)
+        self.assert_fresh(index)
+        assert index.find(5) == 55
+
+    def test_remove(self):
+        index = self.loaded()
+        self.assert_fresh(index)
+        for key in self.PROBE[:WALK_KEYS:7].tolist():
+            assert index.remove(key)
+        self.assert_fresh(index)
+        assert (index.find_many(self.PROBE)[:WALK_KEYS:7] == -1).all()
+
+    def test_upsert_many(self):
+        index = self.loaded()
+        self.assert_fresh(index)
+        keys = keys_of([3, 7919 * 2, 1 << 50])
+        index.upsert_many(keys, np.array([30, 31, 32], dtype=np.int64))
+        self.assert_fresh(index)
+        assert index.find_many(self.PROBE)[[2, -3, -1]].tolist() == [31, 30, 32]
+
+    def test_rebuild(self):
+        index = self.loaded()
+        self.assert_fresh(index)
+        rebuilds = index.rebuilds
+        fresh = keys_of([key * 7919 + 1 for key in range(2000)])
+        index.insert_absent_many(fresh, np.arange(2000, dtype=np.int64))
+        assert index.rebuilds > rebuilds
+        self.assert_fresh(index)
+
+    def test_overwrites_keep_the_slots_and_show_the_new_addresses(self):
+        index = self.loaded()
+        slots, _ = index.locate_many(self.PROBE)
+        moved = self.PROBE[:WALK_KEYS:3]
+        new = np.arange(len(moved), dtype=np.int64) + 100_000
+        index.swing_many(moved, new, slots[:WALK_KEYS:3], index.rebuilds)
+        index.upsert(int(self.PROBE[1]), 77)  # present: only its address changes
+        assert index.locate_many(self.PROBE)[0] is slots  # still remembered
+        self.assert_fresh(index)
+        found = index.find_many(self.PROBE)
+        assert found[:WALK_KEYS:3].tolist() == new.tolist() and found[1] == 77
+
+    def test_the_slots_handed_out_are_read_only(self):
+        index = self.loaded()
+        slots, _ = index.locate_many(self.PROBE)
+        with pytest.raises(ValueError):
+            slots[0] = 1
+        again, _ = index.locate_many(self.PROBE.copy())
+        with pytest.raises(ValueError):
+            again[0] = 1
+        self.assert_fresh(index)
+
+    def test_the_keys_are_copied_when_remembered(self):
+        index = self.loaded()
+        keys = self.PROBE.copy()
+        index.find_many(keys)
+        keys[:] = keys[::-1]  # the caller reuses its array
+        assert index.find_many(keys).tolist() == [
+            -1 if found is None else found for found in map(index.find, keys.tolist())
+        ]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_random_history_matches_a_dict(self, seed):
+        """Long lookups of a few recurring key sets between every kind of
+        write, checked against a dict after each step."""
+        rng = np.random.default_rng(seed)
+        index = HashIndex(initial_slots=1024)
+        model: dict = {}
+        universe = rng.choice(1 << 40, size=3000, replace=False).astype(np.uint64)
+        sets = [rng.choice(universe, size=WALK_KEYS + 50 * n, replace=False) for n in range(12)]
+        next_address = 0
+        for _ in range(120):
+            action = rng.integers(7)
+            keys = universe[rng.choice(len(universe), size=int(rng.integers(1, 40)), replace=False)]
+            addresses = np.arange(next_address, next_address + len(keys), dtype=np.int64)
+            next_address += len(keys)
+            if action == 0:
+                key, address = int(keys[0]), int(addresses[0])
+                index.upsert(key, address)
+                model[key] = address
+            elif action == 1:
+                key = int(keys[0])
+                assert index.remove(key) == (key in model)
+                model.pop(key, None)
+            elif action == 2:
+                absent = np.array([key not in model for key in keys.tolist()])
+                index.insert_absent_many(keys[absent], addresses[absent])
+                model.update(zip(keys[absent].tolist(), addresses[absent].tolist()))
+            elif action == 3:
+                index.upsert_many(keys, addresses)
+                model.update(zip(keys.tolist(), addresses.tolist()))
+            elif action == 4:
+                present = np.array([key in model for key in keys.tolist()])
+                slots, _ = index.locate_many(keys[present])
+                index.swing_many(keys[present], addresses[present], slots, index.rebuilds)
+                model.update(zip(keys[present].tolist(), addresses[present].tolist()))
+            for probe in (sets[rng.integers(len(sets))], sets[rng.integers(3)]):
+                expected = [model.get(key, -1) for key in probe.tolist()]
+                assert index.find_many(probe).tolist() == expected
+                assert index.locate_many(probe)[1].tolist() == expected
+        assert dict(index.items()) == model

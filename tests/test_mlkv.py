@@ -255,6 +255,19 @@ class TestLookahead:
             for key in cold[:20]:
                 assert store.log.in_memory(store.index.find(key))
 
+    @pytest.mark.parametrize("form", [list, np.array, iter])
+    def test_takes_a_list_an_array_or_an_iterator(self, tmp_path, form):
+        """A long batch (the array path) and a short one (per key)."""
+        with make_store(tmp_path) as store:
+            for i in range(600):
+                store.put(i, bytes([i % 251]) * 48)
+            cold = [k for k in range(600) if not store.log.in_memory(store.index.find(k))]
+            assert len(cold) > 40
+            assert store.lookahead(form(cold[:40])) == 40
+            assert store.lookahead(form(cold[40:43] + [cold[0]])) == 3
+            assert store.mlkv_stats.lookahead_requests == 44
+            assert all(store.log.in_memory(store.index.find(key)) for key in cold[:43])
+
     def test_skips_memory_resident_records(self, tmp_path):
         with make_store(tmp_path) as store:
             store.put(1, b"v")
