@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-nn test-recovery test-dist test-sanitize test-obs serve-smoke serve-mt-smoke bench bench-smoke bench-gate bench-wallclock bench-e2e bench-e2e-smoke lint typecheck docs-check analyze
+.PHONY: test test-nn test-recovery test-dist test-sanitize test-obs test-serve serve-smoke serve-mt-smoke bench bench-smoke bench-gate bench-wallclock bench-e2e bench-e2e-smoke lint typecheck docs-check analyze
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -42,6 +42,15 @@ test-recovery:
 # injection — isolated so a distributed flake is attributable.
 test-dist:
 	$(PYTHON) -m pytest tests/test_distributed.py tests/test_partition_ddp.py -q
+
+# The serving tier's tests on their own: the server, cache and batcher,
+# the loop and its batch verbs, the schedule pins (a CRC of every
+# request's user, key, arrival and completion, and whole reports), the
+# tenants, and the two model tests — the closed-loop pool's sorted run ≡
+# the heap it replaced, and the admission cache's batch verbs ≡ the
+# per-key verbs — so a serving regression is attributable at a glance.
+test-serve:
+	$(PYTHON) -m pytest tests/test_serve.py tests/test_serving_loop.py tests/test_serving_schedule.py tests/test_serving_batch_verbs.py tests/test_tenancy.py tests/test_closed_loop_model.py tests/test_admission_cache_model.py -q
 
 # Boot an EmbeddingServer from a tiny cloud checkpoint and drive 1k
 # requests through the coalescing load generator; asserts score parity

@@ -27,7 +27,7 @@ are the router's, so they work for both.
 
 from repro.kv.api import CheckpointManager, KVStore, StoreStats
 from repro.kv.common.cache import ClockCache, LRUCache
-from repro.kv.common.serialization import decode_vector, encode_vector
+from repro.kv.common.serialization import decode_vector, decode_vectors, encode_vector
 from repro.kv.replicated import ReplicaGroup
 from repro.kv.sharded import ShardedKVStore, ShardMigration, shard_hash
 
@@ -44,6 +44,7 @@ __all__ = [
     "ShardedKVStore",
     "StoreStats",
     "decode_vector",
+    "decode_vectors",
     "encode_vector",
     "shard_hash",
 ]

@@ -13,12 +13,16 @@ The batcher turns a stream of single-key lookups into the batched
   protocol, a single Get admission): one hot key in flight serves all
   its waiters.  On a zipfian workload this is a large fraction of the
   batching win, and it is also what keeps hot keys from exhausting the
-  staleness bound.
+  staleness bound.  A batch is kept as columns: its unique keys in
+  first-appearance order, and one *slot* per request — the index of the
+  request's key among them — built in one pass with a key → slot dict.
+  The loop answers request ``i`` with the read at ``slots[i]``; no list
+  of waiters is built per key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.obs.trace import span as obs_span
@@ -47,13 +51,15 @@ class BatchPolicy:
 class CoalescedBatch:
     """One micro-batch after duplicate-key coalescing.
 
-    ``unique_keys[i]`` is looked up once; ``waiters[i]`` lists every
-    request that read serves, in arrival order.
+    ``unique_keys`` holds each key once, in first-appearance order, and
+    is looked up once; ``slots[i]`` is the index in ``unique_keys`` of
+    ``requests[i]``'s key, so request ``i`` is answered by the read at
+    that slot.
     """
 
     requests: list[Request]
-    unique_keys: list[int] = field(default_factory=list)
-    waiters: list[list[Request]] = field(default_factory=list)
+    unique_keys: list[int]
+    slots: list[int]
 
     @property
     def size(self) -> int:
@@ -87,16 +93,9 @@ class MicroBatcher:
         # default clock (or wall offsets) for its timeline.
         with obs_span("batcher.form", queued=len(queue)):
             requests = queue.take(self.policy.max_batch)
-            batch = CoalescedBatch(requests=requests)
             index_of: dict[int, int] = {}
-            for request in requests:
-                slot = index_of.get(request.key)
-                if slot is None:
-                    index_of[request.key] = len(batch.unique_keys)
-                    batch.unique_keys.append(request.key)
-                    batch.waiters.append([request])
-                else:
-                    batch.waiters[slot].append(request)
+            slots = [index_of.setdefault(request.key, len(index_of)) for request in requests]
+            batch = CoalescedBatch(requests, list(index_of), slots)
             self.batches_formed += 1
             self.requests_batched += batch.size
             self.requests_coalesced += batch.coalesced

@@ -84,37 +84,65 @@ class AdmissionCache:
         self.capacity = capacity
         self.reuse_limit = reuse_limit
         self.tiers = TierCounters()
-        self._entries = LRUCache(capacity)
+        # The batch verbs walk the LRU's OrderedDict directly (one pass per
+        # batch) and book its hit/miss counts as its own get() would.
+        self._lru = LRUCache(capacity)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._lru)
 
-    def lookup(self, key: int) -> Optional[np.ndarray]:
-        """Serve one request from the cache, honoring the reuse limit.
+    def lookup_many(self, keys) -> list[Optional[np.ndarray]]:
+        """Serve requests from the cache, in order, honoring the reuse limit.
 
-        Returns the vector or ``None`` on a miss; tier counters for
-        cache hits are updated here, store-tier counters by the server
-        after its fetch.
+        Returns one vector per key, ``None`` for a miss.  One pass over
+        the LRU's entries leaves its order, its hit/miss counts and the
+        cache-tier counters exactly as looking the keys up one at a time
+        would; store-tier counters are updated by the server after its
+        fetch.
         """
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        vector, remaining = entry
-        if remaining is not None:
-            remaining -= 1
-            if remaining <= 0:
-                self._entries.pop(key)
-                self.tiers.cache_expirations += 1
+        entries = self._lru._entries
+        get, touch = entries.get, entries.move_to_end
+        found: list[Optional[np.ndarray]] = []
+        hits = expired = 0
+        for key in keys:
+            entry = get(key)
+            if entry is None:
+                found.append(None)
+                continue
+            hits += 1
+            found.append(entry[0])
+            remaining = entry[1]
+            if remaining is None:
+                touch(key)
+            elif remaining <= 1:
+                del entries[key]
+                expired += 1
             else:
-                entry[1] = remaining
-        self.tiers.cache_hits += 1
-        return vector
+                touch(key)
+                entry[1] = remaining - 1
+        self._lru.hits += hits
+        self._lru.misses += len(found) - hits
+        self.tiers.cache_hits += hits
+        self.tiers.cache_expirations += expired
+        return found
 
-    def admit(self, key: int, vector: np.ndarray) -> None:
-        """Insert a freshly fetched vector (one admission's worth of reuse)."""
+    def admit_many(self, keys, vectors) -> None:
+        """Insert freshly fetched vectors (one admission's worth of reuse
+        each), in order, evicting the least recently used past capacity.
+
+        The vectors are kept as given: a caller that decoded a batch into
+        one matrix hands over copied rows, so no entry pins the batch.
+        """
         if self.capacity == 0:
             return
-        self._entries.put(key, [vector, self.reuse_limit])
+        entries = self._lru._entries
+        touch, limit = entries.move_to_end, self.reuse_limit
+        for key, vector in zip(keys, vectors):
+            if key in entries:
+                touch(key)
+            entries[key] = [vector, limit]
+        for _ in range(len(entries) - self.capacity):
+            entries.popitem(last=False)
 
     def hit_ratio(self) -> float:
         """Cache-tier hit ratio over every answered request."""

@@ -22,11 +22,20 @@ or before ``until``, at most ``limit`` — the loop gathers in *runs*),
 ``on_complete(request, now)`` (one call per request, served or shed: the
 client's side of the wire) and ``backlog(now)``.  Traces are arrays until
 popped: a :class:`Request` exists only once the loop has taken it.
+
+The closed loop keeps its pending ``(time, user)`` pairs as one sorted
+run rather than a heap: completions are appended to a list and merged in
+with one sort at the next read, and ``pop_due`` slices a run off the
+front (its end found by bisection) and draws the run's keys with one
+``chooser.batch(n)``.  Each user has at most one pending arrival, so the
+pairs are unique and the run's order — time, then user id — is the
+order a heap would pop them in.
 """
 
 from __future__ import annotations
 
-import heapq
+import math
+from bisect import bisect_right
 from typing import Optional
 
 import numpy as np
@@ -92,7 +101,12 @@ class OpenLoopArrivals:
 
 
 class ClosedLoopArrivals:
-    """A pool of users, each re-requesting after response + think time."""
+    """A pool of users, each re-requesting after response + think time.
+
+    Pending arrivals are one sorted run of ``(time, user)`` pairs;
+    ``on_complete`` appends to a list of completions that the next
+    ``peek_time`` / ``pop_due`` / ``backlog`` merges in (module docstring).
+    """
 
     def __init__(
         self,
@@ -113,39 +127,52 @@ class ClosedLoopArrivals:
         # Stagger the pool's first requests with think-time draws so the
         # loop does not open on a users-sized thundering herd.
         rng = np.random.default_rng(seed ^ 0xC10D)
-        self._heap: list[tuple[float, int]] = []
-        for user in range(users):
-            offset = think.sample() if think.mean_seconds else float(rng.random()) * 1e-6
-            heapq.heappush(self._heap, (start + offset, user))
+        self._pending: list[tuple[float, int]] = sorted(
+            (start + (think.sample() if think.mean_seconds else float(rng.random()) * 1e-6), user)
+            for user in range(users)
+        )
+        self._completed: list[tuple[float, int]] = []
 
     def __len__(self) -> int:
         return self._remaining
 
+    def _merged(self) -> list[tuple[float, int]]:
+        """The sorted run of pending arrivals, completions merged in."""
+        pending = self._pending
+        if self._completed:
+            pending += self._completed
+            pending.sort()
+            self._completed.clear()
+        return pending
+
     def peek_time(self) -> Optional[float]:
         """Arrival time of the next due request, or ``None`` when drained."""
-        if not self._heap or self._remaining <= 0:
+        if self._remaining <= 0:
             return None
-        return self._heap[0][0]
+        pending = self._merged()
+        return pending[0][0] if pending else None
 
     def pop_due(self, until: float, limit: Optional[int] = None) -> list[Request]:
         """Consume the requests due at or before ``until`` (at most ``limit``)."""
-        heap, next_key = self._heap, self._chooser.next_key
+        pending = self._merged()
         room = self._remaining if limit is None else min(limit, self._remaining)
-        run: list[Request] = []
-        while heap and len(run) < room and heap[0][0] <= until:
-            time, user = heapq.heappop(heap)
-            run.append(Request(next_key(), time, user))
-        self._remaining -= len(run)
-        return run
+        stop = min(room, bisect_right(pending, (until, math.inf)))
+        if stop <= 0:
+            return []
+        due = pending[:stop]
+        del pending[:stop]
+        self._remaining -= stop
+        keys = self._chooser.batch(stop).tolist()
+        return [Request(key, time, user) for key, (time, user) in zip(keys, due)]
 
     def on_complete(self, request: Request, now: float) -> None:
         """Schedule this user's next request after its think time."""
         if self._remaining > 0:
-            heapq.heappush(self._heap, (now + self._think.sample(), request.user))
+            self._completed.append((now + self._think.sample(), request.user))
 
     def backlog(self, now: float) -> int:
         """Requests already due at ``now`` that will still be issued."""
-        return min(self._remaining, sum(1 for time, _ in self._heap if time <= now))
+        return min(self._remaining, bisect_right(self._merged(), (now, math.inf)))
 
 
 class ChaosInjector(FaultSchedule):

@@ -213,12 +213,17 @@ class ServingLoop:
                 self._serve(batch)
             completed_at = clock.now
             self._record(batch.requests, completed_at)
-            for request in batch.requests:
-                request.completed_at = completed_at
-                if registered:
+            if registered:
+                for request in batch.requests:
+                    request.completed_at = completed_at
                     # The source gets back the key it issued.
                     request.key = split_key(request.key)[1]
-                sources[request.tenant].on_complete(request, completed_at)
+                    sources[request.tenant].on_complete(request, completed_at)
+            else:
+                on_complete = sources[0].on_complete
+                for request in batch.requests:
+                    request.completed_at = completed_at
+                    on_complete(request, completed_at)
             self.telemetry.record_batch(batch.size, depth)
             served += batch.size
             batch_index += 1
@@ -349,13 +354,12 @@ class ServingLoop:
         return []
 
     def _serve(self, batch: CoalescedBatch) -> None:
-        """Answer one coalesced batch; waiters share each unique read."""
+        """Answer one coalesced batch; requests of a slot share its read."""
         server = self.server
         server.charge_request_overhead(batch.size)
         vectors = server.lookup_unique(batch.unique_keys)
-        for vector, waiters in zip(vectors, batch.waiters):
-            for request in waiters:
-                request.value = vector
+        for request, slot in zip(batch.requests, batch.slots):
+            request.value = vectors[slot]
 
     def _make_prefetcher(self) -> Optional[LookaheadEngine]:
         if self.prefetch_distance <= 0:

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import os
 import pickle
+from collections import deque
 from typing import Optional
 
 import numpy as np
@@ -47,7 +48,7 @@ import numpy as np
 from repro.core.embedding import EmbeddingTables
 from repro.core.staleness import ASP_BOUND
 from repro.errors import ConfigError, ServingError
-from repro.kv import KVStore, decode_vector
+from repro.kv import KVStore, decode_vector, decode_vectors
 from repro.nn.tensor import Tensor
 from repro.obs.trace import span as obs_span
 from repro.serve.cache import AdmissionCache
@@ -213,18 +214,11 @@ class EmbeddingServer:
         store read (one dispatch charge, amortized engine CPU) serves
         the rest.
         """
-        results: list[Optional[np.ndarray]] = [None] * len(unique_keys)
-        missing_rows: list[int] = []
-        missing_keys: list[int] = []
-        for row, key in enumerate(unique_keys):
-            vector = self.cache.lookup(key)
-            if vector is not None:
-                results[row] = vector
-            else:
-                missing_rows.append(row)
-                missing_keys.append(key)
-        if missing_keys:
-            for row, vector in zip(missing_rows, self._fetch(missing_keys)):
+        results = self.cache.lookup_many(unique_keys)
+        missing = [row for row, vector in enumerate(results) if vector is None]
+        if missing:
+            fetched = self._fetch([unique_keys[row] for row in missing])
+            for row, vector in zip(missing, fetched):
                 results[row] = vector
         return results  # type: ignore[return-value]
 
@@ -251,7 +245,8 @@ class EmbeddingServer:
             else:
                 raws = self.store.snapshot_read_many(keys)
         stats = self.store.stats  # sharded stores build a fresh snapshot
-        absent = sum(1 for raw in raws if raw is None)
+        present = [raw for raw in raws if raw is not None]
+        absent = len(raws) - len(present)
         hit_delta = (stats.hits - hits_before) - (
             self._refresh_hits - refresh_hits_before
         )
@@ -261,14 +256,16 @@ class EmbeddingServer:
         self.cache.tiers.lazy_inits += absent
         self.cache.tiers.store_memory_hits += max(0, hit_delta)
         self.cache.tiers.store_disk_reads += max(0, miss_delta - absent)
-        vectors: list[np.ndarray] = []
-        for key, raw in zip(keys, raws):
-            if raw is None:
-                vector = self.tables.init_vector(key)
-            else:
-                vector = decode_vector(raw, dim=self.dim)
-            self.cache.admit(key, vector)
-            vectors.append(vector)
+        # One decode for the batch; each row is copied out so a cache
+        # entry never keeps the whole batch matrix alive.
+        vectors = [row.copy() for row in decode_vectors(present, self.dim)]
+        if absent:
+            decoded = iter(vectors)
+            vectors = [
+                self.tables.init_vector(key) if raw is None else next(decoded)
+                for key, raw in zip(keys, raws)
+            ]
+        self.cache.admit_many(keys, vectors)
         return vectors
 
     def charge_request_overhead(self, count: int) -> None:
@@ -331,6 +328,9 @@ class EmbeddingServer:
         cache.  Values that are not encoded vectors (foreign payloads in
         a shared store) are skipped.  Returns the number warmed.
         """
+        # A scan yields each key once, so only the last ``capacity``
+        # vectors it decodes can stay in the cache; one admit takes them.
+        recent: deque = deque(maxlen=self.cache.capacity)
         warmed = 0
         for key, raw in self.store.scan():
             if limit is not None and warmed >= limit:
@@ -339,8 +339,11 @@ class EmbeddingServer:
                 vector = decode_vector(raw, dim=self.dim)
             except ValueError:
                 continue
-            self.cache.admit(int(key), vector)
+            recent.append((int(key), vector))
             warmed += 1
+        if recent:
+            keys, vectors = zip(*recent)
+            self.cache.admit_many(keys, vectors)
         return warmed
 
     def prefetch(self, keys) -> int:

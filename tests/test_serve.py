@@ -85,7 +85,8 @@ class TestBatcher:
         batch = batcher.form(queue)
         assert batch.size == 6
         assert batch.unique_keys == [7, 3, 9]
-        assert [len(w) for w in batch.waiters] == [3, 2, 1]
+        assert batch.slots == [0, 0, 1, 0, 1, 2]
+        assert [batch.slots.count(slot) for slot in range(3)] == [3, 2, 1]
         assert batch.coalesced == 3
         assert batcher.requests_coalesced == 3
 
@@ -103,23 +104,23 @@ class TestBatcher:
 class TestAdmissionCache:
     def test_reuse_limit_expires_entries(self):
         cache = AdmissionCache(capacity=8, reuse_limit=2)
-        cache.admit(1, np.ones(4))
-        assert cache.lookup(1) is not None
-        assert cache.lookup(1) is not None  # second serve expires it
-        assert cache.lookup(1) is None
+        cache.admit_many([1], [np.ones(4)])
+        assert cache.lookup_many([1])[0] is not None
+        assert cache.lookup_many([1])[0] is not None  # second serve expires it
+        assert cache.lookup_many([1]) == [None]
         assert cache.tiers.cache_expirations == 1
         assert cache.tiers.cache_hits == 2
 
     def test_unlimited_reuse(self):
         cache = AdmissionCache(capacity=8, reuse_limit=None)
-        cache.admit(1, np.ones(4))
+        cache.admit_many([1], [np.ones(4)])
         for _ in range(50):
-            assert cache.lookup(1) is not None
+            assert cache.lookup_many([1])[0] is not None
 
     def test_zero_capacity_disables(self):
         cache = AdmissionCache(capacity=0)
-        cache.admit(1, np.ones(4))
-        assert cache.lookup(1) is None
+        cache.admit_many([1], [np.ones(4)])
+        assert cache.lookup_many([1]) == [None]
 
     def test_tier_ratios_sum_to_one(self):
         cache = AdmissionCache(capacity=8)

@@ -259,14 +259,15 @@ class TestClosedLoopSource:
         assert got == expected
 
     def test_drained_pool_reports_no_backlog(self, tmp_path):
-        """Regression: after the last request is issued the heap still
+        """Regression: after the last request is issued the pool still
         holds the other users' next arrivals; they will never be issued
         and are not a backlog."""
         source = self.pool(users=8, total=20)
         server = make_server(tmp_path / "s", item_count=100)
         ServingLoop(server, BatchPolicy(4, 5e-6)).run(source)
         assert source.peek_time() is None and len(source) == 0
-        assert len(source._heap) > 0  # the phantom: due, never to be issued
+        # The phantoms: due, never to be issued.
+        assert len(source._pending) + len(source._completed) > 0
         assert source.backlog(math.inf) == 0
         server.store.close()
 
