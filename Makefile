@@ -14,13 +14,16 @@ test:
 # path's scatter kernel, every autograd op (an inner-dimension-1 product
 # ≡ np.matmul), sparse message passing (GAT's one-node attention scores
 # ≡ the four nodes they replaced, signs of zero included), the vectorized
-# paths ≡ their reference loops, the models, and the neighbour sampler
+# paths ≡ their reference loops, the models, the neighbour sampler
 # (the array layer ≡ numpy's rng.choice stream, and the sampled-graph
-# CRCs), and the row optimizers' key -> slot map (≡ a dict, saved state
+# CRCs), the weighted draw the datasets are generated with (≡ numpy's
+# weighted rng.choice, integers and generator state, and the CTR, KG and
+# graph CRCs: the graph's hub edges and every training batch come from
+# it), and the row optimizers' key -> slot map (≡ a dict, saved state
 # byte for byte) — so a change that moves one float bit of training, or
-# one sampled edge, fails attributably.
+# one sampled edge or drawn key, fails attributably.
 test-nn:
-	$(PYTHON) -m pytest tests/test_golden_trajectories.py tests/test_gradient_path.py tests/test_tensor.py tests/test_sparse_message_passing.py tests/test_vectorized_equivalence.py tests/test_models.py tests/test_sampling_metrics.py tests/test_row_arena.py -q
+	$(PYTHON) -m pytest tests/test_golden_trajectories.py tests/test_gradient_path.py tests/test_tensor.py tests/test_sparse_message_passing.py tests/test_vectorized_equivalence.py tests/test_models.py tests/test_sampling_metrics.py tests/test_categorical_draws.py tests/test_row_arena.py -q
 
 # Cross-layer observability suite: the read-only metrics registry (it
 # reads the owners' stats at export time), the dual-clock tracer and its

@@ -36,7 +36,7 @@ import math
 
 import numpy as np
 
-from repro.data.draws import chunked
+from repro.data.draws import ChunkedStream
 
 
 class PoissonProcess:
@@ -309,11 +309,11 @@ class ThinkTimeProcess:
             raise ValueError("mean think time must be non-negative")
         self.mean_seconds = mean_seconds
         rng = np.random.default_rng(seed)
-        self._times = chunked(lambda n: rng.exponential(mean_seconds, n))
+        self._times = ChunkedStream(lambda n: rng.exponential(mean_seconds, n))
 
     def sample(self) -> float:
         """One think-time draw in simulated seconds (served from a chunk
         of draws; a zero mean draws nothing)."""
         if self.mean_seconds == 0:
             return 0.0
-        return next(self._times)
+        return next(self._times.scalars)

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.data.draws import Categorical
+
 
 @dataclass
 class CTRBatch:
@@ -72,10 +74,13 @@ class CTRDataset:
         # does not correlate with popularity.
         ranks = np.arange(1, field_cardinality + 1, dtype=np.float64)
         weights = 1.0 / np.power(ranks, skew)
-        self._popularity = weights / weights.sum()
-        self._value_permutations = np.stack(
-            [rng.permutation(field_cardinality) for _ in range(num_fields)]
-        )
+        self._ranks = Categorical(weights / weights.sum())
+        # Field f's rank r is global key _rank_keys[f * cardinality + r].
+        self._field_offsets = np.arange(num_fields) * field_cardinality
+        self._rank_keys = (
+            np.stack([rng.permutation(field_cardinality) for _ in range(num_fields)])
+            + self._field_offsets[:, None]
+        ).reshape(-1)
 
     @property
     def num_embeddings(self) -> int:
@@ -87,17 +92,14 @@ class CTRDataset:
 
     def sample_batch(self, batch_size: int, rng: np.random.Generator) -> CTRBatch:
         dense = rng.normal(0.0, 1.0, (batch_size, self.num_dense)).astype(np.float32)
-        ranks = rng.choice(
-            self.field_cardinality, size=(batch_size, self.num_fields), p=self._popularity
-        )
-        values = self._value_permutations[np.arange(self.num_fields), ranks]
+        ranks = self._ranks.draw(rng, (batch_size, self.num_fields))
+        keys = self._rank_keys[ranks + self._field_offsets]
         logits = dense @ self._dense_weights
-        logits = logits + self._effects[np.arange(self.num_fields), values].sum(axis=1)
+        logits = logits + self._effects.reshape(-1)[keys].sum(axis=1)
         logits = logits + rng.normal(0.0, self.noise_scale, batch_size)
         probs = 1.0 / (1.0 + np.exp(-logits))
         labels = (rng.random(batch_size) < probs).astype(np.float32)
-        keys = values + np.arange(self.num_fields)[None, :] * self.field_cardinality
-        return CTRBatch(dense=dense, sparse=keys.astype(np.int64), labels=labels)
+        return CTRBatch(dense=dense, sparse=keys, labels=labels)
 
     def batches(self, num_batches: int, batch_size: int, seed: int = 1) -> list[CTRBatch]:
         """Materialize a deterministic training schedule."""

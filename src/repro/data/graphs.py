@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.data.draws import Categorical
+
 
 class GraphDataset:
     """SBM graph in CSR form with train/valid node splits.
@@ -64,7 +66,7 @@ class GraphDataset:
             mask = intra & (self.labels[src] == c)
             count = int(mask.sum())
             if count:
-                dst[mask] = rng.choice(pool, size=count, p=weights)
+                dst[mask] = pool[Categorical(weights).draw(rng, count)]
         inter_mask = ~intra
         dst[inter_mask] = rng.integers(0, num_nodes, int(inter_mask.sum()))
         # A community with no intra edges from src side: fill leftovers.

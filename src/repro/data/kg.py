@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.data.draws import Categorical
+
 
 @dataclass
 class TripleBatch:
@@ -69,11 +71,10 @@ class KGDataset:
                 self._by_cluster[c] = np.array([c % num_entities])
         ranks = np.arange(1, num_entities + 1, dtype=np.float64)
         popularity = 1.0 / np.power(ranks, hub_skew)
-        self._popularity = popularity / popularity.sum()
         self._head_ids = rng.permutation(num_entities)
 
         heads, rels, tails = [], [], []
-        head_draws = rng.choice(num_entities, size=num_triples, p=self._popularity)
+        head_draws = Categorical(popularity / popularity.sum()).draw(rng, num_triples)
         rel_draws = rng.integers(0, num_relations, num_triples)
         noise_draws = rng.random(num_triples)
         for head_rank, rel, noise in zip(head_draws, rel_draws, noise_draws):

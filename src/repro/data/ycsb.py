@@ -16,12 +16,11 @@ of an integer is re-derived by the scalar code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterator
 
 import numpy as np
 
-from repro.data.draws import chunked
+from repro.data.draws import ChunkedStream
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -55,13 +54,13 @@ class UniformGenerator:
             raise ValueError("item_count must be positive")
         self.item_count = item_count
         rng = np.random.default_rng(seed)
-        self._keys = chunked(lambda n: rng.integers(0, item_count, n))
+        self._keys = ChunkedStream(lambda n: rng.integers(0, item_count, n))
 
     def next_key(self) -> int:
-        return next(self._keys)
+        return next(self._keys.scalars)
 
     def batch(self, n: int) -> np.ndarray:
-        return np.fromiter(islice(self._keys, n), dtype=np.int64, count=n)
+        return self._keys.take(n)
 
     def hot_mass(self) -> float:
         """Σ pₖ² — collision probability of two independent accesses."""
@@ -91,7 +90,7 @@ class ZipfianGenerator:
         self._eta = 0.0 if item_count == 2 else (
             1.0 - (2.0 / item_count) ** (1.0 - theta)
         ) / (1.0 - self._zeta2 / self._zetan)
-        self._keys = chunked(self._draw)
+        self._keys = ChunkedStream(self._draw)
 
     @staticmethod
     def _zeta(n: int, theta: float) -> float:
@@ -119,10 +118,10 @@ class ZipfianGenerator:
         return (fnv1a_64_many(ranks) % np.uint64(self.item_count)).astype(np.int64)
 
     def next_key(self) -> int:
-        return next(self._keys)
+        return next(self._keys.scalars)
 
     def batch(self, n: int) -> np.ndarray:
-        return np.fromiter(islice(self._keys, n), dtype=np.int64, count=n)
+        return self._keys.take(n)
 
     def hot_mass(self) -> float:
         """Σ pₖ² under the zipf pmf (dominated by the head)."""

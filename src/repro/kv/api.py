@@ -212,6 +212,12 @@ class KVStore(ABC):
     def stats(self) -> StoreStats:
         """Live counters for hits/misses/op counts."""
 
+    def read_counts(self) -> tuple[int, int]:
+        """``(stats.hits, stats.misses)`` without a stats snapshot: a
+        composite sums its children's instead of merging their stats."""
+        stats = self.stats
+        return stats.hits, stats.misses
+
     def rmw(self, key: int, update: Callable[[Optional[bytes]], bytes]) -> bytes:
         """Read-modify-write: apply ``update`` to the current value.
 

@@ -62,6 +62,7 @@ from repro.kv.sharded import (
     record_count,
     shared_clock,
     shared_ssd,
+    sum_read_counts,
     tightest_staleness_bound,
     write_manifest,
 )
@@ -493,6 +494,10 @@ class ReplicaGroup(KVStore, CheckpointManager):
             catchup_keys=self.catchup_keys,
         )
         return total
+
+    def read_counts(self) -> tuple[int, int]:
+        """Hits and misses summed over the replicas (no merged snapshot)."""
+        return sum_read_counts(self.replicas)
 
     def freeze(self) -> "ReplicaGroup":
         """Freeze every replica and the group itself."""

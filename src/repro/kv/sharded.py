@@ -184,6 +184,17 @@ def merge_stats(children: Iterable[StoreStats]) -> StoreStats:
     return total
 
 
+def sum_read_counts(children: Iterable[KVStore]) -> tuple[int, int]:
+    """The children's ``read_counts()`` summed: ``merge_stats``'s hits and
+    misses without the snapshot."""
+    hits = misses = 0
+    for child in children:
+        child_hits, child_misses = child.read_counts()
+        hits += child_hits
+        misses += child_misses
+    return hits, misses
+
+
 def checkpoint_children(children: Sequence[KVStore]) -> None:
     """Have every child that can persist a crash-consistent image do so."""
     for child in children:
@@ -588,6 +599,10 @@ class ShardedKVStore(KVStore, CheckpointManager):
         total = merge_stats(shard.stats for shard in self.shards)
         total.extra["shard_ops"] = list(self._shard_ops)
         return total
+
+    def read_counts(self) -> tuple[int, int]:
+        """Hits and misses summed over the shards (no merged snapshot)."""
+        return sum_read_counts(self.shards)
 
     def balance(self) -> list[int]:
         """Operations routed to each shard since construction."""

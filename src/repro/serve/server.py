@@ -233,8 +233,7 @@ class EmbeddingServer:
         """
         if self._clock is not None and DISPATCH_CPU_SECONDS:
             self._clock.advance(DISPATCH_CPU_SECONDS, component="cpu")
-        stats = self.store.stats
-        hits_before, misses_before = stats.hits, stats.misses
+        hits_before, misses_before = self.store.read_counts()
         refresh_hits_before = self._refresh_hits
         refresh_misses_before = self._refresh_misses
         with obs_span(
@@ -244,13 +243,13 @@ class EmbeddingServer:
                 raws = self.store.multi_get(keys)
             else:
                 raws = self.store.snapshot_read_many(keys)
-        stats = self.store.stats  # sharded stores build a fresh snapshot
+        hits_after, misses_after = self.store.read_counts()
         present = [raw for raw in raws if raw is not None]
         absent = len(raws) - len(present)
-        hit_delta = (stats.hits - hits_before) - (
+        hit_delta = (hits_after - hits_before) - (
             self._refresh_hits - refresh_hits_before
         )
-        miss_delta = (stats.misses - misses_before) - (
+        miss_delta = (misses_after - misses_before) - (
             self._refresh_misses - refresh_misses_before
         )
         self.cache.tiers.lazy_inits += absent
@@ -282,12 +281,11 @@ class EmbeddingServer:
         blocked Get admits.  Returns ``False`` (aborting the Get) only
         when the key has no committed value to settle with.
         """
-        stats = self.store.stats
-        hits_before, misses_before = stats.hits, stats.misses
+        hits_before, misses_before = self.store.read_counts()
         raw = self.store.snapshot_read(key)
-        stats = self.store.stats
-        self._refresh_hits += stats.hits - hits_before
-        self._refresh_misses += stats.misses - misses_before
+        hits_after, misses_after = self.store.read_counts()
+        self._refresh_hits += hits_after - hits_before
+        self._refresh_misses += misses_after - misses_before
         if raw is None:
             return False
         self.store.put(key, raw)

@@ -8,6 +8,7 @@ values out one at a time (:mod:`repro.data.draws`).  What must hold:
 * ``batch(n)`` ≡ ``n × next_key()`` ≡ the scalar reference
   (``fnv1a_64(_next_rank(u)) % item_count`` over ``rng.random()``), for
   any interleaving of the two verbs and any chunk size;
+* ``batch(0)`` is an empty ``int64`` array that moves no cursor;
 * a zero-mean think time draws nothing.
 """
 
@@ -144,6 +145,23 @@ class TestChunkSizeIsInvisible:
         assert [think.sample() for _ in range(40)] == [
             float(rng.exponential(20e-6)) for _ in range(40)
         ]
+
+
+class TestEmptyBatch:
+    @pytest.mark.parametrize("make", [ZipfianGenerator, UniformGenerator])
+    def test_batch_of_zero_is_empty_and_draws_nothing(self, monkeypatch, make):
+        """``batch(0)`` — before the first refill, mid-chunk and at a
+        chunk's end — is an empty ``int64`` array and moves no cursor."""
+        monkeypatch.setattr(draws, "DRAW_CHUNK", 2)
+        reads = [1, 0, 2]
+        expected = read(make(1000, seed=4), reads)
+        generator = make(1000, seed=4)
+        out = []
+        for n in reads:
+            empty = generator.batch(0)
+            assert empty.dtype == np.int64 and empty.shape == (0,)
+            out.extend(read(generator, [n]))
+        assert out == expected
 
 
 class TestBoundaryRecompute:

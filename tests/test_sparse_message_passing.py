@@ -14,7 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gnn_oracle import dense_gat, dense_sage, masked_softmax, to_dense
@@ -69,17 +69,20 @@ def _layer_gradients(forward, layer, x_data, upstream):
 class TestSparseEqualsDense:
     @settings(max_examples=60, deadline=None)
     @given(sampled_layers(), st.integers(0, 2**16))
+    # Two float32 evaluations of this case part on ``a_src``'s gradient by
+    # 1.17e-5 (|h_src| reaches 6): the float64 reference keeps it in.
+    @example((Block(10, np.array([0, 1, 3, 6, 8, 10, 12]),
+                    np.array([0, 0, 8, 0, 7, 8, 0, 8, 0, 8, 0, 8])),
+              np.array([0, 1, 2, 3, 5, 4])), 632)
     def test_gat_layer(self, layer_input, seed):
         block, dst_index = layer_input
         rng = np.random.default_rng(seed)
         layer = GATLayer(5, 4, rng=rng)
         x_data = rng.normal(size=(block.n_src, 5)).astype(np.float32)
         upstream = rng.normal(size=(block.n_dst, 4)).astype(np.float32)
-        mask = to_dense(block)
         out, grads = _layer_gradients(
             lambda x: layer(x, dst_index, block), layer, x_data, upstream)
-        want, want_grads = _layer_gradients(
-            lambda x: dense_gat(layer, x, dst_index, mask), layer, x_data, upstream)
+        want, want_grads = dense_gat(layer, x_data, dst_index, to_dense(block), upstream)
         assert_close(out, want)
         assert len(grads) == 4  # input, w, a_src, a_dst
         for got_grad, want_grad in zip(grads, want_grads):

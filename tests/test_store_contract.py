@@ -156,6 +156,23 @@ def test_every_store_answers_the_contract(tmp_path, name):
         owner.close()
 
 
+@pytest.mark.parametrize("name", STORES)
+def test_read_counts_are_the_stats_hits_and_misses(tmp_path, name):
+    """``read_counts()`` (what the server reads around every fetch) is
+    ``stats``' hits and misses, a composite's summed over its children
+    without merging their stats."""
+    store, _, _, owner = build(name, tmp_path)
+    try:
+        store.set_stall_handler(_stall)
+        store.multi_put(list(range(40)), [bytes(16)] * 40)
+        store.multi_get(list(range(0, 80, 3)))  # present and absent keys, each once
+        stats = store.stats
+        assert stats.hits + stats.misses > 0
+        assert store.read_counts() == (stats.hits, stats.misses)
+    finally:
+        owner.close()
+
+
 def test_a_store_without_look_ahead_stages_nothing(tmp_path):
     store = FasterKV(str(tmp_path / "f"), **_SMALL)
     store.multi_put(list(range(100)), [bytes(8)] * 100)
