@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-nn test-recovery test-dist test-sanitize test-obs test-serve serve-smoke serve-mt-smoke bench bench-smoke bench-gate bench-wallclock bench-e2e bench-e2e-smoke lint typecheck docs-check analyze
+.PHONY: test test-nn test-engine test-recovery test-dist test-sanitize test-obs test-serve serve-smoke serve-mt-smoke bench bench-smoke bench-gate bench-wallclock bench-e2e bench-e2e-smoke lint typecheck docs-check analyze
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -24,6 +24,15 @@ test:
 # one sampled edge or drawn key, fails attributably.
 test-nn:
 	$(PYTHON) -m pytest tests/test_golden_trajectories.py tests/test_gradient_path.py tests/test_tensor.py tests/test_sparse_message_passing.py tests/test_vectorized_equivalence.py tests/test_models.py tests/test_sampling_metrics.py tests/test_categorical_draws.py tests/test_row_arena.py -q
+
+# The FASTER/MLKV engine's suites on their own: the hash index (walked ≡
+# array probes, remembered lookups, swings ≡ looped upserts), the
+# engines' array paths ≡ the per-key loop at both ends of a batch's size,
+# one index probe per Put or look-ahead batch, the staged-copy ledger,
+# MLKV's protocol and look-ahead, and the look-ahead clamp — so an engine
+# regression is attributable at a glance.
+test-engine:
+	$(PYTHON) -m pytest tests/test_faster_index.py tests/test_small_batches.py tests/test_batch_native.py tests/test_staged_ledger.py tests/test_mlkv.py tests/test_lookahead_clamp.py -q
 
 # Cross-layer observability suite: the read-only metrics registry (it
 # reads the owners' stats at export time), the dual-clock tracer and its

@@ -22,7 +22,6 @@ from repro import core, data, device, kv, models, nn, serve, train  # noqa: F401
 from repro.errors import (  # noqa: F401
     CheckpointError,
     ConfigError,
-    KeyNotFound,
     ReproError,
     ServingError,
     StalenessViolation,

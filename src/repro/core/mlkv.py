@@ -605,22 +605,22 @@ class MLKV(FasterKV):
         ``keys`` is an iterable of ints; an integer array stays one until
         the per-key path.  The batch is resolved
         through the index at once and its cold records are charged as one
-        page-granular scan in log-address order.  Distinct keys are then
-        staged as arrays: one positional read per record, their overflow
-        entries folded into the words in one pass, one block append per
-        log page (:meth:`~repro.kv.faster.hybridlog.HybridLog.append_many`)
-        and one swing of the index.  A record that is not what the index
-        promised (another key, a tombstone, another width than the batch's
-        first, a torn read) takes :meth:`_stage_one` at its turn, as every
-        record of a short batch or one with repeated keys does.
+        page-granular scan in log-address order; a key repeated in the
+        batch is staged once.  The keys are then staged as arrays: one
+        positional read per record, their overflow entries folded into
+        the words in one pass, one block append per log page
+        (:meth:`~repro.kv.faster.hybridlog.HybridLog.append_many`) and one
+        swing of the index over the batch.  A record that is not what the
+        index promised (another key, a tombstone, another width than the
+        batch's first, a torn read) takes :meth:`_stage_one` at its turn,
+        as every record of a short batch does.
         """
         if not isinstance(keys, np.ndarray):
             keys = self._normalize_keys(keys)
         self.mlkv_stats.lookahead_requests += len(keys)
         key_array = self._key_array(keys)
         if key_array is not None:
-            slots, addresses = self.index.locate_many(key_array)
-            rebuilds = self.index.rebuilds
+            addresses = self.index.find_many(key_array)
         else:
             keys = self._normalize_keys(keys)
             found = map(self.index.find, keys)
@@ -632,12 +632,18 @@ class MLKV(FasterKV):
         )
         on_disk = np.flatnonzero((addresses >= 0) & (addresses < self.log.head_address))
         on_disk = on_disk[np.argsort(addresses[on_disk], kind="stable")]
+        # A key has one address: a repeated one is staged at its first position.
+        first = np.diff(addresses[on_disk], prepend=-1) > 0
+        on_disk = on_disk[first]
         addresses = addresses[on_disk]
         # One page-granular sequential scan covers the whole batch.
         self.log.charge_prefetch_pages(addresses)
-        if key_array is not None and len(on_disk) and not self._has_duplicates(key_array):
+        if key_array is not None and len(on_disk):
             staged_keys = key_array[on_disk]
-            staged_at = self._stage_runs(staged_keys, addresses, slots[on_disk], rebuilds)
+            staged_at = self._stage_runs(staged_keys, addresses)
+            moved = np.full(len(key_array), -1, dtype=np.int64)
+            moved[on_disk] = staged_at
+            self.index.swing_many(key_array, moved)
         else:
             keys = self._normalize_keys(keys)
             staged_keys = np.array([keys[position] for position in on_disk.tolist()], dtype=np.uint64)
@@ -691,14 +697,12 @@ class MLKV(FasterKV):
             return -1
         return new_address
 
-    def _stage_runs(
-        self, key_array: np.ndarray, addresses: np.ndarray, slots: np.ndarray, rebuilds: int
-    ) -> np.ndarray:
+    def _stage_runs(self, key_array: np.ndarray, addresses: np.ndarray) -> np.ndarray:
         """:meth:`_stage_one` for distinct keys in log-address order, the
-        records that are what the index promised as arrays; returns the
-        address of each key's copy, -1 where none was made.  ``slots`` are
-        where the index held the keys after ``rebuilds`` rebuilds
-        (:meth:`~repro.kv.faster.hashindex.HashIndex.locate_many`)."""
+        records that are what the index promised appended as arrays;
+        returns the address of each key's copy, -1 where none was made.
+        The copies appended as arrays are not in the index yet: the caller
+        swings the batch's entries once."""
         log = self.log
         width = log.disk_value_len(int(addresses[0]))
         headers, rows, complete = log.read_disk_records(addresses, width)
@@ -715,7 +719,6 @@ class MLKV(FasterKV):
                 staged_at[run] = log.append_many(
                     key_array[run], rows[run], restaled_words(words[run], staleness)
                 )
-                self.index.swing_many(key_array[run], staged_at[run], slots[run], rebuilds)
             if stop < len(plain):
                 staged_at[stop] = self._stage_one(int(key_array[stop]), int(addresses[stop]))
             first = stop + 1

@@ -14,7 +14,7 @@ from repro.data.kg import KGDataset
 from repro.data.graphs import GraphDataset
 from repro.data.ebay import make_trisk_graph, make_payout_graph
 from repro.data.ycsb import YCSBWorkload, ZipfianGenerator, UniformGenerator
-from repro.data.sampling import NeighborSampler, NegativeSampler
+from repro.data.sampling import NeighborSampler
 from repro.data.registry import DATASETS, DatasetSpec, table2_rows
 from repro.data.arrivals import (
     DiurnalProcess,
@@ -35,7 +35,6 @@ __all__ = [
     "ZipfianGenerator",
     "UniformGenerator",
     "NeighborSampler",
-    "NegativeSampler",
     "DATASETS",
     "DatasetSpec",
     "table2_rows",

@@ -179,17 +179,3 @@ def _lemire_draws(words: np.ndarray, bounds: np.ndarray) -> np.ndarray | None:
     if ((scaled & 0xFFFFFFFF) < threshold).any():
         return None
     return (scaled >> 32).astype(np.int64)
-
-
-class NegativeSampler:
-    """Uniform negative-tail sampler for KGE training."""
-
-    def __init__(self, num_entities: int, negatives: int = 8, seed: int = 0) -> None:
-        if num_entities <= 1:
-            raise ValueError("need more than one entity")
-        self.num_entities = num_entities
-        self.negatives = negatives
-        self._rng = np.random.default_rng(seed)
-
-    def sample(self, batch_size: int) -> np.ndarray:
-        return self._rng.integers(0, self.num_entities, (batch_size, self.negatives))

@@ -16,14 +16,6 @@ class StorageError(ReproError):
     """A key-value store failed an operation (I/O, corruption, closed)."""
 
 
-class KeyNotFound(StorageError):
-    """Requested key does not exist in the store."""
-
-    def __init__(self, key: object) -> None:
-        super().__init__(f"key not found: {key!r}")
-        self.key = key
-
-
 class StalenessViolation(ReproError):
     """A Get could not be admitted within the configured staleness bound."""
 

@@ -12,6 +12,13 @@ array (``WALK_KEYS``), the last keys of a long one (``_TAIL_KEYS``), and
 a batch of fresh keys (:meth:`HashIndex.insert_absent_many`), whose
 slots depend on the order they come in.
 
+No slot leaves the index.  It remembers the slots of its last long
+lookups, matched by the keys looked up, until a key takes or leaves a
+slot (an insert, a remove, a rebuild); :meth:`HashIndex.swing_many`, the
+read-copy-update swing of a batch it looked up, starts from them, so a
+Put or a look-ahead that looks its keys up and then swings some of them
+probes the table once.
+
 The index never stores values: it maps each key to the log address of its
 newest record, which is the invariant the store and recovery rely on.
 """
@@ -71,9 +78,6 @@ class HashIndex:
             raise ValueError("initial_slots must be a positive power of two")
         self._size = 0  # live entries
         self._used = 0  # slots no longer _EMPTY: live + removed
-        #: Times the table has been rebuilt: slots found before the last
-        #: rebuild (:meth:`locate_many`) no longer hold their keys.
-        self.rebuilds = 0
         self._allocate(initial_slots)
 
     def _allocate(self, slots: int) -> None:
@@ -224,6 +228,11 @@ class HashIndex:
             ends.append(slot)
         return ends
 
+    def _walk(self, keys: np.ndarray) -> list:
+        """:meth:`_chain_ends` of a ``uint64`` key array from its home slots."""
+        homes = (_mix64_many(keys) & np.uint64(self._mask)).tolist()
+        return self._chain_ends(keys.tolist(), homes)
+
     def find_many(self, keys: np.ndarray) -> np.ndarray:
         """Log addresses of a ``uint64`` key array; ``-1`` where absent.
 
@@ -235,43 +244,36 @@ class HashIndex:
         if len(keys) >= WALK_KEYS:
             slots = self._slots_of(keys)
             return np.where(slots >= 0, self._addresses[slots], _EMPTY)
-        homes = (_mix64_many(keys) & np.uint64(self._mask)).tolist()
-        return self._addresses[self._chain_ends(keys.tolist(), homes)]
+        return self._addresses[self._walk(keys)]
 
-    def locate_many(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(slots, addresses)`` of a ``uint64`` key array: the slot
-        holding each key and its log address, ``-1`` where absent.
+    def swing_many(self, keys: np.ndarray, addresses: np.ndarray) -> None:
+        """Point keys that are *present* at new addresses.
 
-        :meth:`find_many` with the slots kept, for a caller that goes on
-        to :meth:`swing_many` some of the keys; they stay where they are
-        until the table is next rebuilt (``rebuilds``).
+        The batched form of the read-copy-update swing.  ``keys`` is the
+        ``uint64`` array a batch looked up (:meth:`find_many`), each key
+        swung at most once; ``addresses[i] < 0`` leaves ``keys[i]`` alone.
+        The index finds the slots as :meth:`find_many` does — a long
+        batch's from the lookup of the same keys, which is still
+        remembered unless a key took or left a slot since; a short
+        batch's by walking the swung keys' chains — and raises
+        ``KeyError`` before writing anything if a swung key is absent.
+        It only rewrites address slots: no entry moves, the load
+        accounting does not change and the table is never rebuilt, so the
+        slot order :meth:`entries` exposes is what a run of scalar
+        :meth:`upsert` calls leaves.
         """
+        chosen = np.flatnonzero(addresses >= 0)
+        if not len(chosen):
+            return
         if len(keys) >= WALK_KEYS:
-            slots = self._slots_of(keys)
-            return slots, np.where(slots >= 0, self._addresses[slots], _EMPTY)
-        homes = (_mix64_many(keys) & np.uint64(self._mask)).tolist()
-        ends = np.array(self._chain_ends(keys.tolist(), homes), dtype=np.intp)
-        addresses = self._addresses[ends]
-        return np.where(addresses >= 0, ends, -1), addresses
-
-    def swing_many(
-        self, keys: np.ndarray, addresses: np.ndarray, slots: np.ndarray, rebuilds: int
-    ) -> None:
-        """Point distinct keys that are *all present* at new addresses.
-
-        The batched form of the read-copy-update swing.  ``slots`` are
-        where :meth:`locate_many` found the keys when the table had been
-        rebuilt ``rebuilds`` times; the keys are probed again only if it
-        has been rebuilt since.  It only rewrites address slots: no entry
-        moves, the load accounting does not change and the table is never
-        rebuilt, so the slot order :meth:`entries` exposes is what a run
-        of scalar :meth:`upsert` calls leaves.
-        """
-        if rebuilds != self.rebuilds:
-            slots = self._slots_of(keys)
-        if slots.size and slots.min() < 0:
+            slots = self._slots_of(keys)[chosen]
+            absent = slots < 0
+        else:
+            slots = np.array(self._walk(keys[chosen]), dtype=np.intp)
+            absent = self._addresses[slots] < 0
+        if absent.any():
             raise KeyError("swing_many requires every key to be present")
-        self._addresses[slots] = addresses
+        self._addresses[slots] = addresses[chosen]
 
     def upsert_many(self, keys: np.ndarray, addresses: np.ndarray) -> None:
         """Point each of ``keys`` (``uint64``) at its address, in one batch.
@@ -362,7 +364,6 @@ class HashIndex:
         """Re-place the live entries, dropping removed slots; grows the
         table until ``entries`` fill at most a third of it."""
         keys, addresses = self.entries()
-        self.rebuilds += 1
         slots = self._mask + 1
         while entries * 3 > slots:
             slots *= 2

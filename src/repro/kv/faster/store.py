@@ -489,9 +489,8 @@ class FasterKV(KVStore, CheckpointManager):
         page.  Nothing but the key's own put reads its index entry, so
         the entries of keys the index already held are swung to the new
         copies together, when the batch (or this method's part in it) is
-        over, at the slots the resolution found them in (probed again only
-        if an insert rebuilt the table in between); keys new to the index
-        go in at their turn, in batch order
+        over (:meth:`HashIndex.swing_many`); keys new to the index go in
+        at their turn, in batch order
         (:meth:`HashIndex.insert_absent_many`) — where a key lands among
         colliding ones depends on who came first.
         Gives the rest of the batch up once too many keys have taken
@@ -501,8 +500,7 @@ class FasterKV(KVStore, CheckpointManager):
         count, width = rows.shape
         record_len = RECORD_HEADER_BYTES + width
         index = self.index
-        slots, addresses = index.locate_many(key_array)
-        rebuilds = index.rebuilds
+        addresses = index.find_many(key_array)
         _, offsets, headers = self._resident(addresses)
         words = headers["word"]
         same_width = headers["value_len"] == width
@@ -547,8 +545,7 @@ class FasterKV(KVStore, CheckpointManager):
                 cursor += 1
             return count
         finally:
-            chosen = np.flatnonzero(moved >= 0)
-            index.swing_many(key_array[chosen], moved[chosen], slots[chosen], rebuilds)
+            index.swing_many(key_array, moved)
 
     def _plan_run(
         self,

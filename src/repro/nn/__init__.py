@@ -15,14 +15,11 @@ from repro.nn.layers import (
     Module,
     Linear,
     ReLU,
-    Sigmoid,
-    Tanh,
-    Dropout,
     Sequential,
     MLP,
     CrossLayer,
 )
-from repro.nn.optim import SGD, Adagrad, Adam, RowAdagrad
+from repro.nn.optim import Adam, RowAdagrad
 from repro.nn.losses import (
     bce_with_logits,
     softmax_cross_entropy,
@@ -35,14 +32,9 @@ __all__ = [
     "Module",
     "Linear",
     "ReLU",
-    "Sigmoid",
-    "Tanh",
-    "Dropout",
     "Sequential",
     "MLP",
     "CrossLayer",
-    "SGD",
-    "Adagrad",
     "Adam",
     "RowAdagrad",
     "bce_with_logits",

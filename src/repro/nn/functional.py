@@ -46,14 +46,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return exp / exp.sum(axis=axis, keepdims=True)
 
 
-def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity at eval time."""
-    if not training or p <= 0.0:
-        return x
-    keep = (rng.random(x.shape) >= p).astype(np.float32) / (1.0 - p)
-    return x * Tensor(keep)
-
-
 def logsigmoid(x: Tensor) -> Tensor:
     """log(sigmoid(x)) computed stably via softplus."""
     # log sigmoid(x) = -softplus(-x) = -(max(-x,0) + log1p(exp(-| -x |)))

@@ -125,37 +125,6 @@ class ReLU(Module):
         return 0.0
 
 
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-    def flops_per_sample(self) -> float:
-        return 0.0
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-    def flops_per_sample(self) -> float:
-        return 0.0
-
-
-class Dropout(Module):
-    def __init__(self, p: float = 0.1, seed: int = 0) -> None:
-        super().__init__()
-        self.p = p
-        self._rng = np.random.default_rng(seed)
-
-    def forward(self, x: Tensor) -> Tensor:
-        from repro.nn.functional import dropout
-
-        return dropout(x, self.p, self.training, self._rng)
-
-    def flops_per_sample(self) -> float:
-        return 0.0
-
-
 class Sequential(Module):
     def __init__(self, *modules: Module) -> None:
         super().__init__()

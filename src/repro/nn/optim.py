@@ -1,6 +1,6 @@
-"""Optimizers: dense (SGD / Adagrad / Adam) and sparse-row (RowAdagrad / RowAdam).
+"""Optimizers: dense (Adam) and sparse-row (RowAdagrad / RowAdam).
 
-Dense optimizers step over ``Module.parameters()``.  ``RowAdagrad``
+The dense optimizer steps over ``Module.parameters()``.  ``RowAdagrad``
 implements the per-row adaptive update embedding tables need: the trainer
 hands it ``(keys, rows, grads)`` for just the rows touched by a batch,
 and it returns the updated rows to ``Put`` back into the store — the
@@ -15,54 +15,6 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from repro.nn.tensor import Tensor
-
-
-class SGD:
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, parameters: Iterable[Tensor], lr: float, momentum: float = 0.0) -> None:
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        self.parameters = list(parameters)
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for param, velocity in zip(self.parameters, self._velocity):
-            if param.grad is None:
-                continue
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += param.grad
-                param.data -= self.lr * velocity
-            else:
-                param.data -= self.lr * param.grad
-
-    def zero_grad(self) -> None:
-        for param in self.parameters:
-            param.zero_grad()
-
-
-class Adagrad:
-    """Adagrad (Duchi et al. 2011), the classic choice for sparse models."""
-
-    def __init__(self, parameters: Iterable[Tensor], lr: float = 0.01, eps: float = 1e-10) -> None:
-        self.parameters = list(parameters)
-        self.lr = lr
-        self.eps = eps
-        self._accumulators = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for param, acc in zip(self.parameters, self._accumulators):
-            if param.grad is None:
-                continue
-            acc += param.grad * param.grad
-            param.data -= self.lr * param.grad / (np.sqrt(acc) + self.eps)
-
-    def zero_grad(self) -> None:
-        for param in self.parameters:
-            param.zero_grad()
 
 
 class Adam:

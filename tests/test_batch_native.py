@@ -36,6 +36,7 @@ from repro.core.mlkv import MLKV
 from repro.core.staleness import ASP_BOUND
 from repro.device import SimClock, SSDModel
 from repro.errors import StalenessViolation, StorageError
+from repro.kv.faster.hashindex import WALK_KEYS
 from repro.kv.faster.store import FALLBACK_SHARE, MIN_ARRAY_BATCH, FasterKV
 
 PAGE = 1024
@@ -277,8 +278,9 @@ def spread_batches(draw):
     """Distinct keys drawn across the whole table, a few absent ones among
     them: under the cold budgets half or more of such a batch is on disk,
     resident and cold keys alternate, and a batch of puts appends enough
-    to open several pages.  Sometimes a key repeats (a batch with a
-    repeated key keeps the per-key path)."""
+    to open several pages.  Sometimes a key repeats (a Get or Put batch
+    with a repeated key keeps the per-key path; a look-ahead stages it
+    once on the array path)."""
     keys = draw(
         st.lists(st.integers(0, KEYS + 12), min_size=MIN_ARRAY_BATCH, max_size=140, unique=True)
     )
@@ -521,30 +523,98 @@ class TestOrderWithinABatch:
             expected = [value_for(key, 6) for key in on_head_page]
             assert pair.run(("snapshot", on_head_page)) == expected
 
-    @pytest.mark.parametrize("engine", ["faster", "mlkv"])
-    def test_swing_after_the_index_is_rebuilt_mid_batch(self, engine):
+    @staticmethod
+    def rebuilt_mid_batch(engine: str, read_only_keys: int) -> None:
         """Read-only keys get new copies, their index entries swung when
-        the batch is over; the fresh keys among them take the index past
-        its load limit partway through, so the table is rebuilt and the
-        slots the batch found the read-only keys in hold other keys by
-        then."""
+        the batch is over; five fresh keys before each take the index
+        past its load limit partway through, so the table is rebuilt and
+        the slots the batch's lookup found the read-only keys in hold
+        other keys by then."""
         with paired(engine, "read_only") as pair:
             store = pair.batched.store
             read_only = [
                 key for key in range(KEYS) if not store.log.in_mutable(store.index.find(key))
-            ][:60]
-            fresh = list(range(1000, 1300))  # 240 + 300 entries: past half of 1,024 slots
-            assert len(read_only) == 60 and store.index.slot_count == 1024
+            ][:read_only_keys]
+            fresh = list(range(1000, 1000 + 5 * read_only_keys))  # 240 + 300 or more: past 512 of 1,024 slots
+            assert len(read_only) == read_only_keys and store.index.slot_count == 1024
             keys = []
             for position, key in enumerate(read_only):
                 keys += fresh[5 * position : 5 * position + 5] + [key]
-            rebuilds = store.index.rebuilds
             pair.run(("put", keys, [value_for(key, 5) for key in keys]))
-            assert store.index.rebuilds > rebuilds and store.index.slot_count > 1024
+            assert store.index.slot_count > 1024
             entries = [array.tolist() for array in pair.looped.store.index.entries()]
             for side in (pair.batched, pair.arrays):
                 assert [array.tolist() for array in side.store.index.entries()] == entries
             assert pair.run(("snapshot", keys)) == [value_for(key, 5) for key in keys]
+
+    @pytest.mark.parametrize("engine", ["faster", "mlkv"])
+    def test_swing_after_the_index_is_rebuilt_mid_batch(self, engine):
+        """360 keys: the swing walks the read-only keys' chains."""
+        self.rebuilt_mid_batch(engine, 60)
+
+    @pytest.mark.parametrize("engine", ["faster", "mlkv"])
+    def test_swing_of_a_long_batch_after_the_index_is_rebuilt_mid_batch(self, engine):
+        """``WALK_KEYS`` keys: the lookup's slots were remembered, and the
+        fresh keys' inserts made the index forget them."""
+        assert 64 * 6 == WALK_KEYS
+        self.rebuilt_mid_batch(engine, 64)
+
+
+class TestOneProbePerBatch:
+    """A Put or a look-ahead of ``WALK_KEYS`` keys or more probes the
+    index once: the swing of its new copies starts from the slots its
+    lookup found, and a batch with nothing to swing looks nothing up
+    again."""
+
+    COUNT = WALK_KEYS + 16
+
+    @staticmethod
+    def loaded(engine: str, directory: str, pages: int, mutable_fraction: float):
+        """``3 * COUNT`` keys put as one batch of fresh keys."""
+        store = {"faster": FasterKV, "mlkv": MLKV}[engine](
+            directory, ssd=SSDModel(SimClock()), memory_budget_bytes=pages * PAGE,
+            page_bytes=PAGE, mutable_fraction=mutable_fraction,
+        )
+        count = 3 * TestOneProbePerBatch.COUNT
+        store.put_rows(np.arange(count, dtype=np.uint64), np.ones((count, WIDTH), dtype=np.uint8))
+        return store
+
+    @staticmethod
+    def probes(store) -> list:
+        """The sizes of the index's array probes from now on."""
+        sizes: list = []
+        probe = store.index._probe_slots
+        store.index._probe_slots = lambda keys: sizes.append(len(keys)) or probe(keys)
+        return sizes
+
+    @pytest.mark.parametrize("engine", ["faster", "mlkv"])
+    def test_a_put_of_present_read_only_keys(self, engine, tmp_path):
+        store = self.loaded(engine, str(tmp_path), 64, 0.25)
+        keys = np.arange(self.COUNT, dtype=np.uint64)
+        addresses = [store.index.find(key) for key in keys.tolist()]
+        assert all(store.log.in_memory(at) and not store.log.in_mutable(at) for at in addresses)
+        tail, sizes = store.log.tail_address, self.probes(store)
+        store.put_rows(keys, np.full((self.COUNT, WIDTH), 2, dtype=np.uint8))
+        assert sizes == [self.COUNT]
+        assert (store.index.find_many(keys) >= tail).all()  # every key swung to its new copy
+
+    @pytest.mark.parametrize("engine", ["faster", "mlkv"])
+    def test_a_put_of_fresh_keys(self, engine, tmp_path):
+        store = self.loaded(engine, str(tmp_path), 64, 0.25)
+        keys = np.arange(self.COUNT, dtype=np.uint64) + (1 << 40)
+        sizes = self.probes(store)
+        store.put_rows(keys, np.full((self.COUNT, WIDTH), 2, dtype=np.uint8))
+        assert sizes == [self.COUNT]
+        assert len(store) == 4 * self.COUNT
+
+    def test_a_look_ahead_of_cold_keys(self, tmp_path):
+        store = self.loaded("mlkv", str(tmp_path), 6, 1.0)
+        keys = np.arange(self.COUNT, dtype=np.uint64)
+        assert not any(store.log.in_memory(store.index.find(key)) for key in keys.tolist())
+        tail, sizes = store.log.tail_address, self.probes(store)
+        assert store.lookahead(keys) == self.COUNT
+        assert sizes == [self.COUNT]
+        assert (store.index.find_many(keys) >= tail).all()  # every key swung to its copy
 
 
 # ----------------------------------------------------------------------

@@ -196,17 +196,11 @@ class TestSwingMany:
             index.upsert(key * 7919, key)
         return index
 
-    @staticmethod
-    def swing(index: HashIndex, keys: np.ndarray, addresses: np.ndarray) -> None:
-        """Locate, then swing at the slots found."""
-        slots, _ = index.locate_many(keys)
-        index.swing_many(keys, addresses, slots, index.rebuilds)
-
     def test_equals_scalar_upserts_of_present_keys(self):
         swung, looped = self.loaded(), self.loaded()
         keys = keys_of([key * 7919 for key in range(0, 500, 3)])
         addresses = np.arange(len(keys), dtype=np.int64) + 10_000
-        self.swing(swung, keys, addresses)
+        swung.swing_many(keys, addresses)
         for key, address in zip(keys.tolist(), addresses.tolist()):
             looped.upsert(key, address)
         assert [array.tolist() for array in swung.entries()] == [
@@ -221,7 +215,7 @@ class TestSwingMany:
         layout = index.entries()[0].tolist()
         keys = keys_of([key * 7919 for key in range(100)])
         addresses = np.arange(100, dtype=np.int64) + 10_000
-        self.swing(index, keys, addresses)
+        index.swing_many(keys, addresses)
         assert index.slot_count == 1024 and index.entries()[0].tolist() == layout
         assert index.find_many(keys).tolist() == addresses.tolist()
         assert len(index) == 500
@@ -234,7 +228,7 @@ class TestSwingMany:
             index.remove(key * 7919)
         used = index._used
         keys = keys_of([key * 7919 for key in range(1, 300, 2)])
-        self.swing(index, keys, np.full(150, 42, dtype=np.int64))
+        index.swing_many(keys, np.full(150, 42, dtype=np.int64))
         assert (index._used, len(index)) == (used, 150)
         assert index.find_many(keys).tolist() == [42] * 150
         assert index.find(0) is None
@@ -243,37 +237,57 @@ class TestSwingMany:
         index = self.loaded(10)
         before = [array.tolist() for array in index.entries()]
         with pytest.raises(KeyError):
-            self.swing(index, keys_of([0, 1, 7919]), np.array([5, 6, 7], dtype=np.int64))
+            index.swing_many(keys_of([0, 1, 7919]), np.array([5, 6, 7], dtype=np.int64))
         assert [array.tolist() for array in index.entries()] == before
 
     def test_empty_batch(self):
         index = self.loaded(10)
-        self.swing(index, keys_of([]), np.empty(0, dtype=np.int64))
+        index.swing_many(keys_of([]), np.empty(0, dtype=np.int64))
         assert len(index) == 10
 
     @pytest.mark.parametrize("count", [50, 450])  # walked, then array passes (WALK_KEYS)
-    def test_locate_many_is_find_many_with_the_slots(self, count):
+    def test_negative_addresses_leave_their_keys_alone(self, count):
+        """The batch a caller looked up, every third key swung; the keys
+        left alone include absent ones."""
         index = self.loaded()
         keys = keys_of([key * 7919 for key in range(count)] + [7919 * 1000 + 1, 3])
-        slots, addresses = index.locate_many(keys)
-        assert addresses.tolist() == index.find_many(keys).tolist()
-        present = addresses >= 0
-        assert present.sum() == count and (slots[~present] == -1).all()
-        assert index._keys[slots[present]].tolist() == keys[present].tolist()
+        before = index.find_many(keys)
+        addresses = np.full(len(keys), -1, dtype=np.int64)
+        addresses[:count:3] = np.arange(0, count, 3) + 10_000
+        index.swing_many(keys, addresses)
+        assert index.find_many(keys).tolist() == np.where(addresses >= 0, addresses, before).tolist()
+        assert len(index) == 500 and index.slot_count == 1024
 
-    def test_slots_found_before_a_rebuild_are_probed_again(self):
+    @pytest.mark.parametrize("count", [50, 400])  # walked, then array passes (WALK_KEYS)
+    def test_a_swing_after_a_rebuild_finds_the_keys_again(self, count):
+        """The batch was looked up before fresh keys rebuilt the table:
+        its keys sit in other slots by the swing."""
         index = self.loaded(400)
-        keys = keys_of([key * 7919 for key in range(0, 400, 5)])
-        slots, _ = index.locate_many(keys)
-        rebuilds = index.rebuilds
+        keys = keys_of([key * 7919 for key in range(count)])
+        index.find_many(keys)
+        slot_count = index.slot_count
         fresh = keys_of([key * 7919 + 1 for key in range(200)])
         index.insert_absent_many(fresh, np.arange(200, dtype=np.int64))
-        assert index.rebuilds > rebuilds
+        assert index.slot_count > slot_count
         addresses = np.arange(len(keys), dtype=np.int64) + 10_000
-        index.swing_many(keys, addresses, slots, rebuilds)
+        index.swing_many(keys, addresses)
         assert index.find_many(keys).tolist() == addresses.tolist()
         assert index.find_many(fresh).tolist() == list(range(200))
         assert len(index) == 600
+
+    @pytest.mark.parametrize("count", [50, 450])  # walked, then array passes (WALK_KEYS)
+    def test_a_key_removed_since_the_lookup_is_rejected(self, count):
+        """The lookup found the key; a swing at the slot it found would
+        bring the removed key back."""
+        index = self.loaded()
+        keys = keys_of([key * 7919 for key in range(count)])
+        index.find_many(keys)
+        assert index.remove(7919 * 7)
+        before = [array.tolist() for array in index.entries()]
+        with pytest.raises(KeyError):
+            index.swing_many(keys, np.arange(len(keys), dtype=np.int64) + 10_000)
+        assert [array.tolist() for array in index.entries()] == before
+        assert index.find(7919 * 7) is None
 
 
 def slot_state(index: HashIndex) -> tuple:
@@ -365,9 +379,8 @@ class TestRememberedLookups:
         expected = [-1 if found is None else found for found in map(index.find, self.PROBE.tolist())]
         for _ in range(2):
             assert index.find_many(self.PROBE).tolist() == expected
-            slots, addresses = index.locate_many(self.PROBE)
-            assert addresses.tolist() == expected
-            present = addresses >= 0
+            slots = index._slots_of(self.PROBE)
+            present = np.array(expected) >= 0
             assert (slots[~present] == -1).all()
             assert index._keys[slots[present]].tolist() == self.PROBE[present].tolist()
 
@@ -411,30 +424,30 @@ class TestRememberedLookups:
     def test_rebuild(self):
         index = self.loaded()
         self.assert_fresh(index)
-        rebuilds = index.rebuilds
         fresh = keys_of([key * 7919 + 1 for key in range(2000)])
         index.insert_absent_many(fresh, np.arange(2000, dtype=np.int64))
-        assert index.rebuilds > rebuilds
+        assert index.slot_count > 4096
         self.assert_fresh(index)
 
     def test_overwrites_keep_the_slots_and_show_the_new_addresses(self):
         index = self.loaded()
-        slots, _ = index.locate_many(self.PROBE)
-        moved = self.PROBE[:WALK_KEYS:3]
-        new = np.arange(len(moved), dtype=np.int64) + 100_000
-        index.swing_many(moved, new, slots[:WALK_KEYS:3], index.rebuilds)
+        slots = index._slots_of(self.PROBE)
+        new = np.arange(0, WALK_KEYS, 3, dtype=np.int64) + 100_000
+        addresses = np.full(len(self.PROBE), -1, dtype=np.int64)
+        addresses[:WALK_KEYS:3] = new
+        index.swing_many(self.PROBE, addresses)
         index.upsert(int(self.PROBE[1]), 77)  # present: only its address changes
-        assert index.locate_many(self.PROBE)[0] is slots  # still remembered
+        assert index._slots_of(self.PROBE) is slots  # still remembered
         self.assert_fresh(index)
         found = index.find_many(self.PROBE)
         assert found[:WALK_KEYS:3].tolist() == new.tolist() and found[1] == 77
 
     def test_the_slots_handed_out_are_read_only(self):
         index = self.loaded()
-        slots, _ = index.locate_many(self.PROBE)
+        slots = index._slots_of(self.PROBE)
         with pytest.raises(ValueError):
             slots[0] = 1
-        again, _ = index.locate_many(self.PROBE.copy())
+        again = index._slots_of(self.PROBE.copy())
         with pytest.raises(ValueError):
             again[0] = 1
         self.assert_fresh(index)
@@ -478,13 +491,15 @@ class TestRememberedLookups:
             elif action == 3:
                 index.upsert_many(keys, addresses)
                 model.update(zip(keys.tolist(), addresses.tolist()))
-            elif action == 4:
-                present = np.array([key in model for key in keys.tolist()])
-                slots, _ = index.locate_many(keys[present])
-                index.swing_many(keys[present], addresses[present], slots, index.rebuilds)
-                model.update(zip(keys[present].tolist(), addresses[present].tolist()))
+            elif action in (4, 5):  # a lookup, then a swing of some keys it found
+                keys = sets[rng.integers(len(sets))] if action == 5 else keys
+                index.find_many(keys)
+                swung = np.array([key in model for key in keys.tolist()]) & (rng.random(len(keys)) < 0.5)
+                addresses = np.where(swung, next_address + np.arange(len(keys)), -1)
+                next_address += len(keys)
+                index.swing_many(keys, addresses)
+                model.update(zip(keys[swung].tolist(), addresses[swung].tolist()))
             for probe in (sets[rng.integers(len(sets))], sets[rng.integers(3)]):
                 expected = [model.get(key, -1) for key in probe.tolist()]
                 assert index.find_many(probe).tolist() == expected
-                assert index.locate_many(probe)[1].tolist() == expected
         assert dict(index.items()) == model

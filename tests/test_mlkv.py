@@ -1,5 +1,7 @@
 """MLKV: the vector-clock protocol, stall handling, lookahead, modes."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from repro.core import MLKV, ASP_BOUND, ConsistencyMode, mode_for_bound
 from repro.core.mlkv import CLOCK_OVERHEAD_SECONDS
 from repro.device import SimClock, SSDModel
 from repro.errors import StalenessViolation
-from repro.kv.faster import FasterKV
+from repro.kv.faster import RECORD_HEADER_BYTES, FasterKV
+from repro.kv.faster.store import MIN_ARRAY_BATCH
 
 
 def make_store(path, bound=ASP_BOUND, **kwargs):
@@ -320,6 +323,50 @@ class TestLookahead:
             store.lookahead(cold[:50])
             assert ssd.clock.now == now_before  # nothing blocked
             assert ssd.clock.busy_seconds("ssd") > 0
+
+
+class TestRepeatedLookaheadKeys:
+    """A key has one address, so a look-ahead stages it once, wherever it
+    repeats in the batch."""
+
+    @staticmethod
+    def loaded(path) -> MLKV:
+        store = make_store(path, ssd=SSDModel(SimClock()), memory_budget_bytes=1 << 15)
+        store.multi_put(list(range(2000)), [bytes([key % 251]) * 64 for key in range(2000)])
+        return store
+
+    def test_a_repeated_cold_key_appends_one_record(self, tmp_path):
+        with self.loaded(tmp_path) as store:
+            assert not store.log.in_memory(store.index.find(3))
+            tail = store.log.tail_address
+            assert store.lookahead([3, 3]) == 1
+            assert store.log.tail_address - tail == RECORD_HEADER_BYTES + 64
+            assert store.mlkv_stats.lookahead_copied == 1
+
+    @pytest.mark.parametrize("form", [list, np.array])
+    def test_a_long_batch_with_repeats_equals_it_without_them(self, tmp_path, form):
+        """Cold keys repeated among distinct cold and resident ones: the
+        repeats take the array path and change nothing but the count of
+        keys asked for."""
+        observed = []
+        for name in ("distinct", "repeated"):
+            with self.loaded(tmp_path / name) as store:
+                cold = [key for key in range(2000) if not store.log.in_memory(store.index.find(key))]
+                resident = [key for key in range(2000) if store.log.in_memory(store.index.find(key))]
+                batch = cold[:30] + resident[:10] + cold[30:50]
+                if name == "repeated":
+                    batch = batch[:25] + cold[:40:3] + batch[25:] + [cold[49], cold[0]]
+                assert len(batch) >= MIN_ARRAY_BATCH
+                store._stage_one = None  # any per-key staging now raises
+                copied = store.lookahead(form(batch))
+                stats = asdict(store.mlkv_stats)
+                del stats["lookahead_requests"]
+                observed.append((
+                    copied, store.log.tail_address, [array.tolist() for array in store.index.entries()],
+                    asdict(store.stats), stats, store.clock.now,
+                ))
+        assert observed[0] == observed[1]
+        assert observed[0][0] == 50
 
 
 class TestSnapshotRead:

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.data import GraphDataset, NegativeSampler, NeighborSampler
+from repro.data import GraphDataset, NeighborSampler
 from repro.data.sampling import _choice_positions, _lemire_draws
 from repro.nn.sparse import Block
 from repro.train import accuracy, auc, hits_at_k
@@ -278,18 +278,6 @@ class TestExactChoiceStream:
         np.testing.assert_array_equal(src, dst)
         np.testing.assert_array_equal(block.indices, dst_index)
         _assert_same_layer((src, dst_index, block), _loop_layer(graph, rng, dst, 3, mean=True))
-
-
-class TestNegativeSampler:
-    def test_shape_and_range(self):
-        sampler = NegativeSampler(num_entities=50, negatives=7, seed=0)
-        negs = sampler.sample(16)
-        assert negs.shape == (16, 7)
-        assert negs.min() >= 0 and negs.max() < 50
-
-    def test_invalid_entities(self):
-        with pytest.raises(ValueError):
-            NegativeSampler(num_entities=1)
 
 
 class TestAUC:

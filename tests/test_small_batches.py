@@ -110,17 +110,22 @@ class TestFindMany:
             assert index.find_many(np.array(keys, dtype=np.uint64)).tolist() == walked
 
     def test_the_switch_sits_between_the_two_probes(self):
-        """``WALK_KEYS - 1`` keys are walked; ``WALK_KEYS`` go as arrays."""
+        """``WALK_KEYS - 1`` keys are walked; ``WALK_KEYS`` go as arrays,
+        probed once for the lookup and the swing that follows it."""
         index = HashIndex()
         for key in range(WALK_KEYS):
             index.upsert(key, 10 * key)
-        calls = []
-        real = index._slots_of
-        with mock.patch.object(index, "_slots_of", lambda keys: calls.append(len(keys)) or real(keys)):
+        calls, probes = [], []
+        real, probe = index._slots_of, index._probe_slots
+        with mock.patch.object(index, "_slots_of", lambda keys: calls.append(len(keys)) or real(keys)), \
+                mock.patch.object(index, "_probe_slots", lambda keys: probes.append(len(keys)) or probe(keys)):
             for size in (WALK_KEYS - 1, WALK_KEYS):
                 keys = np.arange(size, dtype=np.uint64)
-                assert index.find_many(keys).tolist() == [10 * key for key in range(size)]
-        assert calls == [WALK_KEYS]
+                found = index.find_many(keys)
+                assert found.tolist() == [index.find(key) for key in range(size)]
+                index.swing_many(keys, found + 1)
+                assert index.find_many(keys).tolist() == (found + 1).tolist()
+        assert calls == [WALK_KEYS] * 3 and probes == [WALK_KEYS]
 
 
 # ----------------------------------------------------------------------

@@ -230,7 +230,7 @@ class TestInsideTheStore:
                 staged += stores("lookahead", keys)
             elif action == 2:  # short: per key
                 staged += stores("lookahead", on_disk(stores.arrays, keys)[:8].tolist())
-            elif action == 3:  # repeated keys: per key
+            elif action == 3:  # repeated keys: each staged once
                 staged += stores("lookahead", np.concatenate([keys[:40], keys[:40]]).tolist())
             elif action == 4:
                 stores("multi_get", keys.tolist())
