@@ -139,9 +139,14 @@ bench-e2e-smoke:
 # reference, inside a store too) beside them; the hash index suite for
 # the long lookups it remembers until a key takes or leaves a slot; and
 # the small-batch suite for the router's list fan-out and the engines'
-# small array reads.
+# small array reads; and the replica groups' model test (bare RF-2/3
+# groups of FASTER and MLKV and a router of groups against a dict,
+# through every store verb, fail / revive / slow and checkpoint ->
+# restore), so the sanitizer's one-route check — a read goes to a live
+# replica and every live replica has lag 0 — sees every fault sequence
+# the machine draws.
 test-sanitize:
-	REPRO_SANITIZE=1 $(PYTHON) -m pytest tests/test_sharded.py tests/test_replication.py tests/test_distributed.py tests/test_analysis_sanitize.py tests/test_array_verbs.py tests/test_store_contract.py tests/test_lookahead_clamp.py tests/test_lookahead_checkpoint.py tests/test_staged_ledger.py tests/test_faster_index.py tests/test_small_batches.py tests/test_chaos_serving.py tests/test_tenancy.py -q
+	REPRO_SANITIZE=1 $(PYTHON) -m pytest tests/test_sharded.py tests/test_replication.py tests/test_distributed.py tests/test_analysis_sanitize.py tests/test_array_verbs.py tests/test_store_contract.py tests/test_lookahead_clamp.py tests/test_lookahead_checkpoint.py tests/test_staged_ledger.py tests/test_faster_index.py tests/test_small_batches.py tests/test_chaos_serving.py tests/test_tenancy.py tests/test_replica_group_model.py -q
 
 # Prefer ruff (fast, wider net) when present; fall back to pyflakes,
 # then to the always-available compileall syntax check.  The repo's own

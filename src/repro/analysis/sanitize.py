@@ -7,12 +7,12 @@ invariants that only hold while the system is actually running:
 * **Replica clock sanity** — a group's version never decreases, no
   replica's applied version decreases or overtakes the group version
   (:class:`~repro.device.clock.ReplicaVersionClock`).
-* **Admission discipline** — every read the router serves comes from a
-  live replica within the divergence bound (``pick_reader``, the one
-  read route of a replica group).
-* **Sound donors** — catch-up, committed rmw and scans source only from
-  live lag-0 peers (``_complete_peer``), because the scalar clock cannot
-  name *which* writes a lagging replica missed.
+* **Current reads** — every read a replica group serves comes from a
+  live replica with lag 0 (``pick_reader``, the group's one read
+  route), and no live replica lags when one is routed.
+* **Sound donors** — revives and scans source only from live lag-0
+  peers (``_complete_peer``), because the scalar clock cannot name
+  *which* writes a lagging replica missed.
 * **Fan-out accounting** — each group write advances the version by
   exactly the write count, advances every live replica's applied version
   with it, and leaves dead replicas untouched.
@@ -166,11 +166,11 @@ class Sanitizer:
         sanitizer = self
 
         def make_pick_reader(original: Callable) -> Callable:
-            def checked(self: Any, bound: int) -> int:
-                choice = original(self, bound)
+            def checked(self: Any) -> int:
+                choice = original(self)
                 sanitizer.trace.record(
                     "group.pick_reader",
-                    f"{_tag(self)} bound={bound} -> replica {choice} "
+                    f"{_tag(self)} -> replica {choice} "
                     f"(lag {self.versions.lag(choice)})",
                 )
                 if not self.alive[choice]:
@@ -178,12 +178,13 @@ class Sanitizer:
                         f"{_tag(self)}.pick_reader routed a read to dead "
                         f"replica {choice}"
                     )
-                if self.versions.lag(choice) > bound:
-                    sanitizer._fail(
-                        f"{_tag(self)}.pick_reader admitted replica {choice} "
-                        f"with lag {self.versions.lag(choice)} beyond the "
-                        f"divergence bound {bound}"
-                    )
+                for index in self.live_indices():
+                    if self.versions.lag(index) != 0:
+                        sanitizer._fail(
+                            f"{_tag(self)}.pick_reader: live replica {index} "
+                            f"lags by {self.versions.lag(index)} writes; every "
+                            "live replica must hold every acknowledged write"
+                        )
                 return choice
             return checked
 

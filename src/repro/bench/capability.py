@@ -43,7 +43,7 @@ def mlkv_capability_evidence() -> dict[str, str]:
         "DLRM": "repro.train.DLRMTrainer over repro.core.EmbeddingTables",
         "GNN": "repro.train.GNNTrainer over repro.core.EmbeddingTables",
         "KGE": "repro.train.KGETrainer over repro.core.EmbeddingTables",
-        "NoSQL": "repro.core.MLKV.{get,put,rmw,delete} (KVStore interface)",
+        "NoSQL": "repro.core.MLKV.{get,put,delete} (KVStore interface)",
         "Disk": "repro.kv.faster.HybridLog file-backed regions",
         "BS": "repro.core.MLKV staleness_bound + vector clocks",
         "Ext": "repro.kv.api.KVStore — engines are pluggable via one interface",

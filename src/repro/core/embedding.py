@@ -147,7 +147,7 @@ class EmbeddingTables:
         found = self.store.get_rows(keys, framed)
         if not found.all():
             missing = keys[~found]
-            init_rows = np.stack([self._init_vector(key) for key in missing.tolist()])
+            init_rows = np.stack([self.init_vector(key) for key in missing.tolist()])
             self.store.put_rows(missing, frame_vectors(init_rows))
             refreshed = np.empty((len(missing), framed.shape[1]), dtype=np.uint8)
             if not self.store.get_rows(missing, refreshed).all():
@@ -239,35 +239,19 @@ class EmbeddingTables:
         # Every store exposes batched committed reads: stores with an
         # admission protocol map them to their bypass path, for plain
         # engines multi_get already is the committed read.
-        gathered = self._decode_or_init(unique, self.store.snapshot_read_many(unique.tolist()))
-        return gathered if inverse is None else gathered[inverse].reshape(*keys.shape, self.dim)
-
-    def read_current(self, keys) -> np.ndarray:
-        """Rows safe to write back: ``store.read_current_many``, decoded.
-
-        What an update folds onto — a replica group answers from a
-        replica holding every acknowledged write, never a bounded-stale
-        routed read.  Absent keys return their lazy initialization
-        (without inserting them); no staleness admission.
-        """
-        keys = np.asarray(keys, dtype=np.int64).reshape(-1)
-        return self._decode_or_init(keys, self.store.read_current_many(keys.tolist()))
-
-    def _decode_or_init(self, keys: np.ndarray, raws: list) -> np.ndarray:
-        """``(len(keys), dim)`` rows: the stored ``raws`` decoded, each
-        ``None`` replaced by its key's lazy initialization."""
-        gathered = np.empty((keys.shape[0], self.dim), dtype=np.float32)
+        raws = self.store.snapshot_read_many(unique.tolist())
+        gathered = np.empty((unique.shape[0], self.dim), dtype=np.float32)
         hit_rows = []
-        for i, (key, raw) in enumerate(zip(keys.tolist(), raws)):
+        for i, (key, raw) in enumerate(zip(unique.tolist(), raws)):
             if raw is None:
-                gathered[i] = self._init_vector(key)
+                gathered[i] = self.init_vector(key)
             else:
                 hit_rows.append(i)
         if hit_rows:
             gathered[hit_rows] = decode_vectors(
                 [raws[i] for i in hit_rows], dim=self.dim
             )
-        return gathered
+        return gathered if inverse is None else gathered[inverse].reshape(*keys.shape, self.dim)
 
     # ------------------------------------------------------------------
     def init_vector(self, key: int) -> np.ndarray:
@@ -276,9 +260,6 @@ class EmbeddingTables:
         Public because the serving tier must reproduce the exact same
         initialization for keys training never touched.
         """
-        return self._init_vector(key)
-
-    def _init_vector(self, key: int) -> np.ndarray:
         rng = np.random.default_rng((self.seed << 32) ^ (key * 0x9E3779B9 + 1))
         return rng.uniform(-self.init_scale, self.init_scale, self.dim).astype(np.float32)
 

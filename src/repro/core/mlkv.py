@@ -398,17 +398,6 @@ class MLKV(FasterKV):
                         pack_word(False, replaced_now, next_generation(gen_now), stale_now)
                     )
 
-    def rmw(self, key: int, update) -> bytes:
-        """Read-modify-write through the vector-clock protocol.
-
-        The Get half admits under the bound and increments staleness; the
-        Put half settles it, so a completed RMW leaves the clock where it
-        started — matching the 50/50 YCSB workload of §IV-E.
-        """
-        new_value = update(self.get(key))
-        self.put(key, new_value)
-        return new_value
-
     def _get_many(self, keys) -> list:
         """Batched Get under the vector-clock protocol.
 

@@ -222,15 +222,14 @@ class WorkerClockView:
 class ReplicaVersionClock:
     """Per-replica applied-version vector for one replica group.
 
-    The replicated store reuses MLKV's core idea — admit reads against a
-    small integer clock — at *replica* granularity: every acknowledged
-    group write advances the group version, and each replica that applied
-    the write acknowledges up to it.  A replica's **lag** (group version
-    minus its applied version) counts the writes it has not applied — the
-    replica-divergence analogue of a record's staleness counter.  Read
-    policies admit a replica only while its lag is within the divergence
-    bound, so replicated reads honor the same staleness contract bounded
-    stores give individual records.
+    The replicated store reuses MLKV's core idea — a small integer clock
+    per copy — at *replica* granularity: every acknowledged group write
+    advances the group version, and each replica that applied the write
+    acknowledges up to it.  A replica's **lag** (group version minus its
+    applied version) counts the writes it has not applied — the
+    replica-divergence analogue of a record's staleness counter.  A live
+    replica applies every write, so only a dead one lags: by the writes
+    a revive must replay before it serves again.
     """
 
     def __init__(self, replicas: int) -> None:
@@ -249,13 +248,13 @@ class ReplicaVersionClock:
     def ack(self, replica: int, version: int | None = None) -> None:
         """Replica ``replica`` has applied **everything** up to ``version``
         (defaults to the current group version).  Acknowledgements never
-        move backwards.  This is the catch-up acknowledgement: it erases
+        move backwards.  This is the revive acknowledgement: it erases
         the replica's lag, so it must only be used when the missed writes
         were actually replayed — a replica applying new writes while
         still missing old ones uses :meth:`apply` instead.  The target
         is clamped to the group version (like :meth:`apply`): nothing
         can have applied writes that were never acknowledged, and a
-        negative lag would silently defeat read admission."""
+        negative lag would hide a missed write."""
         target = self.version if version is None else min(version, self.version)
         if target > self.applied[replica]:
             self.applied[replica] = target
@@ -266,7 +265,7 @@ class ReplicaVersionClock:
         Advances the applied version by ``count`` (capped at the group
         version) so a converged replica stays converged — but a lagging
         replica's gap is preserved: keeping up with new writes does not
-        un-miss the old ones.  Only :meth:`ack` (after a real catch-up)
+        un-miss the old ones.  Only :meth:`ack` (after a real replay)
         closes the gap."""
         if count < 0:
             raise ValueError(f"cannot apply {count!r} writes")
@@ -275,14 +274,6 @@ class ReplicaVersionClock:
     def lag(self, replica: int) -> int:
         """Writes replica ``replica`` has not applied yet."""
         return self.version - self.applied[replica]
-
-    def max_lag(self) -> int:
-        """The most-divergent replica's lag (0 = fully converged)."""
-        return max(self.lag(replica) for replica in range(len(self.applied)))
-
-    def in_bound(self, replica: int, bound: int) -> bool:
-        """Whether ``replica`` is admissible under ``bound`` missed writes."""
-        return self.lag(replica) <= bound
 
     def __repr__(self) -> str:
         return f"ReplicaVersionClock(version={self.version}, applied={self.applied})"

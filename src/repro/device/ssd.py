@@ -166,12 +166,6 @@ class SSDModel:
             "bytes_written": self.bytes_written,
         }
 
-    def reset_stats(self) -> None:
-        self.reads = 0
-        self.writes = 0
-        self.bytes_read = 0
-        self.bytes_written = 0
-
 
 class _BackgroundScope:
     def __init__(self, ssd: SSDModel, parallelism: int | None = None) -> None:

@@ -13,15 +13,15 @@ exercise genuine hit/miss paths in each engine.
 
 :mod:`repro.kv.sharded` composes any mix of them behind the one shard
 router, :class:`~repro.kv.sharded.ShardedKVStore` — slot-table hash
-partitioning, one batched sub-call per shard, live ``split_shard``
+partitioning, one batched sub-call per shard, live ``begin_split``
 rescaling (copy-then-cutover under load), coordinated checkpoints — and every engine overrides
 ``multi_get``/``multi_put`` with genuinely batched hot paths (one index
 probe of the whole batch, WAL group commits, single leaf walks).  The router's
 children are plain :class:`~repro.kv.api.KVStore` objects, so the
 replicated store is the same router with a different kind of child: a
 factory returning an N-way :class:`~repro.kv.replicated.ReplicaGroup`
-(synchronous write fan-out, divergence-bounded read routing, failover
-with hinted catch-up).  Live splits, stats and checkpoint → restore
+(synchronous write fan-out, reads routed to one live replica, failover
+with hinted replay on revive).  Live splits, stats and checkpoint → restore
 are the router's, so they work for both.
 """
 

@@ -218,16 +218,6 @@ class KVStore(ABC):
         stats = self.stats
         return stats.hits, stats.misses
 
-    def rmw(self, key: int, update: Callable[[Optional[bytes]], bytes]) -> bytes:
-        """Read-modify-write: apply ``update`` to the current value.
-
-        Engines with cheaper in-place paths override this; the default is
-        get-then-put.
-        """
-        new_value = update(self.get(key))
-        self.put(key, new_value)
-        return new_value
-
     def multi_get(self, keys: Iterable[int]) -> list[Optional[bytes]]:
         """Batched get preserving input order (``None`` for absent keys).
 
@@ -337,21 +327,10 @@ class KVStore(ABC):
         """Batched :meth:`snapshot_read` preserving input order."""
         return self.multi_get(keys)
 
-    def read_current_many(self, keys: Iterable[int]) -> list[Optional[bytes]]:
-        """Committed values that are safe to copy elsewhere or write back.
-
-        For an engine that is its committed read.  A store whose routed
-        reads may be bounded-stale (a replica group) overrides this to
-        answer from a copy holding every acknowledged write: it is what
-        the parameter server adds its deltas onto and what a live shard
-        migration copies from, so a stale read never becomes a write.
-        """
-        return self.snapshot_read_many(keys)
-
     def freeze(self) -> "KVStore":
         """Switch the store to read-only serving mode.
 
-        After freezing, ``put``/``delete``/``rmw``/``multi_put`` raise
+        After freezing, ``put``/``delete``/``multi_put``/``put_rows`` raise
         :class:`~repro.errors.StorageError`.  Reads — including look-ahead
         staging, which re-appends existing values without changing the
         store's logical content — remain available.  Returns ``self`` so

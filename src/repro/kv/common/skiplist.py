@@ -102,8 +102,3 @@ class SkipList:
         while node is not None:
             yield node.key, node.value
             node = node.forward[0]
-
-    def first_key(self) -> Optional[int]:
-        """Smallest key, or ``None`` when empty."""
-        node = self._head.forward[0]
-        return None if node is None else node.key

@@ -9,7 +9,6 @@ Operation lifecycle (FASTER §3, used as-is by MLKV):
   length is unchanged, update **in place**; otherwise append a new copy
   (read-copy-update), CAS the index to it, and mark the old in-memory
   copy ``replaced`` so racing readers retry.
-* ``rmw`` — fused read-modify-write with the same in-place fast path.
 * ``checkpoint`` / :meth:`FasterKV.recover` — flush the log, persist the
   index and boundaries, and rebuild by scanning the log if the index
   snapshot is missing (fuzzy-checkpoint fallback).
@@ -595,26 +594,6 @@ class FasterKV(KVStore, CheckpointManager):
                 appended = certain | passed
         page_full = appended & (np.cumsum(appended) > log.append_room(record_len))
         return mutable & ~appended, appended, page_full
-
-    def rmw(self, key: int, update: Callable[[Optional[bytes]], bytes]) -> bytes:
-        """Read-modify-write one record through ``update``."""
-        self._check_writable()
-        self._charge_cpu()
-        self._stats.gets += 1
-        self._stats.puts += 1
-        address = self.index.find(key)
-        current: Optional[bytes] = None
-        if address is not None:
-            _, _, current, from_memory = self.log.read_record(address)
-            if from_memory:
-                self._stats.hits += 1
-            else:
-                self._stats.misses += 1
-        else:
-            self._stats.misses += 1
-        new_value = update(current)
-        self._upsert(key, new_value)
-        return new_value
 
     def delete(self, key: int) -> bool:
         """Tombstone the key; returns whether it was present."""

@@ -193,8 +193,3 @@ class WriteAheadLog:
         """Sync and close the log file."""
         self.sync()
         self._file.close()
-
-    def size_bytes(self) -> int:
-        """Current on-disk size of the log."""
-        self._file.flush()
-        return os.path.getsize(self.path)

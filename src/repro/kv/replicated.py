@@ -10,19 +10,15 @@ shard, ``ShardedKVStore(lambda shard: ReplicaGroup([...]), n)``: routing,
 batched fan-out, live splits and deferred cleanup are the
 router's; every replica setting and operator verb is the group's.
 
-Consistency reuses the paper's machinery instead of inventing a new
-mode: each group keeps a :class:`~repro.device.clock.ReplicaVersionClock`
-— the vector-clock staleness bound of MLKV applied at replica
-granularity.  A replica's *lag* is the number of group writes it has not
-applied (normally zero: fan-out is synchronous; failures and deliberate
-catch-up-free revivals make it positive), and the ``divergence_bound``
-admits a replica for reads only while its lag is within the bound — the
-same staleness contract bounded stores give individual records.  Values
-that will be written somewhere (``rmw``, ``read_current_many`` — what
-the parameter server adds deltas onto and a live split copies from —
-``scan``)
-always come from a lag-0 replica: the bound licenses stale *reads*,
-never stale write-backs.
+Every live replica is current.  Each group keeps a
+:class:`~repro.device.clock.ReplicaVersionClock` (MLKV's vector clock
+at replica granularity): a replica's *lag* is the number of group writes
+it has not applied.  Fan-out is synchronous, so a live replica's lag is
+always 0; only a dead replica lags, by the writes it owes.  Any live
+replica is therefore a sound source for every read — routed reads,
+committed reads, the values a split copies and the rows the parameter
+server adds deltas onto — and the group has one read route,
+:meth:`~ReplicaGroup.pick_reader`.
 
 Failure handling:
 
@@ -33,16 +29,16 @@ Failure handling:
   from an up-to-date peer (``snapshot_read_many`` — the committed-read
   path checkpoints restore through) and replayed onto the reviving
   replica, after which the group's version vector acknowledges it at the
-  current group version.  If the hint set overflowed ``max_hints`` while
-  it was down, the replica is instead rebuilt wholesale from a peer's
-  ``scan()`` — the degenerate case where replaying a WAL-sized delta
-  would cost more than re-shipping the image.
+  current group version and it serves reads again.  If the hint set
+  overflowed ``max_hints`` while it was down, the replica is instead
+  rebuilt wholesale from a peer's ``scan()`` — the degenerate case where
+  replaying a WAL-sized delta would cost more than re-shipping the image.
 * :meth:`~ReplicaGroup.slow` injects per-operation latency on one
   replica (a degraded disk, a noisy neighbor); the read router prefers
-  un-slowed admissible replicas, so a slow replica is routed around
-  exactly like a dead one as long as a healthy peer exists; when every
-  admissible replica is slowed, the least-slowed one serves and its
-  penalty is paid.
+  un-slowed live replicas, so a slow replica is routed around exactly
+  like a dead one as long as a healthy peer exists; when every live
+  replica is slowed, the least-slowed one serves and its penalty is
+  paid.
 """
 
 from __future__ import annotations
@@ -94,34 +90,27 @@ class ReplicaGroup(KVStore, CheckpointManager):
     max_hints:
         Per-replica hinted-handoff cap; beyond it a revive rebuilds the
         replica from a peer's full scan instead of replaying hints.
-    divergence_bound:
-        Maximum missed writes a replica may lag and still serve reads
-        (0 = only fully caught-up replicas serve; the BSP of replicas).
     directory:
         Optional base directory holding every replica's own directory.
         A group that has one writes its own manifest on
         :meth:`checkpoint` and reopens through :meth:`restore`, which is
         how a router of groups checkpoints and restores them.
 
-    Every read routes to one admissible replica (:meth:`pick_reader`).
+    Every read routes to one live replica (:meth:`pick_reader`).
     """
 
     def __init__(
         self,
         replicas: Sequence[KVStore],
         max_hints: int = 100_000,
-        divergence_bound: int = 0,
         directory: Optional[str] = None,
     ) -> None:
         if not replicas:
             raise ConfigError("a replica group needs at least one replica")
-        if divergence_bound < 0:
-            raise ConfigError(f"divergence_bound must be >= 0, got {divergence_bound}")
         self.replicas: list[KVStore] = list(replicas)
         self.alive: list[bool] = [True] * len(self.replicas)
         self.versions = ReplicaVersionClock(len(self.replicas))
         self.max_hints = max_hints
-        self.divergence_bound = divergence_bound
         self.directory = directory
         # Per-replica hinted-handoff sets: keys written while it was down.
         # ``None`` marks an overflowed set (full resync needed on revive).
@@ -129,7 +118,7 @@ class ReplicaGroup(KVStore, CheckpointManager):
         self._slow_penalty: list[float] = [0.0] * len(self.replicas)
         self._cursor = 0  # round-robin start for read routing
         self.failovers = 0  # reads that skipped the preferred replica
-        self.catchup_keys = 0  # keys replayed by hinted catch-up
+        self.catchup_keys = 0  # keys replayed by revives
         self.resyncs = 0  # full scan-copy rebuilds
 
     # ------------------------------------------------------------------
@@ -150,7 +139,7 @@ class ReplicaGroup(KVStore, CheckpointManager):
         A fully caught-up (lag 0) live replica must survive: the scalar
         version clock counts *how many* writes a replica missed, not
         *which*, so two replicas with disjoint gaps could not repair
-        each other — catch-up needs a donor holding every acknowledged
+        each other — a revive needs a donor holding every acknowledged
         write.  Keeping one complete replica alive at all times is the
         invariant that makes lag 0 mean "holds everything" (and is why
         :meth:`_complete_peer` can never come up empty).
@@ -163,31 +152,22 @@ class ReplicaGroup(KVStore, CheckpointManager):
         if not any(self.versions.lag(index) == 0 for index in survivors):
             raise StorageError(
                 f"cannot fail replica {replica}: no fully caught-up live "
-                "replica would remain (catch up a lagging replica first)"
+                "replica would remain"
             )
         self.alive[replica] = False
 
-    def revive(self, replica: int, catch_up: bool = True) -> int:
+    def revive(self, replica: int) -> int:
         """Bring ``replica`` back; returns the number of keys replayed.
 
-        With ``catch_up=True`` (the default) the hinted keys — or, after
-        hint overflow, the whole image — are copied from an up-to-date
-        peer before the replica is admitted for reads.  With
-        ``catch_up=False`` the replica comes back *lagging*: it is live
-        for writes but the divergence bound keeps it out of read routing
-        until :meth:`catch_up` runs.
+        The hinted keys — or, after hint overflow, the whole image — are
+        copied from an up-to-date peer before the replica is marked live,
+        so it rejoins holding every acknowledged write.
         """
         if self.alive[replica]:
             return 0
-        self.alive[replica] = True
-        return self.catch_up(replica) if catch_up else 0
-
-    def catch_up(self, replica: int) -> int:
-        """Replay missed writes onto a live, lagging replica."""
-        if not self.alive[replica]:
-            raise StorageError("catch_up needs a live replica; revive it first")
         hints = self._hints[replica]
         if hints is not None and not hints and self.versions.lag(replica) == 0:
+            self.alive[replica] = True
             return 0  # already converged: no donor needed
         donor = self._complete_peer(exclude=replica)
         replayed = 0
@@ -229,6 +209,7 @@ class ReplicaGroup(KVStore, CheckpointManager):
             replayed = len(keys)
         self._hints[replica] = set()
         self.versions.ack(replica)
+        self.alive[replica] = True
         self.catchup_keys += replayed
         return replayed
 
@@ -246,8 +227,8 @@ class ReplicaGroup(KVStore, CheckpointManager):
     def _complete_peer(self, exclude: int) -> int:
         """A live replica holding **every** acknowledged write (lag 0).
 
-        Only a lag-0 replica is a sound read source for catch-up, rmw
-        and scans: the scalar clock cannot tell which writes a lagging
+        Only a lag-0 replica is a sound source for a revive and for
+        scans: the scalar clock cannot tell which writes a lagging
         replica missed, so "highest applied version" alone could pick a
         donor missing an acknowledged write.  The :meth:`fail` invariant
         guarantees such a replica exists.
@@ -258,49 +239,35 @@ class ReplicaGroup(KVStore, CheckpointManager):
             if index != exclude and self.versions.lag(index) == 0
         ]
         if not candidates:
-            raise StorageError(
-                "no fully caught-up live replica to read from; catch up a "
-                "lagging replica first"
-            )
+            raise StorageError("no fully caught-up live replica to read from")
         return candidates[0]
 
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
-    def pick_reader(self, bound: int) -> int:
-        """One admissible replica: live, lag ≤ bound, un-slowed preferred.
+    def pick_reader(self) -> int:
+        """One live replica, un-slowed preferred.
 
-        Round-robin over the admissible pool spreads read load; when
-        every admissible replica is slowed the least-penalized one is
-        chosen (degraded service beats no service).  Raises when no live
-        replica is within the divergence bound.  ``failovers`` counts
-        reads served while the pool was short of the configured
-        replication factor — reads that routed around a dead, lagging,
-        or slowed replica.
+        Round-robin over the healthy live replicas spreads read load;
+        when every live replica is slowed the least-penalized one is
+        chosen (degraded service beats no service).  ``failovers``
+        counts reads served while the pool was short of the configured
+        replication factor — reads that routed around a dead or slowed
+        replica.
         """
-        admissible = [
-            index for index in self.live_indices() if self.versions.in_bound(index, bound)
-        ]
-        if not admissible:
-            live = self.live_indices()
-            raise StorageError(
-                f"no replica within divergence bound {bound}; live replicas "
-                f"{live} lag {[self.versions.lag(index) for index in live]} "
-                "(run catch_up first)"
-            )
-        healthy = [index for index in admissible if not self._slow_penalty[index]]
-        pool = healthy or admissible
-        if len(pool) < self.replication:
+        live = self.live_indices()
+        healthy = [index for index in live if not self._slow_penalty[index]]
+        if len(healthy or live) < self.replication:
             self.failovers += 1
         if not healthy:
-            return min(admissible, key=lambda index: self._slow_penalty[index])
-        choice = pool[self._cursor % len(pool)]
+            return min(live, key=lambda index: self._slow_penalty[index])
+        choice = healthy[self._cursor % len(healthy)]
         self._cursor += 1
         return choice
 
     def _read_replica(self) -> int:
         """Route one read (:meth:`pick_reader`), paying its injected latency."""
-        choice = self.pick_reader(self.divergence_bound)
+        choice = self.pick_reader()
         penalty = self._slow_penalty[choice]
         if penalty:
             clock = self.replicas[choice].clock
@@ -318,8 +285,6 @@ class ReplicaGroup(KVStore, CheckpointManager):
         for index, replica in enumerate(self.replicas):
             if self.alive[index]:
                 replica.put(key, value)
-                # apply(), not ack(): a lagging replica keeps its gap —
-                # taking new writes does not un-miss the hinted ones.
                 self.versions.apply(index)
             else:
                 self._hint(index, key)
@@ -371,7 +336,7 @@ class ReplicaGroup(KVStore, CheckpointManager):
             return getattr(reader, op)(keys)
 
     def get(self, key: int) -> Optional[bytes]:
-        """Read from one bounded-staleness replica."""
+        """Read from one routed replica."""
         return self.replicas[self._read_replica()].get(key)
 
     def snapshot_read(self, key: int) -> Optional[bytes]:
@@ -386,23 +351,20 @@ class ReplicaGroup(KVStore, CheckpointManager):
         """Batched committed reads, routed like ``multi_get``."""
         return self._read("snapshot_read_many", self._normalize_keys(keys))
 
-    def read_current_many(self, keys) -> list:
-        """Committed values from a fully caught-up (lag-0) replica.
-
-        Bypasses read routing: these values are about to be written back
-        or copied, and a bounded-stale one would fan out over fresher
-        copies (a lost update).
-        """
-        donor = self.replicas[self._complete_peer(exclude=-1)]
-        return donor.snapshot_read_many(self._normalize_keys(keys))
-
     def lookahead(self, keys) -> int:
-        """Stage a prefetch batch on the group's current reader."""
-        return self.replicas[self._read_replica()].lookahead(self._normalize_keys(keys))
+        """Stage a prefetch batch on every live replica.
+
+        Any live replica may serve the reads the batch is staged for, so
+        each one stages it; returns what the first live replica staged.
+        A prefetch is not a read: it pays no injected latency and counts
+        no failover.
+        """
+        keys = self._normalize_keys(keys)
+        staged = [self.replicas[index].lookahead(keys) for index in self.live_indices()]
+        return staged[0]
 
     def lookahead_capacity(self, value_bytes: int) -> int:
-        """The smallest replica's: any of them may be the reader a
-        prefetch batch is staged on."""
+        """The smallest replica's: every live one stages each prefetch batch."""
         return min(replica.lookahead_capacity(value_bytes) for replica in self.replicas)
 
     def scan(self) -> Iterator[tuple[int, bytes]]:
@@ -434,21 +396,6 @@ class ReplicaGroup(KVStore, CheckpointManager):
             "kv.replica_write", live_replicas=len(self.live_indices()), keys=len(keys)
         ):
             self.fanout_multi_put(keys, values)
-
-    def rmw(self, key: int, update: Callable[[Optional[bytes]], bytes]) -> bytes:
-        """Read-modify-write reading from a fully caught-up replica.
-
-        Same rule as :meth:`read_current_many` (which the parameter
-        server's apply reads through): the read half never goes through
-        read routing.  The write half fans out through the group, so a
-        replica killed mid-push loses nothing: the survivor takes the
-        write and the revive replays it.
-        """
-        self._check_writable()
-        donor = self.replicas[self._complete_peer(exclude=-1)]
-        new_value = update(donor.get(key))
-        self.fanout_put(key, new_value)
-        return new_value
 
     # ------------------------------------------------------------------
     # the store contract (computed from the replicas), stats, lifecycle
@@ -520,7 +467,7 @@ class ReplicaGroup(KVStore, CheckpointManager):
         Each replica engine persists its own crash-consistent image
         first; the group manifest is written atomically last.  It holds
         what a restore cannot rediscover from the replica images: replica
-        locations and classes, the read and hint settings, the version clock,
+        locations and classes, the hint setting, the version clock,
         liveness flags and the hinted-handoff queues — so a revive after
         restore replays exactly the keys the live run owed the dead
         replica (``None`` marks an overflowed queue).
@@ -536,7 +483,6 @@ class ReplicaGroup(KVStore, CheckpointManager):
             "alive": list(self.alive),
             "max_hints": self.max_hints,
             "hints": [None if hints is None else sorted(hints) for hints in self._hints],
-            "divergence_bound": self.divergence_bound,
         })
 
     @classmethod
@@ -550,23 +496,23 @@ class ReplicaGroup(KVStore, CheckpointManager):
 
         ``factory(replica_index, replica_directory)`` rebuilds one
         replica; otherwise each recorded class's ``restore`` is called
-        with ``kwargs`` forwarded.  Group state comes back exactly as
-        checkpointed.  Older images also record a read policy, which is
-        not read: every group routes reads one way.
+        with ``kwargs`` forwarded.  Group state comes back as
+        checkpointed.  Older images may also record a read policy or a
+        divergence bound, which are not read, and may record a live
+        replica that lags (one revived without replaying its hints): it
+        comes back dead, and its recorded hints replay on the next
+        :meth:`revive`.
         """
         path, manifest = read_manifest(directory, _MANIFEST)
         with checkpoint_fields(path):
             openers = child_openers(
                 directory, manifest["replicas"], manifest["types"], factory, **kwargs
             )
-            settings = {
-                "max_hints": int(manifest["max_hints"]),
-                "divergence_bound": manifest["divergence_bound"],
-            }
+            max_hints = int(manifest["max_hints"])
         group = cls(
             [opener(index) for index, opener in enumerate(openers)],
+            max_hints=max_hints,
             directory=directory,
-            **settings,
         )
         with checkpoint_fields(path):
             clocks, alive, hints = manifest["clocks"], manifest["alive"], manifest["hints"]
@@ -574,6 +520,8 @@ class ReplicaGroup(KVStore, CheckpointManager):
                 raise ValueError(f"group state does not describe {len(openers)} replicas")
             group.versions.version = int(clocks["version"])
             group.versions.applied = [int(version) for version in clocks["applied"]]
-            group.alive = [bool(up) for up in alive]
+            group.alive = [
+                bool(up) and group.versions.lag(index) == 0 for index, up in enumerate(alive)
+            ]
             group._hints = [None if keys is None else set(keys) for keys in hints]
         return group

@@ -429,13 +429,6 @@ class ShardedKVStore(KVStore, CheckpointManager):
         self._note_writes((key,))
         return existed
 
-    def rmw(self, key: int, update: Callable[[Optional[bytes]], bytes]) -> bytes:
-        """Read-modify-write routed to the owning child."""
-        self._check_writable()
-        value = self._route(key).rmw(key, update)
-        self._note_writes((key,))
-        return value
-
     def multi_get(self, keys) -> list:
         """One batched sub-read per shard, results in input order."""
         return self._gather("multi_get", keys)
@@ -443,10 +436,6 @@ class ShardedKVStore(KVStore, CheckpointManager):
     def snapshot_read_many(self, keys) -> list:
         """Batched committed reads: one sub-batch per shard, no admissions."""
         return self._gather("snapshot_read_many", keys)
-
-    def read_current_many(self, keys) -> list:
-        """Batched write-back-safe reads (see :meth:`KVStore.read_current_many`)."""
-        return self._gather("read_current_many", keys)
 
     def multi_put(self, keys, values) -> None:
         """One batched sub-write per shard.
@@ -711,16 +700,6 @@ class ShardedKVStore(KVStore, CheckpointManager):
         self._migration = ShardMigration(self, shard_index, target, moving_slot=owned[-1])
         return self._migration
 
-    def split_shard(self, shard_index: int, factory: Callable, batch: int = 1024) -> int:
-        """Split an engine in one call; returns the new engine's index.
-
-        Equivalent to :meth:`begin_split` + copy-to-completion +
-        :meth:`ShardMigration.cutover`.  Callers that need to interleave
-        their own writes with the copy (a genuine rescale under load)
-        drive the migration object directly.
-        """
-        return self.begin_split(shard_index, factory).run(batch=batch)
-
     def cleanup_pending(self) -> int:
         """Moved keys still awaiting deferred post-cutover deletion."""
         return sum(len(keys) for keys in self._cleanup_backlog.values())
@@ -793,11 +772,8 @@ class ShardMigration:
     the remaining snapshot, replays the delta log until it is empty,
     re-points the routing slot, and removes moved keys from the source
     — so at every instant each key has exactly one serving owner and no
-    write is lost.  Source values are read with ``read_current_many``:
-    committed (no admissions, no staleness consumption) and, on a replica
-    group, from a fully caught-up replica rather than a bounded-stale
-    routed one — a copy is a write-back, so it must never carry a stale
-    value to the new owner.
+    write is lost.  Source values are read with ``snapshot_read_many``:
+    committed, with no admissions and no staleness consumption.
     """
 
     def __init__(
@@ -850,7 +826,7 @@ class ShardMigration:
         no-op for snapshot keys it never received).  Returns the number
         of values written.
         """
-        values = self._source.read_current_many(keys)
+        values = self._source.snapshot_read_many(keys)
         put_keys, put_values = [], []
         for key, value in zip(keys, values):
             if value is None:
@@ -927,12 +903,6 @@ class ShardMigration:
         self.done = True
         self.store._migration = None
         return index
-
-    def run(self, batch: int = 1024) -> int:
-        """Copy to completion and cut over (no interleaved load)."""
-        while self.copy_step(batch):
-            pass
-        return self.cutover(batch)
 
     def _install(self, defer_cleanup: bool) -> int:
         store = self.store

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import os
 import pickle
-from collections import deque
 from typing import Optional
 
 import numpy as np
@@ -48,7 +47,7 @@ import numpy as np
 from repro.core.embedding import EmbeddingTables
 from repro.core.staleness import ASP_BOUND
 from repro.errors import ConfigError, ServingError
-from repro.kv import KVStore, decode_vector, decode_vectors
+from repro.kv import KVStore, decode_vectors
 from repro.nn.tensor import Tensor
 from repro.obs.trace import span as obs_span
 from repro.serve.cache import AdmissionCache
@@ -316,34 +315,8 @@ class EmbeddingServer:
         return logits.numpy() if hasattr(logits, "numpy") else np.asarray(logits)
 
     # ------------------------------------------------------------------
-    # warmup & prefetch
+    # prefetch
     # ------------------------------------------------------------------
-    def warm_cache(self, limit: Optional[int] = None) -> int:
-        """Fill the admission cache by scanning the store (no admissions).
-
-        Streams ``scan()`` — on a :class:`ShardedKVStore` the merged
-        child iterators — decoding at most ``limit`` vectors into the
-        cache.  Values that are not encoded vectors (foreign payloads in
-        a shared store) are skipped.  Returns the number warmed.
-        """
-        # A scan yields each key once, so only the last ``capacity``
-        # vectors it decodes can stay in the cache; one admit takes them.
-        recent: deque = deque(maxlen=self.cache.capacity)
-        warmed = 0
-        for key, raw in self.store.scan():
-            if limit is not None and warmed >= limit:
-                break
-            try:
-                vector = decode_vector(raw, dim=self.dim)
-            except ValueError:
-                continue
-            recent.append((int(key), vector))
-            warmed += 1
-        if recent:
-            keys, vectors = zip(*recent)
-            self.cache.admit_many(keys, vectors)
-        return warmed
-
     def prefetch(self, keys) -> int:
         """Stage likely-next keys into the store's memory buffer.
 

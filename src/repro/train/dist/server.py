@@ -11,9 +11,9 @@ admission idea across workers.
 
 Workers never ship rows back.  They push ``(keys, grads)`` and the
 server adds the optimizer's deltas onto the committed rows
-(``EmbeddingTables.read_current`` — on a replicated store a fully
-caught-up replica, never a bounded-stale routed read) and writes the
-batch back with one ``put``, which fans out to every live replica.
+(``EmbeddingTables.peek``; on a replicated store any live replica, all
+of which hold every acknowledged write) and writes the batch back with
+one ``put``, which fans out to every live replica.
 Pushes carry a batch identity; a ledger guarantees each batch's delta is
 applied *exactly once* even when workers die between compute and push
 and their batches are re-queued to someone else.
@@ -125,7 +125,7 @@ class ParameterServer:
     tables:
         Embedding facade over the backing store (plain, sharded, or
         replicated) — pulls go through its admission-counting ``get``,
-        pushes through its ``read_current`` and ``put``.
+        pushes through its ``peek`` and ``put``.
     network:
         The canonical dense model.  Workers train bitwise copies; the
         server applies their gradients here with the single Adam state.
@@ -281,7 +281,7 @@ class ParameterServer:
         path — IEEE ``a + (-x) == a - x``.
         """
         deltas = self.emb_optimizer.delta_rows(keys, grads)
-        self.tables.put(keys, self.tables.read_current(keys) + deltas)
+        self.tables.put(keys, self.tables.peek(keys) + deltas)
 
     # ------------------------------------------------------------------
     # membership

@@ -51,13 +51,12 @@ def fresh_sanitizer():
         enable_sanitizer()
 
 
-def make_replicated(root, *, shards=2, replication=2, bound=0):
+def make_replicated(root, *, shards=2, replication=2):
     """A router of ``shards`` replica groups of FASTER replicas."""
     ssd = SSDModel(SimClock())
     return ShardedKVStore(
         lambda shard: ReplicaGroup(
             [FasterKV(str(root / f"s{shard}r{replica}"), ssd=ssd) for replica in range(replication)],
-            divergence_bound=bound,
         ),
         shards,
     )
@@ -152,8 +151,8 @@ class TestClockInvariants:
 class TestRoutingInvariants:
     def test_read_from_dead_replica_is_caught(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
-            ReplicaGroup, "pick_reader", lambda self, bound: 0
-        )  # buggy router: always replica 0, ignoring liveness and lag
+            ReplicaGroup, "pick_reader", lambda self: 0
+        )  # buggy router: always replica 0, ignoring liveness
         with sanitized():
             store = make_replicated(tmp_path, shards=1)
             store.put(1, b"a")
@@ -163,19 +162,18 @@ class TestRoutingInvariants:
             assert "dead replica" in str(err.value)
             assert "pick_reader" in str(err.value)
 
-    def test_read_beyond_divergence_bound_is_caught(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(
-            ReplicaGroup, "pick_reader", lambda self, bound: 1
-        )
+    def test_read_while_a_live_replica_lags_is_caught(self, tmp_path):
         with sanitized():
             store = make_replicated(tmp_path, shards=1)
             store.put(1, b"a")
             store.shards[0].fail(1)
             store.put(2, b"b")  # replica 1 now lags by 1
-            store.shards[0].revive(1, catch_up=False)
+            # Buggy revive: the replica is marked live without replaying.
+            store.shards[0].alive[1] = True
             with pytest.raises(SanitizerError) as err:
                 store.get(1)
-            assert "beyond the divergence bound" in str(err.value)
+            assert "live replica 1 lags by 1 writes" in str(err.value)
+            assert "pick_reader" in str(err.value)
 
     def test_lagging_donor_is_caught(self, tmp_path, monkeypatch):
         real_peer = ReplicaGroup._complete_peer
@@ -191,15 +189,15 @@ class TestRoutingInvariants:
 
         monkeypatch.setattr(ReplicaGroup, "_complete_peer", buggy_peer)
         with sanitized():
-            store = make_replicated(tmp_path, shards=1, replication=3, bound=5)
+            store = make_replicated(tmp_path, shards=1, replication=3)
             store.put(1, b"a")
             store.shards[0].fail(1)
             store.put(2, b"b")
-            store.shards[0].revive(1, catch_up=False)  # live, lag 1
+            store.shards[0].alive[1] = True  # buggy revive: live, lag 1
             store.shards[0].fail(2)
             store.put(3, b"c")  # hints queue up for replica 2
             with pytest.raises(SanitizerError) as err:
-                store.shards[0].revive(2)  # catch-up picks the lagging donor
+                store.shards[0].revive(2)  # the replay picks the lagging donor
             assert "as a donor" in str(err.value)
 
     def test_fanout_that_loses_clock_bookkeeping_is_caught(self, tmp_path):

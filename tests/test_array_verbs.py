@@ -282,7 +282,7 @@ class ListTables(EmbeddingTables):
         raws = self.store.multi_get(keys)
         missing = [key for key, raw in zip(keys, raws) if raw is None]
         if missing:
-            init_rows = np.stack([self._init_vector(key) for key in missing])
+            init_rows = np.stack([self.init_vector(key) for key in missing])
             self.store.multi_put(missing, encode_vectors(init_rows))
             refreshed = iter(self.store.multi_get(missing))
             raws = [raw if raw is not None else next(refreshed) for raw in raws]

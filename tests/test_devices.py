@@ -57,8 +57,6 @@ class TestSSDModel:
         ssd.sequential_write(10)
         stats = ssd.stats()
         assert stats["reads"] == 1 and stats["writes"] == 1
-        ssd.reset_stats()
-        assert ssd.stats()["reads"] == 0
 
     @pytest.mark.parametrize("blocking", [True, False])
     @pytest.mark.parametrize("scope", [None, 4])
@@ -212,7 +210,7 @@ class TestFaultSchedule:
             def fail(self, replica):
                 self.calls.append(("fail", self.shard, replica))
 
-            def revive(self, replica, catch_up=True):
+            def revive(self, replica):
                 self.calls.append(("revive", self.shard, replica))
 
         def __init__(self):

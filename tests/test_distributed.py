@@ -3,9 +3,10 @@
 The load-bearing properties, in test order:
 
 * ``WorkerClockView`` timelines overlap compute without losing busy time.
-* ``EmbeddingTables.read_current`` decodes stored rows and initializes
-  absent ones on plain, sharded, and replicated stores; it reads the
-  lag-0 replica where ``peek`` keeps the routed read, and admits nothing.
+* ``EmbeddingTables.peek``, what the server's apply reads, decodes
+  stored rows and initializes absent ones on plain, sharded, and
+  replicated stores, reads current rows from a revived replica, and
+  admits nothing.
 * Delta-form optimizers are bit-identical to their fused row form, and
   delta batches commute exactly on disjoint keys (with documented
   bounded divergence on overlapping keys).
@@ -14,7 +15,7 @@ The load-bearing properties, in test order:
 * Killing a worker mid-epoch or a store replica mid-push (RF=2) loses
   no delta and double-applies none; the replica-kill sync run is
   bit-identical to the fault-free run, and a push while routed reads
-  prefer a lagging replica still folds onto the lag-0 rows.
+  prefer a revived replica folds onto current rows.
 """
 
 from __future__ import annotations
@@ -205,7 +206,7 @@ class TestWorkerProgressClock:
 # ----------------------------------------------------------------------
 # the rows the server's apply reads
 # ----------------------------------------------------------------------
-class TestReadCurrent:
+class TestPeek:
     @pytest.mark.parametrize("kind", ["faster", "sharded", "replicated"])
     def test_stored_rows_decode_and_absent_keys_initialize(self, tmp_path, kind):
         stack = make_stack(tmp_path, kind=kind)
@@ -214,54 +215,37 @@ class TestReadCurrent:
         rows = np.random.default_rng(0).normal(size=(10, DIM)).astype(np.float32)
         tables.put(written, rows)
         keys = np.array([12, 3, 0, 11, 9], dtype=np.int64)
-        got = tables.read_current(keys)
+        got = tables.peek(keys)
         np.testing.assert_array_equal(got[[1, 2, 4]], rows[[3, 0, 9]])
         np.testing.assert_array_equal(got[0], tables.init_vector(12))
         np.testing.assert_array_equal(got[3], tables.init_vector(11))
         assert stack.store.multi_get([11, 12]) == [None, None]  # not inserted
         stack.store.close()
 
-    @pytest.mark.parametrize("kind", ["faster", "sharded", "replicated"])
-    def test_agrees_with_peek_when_no_replica_lags(self, tmp_path, kind):
-        """Both reads decode through one helper; with every replica
-        caught up they answer the same rows, duplicates and misses too."""
-        stack = make_stack(tmp_path, kind=kind)
-        tables = stack.tables
-        rows = np.random.default_rng(1).normal(size=(20, DIM)).astype(np.float32)
-        tables.put(np.arange(20, dtype=np.int64), rows)
-        keys = np.array([19, 4, 33, 4, 0, 21, 19], dtype=np.int64)
-        current = tables.read_current(keys)
-        assert current.shape == (len(keys), DIM) and current.dtype == np.float32
-        np.testing.assert_array_equal(current, tables.peek(keys))
-        stack.store.close()
-
-    def test_reads_the_lag_zero_replica_while_peek_reads_the_routed_one(self, tmp_path):
-        """``read_current`` answers from a replica holding every
-        acknowledged write; evaluation's ``peek`` keeps the routed,
-        bounded-stale read (and its replica choice)."""
+    def test_reads_current_rows_from_a_revived_replica(self, tmp_path):
+        """A revive replays what the replica missed before it serves, so
+        the rows an update folds onto are current whichever replica the
+        read routes to."""
         ssd = SSDModel(SimClock())
         store = ShardedKVStore(
             lambda shard: ReplicaGroup(
                 [FasterKV(str(tmp_path / f"s{shard}r{replica}"), ssd=ssd)
                  for replica in range(2)],
-                divergence_bound=64,
             ),
             num_shards=2,
         )
         tables = EmbeddingTables(store, DIM, cache_entries=0)
         keys = np.arange(16, dtype=np.int64)
-        old = np.ones((16, DIM), dtype=np.float32)
-        new = np.full((16, DIM), 2.0, dtype=np.float32)
-        tables.put(keys, old)
+        tables.put(keys, np.ones((16, DIM), dtype=np.float32))
         for group in store.shards:
             group.fail(1)
+        new = np.full((16, DIM), 2.0, dtype=np.float32)
         tables.put(keys, new)  # replica 1 misses this write
         for group in store.shards:
-            group.revive(1, catch_up=False)
+            group.revive(1)
             group.slow(0, 1e-3)
-            assert group.pick_reader(group.divergence_bound) == 1
-        np.testing.assert_array_equal(tables.read_current(keys), new)
-        np.testing.assert_array_equal(tables.peek(keys), old)
+            assert group.pick_reader() == 1
+        np.testing.assert_array_equal(tables.peek(keys), new)
         store.close()
 
     def test_reads_past_an_mlkv_staleness_bound_without_admission(self, tmp_path):
@@ -273,7 +257,7 @@ class TestReadCurrent:
         tables.put(np.arange(4, dtype=np.int64), rows)
         store.get(1)  # key 1 now sits at the BSP bound
         assert store.staleness_of(1) == 1
-        np.testing.assert_array_equal(tables.read_current(np.arange(4)), rows)
+        np.testing.assert_array_equal(tables.peek(np.arange(4)), rows)
         assert [store.staleness_of(key) for key in range(4)] == [0, 1, 0, 0]
         store.close()
 
@@ -643,17 +627,16 @@ class TestReplicaFaults:
         assert len(result.losses) == self.NUM_BATCHES
 
 
-    def test_push_over_a_lagging_reader_loses_no_update(self, tmp_path):
-        """Routed reads prefer a lagging replica, yet the server folds each
-        delta onto the lag-0 row: the committed rows equal the same pushes
-        on a bare engine, bit for bit.  Folding onto a routed read would
-        drop the deltas the lagging replica missed."""
+    def test_push_over_a_revived_reader_loses_no_update(self, tmp_path):
+        """Routed reads prefer a replica revived after it missed deltas;
+        the revive replayed them, so the server folds each delta onto the
+        current row: every replica's rows equal the same pushes on a bare
+        engine, bit for bit."""
         ssd = SSDModel(SimClock())
         store = ShardedKVStore(
             lambda shard: ReplicaGroup(
                 [FasterKV(str(tmp_path / f"s{shard}r{replica}"), ssd=ssd)
                  for replica in range(2)],
-                divergence_bound=64,
             ),
             num_shards=2,
         )
@@ -688,13 +671,17 @@ class TestReplicaFaults:
             group.fail(1)
         push(1)  # replica 1 misses these deltas
         for group in store.shards:
-            group.revive(1, catch_up=False)
+            assert group.versions.lag(1) > 0
+            group.revive(1)
             group.slow(0, 1e-3)
-            assert 0 < group.versions.lag(1) <= group.divergence_bound
-            assert group.pick_reader(group.divergence_bound) == 1
+            assert group.pick_reader() == 1
         push(2)  # keys 40..49 are new: their base is init_vector
         keys = list(range(50))
-        assert store.read_current_many(keys) == twin.snapshot_read_many(keys)
+        expected = twin.snapshot_read_many(keys)
+        assert store.snapshot_read_many(keys) == expected
+        for key, value in zip(keys, expected):
+            for replica in store.shards[store.shard_of(key)].replicas:
+                assert replica.snapshot_read(key) == value
         store.close()
         twin.close()
 
@@ -721,9 +708,9 @@ class TestElasticity:
         total = CTR.num_fields * CTR.field_cardinality
         before = all_embedding_bits(stack.tables, total).copy()
         busiest = int(np.argmax(stack.store.balance()))
-        new_index = stack.store.split_shard(
+        new_index = stack.store.begin_split(
             busiest, lambda index: FasterKV(str(tmp_path / f"split{index}"), ssd=stack.ssd)
-        )
+        ).cutover()
         assert new_index == stack.store.num_shards - 1 == 2
         np.testing.assert_array_equal(
             before, all_embedding_bits(stack.tables, total)
@@ -736,14 +723,14 @@ class TestElasticity:
         )
         total = CTR.num_fields * CTR.field_cardinality
         before = all_embedding_bits(stack.tables, total).copy()
-        stack.store.shards[0].fail(1)  # the copy reads the caught-up replica
-        stack.store.split_shard(
+        stack.store.shards[0].fail(1)  # the copy reads the live replica
+        stack.store.begin_split(
             0,
             lambda shard: ReplicaGroup(
                 [FasterKV(str(tmp_path / f"split{shard}r{replica}"), ssd=stack.ssd)
                  for replica in range(2)]
             ),
-        )
+        ).cutover()
         assert stack.store.num_shards == 3
         np.testing.assert_array_equal(
             before, all_embedding_bits(stack.tables, total)

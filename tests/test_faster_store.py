@@ -50,18 +50,6 @@ class TestCrud:
             assert store.get(1) is None
             assert not store.delete(1)
 
-    def test_rmw_fuses_read_and_write(self, tmp_path):
-        with small_store(tmp_path) as store:
-            store.put(1, b"ab")
-            out = store.rmw(1, lambda value: (value or b"") + b"c")
-            assert out == b"abc"
-            assert store.get(1) == b"abc"
-
-    def test_rmw_on_missing_key(self, tmp_path):
-        with small_store(tmp_path) as store:
-            out = store.rmw(9, lambda value: b"fresh" if value is None else value)
-            assert out == b"fresh"
-
     def test_multi_get_put(self, tmp_path):
         with small_store(tmp_path) as store:
             store.multi_put([1, 2], [b"a", b"b"])

@@ -54,13 +54,6 @@ class TestSkipList:
         assert 3 in sl
         assert 4 not in sl
 
-    def test_first_key(self):
-        sl = SkipList()
-        assert sl.first_key() is None
-        sl.insert(9, "x")
-        sl.insert(2, "y")
-        assert sl.first_key() == 2
-
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(["put", "del"]),
                               st.integers(0, 50), st.integers(0, 1000))))

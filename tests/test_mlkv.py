@@ -62,10 +62,10 @@ class TestVectorClock:
             store.put(1, b"c")
             assert store.staleness_of(1) == 0
 
-    def test_rmw_leaves_clock_unchanged(self, tmp_path):
+    def test_get_then_put_leaves_clock_unchanged(self, tmp_path):
         with make_store(tmp_path, bound=5) as store:
             store.put(1, b"a")
-            store.rmw(1, lambda v: v + b"b")
+            store.put(1, store.get(1) + b"b")
             assert store.staleness_of(1) == 0
             assert store.get(1) == b"ab"
 

@@ -2,10 +2,10 @@
 availability layer.
 
 Covers the replica version clock, write fan-out and read routing,
-failover with hinted catch-up (and the hint-overflow full resync),
-divergence-bound admission, chaos injection, and the split
-copy-then-cutover property — the latter against all four engines under
-a live interleaved write load.
+failover with hinted replay on revive (and the hint-overflow full
+resync), look-ahead staging, and the split copy-then-cutover property —
+the latter against all four engines under a live interleaved write
+load.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from repro.errors import CheckpointError, ConfigError, StorageError
 from repro.errors import load_checkpoint_json, write_checkpoint_json
 from repro.kv import ReplicaGroup, ShardedKVStore
 from repro.kv.btree import BTreeKV
+from repro.kv.common.serialization import frame_vectors, framed_width
 from repro.kv.faster import FasterKV
 from repro.kv.lsm import LsmKV
 
@@ -63,8 +64,6 @@ class TestReplicaVersionClock:
         assert clock.lag(0) == 0
         assert clock.lag(1) == 2
         assert clock.lag(2) == 5
-        assert clock.max_lag() == 5
-        assert clock.in_bound(1, 2) and not clock.in_bound(1, 1)
 
     def test_apply_preserves_a_lagging_replicas_gap(self):
         clock = ReplicaVersionClock(2)
@@ -95,7 +94,7 @@ class TestReplicaVersionClock:
         clock.ack(0, version=999)
         assert clock.applied[0] == 5
         assert clock.lag(0) == 0
-        assert clock.max_lag() == 5  # replica 1 still honestly behind
+        assert clock.lag(1) == 5  # replica 1 still honestly behind
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
@@ -124,7 +123,7 @@ class TestFanOutAndRouting:
     def test_reads_round_robin_across_replicas(self, replicated):
         replicated.put(1, b"x")
         group = replicated.shards[replicated.shard_of(1)]
-        seen = {group.pick_reader(0) for _ in range(4)}
+        seen = {group.pick_reader() for _ in range(4)}
         assert seen == {0, 1}
 
     def test_delete_fans_out(self, replicated):
@@ -134,36 +133,12 @@ class TestFanOutAndRouting:
             for replica in group.replicas:
                 assert replica.get(5) is None
 
-    def test_rmw_applies_to_all_replicas(self, replicated):
-        replicated.put(9, b"a")
-        assert replicated.rmw(9, lambda old: (old or b"") + b"b") == b"ab"
-        shard = replicated.shard_of(9)
-        for replica in replicated.shards[shard].replicas:
-            assert replica.get(9) == b"ab"
-
-    def test_rmw_reads_the_freshest_replica_not_a_stale_admissible_one(
-        self, replicated
-    ):
-        """A bounded-stale read must never feed a write-back: rmw over a
-        lagging-but-admissible replica would fan its old value out over
-        the fresher copies (a lost update)."""
-        replicated.put(9, b"v1")
-        shard = replicated.shard_of(9)
-        replicated.shards[shard].fail(0)
-        replicated.put(9, b"v2")
-        replicated.shards[shard].revive(0, catch_up=False)  # holds v1, lags
-        replicated.shards[shard].divergence_bound = 100  # read routing would admit it
-        for _ in range(4):  # every routing choice must still see v2
-            assert replicated.rmw(9, lambda old: old) == b"v2"
-
     def test_invalid_config_rejected(self, tmp_path, ssd):
         factory = lambda s, r: FasterKV(str(tmp_path / f"x{s}{r}"), ssd=ssd)
         with pytest.raises(ConfigError):
             replicated_store(factory, num_shards=0)
         with pytest.raises(ConfigError):
             replicated_store(factory, num_shards=1, replication=0)
-        with pytest.raises(ConfigError):
-            replicated_store(factory, num_shards=1, divergence_bound=-1)
         group = replicated_store(factory, num_shards=1).shards[0]
         with pytest.raises(ConfigError):
             group.slow(0, -1e-6)
@@ -201,66 +176,55 @@ class TestFailoverAndCatchUp:
             expected = None if key == keys[0] else b"new"
             assert dead.get(key) == expected
 
-    def test_revive_without_catch_up_leaves_lagging_replica_unread(self, replicated):
+    def test_a_revived_replica_serves_current_reads(self, replicated):
         keys = [key for key in range(200) if replicated.shard_of(key) == 0][:20]
+        group = replicated.shards[0]
         replicated.multi_put(keys, [b"old"] * len(keys))
-        replicated.shards[0].fail(0)
+        group.fail(0)
         replicated.multi_put(keys, [b"new"] * len(keys))
-        replicated.shards[0].revive(0, catch_up=False)
-        lag = replicated.shards[0].versions.lag(0)
-        assert lag == len(keys)
-        # divergence_bound=0: the lagging replica must not serve reads.
-        for _ in range(6):
+        assert group.versions.lag(0) == len(keys)
+        assert group.revive(0) == len(keys)
+        assert group.versions.lag(0) == 0 and group.alive == [True, True]
+        assert {group.pick_reader() for _ in range(4)} == {0, 1}
+        for _ in range(4):
             assert replicated.get(keys[0]) == b"new"
-        # New writes keep the gap: applying fresh writes does not
-        # un-miss the hinted ones, so the replica stays excluded.
+        assert group.replicas[0].get(keys[0]) == b"new"
+        # A live replica applies every new write: it never lags.
         fresh = [key for key in range(200, 400) if replicated.shard_of(key) == 0][:5]
         replicated.multi_put(fresh, [b"post"] * len(fresh))
-        assert replicated.shards[0].versions.lag(0) == lag
-        for _ in range(6):
-            assert replicated.get(keys[0]) == b"new"
-        # A loose bound would admit it again (the staleness contract).
-        replicated.shards[0].divergence_bound = lag
-        values = {replicated.shards[0].pick_reader(lag) for _ in range(4)}
-        assert values == {0, 1}
-        replicated.shards[0].divergence_bound = 0
-        replicated.shards[0].catch_up(0)
-        assert replicated.shards[0].versions.lag(0) == 0
-        assert replicated.shards[0].replicas[0].get(keys[0]) == b"new"
+        assert group.versions.lag(0) == group.versions.lag(1) == 0
 
     def test_cannot_fail_the_only_caught_up_replica(self, replicated):
         """The group must always keep one complete (lag 0) live replica:
-        the scalar clock cannot tell *which* writes a lagging replica
-        missed, so losing the last complete copy would make catch-up
-        unsound (disjoint gaps cannot repair each other)."""
+        the scalar clock cannot tell *which* writes a dead replica
+        missed, so losing the last complete copy would leave no donor
+        for a revive."""
         replicated.put(1, b"x")
         shard = replicated.shard_of(1)
         replicated.shards[shard].fail(0)
         replicated.put(1, b"y")
-        replicated.shards[shard].revive(0, catch_up=False)  # lags
         with pytest.raises(StorageError):
             replicated.shards[shard].fail(1)  # the only complete copy
-        # After catching up, the same kill is legal.
-        replicated.shards[shard].catch_up(0)
+        # Once the dead replica is revived, the same kill is legal.
+        replicated.shards[shard].revive(0)
         replicated.shards[shard].fail(1)
         assert replicated.get(1) == b"y"
 
     def test_disjoint_gaps_cannot_lose_acknowledged_writes(self, replicated):
-        """Regression: fail 0 → write v1 → revive lagging → fail 1 →
-        write v2 used to leave two replicas with *disjoint* gaps and let
-        catch-up replay v1 over v2 while acking convergence.  The fail
-        invariant now refuses the second kill outright."""
+        """Regression: fail 0 → write v1 → revive → fail 1 → write v2
+        must leave both replicas holding v2: each revive replays its own
+        gap from the complete replica, so v1 never lands over v2."""
         key = 42
-        shard = replicated.shard_of(key)
-        replicated.shards[shard].fail(0)
+        group = replicated.shards[replicated.shard_of(key)]
+        group.fail(0)
         replicated.put(key, b"v1")
-        replicated.shards[shard].revive(0, catch_up=False)
-        with pytest.raises(StorageError):
-            replicated.shards[shard].fail(1)
-        replicated.put(key, b"v2")  # still fanned to the complete replica
-        replicated.shards[shard].catch_up(0)
-        for group_replica in replicated.shards[shard].replicas:
+        group.revive(0)
+        group.fail(1)
+        replicated.put(key, b"v2")
+        group.revive(1)
+        for group_replica in group.replicas:
             assert group_replica.get(key) == b"v2"
+        assert group.versions.lag(0) == group.versions.lag(1) == 0
 
     def test_hint_overflow_triggers_full_resync(self, tmp_path, ssd):
         store = replicated_store(
@@ -288,7 +252,7 @@ class TestFailoverAndCatchUp:
 
 class TestRoutedReads:
     """Every read of a group goes through ``pick_reader``: one live
-    replica within the divergence bound."""
+    replica, and every live replica is current."""
 
     @pytest.fixture
     def trio(self, tmp_path, ssd):
@@ -310,17 +274,19 @@ class TestRoutedReads:
             assert trio.get(2) == b"b"
             assert trio.snapshot_read(3) == b"c"
 
-    def test_lagging_revived_replica_never_serves_at_bound_zero(self, trio):
+    def test_a_revived_replica_rejoins_the_read_route(self, trio):
         trio.put(1, b"v1")
         group = trio.shards[0]
         group.fail(2)
         trio.put(1, b"v2")
-        group.revive(2, catch_up=False)  # holds v1, lags
-        assert group.versions.lag(2) > 0 and group.divergence_bound == 0
+        for _ in range(3):
+            assert group.pick_reader() != 2
+        group.revive(2)  # replays v2 before it serves
+        assert group.versions.lag(2) == 0
+        assert 2 in {group.pick_reader() for _ in range(3)}
         for _ in range(6):
             assert trio.get(1) == b"v2"
             assert trio.multi_get([1]) == [b"v2"]
-            assert group.pick_reader(0) != 2
 
     def test_short_group_reads_count_as_failovers(self, trio):
         trio.put(1, b"x")
@@ -334,11 +300,13 @@ class TestRoutedReads:
         group = trio.shards[0]
         group.fail(2)
         trio.put(1, b"x")
-        group.revive(2, catch_up=False)  # live but lagging
         group.fail(0)
         with pytest.raises(StorageError):
-            group.fail(1)  # replica 2 could not repair the group
-        assert group.alive == [False, True, True]
+            group.fail(1)  # no dead replica could repair the group
+        assert group.alive == [False, True, False]
+        assert trio.get(1) == b"x"
+        group.revive(2)
+        group.fail(1)
         assert trio.get(1) == b"x"
 
 
@@ -406,7 +374,7 @@ class TestServingSurface:
         replicated.shards[shard].slow(0, 5e-3)
         group = replicated.shards[shard]
         for _ in range(4):
-            assert group.pick_reader(0) == 1
+            assert group.pick_reader() == 1
         assert group.failovers > 0
         # Both slowed: least penalty wins and the charge hits the clock.
         replicated.shards[shard].slow(1, 10e-3)
@@ -415,8 +383,65 @@ class TestServingSurface:
         assert replicated.clock.now - before >= 5e-3
 
 
+class TestGroupLookahead:
+    """A prefetch batch is staged on every live replica, so whichever
+    replica the next read routes to finds it in memory."""
+
+    DIM = 16
+
+    def _group(self, tmp_path, ssd):
+        group = ReplicaGroup([
+            MLKV(str(tmp_path / f"la{replica}"), ssd=ssd,
+                 memory_budget_bytes=64 << 10, page_bytes=4 << 10)
+            for replica in range(2)
+        ])
+        rng = np.random.default_rng(0)
+        rows = rng.standard_normal((4000, self.DIM)).astype(np.float32)
+        group.put_rows(np.arange(4000, dtype=np.int64), frame_vectors(rows))
+        return group, rng
+
+    def test_staged_batches_serve_the_next_reads_from_memory(self, tmp_path, ssd):
+        group, rng = self._group(tmp_path, ssd)
+        out = np.empty((64, framed_width(self.DIM)), dtype=np.uint8)
+        staged_total = 0
+        for _ in range(6):
+            batch = np.sort(rng.choice(4000, 64, replace=False))
+            staged = group.lookahead(batch)
+            assert staged > 0  # the batch was mostly on disk
+            staged_total += staged
+            before = [replica.stats.hits for replica in group.replicas]
+            assert group.get_rows(batch, out).all()
+            hits = sum(replica.stats.hits for replica in group.replicas) - sum(before)
+            assert hits >= 60, hits
+        # Each replica staged every batch; the reads alternated replicas.
+        assert [replica.mlkv_stats.lookahead_copied for replica in group.replicas] == [
+            staged_total, staged_total
+        ]
+        group.close()
+
+    def test_a_dead_replica_stages_nothing(self, tmp_path, ssd):
+        group, rng = self._group(tmp_path, ssd)
+        group.fail(0)
+        staged = group.lookahead(np.sort(rng.choice(4000, 64, replace=False)))
+        assert staged > 0
+        assert [replica.mlkv_stats.lookahead_copied for replica in group.replicas] == [0, staged]
+        group.close()
+
+    @pytest.mark.parametrize("penalties", [(5e-3, 0.0), (5e-3, 10e-3)])
+    def test_a_prefetch_pays_no_penalty_and_counts_no_failover(
+        self, tmp_path, ssd, penalties
+    ):
+        group, rng = self._group(tmp_path, ssd)
+        for replica, penalty in enumerate(penalties):
+            group.slow(replica, penalty)
+        assert group.lookahead(np.sort(rng.choice(4000, 64, replace=False))) > 0
+        assert group.failovers == 0
+        assert ssd.clock.busy_seconds("chaos") == 0.0
+        group.close()
+
+
 class TestLiveSplit:
-    """split_shard: copy-then-cutover, no lost mappings."""
+    """begin_split: copy-then-cutover, no lost mappings."""
 
     def _make(self, kind, tmp_path):
         counter = [0]
@@ -518,7 +543,7 @@ class TestLiveSplit:
         keys = list(range(400))
         store.multi_put(keys, [b"v"] * 400)
         owners_before = {key: store.shard_of(key) for key in keys}
-        store.split_shard(0, factory)
+        store.begin_split(0, factory).cutover()
         moved = [key for key in keys if store.shard_of(key) != owners_before[key]]
         assert moved, "a split must move some keys"
         # Only keys previously owned by engine 0 may move, all to engine 2.
@@ -533,7 +558,7 @@ class TestLiveSplit:
         keys = list(range(500))
         store.multi_put(keys, [f"k{key}".encode() for key in keys])
         for source in (0, 1, 2):
-            store.split_shard(source, factory)
+            store.begin_split(source, factory).cutover()
         assert len(store.shards) == 5
         assert store.multi_get(keys) == [f"k{key}".encode() for key in keys]
         assert len(store) == 500
@@ -548,7 +573,7 @@ class TestLiveSplit:
         migration = store.begin_split(1, factory)
         moving = next(key for key in keys if store.slot_of(key) == migration.moving_slot)
         store.put(moving, b"live")  # dual-logged before any copy step
-        assert migration.run() == 2
+        assert migration.cutover() == 2
         assert store.shards[1] is old_engine and len(store.shards) == 3
         assert store.shard_of(moving) == 2 and store.shards[2].get(moving) == b"live"
         expected = [b"live" if key == moving else b"m" for key in keys]
@@ -581,7 +606,7 @@ class TestLiveSplit:
         with pytest.raises(ConfigError):
             migration.cutover()
         second = store.begin_split(0, factory)
-        assert second.run() == 2
+        assert second.cutover() == 2
         assert store.multi_get(keys) == expected
         store.close()
 
@@ -607,7 +632,7 @@ class TestLiveSplit:
         store = ShardedKVStore(factory, 2, directory=str(base))
         keys = list(range(200))
         store.multi_put(keys, [f"s{key}".encode() for key in keys])
-        store.split_shard(0, factory)
+        store.begin_split(0, factory).cutover()
         slots = list(store._slots)
         store.checkpoint()
         store.close()
@@ -683,11 +708,10 @@ class TestCoordinatedCheckpoint:
     binds one image per group, and each group's own manifest binds its
     replica images plus the group state a restore cannot rediscover."""
 
-    def _build(self, base, ssd, bound=1):
+    def _build(self, base, ssd):
         return replicated_store(
             lambda shard, replica: FasterKV(str(base / f"g{shard}" / f"r{replica}"), ssd=ssd),
             num_shards=2,
-            divergence_bound=bound,
             base=base,
         )
 
@@ -706,7 +730,6 @@ class TestCoordinatedCheckpoint:
         assert restored.num_shards == 2
         assert [type(group) for group in restored.shards] == [ReplicaGroup, ReplicaGroup]
         assert [len(group.replicas) for group in restored.shards] == [2, 2]
-        assert [group.divergence_bound for group in restored.shards] == [1, 1]
         assert restored.directory == str(tmp_path)
         for k in keys:
             assert restored.get(k) == bytes([k % 251]) * 6
@@ -753,17 +776,71 @@ class TestCoordinatedCheckpoint:
         assert restored.multi_get(list(range(30))) == [b"w"] * 30
         restored.close()
 
+    def test_an_older_image_with_a_bound_and_a_lagging_live_replica_restores(
+        self, tmp_path, ssd
+    ):
+        """Group manifests written while a group had a divergence bound
+        record it, and may record a live replica that lags (revived
+        without replaying its hints).  Restore ignores the bound, brings
+        the lagging replica back dead, and the next revive replays its
+        recorded hints."""
+        store = self._build(tmp_path, ssd)
+        keys = list(range(30))
+        store.multi_put(keys, [b"v"] * 30)
+        shard0 = [key for key in keys if store.shard_of(key) == 0]
+        store.shards[0].fail(0)
+        store.multi_put(shard0, [b"w"] * len(shard0))  # replica 0 misses these
+        store.checkpoint()
+        written = [
+            load_checkpoint_json(str(tmp_path / f"g{shard}" / "group.manifest.json"))
+            for shard in range(2)
+        ]
+        store.close()
+        moved, other = len(shard0), 30 - len(shard0)
+        # The manifests as an image of that time records them, by hand.
+        write_checkpoint_json(str(tmp_path / "g0" / "group.manifest.json"), {
+            "replicas": written[0]["replicas"],
+            "types": written[0]["types"],
+            "clocks": {"version": 2 * moved, "applied": [moved, 2 * moved]},
+            "alive": [True, True],
+            "max_hints": 100000,
+            "hints": [shard0, []],
+            "divergence_bound": 64,
+        })
+        write_checkpoint_json(str(tmp_path / "g1" / "group.manifest.json"), {
+            "replicas": written[1]["replicas"],
+            "types": written[1]["types"],
+            "clocks": {"version": other, "applied": [other, other]},
+            "alive": [True, True],
+            "max_hints": 100000,
+            "hints": [[], []],
+            "divergence_bound": 64,
+        })
+
+        restored = ShardedKVStore.restore(str(tmp_path), ssd=SSDModel(SimClock()))
+        lagging, current = restored.shards
+        assert current.alive == [True, True] and current.versions.lag(0) == 0
+        assert lagging.alive == [False, True]
+        assert lagging.versions.lag(0) == len(shard0)
+        assert lagging.hints_outstanding(0) == len(shard0)
+        for _ in range(4):
+            assert restored.multi_get(shard0) == [b"w"] * len(shard0)
+        assert lagging.revive(0) == len(shard0)
+        assert lagging.versions.lag(0) == 0
+        assert [lagging.replicas[0].get(key) for key in shard0] == [b"w"] * len(shard0)
+        restored.close()
+
     def test_restore_via_factory_keeps_the_slot_table(self, tmp_path, ssd):
         store = self._build(tmp_path, ssd)
         store.multi_put(list(range(40)), [b"v"] * 40)
-        store.split_shard(
+        store.begin_split(
             0,
             lambda shard: ReplicaGroup(
                 [FasterKV(str(tmp_path / f"g{shard}" / f"r{replica}"), ssd=ssd)
                  for replica in range(2)],
                 directory=str(tmp_path / f"g{shard}"),
             ),
-        )
+        ).cutover()
         store.shards[2].fail(0)
         store.multi_put(list(range(40)), [b"w"] * 40)  # hinted on shard 2
         slots, hinted = list(store._slots), store.shards[2].hints_outstanding(0)

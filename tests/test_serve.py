@@ -303,8 +303,6 @@ class TestSnapshotAndFreeze:
             store.multi_put([2], [b"b"])
         with pytest.raises(StorageError):
             store.delete(1)
-        with pytest.raises(StorageError):
-            store.rmw(1, lambda old: b"c")
         store.close()
 
     def test_mlkv_snapshot_read_performs_no_admission(self, tmp_path):
@@ -623,7 +621,7 @@ class TestRestoreParity:
 
     def test_serving_over_sharded_store(self, tmp_path):
         """A sharded MLKV store (shared device/clock) serves end to end:
-        bounded reads, warmup over merged scans, aggregated counters."""
+        bounded reads and aggregated counters."""
         ssd = SSDModel(SimClock())
         store = ShardedKVStore(
             lambda i: MLKV(str(tmp_path / f"s{i}"), ssd=ssd,
@@ -639,7 +637,6 @@ class TestRestoreParity:
         store.clock.drain()
         server = EmbeddingServer(store, dim=DIM, seed=5, cache_entries=128)
         assert server.read_mode == "bounded"
-        assert server.warm_cache(limit=64) == 64
         arrivals = LoadGenerator(400, "zipfian", seed=13).open_loop(
             rate=3e5, count=1200, start=store.clock.now
         )
@@ -663,15 +660,4 @@ class TestRestoreParity:
         server = EmbeddingServer(store, dim=DIM)
         with pytest.raises(ServingError):
             server.clock
-        store.close()
-
-    def test_warm_cache_scans_store(self, tmp_path):
-        store = make_serving_store(tmp_path / "s", item_count=64)
-        server = EmbeddingServer(store, dim=DIM, seed=3, cache_entries=256)
-        warmed = server.warm_cache()
-        assert warmed == 64
-        gets_before = store.stats.gets
-        server.lookup(list(range(64)))
-        assert store.stats.gets == gets_before  # all served from cache
-        assert server.cache.tiers.cache_hits == 64
         store.close()

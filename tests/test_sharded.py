@@ -212,7 +212,6 @@ class TestCrossShardOrdering:
             lambda: shaped.put(3, b"z"),
             lambda: shaped.delete(1),
             lambda: shaped.multi_put([3], [b"z"]),
-            lambda: shaped.rmw(1, lambda old: b"z"),
             lambda: shaped.put_rows(
                 np.array([1], dtype=np.int64), np.zeros((1, 1), dtype=np.uint8)
             ),
@@ -371,7 +370,6 @@ class TestAgainstOneEngine:
         expected = reference.multi_get(probe)
         assert shaped.multi_get(probe) == expected
         assert shaped.snapshot_read_many(probe) == expected
-        assert shaped.read_current_many(probe) == expected
 
     def test_single_ops_match(self, shaped, reference):
         keys = _load_both(shaped, reference)
@@ -383,9 +381,6 @@ class TestAgainstOneEngine:
         shaped.put(31337, b"v")
         reference.put(31337, b"v")
         assert shaped.get(31337) == reference.get(31337) == b"v"
-        for key in (keys[1], 424242):  # present, then absent
-            update = lambda old: (old or b"") + b"+"
-            assert shaped.rmw(key, update) == reference.rmw(key, update)
         assert dict(shaped.scan()) == dict(reference.scan())
 
     def test_overwrites_that_change_length_match(self, shaped, reference):
@@ -407,7 +402,6 @@ class TestAgainstOneEngine:
         assert shaped.multi_get([]) == []
         assert shaped.snapshot_read_many([]) == []
         shaped.multi_put([], [])
-        assert shaped.read_current_many([]) == []
         assert shaped.lookahead([]) == 0
         assert len(shaped) == 0 and sum(shaped.balance()) == 0
 
@@ -423,7 +417,7 @@ class TestAgainstOneEngine:
         assert (out[300:] == 7).all()
         assert shaped.multi_get(keys[:5].tolist()) == [bytes(row) for row in rows[:5]]
 
-    def test_read_current_then_put_rows_matches(self, shaped, reference):
+    def test_snapshot_read_then_put_rows_matches(self, shaped, reference):
         """The parameter server's apply over a router: one committed read
         of every shard, then one row write of every shard."""
         rng = np.random.default_rng(4)
@@ -433,8 +427,8 @@ class TestAgainstOneEngine:
             store.put_rows(keys[:150], rows[:150])  # the last 50 stay absent
         for _ in range(3):
             batch = rng.permutation(keys)[:120]
-            current = shaped.read_current_many(batch.tolist())
-            assert current == reference.read_current_many(batch.tolist())
+            current = shaped.snapshot_read_many(batch.tolist())
+            assert current == reference.snapshot_read_many(batch.tolist())
             base = np.array(
                 [np.zeros(8, np.uint8) if raw is None else np.frombuffer(raw, np.uint8)
                  for raw in current]
@@ -493,7 +487,7 @@ class TestAgainstOneEngine:
         keys = list(range(300))
         values = [bytes([key % 251]) * 8 for key in keys]
         store.multi_put(keys, values)
-        store.split_shard(0, child_factory(shape, tmp_path))
+        store.begin_split(0, child_factory(shape, tmp_path)).cutover()
         slots = list(store._slots)
         assert slots != list(range(4))
         store.checkpoint()
@@ -716,20 +710,18 @@ class TestBatchedEqualsLooped:
 class TestComposition:
     """Replication x live migration on the one router.
 
-    RF=2 groups with ``divergence_bound=1``; one replica of the group
-    being split is live, lagging and *admissible* — it still holds an old
-    value for one key in the moving range — while the group is split
-    under a writer, cut over with deferred cleanup, its successor failed
-    over, and the whole store checkpointed and restored.  Every key must
-    equal a dict model throughout.
+    RF=2 groups; one replica of the group being split was dead while a
+    key in the moving range was written, and revived — while the group
+    is split under a writer, cut over with deferred cleanup, its
+    successor failed over, and the whole store checkpointed and
+    restored.  Every key must equal a dict model throughout.
     """
 
     @pytest.mark.parametrize("parity", (0, 1))
-    def test_lagging_group_splits_live_fails_over_and_restores(self, parity, tmp_path):
+    def test_revived_group_splits_live_fails_over_and_restores(self, parity, tmp_path):
         def factory(shard):
             return ReplicaGroup(
                 [FasterKV(str(tmp_path / f"g{shard}" / f"r{replica}")) for replica in range(2)],
-                divergence_bound=1,
                 directory=str(tmp_path / f"g{shard}"),
             )
 
@@ -745,10 +737,10 @@ class TestComposition:
         store.shards[0].fail(1)
         store.put(stale_key, b"fresh")  # replica 1 misses this one write
         model[stale_key] = b"fresh"
-        store.shards[0].revive(1, False)  # live, lag 1 <= bound 1
+        assert store.shards[0].revive(1) == 1  # replays it before serving
         assert store.shards[0].live_indices() == [0, 1]
-        # Routed reads round-robin over both replicas, so one of the two
-        # parities would hand a routed migration copy the stale value.
+        # Routed reads round-robin over both replicas, so the two
+        # parities hand the migration's copy to either replica.
         for _ in range(parity):
             store.get(next(key for key in model if store.shard_of(key) == 0))
 
@@ -787,7 +779,7 @@ class TestComposition:
         model.update((key, b"late") for key in late)
         # A read that feeds a write comes from the surviving replica
         # while the dead one's hints queue up.
-        current = store.read_current_many(late[:5])
+        current = store.snapshot_read_many(late[:5])
         assert current == [b"late"] * 5
         store.multi_put(late[:5], [value + b"!" for value in current])
         model.update((key, b"late!") for key in late[:5])
