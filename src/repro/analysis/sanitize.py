@@ -154,7 +154,7 @@ class Sanitizer:
                 return checked
             return make
 
-        for op in ("advance", "ack", "apply"):
+        for op in ("advance", "ack"):
             self._patch(ReplicaVersionClock, op, wrap(op))
 
     # ------------------------------------------------------------------

@@ -247,29 +247,14 @@ class ReplicaVersionClock:
 
     def ack(self, replica: int, version: int | None = None) -> None:
         """Replica ``replica`` has applied **everything** up to ``version``
-        (defaults to the current group version).  Acknowledgements never
-        move backwards.  This is the revive acknowledgement: it erases
-        the replica's lag, so it must only be used when the missed writes
-        were actually replayed — a replica applying new writes while
-        still missing old ones uses :meth:`apply` instead.  The target
-        is clamped to the group version (like :meth:`apply`): nothing
-        can have applied writes that were never acknowledged, and a
-        negative lag would hide a missed write."""
+        (defaults to the current group version): a live replica's
+        fan-out write, or a revive's replay.  Acknowledgements never move
+        backwards, and the target is clamped to the group version:
+        nothing can have applied writes that were never acknowledged,
+        and a negative lag would hide a missed write."""
         target = self.version if version is None else min(version, self.version)
         if target > self.applied[replica]:
             self.applied[replica] = target
-
-    def apply(self, replica: int, count: int = 1) -> None:
-        """Replica ``replica`` applied ``count`` *new* writes.
-
-        Advances the applied version by ``count`` (capped at the group
-        version) so a converged replica stays converged — but a lagging
-        replica's gap is preserved: keeping up with new writes does not
-        un-miss the old ones.  Only :meth:`ack` (after a real replay)
-        closes the gap."""
-        if count < 0:
-            raise ValueError(f"cannot apply {count!r} writes")
-        self.applied[replica] = min(self.version, self.applied[replica] + count)
 
     def lag(self, replica: int) -> int:
         """Writes replica ``replica`` has not applied yet."""

@@ -285,7 +285,7 @@ class ReplicaGroup(KVStore, CheckpointManager):
         for index, replica in enumerate(self.replicas):
             if self.alive[index]:
                 replica.put(key, value)
-                self.versions.apply(index)
+                self.versions.ack(index)
             else:
                 self._hint(index, key)
 
@@ -296,7 +296,7 @@ class ReplicaGroup(KVStore, CheckpointManager):
         for index, replica in enumerate(self.replicas):
             if self.alive[index]:
                 existed = replica.delete(key) or existed
-                self.versions.apply(index)
+                self.versions.ack(index)
             else:
                 self._hint(index, key)
         return existed
@@ -307,7 +307,7 @@ class ReplicaGroup(KVStore, CheckpointManager):
         for index, replica in enumerate(self.replicas):
             if self.alive[index]:
                 replica.multi_put(keys, values)
-                self.versions.apply(index, len(keys))
+                self.versions.ack(index)
             else:
                 for key in keys:
                     self._hint(index, key)

@@ -9,8 +9,12 @@ over that edge list, as in DGL; no ``[n_dst, n_src]`` matrix is built.
 * :class:`GraphSage` (Hamilton et al. 2017) sums source rows under the
   block's constant ``1/deg`` edge weights (the mean over neighbors).
 * :class:`GAT` (Veličković et al. 2018) scores every edge, normalizes
-  the scores per destination (:func:`~repro.nn.sparse.edge_softmax`) and
-  sums source rows under those attention weights.
+  the scores per destination (:func:`~repro.nn.sparse.edge_softmax`),
+  sums the *input* source rows under those attention weights, and then
+  projects the sums.  Single-head attention is linear in the projection
+  ``W``: ``(x W) a = x (W a)`` and ``sum(alpha x W) = (sum(alpha x)) W``,
+  so the edge work runs in the input width and ``W`` meets only the
+  ``n_dst`` destination rows, never all ``n_src`` sources.
 
 Node feature vectors (the embeddings fetched from storage) are the leaf
 inputs; gradients flow back to them for the sparse update.
@@ -56,13 +60,13 @@ class GATLayer(Module):
         self.activation = activation
 
     def forward(self, x_src: Tensor, dst_index: np.ndarray, block: Block) -> Tensor:
-        h_src = self.w(x_src)                     # [n_src, d]
-        # Destinations sit in the source frontier: score every source as
-        # one and pick, instead of a second w(x_dst) product.
-        logits = edge_logits(block, h_src, self.a_src, self.a_dst, dst_index)
+        # Aggregate, then project (module docstring): the scores use W a,
+        # and W projects only the n_dst aggregated rows.
+        w = self.w.weight
+        logits = edge_logits(block, x_src, w @ self.a_src, w @ self.a_dst, dst_index)
         logits = logits.leaky_relu(0.2)           # [nnz]
         attention = edge_softmax(block, logits)
-        out = aggregate(block, attention, h_src)
+        out = self.w(aggregate(block, attention, x_src))  # [n_dst, d]
         return out.relu() if self.activation else out
 
 

@@ -193,9 +193,11 @@ class TestRoutingInvariants:
             store.put(1, b"a")
             store.shards[0].fail(1)
             store.put(2, b"b")
-            store.shards[0].alive[1] = True  # buggy revive: live, lag 1
             store.shards[0].fail(2)
-            store.put(3, b"c")  # hints queue up for replica 2
+            store.put(3, b"c")  # hints queue up for replicas 1 and 2
+            # Buggy revive: live with lag 2, after the last fan-out (whose
+            # ack would have caught the live replica up, and been flagged).
+            store.shards[0].alive[1] = True
             with pytest.raises(SanitizerError) as err:
                 store.shards[0].revive(2)  # the replay picks the lagging donor
             assert "as a donor" in str(err.value)
@@ -208,7 +210,7 @@ class TestRoutingInvariants:
             # Buggy replication: writes land but the applied-version
             # bookkeeping is dropped (instance attribute bypasses the
             # class-level wrapper, like a refactor that forgot the call).
-            group.versions.apply = lambda *args, **kwargs: None
+            group.versions.ack = lambda *args, **kwargs: None
             with pytest.raises(SanitizerError) as err:
                 store.put(2, b"b")
             assert "must apply every fanned-out write" in str(err.value)

@@ -21,9 +21,18 @@ two of the eight losses moved by one float32 ulp (relative 9.8e-8 and
 9.2e-8, the other six bit-equal) and ``emb_crc`` with them.  The
 ``dlrm`` and ``kge`` entries are the original capture.
 
-The ``gat`` entry runs the same graph through the attention model; it
-was captured before GAT's attention scores moved into one autograd node
-(``edge_logits``), which had to leave every bit where it was.
+The ``gat`` entry runs the same graph through the attention model.  It
+was first captured before GAT's attention scores moved into one autograd
+node (``edge_logits``), which left every bit where it was.  It was
+re-captured once, when ``GATLayer`` moved from projecting every source
+row (``x_src @ W``, then scores and sums over the projected rows) to
+aggregating the input rows and projecting only the destination sums
+(``x (W a)`` for the scores, ``(sum alpha x) W`` for the output).  The
+algebra is exact, the float32 summation order is not.  Batch 0's loss
+keeps its bits; the trajectory forks at batch 1 (``0x1.62e43cp+0`` →
+``0x1.62aa36p+0``), because the first Adam and Adagrad steps move every
+weight by about ``lr * sign(grad)``, which turns rounding-level gradient
+differences into visible ones.  ``emb_crc`` moved with it.
 
 Every trajectory runs twice, without and with a ``repro.obs`` tracer
 installed: spans read clocks and never advance them, so the training

@@ -65,19 +65,17 @@ class TestReplicaVersionClock:
         assert clock.lag(1) == 2
         assert clock.lag(2) == 5
 
-    def test_apply_preserves_a_lagging_replicas_gap(self):
+    def test_fanout_acks_keep_live_replicas_current(self):
         clock = ReplicaVersionClock(2)
         clock.advance(3)
-        clock.ack(0)  # replica 0 converged; replica 1 missed 3 writes
-        clock.advance()
-        clock.apply(0)
-        clock.apply(1)
-        assert clock.lag(0) == 0  # converged stays converged
-        assert clock.lag(1) == 3  # applying new writes un-misses nothing
-        clock.ack(1)  # only a real catch-up closes the gap
+        clock.ack(0)  # replica 0 live; replica 1 down for 3 writes
+        clock.advance(2)
+        clock.ack(0)  # a fan-out acks only the live replicas
+        assert clock.applied == [5, 0]
+        assert clock.lag(0) == 0
+        assert clock.lag(1) == 5  # a dead replica lags by every write it missed
+        clock.ack(1)  # the revive, after its replay
         assert clock.lag(1) == 0
-        with pytest.raises(ValueError):
-            clock.apply(0, -1)
 
     def test_acks_never_regress(self):
         clock = ReplicaVersionClock(1)

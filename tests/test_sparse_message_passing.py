@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gnn_oracle import dense_gat, dense_sage, masked_softmax, to_dense
+from repro.data import GraphDataset, NeighborSampler
 from repro.models.gnn import GATLayer, SageLayer
 from repro.nn import Tensor
 from repro.nn.sparse import Block, aggregate, edge_logits, edge_softmax
@@ -66,6 +67,13 @@ def _layer_gradients(forward, layer, x_data, upstream):
     return out.numpy(), [x.grad] + [param.grad for param in layer.parameters()]
 
 
+@pytest.fixture(scope="module")
+def sampled_batch():
+    graph = GraphDataset(num_nodes=20_000, seed=0)
+    sampler = NeighborSampler(graph, (5, 5), mode="mask")
+    return sampler.sample(graph.seed_batches(1, 64)[0])
+
+
 class TestSparseEqualsDense:
     @settings(max_examples=60, deadline=None)
     @given(sampled_layers(), st.integers(0, 2**16))
@@ -88,6 +96,24 @@ class TestSparseEqualsDense:
         for got_grad, want_grad in zip(grads, want_grads):
             assert_close(got_grad, want_grad)
         assert not grads[0][-1].any()  # the source nobody points at
+
+    @pytest.mark.parametrize("layer_index, in_dim", [(0, 32), (1, 256)])
+    def test_gat_layer_at_the_workload_shapes(self, sampled_batch, layer_index, in_dim):
+        """The e2e benchmark's GAT (32 → 256 → 256, fanouts (5, 5), 64
+        seeds over 20,000 nodes) on one real sampled batch: ~1,600 sources
+        into ~360 destinations, then ~360 into 64."""
+        block, dst_index = sampled_batch.blocks[layer_index], sampled_batch.frontiers[layer_index]
+        rng = np.random.default_rng(layer_index)
+        layer = GATLayer(in_dim, 256, rng=rng)
+        x_data = rng.normal(size=(block.n_src, in_dim)).astype(np.float32)
+        upstream = rng.normal(size=(block.n_dst, 256)).astype(np.float32)
+        out, grads = _layer_gradients(
+            lambda x: layer(x, dst_index, block), layer, x_data, upstream)
+        want, want_grads = dense_gat(layer, x_data, dst_index, to_dense(block), upstream)
+        assert_close(out, want)
+        assert len(grads) == 4  # input, w, a_src, a_dst
+        for got_grad, want_grad in zip(grads, want_grads):
+            assert_close(got_grad, want_grad)
 
     @settings(max_examples=60, deadline=None)
     @given(sampled_layers(mean=True), st.integers(0, 2**16))
@@ -303,13 +329,14 @@ class TestBlock:
 
 
 def test_no_dense_array_on_the_sparse_path():
-    """One GAT forward/backward over 4,000 x 20,000 nodes stays under
-    64 MB; a dense float32 mask of that block alone is 320 MB."""
+    """One GAT forward/backward over 4,000 x 20,000 nodes, 32 wide into
+    256, stays under 64 MB; a dense float32 mask of that block alone is
+    320 MB, and one float32 [n_src, 256] projection of the sources 20 MB."""
     n_dst, n_src, fanout = 4_000, 20_000, 5
     rng = np.random.default_rng(0)
     rows = np.repeat(np.arange(n_dst), fanout)
     block = Block.from_edges(n_dst, n_src, rows, rng.integers(0, n_src, len(rows)))
-    layer = GATLayer(32, 64, rng=rng)
+    layer = GATLayer(32, 256, rng=rng)
     x_src = Tensor(rng.normal(size=(n_src, 32)), requires_grad=True)
     tracemalloc.start()
     try:
