@@ -13,7 +13,9 @@ happens to cover each regression:
   with ``# repro: lint-ignore[RULE]`` pragmas.
 * :mod:`repro.analysis.sanitize` — a runtime invariant sanitizer in the
   TSan mold: enabled under ``REPRO_SANITIZE=1`` (via the pytest
-  conftest), it wraps the replica version clocks, read routing, the
+  conftest), it wraps replica-group read routing, donor choice and
+  fan-out writes (which must keep every live replica owing no hints and
+  grow each dead one's hint set by exactly the written keys), the
   parameter-server push ledger and the cloud checkpointer with checked
   invariants, raising :class:`~repro.errors.SanitizerError` carrying a
   ring-buffer event trace on the first violation.
@@ -32,12 +34,10 @@ _LINT_EXPORTS = (
     "LintRule",
     "lint_files",
     "lint_paths",
-    "lint_source",
     "rule_registry",
 )
 _SANITIZE_EXPORTS = (
     "Sanitizer",
-    "active_sanitizer",
     "disable_sanitizer",
     "enable_sanitizer",
     "sanitized",

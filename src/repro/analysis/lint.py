@@ -225,11 +225,6 @@ def lint_files(files: dict[str, str]) -> list[Finding]:
     return sorted(kept, key=lambda f: (f.path, f.line, f.col, f.rule))
 
 
-def lint_source(text: str, path: str = "src/repro/snippet.py") -> list[Finding]:
-    """Lint one source string under a virtual path (test convenience)."""
-    return lint_files({path: text})
-
-
 def iter_python_files(paths: Iterable[str]) -> Iterator[str]:
     """Every ``*.py`` under ``paths``, skipping caches and hidden dirs."""
     for raw in paths:

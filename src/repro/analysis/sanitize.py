@@ -4,18 +4,14 @@ The static linter (:mod:`repro.analysis.lint`) proves structural
 properties; this module checks the *dynamic* ones — the protocol
 invariants that only hold while the system is actually running:
 
-* **Replica clock sanity** — a group's version never decreases, no
-  replica's applied version decreases or overtakes the group version
-  (:class:`~repro.device.clock.ReplicaVersionClock`).
-* **Current reads** — every read a replica group serves comes from a
-  live replica with lag 0 (``pick_reader``, the group's one read
-  route), and no live replica lags when one is routed.
-* **Sound donors** — revives and scans source only from live lag-0
-  peers (``_complete_peer``), because the scalar clock cannot name
-  *which* writes a lagging replica missed.
-* **Fan-out accounting** — each group write advances the version by
-  exactly the write count, advances every live replica's applied version
-  with it, and leaves dead replicas untouched.
+* **Current reads and sound donors** — every read a replica group
+  serves (``pick_reader``, the group's one read route) and every donor
+  a revive or scan copies from (``_complete_peer``) is a live replica
+  that owes no hints, and a donor is never the replica it repairs.
+* **The hint ledger** — after each group write every live replica
+  still owes nothing, each dead replica's hint set has grown by exactly
+  the written keys (or overflowed to ``None``) and never shrinks, and
+  no replica's liveness changed.
 * **Exactly-once deltas** — the parameter server never folds one batch's
   gradient delta into storage twice, even across ledger corruption
   (a shadow ledger inside the sanitizer outlives the server's own).
@@ -71,7 +67,6 @@ class Sanitizer:
         # objects die normally.  The shadows are the sanitizer's memory:
         # they let it notice when the system's own bookkeeping is rolled
         # back (a cleared ledger, a rewound clock).
-        self._clock_shadow: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self._ledger_shadow: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self._progress_shadow: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -91,7 +86,6 @@ class Sanitizer:
     def install(self) -> None:
         if self.installed:
             return
-        self._install_clock_checks()
         self._install_group_checks()
         self._install_server_checks()
         self._install_checkpoint_checks()
@@ -106,58 +100,6 @@ class Sanitizer:
         self.installed = False
 
     # ------------------------------------------------------------------
-    # replica version clocks
-    # ------------------------------------------------------------------
-    def _check_clock(self, clock: Any, op: str) -> None:
-        """Version monotone, applied monotone, applied within version."""
-        shadow = self._clock_shadow.get(clock)
-        version = clock.version
-        applied = list(clock.applied)
-        if shadow is not None:
-            old_version, old_applied = shadow
-            if version < old_version:
-                self._fail(
-                    f"{_tag(clock)}.{op}: group version moved backwards "
-                    f"({old_version} -> {version})"
-                )
-            for index, (was, now) in enumerate(zip(old_applied, applied)):
-                if now < was:
-                    self._fail(
-                        f"{_tag(clock)}.{op}: replica {index} applied version "
-                        f"moved backwards ({was} -> {now})"
-                    )
-        for index, now in enumerate(applied):
-            if now < 0 or now > version:
-                self._fail(
-                    f"{_tag(clock)}.{op}: replica {index} applied={now} "
-                    f"outside [0, version={version}] — a replica cannot "
-                    "have applied writes that were never acknowledged"
-                )
-        self._clock_shadow[clock] = (version, applied)
-
-    def _install_clock_checks(self) -> None:
-        from repro.device.clock import ReplicaVersionClock
-
-        sanitizer = self
-
-        def wrap(op: str) -> Callable[[Callable], Callable]:
-            def make(original: Callable) -> Callable:
-                def checked(self: Any, *args: Any, **kwargs: Any) -> Any:
-                    result = original(self, *args, **kwargs)
-                    sanitizer.trace.record(
-                        f"clock.{op}",
-                        f"{_tag(self)} args={args} version={self.version} "
-                        f"applied={self.applied}",
-                    )
-                    sanitizer._check_clock(self, op)
-                    return result
-                return checked
-            return make
-
-        for op in ("advance", "ack"):
-            self._patch(ReplicaVersionClock, op, wrap(op))
-
-    # ------------------------------------------------------------------
     # replica groups: routing + fan-out
     # ------------------------------------------------------------------
     def _install_group_checks(self) -> None:
@@ -165,88 +107,80 @@ class Sanitizer:
 
         sanitizer = self
 
+        def check_source(group: Any, replica: int, op: str, exclude: int = -1) -> None:
+            """A read or a donor must be live, owe no hints and not be
+            the replica being repaired."""
+            hints = group._hints[replica]
+            sanitizer.trace.record(
+                f"group.{op}",
+                f"{_tag(group)} exclude={exclude} -> replica {replica} "
+                f"(hints {group.hints_outstanding(replica)})",
+            )
+            if replica == exclude:
+                sanitizer._fail(
+                    f"{_tag(group)}.{op} returned the excluded replica "
+                    f"{exclude} as its own donor"
+                )
+            if not group.alive[replica]:
+                sanitizer._fail(f"{_tag(group)}.{op} chose dead replica {replica}")
+            if hints != set():
+                sanitizer._fail(
+                    f"{_tag(group)}.{op} chose replica {replica}, which owes "
+                    f"{group.hints_outstanding(replica)} hinted writes; only a "
+                    "replica owing none holds every acknowledged write"
+                )
+
         def make_pick_reader(original: Callable) -> Callable:
             def checked(self: Any) -> int:
                 choice = original(self)
-                sanitizer.trace.record(
-                    "group.pick_reader",
-                    f"{_tag(self)} -> replica {choice} "
-                    f"(lag {self.versions.lag(choice)})",
-                )
-                if not self.alive[choice]:
-                    sanitizer._fail(
-                        f"{_tag(self)}.pick_reader routed a read to dead "
-                        f"replica {choice}"
-                    )
-                for index in self.live_indices():
-                    if self.versions.lag(index) != 0:
-                        sanitizer._fail(
-                            f"{_tag(self)}.pick_reader: live replica {index} "
-                            f"lags by {self.versions.lag(index)} writes; every "
-                            "live replica must hold every acknowledged write"
-                        )
+                check_source(self, choice, "pick_reader")
                 return choice
             return checked
 
         def make_complete_peer(original: Callable) -> Callable:
             def checked(self: Any, exclude: int) -> int:
                 donor = original(self, exclude=exclude)
-                sanitizer.trace.record(
-                    "group.complete_peer",
-                    f"{_tag(self)} exclude={exclude} -> donor {donor} "
-                    f"(lag {self.versions.lag(donor)})",
-                )
-                if donor == exclude:
-                    sanitizer._fail(
-                        f"{_tag(self)}._complete_peer returned the excluded "
-                        f"replica {exclude} as its own donor"
-                    )
-                if not self.alive[donor]:
-                    sanitizer._fail(
-                        f"{_tag(self)}._complete_peer chose dead replica "
-                        f"{donor} as a donor"
-                    )
-                if self.versions.lag(donor) != 0:
-                    sanitizer._fail(
-                        f"{_tag(self)}._complete_peer chose replica {donor} "
-                        f"with lag {self.versions.lag(donor)} as a donor; only "
-                        "a lag-0 peer holds every acknowledged write"
-                    )
+                check_source(self, donor, "_complete_peer", exclude)
                 return donor
             return checked
 
-        def make_fanout(op: str, count_of: Callable) -> Callable[[Callable], Callable]:
+        def make_fanout(op: str, keys_of: Callable) -> Callable[[Callable], Callable]:
             def make(original: Callable) -> Callable:
                 def checked(self: Any, *args: Any, **kwargs: Any) -> Any:
-                    count = count_of(*args, **kwargs)
-                    pre_version = self.versions.version
-                    pre_applied = list(self.versions.applied)
+                    written = set(keys_of(*args, **kwargs))
                     pre_alive = list(self.alive)
+                    # A dead replica's expected size: its hints plus the
+                    # written keys it did not owe yet (no copy of the set).
+                    expected = [
+                        None if hints is None else len(hints) + len(written - hints)
+                        for hints in self._hints
+                    ]
                     result = original(self, *args, **kwargs)
                     sanitizer.trace.record(
                         f"group.{op}",
-                        f"{_tag(self)} count={count} "
-                        f"version {pre_version}->{self.versions.version}",
+                        f"{_tag(self)} keys={len(written)} alive={self.alive} "
+                        f"hints={[self.hints_outstanding(i) for i in range(self.replication)]}",
                     )
-                    if self.versions.version != pre_version + count:
+                    if self.alive != pre_alive:
                         sanitizer._fail(
-                            f"{_tag(self)}.{op} acknowledged {count} writes "
-                            f"but the group version moved {pre_version} -> "
-                            f"{self.versions.version}"
+                            f"{_tag(self)}.{op} changed liveness "
+                            f"{pre_alive} -> {self.alive}"
                         )
-                    for index, was in enumerate(pre_applied):
-                        now = self.versions.applied[index]
-                        if pre_alive[index] and now != was + count:
+                    for index, now in enumerate(self._hints):
+                        if pre_alive[index]:
+                            if now != set():
+                                sanitizer._fail(
+                                    f"{_tag(self)}.{op}: live replica {index} "
+                                    f"owes {self.hints_outstanding(index)} hinted "
+                                    "writes; a live replica applies every write"
+                                )
+                        elif now is None:
+                            continue  # overflowed: a revive rebuilds it whole
+                        elif expected[index] != len(now) or not written <= now:
                             sanitizer._fail(
-                                f"{_tag(self)}.{op}: live replica {index} "
-                                f"applied {was} -> {now}, expected "
-                                f"{was + count} — a live replica must apply "
-                                "every fanned-out write"
-                            )
-                        if not pre_alive[index] and now != was:
-                            sanitizer._fail(
-                                f"{_tag(self)}.{op}: dead replica {index} "
-                                f"applied version moved {was} -> {now}"
+                                f"{_tag(self)}.{op}: dead replica {index} owes "
+                                f"{len(now)} hinted keys, expected {expected[index]}"
+                                " — its hints must grow by exactly the written keys"
                             )
                     return result
                 return checked
@@ -256,15 +190,15 @@ class Sanitizer:
         self._patch(ReplicaGroup, "_complete_peer", make_complete_peer)
         self._patch(
             ReplicaGroup, "fanout_put",
-            make_fanout("fanout_put", lambda key, value: 1),
+            make_fanout("fanout_put", lambda key, value: [key]),
         )
         self._patch(
             ReplicaGroup, "fanout_delete",
-            make_fanout("fanout_delete", lambda key: 1),
+            make_fanout("fanout_delete", lambda key: [key]),
         )
         self._patch(
             ReplicaGroup, "fanout_multi_put",
-            make_fanout("fanout_multi_put", lambda keys, values: len(keys)),
+            make_fanout("fanout_multi_put", lambda keys, values: keys),
         )
 
     # ------------------------------------------------------------------
@@ -432,11 +366,6 @@ def disable_sanitizer() -> None:
     if _ACTIVE is not None:
         _ACTIVE.uninstall()
         _ACTIVE = None
-
-
-def active_sanitizer() -> Optional[Sanitizer]:
-    """The installed sanitizer, or ``None`` when not enabled."""
-    return _ACTIVE
 
 
 @contextmanager

@@ -14,14 +14,13 @@ are really written to and read from files.  The models only decide how much
 report.  This makes every figure deterministic and machine-independent.
 """
 
-from repro.device.clock import ReplicaVersionClock, SimClock
+from repro.device.clock import SimClock
 from repro.device.ssd import SSDModel
 from repro.device.gpu import GPUModel
 from repro.device.energy import EnergyModel, POWER_WATTS
 from repro.device.concurrency import ConcurrencyModel
 
 __all__ = [
-    "ReplicaVersionClock",
     "SimClock",
     "SSDModel",
     "GPUModel",

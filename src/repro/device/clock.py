@@ -218,47 +218,3 @@ class WorkerClockView:
     def __repr__(self) -> str:
         return f"WorkerClockView({self.name!r}, now={self._now:.6f})"
 
-
-class ReplicaVersionClock:
-    """Per-replica applied-version vector for one replica group.
-
-    The replicated store reuses MLKV's core idea — a small integer clock
-    per copy — at *replica* granularity: every acknowledged group write
-    advances the group version, and each replica that applied the write
-    acknowledges up to it.  A replica's **lag** (group version minus its
-    applied version) counts the writes it has not applied — the
-    replica-divergence analogue of a record's staleness counter.  A live
-    replica applies every write, so only a dead one lags: by the writes
-    a revive must replay before it serves again.
-    """
-
-    def __init__(self, replicas: int) -> None:
-        if replicas <= 0:
-            raise ValueError(f"replicas must be positive, got {replicas}")
-        self.version = 0
-        self.applied = [0] * replicas
-
-    def advance(self, count: int = 1) -> int:
-        """Record ``count`` acknowledged group writes; returns the new version."""
-        if count < 0:
-            raise ValueError(f"cannot advance by {count!r} writes")
-        self.version += count
-        return self.version
-
-    def ack(self, replica: int, version: int | None = None) -> None:
-        """Replica ``replica`` has applied **everything** up to ``version``
-        (defaults to the current group version): a live replica's
-        fan-out write, or a revive's replay.  Acknowledgements never move
-        backwards, and the target is clamped to the group version:
-        nothing can have applied writes that were never acknowledged,
-        and a negative lag would hide a missed write."""
-        target = self.version if version is None else min(version, self.version)
-        if target > self.applied[replica]:
-            self.applied[replica] = target
-
-    def lag(self, replica: int) -> int:
-        """Writes replica ``replica`` has not applied yet."""
-        return self.version - self.applied[replica]
-
-    def __repr__(self) -> str:
-        return f"ReplicaVersionClock(version={self.version}, applied={self.applied})"

@@ -70,10 +70,6 @@ class PageStore:
         self.ssd.random_read(_LEN.size + length, blocking=blocking)
         return data
 
-    def contains(self, page_id: int) -> bool:
-        """Whether the page id has a written extent."""
-        return page_id in self._table
-
     def garbage_ratio(self) -> float:
         """Fraction of file bytes held by superseded page versions."""
         if self._end_offset == 0:

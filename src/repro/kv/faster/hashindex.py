@@ -288,7 +288,7 @@ class HashIndex:
         if unique.size != keys.size:
             keep = np.sort(keys.size - 1 - last)
             keys, addresses = keys[keep], addresses[keep]
-        if self._used + keys.size > _MAX_LOAD * (self._mask + 1):
+        if self._used + keys.size > _MAX_LOAD * self.slot_count:
             self._rebuild(self._size + keys.size)
         self._place(keys, addresses)
 
@@ -364,7 +364,7 @@ class HashIndex:
         """Re-place the live entries, dropping removed slots; grows the
         table until ``entries`` fill at most a third of it."""
         keys, addresses = self.entries()
-        slots = self._mask + 1
+        slots = self.slot_count
         while entries * 3 > slots:
             slots *= 2
         self._allocate(slots)

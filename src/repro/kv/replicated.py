@@ -10,15 +10,14 @@ shard, ``ShardedKVStore(lambda shard: ReplicaGroup([...]), n)``: routing,
 batched fan-out, live splits and deferred cleanup are the
 router's; every replica setting and operator verb is the group's.
 
-Every live replica is current.  Each group keeps a
-:class:`~repro.device.clock.ReplicaVersionClock` (MLKV's vector clock
-at replica granularity): a replica's *lag* is the number of group writes
-it has not applied.  Fan-out is synchronous, so a live replica's lag is
-always 0; only a dead replica lags, by the writes it owes.  Any live
-replica is therefore a sound source for every read — routed reads,
-committed reads, the values a split copies and the rows the parameter
-server adds deltas onto — and the group has one read route,
-:meth:`~ReplicaGroup.pick_reader`.
+A group's whole state is its liveness flags and its hint ledger.
+Fan-out is synchronous, so every live replica is current: it applied
+every acknowledged write and owes no hints.  Only a dead replica falls
+behind, and its hint set names exactly the keys it missed (``None``
+once the set overflowed).  Any live replica is therefore a sound source
+for every read — routed reads, committed reads, the values a split
+copies and the rows the parameter server adds deltas onto — and the
+group has one read route, :meth:`~ReplicaGroup.pick_reader`.
 
 Failure handling:
 
@@ -28,11 +27,11 @@ Failure handling:
 * :meth:`~ReplicaGroup.revive` brings it back: hinted keys are re-read
   from an up-to-date peer (``snapshot_read_many`` — the committed-read
   path checkpoints restore through) and replayed onto the reviving
-  replica, after which the group's version vector acknowledges it at the
-  current group version and it serves reads again.  If the hint set
-  overflowed ``max_hints`` while it was down, the replica is instead
-  rebuilt wholesale from a peer's ``scan()`` — the degenerate case where
-  replaying a WAL-sized delta would cost more than re-shipping the image.
+  replica, after which its hint set is empty and it serves reads again.
+  If the hint set overflowed ``max_hints`` while it was down, the replica
+  is instead rebuilt wholesale from a peer's ``scan()`` — the degenerate
+  case where replaying a WAL-sized delta would cost more than
+  re-shipping the image.
 * :meth:`~ReplicaGroup.slow` injects per-operation latency on one
   replica (a degraded disk, a noisy neighbor); the read router prefers
   un-slowed live replicas, so a slow replica is routed around exactly
@@ -45,7 +44,6 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, Optional, Sequence
 
-from repro.device.clock import ReplicaVersionClock
 from repro.errors import ConfigError, StorageError, checkpoint_fields
 from repro.kv.api import CheckpointManager, KVStore, StoreStats
 from repro.kv.sharded import (
@@ -65,7 +63,7 @@ from repro.kv.sharded import (
 from repro.obs.trace import span as obs_span
 
 #: Coordinated checkpoint manifest binding every replica image plus the
-#: group state (version clocks, liveness, hint queues) into one unit.
+#: group state (liveness, hint queues) into one unit.
 _MANIFEST = "group.manifest.json"
 
 #: Clock component chaos-injected slowness is charged to (visible in the
@@ -74,13 +72,13 @@ CHAOS_COMPONENT = "chaos"
 
 
 class ReplicaGroup(KVStore, CheckpointManager):
-    """One key range's replica set: N engines, a version clock, hint queues.
+    """One key range's replica set: N engines, liveness flags, hint queues.
 
     The group is the unit of fan-out and failover, and to the router
-    above it just another child store.  ``versions`` is the group's
-    version vector (:class:`~repro.device.clock.ReplicaVersionClock`);
-    ``clock``, as on every store, is the simulated clock — here the one
-    of the device model the replicas share, ``None`` when they share none.
+    above it just another child store.  ``alive`` and the per-replica
+    hint sets are its whole state; ``clock``, as on every store, is the
+    simulated clock — here the one of the device model the replicas
+    share, ``None`` when they share none.
 
     Parameters
     ----------
@@ -109,7 +107,6 @@ class ReplicaGroup(KVStore, CheckpointManager):
             raise ConfigError("a replica group needs at least one replica")
         self.replicas: list[KVStore] = list(replicas)
         self.alive: list[bool] = [True] * len(self.replicas)
-        self.versions = ReplicaVersionClock(len(self.replicas))
         self.max_hints = max_hints
         self.directory = directory
         # Per-replica hinted-handoff sets: keys written while it was down.
@@ -136,23 +133,15 @@ class ReplicaGroup(KVStore, CheckpointManager):
     def fail(self, replica: int) -> None:
         """Mark ``replica`` dead.
 
-        A fully caught-up (lag 0) live replica must survive: the scalar
-        version clock counts *how many* writes a replica missed, not
-        *which*, so two replicas with disjoint gaps could not repair
-        each other — a revive needs a donor holding every acknowledged
-        write.  Keeping one complete replica alive at all times is the
-        invariant that makes lag 0 mean "holds everything" (and is why
-        :meth:`_complete_peer` can never come up empty).
+        The last live replica must survive: a revive needs a donor
+        holding every acknowledged write, and only a live replica does
+        (which is why :meth:`_complete_peer` can never come up empty).
         """
         if not self.alive[replica]:
             return
-        survivors = [
-            index for index in self.live_indices() if index != replica
-        ]
-        if not any(self.versions.lag(index) == 0 for index in survivors):
+        if self.live_indices() == [replica]:
             raise StorageError(
-                f"cannot fail replica {replica}: no fully caught-up live "
-                "replica would remain"
+                f"cannot fail replica {replica}: it is the last live replica"
             )
         self.alive[replica] = False
 
@@ -166,7 +155,7 @@ class ReplicaGroup(KVStore, CheckpointManager):
         if self.alive[replica]:
             return 0
         hints = self._hints[replica]
-        if hints is not None and not hints and self.versions.lag(replica) == 0:
+        if hints == set():
             self.alive[replica] = True
             return 0  # already converged: no donor needed
         donor = self._complete_peer(exclude=replica)
@@ -208,7 +197,6 @@ class ReplicaGroup(KVStore, CheckpointManager):
                 self.replicas[replica].multi_put(put_keys, put_values)
             replayed = len(keys)
         self._hints[replica] = set()
-        self.versions.ack(replica)
         self.alive[replica] = True
         self.catchup_keys += replayed
         return replayed
@@ -225,22 +213,13 @@ class ReplicaGroup(KVStore, CheckpointManager):
         return self._slow_penalty[replica]
 
     def _complete_peer(self, exclude: int) -> int:
-        """A live replica holding **every** acknowledged write (lag 0).
-
-        Only a lag-0 replica is a sound source for a revive and for
-        scans: the scalar clock cannot tell which writes a lagging
-        replica missed, so "highest applied version" alone could pick a
-        donor missing an acknowledged write.  The :meth:`fail` invariant
-        guarantees such a replica exists.
-        """
-        candidates = [
-            index
-            for index in self.live_indices()
-            if index != exclude and self.versions.lag(index) == 0
-        ]
-        if not candidates:
-            raise StorageError("no fully caught-up live replica to read from")
-        return candidates[0]
+        """The first live replica other than ``exclude``: a donor for a
+        revive and the source of scans.  Every live replica holds every
+        acknowledged write, and :meth:`fail` keeps one alive."""
+        for index in self.live_indices():
+            if index != exclude:
+                return index
+        raise StorageError("no live replica to read from")
 
     # ------------------------------------------------------------------
     # routing
@@ -281,33 +260,27 @@ class ReplicaGroup(KVStore, CheckpointManager):
     # ------------------------------------------------------------------
     def fanout_put(self, key: int, value: bytes) -> None:
         """Write to every live replica, hinting the write for down ones."""
-        self.versions.advance()
         for index, replica in enumerate(self.replicas):
             if self.alive[index]:
                 replica.put(key, value)
-                self.versions.ack(index)
             else:
                 self._hint(index, key)
 
     def fanout_delete(self, key: int) -> bool:
         """Delete on every live replica; returns whether any held the key."""
-        self.versions.advance()
         existed = False
         for index, replica in enumerate(self.replicas):
             if self.alive[index]:
                 existed = replica.delete(key) or existed
-                self.versions.ack(index)
             else:
                 self._hint(index, key)
         return existed
 
     def fanout_multi_put(self, keys: list, values: list) -> None:
         """Batched fan-out write with per-replica hinting."""
-        self.versions.advance(len(keys))
         for index, replica in enumerate(self.replicas):
             if self.alive[index]:
                 replica.multi_put(keys, values)
-                self.versions.ack(index)
             else:
                 for key in keys:
                     self._hint(index, key)
@@ -368,11 +341,11 @@ class ReplicaGroup(KVStore, CheckpointManager):
         return min(replica.lookahead_capacity(value_bytes) for replica in self.replicas)
 
     def scan(self) -> Iterator[tuple[int, bytes]]:
-        """All live records, once each, from a fully caught-up replica."""
+        """All live records, once each, from one live replica."""
         yield from self.replicas[self._complete_peer(exclude=-1)].scan()
 
     def __len__(self) -> int:
-        """Live records, counted on a fully caught-up replica."""
+        """Live records, counted on one live replica."""
         return record_count(self.replicas[self._complete_peer(exclude=-1)])
 
     # ------------------------------------------------------------------
@@ -428,13 +401,13 @@ class ReplicaGroup(KVStore, CheckpointManager):
         Reads touch one replica and writes touch all live replicas, so
         ``puts`` counts fan-out copies (the real work done) while
         ``gets``/``hits``/``misses`` reflect the single routed read
-        path.  ``extra`` carries the lag vector, failover and catch-up
-        counts, hinted keys outstanding and injected penalties.
+        path.  ``extra`` carries the hinted keys outstanding per replica
+        (-1 after overflow), failover and catch-up counts and injected
+        penalties.
         """
         total = merge_stats(replica.stats for replica in self.replicas)
         indices = range(self.replication)
         total.extra.update(
-            replica_lag=[self.versions.lag(index) for index in indices],
             hints_outstanding=[self.hints_outstanding(index) for index in indices],
             slow_penalties=[self.slow_penalty(index) for index in indices],
             failovers=self.failovers,
@@ -467,19 +440,18 @@ class ReplicaGroup(KVStore, CheckpointManager):
         Each replica engine persists its own crash-consistent image
         first; the group manifest is written atomically last.  It holds
         what a restore cannot rediscover from the replica images: replica
-        locations and classes, the hint setting, the version clock,
-        liveness flags and the hinted-handoff queues — so a revive after
-        restore replays exactly the keys the live run owed the dead
-        replica (``None`` marks an overflowed queue).
+        locations and classes, the hint setting, liveness flags and the
+        hinted-handoff queues — so a revive after restore replays exactly
+        the keys the live run owed the dead replica (``None`` marks an
+        overflowed queue).
         """
         checkpoint_children(self.replicas)
         if self.directory is None:
             return
-        base, versions = self.directory, self.versions
+        base = self.directory
         write_manifest(base, _MANIFEST, {
             "replicas": [child_relpath(replica, base) for replica in self.replicas],
             "types": [child_type(replica) for replica in self.replicas],
-            "clocks": {"version": versions.version, "applied": list(versions.applied)},
             "alive": list(self.alive),
             "max_hints": self.max_hints,
             "hints": [None if hints is None else sorted(hints) for hints in self._hints],
@@ -497,11 +469,11 @@ class ReplicaGroup(KVStore, CheckpointManager):
         ``factory(replica_index, replica_directory)`` rebuilds one
         replica; otherwise each recorded class's ``restore`` is called
         with ``kwargs`` forwarded.  Group state comes back as
-        checkpointed.  Older images may also record a read policy or a
-        divergence bound, which are not read, and may record a live
-        replica that lags (one revived without replaying its hints): it
-        comes back dead, and its recorded hints replay on the next
-        :meth:`revive`.
+        checkpointed.  Older images may also record a read policy, a
+        divergence bound or version clocks, which are not read, and may
+        record a live replica that still owes hints (one revived without
+        replaying them): it comes back dead, and its recorded hints
+        replay on the next :meth:`revive`.
         """
         path, manifest = read_manifest(directory, _MANIFEST)
         with checkpoint_fields(path):
@@ -515,13 +487,11 @@ class ReplicaGroup(KVStore, CheckpointManager):
             directory=directory,
         )
         with checkpoint_fields(path):
-            clocks, alive, hints = manifest["clocks"], manifest["alive"], manifest["hints"]
-            if not len(clocks["applied"]) == len(alive) == len(hints) == len(openers):
+            alive, hints = manifest["alive"], manifest["hints"]
+            if not len(alive) == len(hints) == len(openers):
                 raise ValueError(f"group state does not describe {len(openers)} replicas")
-            group.versions.version = int(clocks["version"])
-            group.versions.applied = [int(version) for version in clocks["applied"]]
-            group.alive = [
-                bool(up) and group.versions.lag(index) == 0 for index, up in enumerate(alive)
-            ]
             group._hints = [None if keys is None else set(keys) for keys in hints]
+            group.alive = [
+                bool(up) and owed == set() for up, owed in zip(alive, group._hints)
+            ]
         return group

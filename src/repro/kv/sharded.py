@@ -158,7 +158,8 @@ def merge_stats(children: Iterable[StoreStats]) -> StoreStats:
     child order, so a composite reports its children's health under the
     keys they use — a router of replica groups has the groups'
     ``failovers`` and ``catchup_keys`` summed and their
-    ``replica_lag`` vectors joined, exactly the shape one group reports.
+    ``hints_outstanding`` vectors (one entry per replica, -1 for an
+    overflowed hint set) joined, exactly the shape one group reports.
     ``extra["shards"]`` keeps each child's own extras, in child order.
     """
     total = StoreStats()
@@ -321,14 +322,6 @@ class ShardedKVStore(KVStore, CheckpointManager):
         self._cleanup_backlog: dict[int, set[int]] = {}
         self._closed = False
         self.shards: list[KVStore] = [factory(index) for index in range(num_shards)]
-
-    @classmethod
-    def from_stores(
-        cls, stores: Sequence[KVStore], directory: Optional[str] = None
-    ) -> "ShardedKVStore":
-        """Wrap already-constructed child engines (one per shard)."""
-        stores = list(stores)
-        return cls(lambda index: stores[index], len(stores), directory=directory)
 
     # ------------------------------------------------------------------
     # routing
@@ -813,11 +806,6 @@ class ShardMigration:
     def remaining(self) -> int:
         """Snapshot keys not yet copied."""
         return len(self._snapshot_keys) - self._cursor
-
-    @property
-    def delta_pending(self) -> int:
-        """Dual-logged writes awaiting replay."""
-        return len(self._delta)
 
     def _copy(self, keys: list[int]) -> int:
         """Bring the target up to the source's current values for ``keys``.

@@ -273,12 +273,6 @@ class RowAdagrad:
         """
         return -self._step(keys, grads)
 
-    def state_bytes(self) -> int:
-        """Size of the in-memory accumulator state (for DESIGN notes)."""
-        if self._arena is None:
-            return 0
-        return len(self._arena) * self._arena.width * 4
-
     def state_dict(self) -> dict:
         """Per-row accumulators, for resumable training checkpoints.
 
@@ -399,12 +393,6 @@ class RowAdam:
         """Row form of :meth:`delta_rows` (same state advance)."""
         delta = self.delta_rows(keys, grads)
         return np.asarray(rows, dtype=np.float32).reshape(delta.shape) + delta
-
-    def state_bytes(self) -> int:
-        """Size of the in-memory moment state (for DESIGN notes)."""
-        if self._arena is None:
-            return 0
-        return len(self._arena) * self._arena.width * 4 * 2
 
     def state_dict(self) -> dict:
         """Per-row moments + steps, for resumable training checkpoints.

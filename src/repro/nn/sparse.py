@@ -87,15 +87,6 @@ class Block:
         weights = np.float32(1.0) / degree[rows].astype(np.float32) if mean else None
         return cls(n_src, np.concatenate([[0], np.cumsum(degree)]), cols, weights)
 
-    @classmethod
-    def from_dense(cls, matrix: np.ndarray) -> "Block":
-        """Block of a dense ``[n_dst, n_src]`` boolean mask, or of a weight
-        matrix whose non-zero entries are the edges."""
-        rows, cols = np.nonzero(matrix)
-        block = cls.from_edges(*matrix.shape, rows, cols)
-        if matrix.dtype != bool:
-            block.weights = matrix[rows, cols].astype(np.float32)
-        return block
 
 
 def edge_logits(block: Block, h_src: Tensor, a_src: Tensor, a_dst: Tensor,

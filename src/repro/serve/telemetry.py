@@ -361,6 +361,6 @@ class ServingTelemetry:
                 report["replication"] = {
                     "failovers": extra["failovers"],
                     "catchup_keys": extra["catchup_keys"],
-                    "max_replica_lag": max(extra["replica_lag"], default=0),
+                    "hints_outstanding": list(extra["hints_outstanding"]),
                 }
         return report

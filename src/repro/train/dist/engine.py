@@ -160,10 +160,6 @@ class DistributedTrainer:
         self.server.register_worker(worker_id)
         return worker_id
 
-    def remove_worker(self, worker_id: int) -> None:
-        """Gracefully retire a worker (between steps; nothing is lost)."""
-        self.kill_worker(worker_id)
-
     def kill_worker(self, worker_id: int) -> None:
         """Abrupt death: an unpushed computed batch is discarded and
         re-queued by the engine; the progress clock forgets the worker so

@@ -293,7 +293,3 @@ class ParameterServer:
     def deregister_worker(self, worker_id: int) -> None:
         """Remove a worker from the progress clock."""
         self.progress.deregister(worker_id)
-
-    def lost_batches(self, total: int) -> list[int]:
-        """Batch indices never applied (should be empty after a run)."""
-        return [index for index in range(total) if index not in self.applied_batches]

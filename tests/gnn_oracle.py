@@ -20,7 +20,19 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.functional import softmax
+from repro.nn.sparse import Block
 from repro.nn.tensor import Tensor
+
+
+def from_dense(matrix: np.ndarray) -> Block:
+    """Block of a dense ``[n_dst, n_src]`` boolean mask, or of a weight
+    matrix whose non-zero entries are the edges (the inverse of
+    :func:`to_dense`)."""
+    rows, cols = np.nonzero(matrix)
+    block = Block.from_edges(*matrix.shape, rows, cols)
+    if matrix.dtype != bool:
+        block.weights = matrix[rows, cols].astype(np.float32)
+    return block
 
 
 def to_dense(block) -> np.ndarray:

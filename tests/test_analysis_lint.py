@@ -12,10 +12,15 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.analysis import lint_files, lint_paths, lint_source, rule_registry
+from repro.analysis import lint_files, lint_paths, rule_registry
 from repro.analysis.lint import main, module_name_for
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def lint_source(text, path="src/repro/snippet.py"):
+    """Lint one source string under a virtual path."""
+    return lint_files({path: text})
 
 
 def rules_of(findings):

@@ -10,11 +10,12 @@ disabling the sanitizer restores the original methods exactly.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.analysis import (
-    active_sanitizer,
     disable_sanitizer,
     enable_sanitizer,
     sanitized,
@@ -43,7 +44,7 @@ def fresh_sanitizer():
     buggy methods *under* the wrappers, which needs install order
     control — and re-enabled afterwards.
     """
-    was_enabled = active_sanitizer() is not None
+    was_enabled = os.environ.get("REPRO_SANITIZE") == "1"
     disable_sanitizer()
     yield
     disable_sanitizer()
@@ -115,34 +116,7 @@ class TestLifecycle:
         outer = enable_sanitizer()
         with sanitized() as inner:
             assert inner is outer
-        assert active_sanitizer() is outer  # context did not tear it down
-
-
-# ----------------------------------------------------------------------
-# replica version clock invariants
-# ----------------------------------------------------------------------
-class TestClockInvariants:
-    def test_applied_beyond_version_is_caught(self, tmp_path):
-        with sanitized():
-            store = make_replicated(tmp_path)
-            store.put(1, b"a")
-            group = store.shards[0]
-            group.versions.applied[0] = group.versions.version + 5  # corrupt
-            with pytest.raises(SanitizerError) as err:
-                store.put(2, b"b")
-            assert "outside [0, version=" in str(err.value)
-            assert "clock.advance" in str(err.value)  # offending op traced
-
-    def test_applied_moving_backwards_is_caught(self, tmp_path):
-        with sanitized():
-            store = make_replicated(tmp_path, shards=1)
-            for key in range(6):
-                store.put(key, b"v")
-            group = store.shards[0]
-            group.versions.applied[1] -= 2  # lost-update corruption
-            with pytest.raises(SanitizerError) as err:
-                store.put(50, b"w")
-            assert "moved backwards" in str(err.value)
+        assert enable_sanitizer() is outer  # context did not tear it down
 
 
 # ----------------------------------------------------------------------
@@ -162,29 +136,30 @@ class TestRoutingInvariants:
             assert "dead replica" in str(err.value)
             assert "pick_reader" in str(err.value)
 
-    def test_read_while_a_live_replica_lags_is_caught(self, tmp_path):
+    def test_read_from_a_replica_owing_hints_is_caught(self, tmp_path):
         with sanitized():
             store = make_replicated(tmp_path, shards=1)
             store.put(1, b"a")
             store.shards[0].fail(1)
-            store.put(2, b"b")  # replica 1 now lags by 1
+            store.put(2, b"b")  # replica 1 now owes one hinted write
             # Buggy revive: the replica is marked live without replaying.
             store.shards[0].alive[1] = True
             with pytest.raises(SanitizerError) as err:
-                store.get(1)
-            assert "live replica 1 lags by 1 writes" in str(err.value)
+                for _ in range(2):  # round-robin reaches replica 1
+                    store.get(1)
+            assert "chose replica 1, which owes 1 hinted writes" in str(err.value)
             assert "pick_reader" in str(err.value)
 
-    def test_lagging_donor_is_caught(self, tmp_path, monkeypatch):
+    def test_donor_owing_hints_is_caught(self, tmp_path, monkeypatch):
         real_peer = ReplicaGroup._complete_peer
 
         def buggy_peer(self, exclude):
             live = [
                 index for index in self.live_indices() if index != exclude
             ]
-            lagging = [i for i in live if self.versions.lag(i) > 0]
-            if lagging:  # prefer the worst possible donor
-                return lagging[0]
+            owing = [i for i in live if self.hints_outstanding(i) != 0]
+            if owing:  # prefer the worst possible donor
+                return owing[0]
             return real_peer(self, exclude=exclude)
 
         monkeypatch.setattr(ReplicaGroup, "_complete_peer", buggy_peer)
@@ -195,26 +170,86 @@ class TestRoutingInvariants:
             store.put(2, b"b")
             store.shards[0].fail(2)
             store.put(3, b"c")  # hints queue up for replicas 1 and 2
-            # Buggy revive: live with lag 2, after the last fan-out (whose
-            # ack would have caught the live replica up, and been flagged).
+            # Buggy revive: live while owing two hints, after the last
+            # fan-out (which would have flagged a live replica owing hints).
             store.shards[0].alive[1] = True
             with pytest.raises(SanitizerError) as err:
-                store.shards[0].revive(2)  # the replay picks the lagging donor
-            assert "as a donor" in str(err.value)
+                store.shards[0].revive(2)  # the replay picks the owing donor
+            assert "_complete_peer chose replica 1, which owes 2" in str(err.value)
 
-    def test_fanout_that_loses_clock_bookkeeping_is_caught(self, tmp_path):
+    def test_fanout_whose_hint_is_a_no_op_is_caught(self, tmp_path):
         with sanitized():
             store = make_replicated(tmp_path, shards=1)
             store.put(1, b"a")
             group = store.shards[0]
-            # Buggy replication: writes land but the applied-version
-            # bookkeeping is dropped (instance attribute bypasses the
-            # class-level wrapper, like a refactor that forgot the call).
-            group.versions.ack = lambda *args, **kwargs: None
+            group.fail(1)
+            # Buggy replication: the write lands on the live replica but
+            # the dead one's hint is dropped (an instance attribute, like
+            # a refactor that forgot to record it).
+            group._hint = lambda *args, **kwargs: None
             with pytest.raises(SanitizerError) as err:
                 store.put(2, b"b")
-            assert "must apply every fanned-out write" in str(err.value)
+            assert "its hints must grow by exactly the written keys" in str(err.value)
             assert "fanout_put" in str(err.value)
+
+    def test_fanout_that_changes_liveness_is_caught(self, tmp_path, monkeypatch):
+        real_put = ReplicaGroup.fanout_put
+
+        def buggy_put(self, key, value):
+            real_put(self, key, value)
+            self.alive[1] = False  # a write must not fail a replica
+
+        monkeypatch.setattr(ReplicaGroup, "fanout_put", buggy_put)
+        with sanitized():
+            store = make_replicated(tmp_path, shards=1)
+            with pytest.raises(SanitizerError) as err:
+                store.put(1, b"a")
+            assert "changed liveness" in str(err.value)
+
+
+# ----------------------------------------------------------------------
+# replica group hint ledger
+# ----------------------------------------------------------------------
+class TestHintLedgerInvariants:
+    def test_a_live_replica_left_owing_hints_is_caught(self, tmp_path):
+        with sanitized():
+            store = make_replicated(tmp_path, shards=1)
+            store.put(1, b"a")
+            group = store.shards[0]
+            group._hints[0] = {1}  # corrupt: a live replica owes a write
+            with pytest.raises(SanitizerError) as err:
+                store.put(2, b"b")
+            assert "live replica 0 owes 1 hinted writes" in str(err.value)
+            assert "fanout_put" in str(err.value)
+
+    def test_a_dead_replicas_hints_shrinking_is_caught(self, tmp_path):
+        with sanitized():
+            store = make_replicated(tmp_path, shards=1)
+            group = store.shards[0]
+            group.fail(1)
+            store.multi_put([1, 2, 3], [b"a"] * 3)
+            # Buggy replication: each hint replaces the set instead of
+            # joining it, so the keys missed earlier are forgotten.
+            group._hint = lambda replica, key: group._hints.__setitem__(replica, {key})
+            with pytest.raises(SanitizerError) as err:
+                store.multi_put([4, 5], [b"b"] * 2)
+            assert "dead replica 1 owes 1 hinted keys, expected 5" in str(err.value)
+            assert "fanout_multi_put" in str(err.value)
+
+    def test_a_donor_that_is_the_revived_replica_is_caught(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(
+            ReplicaGroup, "_complete_peer", lambda self, exclude: exclude
+        )
+        with sanitized():
+            store = make_replicated(tmp_path, shards=1)
+            group = store.shards[0]
+            group.fail(1)
+            store.put(1, b"a")
+            with pytest.raises(SanitizerError) as err:
+                group.revive(1)
+            assert "returned the excluded replica 1 as its own donor" in str(err.value)
 
 
 # ----------------------------------------------------------------------

@@ -104,7 +104,7 @@ class TestKillFailover:
         assert len(arrivals.issued) == count
         assert all(request.value is not None for request in arrivals.issued)
         store = server.store
-        assert store.shards[0].versions.lag(0) == 0
+        assert store.shards[0].hints_outstanding(0) == 0
         assert store.stats.extra["catchup_keys"] >= 0
         assert len(report["chaos_events"]) == 2
         server.close()
@@ -262,22 +262,22 @@ def _expected_replication(groups) -> dict:
     return {
         "failovers": sum(group.failovers for group in groups),
         "catchup_keys": sum(group.catchup_keys for group in groups),
-        "max_replica_lag": max(
-            group.versions.lag(replica) for group in groups for replica in range(group.replication)
-        ),
+        "hints_outstanding": [
+            group.hints_outstanding(replica) for group in groups for replica in range(group.replication)
+        ],
     }
 
 
 def _degrade(group, keys) -> None:
     """Give a 3-replica group every health counter: a hinted catch-up of
-    ``keys``, a dead replica lagging them, and both admissible replicas
+    ``keys``, a dead replica owing them as hints, and both live replicas
     slowed, so the least-slowed one (2) serves every read and pays."""
     values = group.snapshot_read_many(keys)
     group.fail(2)
     group.multi_put(keys, values)
     group.revive(2)  # replays the hinted keys
     group.fail(1)
-    group.multi_put(keys, values)  # replica 1 now lags len(keys) writes
+    group.multi_put(keys, values)  # replica 1 now owes len(keys) hints
     group.slow(0, 2e-3)
     group.slow(2, 1e-6)
 
@@ -294,7 +294,8 @@ class TestReplicationReport:
         assert all(request.value is not None for request in arrivals.issued)
         replication = report["replication"]
         assert replication == _expected_replication([group])
-        assert replication["catchup_keys"] > 0 and replication["max_replica_lag"] > 0
+        assert replication["catchup_keys"] > 0
+        assert replication["hints_outstanding"] == [0, len(range(0, _ITEMS, 7)), 0]
         assert replication["failovers"] > 0
         served = [replica.stats.gets - before for replica, before in zip(group.replicas, gets)]
         assert served[0] == served[1] == 0 < served[2]
@@ -315,6 +316,7 @@ class TestReplicationReport:
         replication = report["replication"]
         assert replication == _expected_replication(store.shards)
         assert store.shards[1].failovers > 0  # the kill's reroutes are counted
-        assert replication["catchup_keys"] == 40 and replication["max_replica_lag"] == 40
+        assert replication["catchup_keys"] == 40
+        assert replication["hints_outstanding"] == [0, 40, 0] + [0, 0, 0] * (store.num_shards - 1)
         assert store.shards[0].replicas[0].stats.gets == slowest_gets  # routed around
         server.close()

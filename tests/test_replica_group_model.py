@@ -12,7 +12,7 @@ dict after every step:
 * every read equals the dict;
 * ``fail`` raises :class:`~repro.errors.StorageError` exactly when no
   other live replica would remain;
-* every live replica has lag 0 and holds every record of the dict
+* every live replica owes no hints and holds every record of the dict
   itself, read directly, not through the group's routing;
 * ``len`` and ``scan`` are exact.
 
@@ -230,7 +230,7 @@ class GroupMachine(RuleBasedStateMachine):
             owned = self._owned(index)
             expected = [self.model[key] for key in owned]
             for replica in group.live_indices():
-                assert group.versions.lag(replica) == 0
+                assert group.hints_outstanding(replica) == 0
                 assert group.replicas[replica].snapshot_read_many(owned) == expected
 
     @invariant()

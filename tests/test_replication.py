@@ -1,9 +1,8 @@
 """Replica groups under the shard router + live shard migration: the
 availability layer.
 
-Covers the replica version clock, write fan-out and read routing,
-failover with hinted replay on revive (and the hint-overflow full
-resync), look-ahead staging, and the split copy-then-cutover property —
+Covers write fan-out and read routing, failover with hinted replay on
+revive (and the hint-overflow full resync), look-ahead staging, and the split copy-then-cutover property —
 the latter against all four engines under a live interleaved write
 load.
 """
@@ -14,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.mlkv import MLKV
-from repro.device import ReplicaVersionClock, SimClock, SSDModel
+from repro.device import SimClock, SSDModel
 from repro.errors import CheckpointError, ConfigError, StorageError
 from repro.errors import load_checkpoint_json, write_checkpoint_json
 from repro.kv import ReplicaGroup, ShardedKVStore
@@ -55,51 +54,74 @@ def replicated(tmp_path, ssd):
     store.close()
 
 
-class TestReplicaVersionClock:
-    def test_lag_counts_unacked_writes(self):
-        clock = ReplicaVersionClock(3)
-        clock.advance(5)
-        clock.ack(0)
-        clock.ack(1, version=3)
-        assert clock.lag(0) == 0
-        assert clock.lag(1) == 2
-        assert clock.lag(2) == 5
+class TestHintLedger:
+    """A group's state is its liveness plus one hint set per replica:
+    the keys a dead replica missed, or ``None`` once the set overflowed."""
 
-    def test_fanout_acks_keep_live_replicas_current(self):
-        clock = ReplicaVersionClock(2)
-        clock.advance(3)
-        clock.ack(0)  # replica 0 live; replica 1 down for 3 writes
-        clock.advance(2)
-        clock.ack(0)  # a fan-out acks only the live replicas
-        assert clock.applied == [5, 0]
-        assert clock.lag(0) == 0
-        assert clock.lag(1) == 5  # a dead replica lags by every write it missed
-        clock.ack(1)  # the revive, after its replay
-        assert clock.lag(1) == 0
+    @pytest.fixture
+    def pair(self, tmp_path, ssd):
+        group = ReplicaGroup(
+            [FasterKV(str(tmp_path / f"h{replica}"), ssd=ssd) for replica in range(2)],
+            max_hints=3,
+        )
+        yield group
+        group.close()
 
-    def test_acks_never_regress(self):
-        clock = ReplicaVersionClock(1)
-        clock.advance(4)
-        clock.ack(0)
-        clock.ack(0, version=1)
-        assert clock.lag(0) == 0
+    def test_hints_name_each_missed_key_once(self, pair):
+        pair.fail(1)
+        for round_ in range(3):  # three writes of one key owe one replay
+            pair.put(7, f"v{round_}".encode())
+        pair.put(8, b"x")
+        assert pair.hints_outstanding(1) == 2
+        assert pair.revive(1) == 2
+        assert pair.replicas[1].get(7) == b"v2"
+        assert pair.replicas[1].get(8) == b"x"
 
-    def test_ack_clamps_to_the_group_version(self):
-        """An ack above the group version (a caller bug) must not create
-        negative lag — that would make every read admissible forever."""
-        clock = ReplicaVersionClock(2)
-        clock.advance(5)
-        clock.ack(0, version=999)
-        assert clock.applied[0] == 5
-        assert clock.lag(0) == 0
-        assert clock.lag(1) == 5  # replica 1 still honestly behind
+    def test_every_write_kind_hints_a_dead_replica_and_no_live_one(self, pair):
+        pair.put(1, b"a")
+        pair.fail(0)
+        pair.put(2, b"b")
+        pair.delete(1)
+        pair.multi_put([2, 3], [b"c", b"d"])
+        assert pair.hints_outstanding(1) == 0  # live: it applied each write
+        assert pair.hints_outstanding(0) == 3  # dead: keys 1, 2 and 3
+        assert pair.revive(0) == 3
+        assert [pair.replicas[0].get(key) for key in (1, 2, 3)] == [None, b"c", b"d"]
 
-    def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            ReplicaVersionClock(0)
-        clock = ReplicaVersionClock(1)
-        with pytest.raises(ValueError):
-            clock.advance(-1)
+    def test_hints_overflow_past_max_hints_and_stay_overflowed(self, pair):
+        pair.fail(1)
+        pair.multi_put([1, 2, 3], [b"v"] * 3)
+        assert pair.hints_outstanding(1) == 3  # at the bound: still a set
+        pair.put(4, b"v")
+        assert pair.hints_outstanding(1) == -1
+        pair.put(1, b"w")  # an overflowed set stays overflowed
+        assert pair.hints_outstanding(1) == -1
+        pair.revive(1)
+        assert pair.resyncs == 1 and pair.hints_outstanding(1) == 0
+        assert pair.replicas[1].get(1) == b"w"
+
+    def test_a_revive_owing_nothing_needs_no_donor(self, pair, monkeypatch):
+        pair.put(1, b"a")
+        pair.fail(1)
+
+        def no_donor(exclude):
+            raise AssertionError("a replica owing no hints needs no donor")
+
+        monkeypatch.setattr(pair, "_complete_peer", no_donor)
+        assert pair.revive(1) == 0
+        assert pair.alive == [True, True] and pair.catchup_keys == 0
+
+    def test_a_revive_starts_a_fresh_ledger(self, pair):
+        pair.fail(1)
+        pair.put(1, b"a")
+        assert pair.revive(1) == 1
+        pair.fail(1)  # fail twice: the second is a no-op
+        pair.fail(1)
+        pair.put(2, b"b")
+        assert pair.hints_outstanding(1) == 1  # only the second outage's key
+        assert pair.revive(1) == 1
+        assert pair.revive(1) == 0  # reviving a live replica replays nothing
+        assert pair.catchup_keys == 2
 
 
 class TestFanOutAndRouting:
@@ -167,9 +189,9 @@ class TestFailoverAndCatchUp:
         dead = replicated.shards[0].replicas[0]
         shard0_keys = [key for key in keys if replicated.shard_of(key) == 0]
         assert any(dead.get(key) == b"old" for key in shard0_keys)
-        assert replicated.shards[0].versions.lag(0) > 0
+        assert replicated.shards[0].hints_outstanding(0) == len(shard0_keys)
         replicated.shards[0].revive(0)
-        assert replicated.shards[0].versions.lag(0) == 0
+        assert replicated.shards[0].hints_outstanding(0) == 0
         for key in shard0_keys:
             expected = None if key == keys[0] else b"new"
             assert dead.get(key) == expected
@@ -180,23 +202,22 @@ class TestFailoverAndCatchUp:
         replicated.multi_put(keys, [b"old"] * len(keys))
         group.fail(0)
         replicated.multi_put(keys, [b"new"] * len(keys))
-        assert group.versions.lag(0) == len(keys)
+        assert group.hints_outstanding(0) == len(keys)
         assert group.revive(0) == len(keys)
-        assert group.versions.lag(0) == 0 and group.alive == [True, True]
+        assert group.hints_outstanding(0) == 0 and group.alive == [True, True]
         assert {group.pick_reader() for _ in range(4)} == {0, 1}
         for _ in range(4):
             assert replicated.get(keys[0]) == b"new"
         assert group.replicas[0].get(keys[0]) == b"new"
-        # A live replica applies every new write: it never lags.
+        # A live replica applies every new write: it never owes a hint.
         fresh = [key for key in range(200, 400) if replicated.shard_of(key) == 0][:5]
         replicated.multi_put(fresh, [b"post"] * len(fresh))
-        assert group.versions.lag(0) == group.versions.lag(1) == 0
+        assert group.hints_outstanding(0) == group.hints_outstanding(1) == 0
 
     def test_cannot_fail_the_only_caught_up_replica(self, replicated):
-        """The group must always keep one complete (lag 0) live replica:
-        the scalar clock cannot tell *which* writes a dead replica
-        missed, so losing the last complete copy would leave no donor
-        for a revive."""
+        """The group must always keep one live replica: it is the only
+        copy holding every acknowledged write, so losing it would leave
+        no donor for a revive."""
         replicated.put(1, b"x")
         shard = replicated.shard_of(1)
         replicated.shards[shard].fail(0)
@@ -222,7 +243,7 @@ class TestFailoverAndCatchUp:
         group.revive(1)
         for group_replica in group.replicas:
             assert group_replica.get(key) == b"v2"
-        assert group.versions.lag(0) == group.versions.lag(1) == 0
+        assert group.hints_outstanding(0) == group.hints_outstanding(1) == 0
 
     def test_hint_overflow_triggers_full_resync(self, tmp_path, ssd):
         store = replicated_store(
@@ -280,7 +301,7 @@ class TestRoutedReads:
         for _ in range(3):
             assert group.pick_reader() != 2
         group.revive(2)  # replays v2 before it serves
-        assert group.versions.lag(2) == 0
+        assert group.hints_outstanding(2) == 0
         assert 2 in {group.pick_reader() for _ in range(3)}
         for _ in range(6):
             assert trio.get(1) == b"v2"
@@ -339,14 +360,13 @@ class TestServingSurface:
         # counters under the keys one group reports them with.
         groups = [group.stats.extra for group in replicated.shards]
         assert set(groups[0]) <= set(stats.extra)
-        for name in ("replica_lag", "hints_outstanding", "slow_penalties"):
+        for name in ("hints_outstanding", "slow_penalties"):
             assert stats.extra[name] == groups[0][name] + groups[1][name]
         for name in ("failovers", "catchup_keys"):
             assert stats.extra[name] == groups[0][name] + groups[1][name]
-        assert stats.extra["replica_lag"][1] > 0  # shard 0, replica 1
-        assert stats.extra["hints_outstanding"][1] > 0
+        assert stats.extra["hints_outstanding"][1] > 0  # shard 0, replica 1
         assert stats.extra["failovers"] == replicated.shards[0].failovers > 0
-        assert stats.extra["shards"][0]["replica_lag"] == groups[0]["replica_lag"]
+        assert stats.extra["shards"][0]["hints_outstanding"] == groups[0]["hints_outstanding"]
 
     def test_freeze_propagates(self, replicated):
         replicated.put(1, b"x")
@@ -697,7 +717,7 @@ class TestLiveSplit:
         store.shards[0].fail(0)
         assert store.multi_get(keys) == [b"deep"] * 120
         store.shards[0].revive(0)
-        assert store.shards[0].versions.lag(0) == 0
+        assert store.shards[0].hints_outstanding(0) == 0
         store.close()
 
 
@@ -732,15 +752,13 @@ class TestCoordinatedCheckpoint:
         for k in keys:
             assert restored.get(k) == bytes([k % 251]) * 6
         assert restored.get(1000) == b"hinted"
-        # Liveness, clocks and hint queues survived: the dead replica is
-        # still dead, still lagging, and its hinted keys replay on revive.
+        # Liveness and hint queues survived: the dead replica is still
+        # dead, still owes the hinted key, and replays it on revive.
         group = restored.shards[0]
         assert group.alive == [True, False]
-        assert group.versions.lag(1) > 0
-        assert group.hints_outstanding(1) >= 1
-        replayed = group.revive(1)
-        assert replayed >= 1
-        assert group.versions.lag(1) == 0
+        assert group.hints_outstanding(1) == 1
+        assert group.revive(1) == 1
+        assert group.hints_outstanding(1) == 0
         restored.close()
 
     def test_an_image_naming_a_read_policy_still_restores(self, tmp_path, ssd):
@@ -752,8 +770,7 @@ class TestCoordinatedCheckpoint:
         store.multi_put(list(range(30)), [b"w"] * 30)  # hinted on shard 1
         store.checkpoint()
         groups = [
-            (group.versions.version, list(group.versions.applied), list(group.alive),
-             group.hints_outstanding(0), group.hints_outstanding(1))
+            (list(group.alive), group.hints_outstanding(0), group.hints_outstanding(1))
             for group in store.shards
         ]
         store.close()
@@ -766,11 +783,10 @@ class TestCoordinatedCheckpoint:
 
         restored = ShardedKVStore.restore(str(tmp_path), ssd=SSDModel(SimClock()))
         assert [
-            (group.versions.version, group.versions.applied, group.alive,
-             group.hints_outstanding(0), group.hints_outstanding(1))
+            (group.alive, group.hints_outstanding(0), group.hints_outstanding(1))
             for group in restored.shards
         ] == groups
-        assert groups[1][2] == [False, True] and groups[1][3] > 0
+        assert groups[1][0] == [False, True] and groups[1][1] > 0
         assert restored.multi_get(list(range(30))) == [b"w"] * 30
         restored.close()
 
@@ -778,10 +794,10 @@ class TestCoordinatedCheckpoint:
         self, tmp_path, ssd
     ):
         """Group manifests written while a group had a divergence bound
-        record it, and may record a live replica that lags (revived
-        without replaying its hints).  Restore ignores the bound, brings
-        the lagging replica back dead, and the next revive replays its
-        recorded hints."""
+        record it and version clocks, and may record a live replica that
+        still owes hints (revived without replaying them).  Restore
+        ignores the bound and the clocks, brings the owing replica back
+        dead, and the next revive replays its recorded hints."""
         store = self._build(tmp_path, ssd)
         keys = list(range(30))
         store.multi_put(keys, [b"v"] * 30)
@@ -817,14 +833,13 @@ class TestCoordinatedCheckpoint:
 
         restored = ShardedKVStore.restore(str(tmp_path), ssd=SSDModel(SimClock()))
         lagging, current = restored.shards
-        assert current.alive == [True, True] and current.versions.lag(0) == 0
+        assert current.alive == [True, True] and current.hints_outstanding(0) == 0
         assert lagging.alive == [False, True]
-        assert lagging.versions.lag(0) == len(shard0)
         assert lagging.hints_outstanding(0) == len(shard0)
         for _ in range(4):
             assert restored.multi_get(shard0) == [b"w"] * len(shard0)
         assert lagging.revive(0) == len(shard0)
-        assert lagging.versions.lag(0) == 0
+        assert lagging.hints_outstanding(0) == 0
         assert [lagging.replicas[0].get(key) for key in shard0] == [b"w"] * len(shard0)
         restored.close()
 

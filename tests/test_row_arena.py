@@ -190,7 +190,7 @@ class TestLoadStateDict:
             # key: over a minute at this size.
             assert time.perf_counter() - started < 5.0
             assert optimizer._arena.keys.tolist() == keys.tolist()
-            assert optimizer.state_bytes() == 100_000 * 32 * 4 * len(optimizer._arena.columns)
+            assert optimizer._arena.width == 32
 
     def test_mixed_row_widths_raise(self):
         with pytest.raises(ValueError):
@@ -206,7 +206,7 @@ class TestLoadStateDict:
         for optimizer, state in ((RowAdagrad(), {"accumulators": {}}), (RowAdam(), {"state": {}})):
             optimizer.delta_rows(np.arange(3), np.ones((3, DIM), np.float32))
             optimizer.load_state_dict(state)
-            assert optimizer.state_bytes() == 0 and optimizer.state_dict() == state
+            assert optimizer._arena is None and optimizer.state_dict() == state
             assert optimizer.delta_rows(np.arange(2), np.ones((2, 4), np.float32)).shape == (2, 4)
 
     def test_numpy_integer_keys_load(self):

@@ -304,7 +304,7 @@ class TestCrossShardOrdering:
         children = [
             make_engine(kind, str(tmp_path / kind)) for kind in ENGINES
         ]
-        store = ShardedKVStore.from_stores(children)
+        store = ShardedKVStore(lambda index: children[index], len(children))
         keys = list(range(300))
         store.multi_put(keys, [key.to_bytes(2, "little") for key in keys])
         store.multi_put([7, 8], [b"new7", b"new8"])  # overwrites

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gnn_oracle import dense_gat, dense_sage, masked_softmax, to_dense
+from gnn_oracle import dense_gat, dense_sage, from_dense, masked_softmax, to_dense
 from repro.data import GraphDataset, NeighborSampler
 from repro.models.gnn import GATLayer, SageLayer
 from repro.nn import Tensor
@@ -289,7 +289,7 @@ class TestBlock:
     def test_from_dense_mask(self):
         mask = np.array([[True, False, True, False],
                          [False, True, False, False]])
-        block = Block.from_dense(mask)
+        block = from_dense(mask)
         assert (block.n_dst, block.n_src) == (2, 4)
         np.testing.assert_array_equal(block.indptr, [0, 2, 3])
         np.testing.assert_array_equal(block.indices, [0, 2, 1])
@@ -299,7 +299,7 @@ class TestBlock:
 
     def test_from_dense_weights_round_trip(self):
         matrix = np.array([[0.25, 0.0, 0.75], [0.0, 1.0, 0.0]], dtype=np.float32)
-        block = Block.from_dense(matrix)
+        block = from_dense(matrix)
         np.testing.assert_array_equal(block.weights, [0.25, 0.75, 1.0])
         np.testing.assert_array_equal(to_dense(block), matrix)
 
@@ -311,7 +311,7 @@ class TestBlock:
 
     def test_rank_groups_name_no_target_twice(self):
         rng = np.random.default_rng(0)
-        block = Block.from_dense((rng.random((30, 12)) < 0.3) | np.eye(30, 12, dtype=bool))
+        block = from_dense((rng.random((30, 12)) < 0.3) | np.eye(30, 12, dtype=bool))
         for groups in (block.by_row, block.by_col):
             assert sorted(groups.order.tolist()) == list(range(len(block.indices)))
             for lo, hi in zip(groups.bounds, groups.bounds[1:]):
@@ -321,7 +321,7 @@ class TestBlock:
 
     def test_row_without_an_edge_rejected(self):
         with pytest.raises(ValueError, match="at least one edge"):
-            Block.from_dense(np.array([[True, False], [False, False]]))
+            from_dense(np.array([[True, False], [False, False]]))
 
     def test_edge_outside_the_frontier_rejected(self):
         with pytest.raises(ValueError, match="outside"):

@@ -84,23 +84,23 @@ def build(name: str, tmp_path):
         return store, dict(shared, staleness_bound=None, directory=None), [], store
     if name == "router":
         engines = [_engine(kind, os.path.join(base, kind), ssd) for kind in ("mlkv", "faster")]
-        store = ShardedKVStore.from_stores(engines, directory=base)
+        store = ShardedKVStore(lambda index: engines[index], len(engines), directory=base)
         return store, dict(shared, staleness_bound=None, directory=base), engines[:1], store
     if name == "router-of-mlkv":
         engines = [MLKV(os.path.join(base, str(bound)), ssd=ssd, staleness_bound=bound, **_SMALL)
                    for bound in (5, 3)]
-        store = ShardedKVStore.from_stores(engines)
+        store = ShardedKVStore(lambda index: engines[index], len(engines))
         return store, dict(shared, staleness_bound=3, directory=None), engines, store
     if name == "router-private":
         engines = [_engine("faster", os.path.join(base, str(index)), SSDModel(SimClock()))
                    for index in range(2)]
-        store = ShardedKVStore.from_stores(engines)
+        store = ShardedKVStore(lambda index: engines[index], len(engines))
         return store, dict(ssd=None, clock=None, staleness_bound=None, directory=None), [], store
     if name == "router-of-groups":
         groups = [ReplicaGroup([_engine("mlkv", os.path.join(base, f"{shard}-{replica}"), ssd)
                                 for replica in range(2)])
                   for shard in range(2)]
-        store = ShardedKVStore.from_stores(groups, directory=base)
+        store = ShardedKVStore(lambda index: groups[index], len(groups), directory=base)
         engines = [replica for group in groups for replica in group.replicas]
         return store, dict(shared, staleness_bound=3, directory=base), engines, store
     if name == "group-shared":
@@ -206,8 +206,8 @@ def test_a_replica_group_uploads_and_restores_a_checkpoint_epoch(tmp_path):
     restored = checkpointer.restore(str(tmp_path / "restored"))
     assert isinstance(restored, ReplicaGroup)
     assert dict(restored.scan()) == expected
-    assert (restored.versions.version, restored.versions.applied) == (
-        group.versions.version, group.versions.applied)
+    assert (restored.alive, restored.hints_outstanding(0), restored.hints_outstanding(1)) == (
+        group.alive, group.hints_outstanding(0), group.hints_outstanding(1))
     restored.close()
     group.close()
 

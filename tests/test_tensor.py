@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from gnn_oracle import from_dense
 from repro.nn import Tensor
 from repro.nn.functional import concat, logsigmoid, softmax, stack
-from repro.nn.sparse import Block, aggregate, edge_logits, edge_softmax
+from repro.nn.sparse import aggregate, edge_logits, edge_softmax
 
 
 def numeric_grad(fn, arrays, index, eps=1e-3):
@@ -47,7 +48,7 @@ def check_gradients(build, *shapes, seed=0, atol=5e-2):
 
 # Three destinations over four sources: a hub column (0), a row with one
 # edge, and a source (3) only one row points at.
-EDGES = Block.from_dense(np.array([[True, True, False, False],
+EDGES = from_dense(np.array([[True, True, False, False],
                                    [True, False, False, False],
                                    [True, True, True, True]]))
 
@@ -252,7 +253,7 @@ class TestAutogradMechanics:
 
     def test_masked_softmax_zeroes_masked_positions(self):
         """Only edges carry probability: a masked position has no entry."""
-        block = Block.from_dense(np.array([[True, False, True]]))
+        block = from_dense(np.array([[True, False, True]]))
         probs = edge_softmax(block, Tensor(np.zeros(2))).numpy()
         np.testing.assert_array_equal(block.indices, [0, 2])
         np.testing.assert_allclose(probs, [0.5, 0.5])
