@@ -15,15 +15,16 @@ test:
 # ≡ np.matmul), sparse message passing (GAT's one-node attention scores
 # ≡ the four nodes they replaced, signs of zero included), the vectorized
 # paths ≡ their reference loops, the models, the neighbour sampler
-# (the array layer ≡ numpy's rng.choice stream, and the sampled-graph
-# CRCs), the weighted draw the datasets are generated with (≡ numpy's
+# (the array layer ≡ numpy's rng.choice stream, the sampled-graph CRCs,
+# every hop's frontier, CSR and rank groups ≡ the np.unique oracle, and
+# a batch's bytes per sampled edge), the weighted draw the datasets are generated with (≡ numpy's
 # weighted rng.choice, integers and generator state, and the CTR, KG and
 # graph CRCs: the graph's hub edges and every training batch come from
 # it), and the row optimizers' key -> slot map (≡ a dict, saved state
 # byte for byte) — so a change that moves one float bit of training, or
 # one sampled edge or drawn key, fails attributably.
 test-nn:
-	$(PYTHON) -m pytest tests/test_golden_trajectories.py tests/test_gradient_path.py tests/test_tensor.py tests/test_sparse_message_passing.py tests/test_vectorized_equivalence.py tests/test_models.py tests/test_sampling_metrics.py tests/test_categorical_draws.py tests/test_row_arena.py -q
+	$(PYTHON) -m pytest tests/test_golden_trajectories.py tests/test_gradient_path.py tests/test_tensor.py tests/test_sparse_message_passing.py tests/test_vectorized_equivalence.py tests/test_models.py tests/test_sampling_metrics.py tests/test_sampled_blocks.py tests/test_categorical_draws.py tests/test_row_arena.py -q
 
 # The FASTER/MLKV engine's suites on their own: the hash index (walked ≡
 # array probes, remembered lookups, swings ≡ looped upserts), the
@@ -150,11 +151,12 @@ test-sanitize:
 
 # Prefer ruff (fast, wider net) when present; fall back to pyflakes,
 # then to the always-available compileall syntax check.  The repo's own
-# AST linter (REP001-REP008: simulated-clock purity, KV contract
+# AST linter (REP001-REP009: simulated-clock purity, KV contract
 # completeness, storage layering, no swallowed exceptions, no set-order
 # iteration, instrumentation-through-repro.obs, public docstrings on
-# the serving/storage surfaces, one sort-based dedupe) always runs — it has no third-party
-# dependencies — and so does the docs checker (intra-repo markdown
+# the serving/storage surfaces, one sort-based dedupe, no unused
+# import — so the tree holds that even where ruff and pyflakes are
+# not installed) always runs — it has no third-party dependencies — and so does the docs checker (intra-repo markdown
 # links, make targets and CI jobs named in the docs must exist).
 lint:
 	$(PYTHON) -m compileall -q src tests benchmarks examples

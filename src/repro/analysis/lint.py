@@ -250,7 +250,7 @@ def lint_paths(paths: Iterable[str]) -> list[Finding]:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.lint",
-        description="Repo-specific invariant linter (rules REP001-REP008).",
+        description="Repo-specific invariant linter (rules REP001-REP009).",
     )
     parser.add_argument(
         "paths", nargs="*", default=["src"],

@@ -1,4 +1,4 @@
-"""The built-in rule catalog: REP001-REP008.
+"""The built-in rule catalog: REP001-REP009.
 
 Each rule states one invariant the simulated train/serve stack rests on
 and generic linters cannot express.  Rules scope themselves by module
@@ -19,11 +19,14 @@ REP007  every public class and function on the documented API surfaces
         ``repro.train.dist``) carries a docstring.
 REP008  key sets are deduplicated with ``repro._arrays.sorted_unique``:
         no bare ``np.unique`` (numpy's hashing path) outside that module.
+REP009  no unused import, in every linted file (``make lint`` holds the
+        tree without ruff or pyflakes installed).
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import PurePath
 from typing import Iterable, Iterator, Optional
 
@@ -703,11 +706,106 @@ class OneDedupe(LintRule):
                 )
 
 
+# ----------------------------------------------------------------------
+# REP009 — no unused import.  A dead import is a dependency the module
+# does not have: it slows start-up, hides a real one when the name is
+# later used by mistake, and misleads the next reader.  ruff / pyflakes
+# flag it too, but neither is installed everywhere ``make lint`` runs,
+# so this rule runs on every linted file.  A name counts as used when
+# any expression of the file, a string annotation included, names it.
+# Exempt: ``__init__.py`` (re-exports), ``from __future__``, names in
+# ``__all__`` and lines marked ``# noqa: F401`` (a side-effect import).
+# ----------------------------------------------------------------------
+
+_NOQA_F401 = re.compile(r"#\s*noqa:[^#]*\bF401\b")
+
+
+def _bound_names(node: ast.Import | ast.ImportFrom) -> Iterator[tuple[str, str]]:
+    """``(bound name, imported name)`` for each alias of an import."""
+    for alias in node.names:
+        if alias.name == "*":
+            continue
+        if alias.asname is not None:
+            yield alias.asname, alias.name
+        else:
+            yield alias.name.split(".")[0], alias.name
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The string entries of every ``__all__`` assignment."""
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets) and node.value:
+                names.update(
+                    item.value for item in ast.walk(node.value)
+                    if isinstance(item, ast.Constant) and isinstance(item.value, str)
+                )
+    return names
+
+
+def _annotations(tree: ast.Module) -> Iterator[ast.expr]:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Every name the file's expressions load, string annotations parsed."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    parsed = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                used.update(n.id for n in ast.walk(parsed) if isinstance(n, ast.Name))
+    return used
+
+
+@register
+class NoUnusedImport(LintRule):
+    name = "REP009"
+    summary = (
+        "no unused import (package __init__ re-exports, __future__, "
+        "__all__ names and `# noqa: F401` lines exempt)"
+    )
+
+    def applies(self, module: Optional[str]) -> bool:
+        return True
+
+    def check(self, source: SourceFile) -> Iterator[Finding]:
+        if PurePath(source.path).name == "__init__.py":
+            return
+        lines = source.text.splitlines()
+        used = _used_names(source.tree) | _exported(source.tree)
+        for node in ast.walk(source.tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            span = lines[node.lineno - 1:node.end_lineno]
+            if any(_NOQA_F401.search(line) for line in span):
+                continue
+            for bound, imported in _bound_names(node):
+                if bound not in used:
+                    yield source.finding(
+                        self.name, node, f"`{imported}` imported but unused",
+                    )
+
+
 __all__: Iterable[str] = [
     "InstrumentationViaObs",
     "KVContractCompleteness",
     "NoSetIteration",
     "NoSwallowedBroadExceptions",
+    "NoUnusedImport",
     "OneDedupe",
     "PublicDocstrings",
     "SimulatedClockPurity",

@@ -52,19 +52,17 @@ class NeighborSampler:
         self.fanouts = tuple(fanouts)
         self.mode = mode
         self._rng = np.random.default_rng(seed)
+        self._first_seen = np.empty(len(graph.indptr) - 1, dtype=np.int64)
 
     def sample(self, seeds: np.ndarray) -> SampledBlocks:
         """Expand ``seeds`` (distinct nodes) into an L-hop computation graph."""
         seeds = np.asarray(seeds, dtype=np.int64)
         # Build frontiers inside-out: layer L classifies the seeds.
-        dst = seeds
-        frontiers: list[np.ndarray] = []
-        blocks: list[Block] = []
+        dst, frontiers, blocks = seeds, [], []
         for fanout in reversed(self.fanouts):
-            src, dst_index, block = self._sample_layer(dst, fanout)
+            dst, dst_index, block = self._sample_layer(dst, fanout)
             frontiers.insert(0, dst_index)
             blocks.insert(0, block)
-            dst = src
         return SampledBlocks(input_nodes=dst, frontiers=frontiers, blocks=blocks, seeds=seeds)
 
     def _sample_layer(self, dst: np.ndarray, fanout: int) -> tuple[np.ndarray, np.ndarray, Block]:
@@ -85,15 +83,20 @@ class NeighborSampler:
         chosen = dst[rows]  # an isolated destination keeps a self edge
         linked = degrees[rows] > 0
         chosen[linked] = neighbors[lo[rows[linked]] + picks]
-        # Source frontier: destinations first, then new neighbors as first seen.
+        # Source frontier: destinations first, then new neighbors as first
+        # seen.  Reversed stores leave each node's first index in
+        # ``_first_seen`` (the last store wins); every slot read was just
+        # written, so the scratch array needs no reset.
         nodes = np.concatenate([dst, chosen])
-        _, first, inverse = np.unique(nodes, return_index=True, return_inverse=True)
-        src = nodes[np.sort(first)]
-        position = np.argsort(np.argsort(first))[inverse]
+        self._first_seen[nodes[::-1]] = np.arange(len(nodes))[::-1]
+        first = self._first_seen[nodes]
+        is_first = first == np.arange(len(nodes))
+        src = nodes[is_first]
+        label = np.cumsum(is_first) - 1
         # from_edges keeps one edge where a multigraph picked a neighbor twice.
-        block = Block.from_edges(len(dst), len(src), rows, position[len(dst):],
+        block = Block.from_edges(len(dst), len(src), rows, label[first[len(dst):]],
                                  mean=self.mode == "mean")
-        return src, position[:len(dst)], block
+        return src, label[first[:len(dst)]], block
 
 
 # Past this degree numpy's choice(replace=False) may shuffle an arange of

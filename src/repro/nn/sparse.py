@@ -26,27 +26,27 @@ from repro.nn.tensor import Tensor, _matmul, _scatter_rows
 class EdgeGroups(NamedTuple):
     """Edges ordered by rank within their row (or column), for summing.
 
-    ``order`` permutes CSR edge order into rank order.  ``into`` (the
-    row, or column, an edge is summed into) and ``take`` (the one its
-    message comes from) are already permuted.  Group ``k`` is
-    ``bounds[k]:bounds[k + 1]`` and names no ``into`` twice.
+    ``order`` permutes CSR edge order into rank order; group ``k`` is
+    ``order[bounds[k]:bounds[k + 1]]`` and names no row (or column) twice.
     """
 
     order: np.ndarray
-    into: np.ndarray
-    take: np.ndarray
     bounds: list[int]
 
 
-def _rank_groups(into: np.ndarray, take: np.ndarray, size: int) -> EdgeGroups:
-    """Order edges by their rank among the edges summed into the same target."""
-    by_target = np.argsort(into, kind="stable")
-    counts = np.bincount(into, minlength=size)
-    rank = np.empty_like(by_target)
-    rank[by_target] = np.arange(len(into)) - np.repeat(np.cumsum(counts) - counts, counts)
+def _rank_groups(rank: np.ndarray) -> EdgeGroups:
+    """Group edges by ``rank``, each edge's rank among the edges summed
+    into the same target, stably."""
     order = np.argsort(rank, kind="stable")
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(rank))]).tolist()
-    return EdgeGroups(order, into[order], take[order], bounds)
+    return EdgeGroups(order, np.concatenate([[0], np.cumsum(np.bincount(rank))]).tolist())
+
+
+def _column_rank(cols: np.ndarray) -> np.ndarray:
+    """Each edge's rank among the edges of its column, in edge order."""
+    by_col = np.argsort(cols, kind="stable")
+    position = np.empty_like(by_col)
+    position[by_col] = np.arange(len(cols))  # in column-sorted order
+    return position - np.searchsorted(cols[by_col], cols)
 
 
 class Block:
@@ -56,8 +56,10 @@ class Block:
     ``indices`` holds each edge's position in the source frontier, with
     no position twice in a row; ``weights`` are optional constant
     per-edge weights (``1/deg`` for mean aggregation).  Every row has at
-    least one edge.  The row- and column-rank groupings the kernels sum
-    over are derived here, once per sampled batch.
+    least one edge.  ``rows`` holds each edge's row.  The row- and
+    column-rank groupings the kernels sum over keep only their rank
+    order; the kernels gather the summed-into and taken-from rows or
+    columns through it at use (``docs/ARCHITECTURE.md``, "Block layout").
     """
 
     def __init__(self, n_src: int, indptr: np.ndarray, indices: np.ndarray,
@@ -74,8 +76,9 @@ class Block:
         self.weights = weights
         self.starts = indptr[:-1]
         self.rows = np.repeat(np.arange(self.n_dst), counts)
-        self.by_row = _rank_groups(self.rows, indices, self.n_dst)
-        self.by_col = _rank_groups(indices, self.rows, n_src)
+        # Rows are sorted: an edge's rank in its row is its offset from the row's start.
+        self.by_row = _rank_groups(np.arange(len(indices)) - self.starts[self.rows])
+        self.by_col = _rank_groups(_column_rank(indices))
 
     @classmethod
     def from_edges(cls, n_dst: int, n_src: int, rows: np.ndarray, cols: np.ndarray,
@@ -147,20 +150,20 @@ def edge_softmax(block: Block, logits: Tensor) -> Tensor:
     return Tensor._make(probs, (logits,), backward)
 
 
-def _weighted_sum(groups: EdgeGroups, size: int, edge_weights: np.ndarray,
-                  values: np.ndarray) -> np.ndarray:
+def _weighted_sum(groups: EdgeGroups, into: np.ndarray, take: np.ndarray, size: int,
+                  edge_weights: np.ndarray, values: np.ndarray) -> np.ndarray:
     """``out[into[e]] += edge_weights[e] * values[take[e]]``, one rank group at a time."""
-    weights = edge_weights[groups.order]
+    into, take, weights = into[groups.order], take[groups.order], edge_weights[groups.order]
     out = np.zeros((size, values.shape[1]), dtype=np.float32)
     for k, (lo, hi) in enumerate(zip(groups.bounds, groups.bounds[1:])):
-        messages = np.take(values, groups.take[lo:hi], axis=0)
+        messages = np.take(values, take[lo:hi], axis=0)
         messages *= weights[lo:hi, None]
         if k == 0:
             # Most edges are rank 0 and ``out`` is still zero: storing skips
             # the read of a cold array (2 of a 13 ms gnn_dense step).
-            out[groups.into[lo:hi]] = messages
+            out[into[lo:hi]] = messages
         else:
-            out[groups.into[lo:hi]] += messages  # exact: a group names no target twice
+            out[into[lo:hi]] += messages  # exact: a group names no target twice
     return out
 
 
@@ -171,14 +174,16 @@ def aggregate(block: Block, edge_weights: Tensor | np.ndarray, h_src: Tensor) ->
     a tensor that wants them, and ``h_src`` (scattered by column).
     """
     weights = edge_weights if isinstance(edge_weights, Tensor) else Tensor(edge_weights)
-    out = _weighted_sum(block.by_row, block.n_dst, weights.data, h_src.data)
+    out = _weighted_sum(block.by_row, block.rows, block.indices, block.n_dst,
+                        weights.data, h_src.data)
 
     def backward(grad: np.ndarray) -> None:
         if weights.requires_grad:
             dots = np.einsum("ij,ij->i", grad[block.rows], h_src.data[block.indices])
             weights._accumulate(dots, owned=True)
         if h_src.requires_grad:
-            scattered = _weighted_sum(block.by_col, block.n_src, weights.data, grad)
+            scattered = _weighted_sum(block.by_col, block.indices, block.rows, block.n_src,
+                                      weights.data, grad)
             h_src._accumulate(scattered, owned=True)
 
     return Tensor._make(out, (weights, h_src), backward)

@@ -31,8 +31,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from repro._arrays import sorted_unique
 from repro.core.embedding import EmbeddingTables
 from repro.device.clock import WorkerClockView

@@ -6,6 +6,12 @@ they moved to edge lists: a row softmax with the non-edges masked out,
 It is quadratic in the frontier, which is why it lives here and not
 under ``src/``; the sparse path must agree with it up to rounding.
 
+The neighbour sampler's reference sits here too: one
+``rng.choice`` per destination, the source frontier relabelled with
+``np.unique``, the CSR built by ``np.unique`` over ``(row, column)``
+pairs and each rank grouping stored with its summed-into and taken-from
+arrays already permuted, as blocks once kept them.
+
 GraphSage's reference is composed from ``Tensor`` primitives.  GAT's is
 written out in float64, forward and backward: its attention gradient is
 a difference of per-edge terms as large as ``|h_src|^2`` times the
@@ -16,6 +22,8 @@ kernel's own rounding alone.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +41,64 @@ def from_dense(matrix: np.ndarray) -> Block:
     if matrix.dtype != bool:
         block.weights = matrix[rows, cols].astype(np.float32)
     return block
+
+
+class RankGroups(NamedTuple):
+    """Edges in rank order within their target: ``into`` (the row, or
+    column, an edge is summed into) and ``take`` (the one its message
+    comes from) are permuted by ``order``; group ``k`` is
+    ``bounds[k]:bounds[k + 1]``."""
+
+    order: np.ndarray
+    into: np.ndarray
+    take: np.ndarray
+    bounds: list[int]
+
+
+def rank_groups(into: np.ndarray, take: np.ndarray, size: int) -> RankGroups:
+    """Order edges by their rank among the edges summed into the same target."""
+    by_target = np.argsort(into, kind="stable")
+    counts = np.bincount(into, minlength=size)
+    rank = np.empty_like(by_target)
+    rank[by_target] = np.arange(len(into)) - np.repeat(np.cumsum(counts) - counts, counts)
+    order = np.argsort(rank, kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(rank))]).tolist()
+    return RankGroups(order, into[order], take[order], bounds)
+
+
+def relabel(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``nodes``' distinct values in first-seen order, and each node's
+    position among them."""
+    _, first, inverse = np.unique(nodes, return_index=True, return_inverse=True)
+    return nodes[np.sort(first)], np.argsort(np.argsort(first))[inverse]
+
+
+def choice_loop_layer(graph, rng: np.random.Generator, dst: np.ndarray, fanout: int):
+    """One sampled hop as one ``rng.choice(replace=False)`` per destination
+    (an isolated one keeps a self edge): the source frontier, ``dst``'s
+    positions in it, and the edge list ``(rows, cols)`` as drawn, a
+    neighbour picked twice listed twice."""
+    picked = []
+    for node, lo, hi in zip(dst.tolist(), graph.indptr[dst].tolist(),
+                            graph.indptr[dst + 1].tolist()):
+        if lo == hi:
+            picked.append(np.array([node], dtype=np.int64))
+        else:
+            picked.append(rng.choice(graph.indices[lo:hi], size=min(fanout, hi - lo),
+                                     replace=False))
+    rows = np.repeat(np.arange(len(dst)), [len(chosen) for chosen in picked])
+    src, position = relabel(np.concatenate([dst] + picked))
+    return src, position[:len(dst)], rows, position[len(dst):]
+
+
+def csr(n_dst: int, rows: np.ndarray, cols: np.ndarray, mean: bool):
+    """``(indptr, indices, rows, weights)`` of an edge list, an edge listed
+    twice kept once, columns ascending in a row; ``mean`` weights each
+    edge ``1/deg`` of its row."""
+    rows, cols = np.unique(np.stack([rows, cols], axis=1), axis=0).T
+    degree = np.bincount(rows, minlength=n_dst)
+    weights = np.float32(1.0) / degree[rows].astype(np.float32) if mean else None
+    return np.concatenate([[0], np.cumsum(degree)]), cols, rows, weights
 
 
 def to_dense(block) -> np.ndarray:

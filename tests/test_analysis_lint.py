@@ -35,7 +35,7 @@ class TestEngine:
         names = set(rule_registry())
         assert {
             "REP001", "REP002", "REP003", "REP004", "REP005", "REP006",
-            "REP007", "REP008",
+            "REP007", "REP008", "REP009",
         } <= names
 
     def test_module_name_mapping(self):
@@ -92,7 +92,7 @@ class TestRep001ClockPurity:
 
     def test_flags_from_imports_and_datetime_now(self):
         findings = lint_source(
-            "from time import sleep\n"
+            "from time import sleep  # noqa: F401\n"
             "from datetime import datetime\n"
             "stamp = datetime.now()\n"
         )
@@ -156,7 +156,7 @@ class TestRep001BenchAllowlist:
 
     def test_sleep_from_import_flagged_in_bench_scope(self):
         findings = lint_source(
-            "from time import perf_counter, sleep\n",
+            "from time import perf_counter, sleep  # noqa: F401\n",
             path="benchmarks/test_wallclock.py",
         )
         assert rules_of(findings) == ["REP001"]
@@ -373,28 +373,28 @@ class TestRep002ContractCompleteness:
 class TestRep003Layering:
     def test_flags_serve_importing_engine_internals(self):
         findings = lint_source(
-            "from repro.kv.lsm import LSMStore\n",
+            "from repro.kv.lsm import LSMStore  # noqa: F401\n",
             path="src/repro/serve/fixture.py",
         )
         assert rules_of(findings) == ["REP003"]
 
     def test_flags_submodule_import_from_facade(self):
         findings = lint_source(
-            "from repro.kv import faster\n",
+            "from repro.kv import faster  # noqa: F401\n",
             path="src/repro/train/dist/fixture.py",
         )
         assert rules_of(findings) == ["REP003"]
 
     def test_passes_facade_public_names(self):
         findings = lint_source(
-            "from repro.kv import KVStore, ReplicaGroup, decode_vector\n",
+            "from repro.kv import KVStore, ReplicaGroup, decode_vector  # noqa: F401\n",
             path="src/repro/serve/fixture.py",
         )
         assert findings == []
 
     def test_core_must_not_import_serve(self):
         findings = lint_source(
-            "from repro.serve.server import EmbeddingServer\n",
+            "from repro.serve.server import EmbeddingServer  # noqa: F401\n",
             path="src/repro/core/fixture.py",
         )
         assert rules_of(findings) == ["REP003"]
@@ -403,7 +403,7 @@ class TestRep003Layering:
         # core/ composes engines directly (Open() builds them); only the
         # serving/distributed layers are facade-bound.
         findings = lint_source(
-            "from repro.kv.faster import FasterKV\n",
+            "from repro.kv.faster import FasterKV  # noqa: F401\n",
             path="src/repro/core/fixture.py",
         )
         assert findings == []
@@ -411,7 +411,7 @@ class TestRep003Layering:
     def test_pragma_suppresses(self):
         findings = lint_source(
             "from repro.kv.lsm import LSMStore"
-            "  # repro: lint-ignore[REP003] perf experiment\n",
+            "  # repro: lint-ignore[REP003] perf experiment  # noqa: F401\n",
             path="src/repro/serve/fixture.py",
         )
         assert findings == []
@@ -715,7 +715,7 @@ class TestRep008OneDedupe:
 
     def test_other_uniques_pass(self):
         findings = lint_source(
-            "import numpy as np\n"
+            "import numpy as np  # noqa: F401\n"
             "import pandas as pd\n"
             "a = pd.unique(keys)\n"
             "b = frame.unique()\n",
@@ -735,6 +735,40 @@ class TestRep008OneDedupe:
             path=self.PATH,
         )
         assert findings == []
+
+
+# ----------------------------------------------------------------------
+# REP009 — no unused import, in every linted file
+# ----------------------------------------------------------------------
+class TestRep009NoUnusedImport:
+    def test_unused_imports_flagged_in_and_out_of_src(self):
+        source = (
+            "import os\n"
+            "import numpy as np\n"
+            "from typing import Optional, Sequence\n"
+            "def f(x: Optional[int]) -> int:\n"
+            "    return os.getpid()\n"
+        )
+        for path in ("src/repro/snippet.py", "tests/test_fixture.py"):
+            findings = lint_source(source, path=path)
+            assert rules_of(findings) == ["REP009", "REP009"], path
+            assert [f.line for f in findings] == [2, 3]
+            assert "`numpy`" in findings[0].message and "`Sequence`" in findings[1].message
+
+    def test_exempt_imports_pass(self):
+        findings = lint_source(
+            "from __future__ import annotations\n"
+            "import repro.analysis.rules  # noqa: F401 registers the rules\n"
+            "from typing import TYPE_CHECKING\n"
+            "from repro.nn.sparse import Block, EdgeGroups\n"
+            "import os.path\n"
+            "__all__ = ['EdgeGroups']\n"
+            "def f(block: 'Block') -> str:\n"
+            "    return os.path.join(str(TYPE_CHECKING), '')\n",
+        )
+        assert findings == []
+        reexport = "from repro.nn.sparse import Block\n"
+        assert lint_source(reexport, path="src/repro/nn/__init__.py") == []
 
 
 # ----------------------------------------------------------------------

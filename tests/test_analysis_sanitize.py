@@ -22,7 +22,7 @@ from repro.analysis import (
 )
 from repro.core.checkpoint import CloudCheckpointer
 from repro.core.embedding import EmbeddingTables
-from repro.device import GPUModel, SimClock, SSDModel
+from repro.device import SimClock, SSDModel
 from repro.errors import SanitizerError
 from repro.kv.faster import FasterKV
 from repro.kv import ShardedKVStore

@@ -11,8 +11,6 @@ import subprocess
 import sys
 import textwrap
 
-import pytest
-
 from repro.analysis.doccheck import (
     check_repo,
     ci_jobs,

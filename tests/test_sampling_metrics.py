@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from gnn_oracle import choice_loop_layer
 from repro.data import GraphDataset, NeighborSampler
 from repro.data.sampling import _choice_positions, _lemire_draws
 from repro.nn.sparse import Block
@@ -139,21 +140,8 @@ def _csr(degrees, seed=0):
 def _loop_layer(graph, rng, dst, fanout, mean):
     """The sampler's layer written as one ``rng.choice`` per destination:
     the reference the array path must equal, draw for draw."""
-    picked = []
-    for node, lo, hi in zip(dst.tolist(), graph.indptr[dst].tolist(),
-                            graph.indptr[dst + 1].tolist()):
-        if lo == hi:
-            picked.append(np.array([node], dtype=np.int64))
-        else:
-            picked.append(rng.choice(graph.indices[lo:hi], size=min(fanout, hi - lo),
-                                     replace=False))
-    rows = np.repeat(np.arange(len(dst)), [len(chosen) for chosen in picked])
-    nodes = np.concatenate([dst] + picked)
-    _, first, inverse = np.unique(nodes, return_index=True, return_inverse=True)
-    src = nodes[np.sort(first)]
-    position = np.argsort(np.argsort(first))[inverse]
-    block = Block.from_edges(len(dst), len(src), rows, position[len(dst):], mean=mean)
-    return src, position[:len(dst)], block
+    src, dst_index, rows, cols = choice_loop_layer(graph, rng, dst, fanout)
+    return src, dst_index, Block.from_edges(len(dst), len(src), rows, cols, mean=mean)
 
 
 def _assert_same_layer(got, want):
