@@ -16,11 +16,14 @@ test:
 # ≡ the four nodes they replaced, signs of zero included), the vectorized
 # paths ≡ their reference loops, the models, the neighbour sampler
 # (the array layer ≡ numpy's rng.choice stream, the sampled-graph CRCs,
-# every hop's frontier, CSR and rank groups ≡ the np.unique oracle, and
-# a batch's bytes per sampled edge), the weighted draw the datasets are generated with (≡ numpy's
+# every hop's frontier, CSR and rank groups ≡ the np.unique oracle, rank
+# groups past the uint8 and uint16 sort boundaries, and a batch's bytes
+# per sampled edge), the weighted draw the datasets are generated with (≡ numpy's
 # weighted rng.choice, integers and generator state, and the CTR, KG and
 # graph CRCs: the graph's hub edges and every training batch come from
-# it), and the row optimizers' key -> slot map (≡ a dict, saved state
+# it), the KG tails' one-call draw (≡ the per-triple loop, state
+# included, rejected word and one-member clusters too), and the row
+# optimizers' key -> slot map (≡ a dict, saved state
 # byte for byte) — so a change that moves one float bit of training, or
 # one sampled edge or drawn key, fails attributably.
 test-nn:

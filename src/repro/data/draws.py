@@ -9,6 +9,11 @@ NumPy call per chunk.
 :class:`Categorical` is the one weighted draw: the integers NumPy's
 ``Generator.choice`` returns for weights ``p``, from a table built once
 instead of a CDF rebuilt and binary-searched on every call.
+
+:func:`_next_uint32s` and :func:`_lemire_draws` replay a run of scalar
+bounded draws (``integers(0, n)``, ``choice`` of ``n`` items, the steps
+of ``choice(replace=False)``) from one array of words; the neighbour
+sampler and the KG tails draw through them.
 """
 
 from __future__ import annotations
@@ -154,3 +159,30 @@ class Categorical:
                 index += (self._cdf[index + (step - 1)] <= values) * step
             flat[wide] = index
         return found
+
+
+def _next_uint32s(bit_generator: np.random.BitGenerator, n: int) -> np.ndarray:
+    """The next ``n`` words ``bit_generator``'s ``next_uint32`` returns
+    (``uint32``), leaving it where ``n`` calls would: numpy's integers
+    over the whole 32-bit range are exactly those calls."""
+    return np.random.Generator(bit_generator).integers(0, 1 << 32, n, dtype=np.uint32)
+
+
+def _lemire_draws(words: np.ndarray, bounds: np.ndarray) -> np.ndarray | None:
+    """Lemire's bounded integers in ``[0, bound]``, one word each, as numpy's
+    ``random_bounded_uint64`` computes them from ``next_uint32`` words;
+    ``None`` if any word falls under its rejection threshold (numpy would
+    draw another word for it).  A bound of 0 answers 0 whatever its word,
+    so callers put a 0 word where numpy draws none."""
+    bound = bounds.astype(np.uint64)
+    span = bound + np.uint64(1)
+    scaled = words.astype(np.uint64)
+    scaled *= span
+    leftover = scaled & np.uint64(0xFFFFFFFF)
+    # The threshold is below the span, so only a leftover under the bound
+    # can fall under it; the division runs for those alone.
+    near = leftover < bound
+    if near.any() and (leftover[near] < (2**32 - span[near]) % span[near]).any():
+        return None
+    scaled >>= np.uint64(32)
+    return scaled.view(np.int64)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data.draws import Categorical
+from repro.data.draws import Categorical, _lemire_draws, _next_uint32s
 
 
 @dataclass
@@ -73,24 +73,15 @@ class KGDataset:
         popularity = 1.0 / np.power(ranks, hub_skew)
         self._head_ids = rng.permutation(num_entities)
 
-        heads, rels, tails = [], [], []
         head_draws = Categorical(popularity / popularity.sum()).draw(rng, num_triples)
         rel_draws = rng.integers(0, num_relations, num_triples)
         noise_draws = rng.random(num_triples)
-        for head_rank, rel, noise in zip(head_draws, rel_draws, noise_draws):
-            head = self._head_ids[head_rank]
-            if noise < cluster_noise:
-                tail = rng.integers(0, num_entities)
-            else:
-                # Co-cluster tails: representable by a diagonal trilinear
-                # score (DistMult), unlike arbitrary cluster permutations.
-                tail = rng.choice(self._by_cluster[self.entity_cluster[head]])
-            heads.append(head)
-            rels.append(rel)
-            tails.append(tail)
-        self.triples = np.stack(
-            [np.array(heads), np.array(rels), np.array(tails)], axis=1
-        ).astype(np.int64)
+        heads = self._head_ids[head_draws]
+        # Co-cluster tails: representable by a diagonal trilinear score
+        # (DistMult), unlike arbitrary cluster permutations.
+        tails = _draw_tails(rng, noise_draws < cluster_noise, self.entity_cluster[heads],
+                            self._by_cluster, num_entities)
+        self.triples = np.stack([heads, rel_draws, tails], axis=1).astype(np.int64)
         split = max(1, int(0.98 * num_triples))
         self.train_triples = self.triples[:split]
         self.valid_triples = self.triples[split:]
@@ -129,3 +120,28 @@ class KGDataset:
             tails=triples[:, 2],
             neg_tails=negs.astype(np.int64),
         )
+
+
+def _draw_tails(rng: np.random.Generator, noisy: np.ndarray, clusters: np.ndarray,
+                by_cluster: list[np.ndarray], num_entities: int) -> np.ndarray:
+    """Each triple's tail: ``rng.integers(0, num_entities)`` where
+    ``noisy``, else ``rng.choice`` of its head's cluster's members, drawn
+    as that loop draws them.  Every such draw is Lemire's bounded integer
+    on one ``next_uint32`` word (none for a one-member cluster), so all
+    the words come from one call; the loop runs instead, from the same
+    state, if a word would be rejected and need another."""
+    sizes = np.array([len(members) for members in by_cluster])
+    bounds = np.where(noisy, num_entities, sizes[clusters]) - 1
+    drawn = bounds > 0
+    saved = rng.bit_generator.state
+    words = np.zeros(len(bounds), dtype=np.uint32)
+    words[drawn] = _next_uint32s(rng.bit_generator, np.count_nonzero(drawn))
+    tails = _lemire_draws(words, bounds)
+    if tails is None:
+        rng.bit_generator.state = saved
+        return np.array([rng.integers(0, num_entities) if noise else rng.choice(by_cluster[c])
+                         for noise, c in zip(noisy.tolist(), clusters.tolist())], dtype=np.int64)
+    member = ~noisy
+    first = np.cumsum(sizes) - sizes
+    tails[member] = np.concatenate(by_cluster)[first[clusters[member]] + tails[member]]
+    return tails

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.data.draws import _lemire_draws, _next_uint32s
 from repro.data.graphs import GraphDataset
 from repro.nn.sparse import Block
 
@@ -116,69 +117,45 @@ def _choice_positions(bit_generator: np.random.BitGenerator, degrees: np.ndarray
     shuffles the picks: for ``i = k - 1 … 1`` it swaps pick ``i`` with a
     draw in ``[0, i]``.  Each draw is Lemire's bounded integer on one
     ``next_uint32`` word; a draw in ``[0, 0]`` takes no word.  Here every
-    word of the layer comes from one ``random_raw`` call, Floyd's picks run
-    as ≤ ``fanout`` passes over all rows and the shuffle as ≤ ``fanout - 1``.
-    Returns ``None``, with the generator as it was, when a row's degree
-    exceeds 10,000 or a draw would reject its word and need another.
+    word of the layer comes from one call into a table of one step a row
+    and one destination a column — ``fanout`` Floyd rows, then ``fanout -
+    1`` shuffle rows, a bound of 0 where a destination draws nothing — and
+    each Floyd step is one pass over its row, its picks replacing its
+    draws.  The shuffle runs on the picks laid out destination after
+    destination, a step swapping offsets ``dst * fanout + i`` and ``dst *
+    fanout + draw``; where it draws nothing, ``i`` is clamped to 0 and the
+    swap is of offset 0 with itself.  Returns ``None``, with the generator
+    as it was, when a row's degree exceeds 10,000 or a draw would reject
+    its word and need another.
     """
     if (degrees > _FLOYD_MAX_DEGREE).any():
         return None
-    k = np.minimum(degrees, fanout)[:, None]
-    step = np.arange(fanout)
-    floyd_j = degrees[:, None] - k + step            # pick t draws in [0, j]
-    swap_i = k - 1 - step[:-1]                       # shuffle step s swaps pick i
-    bounds = np.concatenate([floyd_j, swap_i], axis=1)
-    drawn = np.concatenate([(step < k) & (floyd_j > 0), swap_i > 0], axis=1)
+    n = len(degrees)
+    k = np.minimum(degrees, fanout)
+    step = np.arange(fanout)[:, None]
+    live = step < k                                  # pick t exists
+    bounds = np.empty((2 * fanout - 1, n), dtype=np.int64)
+    floyd_j, swap_i = bounds[:fanout], bounds[fanout:]
+    np.add(degrees - k, step, out=floyd_j)           # pick t draws in [0, j]
+    floyd_j *= live
+    np.maximum(k - 1 - step[:-1], 0, out=swap_i)     # shuffle step s swaps pick i
+    drawn = bounds > 0
     saved = bit_generator.state
-    values = _lemire_draws(_next_uint32s(bit_generator, int(drawn.sum())), bounds[drawn])
-    if values is None:
+    words = np.zeros(bounds.shape, dtype=np.uint32)
+    # The choice calls draw a destination's steps in turn: fill column by column.
+    words.T[drawn.T] = _next_uint32s(bit_generator, np.count_nonzero(drawn))
+    draws = _lemire_draws(words, bounds)
+    if draws is None:
         bit_generator.state = saved
         return None
-    draws = np.zeros(bounds.shape, dtype=np.int64)
-    draws[drawn] = values
-    picks = np.zeros((len(degrees), fanout), dtype=np.int64)
-    for t in range(fanout):
-        repeat = (picks[:, :t] == draws[:, t, None]).any(axis=1)
-        picks[:, t] = np.where(repeat, floyd_j[:, t], draws[:, t])
+    for t in range(1, fanout):  # Floyd: the picks replace their draws
+        repeat = (draws[:t] == draws[t]).any(axis=0)
+        np.copyto(draws[t], floyd_j[t], where=repeat)
+    picks = draws[:fanout].T.ravel()
+    swaps = np.empty((fanout - 1, 2, n), dtype=np.int64)
+    row_start = np.arange(0, n * fanout, fanout)
+    np.add(row_start, swap_i, out=swaps[:, 0])
+    np.add(row_start, draws[fanout:], out=swaps[:, 1])
     for s in range(fanout - 1):
-        live = np.flatnonzero(drawn[:, fanout + s])
-        i, j = swap_i[live, s], draws[live, fanout + s]
-        picks[live, i], picks[live, j] = picks[live, j], picks[live, i]
-    return picks[step < k]
-
-
-def _next_uint32s(bit_generator: np.random.BitGenerator, n: int) -> np.ndarray:
-    """The next ``n`` words PCG64's ``next_uint32`` returns, as ``uint64``,
-    leaving the generator where ``n`` calls would.
-
-    ``next_uint32`` returns the buffered half-word if there is one, else
-    the low half of a fresh 64-bit output and buffers the high half.  Once
-    the buffer is spent numpy clears ``has_uint32`` but keeps the spent
-    half in ``uinteger``, so the state written back does too.
-    """
-    if n == 0:
-        return np.empty(0, dtype=np.uint64)
-    state = bit_generator.state
-    buffered = state["has_uint32"]
-    raw = bit_generator.random_raw((n - buffered + 1) // 2)
-    halves = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()
-    words = np.concatenate([np.full(buffered, state["uinteger"], dtype=np.uint64), halves])
-    state = bit_generator.state
-    state["has_uint32"] = (n - buffered) % 2
-    if len(raw):
-        state["uinteger"] = int(raw[-1] >> 32)
-    bit_generator.state = state
-    return words[:n]
-
-
-def _lemire_draws(words: np.ndarray, bounds: np.ndarray) -> np.ndarray | None:
-    """Lemire's bounded integers in ``[0, bound]``, one word each, as numpy's
-    ``random_bounded_uint64`` computes them from ``next_uint32`` words;
-    ``None`` if any word falls under its rejection threshold (numpy would
-    draw another word for it)."""
-    span = bounds.astype(np.uint64) + 1
-    scaled = words.astype(np.uint64) * span
-    threshold = (2**32 - span) % span
-    if ((scaled & 0xFFFFFFFF) < threshold).any():
-        return None
-    return (scaled >> 32).astype(np.int64)
+        picks[swaps[s]] = picks[swaps[s, ::-1]]
+    return picks.reshape(n, fanout)[live.T]

@@ -36,17 +36,27 @@ class EdgeGroups(NamedTuple):
 
 def _rank_groups(rank: np.ndarray) -> EdgeGroups:
     """Group edges by ``rank``, each edge's rank among the edges summed
-    into the same target, stably."""
-    order = np.argsort(rank, kind="stable")
-    return EdgeGroups(order, np.concatenate([[0], np.cumsum(np.bincount(rank))]).tolist())
+    into the same target, stably.  The ranks are sorted in the narrowest
+    unsigned type that holds them: numpy radix-sorts 8- and 16-bit keys,
+    several times faster than it merge-sorts ``int64``."""
+    per_rank = np.bincount(rank)
+    order = np.argsort(rank.astype(np.min_scalar_type(len(per_rank) - 1)), kind="stable")
+    return EdgeGroups(order, np.concatenate([[0], np.cumsum(per_rank)]).tolist())
 
 
-def _column_rank(cols: np.ndarray) -> np.ndarray:
-    """Each edge's rank among the edges of its column, in edge order."""
-    by_col = np.argsort(cols, kind="stable")
-    position = np.empty_like(by_col)
-    position[by_col] = np.arange(len(cols))  # in column-sorted order
-    return position - np.searchsorted(cols[by_col], cols)
+def _column_rank(cols: np.ndarray, n_src: int) -> np.ndarray:
+    """Each edge's rank among the edges of its column, in edge order: its
+    distance from the column's first edge (a group head) once the edges
+    are sorted by column, in the narrowest type that holds ``n_src``."""
+    by_col = np.argsort(cols.astype(np.min_scalar_type(n_src - 1)), kind="stable")
+    in_order = cols[by_col]
+    position = np.arange(len(cols))
+    heads = np.empty(len(cols), dtype=bool)
+    heads[0] = True
+    np.not_equal(in_order[1:], in_order[:-1], out=heads[1:])
+    rank = np.empty_like(by_col)
+    rank[by_col] = position - np.maximum.accumulate(np.where(heads, position, 0))
+    return rank
 
 
 class Block:
@@ -78,7 +88,7 @@ class Block:
         self.rows = np.repeat(np.arange(self.n_dst), counts)
         # Rows are sorted: an edge's rank in its row is its offset from the row's start.
         self.by_row = _rank_groups(np.arange(len(indices)) - self.starts[self.rows])
-        self.by_col = _rank_groups(_column_rank(indices))
+        self.by_col = _rank_groups(_column_rank(indices, n_src))
 
     @classmethod
     def from_edges(cls, n_dst: int, n_src: int, rows: np.ndarray, cols: np.ndarray,

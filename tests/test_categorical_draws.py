@@ -14,7 +14,10 @@ instead of a binary search over the whole CDF.  What must hold:
 * every bucket holding one outcome answers by lookup (no bisection);
 * invalid ``p`` raises :class:`ValueError` where ``choice`` does;
 * the datasets drawing through it — CTR batches, KG heads, graph hubs —
-  are the bytes they were when they drew through ``choice`` (CRC pins).
+  are the bytes they were when they drew through ``choice`` (CRC pins);
+* the KG tails, drawn from one array of words, are the per-triple loop's
+  scalar ``integers`` / ``choice`` draws — triples and generator state,
+  through one-member clusters (no word) and a rejected word (the loop).
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import pytest
 
 from repro.data import CTRDataset, GraphDataset, KGDataset
 from repro.data.draws import Categorical
+from repro.data.kg import _draw_tails
 
 SKEWS = [0.5, 0.8, 1.05, 1.5]
 SIZES = [2, 3, 17, 1_000, 4_000, 100_000]
@@ -184,6 +188,73 @@ def test_ctr_batches_are_pinned():
 ])
 def test_kg_triples_are_pinned(kwargs, crc):
     assert zlib.crc32(KGDataset(**kwargs).triples.tobytes()) == crc
+
+
+def loop_tails(rng, noisy, clusters, by_cluster, num_entities) -> np.ndarray:
+    """The per-triple loop ``KGDataset`` drew its tails with: a scalar
+    ``integers`` for a noisy triple, else a ``choice`` of the head's
+    cluster (the reference the one-call draw must equal)."""
+    return np.array([rng.integers(0, num_entities) if noise else rng.choice(by_cluster[c])
+                     for noise, c in zip(noisy.tolist(), clusters.tolist())], dtype=np.int64)
+
+
+def loop_triples(num_entities, num_relations, num_clusters, num_triples, seed,
+                 cluster_noise=0.1, hub_skew=0.9) -> np.ndarray:
+    """``KGDataset(...).triples`` drawn draw for draw as the dataset did
+    with its per-triple loop."""
+    rng = np.random.default_rng(seed)
+    entity_cluster = rng.integers(0, num_clusters, num_entities)
+    by_cluster = [np.flatnonzero(entity_cluster == c) for c in range(num_clusters)]
+    by_cluster = [members if len(members) else np.array([c % num_entities])
+                  for c, members in enumerate(by_cluster)]
+    popularity = 1.0 / np.power(np.arange(1, num_entities + 1, dtype=np.float64), hub_skew)
+    head_ids = rng.permutation(num_entities)
+    head_draws = rng.choice(num_entities, size=num_triples, p=popularity / popularity.sum())
+    rels = rng.integers(0, num_relations, num_triples)
+    noisy = rng.random(num_triples) < cluster_noise
+    heads = head_ids[head_draws]
+    tails = loop_tails(rng, noisy, entity_cluster[heads], by_cluster, num_entities)
+    return np.stack([heads, rels, tails], axis=1)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(num_entities=3000, num_relations=7, num_clusters=16, num_triples=8000, seed=1),
+    dict(num_entities=40, num_relations=3, num_clusters=32, num_triples=3000, seed=3),
+], ids=["wide", "one-member-clusters"])
+def test_kg_triples_are_the_per_triple_loop(kwargs):
+    kg = KGDataset(**kwargs)
+    np.testing.assert_array_equal(kg.triples, loop_triples(**kwargs))
+    if kwargs["num_clusters"] > kwargs["num_entities"] // 2:  # some clusters have one member
+        lone = [c for c, members in enumerate(kg._by_cluster) if len(members) == 1]
+        assert np.isin(kg.entity_cluster[kg.triples[:, 0]], lone).sum() > 100
+
+
+def _force_a_rejected_word(rng) -> None:
+    """The next ``next_uint32`` word is 0: a draw in ``[0, 2]`` rejects it."""
+    state = rng.bit_generator.state
+    state["has_uint32"], state["uinteger"] = 1, 0
+    rng.bit_generator.state = state
+
+
+@pytest.mark.parametrize("entry", [None, _force_a_rejected_word], ids=["words", "rejected"])
+def test_kg_tail_draws_and_state_are_the_loops(entry):
+    """One-member clusters draw no word; a rejected word sends the whole
+    draw back to the loop from where it started."""
+    by_cluster = [np.arange(3), np.array([7]), np.arange(10, 20), np.array([4])]
+    draw = np.random.default_rng(11)
+    noisy = draw.random(500) < 0.2
+    clusters = draw.integers(0, len(by_cluster), 500)
+    noisy[0], clusters[0] = False, 0  # the first draw is in [0, 2]
+    ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+    if entry is not None:
+        entry(ours)
+        entry(theirs)
+    got = _draw_tails(ours, noisy, clusters, by_cluster, 1_000)
+    want = loop_tails(theirs, noisy, clusters, by_cluster, 1_000)
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == np.int64
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    assert float(ours.random()) == float(theirs.random())
 
 
 @pytest.mark.parametrize("kwargs, crc", [

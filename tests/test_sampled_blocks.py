@@ -6,8 +6,10 @@ only the rank order of each grouping and the message-passing kernels
 gather the summed-into and taken-from arrays through it.  Each hop of
 small random multigraphs must equal ``tests/gnn_oracle.py``'s reference
 (``rng.choice`` per destination, ``np.unique`` relabel, permuted copies
-in every grouping) array for array, generator state included.  The
-layout test pins what one ``gnn_dense``-shaped batch holds in memory.
+in every grouping) array for array, generator state included; so must
+blocks whose ranks and columns pass the ``uint8`` and ``uint16`` sort
+keys.  The layout test pins what one ``gnn_dense``-shaped batch holds in
+memory.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import pytest
 
 from gnn_oracle import choice_loop_layer, csr, rank_groups
 from repro.data import GraphDataset, NeighborSampler
-from repro.nn.sparse import EdgeGroups
+from repro.nn.sparse import Block, EdgeGroups
 
 ISOLATED, TWICE, WIDE = 0, 1, 2  # node roles every random graph has
 
@@ -118,3 +120,34 @@ def test_a_batch_keeps_each_edge_array_once():
     buffers = {id(base): base.nbytes for base in map(_base, _arrays(batch))}
     edges = sum(len(block.indices) for block in batch.blocks)
     assert sum(buffers.values()) / edges <= 45
+
+
+def _boundary_block(n_src: int, rows_edges: list) -> Block:
+    """A block of the given ``(row, column)`` edges ≡ the oracle's rank groups."""
+    rows, cols = np.array(rows_edges).T
+    block = Block.from_edges(rows.max() + 1, n_src, rows, cols)
+    _assert_groups(block.by_row, block.rows, block.indices,
+                   rank_groups(block.rows, block.indices, block.n_dst))
+    _assert_groups(block.by_col, block.indices, block.rows,
+                   rank_groups(block.indices, block.rows, n_src))
+    return block
+
+
+def test_ranks_past_255_sort_as_uint16():
+    """Column 0 takes 300 edges and row 0 310, so both groupings have
+    ranks past ``uint8``; ``gnn_dense``'s blocks never rank past 5."""
+    draw = np.random.default_rng(3)
+    edges = [(0, col) for col in range(310)]
+    edges += [(row, col) for row in range(1, 300) for col in (0, int(draw.integers(1, 400)))]
+    block = _boundary_block(400, edges)
+    assert len(block.by_row.bounds) - 1 == 310 and len(block.by_col.bounds) - 1 == 300
+
+
+def test_a_frontier_past_65535_sorts_its_columns_as_uint32():
+    """Columns up to 69,999 (``n_src`` 70,000): past ``uint16``, which
+    would fold column 65,536 onto column 0."""
+    draw = np.random.default_rng(4)
+    edges = [(row, int(col)) for row in range(40) for col in draw.integers(0, 70_000, 6)]
+    edges += [(row, col) for row in range(0, 40, 3) for col in (0, 65_536, 69_999)]
+    block = _boundary_block(70_000, edges)
+    assert block.indices.max() == 69_999 and (block.indices == 65_536).sum() == 14
